@@ -14,7 +14,8 @@
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  simulation-after-import harness, cross-worker restores,
 #                  and byte-exact snapshot round-trips
-#   make fuzz    - short live fuzzing session on the config parsers
+#   make fuzz    - short live fuzzing session on the config parsers and the
+#                  event-order model
 #   make bench   - the paper's table/figure benchmark suite with -benchmem
 #   make micro   - the standalone hot-structure micro-benchmarks
 #   make sweep-smoke - fleet-observability smoke: a tiny two-point sweep with
@@ -23,6 +24,14 @@
 #                  /sweep and /metrics endpoints) driven over its artifacts,
 #                  then the bench-guard re-run to prove the instrumentation
 #                  kept the disabled hot path under the committed ceiling
+#   make bench-smoke - the host-speed benchmark's own tests (benchmark/ is a
+#                  module of its own, so `go test ./...` does not see them):
+#                  all six workloads at 1/50 scale, traced and untraced,
+#                  each run's own outcome checks and the fingerprint
+#                  equalities across engine paths (sharded, checkpointed and
+#                  probed runs must reproduce the serial run's simulated
+#                  outcome). The pinned seed-1 fingerprints are compared at
+#                  scale 1 only, by the benchmark itself
 #   make bench-guard - allocation-regression guard: BenchmarkFigure5 (and the
 #                  explicit workers=1 path) with telemetry disabled must stay
 #                  under the ceiling committed in bench_ceiling.txt; also
@@ -35,7 +44,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-rules test race cover fuzz ci test-import-export bench micro bench-guard bench-guard-spans bench-parallel sweep-smoke
+.PHONY: all build vet lint lint-rules test race cover fuzz ci test-import-export bench micro bench-smoke bench-guard bench-guard-spans bench-parallel sweep-smoke
 
 all: ci
 
@@ -79,6 +88,7 @@ cover:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzSettingsOverride -fuzztime=10s ./internal/config
+	$(GO) test -run='^$$' -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim
 
 # Checkpoint/restore equivalence: the simulation-after-import harness (all
 # golden topologies, serial and sharded), the cross-worker restore matrix,
@@ -88,7 +98,13 @@ test-import-export:
 	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestSnapshotRoundTrip|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
-ci: build vet lint test race test-import-export bench-guard sweep-smoke
+ci: build vet lint test race test-import-export bench-smoke bench-guard sweep-smoke
+
+# The benchmark's smoke test (~15 s), so every merge runs the six workloads
+# and their cross-path fingerprint equalities, not only the changes that are
+# measured.
+bench-smoke:
+	$(GO) test -C benchmark ./...
 
 # Fleet-observability smoke: the sweep→journal→manifest→parse→plot→dashboard
 # pipeline end-to-end, then the allocation guard against the unchanged
@@ -119,5 +135,5 @@ bench:
 
 micro:
 	$(GO) test -run='^$$' -bench='BenchmarkNewMessage|BenchmarkPoolNewMessage' -benchmem ./internal/types
-	$(GO) test -run='^$$' -bench='BenchmarkEventHeapPushPop|BenchmarkHeapChurn' -benchmem ./internal/sim
+	$(GO) test -run='^$$' -bench='BenchmarkQueueShapes|BenchmarkQueueChurn' -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/arbiter ./internal/stats

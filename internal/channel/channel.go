@@ -6,7 +6,7 @@
 //
 // Because a channel's latency is fixed, deliveries are FIFO; each channel
 // therefore keeps its own pending queue and holds at most one event in the
-// simulator's priority queue at a time, which keeps the global event heap
+// simulator's priority queue at a time, which keeps the global event queue
 // small even with hundreds of flits in flight per link.
 package channel
 

@@ -67,8 +67,12 @@ func New(s *sim.Simulator, cfg *config.Settings) *FoldedClos {
 	for i := range all {
 		all[i] = i
 	}
+	up := make([]routing.Candidate, f.k)
+	for u := range up {
+		up[u] = routing.Candidate{Port: f.k + u, VC: 0}
+	}
 	rc := func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
-		return &upAlg{f: f, router: routerID, sensor: sensor, rng: rng, all: all}
+		return &upAlg{f: f, router: routerID, sensor: sensor, rng: rng, all: all, up: up}
 	}
 	// Routers level by level; id = level*perLvl + index(w).
 	for lvl := 0; lvl < f.levels; lvl++ {
@@ -144,10 +148,13 @@ type upAlg struct {
 	router int
 	sensor congestion.Sensor
 	rng    *rand.Rand
-	all    []int
+	all    []int               // every VC; shared, read-only
+	up     []routing.Candidate // the k up ports, as adaptive candidates; shared, read-only
 }
 
 // Route implements routing.Algorithm.
+//
+//sslint:hotpath
 func (a *upAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
 	f := a.f
 	lvl, w := f.level(a.router), f.index(a.router)
@@ -161,10 +168,6 @@ func (a *upAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 	if !a.f.adapt {
 		return routing.Response{Port: f.k + a.rng.IntN(f.k), VCs: a.all}
 	}
-	cands := make([]routing.Candidate, f.k)
-	for u := 0; u < f.k; u++ {
-		cands[u] = routing.Candidate{Port: f.k + u, VC: 0}
-	}
-	best := routing.LeastCongested(now, a.sensor, a.rng, cands)
+	best := routing.LeastCongested(now, a.sensor, a.rng, a.up)
 	return routing.Response{Port: best.Port, VCs: a.all}
 }

@@ -432,7 +432,7 @@ type flight struct {
 // delayLine batches a router's fixed-latency internal traversals so the
 // router holds at most one pending event for all of them: traversal
 // completion times are monotone (fixed latency, monotone starts), so the
-// line is a FIFO. This keeps the global event heap small even with long
+// line is a FIFO. This keeps the global event queue small even with long
 // crossbar latencies.
 type delayLine struct {
 	q         []flight

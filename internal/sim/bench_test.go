@@ -2,9 +2,9 @@ package sim
 
 import "testing"
 
-// BenchmarkHeapChurn measures schedule+execute throughput with a realistic
+// BenchmarkQueueChurn measures schedule+execute throughput with a realistic
 // pending-set size (the event queue is the simulator's hottest structure).
-func BenchmarkHeapChurn(b *testing.B) {
+func BenchmarkQueueChurn(b *testing.B) {
 	s := NewSimulator(1)
 	var h Handler
 	h = HandlerFunc(func(ev *Event) {
@@ -21,30 +21,44 @@ func BenchmarkHeapChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkEventHeapPushPop measures the raw event heap operations in
-// isolation — no handler dispatch, no free-list — at a realistic pending-set
-// size. The heap is the simulator's hottest data structure; this benchmark
-// exists so heap changes are measured standalone (run with -benchmem: the
-// steady state must not allocate).
-func BenchmarkEventHeapPushPop(b *testing.B) {
-	const pending = 4096
-	var h eventHeap
-	events := make([]Event, pending)
-	for i := range events {
-		events[i].Time = Time{Tick: Tick(i % 257)}
-		events[i].owner = uint32(i%17) + 1
-		events[i].oseq = uint64(i)
-		h.push(&events[i])
-	}
-	seq := uint64(pending)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := h.pop()
-		e.Time.Tick += Tick(1 + seq%257) // reinsert in the near future
-		e.oseq = seq
-		seq++
-		h.push(e)
+// BenchmarkQueueShapes measures schedule+execute cost per event at the queue
+// shapes the benchmark workloads were measured to have (pending events /
+// events per timestamp: fb_ioq 364/63, torus_iq 2,474/974, clos_oq
+// 4,708/1,551) and at the shape that defeats timestamp bucketing: every
+// pending event at a timestamp of its own, as BenchmarkSchedule builds. Every
+// handler is its own owner and reschedules itself one full rotation of the
+// pending timestamps ahead, so the shape holds for the whole run. It goes
+// through Schedule and RunUntil only, so the same file measures any queue
+// implementation; the steady state must not allocate.
+func BenchmarkQueueShapes(b *testing.B) {
+	for _, shape := range []struct {
+		name                  string
+		pending, perTimestamp int
+	}{
+		{"fb_ioq", 364, 63},
+		{"torus_iq", 2474, 974},
+		{"clos_oq", 4708, 1551},
+		{"all_distinct", 4096, 1},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			s := NewSimulator(1)
+			rotation := Tick((shape.pending + shape.perTimestamp - 1) / shape.perTimestamp)
+			for i := 0; i < shape.pending; i++ {
+				var h Handler
+				h = HandlerFunc(func(ev *Event) {
+					s.Schedule(h, ev.Time.Plus(rotation), 0, nil)
+				})
+				s.Schedule(h, Time{Tick: 1 + Tick(i/shape.perTimestamp)}, 0, nil)
+			}
+			s.RunUntil(1 + 4*rotation) // warm the event free list and the queue's arrays
+			b.ReportAllocs()
+			b.ResetTimer()
+			events := uint64(0)
+			for events < uint64(b.N) {
+				events += s.RunUntil(s.Now().Tick + 1 + rotation)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // this file only knows about sim-owned state.
 
 // EventRecord is one queued event in partition-independent form. The
-// (Tick, Eps, Owner, Oseq) key is the event heap's total order (see
+// (Tick, Eps, Owner, Oseq) key is the event queue's total order (see
 // event.go), so a merged, key-sorted record list is identical no matter how
 // the simulation was sharded when it was exported — which is what lets a
 // snapshot taken at one worker count restore into any other.
@@ -62,17 +62,18 @@ func (r *EventRecord) Load(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-// ExportEvents returns every queued event as a record. The result is in heap
+// ExportEvents returns every queued event as a record. The result is in queue
 // (arbitrary) order; callers merge records across shards and sort with
 // SortEventRecords. Events whose handler is not a keyed component, or whose
 // context is neither nil nor int, cannot be re-bound at restore and are
 // reported as errors.
 func (s *Simulator) ExportEvents() ([]EventRecord, error) {
 	recs := make([]EventRecord, 0, s.queue.len())
-	for i := range s.queue.a {
-		e := s.queue.a[i].ev
+	var err error
+	s.queue.each(func(e *Event) bool {
 		if e.owner == ^uint32(0) {
-			return nil, fmt.Errorf("sim: cannot snapshot event for foreign handler %T (no construction-order key)", e.Handler)
+			err = fmt.Errorf("sim: cannot snapshot event for foreign handler %T (no construction-order key)", e.Handler)
+			return false
 		}
 		r := EventRecord{
 			Tick: e.Time.Tick, Eps: e.Time.Eps,
@@ -84,14 +85,19 @@ func (s *Simulator) ExportEvents() ([]EventRecord, error) {
 		case int:
 			r.HasCtx, r.Ctx = true, c
 		default:
-			return nil, fmt.Errorf("sim: cannot snapshot event context of type %T (only nil and int are serializable)", c)
+			err = fmt.Errorf("sim: cannot snapshot event context of type %T (only nil and int are serializable)", c)
+			return false
 		}
 		recs = append(recs, r)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return recs, nil
 }
 
-// SortEventRecords sorts records by the event heap's total order
+// SortEventRecords sorts records by the event queue's total order
 // (tick, epsilon, owner, oseq), producing the partition-independent queue
 // layout stored in snapshots.
 func SortEventRecords(recs []EventRecord) {

@@ -17,7 +17,7 @@ type Component interface {
 // eventOrder is a handler's deterministic scheduling identity. key is the
 // handler's construction-order number (assigned by the simulator the handler
 // was built against, never reassigned); seq counts that handler's Schedule
-// calls. Together they form the (owner, oseq) tiebreak in the event heap —
+// calls. Together they form the (owner, oseq) tiebreak in the event queue —
 // see event.go. key 0 means "not yet assigned"; the simulator assigns lazily
 // on first schedule for handlers (HandlerFunc) created outside a component.
 type eventOrder struct {

@@ -25,12 +25,12 @@ const maxEventFreeList = 4096
 // parallel execution, several Simulators (one per shard) are coordinated by
 // an Engine (see parallel.go); each remains single-threaded internally.
 type Simulator struct {
-	queue eventHeap
+	queue eventQueue
 	//sslint:nosnapshot — restored by the container: SetNow re-seeds the clock from the checkpoint tick
 	now Time
 	//sslint:nosnapshot — true only inside Run; snapshots are taken quiesced
 	running bool
-	//sslint:nosnapshot — Stop latch for the current Run call, reset when Run enters
+	//sslint:nosnapshot — sticky Stop latch; a stopped simulation is over and is never snapshotted
 	stopped bool
 	//sslint:nosnapshot — partition-dependent split; the container stores run-wide totals and restores them via SetProgress
 	executed uint64
@@ -167,7 +167,7 @@ func (s *Simulator) Telemetry() any { return s.telemetry }
 
 // Stamp is the position of an executing event in the partition-independent
 // total order: the event's time plus its (owner, oseq) tiebreak — the same key
-// the event heap sorts by (see entryLess). Stamps taken on different shards
+// the event queue orders by (see eventQueue). Stamps taken on different shards
 // are mutually comparable, and equal stamps cannot occur for distinct events,
 // so observation records tagged with stamps can be merged across shards into
 // exactly the serial emission order.
@@ -312,9 +312,14 @@ func (s *Simulator) schedule(h Handler, t Time, typ int, ctx any, daemon bool) {
 	s.queue.push(e)
 }
 
-// Stop makes Run return after the currently executing event completes, even
-// if events remain queued. It is used by error paths and by workload
-// controllers that decide a simulation is complete.
+// Stop ends the simulation: Run or RunUntil returns after the currently
+// executing event completes, even if events remain queued, and every later
+// Run or RunUntil call returns at once having executed nothing. The latch is
+// sticky on purpose: drivers that step a simulation (RunCheckpointed's RunUntil
+// loop, the parallel engine's windows) finish with one more Run for trailing
+// daemons, and that call must not resume a simulation an error path or a
+// workload controller declared complete. Events left in the queue, including
+// the rest of the timestamp that was executing, stay pending and exportable.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Stopped reports whether Stop has been called.
@@ -360,10 +365,8 @@ func (s *Simulator) runUntil(tick Tick, all bool) uint64 {
 	start := s.executed
 	s.running = true
 	for s.queue.len() > 0 && !s.stopped {
-		if !all {
-			if e := s.queue.peek(); e.Time.Tick >= tick {
-				break
-			}
+		if !all && s.queue.nextTick() >= tick {
+			break
 		}
 		e := s.queue.pop()
 		if e.Time.Before(s.now) {

@@ -144,6 +144,115 @@ func TestSimulatorStop(t *testing.T) {
 	}
 }
 
+// stopOn counts the events it executes and calls Stop on one of negative
+// type. (It cannot reuse recorder, whose order field hides ComponentBase's
+// ordering key and so makes it a foreign handler.)
+type stopOn struct {
+	ComponentBase
+	executed int
+}
+
+func (c *stopOn) ProcessEvent(ev *Event) {
+	c.executed++
+	if ev.Type < 0 {
+		c.Sim().Stop()
+	}
+}
+
+// TestStopIsSticky pins the Stop contract: the run ends mid-timestamp, every
+// later Run and RunUntil executes nothing, and what Stop left queued — the
+// rest of the timestamp that was executing, plus anything scheduled into that
+// same timestamp afterwards — stays pending and exports in order.
+func TestStopIsSticky(t *testing.T) {
+	s := NewSimulator(1)
+	var c [5]*stopOn // owners 1..5
+	for i := range c {
+		c[i] = &stopOn{ComponentBase: NewComponentBase(s, "c")}
+	}
+	at := Time{10, 3}
+	s.Schedule(c[4], at, 4, nil)
+	s.Schedule(c[2], at, -1, nil)
+	s.Schedule(c[1], at, 1, nil)
+	s.Schedule(c[0], Time{20, 0}, 0, nil)
+
+	if n := s.Run(); n != 2 || c[1].executed != 1 || c[2].executed != 1 {
+		t.Fatalf("Run executed %d events, want 2: c1, then c2 which stops", n)
+	}
+	if !s.Stopped() || s.Now() != at || s.Pending() != 2 {
+		t.Fatalf("after Stop: Stopped() = %v, Now() = %v, Pending() = %d; want true, %v, 2", s.Stopped(), s.Now(), s.Pending(), at)
+	}
+
+	// Into the half-drained timestamp: an owner that sorts before everything
+	// already executed there, and one that sorts between the leftovers.
+	s.Schedule(c[0], at, 0, nil)
+	s.ScheduleDaemon(c[3], at, 3, nil)
+	if s.Pending() != 4 || s.PendingNonDaemon() != 3 {
+		t.Fatalf("Pending() = %d, PendingNonDaemon() = %d, want 4 and 3", s.Pending(), s.PendingNonDaemon())
+	}
+	if n := s.Run() + s.RunUntil(1000); n != 0 {
+		t.Fatalf("a stopped simulator executed %d events", n)
+	}
+	if c[0].executed+c[3].executed+c[4].executed != 0 || s.Pending() != 4 {
+		t.Fatal("Run after Stop touched the queue")
+	}
+
+	got, err := s.ExportEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	SortEventRecords(got)
+	want := []EventRecord{
+		{Tick: 10, Eps: 3, Owner: 1, Oseq: 2, Type: 0},
+		{Tick: 10, Eps: 3, Owner: 4, Oseq: 1, Type: 3, Daemon: true},
+		{Tick: 10, Eps: 3, Owner: 5, Oseq: 1, Type: 4},
+		{Tick: 20, Eps: 0, Owner: 1, Oseq: 1, Type: 0},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("exported %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestQueuePushAheadOfOpenBucket drives the queue as a bare priority queue
+// into the one state a Simulator never reaches without panicking afterwards:
+// an event pushed before the timestamp being drained. It must still come out
+// first, and the interrupted timestamp must resume where it stopped.
+func TestQueuePushAheadOfOpenBucket(t *testing.T) {
+	var q eventQueue
+	ev := func(tick Tick, owner uint32) *Event {
+		return &Event{Time: Time{Tick: tick}, owner: owner, oseq: 1}
+	}
+	for _, owner := range []uint32{3, 1, 2} {
+		q.push(ev(10, owner))
+	}
+	if e := q.pop(); e.owner != 1 {
+		t.Fatalf("popped owner %d first, want 1", e.owner)
+	}
+	q.push(ev(5, 9))
+	q.push(ev(10, 1)) // same key as the event already popped: next in its timestamp
+	if q.nextTick() != 5 {
+		t.Fatalf("nextTick() = %d, want 5", q.nextTick())
+	}
+	var got []Stamp
+	for q.len() > 0 {
+		e := q.pop()
+		got = append(got, Stamp{e.Time, e.owner, e.oseq})
+	}
+	want := []Stamp{{Time{5, 0}, 9, 1}, {Time{10, 0}, 1, 1}, {Time{10, 0}, 2, 1}, {Time{10, 0}, 3, 1}}
+	if len(got) != len(want) {
+		t.Fatalf("popped %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("pop %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestSimulatorRunUntil(t *testing.T) {
 	s := NewSimulator(1)
 	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
@@ -252,7 +361,7 @@ func TestSimulatorMonitor(t *testing.T) {
 
 // Property: for any multiset of scheduled times, execution happens in
 // nondecreasing (tick, eps) order.
-func TestSimulatorHeapOrderProperty(t *testing.T) {
+func TestSimulatorTimeOrderProperty(t *testing.T) {
 	prop := func(ticks []uint16, eps []uint8) bool {
 		if len(ticks) == 0 {
 			return true
