@@ -13,7 +13,7 @@
 #                  in coverage_floors.txt
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  simulation-after-import harness, cross-worker restores,
-#                  and byte-exact snapshot round-trips
+#                  byte-exact snapshot round-trips and the pinned v1 bytes
 #   make fuzz    - short live fuzzing session on the config parsers and the
 #                  event-order model
 #   make bench   - the paper's table/figure benchmark suite with -benchmem
@@ -92,10 +92,12 @@ fuzz:
 
 # Checkpoint/restore equivalence: the simulation-after-import harness (all
 # golden topologies, serial and sharded), the cross-worker restore matrix,
-# byte-exact snapshot round-trips, and the randomized checkpoint sweep — under
+# byte-exact snapshot round-trips, the schema-v1 bytes pinned in
+# testdata/golden/snapshots.json, restored-index validation, and the
+# randomized checkpoint sweep — under
 # the race detector, since restore re-partitions across shards.
 test-import-export:
-	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestSnapshotRoundTrip|TestRandomizedCheckpointRestore' ./internal/core
+	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
 ci: build vet lint test race test-import-export bench-smoke bench-guard sweep-smoke

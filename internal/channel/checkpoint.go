@@ -1,96 +1,57 @@
 package channel
 
 import (
-	"supersim/internal/sim"
 	"supersim/internal/snapshot"
 	"supersim/internal/types"
 )
 
 // Checkpoint state for channels. In-flight flits are stored as (delivery
 // tick, flit reference) pairs against the checkpoint's message table; the
-// FIFO is normalized on save (the consumed prefix before head is dropped) so
-// the bytes do not depend on compaction history. The cross-shard remote port
-// is topology wiring, not state — the restore path rebuilds it when it
-// re-partitions the network.
+// FIFO is normalized (the consumed prefix before head is not part of the
+// stream, and a loaded FIFO starts at head 0) so the bytes do not depend on
+// compaction history. The cross-shard remote port is topology wiring, not
+// state — the restore path rebuilds it when it re-partitions the network.
 
 // Collect adds every message with a flit in flight on this channel to the
 // checkpoint's message table.
-func (c *Channel) Collect(t *types.MessageTable) {
-	for i := c.head; i < len(c.pending); i++ {
-		t.Add(c.pending[i].f.Pkt.Msg)
+func (ch *Channel) Collect(t *types.MessageTable) {
+	for i := ch.head; i < len(ch.pending); i++ {
+		t.Add(ch.pending[i].f.Pkt.Msg)
 	}
 }
 
-// SaveState serializes the channel's mutable state.
-func (c *Channel) SaveState(e *snapshot.Encoder, t *types.MessageTable) {
-	c.SaveOrder(e)
-	e.U64(uint64(c.nextSlot))
-	e.U64(c.injected)
-	e.Bool(c.scheduled)
-	e.Int(len(c.pending) - c.head)
-	for i := c.head; i < len(c.pending); i++ {
-		e.U64(uint64(c.pending[i].at))
-		t.EncodeFlit(e, c.pending[i].f)
+// State codes the channel's mutable state.
+func (ch *Channel) State(c *snapshot.Codec, t *types.MessageTable) {
+	ch.OrderState(c)
+	snapshot.Uint(c, &ch.nextSlot)
+	c.U64(&ch.injected)
+	c.Bool(&ch.scheduled)
+	live := ch.pending[ch.head:]
+	snapshot.Slice(c, &live)
+	if c.Loading() {
+		ch.pending, ch.head = live, 0
 	}
-}
-
-// LoadState restores the counterpart of SaveState onto a freshly built
-// channel.
-func (c *Channel) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
-	if err := c.LoadOrder(d); err != nil {
-		return err
-	}
-	c.nextSlot = sim.Tick(d.U64())
-	c.injected = d.U64()
-	c.scheduled = d.Bool()
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	c.pending = make([]flitFlight, 0, n)
-	c.head = 0
-	for i := 0; i < n; i++ {
-		at := sim.Tick(d.U64())
-		f, err := t.DecodeFlit(d)
-		if err != nil {
-			return err
+	for i := range live {
+		snapshot.Uint(c, &live[i].at)
+		t.Flit(c, &live[i].f)
+		if c.Loading() && c.Err() == nil && live[i].f == nil {
+			c.Failf("channel %s: in-flight entry %d has no flit", ch.Name(), i)
+			return
 		}
-		if f == nil {
-			return d.Failf("channel %s: in-flight entry %d has no flit", c.Name(), i)
-		}
-		c.pending = append(c.pending, flitFlight{at: at, f: f})
-	}
-	return d.Err()
-}
-
-// SaveState serializes the credit channel's mutable state.
-func (c *CreditChannel) SaveState(e *snapshot.Encoder) {
-	c.SaveOrder(e)
-	e.Bool(c.scheduled)
-	e.Int(len(c.pending) - c.head)
-	for i := c.head; i < len(c.pending); i++ {
-		e.U64(uint64(c.pending[i].at))
-		e.Int(c.pending[i].cr.VC)
 	}
 }
 
-// LoadState restores the counterpart of SaveState onto a freshly built
-// credit channel.
-func (c *CreditChannel) LoadState(d *snapshot.Decoder) error {
-	if err := c.LoadOrder(d); err != nil {
-		return err
+// State codes the credit channel's mutable state.
+func (cc *CreditChannel) State(c *snapshot.Codec) {
+	cc.OrderState(c)
+	c.Bool(&cc.scheduled)
+	live := cc.pending[cc.head:]
+	snapshot.Slice(c, &live)
+	if c.Loading() {
+		cc.pending, cc.head = live, 0
 	}
-	c.scheduled = d.Bool()
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
+	for i := range live {
+		snapshot.Uint(c, &live[i].at)
+		c.Int(&live[i].cr.VC)
 	}
-	c.pending = make([]creditFlight, 0, n)
-	c.head = 0
-	for i := 0; i < n; i++ {
-		at := sim.Tick(d.U64())
-		vc := d.Int()
-		c.pending = append(c.pending, creditFlight{at: at, cr: types.Credit{VC: vc}})
-	}
-	return d.Err()
 }

@@ -7,6 +7,7 @@ import (
 
 	"supersim/internal/sim"
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 	"supersim/internal/types"
 )
 
@@ -24,10 +25,26 @@ func inFlightChannel(t *testing.T) (*Channel, *types.Message) {
 	return c, m
 }
 
-func saveChannel(c *Channel, tab *types.MessageTable) []byte {
-	e := snapshot.NewEncoder()
-	c.SaveState(e, tab)
-	return e.Bytes()
+func saveChannel(ch *Channel, tab *types.MessageTable) []byte {
+	return snaptest.Save(func(c *snapshot.Codec) { ch.State(c, tab) })
+}
+
+func loadChannel(data []byte, ch *Channel, tab *types.MessageTable) error {
+	return snaptest.Load(data, func(c *snapshot.Codec) { ch.State(c, tab) })
+}
+
+// anyIndex admits every terminal, application and VC number the tests use.
+var anyIndex = types.Bounds{Terminals: 64, Apps: 64, VCs: 64}
+
+// reloadTable returns a fresh table holding restored copies of tab's messages.
+func reloadTable(t *testing.T, tab *types.MessageTable) *types.MessageTable {
+	t.Helper()
+	data := snaptest.Save(func(c *snapshot.Codec) { tab.State(c, nil, anyIndex) })
+	rtab := types.NewMessageTable()
+	if err := snaptest.Load(data, func(c *snapshot.Codec) { rtab.State(c, nil, anyIndex) }); err != nil {
+		t.Fatal(err)
+	}
+	return rtab
 }
 
 func TestChannelStateRoundTrip(t *testing.T) {
@@ -37,19 +54,14 @@ func TestChannelStateRoundTrip(t *testing.T) {
 	if tab.Len() != 1 {
 		t.Fatalf("collected %d messages, want 1", tab.Len())
 	}
-	te := snapshot.NewEncoder()
-	tab.SaveState(te)
 	data := saveChannel(c, tab)
 
-	rtab, err := types.LoadMessageTable(snapshot.NewDecoder(te.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rtab := reloadTable(t, tab)
 	s2 := sim.NewSimulator(1)
 	got := New(s2, "chan_0", 4, 2)
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d, rtab); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d, rtab); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -70,17 +82,18 @@ func TestChannelLoadRejectsCorruption(t *testing.T) {
 	data := saveChannel(c, tab)
 
 	// A missing flit reference: a present=false entry where one is required.
-	e := snapshot.NewEncoder()
-	c.SaveOrder(e)
-	e.U64(4)      // nextSlot
-	e.U64(1)      // injected
-	e.Bool(true)  // scheduled
-	e.Int(1)      // one in-flight entry
-	e.U64(5)      // at
-	e.Bool(false) // ... with no flit
+	noFlit := snaptest.Save(func(e *snapshot.Codec) {
+		c.OrderState(e)
+		snaptest.Put(e.U64, 4)      // nextSlot
+		snaptest.Put(e.U64, 1)      // injected
+		snaptest.Put(e.Bool, true)  // scheduled
+		snaptest.Put(e.Int, 1)      // one in-flight entry
+		snaptest.Put(e.U64, 5)      // at
+		snaptest.Put(e.Bool, false) // ... with no flit
+	})
 	s2 := sim.NewSimulator(1)
 	got := New(s2, "chan_0", 4, 2)
-	if err := got.LoadState(snapshot.NewDecoder(e.Bytes()), tab); err == nil ||
+	if err := loadChannel(noFlit, got, tab); err == nil ||
 		!strings.Contains(err.Error(), "no flit") {
 		t.Fatalf("err = %v, want missing-flit error", err)
 	}
@@ -88,7 +101,7 @@ func TestChannelLoadRejectsCorruption(t *testing.T) {
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		s3 := sim.NewSimulator(1)
 		fresh := New(s3, "chan_0", 4, 2)
-		if err := fresh.LoadState(snapshot.NewDecoder(data[:n]), tab); err == nil {
+		if err := loadChannel(data[:n], fresh, tab); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
@@ -100,15 +113,13 @@ func TestCreditChannelStateRoundTrip(t *testing.T) {
 	c.SetSink(&creditCollector{s: s}, 0)
 	c.Inject(types.Credit{VC: 1})
 	c.Inject(types.Credit{VC: 0})
-	e := snapshot.NewEncoder()
-	c.SaveState(e)
-	data := e.Bytes()
+	data := snaptest.Save(c.State)
 
 	s2 := sim.NewSimulator(1)
 	got := NewCredit(s2, "cred_0", 3)
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -116,16 +127,14 @@ func TestCreditChannelStateRoundTrip(t *testing.T) {
 	if len(got.pending)-got.head != 2 || got.pending[0].cr.VC != 1 || got.pending[1].cr.VC != 0 {
 		t.Fatalf("restored credit queue %+v", got.pending)
 	}
-	e2 := snapshot.NewEncoder()
-	got.SaveState(e2)
-	if !bytes.Equal(e2.Bytes(), data) {
+	if !bytes.Equal(snaptest.Save(got.State), data) {
 		t.Fatal("re-saved credit channel state is not byte-identical")
 	}
 
 	for _, n := range []int{0, len(data) / 2, len(data) - 1} {
 		s3 := sim.NewSimulator(1)
 		fresh := NewCredit(s3, "cred_0", 3)
-		if err := fresh.LoadState(snapshot.NewDecoder(data[:n])); err == nil {
+		if err := snaptest.Load(data[:n], fresh.State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

@@ -1,119 +1,61 @@
 package congestion
 
-import (
-	"supersim/internal/sim"
-	"supersim/internal/snapshot"
-)
+import "supersim/internal/snapshot"
 
-// SaveTracker serializes a congestion tracker's mutable state, dispatching
-// on the concrete type. Trackers registered by other packages must implement
-// snapshot.Stater to be checkpointable.
-func SaveTracker(e *snapshot.Encoder, t Tracker) {
+// StateTracker codes a congestion tracker's mutable state behind a kind tag,
+// dispatching on the concrete type; a loaded tag that names a different kind
+// than the rebuilt router's tracker is a component-graph mismatch. Trackers
+// registered by other packages must implement snapshot.Stater to be
+// checkpointable.
+func StateTracker(c *snapshot.Codec, t Tracker) {
+	var kind string
+	var st snapshot.Stater
 	switch v := t.(type) {
 	case *CreditSensor:
-		e.Str("credit")
-		v.SaveState(e)
+		kind, st = "credit", v
 	case NullSensor:
-		e.Str("null")
+		kind = "null"
 	case snapshot.Stater:
-		e.Str("custom")
-		v.SaveState(e)
+		kind, st = "custom", v
 	default:
-		panic("congestion: tracker type is not checkpointable")
+		c.Failf("congestion tracker %T is not checkpointable", t)
+		return
+	}
+	got := kind
+	c.Str(&got)
+	if c.Err() == nil && got != kind {
+		c.Failf("congestion sensor is %q in snapshot, %s in rebuilt router", got, kind)
+		return
+	}
+	if st != nil {
+		st.State(c)
 	}
 }
 
-// LoadTracker restores state written by SaveTracker onto a freshly built
-// tracker of the same configuration.
-func LoadTracker(d *snapshot.Decoder, t Tracker) error {
-	kind := d.Str()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	switch v := t.(type) {
-	case *CreditSensor:
-		if kind != "credit" {
-			return d.Failf("congestion sensor is %q in snapshot, credit in rebuilt router", kind)
-		}
-		return v.LoadState(d)
-	case NullSensor:
-		if kind != "null" {
-			return d.Failf("congestion sensor is %q in snapshot, null in rebuilt router", kind)
-		}
-		return nil
-	case snapshot.Stater:
-		if kind != "custom" {
-			return d.Failf("congestion sensor is %q in snapshot, custom in rebuilt router", kind)
-		}
-		return v.LoadState(d)
-	default:
-		return d.Failf("rebuilt congestion tracker type is not checkpointable")
-	}
-}
-
-// SaveState serializes the credit sensor: raw occupancy counters and the
+// State codes the credit sensor: raw occupancy counters and the
 // delayed-visibility histories the routing engines read.
-func (cs *CreditSensor) SaveState(e *snapshot.Encoder) {
-	e.Int(len(cs.outputOcc))
+func (cs *CreditSensor) State(c *snapshot.Codec) {
+	c.FixedLen(len(cs.outputOcc), "credit sensor slots")
 	for i := range cs.outputOcc {
-		e.Int(cs.outputOcc[i])
-		e.Int(cs.downUsed[i])
+		c.Int(&cs.outputOcc[i])
+		c.Int(&cs.downUsed[i])
 	}
 	for _, v := range cs.vcVals {
-		v.saveState(e)
+		v.state(c)
 	}
 	for _, v := range cs.portVals {
-		v.saveState(e)
+		v.state(c)
 	}
 }
 
-// LoadState restores the counterpart of SaveState.
-func (cs *CreditSensor) LoadState(d *snapshot.Decoder) error {
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
+func (dv *DelayedValue) state(c *snapshot.Codec) {
+	snapshot.Slice(c, &dv.hist)
+	if c.Loading() && c.Err() == nil && len(dv.hist) == 0 {
+		// Get reads the newest entry unconditionally.
+		c.Failf("delayed value with empty history")
 	}
-	if n != len(cs.outputOcc) {
-		return d.Failf("credit sensor has %d slots, snapshot says %d", len(cs.outputOcc), n)
+	for i := range dv.hist {
+		snapshot.Uint(c, &dv.hist[i].t)
+		c.F64(&dv.hist[i].v)
 	}
-	for i := 0; i < n; i++ {
-		cs.outputOcc[i] = d.Int()
-		cs.downUsed[i] = d.Int()
-	}
-	for _, v := range cs.vcVals {
-		if err := v.loadState(d); err != nil {
-			return err
-		}
-	}
-	for _, v := range cs.portVals {
-		if err := v.loadState(d); err != nil {
-			return err
-		}
-	}
-	return d.Err()
-}
-
-func (dv *DelayedValue) saveState(e *snapshot.Encoder) {
-	e.Int(len(dv.hist))
-	for _, en := range dv.hist {
-		e.U64(uint64(en.t))
-		e.F64(en.v)
-	}
-}
-
-func (dv *DelayedValue) loadState(d *snapshot.Decoder) error {
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n == 0 {
-		return d.Failf("delayed value with empty history")
-	}
-	dv.hist = dv.hist[:0]
-	for i := 0; i < n; i++ {
-		t := sim.Tick(d.U64())
-		v := d.F64()
-		dv.hist = append(dv.hist, entry{t: t, v: v})
-	}
-	return d.Err()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 )
 
 // populatedSensor builds a 2-port, 2-VC credit sensor with a few updates
@@ -19,9 +20,11 @@ func populatedSensor() *CreditSensor {
 }
 
 func saveTracker(tr Tracker) []byte {
-	e := snapshot.NewEncoder()
-	SaveTracker(e, tr)
-	return e.Bytes()
+	return snaptest.Save(func(c *snapshot.Codec) { StateTracker(c, tr) })
+}
+
+func loadTracker(data []byte, tr Tracker) error {
+	return snaptest.Load(data, func(c *snapshot.Codec) { StateTracker(c, tr) })
 }
 
 func TestCreditSensorStateRoundTrip(t *testing.T) {
@@ -29,9 +32,9 @@ func TestCreditSensorStateRoundTrip(t *testing.T) {
 	data := saveTracker(cs)
 
 	got := NewCreditSensor(2, 2, PerVC, SourceOutput, 4)
-	d := snapshot.NewDecoder(data)
-	if err := LoadTracker(d, got); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if StateTracker(d, got); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -51,9 +54,9 @@ func TestCreditSensorStateRoundTrip(t *testing.T) {
 
 func TestNullSensorRoundTrip(t *testing.T) {
 	data := saveTracker(NullSensor{})
-	d := snapshot.NewDecoder(data)
-	if err := LoadTracker(d, NullSensor{}); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if StateTracker(d, NullSensor{}); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -66,13 +69,12 @@ type customTracker struct {
 	v uint64
 }
 
-func (c *customTracker) SaveState(e *snapshot.Encoder)       { e.U64(c.v) }
-func (c *customTracker) LoadState(d *snapshot.Decoder) error { c.v = d.U64(); return d.Err() }
+func (ct *customTracker) State(c *snapshot.Codec) { c.U64(&ct.v) }
 
 func TestCustomTrackerRoundTrip(t *testing.T) {
 	data := saveTracker(&customTracker{v: 42})
 	got := &customTracker{}
-	if err := LoadTracker(snapshot.NewDecoder(data), got); err != nil {
+	if err := loadTracker(data, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.v != 42 {
@@ -100,38 +102,37 @@ func TestTrackerDispatchErrors(t *testing.T) {
 		{"custom into bare", custom, bareTracker{}, "not checkpointable"},
 	}
 	for _, c := range cases {
-		if err := LoadTracker(snapshot.NewDecoder(c.data), c.into); err == nil ||
+		if err := loadTracker(c.data, c.into); err == nil ||
 			!strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SaveTracker accepted a non-checkpointable tracker")
-		}
-	}()
-	SaveTracker(snapshot.NewEncoder(), bareTracker{})
+	// Saving reports the same condition through the codec, so Snapshot
+	// returns it as an error.
+	c := snapshot.NewSaver()
+	if StateTracker(c, bareTracker{}); c.Err() == nil || !strings.Contains(c.Err().Error(), "not checkpointable") {
+		t.Fatalf("saving a non-checkpointable tracker: err = %v", c.Err())
+	}
 }
 
 func TestCreditSensorLoadRejectsCorruption(t *testing.T) {
 	// Slot-count mismatch: a wider sensor's snapshot into a narrower build.
 	wide := saveTracker(NewCreditSensor(4, 2, PerVC, SourceOutput, 4))
-	if err := LoadTracker(snapshot.NewDecoder(wide),
-		NewCreditSensor(2, 2, PerVC, SourceOutput, 4)); err == nil ||
+	if err := loadTracker(wide, NewCreditSensor(2, 2, PerVC, SourceOutput, 4)); err == nil ||
 		!strings.Contains(err.Error(), "slots") {
 		t.Fatalf("slot mismatch: err = %v", err)
 	}
 
 	// A delayed value with no history entries is structurally invalid.
-	e := snapshot.NewEncoder()
-	e.Str("credit")
-	e.Int(1) // one slot
-	e.Int(0)
-	e.Int(0)
-	e.Int(0) // vcVals[0]: empty history
-	if err := LoadTracker(snapshot.NewDecoder(e.Bytes()),
-		NewCreditSensor(1, 1, PerVC, SourceOutput, 4)); err == nil ||
+	empty := snaptest.Save(func(c *snapshot.Codec) {
+		snaptest.Put(c.Str, "credit")
+		snaptest.Put(c.Int, 1) // one slot
+		snaptest.Put(c.Int, 0)
+		snaptest.Put(c.Int, 0)
+		snaptest.Put(c.Int, 0) // vcVals[0]: empty history
+	})
+	if err := loadTracker(empty, NewCreditSensor(1, 1, PerVC, SourceOutput, 4)); err == nil ||
 		!strings.Contains(err.Error(), "empty history") {
 		t.Fatalf("empty history: err = %v", err)
 	}
@@ -139,7 +140,7 @@ func TestCreditSensorLoadRejectsCorruption(t *testing.T) {
 	data := saveTracker(populatedSensor())
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		got := NewCreditSensor(2, 2, PerVC, SourceOutput, 4)
-		if err := LoadTracker(snapshot.NewDecoder(data[:n]), got); err == nil {
+		if err := loadTracker(data[:n], got); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

@@ -108,13 +108,95 @@ func (sm *Simulation) sims() []*sim.Simulator {
 	return out
 }
 
-// routerState returns router i's checkpoint interface.
-func (sm *Simulation) routerState(i int) (router.Stater, error) {
-	st, ok := sm.Net.Router(i).(router.Stater)
-	if !ok {
-		return nil, fmt.Errorf("core: router %d (%T) does not support checkpointing", i, sm.Net.Router(i))
+// state is the one walk over every stateful component, shared by Snapshot
+// and Restore: the SIM…TEL sections in stream order. A saving walk has a
+// table already populated by collect; a loading walk fills it in the MSG
+// section, before the components that hold references into it. A failed
+// section tag ends the walk; within a section the codec's sticky error turns
+// the remaining reads into no-ops.
+func (sm *Simulation) state(c *snapshot.Codec, table *types.MessageTable) {
+	// Host simulator core state: scheduling counters and every PRNG stream.
+	// Components are constructed against the host, so the host owns all order
+	// keys and derived streams regardless of the partition.
+	if c.Section(secSim) != nil {
+		return
 	}
-	return st, nil
+	sm.Sim.State(c)
+
+	if c.Section(secMessages) != nil {
+		return
+	}
+	table.State(c, sm.Workload.Pool(), types.Bounds{
+		Terminals: sm.Net.NumTerminals(),
+		Apps:      sm.Workload.NumApps(),
+		VCs:       sm.Net.Router(0).NumVCs(),
+	})
+
+	if c.Section(secWorkload) != nil {
+		return
+	}
+	sm.Workload.State(c)
+
+	if c.Section(secNetwork) != nil {
+		return
+	}
+	for i := 0; i < sm.Net.NumRouters(); i++ {
+		st, ok := sm.Net.Router(i).(router.Stater)
+		if !ok {
+			c.Failf("router %d (%T) does not support checkpointing", i, sm.Net.Router(i))
+			return
+		}
+		st.State(c, table)
+	}
+	for i := 0; i < sm.Net.NumTerminals(); i++ {
+		sm.Net.Interface(i).State(c, table)
+	}
+	for _, l := range sm.Net.Links() {
+		l.Ch.State(c, table)
+		l.Cr.State(c)
+	}
+
+	if c.Section(secVerify) != nil {
+		return
+	}
+	attached(c, "verifier", sm.Verify != nil)
+	if sm.Verify != nil {
+		sm.Verify.State(c)
+	}
+
+	if c.Section(secTelemetry) != nil {
+		return
+	}
+	attached(c, "telemetry", sm.Telemetry != nil)
+	if sm.Telemetry != nil {
+		sm.Telemetry.State(c)
+	}
+}
+
+// attached codes whether an optional subsystem is present; a snapshot that
+// disagrees with the rebuilt simulation was taken from a different build.
+func attached(c *snapshot.Codec, what string, have bool) {
+	got := have
+	c.Bool(&got)
+	if c.Err() == nil && got != have {
+		c.Failf("snapshot %s state %v, rebuilt simulation %v", what, got, have)
+	}
+}
+
+// collect gathers the live messages from every flit- or packet-holding
+// component into a saving walk's table.
+func (sm *Simulation) collect(table *types.MessageTable) {
+	for i := 0; i < sm.Net.NumTerminals(); i++ {
+		sm.Net.Interface(i).Collect(table)
+	}
+	for i := 0; i < sm.Net.NumRouters(); i++ {
+		if st, ok := sm.Net.Router(i).(router.Stater); ok {
+			st.Collect(table)
+		}
+	}
+	for _, l := range sm.Net.Links() {
+		l.Ch.Collect(table)
+	}
 }
 
 // Snapshot serializes the complete simulation state at the tick boundary T.
@@ -122,12 +204,14 @@ func (sm *Simulation) routerState(i int) (router.Stater, error) {
 // after Engine.RunUntil(T) followed by DrainCross, so every cross-shard post
 // has become a locally queued event.
 func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
-	e := snapshot.NewEncoder()
-	e.WriteHeader()
+	c := snapshot.NewSaver()
+	c.Header()
 
-	e.Section(secConfig)
-	//sslint:allow snapshotcomplete — the config blob is restored indirectly: Restore re-parses it and rebuilds via Build(cfg), which sets cfg
-	e.Blob([]byte(sm.cfg.JSON()))
+	// Restore re-parses the settings and rebuilds via Build before it can
+	// walk any component, which is why this prefix is not part of state.
+	c.Section(secConfig)
+	cfgJSON := []byte(sm.cfg.JSON())
+	c.Blob(&cfgJSON)
 
 	// Partition-independent progress totals: the per-shard split of executed
 	// events depends on the worker count, so only the run-wide sums are state.
@@ -139,68 +223,14 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 			last = s.LastWork()
 		}
 	}
-	e.Section(secTime)
-	e.U64(uint64(tick))
-	e.U64(executed)
-	e.U64(uint64(last.Tick))
-	e.U32(uint32(last.Eps))
+	c.Section(secTime)
+	progress(c, &tick, &executed, &last)
 
-	// Host simulator core state: scheduling counters and every PRNG stream.
-	// Components are constructed against the host, so the host owns all order
-	// keys and derived streams regardless of the partition.
-	e.Section(secSim)
-	sm.Sim.SaveState(e)
-
-	// Live messages, collected from every flit- or packet-holding component.
 	table := types.NewMessageTable()
-	for i := 0; i < sm.Net.NumTerminals(); i++ {
-		sm.Net.Interface(i).Collect(table)
-	}
-	for i := 0; i < sm.Net.NumRouters(); i++ {
-		st, err := sm.routerState(i)
-		if err != nil {
-			return nil, err
-		}
-		st.Collect(table)
-	}
-	for _, l := range sm.Net.Links() {
-		l.Ch.Collect(table)
-	}
-	e.Section(secMessages)
-	table.SaveState(e)
+	sm.collect(table)
+	sm.state(c, table)
 
-	e.Section(secWorkload)
-	sm.Workload.SaveState(e)
-
-	e.Section(secNetwork)
-	for i := 0; i < sm.Net.NumRouters(); i++ {
-		st, err := sm.routerState(i)
-		if err != nil {
-			return nil, err
-		}
-		st.SaveState(e, table)
-	}
-	for i := 0; i < sm.Net.NumTerminals(); i++ {
-		sm.Net.Interface(i).SaveState(e, table)
-	}
-	for _, l := range sm.Net.Links() {
-		l.Ch.SaveState(e, table)
-		l.Cr.SaveState(e)
-	}
-
-	e.Section(secVerify)
-	e.Bool(sm.Verify != nil)
-	if sm.Verify != nil {
-		sm.Verify.SaveState(e)
-	}
-
-	e.Section(secTelemetry)
-	e.Bool(sm.Telemetry != nil)
-	if sm.Telemetry != nil {
-		sm.Telemetry.SaveState(e)
-	}
-
-	// The merged event queue: records from every shard, sorted by the heap's
+	// The merged event queue: records from every shard, sorted by the queue's
 	// total order so the bytes are partition-independent.
 	var recs []sim.EventRecord
 	for _, s := range sm.sims() {
@@ -211,13 +241,24 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 		recs = append(recs, r...)
 	}
 	sim.SortEventRecords(recs)
-	e.Section(secEvents)
-	e.Int(len(recs))
+	c.Section(secEvents)
+	c.Len(len(recs))
 	for i := range recs {
-		recs[i].Save(e)
+		recs[i].State(c)
 	}
+	if err := c.Done(); err != nil {
+		return nil, err
+	}
+	return c.Bytes(), nil
+}
 
-	return e.Bytes(), nil
+// progress codes the TIM section: the checkpoint tick and the run-wide
+// executed-event and last-work totals.
+func progress(c *snapshot.Codec, tick *sim.Tick, executed *uint64, last *sim.Time) {
+	snapshot.Uint(c, tick)
+	c.U64(executed)
+	snapshot.Uint(c, &last.Tick)
+	snapshot.Uint(c, &last.Eps)
 }
 
 // Restore rebuilds a simulation from snapshot bytes and returns it with the
@@ -232,17 +273,14 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 			sm, tick, err = nil, 0, fmt.Errorf("core: restore failed: %v", r)
 		}
 	}()
-	d := snapshot.NewDecoder(data)
-	if err := d.ReadHeader(); err != nil {
-		return nil, 0, err
-	}
+	c := snapshot.NewLoader(data)
+	c.Header()
 
-	if err := d.Section(secConfig); err != nil {
-		return nil, 0, err
-	}
-	cfgJSON := d.Blob()
-	if d.Err() != nil {
-		return nil, 0, d.Err()
+	c.Section(secConfig)
+	var cfgJSON []byte
+	c.Blob(&cfgJSON)
+	if c.Err() != nil {
+		return nil, 0, c.Err()
 	}
 	cfg, err := config.Parse(cfgJSON)
 	if err != nil {
@@ -252,96 +290,18 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 		cfg.Set("simulation.workers", workers)
 	}
 
-	if err := d.Section(secTime); err != nil {
-		return nil, 0, err
-	}
-	tick = sim.Tick(d.U64())
-	executed := d.U64()
-	last := sim.Time{Tick: sim.Tick(d.U64()), Eps: sim.Epsilon(d.U32())}
-	if d.Err() != nil {
-		return nil, 0, d.Err()
+	c.Section(secTime)
+	var executed uint64
+	var last sim.Time
+	progress(c, &tick, &executed, &last)
+	if c.Err() != nil {
+		return nil, 0, c.Err()
 	}
 
 	sm = Build(cfg)
-
-	if err := d.Section(secSim); err != nil {
-		return nil, 0, err
-	}
-	if err := sm.Sim.LoadState(d); err != nil {
-		return nil, 0, err
-	}
-
-	if err := d.Section(secMessages); err != nil {
-		return nil, 0, err
-	}
-	table, err := types.LoadMessageTable(d, sm.Workload.Pool())
-	if err != nil {
-		return nil, 0, err
-	}
-
-	if err := d.Section(secWorkload); err != nil {
-		return nil, 0, err
-	}
-	if err := sm.Workload.LoadState(d); err != nil {
-		return nil, 0, err
-	}
-
-	if err := d.Section(secNetwork); err != nil {
-		return nil, 0, err
-	}
-	for i := 0; i < sm.Net.NumRouters(); i++ {
-		st, err := sm.routerState(i)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := st.LoadState(d, table); err != nil {
-			return nil, 0, err
-		}
-	}
-	for i := 0; i < sm.Net.NumTerminals(); i++ {
-		if err := sm.Net.Interface(i).LoadState(d, table); err != nil {
-			return nil, 0, err
-		}
-	}
-	for _, l := range sm.Net.Links() {
-		if err := l.Ch.LoadState(d, table); err != nil {
-			return nil, 0, err
-		}
-		if err := l.Cr.LoadState(d); err != nil {
-			return nil, 0, err
-		}
-	}
-
-	if err := d.Section(secVerify); err != nil {
-		return nil, 0, err
-	}
-	hasVer := d.Bool()
-	if d.Err() != nil {
-		return nil, 0, d.Err()
-	}
-	if hasVer != (sm.Verify != nil) {
-		return nil, 0, d.Failf("snapshot verifier state %v, rebuilt simulation %v", hasVer, sm.Verify != nil)
-	}
-	if sm.Verify != nil {
-		if err := sm.Verify.LoadState(d); err != nil {
-			return nil, 0, err
-		}
-	}
-
-	if err := d.Section(secTelemetry); err != nil {
-		return nil, 0, err
-	}
-	hasTel := d.Bool()
-	if d.Err() != nil {
-		return nil, 0, d.Err()
-	}
-	if hasTel != (sm.Telemetry != nil) {
-		return nil, 0, d.Failf("snapshot telemetry state %v, rebuilt simulation %v", hasTel, sm.Telemetry != nil)
-	}
-	if sm.Telemetry != nil {
-		if err := sm.Telemetry.LoadState(d); err != nil {
-			return nil, 0, err
-		}
+	sm.state(c, types.NewMessageTable())
+	if c.Err() != nil {
+		return nil, 0, c.Err()
 	}
 
 	// Event queue: map each record's owner key back to the rebuilt component
@@ -357,12 +317,10 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 	}); err != nil {
 		return nil, 0, err
 	}
-	if err := d.Section(secEvents); err != nil {
-		return nil, 0, err
-	}
-	n := d.Count()
-	if d.Err() != nil {
-		return nil, 0, d.Err()
+	c.Section(secEvents)
+	n := c.Len(0)
+	if c.Err() != nil {
+		return nil, 0, c.Err()
 	}
 	// The fresh build scheduled its own initial events (application init,
 	// observer daemons); the snapshot's queue holds their in-flight
@@ -372,19 +330,20 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 	}
 	for i := 0; i < n; i++ {
 		var r sim.EventRecord
-		if err := r.Load(d); err != nil {
-			return nil, 0, err
+		r.State(c)
+		if c.Err() != nil {
+			return nil, 0, c.Err()
 		}
 		if r.Tick < tick {
-			return nil, 0, d.Failf("event %d at tick %d predates the checkpoint tick %d", i, r.Tick, tick)
+			return nil, 0, c.Failf("event %d at tick %d predates the checkpoint tick %d", i, r.Tick, tick)
 		}
 		h, ok := keyMap[r.Owner]
 		if !ok {
-			return nil, 0, d.Failf("event %d owned by unknown component key %d", i, r.Owner)
+			return nil, 0, c.Failf("event %d owned by unknown component key %d", i, r.Owner)
 		}
 		h.Sim().InjectEvent(h, r)
 	}
-	if err := d.Done(); err != nil {
+	if err := c.Done(); err != nil {
 		return nil, 0, err
 	}
 

@@ -1,0 +1,97 @@
+package core
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"supersim/internal/config"
+	"supersim/internal/types"
+)
+
+// The simulator keeps terminal, port, VC and client numbers in plain ints and
+// indexes slices with them. A snapshot is external input: a well-formed
+// stream that carries one of those out of range used to restore cleanly and
+// then panic inside Run. These tests plant such a value in a live simulation,
+// snapshot it, and require Restore to refuse the stream naming the field.
+
+// peek follows a path of field names and slice indices through pointers,
+// interfaces and unexported fields, returning a settable value.
+func peek(root any, path ...any) reflect.Value {
+	v := reflect.ValueOf(root)
+	for _, step := range path {
+		for v.Kind() == reflect.Pointer || v.Kind() == reflect.Interface {
+			v = v.Elem()
+		}
+		switch s := step.(type) {
+		case string:
+			v = v.FieldByName(s)
+		case int:
+			v = v.Index(s)
+		}
+		if !v.IsValid() {
+			panic("peek: no such field or index in path")
+		}
+		v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+	}
+	return v
+}
+
+// liveMessage returns a message with a flit in flight on some channel.
+func liveMessage(t *testing.T, sm *Simulation) *types.Message {
+	t.Helper()
+	for _, l := range sm.Net.Links() {
+		pending, head := peek(l.Ch, "pending"), int(peek(l.Ch, "head").Int())
+		if pending.Len() > head {
+			return peek(l.Ch, "pending", head, "f").Interface().(*types.Flit).Pkt.Msg
+		}
+	}
+	t.Fatal("no flit in flight at the snapshot tick")
+	return nil
+}
+
+func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
+	const far = 1 << 20 // beyond any terminal, port, VC or client count
+	iq, oq := pinnedCases()[0].doc, pinnedCases()[5].doc
+	router0 := func(sm *Simulation) any { return sm.Net.Router(0) }
+	cases := []struct {
+		field string // as named by the restore error
+		doc   string
+		plant func(t *testing.T, sm *Simulation)
+	}{
+		{"Message.Src", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Src = far }},
+		{"Message.Dst", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Dst = -1 }},
+		{"Message.App", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).App = far }},
+		{"Flit.VC", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Packets[0].Flits[0].VC = far }},
+		{"inputVC.outPort", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outPort").SetInt(far) }},
+		{"inputVC.outVC", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outVC").SetInt(far) }},
+		{"oqInput.outVC", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outVC").SetInt(far) }},
+		{"routing.Response.Port", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "resp", "Port").SetInt(far) }},
+		{"routing.Response.VCs", iq, func(t *testing.T, sm *Simulation) {
+			// Replace the slice: the original aliases the algorithm's VC set.
+			peek(router0(sm), "in", 0, "resp", "VCs").Set(reflect.ValueOf([]int{far}))
+		}},
+		{"Interface.curVC", iq, func(t *testing.T, sm *Simulation) { peek(sm.Net.Interface(0), "curVC").SetInt(far) }},
+		{"Interface.curFlit", iq, func(t *testing.T, sm *Simulation) { peek(sm.Net.Interface(0), "curFlit").SetInt(far) }},
+		{"xbarSched.lastGrant", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "sched", 0, "lastGrant").SetInt(far) }},
+		{"xbarSched.locked", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "sched", 0, "locked").SetInt(far) }},
+		{"xbarSched.contenders", iq, func(t *testing.T, sm *Simulation) {
+			peek(router0(sm), "sched", 0, "contenders").Set(reflect.ValueOf([]int{far}))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			sm := Build(config.MustParse(tc.doc))
+			sm.Sim.RunUntil(pinnedTick)
+			tc.plant(t, sm)
+			data, err := sm.Snapshot(pinnedTick)
+			if err != nil {
+				t.Fatalf("snapshot of the planted state: %v", err)
+			}
+			if _, _, err := Restore(data, 0); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("restore err = %v, want an error naming %s", err, tc.field)
+			}
+		})
+	}
+}

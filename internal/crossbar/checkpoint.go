@@ -1,32 +1,12 @@
 package crossbar
 
-import (
-	"supersim/internal/sim"
-	"supersim/internal/snapshot"
-)
+import "supersim/internal/snapshot"
 
-// SaveState serializes the per-output rate-limit windows.
-func (x *Crossbar) SaveState(e *snapshot.Encoder) {
-	e.Int(len(x.windowStart))
+// State codes the per-output rate-limit windows.
+func (x *Crossbar) State(c *snapshot.Codec) {
+	c.FixedLen(len(x.windowStart), "crossbar outputs")
 	for i := range x.windowStart {
-		e.U64(uint64(x.windowStart[i]))
-		e.Int(x.windowCount[i])
+		snapshot.Uint(c, &x.windowStart[i])
+		c.Int(&x.windowCount[i])
 	}
-}
-
-// LoadState restores the counterpart of SaveState onto a freshly built
-// crossbar of the same geometry.
-func (x *Crossbar) LoadState(d *snapshot.Decoder) error {
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(x.windowStart) {
-		return d.Failf("crossbar has %d outputs, snapshot says %d", len(x.windowStart), n)
-	}
-	for i := 0; i < n; i++ {
-		x.windowStart[i] = sim.Tick(d.U64())
-		x.windowCount[i] = d.Int()
-	}
-	return d.Err()
 }

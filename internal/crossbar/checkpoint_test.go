@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 )
 
 func TestCrossbarStateRoundTrip(t *testing.T) {
@@ -14,14 +15,12 @@ func TestCrossbarStateRoundTrip(t *testing.T) {
 	x.windowCount[0] = 2
 	x.windowStart[2] = 12
 	x.windowCount[2] = 1
-	e := snapshot.NewEncoder()
-	x.SaveState(e)
-	data := e.Bytes()
+	data := snaptest.Save(x.State)
 
 	got := New(3, 1, 4, 1)
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -29,19 +28,17 @@ func TestCrossbarStateRoundTrip(t *testing.T) {
 	if got.windowStart[0] != 8 || got.windowCount[0] != 2 || got.windowStart[2] != 12 {
 		t.Fatalf("restored windows %v/%v", got.windowStart, got.windowCount)
 	}
-	e2 := snapshot.NewEncoder()
-	got.SaveState(e2)
-	if !bytes.Equal(e2.Bytes(), data) {
+	if !bytes.Equal(snaptest.Save(got.State), data) {
 		t.Fatal("re-saved crossbar state is not byte-identical")
 	}
 
 	narrow := New(2, 1, 4, 1)
-	if err := narrow.LoadState(snapshot.NewDecoder(data)); err == nil ||
+	if err := snaptest.Load(data, narrow.State); err == nil ||
 		!strings.Contains(err.Error(), "outputs") {
 		t.Fatalf("geometry mismatch: err = %v", err)
 	}
 	for _, n := range []int{0, len(data) / 2, len(data) - 1} {
-		if err := New(3, 1, 4, 1).LoadState(snapshot.NewDecoder(data[:n])); err == nil {
+		if err := snaptest.Load(data[:n], New(3, 1, 4, 1).State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

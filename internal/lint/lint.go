@@ -20,9 +20,9 @@
 //   - factoryreg: every concrete implementation of a factory-registered
 //     component interface must be registered in an init(), and registration
 //     names must be unique per registry (FactoryReg).
-//   - snapshotcomplete: the hand-written checkpoint codecs must cover every
-//     mutable field of the structs they serialize — encoded, restored, and
-//     in a consistent order (SnapshotComplete).
+//   - snapshotcomplete: a type's State method (its one bidirectional
+//     checkpoint codec) must mention every mutable field of the struct or
+//     the field must be marked ephemeral (SnapshotComplete).
 //   - shardsafety: state owned by a destination shard must only be written
 //     from the owning shard's event context; source-side code goes through
 //     the RemotePort seam or a remote == nil guard (ShardSafety).
@@ -53,8 +53,8 @@
 // on a struct field (same line or the line above) declares the field
 // genuinely ephemeral for the snapshotcomplete analyzer: rebuilt wiring,
 // derived caches, scratch state. The justification is mandatory, and a
-// nosnapshot on a field the codecs do serialize — or on no field at all —
-// is reported.
+// nosnapshot on a field the type's State method does mention — or on no
+// audited field at all — is reported.
 package lint
 
 import (
@@ -98,7 +98,7 @@ func RuleDoc(name string) string {
 	case RuleFactoryReg:
 		return "every concrete factory component must be registered in an init() under a unique name"
 	case RuleSnapshotComplete:
-		return "checkpoint codecs must cover every mutable field symmetrically: encoded, restored, and in the same order"
+		return "a type with a *snapshot.Codec method must mention every mutable field in it or mark the field //sslint:nosnapshot"
 	case RuleShardSafety:
 		return "destination-shard state must only be touched by the owning shard; cross-shard writes go through the RemotePort seam"
 	case RuleDirective:

@@ -55,7 +55,7 @@ func NewShardSafety() *ShardSafety {
 		InboxMethods:     map[string]bool{"ReceiveRemote": true, "ProcessEvent": true},
 		ExemptMethods: map[string]bool{
 			"ReceiveRemote": true, "ProcessEvent": true,
-			"SaveState": true, "LoadState": true, "Collect": true,
+			"State": true, "Collect": true,
 		},
 	}
 }

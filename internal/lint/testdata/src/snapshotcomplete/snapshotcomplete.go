@@ -1,14 +1,13 @@
-// Package lintfixture exercises the snapshotcomplete analyzer: symmetric
-// codecs pass, drifted structs and asymmetric codecs are flagged, and the
-// //sslint:nosnapshot directive exempts (only) genuinely ephemeral fields.
-// Never part of the build.
+// Package lintfixture exercises the snapshotcomplete analyzer: a State method
+// that mentions every mutable field passes, a drifted struct is flagged, and
+// the //sslint:nosnapshot directive exempts (only) genuinely ephemeral
+// fields. Never part of the build.
 package lintfixture
 
 import "supersim/internal/snapshot"
 
-// rec is the well-behaved case: every mutable field is serialized, in the
-// same order on both sides, and the ephemeral scratch field carries a
-// justified nosnapshot.
+// rec is the well-behaved case: every mutable field is in the one State
+// walk, and the ephemeral scratch field carries a justified nosnapshot.
 type rec struct {
 	count uint64
 	label string
@@ -27,21 +26,14 @@ func (r *rec) bump() {
 	r.cache = append(r.cache, 1)
 }
 
-func (r *rec) SaveState(e *snapshot.Encoder) {
-	e.U64(r.count)
-	e.Str(r.label)
-	e.Bool(r.open)
+func (r *rec) State(c *snapshot.Codec) {
+	c.U64(&r.count)
+	c.Str(&r.label)
+	c.Bool(&r.open)
 }
 
-func (r *rec) LoadState(d *snapshot.Decoder) error {
-	r.count = d.U64()
-	r.label = d.Str()
-	r.open = d.Bool()
-	return d.Err()
-}
-
-// recDrift is rec after someone adds a mutable field without touching the
-// codecs — the core drift the rule exists to catch.
+// recDrift is rec after someone adds a mutable field without touching State
+// — the drift the rule exists to catch.
 type recDrift struct {
 	count uint64
 	extra int // want `field recDrift\.extra is mutated by methods of this package but never serialized`
@@ -52,106 +44,46 @@ func (r *recDrift) bump() {
 	r.extra++
 }
 
-func (r *recDrift) SaveState(e *snapshot.Encoder) {
-	e.U64(r.count)
+func (r *recDrift) State(c *snapshot.Codec) {
+	c.U64(&r.count)
 }
 
-func (r *recDrift) LoadState(d *snapshot.Decoder) error {
-	r.count = d.U64()
-	return d.Err()
+// resetOnLoad touches its derived field only in the loading direction: the
+// field is accounted for, so no finding and no directive.
+type resetOnLoad struct {
+	samples []int
+	sorted  []int
 }
 
-// halfSaved encodes a field no load codec restores: dead bytes in the
-// stream.
-type halfSaved struct {
-	a uint64
-	b uint64
+func (r *resetOnLoad) add(v int) { r.samples = append(r.samples, v); r.sorted = nil }
+
+func (r *resetOnLoad) State(c *snapshot.Codec) {
+	snapshot.Slice(c, &r.samples)
+	for i := range r.samples {
+		c.Int(&r.samples[i])
+	}
+	if c.Loading() {
+		r.sorted = nil
+	}
 }
 
-func (h *halfSaved) touch() { h.a++; h.b++ }
-
-func (h *halfSaved) SaveState(e *snapshot.Encoder) {
-	e.U64(h.a)
-	e.U64(h.b) // want `field halfSaved\.b is encoded here but no load codec restores it`
+// uncoded has mutable state and no codec method at all: it is not a subject
+// of the audit (nothing claims to checkpoint it), so it produces nothing.
+type uncoded struct {
+	n int
 }
 
-func (h *halfSaved) LoadState(d *snapshot.Decoder) error {
-	h.a = d.U64()
-	return d.Err()
-}
+func (u *uncoded) touch() { u.n++ }
 
-// halfLoaded decodes a field no save codec wrote: the read misaligns every
-// later field in the stream.
-type halfLoaded struct {
-	a uint64
-	b uint64
-}
-
-func (h *halfLoaded) touch() { h.a++ }
-
-func (h *halfLoaded) SaveState(e *snapshot.Encoder) {
-	e.U64(h.a)
-}
-
-func (h *halfLoaded) LoadState(d *snapshot.Decoder) error {
-	h.a = d.U64()
-	h.b = d.U64() // want `field halfLoaded\.b is restored here but no save codec encodes it`
-	return d.Err()
-}
-
-// swapped saves a then b but loads b then a — byte-compatible only by
-// accident of width, value-corrupting always.
-type swapped struct {
-	a uint64
-	b uint64
-}
-
-func (s *swapped) touch() { s.a++; s.b++ }
-
-func (s *swapped) SaveState(e *snapshot.Encoder) {
-	e.U64(s.a)
-	e.U64(s.b)
-}
-
-func (s *swapped) LoadState(d *snapshot.Decoder) error { // want `disagree on field order`
-	s.b = d.U64()
-	s.a = d.U64()
-	return d.Err()
-}
-
-// orphanSave has no load counterpart at all.
-type orphanSave struct {
-	n uint64
-}
-
-func (o *orphanSave) SaveState(e *snapshot.Encoder) { // want `save codec \(\*orphanSave\)\.SaveState for orphanSave has no matching load codec`
-	e.U64(o.n)
-}
-
-// orphanLoad has no save counterpart at all.
-type orphanLoad struct {
-	n uint64
-}
-
-func (o *orphanLoad) LoadState(d *snapshot.Decoder) error { // want `load codec \(\*orphanLoad\)\.LoadState for orphanLoad has no matching save codec`
-	o.n = d.U64()
-	return d.Err()
-}
-
-// overSuppressed marks a field nosnapshot even though the codecs serialize
-// it — the directive is stale and must go.
+// overSuppressed marks a field nosnapshot even though State serializes it —
+// the directive is stale and must go.
 type overSuppressed struct {
-	//sslint:nosnapshot — stale claim, the codecs do cover this field // want `marked //sslint:nosnapshot but the codecs serialize it`
+	//sslint:nosnapshot — stale claim, State does cover this field // want `marked //sslint:nosnapshot but the codec serializes it`
 	n uint64
 }
 
 func (o *overSuppressed) touch() { o.n++ }
 
-func (o *overSuppressed) SaveState(e *snapshot.Encoder) {
-	e.U64(o.n)
-}
-
-func (o *overSuppressed) LoadState(d *snapshot.Decoder) error {
-	o.n = d.U64()
-	return d.Err()
+func (o *overSuppressed) State(c *snapshot.Codec) {
+	c.U64(&o.n)
 }

@@ -8,8 +8,9 @@ import (
 // Checkpoint state for the network interface: the injection queue (packet
 // references into the checkpoint's message table), the head packet's
 // mid-injection cursor, per-VC downstream credits, the order checker, and
-// the reassembly/statistics counters. The send queue is normalized on save
-// (the consumed prefix before sendHead is dropped).
+// the reassembly/statistics counters. The send queue is normalized (the
+// consumed prefix before sendHead is not part of the stream, and a loaded
+// queue starts at sendHead 0).
 
 // Collect adds every message with a packet queued for injection to the
 // checkpoint's message table. Messages that are mid-flight but fully
@@ -20,68 +21,37 @@ func (n *Interface) Collect(t *types.MessageTable) {
 	}
 }
 
-// SaveState serializes the interface's mutable state.
-func (n *Interface) SaveState(e *snapshot.Encoder, t *types.MessageTable) {
-	n.SaveOrder(e)
-	e.Int(len(n.sendQ) - n.sendHead)
-	for i := n.sendHead; i < len(n.sendQ); i++ {
-		t.EncodePacket(e, n.sendQ[i])
+// State codes the interface's mutable state.
+func (n *Interface) State(c *snapshot.Codec, t *types.MessageTable) {
+	n.OrderState(c)
+	queued := n.sendQ[n.sendHead:]
+	snapshot.Slice(c, &queued)
+	if c.Loading() {
+		n.sendQ, n.sendHead = queued, 0
 	}
-	e.Int(n.curFlit)
-	e.Int(n.curVC)
-	e.Int(n.injectRR)
-	e.Bool(n.scheduled)
-	e.Int(len(n.downCred))
-	for _, c := range n.downCred {
-		e.Int(c)
-	}
-	n.checker.SaveState(e)
-	e.Int(n.partial)
-	e.U64(n.flitsSent)
-	e.U64(n.flitsReceived)
-}
-
-// LoadState restores the counterpart of SaveState onto a freshly built
-// interface.
-func (n *Interface) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
-	if err := n.LoadOrder(d); err != nil {
-		return err
-	}
-	q := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	n.sendQ = n.sendQ[:0]
-	n.sendHead = 0
-	for i := 0; i < q; i++ {
-		p, err := t.DecodePacket(d)
-		if err != nil {
-			return err
+	headFlits := 1 // an empty queue keeps the cursor at flit 0
+	for i := range queued {
+		t.Packet(c, &queued[i])
+		if queued[i] == nil {
+			if c.Err() == nil {
+				c.Failf("interface %s: injection queue entry %d has no packet", n.Name(), i)
+			}
+			return
 		}
-		if p == nil {
-			return d.Failf("interface %s: injection queue entry %d has no packet", n.Name(), i)
+		if i == 0 {
+			headFlits = len(queued[0].Flits)
 		}
-		n.sendQ = append(n.sendQ, p)
 	}
-	n.curFlit = d.Int()
-	n.curVC = d.Int()
-	n.injectRR = d.Int()
-	n.scheduled = d.Bool()
-	vcs := d.Count()
-	if d.Err() != nil {
-		return d.Err()
+	c.Index(&n.curFlit, headFlits, "Interface.curFlit")
+	c.IndexOrNone(&n.curVC, n.vcs, "Interface.curVC")
+	c.Int(&n.injectRR)
+	c.Bool(&n.scheduled)
+	c.FixedLen(len(n.downCred), "interface VCs")
+	for vc := range n.downCred {
+		c.Int(&n.downCred[vc])
 	}
-	if vcs != len(n.downCred) {
-		return d.Failf("interface %s: snapshot has %d VCs, rebuilt interface has %d", n.Name(), vcs, len(n.downCred))
-	}
-	for vc := 0; vc < vcs; vc++ {
-		n.downCred[vc] = d.Int()
-	}
-	if err := n.checker.LoadState(d); err != nil {
-		return err
-	}
-	n.partial = d.Int()
-	n.flitsSent = d.U64()
-	n.flitsReceived = d.U64()
-	return d.Err()
+	n.checker.State(c)
+	c.Int(&n.partial)
+	c.U64(&n.flitsSent)
+	c.U64(&n.flitsReceived)
 }

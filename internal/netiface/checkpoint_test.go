@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 	"supersim/internal/types"
 )
 
@@ -24,10 +25,15 @@ func stalledIface(t *testing.T) *Interface {
 }
 
 func saveIface(n *Interface, tab *types.MessageTable) []byte {
-	e := snapshot.NewEncoder()
-	n.SaveState(e, tab)
-	return e.Bytes()
+	return snaptest.Save(func(c *snapshot.Codec) { n.State(c, tab) })
 }
+
+func loadIface(data []byte, n *Interface, tab *types.MessageTable) error {
+	return snaptest.Load(data, func(c *snapshot.Codec) { n.State(c, tab) })
+}
+
+// anyIndex admits every terminal, application and VC number the tests use.
+var anyIndex = types.Bounds{Terminals: 64, Apps: 64, VCs: 64}
 
 func TestInterfaceStateRoundTrip(t *testing.T) {
 	n := stalledIface(t)
@@ -36,18 +42,18 @@ func TestInterfaceStateRoundTrip(t *testing.T) {
 	if tab.Len() != 1 {
 		t.Fatalf("collected %d messages, want 1", tab.Len())
 	}
-	te := snapshot.NewEncoder()
-	tab.SaveState(te)
 	data := saveIface(n, tab)
 
-	rtab, err := types.LoadMessageTable(snapshot.NewDecoder(te.Bytes()), nil)
-	if err != nil {
+	rtab := types.NewMessageTable()
+	if err := snaptest.Load(
+		snaptest.Save(func(c *snapshot.Codec) { tab.State(c, nil, anyIndex) }),
+		func(c *snapshot.Codec) { rtab.State(c, nil, anyIndex) }); err != nil {
 		t.Fatal(err)
 	}
 	_, got, _, _ := rig(t, 1, 1, nil)
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d, rtab); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d, rtab); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -72,25 +78,26 @@ func TestInterfaceLoadRejectsMismatchedBuild(t *testing.T) {
 
 	// A rebuild with a different VC count must be rejected.
 	_, wide, _, _ := rig(t, 2, 1, nil)
-	if err := wide.LoadState(snapshot.NewDecoder(data), tab); err == nil ||
+	if err := loadIface(data, wide, tab); err == nil ||
 		!strings.Contains(err.Error(), "VCs") {
 		t.Fatalf("VC mismatch: err = %v", err)
 	}
 
 	// An injection-queue entry whose packet reference is absent.
-	e := snapshot.NewEncoder()
-	n.SaveOrder(e)
-	e.Int(1)      // one queued packet
-	e.Bool(false) // ... with no message reference
+	noPacket := snaptest.Save(func(c *snapshot.Codec) {
+		n.OrderState(c)
+		snaptest.Put(c.Int, 1)      // one queued packet
+		snaptest.Put(c.Bool, false) // ... with no message reference
+	})
 	_, got, _, _ := rig(t, 1, 1, nil)
-	if err := got.LoadState(snapshot.NewDecoder(e.Bytes()), tab); err == nil ||
+	if err := loadIface(noPacket, got, tab); err == nil ||
 		!strings.Contains(err.Error(), "no packet") {
 		t.Fatalf("missing packet: err = %v", err)
 	}
 
 	for _, nbytes := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		_, fresh, _, _ := rig(t, 1, 1, nil)
-		if err := fresh.LoadState(snapshot.NewDecoder(data[:nbytes]), tab); err == nil {
+		if err := loadIface(data[:nbytes], fresh, tab); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", nbytes)
 		}
 	}

@@ -3,7 +3,6 @@ package router
 import (
 	"supersim/internal/congestion"
 	"supersim/internal/routing"
-	"supersim/internal/sim"
 	"supersim/internal/snapshot"
 	"supersim/internal/types"
 )
@@ -12,16 +11,16 @@ import (
 // router are stored as references into the checkpoint's message table;
 // routing responses are stored by value (port + VC set) — the VC sets
 // algorithms hand out are immutable, so restoring the values is equivalent
-// to restoring the aliases. Ring buffers and delay lines are normalized on
-// save so the bytes do not depend on compaction or wrap history.
+// to restoring the aliases. Ring buffers and delay lines are normalized (only
+// the live entries are in the stream, and a loaded one starts at head 0) so
+// the bytes do not depend on compaction or wrap history.
 
 // Stater is implemented by every router architecture: Collect feeds the
-// message table, SaveState/LoadState serialize against it. The restore side
-// runs on a freshly built router of the identical configuration.
+// message table of a saving walk, State codes the router against the table.
+// Loading runs on a freshly built router of the identical configuration.
 type Stater interface {
 	Collect(t *types.MessageTable)
-	SaveState(e *snapshot.Encoder, t *types.MessageTable)
-	LoadState(d *snapshot.Decoder, t *types.MessageTable) error
+	State(c *snapshot.Codec, t *types.MessageTable)
 }
 
 func (q *flitQueue) collect(t *types.MessageTable) {
@@ -30,32 +29,18 @@ func (q *flitQueue) collect(t *types.MessageTable) {
 	}
 }
 
-func (q *flitQueue) saveState(e *snapshot.Encoder, t *types.MessageTable) {
-	e.Int(q.n)
-	for i := 0; i < q.n; i++ {
-		t.EncodeFlit(e, q.buf[(q.head+i)%len(q.buf)])
+func (q *flitQueue) state(c *snapshot.Codec, t *types.MessageTable) {
+	n := c.Len(q.n)
+	if c.Loading() {
+		q.buf, q.head, q.n = make([]*types.Flit, max(4, n)), 0, n
 	}
-}
-
-func (q *flitQueue) loadState(d *snapshot.Decoder, t *types.MessageTable) error {
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	q.buf = q.buf[:0]
-	q.head = 0
-	q.n = 0
 	for i := 0; i < n; i++ {
-		f, err := t.DecodeFlit(d)
-		if err != nil {
-			return err
+		f := &q.buf[(q.head+i)%len(q.buf)]
+		t.Flit(c, f)
+		if c.Loading() && c.Err() == nil && *f == nil {
+			c.Failf("flit queue entry %d has no flit", i)
 		}
-		if f == nil {
-			return d.Failf("flit queue entry %d has no flit", i)
-		}
-		q.push(f)
 	}
-	return d.Err()
 }
 
 func (dl *delayLine) collect(t *types.MessageTable) {
@@ -64,175 +49,99 @@ func (dl *delayLine) collect(t *types.MessageTable) {
 	}
 }
 
-func (dl *delayLine) saveState(e *snapshot.Encoder, t *types.MessageTable) {
-	e.Bool(dl.scheduled)
-	e.Int(len(dl.q) - dl.head)
-	for i := dl.head; i < len(dl.q); i++ {
-		e.U64(uint64(dl.q[i].at))
-		e.Int(dl.q[i].port)
-		t.EncodeFlit(e, dl.q[i].f)
+func (dl *delayLine) state(c *snapshot.Codec, t *types.MessageTable, ports int) {
+	c.Bool(&dl.scheduled)
+	live := dl.q[dl.head:]
+	snapshot.Slice(c, &live)
+	if c.Loading() {
+		dl.q, dl.head = live, 0
 	}
-}
-
-func (dl *delayLine) loadState(d *snapshot.Decoder, t *types.MessageTable) error {
-	dl.scheduled = d.Bool()
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	dl.q = dl.q[:0]
-	dl.head = 0
-	for i := 0; i < n; i++ {
-		at := sim.Tick(d.U64())
-		port := d.Int()
-		f, err := t.DecodeFlit(d)
-		if err != nil {
-			return err
-		}
-		if f == nil {
-			return d.Failf("delay line entry %d has no flit", i)
-		}
-		dl.q = append(dl.q, flight{at: at, f: f, port: port})
-	}
-	return d.Err()
-}
-
-func saveResponse(e *snapshot.Encoder, r routing.Response) {
-	e.Int(r.Port)
-	e.Int(len(r.VCs))
-	for _, vc := range r.VCs {
-		e.Int(vc)
-	}
-}
-
-func loadResponse(d *snapshot.Decoder) (routing.Response, error) {
-	r := routing.Response{Port: d.Int()}
-	n := d.Count()
-	if d.Err() != nil {
-		return r, d.Err()
-	}
-	if n > 0 {
-		r.VCs = make([]int, n)
-		for i := range r.VCs {
-			r.VCs[i] = d.Int()
+	for i := range live {
+		snapshot.Uint(c, &live[i].at)
+		c.Index(&live[i].port, ports, "delay line output port")
+		t.Flit(c, &live[i].f)
+		if c.Loading() && c.Err() == nil && live[i].f == nil {
+			c.Failf("delay line entry %d has no flit", i)
 		}
 	}
-	return r, d.Err()
 }
 
-func (x *xbarSched) saveState(e *snapshot.Encoder) {
-	e.Int(len(x.contenders))
-	for _, c := range x.contenders {
-		e.Int(c)
+// stateResponse codes a routing decision. The zero Response (port 0, no VCs)
+// is what an input VC holds before its head packet is routed.
+func (b *base) stateResponse(c *snapshot.Codec, r *routing.Response) {
+	c.Index(&r.Port, b.radix, "routing.Response.Port")
+	if c.Loading() {
+		r.VCs = nil // never write through a VC set aliased from the algorithm
 	}
-	e.Int(x.lastGrant)
-	e.Int(x.locked)
+	snapshot.Slice(c, &r.VCs)
+	for i := range r.VCs {
+		c.Index(&r.VCs[i], b.vcs, "routing.Response.VCs")
+	}
 }
 
-func (x *xbarSched) loadState(d *snapshot.Decoder) error {
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
+// state codes one output port's crossbar scheduler; clients is the number of
+// input VCs, the range its client IDs index.
+func (x *xbarSched) state(c *snapshot.Codec, clients int) {
+	snapshot.Slice(c, &x.contenders)
+	for i := range x.contenders {
+		c.Index(&x.contenders[i], clients, "xbarSched.contenders")
 	}
-	x.contenders = x.contenders[:0]
-	for i := 0; i < n; i++ {
-		x.contenders = append(x.contenders, d.Int())
-	}
-	x.lastGrant = d.Int()
-	x.locked = d.Int()
-	return d.Err()
+	c.IndexOrNone(&x.lastGrant, clients, "xbarSched.lastGrant")
+	c.IndexOrNone(&x.locked, clients, "xbarSched.locked")
 }
 
-// saveState serializes the plumbing shared by all architectures: scheduling
-// identity, downstream credits, the congestion sensor, and counters.
-func (b *base) saveState(e *snapshot.Encoder) {
-	b.SaveOrder(e)
-	e.Int(len(b.downCred))
+// state codes the plumbing shared by all architectures: scheduling identity,
+// downstream credits, the congestion sensor, and counters.
+func (b *base) state(c *snapshot.Codec) {
+	b.OrderState(c)
+	c.FixedLen(len(b.downCred), "router ports")
 	for port := range b.downCred {
-		e.Int(len(b.downCred[port]))
-		for _, c := range b.downCred[port] {
-			e.Int(c)
-		}
+		stateInts(c, b.downCred[port], "router port VCs")
 	}
-	congestion.SaveTracker(e, b.sensor)
-	e.Bool(b.pipelineScheduled)
-	e.U64(b.flitsRouted)
+	congestion.StateTracker(c, b.sensor)
+	c.Bool(&b.pipelineScheduled)
+	c.U64(&b.flitsRouted)
 }
 
-func (b *base) loadState(d *snapshot.Decoder) error {
-	if err := b.LoadOrder(d); err != nil {
-		return err
-	}
-	ports := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if ports != len(b.downCred) {
-		return d.Failf("router %s has %d ports, snapshot says %d", b.Name(), len(b.downCred), ports)
-	}
-	for port := 0; port < ports; port++ {
-		vcs := d.Count()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if vcs != len(b.downCred[port]) {
-			return d.Failf("router %s port %d has %d VCs, snapshot says %d", b.Name(), port, len(b.downCred[port]), vcs)
-		}
-		for vc := 0; vc < vcs; vc++ {
-			b.downCred[port][vc] = d.Int()
-		}
-	}
-	if err := congestion.LoadTracker(d, b.sensor); err != nil {
-		return err
-	}
-	b.pipelineScheduled = d.Bool()
-	b.flitsRouted = d.U64()
-	return d.Err()
-}
-
-func saveInputVC(e *snapshot.Encoder, t *types.MessageTable, iv *inputVC) {
-	iv.q.saveState(e, t)
-	e.Int(iv.routeState)
-	saveResponse(e, iv.resp)
-	e.Int(iv.outPort)
-	e.Int(iv.outVC)
-}
-
-func loadInputVC(d *snapshot.Decoder, t *types.MessageTable, iv *inputVC) error {
-	if err := iv.q.loadState(d, t); err != nil {
-		return err
-	}
-	iv.routeState = d.Int()
-	resp, err := loadResponse(d)
-	if err != nil {
-		return err
-	}
-	iv.resp = resp
-	iv.outPort = d.Int()
-	iv.outVC = d.Int()
-	iv.granted = false
-	return d.Err()
-}
-
-func saveIntSlice(e *snapshot.Encoder, s []int) {
-	e.Int(len(s))
-	for _, v := range s {
-		e.Int(v)
+func (iv *inputVC) state(c *snapshot.Codec, t *types.MessageTable, b *base) {
+	iv.q.state(c, t)
+	c.Int(&iv.routeState)
+	b.stateResponse(c, &iv.resp)
+	c.IndexOrNone(&iv.outPort, b.radix, "inputVC.outPort")
+	c.IndexOrNone(&iv.outVC, b.vcs, "inputVC.outVC")
+	if c.Loading() {
+		iv.granted = false
 	}
 }
 
-func loadIntSliceInto(d *snapshot.Decoder, s []int, what string) error {
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
+// stateInts codes a fixed-size (per-port, per-VC or per-client) int array.
+func stateInts(c *snapshot.Codec, s []int, what string) {
+	c.FixedLen(len(s), what)
+	for i := range s {
+		c.Int(&s[i])
 	}
-	if n != len(s) {
-		return d.Failf("%s has %d entries, snapshot says %d", what, len(s), n)
+}
+
+func stateBools(c *snapshot.Codec, s []bool) {
+	for i := range s {
+		c.Bool(&s[i])
 	}
-	for i := 0; i < n; i++ {
-		s[i] = d.Int()
+}
+
+// stateAllocation codes the VC-allocation and crossbar-scheduling state the
+// IQ and IOQ pipelines share.
+func stateAllocation(c *snapshot.Codec, clients int, holder [][]int, vcPending *[]int, vcRotate *int, sched []*xbarSched) {
+	for port := range holder {
+		stateInts(c, holder[port], "output VC holder")
 	}
-	return d.Err()
+	snapshot.Slice(c, vcPending)
+	for i := range *vcPending {
+		c.Int(&(*vcPending)[i])
+	}
+	c.Int(vcRotate)
+	for _, sc := range sched {
+		sc.state(c, clients)
+	}
 }
 
 // Collect implements Stater for the IQ architecture.
@@ -243,74 +152,19 @@ func (r *IQ) Collect(t *types.MessageTable) {
 	r.dl.collect(t)
 }
 
-// SaveState implements Stater for the IQ architecture.
-func (r *IQ) SaveState(e *snapshot.Encoder, t *types.MessageTable) {
-	r.base.saveState(e)
-	r.xbar.SaveState(e)
-	r.dl.saveState(e, t)
+// State implements Stater for the IQ architecture.
+func (r *IQ) State(c *snapshot.Codec, t *types.MessageTable) {
+	r.base.state(c)
+	r.xbar.State(c)
+	r.dl.state(c, t, r.radix)
 	for i := range r.in {
-		saveInputVC(e, t, &r.in[i])
+		r.in[i].state(c, t, &r.base)
 	}
-	for port := range r.holder {
-		saveIntSlice(e, r.holder[port])
+	stateAllocation(c, len(r.in), r.holder, &r.vcPending, &r.vcRotate, r.sched)
+	c.FixedLen(len(r.nextChanStart), "router channel-start slots")
+	for i := range r.nextChanStart {
+		snapshot.Uint(c, &r.nextChanStart[i])
 	}
-	saveIntSlice(e, r.vcPending)
-	e.Int(r.vcRotate)
-	for _, sc := range r.sched {
-		sc.saveState(e)
-	}
-	e.Int(len(r.nextChanStart))
-	for _, tk := range r.nextChanStart {
-		e.U64(uint64(tk))
-	}
-}
-
-// LoadState implements Stater for the IQ architecture.
-func (r *IQ) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
-	if err := r.base.loadState(d); err != nil {
-		return err
-	}
-	if err := r.xbar.LoadState(d); err != nil {
-		return err
-	}
-	if err := r.dl.loadState(d, t); err != nil {
-		return err
-	}
-	for i := range r.in {
-		if err := loadInputVC(d, t, &r.in[i]); err != nil {
-			return err
-		}
-	}
-	for port := range r.holder {
-		if err := loadIntSliceInto(d, r.holder[port], "output VC holder"); err != nil {
-			return err
-		}
-	}
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	r.vcPending = r.vcPending[:0]
-	for i := 0; i < n; i++ {
-		r.vcPending = append(r.vcPending, d.Int())
-	}
-	r.vcRotate = d.Int()
-	for _, sc := range r.sched {
-		if err := sc.loadState(d); err != nil {
-			return err
-		}
-	}
-	cs := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if cs != len(r.nextChanStart) {
-		return d.Failf("router %s has %d channel-start slots, snapshot says %d", r.Name(), len(r.nextChanStart), cs)
-	}
-	for i := 0; i < cs; i++ {
-		r.nextChanStart[i] = sim.Tick(d.U64())
-	}
-	return d.Err()
 }
 
 // Collect implements Stater for the OQ architecture.
@@ -324,73 +178,27 @@ func (r *OQ) Collect(t *types.MessageTable) {
 	r.dl.collect(t)
 }
 
-// SaveState implements Stater for the OQ architecture.
-func (r *OQ) SaveState(e *snapshot.Encoder, t *types.MessageTable) {
-	r.base.saveState(e)
-	r.dl.saveState(e, t)
+// State implements Stater for the OQ architecture.
+func (r *OQ) State(c *snapshot.Codec, t *types.MessageTable) {
+	r.base.state(c)
+	r.dl.state(c, t, r.radix)
 	for i := range r.in {
 		iv := &r.in[i]
-		iv.q.saveState(e, t)
-		e.Bool(iv.routed)
-		saveResponse(e, iv.resp)
-		e.Int(iv.outVC)
+		iv.q.state(c, t)
+		c.Bool(&iv.routed)
+		r.stateResponse(c, &iv.resp)
+		c.IndexOrNone(&iv.outVC, r.vcs, "oqInput.outVC")
 	}
 	for i := range r.outQ {
-		r.outQ[i].saveState(e, t)
+		r.outQ[i].state(c, t)
 	}
-	saveIntSlice(e, r.outOcc)
-	saveIntSlice(e, r.outOwner)
-	for _, b := range r.outBusy {
-		e.Bool(b)
-	}
-	saveIntSlice(e, r.outRR)
-	for _, tk := range r.transfer {
-		e.U64(uint64(tk))
-	}
-}
-
-// LoadState implements Stater for the OQ architecture.
-func (r *OQ) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
-	if err := r.base.loadState(d); err != nil {
-		return err
-	}
-	if err := r.dl.loadState(d, t); err != nil {
-		return err
-	}
-	for i := range r.in {
-		iv := &r.in[i]
-		if err := iv.q.loadState(d, t); err != nil {
-			return err
-		}
-		iv.routed = d.Bool()
-		resp, err := loadResponse(d)
-		if err != nil {
-			return err
-		}
-		iv.resp = resp
-		iv.outVC = d.Int()
-	}
-	for i := range r.outQ {
-		if err := r.outQ[i].loadState(d, t); err != nil {
-			return err
-		}
-	}
-	if err := loadIntSliceInto(d, r.outOcc, "output occupancy"); err != nil {
-		return err
-	}
-	if err := loadIntSliceInto(d, r.outOwner, "output owner"); err != nil {
-		return err
-	}
-	for i := range r.outBusy {
-		r.outBusy[i] = d.Bool()
-	}
-	if err := loadIntSliceInto(d, r.outRR, "output round robin"); err != nil {
-		return err
-	}
+	stateInts(c, r.outOcc, "output occupancy")
+	stateInts(c, r.outOwner, "output owner")
+	stateBools(c, r.outBusy)
+	stateInts(c, r.outRR, "output round robin")
 	for i := range r.transfer {
-		r.transfer[i] = sim.Tick(d.U64())
+		snapshot.Uint(c, &r.transfer[i])
 	}
-	return d.Err()
 }
 
 // Collect implements Stater for the IOQ architecture.
@@ -404,77 +212,19 @@ func (r *IOQ) Collect(t *types.MessageTable) {
 	r.dl.collect(t)
 }
 
-// SaveState implements Stater for the IOQ architecture.
-func (r *IOQ) SaveState(e *snapshot.Encoder, t *types.MessageTable) {
-	r.base.saveState(e)
-	r.xbar.SaveState(e)
-	r.dl.saveState(e, t)
+// State implements Stater for the IOQ architecture.
+func (r *IOQ) State(c *snapshot.Codec, t *types.MessageTable) {
+	r.base.state(c)
+	r.xbar.State(c)
+	r.dl.state(c, t, r.radix)
 	for i := range r.in {
-		saveInputVC(e, t, &r.in[i])
+		r.in[i].state(c, t, &r.base)
 	}
-	for port := range r.holder {
-		saveIntSlice(e, r.holder[port])
-	}
-	saveIntSlice(e, r.vcPending)
-	e.Int(r.vcRotate)
-	for _, sc := range r.sched {
-		sc.saveState(e)
-	}
+	stateAllocation(c, len(r.in), r.holder, &r.vcPending, &r.vcRotate, r.sched)
 	for i := range r.outQ {
-		r.outQ[i].saveState(e, t)
+		r.outQ[i].state(c, t)
 	}
-	saveIntSlice(e, r.outOcc)
-	for _, b := range r.outBusy {
-		e.Bool(b)
-	}
-	saveIntSlice(e, r.outRR)
-}
-
-// LoadState implements Stater for the IOQ architecture.
-func (r *IOQ) LoadState(d *snapshot.Decoder, t *types.MessageTable) error {
-	if err := r.base.loadState(d); err != nil {
-		return err
-	}
-	if err := r.xbar.LoadState(d); err != nil {
-		return err
-	}
-	if err := r.dl.loadState(d, t); err != nil {
-		return err
-	}
-	for i := range r.in {
-		if err := loadInputVC(d, t, &r.in[i]); err != nil {
-			return err
-		}
-	}
-	for port := range r.holder {
-		if err := loadIntSliceInto(d, r.holder[port], "output VC holder"); err != nil {
-			return err
-		}
-	}
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	r.vcPending = r.vcPending[:0]
-	for i := 0; i < n; i++ {
-		r.vcPending = append(r.vcPending, d.Int())
-	}
-	r.vcRotate = d.Int()
-	for _, sc := range r.sched {
-		if err := sc.loadState(d); err != nil {
-			return err
-		}
-	}
-	for i := range r.outQ {
-		if err := r.outQ[i].loadState(d, t); err != nil {
-			return err
-		}
-	}
-	if err := loadIntSliceInto(d, r.outOcc, "output occupancy"); err != nil {
-		return err
-	}
-	for i := range r.outBusy {
-		r.outBusy[i] = d.Bool()
-	}
-	return loadIntSliceInto(d, r.outRR, "output round robin")
+	stateInts(c, r.outOcc, "output occupancy")
+	stateBools(c, r.outBusy)
+	stateInts(c, r.outRR, "output round robin")
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 	"supersim/internal/types"
 )
 
@@ -43,20 +44,29 @@ func stalledRouter(t *testing.T, doc string, vcs int) Stater {
 	return r.(Stater)
 }
 
+// anyIndex admits every terminal, application and VC number the tests use.
+var anyIndex = types.Bounds{Terminals: 64, Apps: 64, VCs: 64}
+
 // saveRouter collects the router's buffered messages into a table and
-// serializes both, returning the table bytes and state bytes.
-func saveRouter(t *testing.T, r Stater) (tabData, data []byte) {
+// serializes the router against it, returning a table of restored copies of
+// those messages and the state bytes.
+func saveRouter(t *testing.T, r Stater) (rtab *types.MessageTable, data []byte) {
 	t.Helper()
 	tab := types.NewMessageTable()
 	r.Collect(tab)
 	if tab.Len() != 1 {
 		t.Fatalf("collected %d messages, want the stalled packet's", tab.Len())
 	}
-	te := snapshot.NewEncoder()
-	tab.SaveState(te)
-	e := snapshot.NewEncoder()
-	r.SaveState(e, tab)
-	return te.Bytes(), e.Bytes()
+	tabData := snaptest.Save(func(c *snapshot.Codec) { tab.State(c, nil, anyIndex) })
+	rtab = types.NewMessageTable()
+	if err := snaptest.Load(tabData, func(c *snapshot.Codec) { rtab.State(c, nil, anyIndex) }); err != nil {
+		t.Fatal(err)
+	}
+	return rtab, snaptest.Save(func(c *snapshot.Codec) { r.State(c, tab) })
+}
+
+func loadRouter(data []byte, r Router, tab *types.MessageTable) error {
+	return snaptest.Load(data, func(c *snapshot.Codec) { r.(Stater).State(c, tab) })
 }
 
 // roundTripRouter restores the stalled router's state into a freshly built
@@ -65,30 +75,24 @@ func saveRouter(t *testing.T, r Stater) (tabData, data []byte) {
 func roundTripRouter(t *testing.T, doc string, vcs int) {
 	t.Helper()
 	r := stalledRouter(t, doc, vcs)
-	tabData, data := saveRouter(t, r)
+	rtab, data := saveRouter(t, r)
 
-	rtab, err := types.LoadMessageTable(snapshot.NewDecoder(tabData), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, fresh, _, _ := buildLoneRouter(t, doc, vcs, 1)
 	got := fresh.(Stater)
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d, rtab); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d, rtab); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
 	}
-	e2 := snapshot.NewEncoder()
-	got.SaveState(e2, rtab)
-	if !bytes.Equal(e2.Bytes(), data) {
+	if resaved := snaptest.Save(func(c *snapshot.Codec) { got.State(c, rtab) }); !bytes.Equal(resaved, data) {
 		t.Fatal("re-saved router state is not byte-identical")
 	}
 
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		_, tr, _, _ := buildLoneRouter(t, doc, vcs, 1)
-		if err := tr.(Stater).LoadState(snapshot.NewDecoder(data[:n]), rtab); err == nil {
+		if err := loadRouter(data[:n], tr, rtab); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
@@ -100,17 +104,13 @@ func TestOQStateRoundTrip(t *testing.T)  { roundTripRouter(t, oqCheckpointDoc, 1
 
 func TestRouterLoadRejectsMismatchedBuild(t *testing.T) {
 	r := stalledRouter(t, iqDoc, 2)
-	tabData, data := saveRouter(t, r)
-	rtab, err := types.LoadMessageTable(snapshot.NewDecoder(tabData), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rtab, data := saveRouter(t, r)
 
 	// Same architecture, different VC count: the per-port credit vectors
 	// cannot line up.
 	narrowDoc := strings.Replace(iqDoc, `"num_vcs": 2`, `"num_vcs": 1`, 1)
 	_, narrow, _, _ := buildLoneRouter(t, narrowDoc, 1, 1)
-	if err := narrow.(Stater).LoadState(snapshot.NewDecoder(data), rtab); err == nil ||
+	if err := loadRouter(data, narrow, rtab); err == nil ||
 		!strings.Contains(err.Error(), "VCs") {
 		t.Fatalf("VC mismatch: err = %v", err)
 	}
@@ -118,16 +118,12 @@ func TestRouterLoadRejectsMismatchedBuild(t *testing.T) {
 	// An OQ snapshot restored into an OQ build with a different congestion
 	// sensor configuration must fail on the sensor state.
 	oq := stalledRouter(t, oqCheckpointDoc, 1)
-	oqTab, oqData := saveRouter(t, oq)
-	oqrtab, err := types.LoadMessageTable(snapshot.NewDecoder(oqTab), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oqrtab, oqData := saveRouter(t, oq)
 	nullDoc := strings.Replace(oqCheckpointDoc,
 		`"congestion_sensor": {"granularity": "port", "source": "output"}`,
 		`"congestion_sensor": {"type": "null"}`, 1)
 	_, ns, _, _ := buildLoneRouter(t, nullDoc, 1, 1)
-	if err := ns.(Stater).LoadState(snapshot.NewDecoder(oqData), oqrtab); err == nil ||
+	if err := loadRouter(oqData, ns, oqrtab); err == nil ||
 		!strings.Contains(err.Error(), "congestion sensor") {
 		t.Fatalf("sensor mismatch: err = %v", err)
 	}

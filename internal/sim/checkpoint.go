@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sort"
 
 	"supersim/internal/snapshot"
@@ -33,33 +34,18 @@ type EventRecord struct {
 	Ctx    int
 }
 
-// Save appends the record to the encoder.
-func (r *EventRecord) Save(e *snapshot.Encoder) {
-	e.U64(uint64(r.Tick))
-	e.U32(uint32(r.Eps))
-	e.U32(r.Owner)
-	e.U64(r.Oseq)
-	e.Int(r.Type)
-	e.Bool(r.Daemon)
-	e.Bool(r.HasCtx)
+// State codes the record.
+func (r *EventRecord) State(c *snapshot.Codec) {
+	snapshot.Uint(c, &r.Tick)
+	snapshot.Uint(c, &r.Eps)
+	c.U32(&r.Owner)
+	c.U64(&r.Oseq)
+	c.Int(&r.Type)
+	c.Bool(&r.Daemon)
+	c.Bool(&r.HasCtx)
 	if r.HasCtx {
-		e.Int(r.Ctx)
+		c.Int(&r.Ctx)
 	}
-}
-
-// Load reads a record written by Save.
-func (r *EventRecord) Load(d *snapshot.Decoder) error {
-	r.Tick = Tick(d.U64())
-	r.Eps = Epsilon(d.U32())
-	r.Owner = d.U32()
-	r.Oseq = d.U64()
-	r.Type = d.Int()
-	r.Daemon = d.Bool()
-	r.HasCtx = d.Bool()
-	if r.HasCtx {
-		r.Ctx = d.Int()
-	}
-	return d.Err()
 }
 
 // ExportEvents returns every queued event as a record. The result is in queue
@@ -201,73 +187,55 @@ func (s *Simulator) SetProgress(executed uint64, lastWork Time) {
 	s.lastWork = lastWork
 }
 
-// SaveState serializes the simulator-owned scalar state: scheduling
-// counters and every PRNG stream (the base generator plus all DeriveRand
-// streams). For sharded runs this is called on the host simulator only —
-// order keys are handed out by the host during the build, shard base
-// generators are never drawn from, and DeriveRand streams are all derived
-// against the host (components derive before adoption). Progress counters
-// (executed, lastWork) are partition-dependent per simulator, so the
-// container stores run-wide totals instead and restores them with
-// SetProgress.
-func (s *Simulator) SaveState(e *snapshot.Encoder) {
-	e.U32(s.orderGen)
-	e.U64(s.seqGen)
-	e.Blob(mustMarshalPCG(s.pcg))
-	e.U64(uint64(len(s.derived)))
-	for i := range s.derived {
-		e.Str(s.derived[i].name)
-		e.Blob(mustMarshalPCG(s.derived[i].pcg))
-	}
-}
-
-// LoadState restores the counterpart of SaveState onto a freshly built
-// simulator. The derived-stream registry must match by order and name — a
-// mismatch means the rebuilt component graph differs from the one that took
-// the snapshot, so restoring state into it would be incoherent.
-func (s *Simulator) LoadState(d *snapshot.Decoder) error {
-	s.orderGen = d.U32()
-	s.seqGen = d.U64()
-	if err := unmarshalPCG(s.pcg, d.Blob()); err != nil {
-		return d.Failf("base PRNG: %v", err)
-	}
-	n := d.U64()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != uint64(len(s.derived)) {
-		return d.Failf("snapshot has %d derived PRNG streams, rebuilt simulator has %d", n, len(s.derived))
+// State codes the simulator-owned scalar state: scheduling counters and
+// every PRNG stream (the base generator plus all DeriveRand streams). For
+// sharded runs this is called on the host simulator only — order keys are
+// handed out by the host during the build, shard base generators are never
+// drawn from, and DeriveRand streams are all derived against the host
+// (components derive before adoption). Progress counters (executed,
+// lastWork) are partition-dependent per simulator, so the container stores
+// run-wide totals instead and restores them with SetProgress.
+//
+// The derived-stream registry must match by order and name — a mismatch
+// means the rebuilt component graph differs from the one that took the
+// snapshot, so restoring state into it would be incoherent.
+func (s *Simulator) State(c *snapshot.Codec) {
+	c.U32(&s.orderGen)
+	c.U64(&s.seqGen)
+	statePCG(c, s.pcg, "base PRNG")
+	n := uint64(len(s.derived))
+	c.U64(&n)
+	if c.Err() == nil && n != uint64(len(s.derived)) {
+		c.Failf("snapshot has %d derived PRNG streams, rebuilt simulator has %d", n, len(s.derived))
+		return
 	}
 	for i := range s.derived {
-		name := d.Str()
-		if d.Err() != nil {
-			return d.Err()
+		name := s.derived[i].name
+		c.Str(&name)
+		if c.Err() == nil && name != s.derived[i].name {
+			c.Failf("derived PRNG stream %d is %q in snapshot, %q in rebuilt simulator", i, name, s.derived[i].name)
+			return
 		}
-		if name != s.derived[i].name {
-			return d.Failf("derived PRNG stream %d is %q in snapshot, %q in rebuilt simulator", i, name, s.derived[i].name)
-		}
-		if err := unmarshalPCG(s.derived[i].pcg, d.Blob()); err != nil {
-			return d.Failf("derived PRNG %q: %v", name, err)
-		}
+		statePCG(c, s.derived[i].pcg, "derived PRNG "+name)
 	}
-	return d.Err()
 }
 
-func mustMarshalPCG(p interface{ MarshalBinary() ([]byte, error) }) []byte {
-	b, err := p.MarshalBinary()
-	if err != nil {
-		// rand.PCG's MarshalBinary cannot fail; a failure here is a stdlib
-		// contract change, not a recoverable condition.
-		panic(fmt.Sprintf("sim: PCG marshal failed: %v", err))
+func statePCG(c *snapshot.Codec, p *rand.PCG, what string) {
+	var b []byte
+	if !c.Loading() {
+		var err error
+		if b, err = p.MarshalBinary(); err != nil {
+			// rand.PCG's MarshalBinary cannot fail; a failure here is a stdlib
+			// contract change, not a recoverable condition.
+			panic(fmt.Sprintf("sim: PCG marshal failed: %v", err))
+		}
 	}
-	return b
-}
-
-func unmarshalPCG(p interface{ UnmarshalBinary([]byte) error }, b []byte) error {
-	if b == nil {
-		return fmt.Errorf("missing PCG state")
+	c.Blob(&b)
+	if c.Loading() && c.Err() == nil {
+		if err := p.UnmarshalBinary(b); err != nil {
+			c.Failf("%s: %v", what, err)
+		}
 	}
-	return p.UnmarshalBinary(b)
 }
 
 // OrderKey returns the handler's construction-order key — the partition-
@@ -275,25 +243,16 @@ func unmarshalPCG(p interface{ UnmarshalBinary([]byte) error }, b []byte) error 
 // maps keys back to handlers by walking the rebuilt component graph.
 func (c *ComponentBase) OrderKey() uint32 { return c.ord.key }
 
-// SaveOrder serializes the component's scheduling identity: its
-// construction-order key (as an integrity check) and its per-handler
-// schedule counter, which future events' oseq values continue from.
-func (c *ComponentBase) SaveOrder(e *snapshot.Encoder) {
-	e.U32(c.ord.key)
-	e.U64(c.ord.seq)
-}
-
-// LoadOrder restores the counterpart of SaveOrder, verifying that the
-// rebuilt component occupies the same construction-order slot.
-func (c *ComponentBase) LoadOrder(d *snapshot.Decoder) error {
-	key := d.U32()
-	seq := d.U64()
-	if d.Err() != nil {
-		return d.Err()
+// OrderState codes the component's scheduling identity: its
+// construction-order key (an integrity check: the rebuilt component must
+// occupy the same construction-order slot) and its per-handler schedule
+// counter, which future events' oseq values continue from.
+func (b *ComponentBase) OrderState(c *snapshot.Codec) {
+	key := b.ord.key
+	c.U32(&key)
+	if c.Err() == nil && key != b.ord.key {
+		c.Failf("component %q has construction-order key %d, snapshot says %d — component graph mismatch", b.name, b.ord.key, key)
+		return
 	}
-	if key != c.ord.key {
-		return d.Failf("component %q has construction-order key %d, snapshot says %d — component graph mismatch", c.name, c.ord.key, key)
-	}
-	c.ord.seq = seq
-	return nil
+	c.U64(&b.ord.seq)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 )
 
 func TestEventRecordRoundTrip(t *testing.T) {
@@ -14,17 +15,17 @@ func TestEventRecordRoundTrip(t *testing.T) {
 		{Tick: 10, Eps: 2, Owner: 3, Oseq: 7, Type: 4, Daemon: true},
 		{Tick: 11, Owner: 1, Oseq: 8, Type: -2, HasCtx: true, Ctx: 9},
 	}
-	e := snapshot.NewEncoder()
-	for i := range recs {
-		recs[i].Save(e)
-	}
-	data := e.Bytes()
+	data := snaptest.Save(func(c *snapshot.Codec) {
+		for i := range recs {
+			recs[i].State(c)
+		}
+	})
 
-	d := snapshot.NewDecoder(data)
+	d := snapshot.NewLoader(data)
 	got := make([]EventRecord, len(recs))
 	for i := range got {
-		if err := got[i].Load(d); err != nil {
-			t.Fatal(err)
+		if got[i].State(d); d.Err() != nil {
+			t.Fatal(d.Err())
 		}
 		if got[i] != recs[i] {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
@@ -33,39 +34,22 @@ func TestEventRecordRoundTrip(t *testing.T) {
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
 	}
-	one := snapshot.NewEncoder()
-	recs[1].Save(one)
-	single := one.Bytes()
+	single := snaptest.Save(recs[1].State)
 	for _, n := range []int{0, 1, len(single) - 1} {
 		var r EventRecord
-		if err := r.Load(snapshot.NewDecoder(single[:n])); err == nil {
+		if err := snaptest.Load(single[:n], r.State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
-}
-
-// ckpRecorder is a keyed recording component. Unlike the recorder type in
-// simulator_test.go — whose order field shadows the promoted order() method,
-// making it a foreign (unkeyed) handler — this one carries a construction-
-// order key, like every production component.
-type ckpRecorder struct {
-	ComponentBase
-	typesRun []int
-	times    []Time
-}
-
-func (r *ckpRecorder) ProcessEvent(ev *Event) {
-	r.typesRun = append(r.typesRun, ev.Type)
-	r.times = append(r.times, ev.Time)
 }
 
 func TestExportInjectQueueRoundTrip(t *testing.T) {
 	// Schedule a mix of plain, context-carrying, and daemon events, export
 	// the queue, inject it into an identically built simulator, and require
 	// the continuation to execute identically.
-	build := func() (*Simulator, *ckpRecorder) {
+	build := func() (*Simulator, *recorder) {
 		s := NewSimulator(3)
-		return s, &ckpRecorder{ComponentBase: NewComponentBase(s, "rec")}
+		return s, &recorder{ComponentBase: NewComponentBase(s, "rec")}
 	}
 	s, r := build()
 	s.Schedule(r, Time{10, 0}, 2, nil)
@@ -122,23 +106,26 @@ func TestExportInjectQueueRoundTrip(t *testing.T) {
 
 func TestExportEventsRejectsUnserializable(t *testing.T) {
 	s := NewSimulator(1)
-	r := &ckpRecorder{ComponentBase: NewComponentBase(s, "rec")}
+	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
 	s.Schedule(r, Time{1, 0}, 0, "not an int")
 	if _, err := s.ExportEvents(); err == nil ||
 		!strings.Contains(err.Error(), "context") {
 		t.Fatalf("string context: err = %v", err)
 	}
 
-	// The simulator_test recorder is a foreign handler (its order field
-	// shadows the promoted order() method), so its events carry no
-	// construction-order key and cannot be snapshotted.
+	// A handler that does not embed ComponentBase is foreign: its events
+	// carry no construction-order key and cannot be snapshotted.
 	s2 := NewSimulator(1)
-	s2.Schedule(&recorder{ComponentBase: NewComponentBase(s2, "rec")}, Time{1, 0}, 0, nil)
+	s2.Schedule(foreignHandler{}, Time{1, 0}, 0, nil)
 	if _, err := s2.ExportEvents(); err == nil ||
 		!strings.Contains(err.Error(), "construction-order key") {
 		t.Fatalf("foreign handler: err = %v", err)
 	}
 }
+
+type foreignHandler struct{}
+
+func (foreignHandler) ProcessEvent(*Event) {}
 
 func TestInjectEventPanics(t *testing.T) {
 	s := NewSimulator(1)
@@ -158,14 +145,12 @@ func TestSimulatorStateRoundTrip(t *testing.T) {
 	sa.Uint64()
 	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
 	s.Schedule(r, Time{1, 0}, 0, nil)
-	e := snapshot.NewEncoder()
-	s.SaveState(e)
-	data := e.Bytes()
+	data := snaptest.Save(s.State)
 
 	got, ga, gb := build()
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -183,24 +168,22 @@ func TestSimulatorStateRoundTrip(t *testing.T) {
 func TestSimulatorLoadRejectsMismatchedBuild(t *testing.T) {
 	s := NewSimulator(1)
 	s.DeriveRand("stream_a")
-	e := snapshot.NewEncoder()
-	s.SaveState(e)
-	data := e.Bytes()
+	data := snaptest.Save(s.State)
 
-	if err := NewSimulator(1).LoadState(snapshot.NewDecoder(data)); err == nil ||
+	if err := snaptest.Load(data, NewSimulator(1).State); err == nil ||
 		!strings.Contains(err.Error(), "derived PRNG streams") {
 		t.Fatalf("stream count: err = %v", err)
 	}
 	other := NewSimulator(1)
 	other.DeriveRand("stream_z")
-	if err := other.LoadState(snapshot.NewDecoder(data)); err == nil ||
+	if err := snaptest.Load(data, other.State); err == nil ||
 		!strings.Contains(err.Error(), `"stream_a"`) {
 		t.Fatalf("stream name: err = %v", err)
 	}
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		fresh := NewSimulator(1)
 		fresh.DeriveRand("stream_a")
-		if err := fresh.LoadState(snapshot.NewDecoder(data[:n])); err == nil {
+		if err := snaptest.Load(data[:n], fresh.State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
@@ -208,40 +191,36 @@ func TestSimulatorLoadRejectsMismatchedBuild(t *testing.T) {
 
 func TestComponentOrderRoundTrip(t *testing.T) {
 	s := NewSimulator(1)
-	ra := &ckpRecorder{ComponentBase: NewComponentBase(s, "a")}
+	ra := &recorder{ComponentBase: NewComponentBase(s, "a")}
 	b := NewComponentBase(s, "b")
 	if ra.OrderKey() == b.OrderKey() {
 		t.Fatal("distinct components share an order key")
 	}
 	s.Schedule(ra, Time{1, 0}, 0, nil) // bumps the per-handler seq counter
 	a := &ra.ComponentBase
-	e := snapshot.NewEncoder()
-	a.SaveOrder(e)
-	data := e.Bytes()
+	data := snaptest.Save(a.OrderState)
 
 	s2 := NewSimulator(1)
 	a2 := NewComponentBase(s2, "a")
-	if err := a2.LoadOrder(snapshot.NewDecoder(data)); err != nil {
+	if err := snaptest.Load(data, a2.OrderState); err != nil {
 		t.Fatal(err)
 	}
 	if a2.ord.seq != a.ord.seq {
 		t.Fatalf("restored seq %d, want %d", a2.ord.seq, a.ord.seq)
 	}
-	e2 := snapshot.NewEncoder()
-	a2.SaveOrder(e2)
-	if !bytes.Equal(e2.Bytes(), data) {
+	if !bytes.Equal(snaptest.Save(a2.OrderState), data) {
 		t.Fatal("re-saved order state is not byte-identical")
 	}
 
 	s3 := NewSimulator(1)
 	NewComponentBase(s3, "pad") // shifts the next key
 	w := NewComponentBase(s3, "a")
-	if err := w.LoadOrder(snapshot.NewDecoder(data)); err == nil ||
+	if err := snaptest.Load(data, w.OrderState); err == nil ||
 		!strings.Contains(err.Error(), "construction-order key") {
 		t.Fatalf("key mismatch: err = %v", err)
 	}
 	tc := NewComponentBase(NewSimulator(1), "a")
-	if err := tc.LoadOrder(snapshot.NewDecoder(data[:1])); err == nil {
+	if err := snaptest.Load(data[:1], tc.OrderState); err == nil {
 		t.Fatal("truncated order state loaded without error")
 	}
 }
@@ -265,8 +244,8 @@ func TestEngineCheckpointAccessors(t *testing.T) {
 	}
 	eng.SeedCommit(10)
 	n, _ := eng.Finish()
-	if n != 1 || len(r.order) != 1 {
-		t.Fatalf("executed %d events (%d recorded), want 1", n, len(r.order))
+	if n != 1 || len(r.typesRun) != 1 {
+		t.Fatalf("executed %d events (%d recorded), want 1", n, len(r.typesRun))
 	}
 }
 

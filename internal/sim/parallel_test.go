@@ -199,6 +199,25 @@ func TestSameTimeOrderByConstructionOrder(t *testing.T) {
 	if want := "a b c"; strings.Join(got, " ") != want {
 		t.Fatalf("same-time order %v, want construction order %q", got, want)
 	}
+
+	// The shared test recorder is a keyed component too: its events carry a
+	// real construction-order key (not the foreign-handler marker ^0), so
+	// they execute by that key and survive ExportEvents.
+	s = NewSimulator(1)
+	r1 := &recorder{ComponentBase: NewComponentBase(s, "r1")}
+	r2 := &recorder{ComponentBase: NewComponentBase(s, "r2")}
+	s.Schedule(r2, Time{Tick: 5}, 2, nil)
+	s.Schedule(r1, Time{Tick: 5}, 1, nil)
+	recs, err := s.ExportEvents()
+	if err != nil {
+		t.Fatalf("recorder events do not export: %v", err)
+	}
+	SortEventRecords(recs)
+	if len(recs) != 2 || recs[0].Owner != r1.OrderKey() || recs[1].Owner != r2.OrderKey() ||
+		r1.OrderKey() == 0 || r1.OrderKey() >= r2.OrderKey() {
+		t.Fatalf("recorder events not keyed by construction order: %+v (keys %d, %d)",
+			recs, r1.OrderKey(), r2.OrderKey())
+	}
 }
 
 func TestDeriveRandPartitionIndependent(t *testing.T) {

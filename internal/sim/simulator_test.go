@@ -7,14 +7,16 @@ import (
 )
 
 // recorder is a test component that records the order of executed events.
+// (Its slice was once a field named order, which hid ComponentBase.order()
+// and silently made every recorder a foreign, unkeyed handler.)
 type recorder struct {
 	ComponentBase
-	order []int
-	times []Time
+	typesRun []int
+	times    []Time
 }
 
 func (r *recorder) ProcessEvent(ev *Event) {
-	r.order = append(r.order, ev.Type)
+	r.typesRun = append(r.typesRun, ev.Type)
 	r.times = append(r.times, ev.Time)
 }
 
@@ -31,9 +33,9 @@ func TestSimulatorExecutesInTimeOrder(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("Run executed %d events, want 5", n)
 	}
-	for i, typ := range r.order {
+	for i, typ := range r.typesRun {
 		if typ != i {
-			t.Fatalf("execution order %v, want ascending types", r.order)
+			t.Fatalf("execution order %v, want ascending types", r.typesRun)
 		}
 	}
 	if s.Now() != (Time{10, 1}) {
@@ -49,9 +51,9 @@ func TestSimulatorFIFOTiebreak(t *testing.T) {
 		s.Schedule(r, Time{7, 3}, i, nil)
 	}
 	s.Run()
-	for i, typ := range r.order {
+	for i, typ := range r.typesRun {
 		if typ != i {
-			t.Fatalf("FIFO violated at %d: order=%v", i, r.order[:i+1])
+			t.Fatalf("FIFO violated at %d: order=%v", i, r.typesRun[:i+1])
 		}
 	}
 }
@@ -145,8 +147,7 @@ func TestSimulatorStop(t *testing.T) {
 }
 
 // stopOn counts the events it executes and calls Stop on one of negative
-// type. (It cannot reuse recorder, whose order field hides ComponentBase's
-// ordering key and so makes it a foreign handler.)
+// type.
 type stopOn struct {
 	ComponentBase
 	executed int
@@ -260,12 +261,12 @@ func TestSimulatorRunUntil(t *testing.T) {
 		s.Schedule(r, Time{Tick(i * 10), 0}, i, nil)
 	}
 	s.RunUntil(50)
-	if len(r.order) != 5 {
-		t.Fatalf("RunUntil(50) executed %d events, want 5 (ticks 0..40)", len(r.order))
+	if len(r.typesRun) != 5 {
+		t.Fatalf("RunUntil(50) executed %d events, want 5 (ticks 0..40)", len(r.typesRun))
 	}
 	s.Run()
-	if len(r.order) != 10 {
-		t.Fatalf("resume executed %d total, want 10", len(r.order))
+	if len(r.typesRun) != 10 {
+		t.Fatalf("resume executed %d total, want 10", len(r.typesRun))
 	}
 }
 
@@ -295,14 +296,14 @@ func TestSimulatorEventRecycling(t *testing.T) {
 		s.Schedule(r, Time{Tick(i + 1), 0}, i, nil)
 	}
 	s.Run()
-	r.order = nil
+	r.typesRun = nil
 	for i := 0; i < 100; i++ {
 		s.Schedule(r, Time{Tick(1000 + i), 0}, 1000+i, nil)
 	}
 	s.Run()
-	for i, typ := range r.order {
+	for i, typ := range r.typesRun {
 		if typ != 1000+i {
-			t.Fatalf("recycled event carried stale type: %v", r.order[i])
+			t.Fatalf("recycled event carried stale type: %v", r.typesRun[i])
 		}
 	}
 }

@@ -6,70 +6,103 @@ import (
 	"testing"
 )
 
-func TestRoundTrip(t *testing.T) {
-	e := NewEncoder()
-	e.WriteHeader()
-	e.Section("ABC")
-	e.U64(0)
-	e.U64(math.MaxUint64)
-	e.U32(0xdeadbeef)
-	e.I64(-1)
-	e.I64(math.MinInt64)
-	e.Int(-42)
-	e.Bool(true)
-	e.Bool(false)
-	e.F64(3.14159)
-	e.F64(math.Inf(-1))
-	e.Blob([]byte{1, 2, 3})
-	e.Blob(nil)
-	e.Str("hello")
-	e.Str("")
+// put codes one literal through a primitive: put(c.U64, 7).
+func put[T any](prim func(*T), v T) { prim(&v) }
 
-	d := NewDecoder(e.Bytes())
-	if err := d.ReadHeader(); err != nil {
-		t.Fatalf("ReadHeader: %v", err)
+// get loads one value through a primitive.
+func get[T any](prim func(*T)) T {
+	var v T
+	prim(&v)
+	return v
+}
+
+// stream saves the values written by fn and returns the bytes.
+func stream(fn func(c *Codec)) []byte {
+	c := NewSaver()
+	fn(c)
+	return c.Bytes()
+}
+
+func TestRoundTrip(t *testing.T) {
+	type named uint64
+	type phase int8
+	data := stream(func(c *Codec) {
+		c.Header()
+		c.Section("ABC")
+		put(c.U64, 0)
+		put(c.U64, math.MaxUint64)
+		put(c.U32, 0xdeadbeef)
+		put(c.I64, -1)
+		put(c.I64, math.MinInt64)
+		put(c.Int, -42)
+		put(c.Bool, true)
+		put(c.Bool, false)
+		put(c.F64, 3.14159)
+		put(c.F64, math.Inf(-1))
+		put(c.Blob, []byte{1, 2, 3})
+		put(c.Blob, nil)
+		put(c.Str, "hello")
+		put(c.Str, "")
+		n, p := named(77), phase(-3)
+		Uint(c, &n)
+		Sint(c, &p)
+	})
+
+	d := NewLoader(data)
+	if !d.Loading() || NewSaver().Loading() {
+		t.Fatal("Loading() reports the wrong direction")
+	}
+	if err := d.Header(); err != nil {
+		t.Fatalf("Header: %v", err)
 	}
 	if err := d.Section("ABC"); err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if v := d.U64(); v != 0 {
+	if v := get(d.U64); v != 0 {
 		t.Errorf("U64 = %d, want 0", v)
 	}
-	if v := d.U64(); v != math.MaxUint64 {
+	if v := get(d.U64); v != math.MaxUint64 {
 		t.Errorf("U64 = %d, want max", v)
 	}
-	if v := d.U32(); v != 0xdeadbeef {
+	if v := get(d.U32); v != 0xdeadbeef {
 		t.Errorf("U32 = %x", v)
 	}
-	if v := d.I64(); v != -1 {
+	if v := get(d.I64); v != -1 {
 		t.Errorf("I64 = %d, want -1", v)
 	}
-	if v := d.I64(); v != math.MinInt64 {
+	if v := get(d.I64); v != math.MinInt64 {
 		t.Errorf("I64 = %d, want min", v)
 	}
-	if v := d.Int(); v != -42 {
+	if v := get(d.Int); v != -42 {
 		t.Errorf("Int = %d, want -42", v)
 	}
-	if !d.Bool() || d.Bool() {
+	if !get(d.Bool) || get(d.Bool) {
 		t.Errorf("Bool sequence wrong")
 	}
-	if v := d.F64(); v != 3.14159 {
+	if v := get(d.F64); v != 3.14159 {
 		t.Errorf("F64 = %v", v)
 	}
-	if v := d.F64(); !math.IsInf(v, -1) {
+	if v := get(d.F64); !math.IsInf(v, -1) {
 		t.Errorf("F64 = %v, want -Inf", v)
 	}
-	if b := d.Blob(); len(b) != 3 || b[0] != 1 || b[2] != 3 {
+	if b := get(d.Blob); len(b) != 3 || b[0] != 1 || b[2] != 3 {
 		t.Errorf("Blob = %v", b)
 	}
-	if b := d.Blob(); len(b) != 0 {
+	if b := get(d.Blob); len(b) != 0 {
 		t.Errorf("empty Blob = %v", b)
 	}
-	if s := d.Str(); s != "hello" {
+	if s := get(d.Str); s != "hello" {
 		t.Errorf("Str = %q", s)
 	}
-	if s := d.Str(); s != "" {
+	if s := get(d.Str); s != "" {
 		t.Errorf("empty Str = %q", s)
+	}
+	var n named
+	var p phase
+	Uint(d, &n)
+	Sint(d, &p)
+	if n != 77 || p != -3 {
+		t.Errorf("named integers = %d, %d, want 77, -3", n, p)
 	}
 	if err := d.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
@@ -77,44 +110,46 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestHeaderRejectsBadMagic(t *testing.T) {
-	d := NewDecoder([]byte("NOTASNAP\x01"))
-	if err := d.ReadHeader(); err == nil || !strings.Contains(err.Error(), "magic") {
+	d := NewLoader([]byte("NOTASNAP\x01"))
+	if err := d.Header(); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("want magic error, got %v", err)
 	}
 }
 
 func TestHeaderRejectsVersionSkew(t *testing.T) {
-	e := NewEncoder()
-	e.buf = append(e.buf, Magic...)
-	e.U64(Version + 7)
-	d := NewDecoder(e.Bytes())
-	if err := d.ReadHeader(); err == nil || !strings.Contains(err.Error(), "version") {
+	skew := stream(func(c *Codec) {
+		c.buf = append(c.buf, Magic...)
+		put(c.U64, Version+7)
+	})
+	if err := NewLoader(skew).Header(); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("want version error, got %v", err)
 	}
 }
 
 func TestHeaderRejectsTruncation(t *testing.T) {
-	e := NewEncoder()
-	e.WriteHeader()
-	full := e.Bytes()
+	full := stream(func(c *Codec) { c.Header() })
 	for cut := 0; cut < len(full); cut++ {
-		d := NewDecoder(full[:cut])
-		if err := d.ReadHeader(); err == nil {
+		if err := NewLoader(full[:cut]).Header(); err == nil {
 			t.Fatalf("truncated header at %d bytes decoded without error", cut)
 		}
 	}
 }
 
 func TestStickyError(t *testing.T) {
-	d := NewDecoder(nil)
-	_ = d.U64() // fails: empty input
+	d := NewLoader(nil)
+	_ = get(d.U64) // fails: empty input
 	if d.Err() == nil {
 		t.Fatal("expected error on empty input")
 	}
 	first := d.Err()
-	// Every further read must return zero values and keep the first error.
-	if d.U64() != 0 || d.I64() != 0 || d.Bool() || d.F64() != 0 || d.Str() != "" || d.Blob() != nil {
-		t.Error("reads after error did not return zero values")
+	// Every further read must store zero values and keep the first error,
+	// even over a field that held something else.
+	u, s, b := uint64(9), "x", []byte{1}
+	d.U64(&u)
+	d.Str(&s)
+	d.Blob(&b)
+	if u != 0 || s != "" || b != nil || get(d.I64) != 0 || get(d.Bool) || get(d.F64) != 0 || d.Len(3) != 0 {
+		t.Error("reads after error did not store zero values")
 	}
 	if d.Err() != first {
 		t.Errorf("sticky error replaced: %v -> %v", first, d.Err())
@@ -122,55 +157,138 @@ func TestStickyError(t *testing.T) {
 }
 
 func TestBlobLengthBomb(t *testing.T) {
-	e := NewEncoder()
-	e.U64(1 << 40) // a 1 TiB length prefix with no payload
-	d := NewDecoder(e.Bytes())
-	if b := d.Blob(); b != nil || d.Err() == nil {
+	// A 1 TiB length prefix with no payload.
+	d := NewLoader(stream(func(c *Codec) { put(c.U64, 1<<40) }))
+	if b := get(d.Blob); b != nil || d.Err() == nil {
 		t.Fatalf("oversized blob length decoded: %v, err %v", b, d.Err())
 	}
 }
 
-func TestCountBomb(t *testing.T) {
-	e := NewEncoder()
-	e.Int(1 << 40)
-	d := NewDecoder(e.Bytes())
-	if n := d.Count(); n != 0 || d.Err() == nil {
+func TestLenBomb(t *testing.T) {
+	d := NewLoader(stream(func(c *Codec) { put(c.Int, 1<<40) }))
+	if n := d.Len(0); n != 0 || d.Err() == nil {
 		t.Fatalf("oversized count accepted: %d, err %v", n, d.Err())
+	}
+	d = NewLoader(stream(func(c *Codec) { put(c.Int, -1) }))
+	if n := d.Len(0); n != 0 || d.Err() == nil || !strings.Contains(d.Err().Error(), "negative") {
+		t.Fatalf("negative count accepted: %d, err %v", n, d.Err())
+	}
+}
+
+// TestSliceAndFixedLen covers the two sequence shapes: a variable-length
+// slice resized (and zeroed) to the stream's count, and a configuration-sized
+// array whose count must match.
+func TestSliceAndFixedLen(t *testing.T) {
+	walk := func(c *Codec, s *[]int, fixed int) {
+		Slice(c, s)
+		for i := range *s {
+			c.Int(&(*s)[i])
+		}
+		c.FixedLen(fixed, "things")
+	}
+	src := []int{4, 5, 6}
+	if n := NewSaver().Len(3); n != 3 {
+		t.Fatalf("saving Len returned %d, want its argument", n)
+	}
+	data := stream(func(c *Codec) { walk(c, &src, 3) })
+
+	reuse := make([]int, 1, 8)
+	reuse[0] = 99
+	d := NewLoader(data)
+	walk(d, &reuse, 3)
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if len(reuse) != 3 || cap(reuse) != 8 || reuse[0] != 4 || reuse[2] != 6 {
+		t.Fatalf("Slice did not resize in place: %v (cap %d)", reuse, cap(reuse))
+	}
+
+	var grown []int
+	d = NewLoader(data)
+	walk(d, &grown, 2)
+	if len(grown) != 3 || grown[1] != 5 {
+		t.Fatalf("Slice did not allocate: %v", grown)
+	}
+	if d.Err() == nil || !strings.Contains(d.Err().Error(), "things has 2 entries, snapshot says 3") {
+		t.Fatalf("FixedLen mismatch not reported: %v", d.Err())
+	}
+
+	// A zero count leaves a nil slice nil.
+	var none []int
+	Slice(NewLoader(stream(func(c *Codec) { c.Len(0) })), &none)
+	if none != nil {
+		t.Fatalf("empty Slice allocated: %v", none)
+	}
+}
+
+func TestIndexBounds(t *testing.T) {
+	for _, tc := range []struct {
+		v          int
+		strict, ok bool
+	}{
+		{0, true, true}, {4, true, true}, {5, true, false}, {-1, true, false},
+		{-1, false, true}, {-2, false, false}, {5, false, false},
+	} {
+		data := stream(func(c *Codec) {
+			// Saving never range-checks: the value is whatever the run holds.
+			v := tc.v
+			c.Index(&v, 1, "x")
+		})
+		d := NewLoader(data)
+		var v int
+		if tc.strict {
+			d.Index(&v, 5, "thing.idx")
+		} else {
+			d.IndexOrNone(&v, 5, "thing.idx")
+		}
+		if (d.Err() == nil) != tc.ok {
+			t.Errorf("index %d strict=%v: err %v, want ok=%v", tc.v, tc.strict, d.Err(), tc.ok)
+		}
+		if d.Err() != nil && !strings.Contains(d.Err().Error(), "thing.idx") {
+			t.Errorf("index error does not name the field: %v", d.Err())
+		}
 	}
 }
 
 func TestSectionMismatch(t *testing.T) {
-	e := NewEncoder()
-	e.Section("AAA")
-	d := NewDecoder(e.Bytes())
+	d := NewLoader(stream(func(c *Codec) { c.Section("AAA") }))
 	if err := d.Section("BBB"); err == nil || !strings.Contains(err.Error(), "section") {
 		t.Fatalf("want section mismatch error, got %v", err)
 	}
 }
 
 func TestDoneRejectsTrailingBytes(t *testing.T) {
-	e := NewEncoder()
-	e.U64(7)
-	e.U64(9)
-	d := NewDecoder(e.Bytes())
-	_ = d.U64()
+	d := NewLoader(stream(func(c *Codec) { put(c.U64, 7); put(c.U64, 9) }))
+	_ = get(d.U64)
 	if err := d.Done(); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("want trailing-bytes error, got %v", err)
 	}
 }
 
+func TestFailfWhileSaving(t *testing.T) {
+	c := NewSaver()
+	c.Failf("component %d cannot be saved", 3)
+	if err := c.Done(); err == nil || !strings.Contains(err.Error(), "cannot be saved") {
+		t.Fatalf("saving-side Failf lost: %v", err)
+	}
+}
+
 func TestBoolRejectsInvalidByte(t *testing.T) {
-	d := NewDecoder([]byte{2})
-	if d.Bool() || d.Err() == nil {
+	d := NewLoader([]byte{2})
+	if get(d.Bool) || d.Err() == nil {
 		t.Fatalf("invalid bool byte accepted, err %v", d.Err())
 	}
 }
 
 func TestIntOverflowRejected(t *testing.T) {
-	e := NewEncoder()
-	e.U64(math.MaxUint64)
-	d := NewDecoder(e.Bytes())
-	if v := d.U32(); v != 0 || d.Err() == nil {
+	d := NewLoader(stream(func(c *Codec) { put(c.U64, math.MaxUint64) }))
+	if v := get(d.U32); v != 0 || d.Err() == nil {
 		t.Fatalf("uint32 overflow accepted: %d", v)
+	}
+	type phase int8
+	d = NewLoader(stream(func(c *Codec) { put(c.Int, 300) }))
+	var p phase
+	if Sint(d, &p); p != 0 || d.Err() == nil {
+		t.Fatalf("int8 overflow accepted: %d", p)
 	}
 }

@@ -1,53 +1,28 @@
 package stats
 
-import (
-	"supersim/internal/sim"
-	"supersim/internal/snapshot"
-)
+import "supersim/internal/snapshot"
 
-// SaveState serializes the recorder's samples. The sorted latency vector is a
-// lazily derived view, so only the raw samples are stored.
-func (r *Recorder) SaveState(e *snapshot.Encoder) {
-	e.Int(len(r.samples))
-	for _, s := range r.samples {
-		e.U64(uint64(s.Start))
-		e.U64(uint64(s.End))
-		e.Int(s.Flits)
-		e.Int(s.Hops)
-		e.Bool(s.NonMinimal)
-		e.Int(s.App)
-		e.Int(s.Src)
-		e.Int(s.Dst)
+// State codes the recorder's samples. The sorted latency vector is a lazily
+// derived view, so only the raw samples are stored.
+func (r *Recorder) State(c *snapshot.Codec) {
+	snapshot.Slice(c, &r.samples)
+	if c.Loading() {
+		r.sorted = nil
+		r.dirty = true
 	}
-}
-
-// LoadState restores the counterpart of SaveState.
-func (r *Recorder) LoadState(d *snapshot.Decoder) error {
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
+	for i := range r.samples {
+		s := &r.samples[i]
+		snapshot.Uint(c, &s.Start)
+		snapshot.Uint(c, &s.End)
+		c.Int(&s.Flits)
+		c.Int(&s.Hops)
+		c.Bool(&s.NonMinimal)
+		c.Int(&s.App)
+		c.Int(&s.Src)
+		c.Int(&s.Dst)
+		if c.Loading() && c.Err() == nil && s.End < s.Start {
+			c.Failf("sample %d ends (%d) before it starts (%d)", i, s.End, s.Start)
+			return
+		}
 	}
-	r.samples = r.samples[:0]
-	r.sorted = nil
-	r.dirty = true
-	for i := 0; i < n; i++ {
-		s := Sample{
-			Start:      sim.Tick(d.U64()),
-			End:        sim.Tick(d.U64()),
-			Flits:      d.Int(),
-			Hops:       d.Int(),
-			NonMinimal: d.Bool(),
-			App:        d.Int(),
-			Src:        d.Int(),
-			Dst:        d.Int(),
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if s.End < s.Start {
-			return d.Failf("sample %d ends (%d) before it starts (%d)", i, s.End, s.Start)
-		}
-		r.samples = append(r.samples, s)
-	}
-	return d.Err()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 )
 
 func recorderWithSamples() *Recorder {
@@ -21,17 +22,16 @@ func TestRecorderStateRoundTrip(t *testing.T) {
 	r := recorderWithSamples()
 	_ = r.Percentile(50) // materialize the derived sorted view before saving
 
-	e := snapshot.NewEncoder()
-	r.SaveState(e)
+	data := snaptest.Save(r.State)
 
 	// Load over a recorder holding different samples and a stale sorted
 	// view: both must be replaced.
 	got := NewRecorder()
 	got.Record(Sample{Start: 1, End: 2, Flits: 1, Hops: 1})
 	_ = got.Mean()
-	d := snapshot.NewDecoder(e.Bytes())
-	if err := got.LoadState(d); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -43,18 +43,14 @@ func TestRecorderStateRoundTrip(t *testing.T) {
 		t.Fatal("derived statistics differ after restore")
 	}
 
-	e2 := snapshot.NewEncoder()
-	got.SaveState(e2)
-	if !bytes.Equal(e.Bytes(), e2.Bytes()) {
+	if !bytes.Equal(data, snaptest.Save(got.State)) {
 		t.Fatal("re-saved recorder state is not byte-identical")
 	}
 }
 
 func TestRecorderStateRoundTripEmpty(t *testing.T) {
-	e := snapshot.NewEncoder()
-	NewRecorder().SaveState(e)
 	got := recorderWithSamples()
-	if err := got.LoadState(snapshot.NewDecoder(e.Bytes())); err != nil {
+	if err := snaptest.Load(snaptest.Save(NewRecorder().State), got.State); err != nil {
 		t.Fatal(err)
 	}
 	if got.Count() != 0 {
@@ -63,28 +59,27 @@ func TestRecorderStateRoundTripEmpty(t *testing.T) {
 }
 
 func TestRecorderLoadRejectsInvertedSample(t *testing.T) {
-	e := snapshot.NewEncoder()
-	e.Int(1)
-	e.U64(20) // Start
-	e.U64(5)  // End before Start
-	e.Int(1)
-	e.Int(1)
-	e.Bool(false)
-	e.Int(0)
-	e.Int(0)
-	e.Int(0)
-	err := NewRecorder().LoadState(snapshot.NewDecoder(e.Bytes()))
+	data := snaptest.Save(func(c *snapshot.Codec) {
+		snaptest.Put(c.Int, 1)
+		snaptest.Put(c.U64, 20) // Start
+		snaptest.Put(c.U64, 5)  // End before Start
+		snaptest.Put(c.Int, 1)
+		snaptest.Put(c.Int, 1)
+		snaptest.Put(c.Bool, false)
+		snaptest.Put(c.Int, 0)
+		snaptest.Put(c.Int, 0)
+		snaptest.Put(c.Int, 0)
+	})
+	err := snaptest.Load(data, NewRecorder().State)
 	if err == nil || !strings.Contains(err.Error(), "ends") {
 		t.Fatalf("err = %v, want inverted-sample error", err)
 	}
 }
 
 func TestRecorderLoadRejectsTruncation(t *testing.T) {
-	e := snapshot.NewEncoder()
-	recorderWithSamples().SaveState(e)
-	data := e.Bytes()
+	data := snaptest.Save(recorderWithSamples().State)
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
-		if err := NewRecorder().LoadState(snapshot.NewDecoder(data[:n])); err == nil {
+		if err := snaptest.Load(data[:n], NewRecorder().State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"supersim/internal/sim"
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 )
 
 func populatedRegistry() *Registry {
@@ -20,11 +21,7 @@ func populatedRegistry() *Registry {
 	return r
 }
 
-func saveRegistry(r *Registry) []byte {
-	e := snapshot.NewEncoder()
-	r.SaveState(e)
-	return e.Bytes()
-}
+func saveRegistry(r *Registry) []byte { return snaptest.Save(r.State) }
 
 func TestRegistryStateRoundTrip(t *testing.T) {
 	data := saveRegistry(populatedRegistry())
@@ -34,9 +31,9 @@ func TestRegistryStateRoundTrip(t *testing.T) {
 	// dynamically-registered case).
 	got := newRegistry()
 	pre := got.Counter("flits_routed", "r0", -1, 2.0)
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -56,47 +53,45 @@ func TestRegistryStateRoundTrip(t *testing.T) {
 }
 
 func TestRegistryLoadRejectsCorruption(t *testing.T) {
-	load := func(r *Registry, fn func(e *snapshot.Encoder)) error {
-		e := snapshot.NewEncoder()
-		fn(e)
-		return r.LoadState(snapshot.NewDecoder(e.Bytes()))
+	load := func(r *Registry, fn func(c *snapshot.Codec)) error {
+		return snaptest.Load(snaptest.Save(fn), r.State)
 	}
 
 	clash := newRegistry()
 	clash.Gauge("flits_routed", "r0", -1)
-	if err := clash.LoadState(snapshot.NewDecoder(saveRegistry(populatedRegistry()))); err == nil ||
+	if err := snaptest.Load(saveRegistry(populatedRegistry()), clash.State); err == nil ||
 		!strings.Contains(err.Error(), "in the snapshot") {
 		t.Fatalf("kind clash: err = %v", err)
 	}
 
-	if err := load(newRegistry(), func(e *snapshot.Encoder) {
-		e.Int(1)
-		e.Str("m")
-		e.Str("c")
-		e.Int(-1)
-		e.Int(99) // invalid kind
-		e.F64(0)
+	if err := load(newRegistry(), func(c *snapshot.Codec) {
+		snaptest.Put(c.Int, 1)
+		snaptest.Put(c.Str, "m")
+		snaptest.Put(c.Str, "c")
+		snaptest.Put(c.Int, -1)
+		snaptest.Put(c.Int, 99) // invalid kind
+		snaptest.Put(c.F64, 0)
 	}); err == nil || !strings.Contains(err.Error(), "invalid kind") {
 		t.Fatalf("invalid kind: err = %v", err)
 	}
 
-	if err := load(newRegistry(), func(e *snapshot.Encoder) {
-		e.Int(1)
-		e.Str("m")
-		e.Str("c")
-		e.Int(-1)
-		e.Int(int(KindHist))
-		e.F64(0)
-		e.Int(1)
-		e.Int(histBuckets) // bucket index out of range
-		e.U64(1)
+	if err := load(newRegistry(), func(c *snapshot.Codec) {
+		snaptest.Put(c.Int, 1)
+		snaptest.Put(c.Str, "m")
+		snaptest.Put(c.Str, "c")
+		snaptest.Put(c.Int, -1)
+		snaptest.Put(c.Int, int(KindHist))
+		snaptest.Put(c.F64, 0)
+		snaptest.Put(c.Int, 1)
+		snaptest.Put(c.Int, histBuckets) // bucket index out of range
+		snaptest.Put(c.U64, 1)
 	}); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("bucket index: err = %v", err)
 	}
 
 	data := saveRegistry(populatedRegistry())
 	for _, n := range []int{1, len(data) / 2, len(data) - 1} {
-		if err := newRegistry().LoadState(snapshot.NewDecoder(data[:n])); err == nil {
+		if err := snaptest.Load(data[:n], newRegistry().State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
@@ -116,11 +111,7 @@ func buildTelemetry(t *testing.T, withSpans bool) *Telemetry {
 	return tl
 }
 
-func saveTelemetry(tl *Telemetry) []byte {
-	e := snapshot.NewEncoder()
-	tl.SaveState(e)
-	return e.Bytes()
-}
+func saveTelemetry(tl *Telemetry) []byte { return snaptest.Save(tl.State) }
 
 func TestTelemetryStateRoundTrip(t *testing.T) {
 	tl := buildTelemetry(t, true)
@@ -137,9 +128,9 @@ func TestTelemetryStateRoundTrip(t *testing.T) {
 	data := saveTelemetry(tl)
 
 	got := buildTelemetry(t, true)
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -164,7 +155,7 @@ func TestTelemetryStateRoundTripWithoutSpans(t *testing.T) {
 	tl := buildTelemetry(t, false)
 	data := saveTelemetry(tl)
 	got := buildTelemetry(t, false)
-	if err := got.LoadState(snapshot.NewDecoder(data)); err != nil {
+	if err := snaptest.Load(data, got.State); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(saveTelemetry(got), data) {
@@ -175,28 +166,29 @@ func TestTelemetryStateRoundTripWithoutSpans(t *testing.T) {
 func TestTelemetryLoadRejectsSpansMismatch(t *testing.T) {
 	data := saveTelemetry(buildTelemetry(t, true))
 	got := buildTelemetry(t, false)
-	if err := got.LoadState(snapshot.NewDecoder(data)); err == nil ||
+	if err := snaptest.Load(data, got.State); err == nil ||
 		!strings.Contains(err.Error(), "spans state") {
 		t.Fatalf("err = %v, want spans mismatch", err)
 	}
 }
 
 func TestSpansLoadRejectsDuplicate(t *testing.T) {
-	e := snapshot.NewEncoder()
-	e.Int(2)
-	for i := 0; i < 2; i++ { // two open spans for the same message ID
-		e.U64(5)
-		e.Int(0)
-		e.Int(1)
-		e.Int(2)
-		e.U64(3)
-		e.Int(0) // no hops
-		e.U64(10)
-		e.Int(0)
-	}
-	e.U64(0)
+	dup := snaptest.Save(func(c *snapshot.Codec) {
+		snaptest.Put(c.Int, 2)
+		for i := 0; i < 2; i++ { // two open spans for the same message ID
+			snaptest.Put(c.U64, 5)
+			snaptest.Put(c.Int, 0)
+			snaptest.Put(c.Int, 1)
+			snaptest.Put(c.Int, 2)
+			snaptest.Put(c.U64, 3)
+			snaptest.Put(c.Int, 0) // no hops
+			snaptest.Put(c.U64, 10)
+			snaptest.Put(c.Int, 0)
+		}
+		snaptest.Put(c.U64, 0)
+	})
 	sp := NewSpans(nil, 1.0)
-	if err := sp.loadState(snapshot.NewDecoder(e.Bytes())); err == nil ||
+	if err := snaptest.Load(dup, sp.state); err == nil ||
 		!strings.Contains(err.Error(), "duplicate open span") {
 		t.Fatalf("err = %v, want duplicate-span error", err)
 	}
@@ -206,7 +198,7 @@ func TestTelemetryLoadRejectsTruncation(t *testing.T) {
 	data := saveTelemetry(buildTelemetry(t, true))
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		got := buildTelemetry(t, true)
-		if err := got.LoadState(snapshot.NewDecoder(data[:n])); err == nil {
+		if err := snaptest.Load(data[:n], got.State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

@@ -171,7 +171,7 @@ func (t *Telemetry) Partition(n int) {
 
 // seal merges and drains the per-shard observation lanes in global stamp
 // order. It must only run while no shard goroutines are executing — at the
-// end of the run (Close) or at a checkpoint barrier (SaveState); the engine's
+// end of the run (Close) or at a checkpoint barrier (State); the engine's
 // RunUntil WaitGroup is the happens-before edge publishing the lanes.
 func (t *Telemetry) seal() {
 	if tr := t.opts.Tracer; tr != nil {

@@ -3,7 +3,6 @@ package types
 import (
 	"sort"
 
-	"supersim/internal/sim"
 	"supersim/internal/snapshot"
 )
 
@@ -17,9 +16,9 @@ import (
 // allocates fresh blocks on its first misses; only the lifecycle counters
 // are preserved.
 
-// MessageTable is the set of live messages referenced by a checkpoint. The
-// save side populates it from every flit-holding component, deduplicating
-// shared messages; the load side rebuilds the messages and resolves flit
+// MessageTable is the set of live messages referenced by a checkpoint. A
+// saving walk populates it from every flit-holding component, deduplicating
+// shared messages; a loading walk rebuilds the messages and resolves flit
 // references against them.
 type MessageTable struct {
 	msgs []*Message
@@ -51,249 +50,175 @@ func (t *MessageTable) Add(m *Message) {
 // Len returns the number of distinct messages added.
 func (t *MessageTable) Len() int { return len(t.msgs) }
 
-// SaveState serializes every added message, sorted by ID so the byte stream
-// is independent of collection order.
-func (t *MessageTable) SaveState(e *snapshot.Encoder) {
-	sort.Slice(t.msgs, func(i, j int) bool { return t.msgs[i].ID < t.msgs[j].ID })
-	e.Int(len(t.msgs))
-	for _, m := range t.msgs {
-		m.saveState(e)
-	}
+// Bounds are the index ranges restored traffic objects are validated
+// against: terminal, application and VC numbers end up as slice indices in
+// the continued run.
+type Bounds struct {
+	Terminals, Apps, VCs int
 }
 
-// LoadMessageTable rebuilds the message table from a snapshot. Messages are
-// owned by the given pool (nil for unpooled) so the restored run's delivery
-// path releases them back into it exactly as the original run would have.
-func LoadMessageTable(d *snapshot.Decoder, pool *Pool) (*MessageTable, error) {
-	n := d.Count()
-	if d.Err() != nil {
-		return nil, d.Err()
+// State codes the live messages, sorted by ID so the byte stream is
+// independent of collection order. Saving walks the messages Add collected;
+// loading rebuilds them into the (empty) table, owned by the given pool (nil
+// for unpooled) so the restored run's delivery path releases them back into
+// it exactly as the original run would have.
+func (t *MessageTable) State(c *snapshot.Codec, pool *Pool, b Bounds) {
+	if !c.Loading() {
+		sort.Slice(t.msgs, func(i, j int) bool { return t.msgs[i].ID < t.msgs[j].ID })
 	}
-	t := NewMessageTable()
+	n := c.Len(len(t.msgs))
 	var prev uint64
 	for i := 0; i < n; i++ {
-		m, err := loadMessage(d, pool)
-		if err != nil {
-			return nil, err
+		if !c.Loading() {
+			t.msgs[i].state(c, pool, b)
+			continue
+		}
+		m := &Message{}
+		m.state(c, pool, b)
+		if c.Err() != nil {
+			return
 		}
 		if i > 0 && m.ID <= prev {
-			return nil, d.Failf("message table not sorted: ID %d after %d", m.ID, prev)
+			c.Failf("message table not sorted: ID %d after %d", m.ID, prev)
+			return
 		}
 		prev = m.ID
 		t.Add(m)
 	}
-	return t, nil
 }
 
-func (m *Message) saveState(e *snapshot.Encoder) {
-	e.U64(m.ID)
-	e.Int(len(m.flitBlock))
-	e.Int(m.maxPkt)
-	e.Int(m.App)
-	e.U64(m.Transaction)
-	e.Int(m.Src)
-	e.Int(m.Dst)
-	e.U64(uint64(m.CreateTime))
-	e.U64(uint64(m.InjectTime))
-	e.U64(uint64(m.ReceiveTime))
-	e.Bool(m.Sampled)
-	e.Int(m.OpCode)
-	e.Int(m.RxRemaining)
-	e.U64(m.gen)
+// state codes one message: its shape, then every mutable field of the
+// message, its packets and its flits. When loading, m is empty and the shape
+// sizes its blocks.
+func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
+	c.U64(&m.ID)
+	flits := len(m.flitBlock)
+	c.Int(&flits)
+	c.Int(&m.maxPkt)
+	if c.Loading() {
+		if c.Err() != nil {
+			return
+		}
+		if flits <= 0 || m.maxPkt <= 0 {
+			c.Failf("message %d has invalid shape (%d flits, max packet %d)", m.ID, flits, m.maxPkt)
+			return
+		}
+		if flits > c.Remaining() {
+			// Each flit serializes to at least one byte, so a count beyond the
+			// remaining input is corrupt; reject before allocating the blocks.
+			c.Failf("message %d flit count %d exceeds remaining input", m.ID, flits)
+			return
+		}
+		// Blocks come from a fresh allocation, not pool.NewMessage: the pool's
+		// lifecycle counters were checkpointed after this message was obtained,
+		// so drawing it again would double-count.
+		m.pool = pool
+		m.alloc(flits, m.maxPkt)
+	}
+	c.Index(&m.App, b.Apps, "Message.App")
+	c.U64(&m.Transaction)
+	c.Index(&m.Src, b.Terminals, "Message.Src")
+	c.Index(&m.Dst, b.Terminals, "Message.Dst")
+	snapshot.Uint(c, &m.CreateTime)
+	snapshot.Uint(c, &m.InjectTime)
+	snapshot.Uint(c, &m.ReceiveTime)
+	c.Bool(&m.Sampled)
+	c.Int(&m.OpCode)
+	c.Int(&m.RxRemaining)
+	c.U64(&m.gen)
 	for i := range m.pktBlock {
 		p := &m.pktBlock[i]
-		e.Int(p.HopCount)
-		e.Bool(p.NonMinimal)
-		e.Int(p.Intermediate)
-		e.U64(uint64(p.InjectTime))
-		e.U64(uint64(p.ReceiveTime))
-		e.Bool(p.Routing.Valid)
-		e.I64(int64(p.Routing.Phase))
-		e.Bool(p.Routing.Dateline)
-		e.Int(p.rxNext)
+		c.Int(&p.HopCount)
+		c.Bool(&p.NonMinimal)
+		c.Int(&p.Intermediate)
+		snapshot.Uint(c, &p.InjectTime)
+		snapshot.Uint(c, &p.ReceiveTime)
+		c.Bool(&p.Routing.Valid)
+		snapshot.Sint(c, &p.Routing.Phase)
+		c.Bool(&p.Routing.Dateline)
+		c.Int(&p.rxNext)
 	}
 	for i := range m.flitBlock {
 		f := &m.flitBlock[i]
-		e.Int(f.VC)
-		e.U64(uint64(f.SendTime))
-		e.U64(uint64(f.ReceiveTime))
-		e.U64(f.vfGen)
-		e.Bool(f.vfInFlight)
+		// -1 until the flit wins its first VC at the injecting interface.
+		c.IndexOrNone(&f.VC, b.VCs, "Flit.VC")
+		snapshot.Uint(c, &f.SendTime)
+		snapshot.Uint(c, &f.ReceiveTime)
+		c.U64(&f.vfGen)
+		c.Bool(&f.vfInFlight)
 	}
 }
 
-func loadMessage(d *snapshot.Decoder, pool *Pool) (*Message, error) {
-	id := d.U64()
-	totalFlits := d.Int()
-	maxPkt := d.Int()
-	if d.Err() != nil {
-		return nil, d.Err()
+// Packet codes a reference to a packet held by a component: a present flag
+// and, when present, (message ID, packet index). Saving, the packet's message
+// must have been added to the table first — an unknown message means the
+// checkpoint's collection pass missed a holder, which would produce a
+// dangling reference at restore. Loading resolves the reference against the
+// restored table, bounds-checking the index; *pp is nil for an absent
+// reference and after any error.
+func (t *MessageTable) Packet(c *snapshot.Codec, pp **Packet) {
+	if c.Loading() {
+		*pp = nil
 	}
-	if totalFlits <= 0 || maxPkt <= 0 {
-		return nil, d.Failf("message %d has invalid shape (%d flits, max packet %d)", id, totalFlits, maxPkt)
+	present := *pp != nil
+	c.Bool(&present)
+	var id uint64
+	var pkt int
+	if p := *pp; p != nil {
+		if t.idx[p.Msg.ID] != p.Msg {
+			panic("types: reference to a message not in the checkpoint table")
+		}
+		id, pkt = p.Msg.ID, p.ID
 	}
-	if totalFlits > d.Remaining() {
-		// Each flit serializes to at least one byte, so a count beyond the
-		// remaining input is corrupt; reject before allocating the blocks.
-		return nil, d.Failf("message %d flit count %d exceeds remaining input", id, totalFlits)
+	if present {
+		c.U64(&id)
+		c.Int(&pkt)
 	}
-	// Blocks come from a fresh allocation, not pool.NewMessage: the pool's
-	// lifecycle counters were checkpointed after this message was obtained,
-	// so drawing it again would double-count.
-	m := &Message{pool: pool}
-	m.alloc(totalFlits, maxPkt)
-	m.ID = id
-	m.App = d.Int()
-	m.Transaction = d.U64()
-	m.Src = d.Int()
-	m.Dst = d.Int()
-	m.CreateTime = sim.Tick(d.U64())
-	m.InjectTime = sim.Tick(d.U64())
-	m.ReceiveTime = sim.Tick(d.U64())
-	m.Sampled = d.Bool()
-	m.OpCode = d.Int()
-	m.RxRemaining = d.Int()
-	m.gen = d.U64()
-	for i := range m.pktBlock {
-		p := &m.pktBlock[i]
-		p.HopCount = d.Int()
-		p.NonMinimal = d.Bool()
-		p.Intermediate = d.Int()
-		p.InjectTime = sim.Tick(d.U64())
-		p.ReceiveTime = sim.Tick(d.U64())
-		p.Routing.Valid = d.Bool()
-		p.Routing.Phase = int8(d.I64())
-		p.Routing.Dateline = d.Bool()
-		p.rxNext = d.Int()
-	}
-	for i := range m.flitBlock {
-		f := &m.flitBlock[i]
-		f.VC = d.Int()
-		f.SendTime = sim.Tick(d.U64())
-		f.ReceiveTime = sim.Tick(d.U64())
-		f.vfGen = d.U64()
-		f.vfInFlight = d.Bool()
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return m, nil
-}
-
-// EncodeFlit writes a reference to a flit held by a component: a present
-// flag and, when present, (message ID, packet index, flit index). The flit's
-// message must have been added to the table first — an unknown message means
-// the checkpoint's collection pass missed a holder, which would produce a
-// dangling reference at restore.
-func (t *MessageTable) EncodeFlit(e *snapshot.Encoder, f *Flit) {
-	if f == nil {
-		e.Bool(false)
+	if !c.Loading() || !present || c.Err() != nil {
 		return
-	}
-	m := f.Pkt.Msg
-	if t.idx[m.ID] != m {
-		panic("types: flit reference to a message not in the checkpoint table")
-	}
-	e.Bool(true)
-	e.U64(m.ID)
-	e.Int(f.Pkt.ID)
-	e.Int(f.ID)
-}
-
-// DecodeFlit resolves a reference written by EncodeFlit against the restored
-// table, bounds-checking every index.
-func (t *MessageTable) DecodeFlit(d *snapshot.Decoder) (*Flit, error) {
-	present := d.Bool()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if !present {
-		return nil, nil
-	}
-	id := d.U64()
-	pkt := d.Int()
-	fl := d.Int()
-	if d.Err() != nil {
-		return nil, d.Err()
 	}
 	m, ok := t.idx[id]
 	if !ok {
-		return nil, d.Failf("flit reference to unknown message %d", id)
-	}
-	if pkt < 0 || pkt >= len(m.Packets) {
-		return nil, d.Failf("flit reference to message %d packet %d of %d", id, pkt, len(m.Packets))
-	}
-	p := m.Packets[pkt]
-	if fl < 0 || fl >= len(p.Flits) {
-		return nil, d.Failf("flit reference to message %d packet %d flit %d of %d", id, pkt, fl, len(p.Flits))
-	}
-	return p.Flits[fl], nil
-}
-
-// EncodePacket writes a reference to a packet held by a component, in the
-// same shape as EncodeFlit: a present flag plus (message ID, packet index).
-func (t *MessageTable) EncodePacket(e *snapshot.Encoder, p *Packet) {
-	if p == nil {
-		e.Bool(false)
+		c.Failf("reference to unknown message %d", id)
 		return
 	}
-	m := p.Msg
-	if t.idx[m.ID] != m {
-		panic("types: packet reference to a message not in the checkpoint table")
-	}
-	e.Bool(true)
-	e.U64(m.ID)
-	e.Int(p.ID)
-}
-
-// DecodePacket resolves a reference written by EncodePacket.
-func (t *MessageTable) DecodePacket(d *snapshot.Decoder) (*Packet, error) {
-	present := d.Bool()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if !present {
-		return nil, nil
-	}
-	id := d.U64()
-	pkt := d.Int()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	m, ok := t.idx[id]
-	if !ok {
-		return nil, d.Failf("packet reference to unknown message %d", id)
-	}
 	if pkt < 0 || pkt >= len(m.Packets) {
-		return nil, d.Failf("packet reference to message %d packet %d of %d", id, pkt, len(m.Packets))
+		c.Failf("reference to message %d packet %d of %d", id, pkt, len(m.Packets))
+		return
 	}
-	return m.Packets[pkt], nil
+	*pp = m.Packets[pkt]
 }
 
-// SaveState serializes the pool's lifecycle counters. The free list is not
-// state — see the file comment.
-func (p *Pool) SaveState(e *snapshot.Encoder) {
-	e.U64(p.gets)
-	e.U64(p.hits)
-	e.U64(p.releases)
+// Flit codes a reference to a flit held by a component: a packet reference
+// followed by the flit's index within the packet.
+func (t *MessageTable) Flit(c *snapshot.Codec, pf **Flit) {
+	var p *Packet
+	var fl int
+	if f := *pf; f != nil && !c.Loading() {
+		p, fl = f.Pkt, f.ID
+	}
+	t.Packet(c, &p)
+	if p != nil {
+		c.Index(&fl, len(p.Flits), "flit reference index")
+	}
+	if c.Loading() {
+		*pf = nil
+		if p != nil && c.Err() == nil {
+			*pf = p.Flits[fl]
+		}
+	}
 }
 
-// LoadState restores the pool's lifecycle counters.
-func (p *Pool) LoadState(d *snapshot.Decoder) error {
-	p.gets = d.U64()
-	p.hits = d.U64()
-	p.releases = d.U64()
-	return d.Err()
+// State codes the pool's lifecycle counters. The free list is not state —
+// see the file comment.
+func (p *Pool) State(c *snapshot.Codec) {
+	c.U64(&p.gets)
+	c.U64(&p.hits)
+	c.U64(&p.releases)
 }
 
-// SaveState serializes the checker's partial-delivery count (the per-packet
-// cursors travel with their messages).
-func (c *OrderChecker) SaveState(e *snapshot.Encoder) {
-	e.Int(c.outstanding)
-}
-
-// LoadState restores the counterpart of SaveState.
-func (c *OrderChecker) LoadState(d *snapshot.Decoder) error {
-	c.outstanding = d.Int()
-	return d.Err()
+// State codes the checker's partial-delivery count (the per-packet cursors
+// travel with their messages).
+func (oc *OrderChecker) State(c *snapshot.Codec) {
+	c.Int(&oc.outstanding)
 }

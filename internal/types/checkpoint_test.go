@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 )
+
+// testBounds admits every index testMessage uses.
+var testBounds = Bounds{Terminals: 4, Apps: 2, VCs: 3}
 
 // testMessage builds a message with every serialized field set to a
 // non-default value so round trips exercise real state, not zeroes.
@@ -46,9 +50,7 @@ func testMessage(pool *Pool, id uint64) *Message {
 }
 
 func saveTable(t *MessageTable) []byte {
-	e := snapshot.NewEncoder()
-	t.SaveState(e)
-	return e.Bytes()
+	return snaptest.Save(func(c *snapshot.Codec) { t.State(c, nil, testBounds) })
 }
 
 func TestMessageTableRoundTrip(t *testing.T) {
@@ -56,7 +58,7 @@ func TestMessageTableRoundTrip(t *testing.T) {
 	m7 := testMessage(pool, 7)
 	m3 := testMessage(pool, 3)
 	tab := NewMessageTable()
-	tab.Add(m7) // out of ID order: SaveState must sort
+	tab.Add(m7) // out of ID order: State must sort
 	tab.Add(m3)
 	tab.Add(m7) // duplicate add is a no-op
 	tab.Add(nil)
@@ -65,10 +67,10 @@ func TestMessageTableRoundTrip(t *testing.T) {
 	}
 	data := saveTable(tab)
 
-	d := snapshot.NewDecoder(data)
-	got, err := LoadMessageTable(d, pool)
-	if err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	got := NewMessageTable()
+	if got.State(d, pool, testBounds); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -97,31 +99,43 @@ func TestFlitAndPacketReferences(t *testing.T) {
 	m := testMessage(nil, 11)
 	tab := NewMessageTable()
 	tab.Add(m)
-	e := snapshot.NewEncoder()
-	tab.SaveState(e)
-	tab.EncodeFlit(e, m.Packets[1].Flits[1])
-	tab.EncodeFlit(e, nil)
-	tab.EncodePacket(e, m.Packets[2])
-	tab.EncodePacket(e, nil)
+	flit, pkt := m.Packets[1].Flits[1], m.Packets[2]
+	var noFlit *Flit
+	var noPkt *Packet
+	data := snaptest.Save(func(c *snapshot.Codec) {
+		tab.State(c, nil, testBounds)
+		tab.Flit(c, &flit)
+		tab.Flit(c, &noFlit)
+		tab.Packet(c, &pkt)
+		tab.Packet(c, &noPkt)
+	})
+	if flit != m.Packets[1].Flits[1] || pkt != m.Packets[2] {
+		t.Fatal("saving a reference disturbed the holder's pointer")
+	}
 
-	d := snapshot.NewDecoder(e.Bytes())
-	got, err := LoadMessageTable(d, nil)
-	if err != nil {
+	d := snapshot.NewLoader(data)
+	got := NewMessageTable()
+	got.State(d, nil, testBounds)
+	// Loading overwrites whatever the holder had, present or not.
+	f, f2, p, p2 := flit, flit, pkt, pkt
+	got.Flit(d, &f)
+	got.Flit(d, &f2)
+	got.Packet(d, &p)
+	got.Packet(d, &p2)
+	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := got.DecodeFlit(d)
-	if err != nil || f == nil || f.Pkt.Msg.ID != 11 || f.Pkt.ID != 1 || f.ID != 1 {
-		t.Fatalf("flit reference resolved to %v (err %v)", f, err)
+	if f == nil || f == flit || f.Pkt.Msg.ID != 11 || f.Pkt.ID != 1 || f.ID != 1 {
+		t.Fatalf("flit reference resolved to %v", f)
 	}
-	if f2, err := got.DecodeFlit(d); err != nil || f2 != nil {
-		t.Fatalf("nil flit reference resolved to %v (err %v)", f2, err)
+	if f2 != nil {
+		t.Fatalf("nil flit reference resolved to %v", f2)
 	}
-	p, err := got.DecodePacket(d)
-	if err != nil || p == nil || p.Msg.ID != 11 || p.ID != 2 {
-		t.Fatalf("packet reference resolved to %v (err %v)", p, err)
+	if p == nil || p == pkt || p.Msg.ID != 11 || p.ID != 2 {
+		t.Fatalf("packet reference resolved to %v", p)
 	}
-	if p2, err := got.DecodePacket(d); err != nil || p2 != nil {
-		t.Fatalf("nil packet reference resolved to %v (err %v)", p2, err)
+	if p2 != nil {
+		t.Fatalf("nil packet reference resolved to %v", p2)
 	}
 }
 
@@ -130,64 +144,104 @@ func TestReferenceDecodingRejectsCorruption(t *testing.T) {
 	tab := NewMessageTable()
 	tab.Add(m)
 
-	encodeRef := func(fn func(e *snapshot.Encoder)) *snapshot.Decoder {
-		e := snapshot.NewEncoder()
-		fn(e)
-		return snapshot.NewDecoder(e.Bytes())
+	loadFlit := func(c *snapshot.Codec) {
+		f := m.Packets[0].Flits[0] // a failed load must clear the holder
+		if tab.Flit(c, &f); f != nil {
+			t.Errorf("failed flit load left %v behind", f)
+		}
+	}
+	loadPacket := func(c *snapshot.Codec) {
+		p := m.Packets[0]
+		if tab.Packet(c, &p); p != nil {
+			t.Errorf("failed packet load left %v behind", p)
+		}
+	}
+	// ref writes a present reference: the message ID, then the given indices.
+	ref := func(id uint64, idx ...int) func(c *snapshot.Codec) {
+		return func(c *snapshot.Codec) {
+			snaptest.Put(c.Bool, true)
+			snaptest.Put(c.U64, id)
+			for _, i := range idx {
+				snaptest.Put(c.Int, i)
+			}
+		}
 	}
 	cases := []struct {
 		name string
-		run  func(d *snapshot.Decoder) error
-		enc  func(e *snapshot.Encoder)
+		run  func(c *snapshot.Codec)
+		enc  func(c *snapshot.Codec)
 		want string
 	}{
-		{"flit unknown message", func(d *snapshot.Decoder) error { _, err := tab.DecodeFlit(d); return err },
-			func(e *snapshot.Encoder) { e.Bool(true); e.U64(99); e.Int(0); e.Int(0) }, "unknown message"},
-		{"flit packet out of range", func(d *snapshot.Decoder) error { _, err := tab.DecodeFlit(d); return err },
-			func(e *snapshot.Encoder) { e.Bool(true); e.U64(5); e.Int(9); e.Int(0) }, "packet 9"},
-		{"flit index out of range", func(d *snapshot.Decoder) error { _, err := tab.DecodeFlit(d); return err },
-			func(e *snapshot.Encoder) { e.Bool(true); e.U64(5); e.Int(0); e.Int(9) }, "flit 9"},
-		{"flit truncated", func(d *snapshot.Decoder) error { _, err := tab.DecodeFlit(d); return err },
-			func(e *snapshot.Encoder) { e.Bool(true) }, "snapshot:"},
-		{"packet unknown message", func(d *snapshot.Decoder) error { _, err := tab.DecodePacket(d); return err },
-			func(e *snapshot.Encoder) { e.Bool(true); e.U64(99); e.Int(0) }, "unknown message"},
-		{"packet out of range", func(d *snapshot.Decoder) error { _, err := tab.DecodePacket(d); return err },
-			func(e *snapshot.Encoder) { e.Bool(true); e.U64(5); e.Int(-1) }, "packet -1"},
-		{"packet truncated", func(d *snapshot.Decoder) error { _, err := tab.DecodePacket(d); return err },
-			func(e *snapshot.Encoder) { e.Bool(true); e.U64(5) }, "snapshot:"},
+		{"flit unknown message", loadFlit, ref(99, 0, 0), "unknown message"},
+		{"flit packet out of range", loadFlit, ref(5, 9, 0), "packet 9"},
+		{"flit index out of range", loadFlit, ref(5, 0, 9), "flit reference index 9"},
+		{"flit truncated", loadFlit, func(c *snapshot.Codec) { snaptest.Put(c.Bool, true) }, "snapshot:"},
+		{"packet unknown message", loadPacket, ref(99, 0), "unknown message"},
+		{"packet out of range", loadPacket, ref(5, -1), "packet -1"},
+		{"packet truncated", loadPacket, ref(5), "snapshot:"},
 	}
 	for _, tc := range cases {
-		if err := tc.run(encodeRef(tc.enc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := snaptest.Load(snaptest.Save(tc.enc), tc.run); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 }
 
-func TestLoadMessageTableRejectsCorruption(t *testing.T) {
-	load := func(fn func(e *snapshot.Encoder)) error {
-		e := snapshot.NewEncoder()
-		fn(e)
-		_, err := LoadMessageTable(snapshot.NewDecoder(e.Bytes()), nil)
-		return err
+func TestMessageTableLoadRejectsCorruption(t *testing.T) {
+	load := func(fn func(c *snapshot.Codec)) error {
+		return snaptest.Load(snaptest.Save(fn), func(c *snapshot.Codec) {
+			NewMessageTable().State(c, nil, testBounds)
+		})
 	}
 	m7 := testMessage(nil, 7)
 	m3 := testMessage(nil, 3)
+	msg := func(m *Message) func(c *snapshot.Codec) {
+		return func(c *snapshot.Codec) { m.state(c, nil, testBounds) }
+	}
+	// shape writes a table of one message up to its shape prefix.
+	shape := func(flits, maxPkt int) func(c *snapshot.Codec) {
+		return func(c *snapshot.Codec) {
+			snaptest.Put(c.Int, 1)
+			snaptest.Put(c.U64, 4)
+			snaptest.Put(c.Int, flits)
+			snaptest.Put(c.Int, maxPkt)
+		}
+	}
+	// mutated is a table holding m3 with one field changed for the save.
+	mutated := func(field *int, v int) func(c *snapshot.Codec) {
+		return func(c *snapshot.Codec) {
+			old := *field
+			*field = v
+			snaptest.Put(c.Int, 1)
+			msg(m3)(c)
+			*field = old
+		}
+	}
 	cases := []struct {
 		name string
-		enc  func(e *snapshot.Encoder)
+		enc  func(c *snapshot.Codec)
 		want string
 	}{
-		{"zero flits", func(e *snapshot.Encoder) { e.Int(1); e.U64(4); e.Int(0); e.Int(1) }, "invalid shape"},
-		{"zero max packet", func(e *snapshot.Encoder) { e.Int(1); e.U64(4); e.Int(2); e.Int(0) }, "invalid shape"},
-		{"flit bomb", func(e *snapshot.Encoder) { e.Int(1); e.U64(4); e.Int(1 << 30); e.Int(2) }, "exceeds remaining"},
-		{"unsorted", func(e *snapshot.Encoder) { e.Int(2); m7.saveState(e); m3.saveState(e) }, "not sorted"},
-		{"truncated", func(e *snapshot.Encoder) { e.Int(3); m3.saveState(e) }, "snapshot:"},
-		{"empty", func(e *snapshot.Encoder) {}, "snapshot:"},
+		{"zero flits", shape(0, 1), "invalid shape"},
+		{"zero max packet", shape(2, 0), "invalid shape"},
+		{"flit bomb", shape(1<<30, 2), "exceeds remaining"},
+		{"unsorted", func(c *snapshot.Codec) { snaptest.Put(c.Int, 2); msg(m7)(c); msg(m3)(c) }, "not sorted"},
+		{"truncated", func(c *snapshot.Codec) { snaptest.Put(c.Int, 3); msg(m3)(c) }, "snapshot:"},
+		{"empty", func(c *snapshot.Codec) {}, "snapshot:"},
+		{"source terminal", mutated(&m3.Src, testBounds.Terminals), "Message.Src 4 out of range"},
+		{"destination terminal", mutated(&m3.Dst, -1), "Message.Dst -1 out of range"},
+		{"application", mutated(&m3.App, testBounds.Apps), "Message.App 2 out of range"},
+		{"flit VC", mutated(&m3.Packets[1].Flits[0].VC, testBounds.VCs), "Flit.VC 3 out of range"},
+		{"flit VC below none", mutated(&m3.Packets[0].Flits[1].VC, -2), "Flit.VC -2 out of range"},
 	}
 	for _, tc := range cases {
 		if err := load(tc.enc); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+	// -1 is a flit's VC before it wins one at the interface: legal.
+	if err := load(mutated(&m3.Packets[0].Flits[0].VC, -1)); err != nil {
+		t.Errorf("uninjected flit (VC -1) rejected: %v", err)
 	}
 }
 
@@ -196,9 +250,9 @@ func TestMessageTablePanics(t *testing.T) {
 	tab.Add(testMessage(nil, 1))
 	mustPanicContains(t, "share an ID", func() { tab.Add(testMessage(nil, 1)) })
 	stranger := testMessage(nil, 2)
-	e := snapshot.NewEncoder()
-	mustPanicContains(t, "not in the checkpoint table", func() { tab.EncodeFlit(e, stranger.Packets[0].Flits[0]) })
-	mustPanicContains(t, "not in the checkpoint table", func() { tab.EncodePacket(e, stranger.Packets[0]) })
+	c := snapshot.NewSaver()
+	mustPanicContains(t, "not in the checkpoint table", func() { tab.Flit(c, &stranger.Packets[0].Flits[0]) })
+	mustPanicContains(t, "not in the checkpoint table", func() { tab.Packet(c, &stranger.Packets[0]) })
 }
 
 func mustPanicContains(t *testing.T, substr string, fn func()) {
@@ -221,17 +275,14 @@ func TestPoolStateRoundTrip(t *testing.T) {
 	p.Release(a)
 	b := p.NewMessage(2, 0, 0, 1, 4, 2) // same bucket: a hit
 	_ = b
-	e := snapshot.NewEncoder()
-	p.SaveState(e)
-
 	got := NewPool()
-	if err := got.LoadState(snapshot.NewDecoder(e.Bytes())); err != nil {
+	if err := snaptest.Load(snaptest.Save(p.State), got.State); err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats() != p.Stats() {
 		t.Fatalf("pool stats %+v, want %+v", got.Stats(), p.Stats())
 	}
-	if err := got.LoadState(snapshot.NewDecoder(nil)); err == nil {
+	if err := snaptest.Load(nil, got.State); err == nil {
 		t.Fatal("empty input loaded without error")
 	}
 }
@@ -242,17 +293,14 @@ func TestOrderCheckerStateRoundTrip(t *testing.T) {
 	if c.Check(m.Packets[0].Flits[0]) {
 		t.Fatal("head flit of a 2-flit packet reported as packet completion")
 	}
-	e := snapshot.NewEncoder()
-	c.SaveState(e)
-
 	got := NewOrderChecker(0)
-	if err := got.LoadState(snapshot.NewDecoder(e.Bytes())); err != nil {
+	if err := snaptest.Load(snaptest.Save(c.State), got.State); err != nil {
 		t.Fatal(err)
 	}
 	if got.Outstanding() != c.Outstanding() {
 		t.Fatalf("outstanding %d, want %d", got.Outstanding(), c.Outstanding())
 	}
-	if err := got.LoadState(snapshot.NewDecoder(nil)); err == nil {
+	if err := snaptest.Load(nil, got.State); err == nil {
 		t.Fatal("empty input loaded without error")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"supersim/internal/sim"
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 )
 
 // buildLedgers attaches a verifier with one credit and one buffer ledger,
@@ -19,11 +20,7 @@ func buildLedgers(epoch sim.Tick) (*Verifier, *CreditLedger, *BufferLedger) {
 	return v, cl, bl
 }
 
-func saveVerifier(v *Verifier) []byte {
-	e := snapshot.NewEncoder()
-	v.SaveState(e)
-	return e.Bytes()
-}
+func saveVerifier(v *Verifier) []byte { return snaptest.Save(v.State) }
 
 func TestVerifierStateRoundTrip(t *testing.T) {
 	v, cl, bl := buildLedgers(100)
@@ -43,9 +40,9 @@ func TestVerifierStateRoundTrip(t *testing.T) {
 	data := saveVerifier(v)
 
 	got, gcl, gbl := buildLedgers(100)
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -114,7 +111,7 @@ func TestVerifierLoadRejectsMismatchedBuild(t *testing.T) {
 		}), "VCs"},
 	}
 	for _, tc := range cases {
-		err := tc.v.LoadState(snapshot.NewDecoder(data))
+		err := snaptest.Load(data, tc.v.State)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
@@ -126,7 +123,7 @@ func TestVerifierLoadRejectsTruncation(t *testing.T) {
 	data := saveVerifier(v)
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		got, _, _ := buildLedgers(100)
-		if err := got.LoadState(snapshot.NewDecoder(data[:n])); err == nil {
+		if err := snaptest.Load(data[:n], got.State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

@@ -1,8 +1,6 @@
 package apps
 
-import (
-	"supersim/internal/snapshot"
-)
+import "supersim/internal/snapshot"
 
 // Checkpoint state for the supplied application models. The RNG streams are
 // derived per-application from the simulator and serialized with the core;
@@ -10,105 +8,43 @@ import (
 // phase, the per-terminal Poisson arrival clocks, sampling bookkeeping, and
 // the recorders.
 
-func saveF64Slice(e *snapshot.Encoder, s []float64) {
-	e.Int(len(s))
-	for _, v := range s {
-		e.F64(v)
+func statePhase(c *snapshot.Codec, p *appPhase, app string) {
+	snapshot.Sint(c, p)
+	if c.Loading() && c.Err() == nil && (*p < phWarming || *p > phDraining) {
+		c.Failf("%s phase %d out of range", app, int(*p))
 	}
 }
 
-func loadF64SliceInto(d *snapshot.Decoder, s []float64, what string) error {
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
+// stateClocks codes the per-terminal arrival clocks.
+func stateClocks(c *snapshot.Codec, next []float64, what string) {
+	c.FixedLen(len(next), what)
+	for i := range next {
+		c.F64(&next[i])
 	}
-	if n != len(s) {
-		return d.Failf("%s has %d entries, snapshot says %d", what, len(s), n)
-	}
-	for i := 0; i < n; i++ {
-		s[i] = d.F64()
-	}
-	return d.Err()
 }
 
-// SaveState implements workload.AppStater.
-func (b *Blast) SaveState(e *snapshot.Encoder) {
-	b.SaveOrder(e)
-	e.Int(int(b.phase))
-	e.Int(b.outstanding)
-	b.rec.SaveState(e)
-	b.pktRec.SaveState(e)
-	e.U64(b.skipped)
-	e.U64(b.generated)
-	saveF64Slice(e, b.next)
+// State implements snapshot.Stater.
+func (b *Blast) State(c *snapshot.Codec) {
+	b.OrderState(c)
+	statePhase(c, &b.phase, "blast")
+	c.Int(&b.outstanding)
+	b.rec.State(c)
+	b.pktRec.State(c)
+	c.U64(&b.skipped)
+	c.U64(&b.generated)
+	stateClocks(c, b.next, "blast arrival clocks")
 }
 
-// LoadState implements workload.AppStater.
-func (b *Blast) LoadState(d *snapshot.Decoder) error {
-	if err := b.LoadOrder(d); err != nil {
-		return err
+// State implements snapshot.Stater.
+func (p *Pulse) State(c *snapshot.Codec) {
+	p.OrderState(c)
+	statePhase(c, &p.phase, "pulse")
+	c.FixedLen(len(p.remaining), "pulse terminals")
+	for i := range p.remaining {
+		c.Int(&p.remaining[i])
 	}
-	ph := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if ph < int(phWarming) || ph > int(phDraining) {
-		return d.Failf("blast phase %d out of range", ph)
-	}
-	b.phase = appPhase(ph)
-	b.outstanding = d.Int()
-	if err := b.rec.LoadState(d); err != nil {
-		return err
-	}
-	if err := b.pktRec.LoadState(d); err != nil {
-		return err
-	}
-	b.skipped = d.U64()
-	b.generated = d.U64()
-	return loadF64SliceInto(d, b.next, "blast arrival clocks")
-}
-
-// SaveState implements workload.AppStater.
-func (p *Pulse) SaveState(e *snapshot.Encoder) {
-	p.SaveOrder(e)
-	e.Int(int(p.phase))
-	e.Int(len(p.remaining))
-	for _, r := range p.remaining {
-		e.Int(r)
-	}
-	e.Int(p.toCreate)
-	e.Int(p.outstanding)
-	p.rec.SaveState(e)
-	saveF64Slice(e, p.next)
-}
-
-// LoadState implements workload.AppStater.
-func (p *Pulse) LoadState(d *snapshot.Decoder) error {
-	if err := p.LoadOrder(d); err != nil {
-		return err
-	}
-	ph := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if ph < int(phWarming) || ph > int(phDraining) {
-		return d.Failf("pulse phase %d out of range", ph)
-	}
-	p.phase = appPhase(ph)
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(p.remaining) {
-		return d.Failf("pulse has %d terminals, snapshot says %d", len(p.remaining), n)
-	}
-	for i := 0; i < n; i++ {
-		p.remaining[i] = d.Int()
-	}
-	p.toCreate = d.Int()
-	p.outstanding = d.Int()
-	if err := p.rec.LoadState(d); err != nil {
-		return err
-	}
-	return loadF64SliceInto(d, p.next, "pulse arrival clocks")
+	c.Int(&p.toCreate)
+	c.Int(&p.outstanding)
+	p.rec.State(c)
+	stateClocks(c, p.next, "pulse arrival clocks")
 }

@@ -7,6 +7,7 @@ import (
 	"supersim/internal/config"
 	"supersim/internal/core"
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 	"supersim/internal/workload/apps"
 )
 
@@ -28,37 +29,28 @@ const pulseCheckpointDoc = blastCheckpointDoc + `, {
 	}`
 
 // saveApp serializes one application's checkpoint state. The apps implement
-// workload.AppStater, which the workload drives in registration order; here
+// snapshot.Stater, which the workload drives in registration order; here
 // each is driven directly so the package-local state is testable in
 // isolation.
-type appStater interface {
-	SaveState(e *snapshot.Encoder)
-	LoadState(d *snapshot.Decoder) error
-}
-
-func saveApp(a appStater) []byte {
-	e := snapshot.NewEncoder()
-	a.SaveState(e)
-	return e.Bytes()
-}
+func saveApp(a snapshot.Stater) []byte { return snaptest.Save(a.State) }
 
 // roundTripApp saves app appIdx of a completed run, loads it into the same
 // app of a freshly built (never run) simulation, and requires the restored
 // app to re-serialize byte-identically.
-func roundTripApp(t *testing.T, doc string, appIdx int) (orig, restored appStater) {
+func roundTripApp(t *testing.T, doc string, appIdx int) (orig, restored snapshot.Stater) {
 	t.Helper()
 	sm := core.Build(config.MustParse(doc))
 	if _, err := sm.Run(); err != nil {
 		t.Fatal(err)
 	}
-	a := sm.Workload.App(appIdx).(appStater)
+	a := sm.Workload.App(appIdx).(snapshot.Stater)
 	data := saveApp(a)
 
 	sm2 := core.Build(config.MustParse(doc))
-	a2 := sm2.Workload.App(appIdx).(appStater)
-	d := snapshot.NewDecoder(data)
-	if err := a2.LoadState(d); err != nil {
-		t.Fatal(err)
+	a2 := sm2.Workload.App(appIdx).(snapshot.Stater)
+	d := snapshot.NewLoader(data)
+	if a2.State(d); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -71,8 +63,8 @@ func roundTripApp(t *testing.T, doc string, appIdx int) (orig, restored appState
 	// never panic or succeed.
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		sm3 := core.Build(config.MustParse(doc))
-		a3 := sm3.Workload.App(appIdx).(appStater)
-		if err := a3.LoadState(snapshot.NewDecoder(data[:n])); err == nil {
+		a3 := sm3.Workload.App(appIdx).(snapshot.Stater)
+		if err := snaptest.Load(data[:n], a3.State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

@@ -1,91 +1,37 @@
 package workload
 
-import (
-	"fmt"
+import "supersim/internal/snapshot"
 
-	"supersim/internal/sim"
-	"supersim/internal/snapshot"
-)
-
-// AppStater is implemented by application models that support checkpointing.
-// Application state is saved and restored by the workload in registration
-// order; an application that does not implement it makes the whole
-// configuration non-checkpointable.
-type AppStater interface {
-	SaveState(e *snapshot.Encoder)
-	LoadState(d *snapshot.Decoder) error
-}
-
-// SaveState serializes the workload state machine: the handshake phase and
+// State codes the workload state machine: the handshake phase and
 // per-application signal flags, the message ID allocator, pool lifecycle
 // counters, and phase timestamps. Application state follows, in registration
-// order.
-func (w *Workload) SaveState(e *snapshot.Encoder) {
-	w.SaveOrder(e)
-	e.Int(int(w.phase))
-	e.Int(len(w.apps))
+// order; an application that does not implement snapshot.Stater makes the
+// whole configuration non-checkpointable.
+func (w *Workload) State(c *snapshot.Codec) {
+	w.OrderState(c)
+	snapshot.Sint(c, &w.phase)
+	if c.Loading() && c.Err() == nil && (w.phase < Warming || w.phase > Draining) {
+		c.Failf("workload phase %d out of range", int(w.phase))
+		return
+	}
+	c.FixedLen(len(w.apps), "workload applications")
 	for i := range w.apps {
-		e.Bool(w.ready[i])
-		e.Bool(w.complete[i])
-		e.Bool(w.done[i])
+		c.Bool(&w.ready[i])
+		c.Bool(&w.complete[i])
+		c.Bool(&w.done[i])
 	}
-	e.Int(w.pending)
-	e.U64(w.msgID)
-	w.pool.SaveState(e)
-	for _, t := range w.PhaseTimes {
-		e.U64(uint64(t))
-	}
-	for i, a := range w.apps {
-		st, ok := a.(AppStater)
-		if !ok {
-			panic(fmt.Sprintf("workload: application %d is not checkpointable", i))
-		}
-		st.SaveState(e)
-	}
-}
-
-// LoadState restores the counterpart of SaveState onto a freshly built
-// workload of the identical configuration.
-func (w *Workload) LoadState(d *snapshot.Decoder) error {
-	if err := w.LoadOrder(d); err != nil {
-		return err
-	}
-	ph := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if ph < int(Warming) || ph > int(Draining) {
-		return d.Failf("workload phase %d out of range", ph)
-	}
-	w.phase = Phase(ph)
-	n := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(w.apps) {
-		return d.Failf("snapshot has %d applications, rebuilt workload has %d", n, len(w.apps))
-	}
-	for i := range w.apps {
-		w.ready[i] = d.Bool()
-		w.complete[i] = d.Bool()
-		w.done[i] = d.Bool()
-	}
-	w.pending = d.Int()
-	w.msgID = d.U64()
-	if err := w.pool.LoadState(d); err != nil {
-		return err
-	}
+	c.Int(&w.pending)
+	c.U64(&w.msgID)
+	w.pool.State(c)
 	for i := range w.PhaseTimes {
-		w.PhaseTimes[i] = sim.Tick(d.U64())
+		snapshot.Uint(c, &w.PhaseTimes[i])
 	}
 	for i, a := range w.apps {
-		st, ok := a.(AppStater)
+		st, ok := a.(snapshot.Stater)
 		if !ok {
-			return d.Failf("rebuilt application %d is not checkpointable", i)
+			c.Failf("application %d (%T) is not checkpointable", i, a)
+			return
 		}
-		if err := st.LoadState(d); err != nil {
-			return err
-		}
+		st.State(c)
 	}
-	return d.Err()
 }

@@ -9,10 +9,11 @@ import (
 	"supersim/internal/network"
 	"supersim/internal/sim"
 	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 	"supersim/internal/workload"
 )
 
-// staterApp is a checkpointable fake: fakeApp plus AppStater with one
+// staterApp is a checkpointable fake: fakeApp plus snapshot.Stater with one
 // counter of state, so workload round trips can verify application state
 // travels in registration order.
 type staterApp struct {
@@ -20,8 +21,7 @@ type staterApp struct {
 	counter uint64
 }
 
-func (a *staterApp) SaveState(e *snapshot.Encoder)       { e.U64(a.counter) }
-func (a *staterApp) LoadState(d *snapshot.Decoder) error { a.counter = d.U64(); return d.Err() }
+func (a *staterApp) State(c *snapshot.Codec) { c.U64(&a.counter) }
 
 var staters []*staterApp
 
@@ -61,11 +61,7 @@ func buildStaterWorkload(t *testing.T, numApps int) (*workload.Workload, []*stat
 	return w, staters
 }
 
-func saveWorkload(w *workload.Workload) []byte {
-	e := snapshot.NewEncoder()
-	w.SaveState(e)
-	return e.Bytes()
-}
+func saveWorkload(w *workload.Workload) []byte { return snaptest.Save(w.State) }
 
 func TestWorkloadStateRoundTrip(t *testing.T) {
 	w, apps := buildStaterWorkload(t, 2)
@@ -82,9 +78,9 @@ func TestWorkloadStateRoundTrip(t *testing.T) {
 	data := saveWorkload(w)
 
 	got, gapps := buildStaterWorkload(t, 2)
-	d := snapshot.NewDecoder(data)
-	if err := got.LoadState(d); err != nil {
-		t.Fatal(err)
+	d := snapshot.NewLoader(data)
+	if got.State(d); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
@@ -109,8 +105,11 @@ func TestWorkloadStateRoundTrip(t *testing.T) {
 }
 
 func TestWorkloadSaveRequiresStaterApps(t *testing.T) {
-	w, _ := buildWorkload(t, 1) // test_fake does not implement AppStater
-	mustPanic(t, func() { saveWorkload(w) })
+	w, _ := buildWorkload(t, 1) // test_fake does not implement snapshot.Stater
+	c := snapshot.NewSaver()
+	if w.State(c); c.Err() == nil || !strings.Contains(c.Err().Error(), "not checkpointable") {
+		t.Fatalf("saving a non-checkpointable application: err = %v", c.Err())
+	}
 }
 
 func TestWorkloadLoadRejectsMismatchedBuild(t *testing.T) {
@@ -119,14 +118,14 @@ func TestWorkloadLoadRejectsMismatchedBuild(t *testing.T) {
 
 	// Fewer applications than the snapshot.
 	got, _ := buildStaterWorkload(t, 1)
-	if err := got.LoadState(snapshot.NewDecoder(data)); err == nil ||
+	if err := snaptest.Load(data, got.State); err == nil ||
 		!strings.Contains(err.Error(), "applications") {
 		t.Fatalf("app count: err = %v", err)
 	}
 
 	// Same shape but non-checkpointable applications.
 	fw, _ := buildWorkload(t, 2)
-	if err := fw.LoadState(snapshot.NewDecoder(data)); err == nil ||
+	if err := snaptest.Load(data, fw.State); err == nil ||
 		!strings.Contains(err.Error(), "not checkpointable") {
 		t.Fatalf("non-stater: err = %v", err)
 	}
@@ -134,10 +133,11 @@ func TestWorkloadLoadRejectsMismatchedBuild(t *testing.T) {
 
 func TestWorkloadLoadRejectsBadPhase(t *testing.T) {
 	w, _ := buildStaterWorkload(t, 1)
-	e := snapshot.NewEncoder()
-	w.SaveOrder(e)
-	e.Int(99)
-	if err := w.LoadState(snapshot.NewDecoder(e.Bytes())); err == nil ||
+	bad := snaptest.Save(func(c *snapshot.Codec) {
+		w.OrderState(c)
+		snaptest.Put(c.Int, 99)
+	})
+	if err := snaptest.Load(bad, w.State); err == nil ||
 		!strings.Contains(err.Error(), "phase 99") {
 		t.Fatalf("err = %v, want phase error", err)
 	}
@@ -148,7 +148,7 @@ func TestWorkloadLoadRejectsTruncation(t *testing.T) {
 	data := saveWorkload(w)
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		got, _ := buildStaterWorkload(t, 2)
-		if err := got.LoadState(snapshot.NewDecoder(data[:n])); err == nil {
+		if err := snaptest.Load(data[:n], got.State); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
