@@ -76,7 +76,7 @@ func TestRuleSubset(t *testing.T) {
 		t.Fatalf("got %d findings, want 1:\n%s", len(lines), out)
 	}
 	// A subset that has nothing to say about the fixture is clean.
-	code, out, _ = runDriver(t, "-rules", "determinism,probeguard", "testdata/dirty")
+	code, out, _ = runDriver(t, "-rules", "determinism,factoryreg", "testdata/dirty")
 	if code != 0 || strings.TrimSpace(out) != "" {
 		t.Fatalf("exit code = %d (want 0), output %q", code, out)
 	}

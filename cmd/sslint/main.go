@@ -1,6 +1,6 @@
 // Command sslint runs the simulator-aware static analysis suite over the
-// repository: determinism, hotpath, probeguard and factoryreg (see
-// internal/lint).
+// repository: determinism, hotpath, factoryreg, snapshotcomplete and
+// shardsafety (see internal/lint).
 //
 // Usage:
 //

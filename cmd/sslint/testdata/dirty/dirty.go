@@ -7,5 +7,5 @@ func leak() *int {
 	return new(int)
 }
 
-//sslint:allow probeguard — fixture: deliberately unused
+//sslint:allow determinism — fixture: deliberately unused
 func quiet() {}

@@ -135,16 +135,12 @@ func (c *Channel) Inject(f *types.Flit) {
 	if c.sink == nil {
 		c.Panicf("flit injected into unconnected channel")
 	}
-	if c.v != nil {
-		// Every channel hop is a touch point for the pool-aliasing sentinel:
-		// the flit must still be in flight under its injection generation.
-		c.v.FlitTouched(f)
-	}
+	// Every channel hop is a touch point for the pool-aliasing sentinel: the
+	// flit must still be in flight under its injection generation.
+	c.v.FlitTouched(f)
 	c.nextSlot = now.Tick + c.period
 	c.injected++
-	if c.tp != nil {
-		c.tp.FlitInjected()
-	}
+	c.tp.FlitInjected()
 	f.SendTime = now.Tick
 	at := now.Tick + c.latency
 	//sslint:allow hotpath — amortized FIFO growth, compacted in ProcessEvent
@@ -171,14 +167,10 @@ func (c *Channel) injectRemote(f *types.Flit) {
 	if c.sink == nil {
 		panic(fmt.Sprintf("%s @%v: flit injected into unconnected channel", c.Name(), now))
 	}
-	if c.v != nil {
-		c.v.FlitTouched(f)
-	}
+	c.v.FlitTouched(f)
 	c.nextSlot = now.Tick + c.period
 	c.injected++
-	if c.tp != nil {
-		c.tp.FlitInjected()
-	}
+	c.tp.FlitInjected()
 	f.SendTime = now.Tick
 	c.remote.Send(now.Tick+c.latency, f, 0)
 }
@@ -221,7 +213,7 @@ func (c *Channel) ProcessEvent(ev *sim.Event) {
 		c.scheduled = false
 	}
 	fl.f.ReceiveTime = now
-	if c.sp != nil && c.sp.Tracked(fl.f) {
+	if c.sp.Tracked(fl.f) {
 		// Channel exit is the uniform hop boundary: serialization wait plus
 		// propagation is charged to the wire, and the span moves to the next
 		// hop. This fires for injection, router-router and ejection links

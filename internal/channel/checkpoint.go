@@ -41,8 +41,9 @@ func (ch *Channel) State(c *snapshot.Codec, t *types.MessageTable) {
 	}
 }
 
-// State codes the credit channel's mutable state.
-func (cc *CreditChannel) State(c *snapshot.Codec) {
+// State codes the credit channel's mutable state. vcs is the network's VC
+// count: the sink indexes its credit counters with an in-flight credit's VC.
+func (cc *CreditChannel) State(c *snapshot.Codec, vcs int) {
 	cc.OrderState(c)
 	c.Bool(&cc.scheduled)
 	live := cc.pending[cc.head:]
@@ -52,6 +53,6 @@ func (cc *CreditChannel) State(c *snapshot.Codec) {
 	}
 	for i := range live {
 		snapshot.Uint(c, &live[i].at)
-		c.Int(&live[i].cr.VC)
+		c.Index(&live[i].cr.VC, vcs, "Credit.VC")
 	}
 }

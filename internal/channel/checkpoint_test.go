@@ -113,12 +113,16 @@ func TestCreditChannelStateRoundTrip(t *testing.T) {
 	c.SetSink(&creditCollector{s: s}, 0)
 	c.Inject(types.Credit{VC: 1})
 	c.Inject(types.Credit{VC: 0})
-	data := snaptest.Save(c.State)
+	const vcs = 2
+	state := func(cc *CreditChannel) func(*snapshot.Codec) {
+		return func(c *snapshot.Codec) { cc.State(c, vcs) }
+	}
+	data := snaptest.Save(state(c))
 
 	s2 := sim.NewSimulator(1)
 	got := NewCredit(s2, "cred_0", 3)
 	d := snapshot.NewLoader(data)
-	if got.State(d); d.Err() != nil {
+	if got.State(d, vcs); d.Err() != nil {
 		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
@@ -127,14 +131,14 @@ func TestCreditChannelStateRoundTrip(t *testing.T) {
 	if len(got.pending)-got.head != 2 || got.pending[0].cr.VC != 1 || got.pending[1].cr.VC != 0 {
 		t.Fatalf("restored credit queue %+v", got.pending)
 	}
-	if !bytes.Equal(snaptest.Save(got.State), data) {
+	if !bytes.Equal(snaptest.Save(state(got)), data) {
 		t.Fatal("re-saved credit channel state is not byte-identical")
 	}
 
 	for _, n := range []int{0, len(data) / 2, len(data) - 1} {
 		s3 := sim.NewSimulator(1)
 		fresh := NewCredit(s3, "cred_0", 3)
-		if err := snaptest.Load(data[:n], fresh.State); err == nil {
+		if err := snaptest.Load(data[:n], state(fresh)); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

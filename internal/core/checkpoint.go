@@ -126,10 +126,11 @@ func (sm *Simulation) state(c *snapshot.Codec, table *types.MessageTable) {
 	if c.Section(secMessages) != nil {
 		return
 	}
+	vcs := sm.Net.Router(0).NumVCs()
 	table.State(c, sm.Workload.Pool(), types.Bounds{
 		Terminals: sm.Net.NumTerminals(),
 		Apps:      sm.Workload.NumApps(),
-		VCs:       sm.Net.Router(0).NumVCs(),
+		VCs:       vcs,
 	})
 
 	if c.Section(secWorkload) != nil {
@@ -153,7 +154,7 @@ func (sm *Simulation) state(c *snapshot.Codec, table *types.MessageTable) {
 	}
 	for _, l := range sm.Net.Links() {
 		l.Ch.State(c, table)
-		l.Cr.State(c)
+		l.Cr.State(c, vcs)
 	}
 
 	if c.Section(secVerify) != nil {

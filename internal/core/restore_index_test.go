@@ -51,9 +51,22 @@ func liveMessage(t *testing.T, sm *Simulation) *types.Message {
 	return nil
 }
 
+// liveCredit returns the head in-flight credit of some credit channel.
+func liveCredit(t *testing.T, sm *Simulation) reflect.Value {
+	t.Helper()
+	for _, l := range sm.Net.Links() {
+		pending, head := peek(l.Cr, "pending"), int(peek(l.Cr, "head").Int())
+		if pending.Len() > head {
+			return peek(l.Cr, "pending", head, "cr")
+		}
+	}
+	t.Fatal("no credit in flight at the snapshot tick")
+	return reflect.Value{}
+}
+
 func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 	const far = 1 << 20 // beyond any terminal, port, VC or client count
-	iq, oq := pinnedCases()[0].doc, pinnedCases()[5].doc
+	iq, oq, ioq := pinnedCases()[0].doc, pinnedCases()[5].doc, pinnedCases()[6].doc
 	router0 := func(sm *Simulation) any { return sm.Net.Router(0) }
 	cases := []struct {
 		field string // as named by the restore error
@@ -79,6 +92,18 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 		{"xbarSched.contenders", iq, func(t *testing.T, sm *Simulation) {
 			peek(router0(sm), "sched", 0, "contenders").Set(reflect.ValueOf([]int{far}))
 		}},
+		{"output VC holder", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "holder", 0, 0).SetInt(far) }},
+		{"vcPending", iq, func(t *testing.T, sm *Simulation) {
+			peek(router0(sm), "vcPending").Set(reflect.ValueOf([]int{far}))
+		}},
+		// The rotation counters are used modulo a length: only a negative
+		// value is out of range.
+		{"vcRotate", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "vcRotate").SetInt(-1) }},
+		{"Interface.injectRR", iq, func(t *testing.T, sm *Simulation) { peek(sm.Net.Interface(0), "injectRR").SetInt(-1) }},
+		{"OQ.outOwner", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "outOwner", 0).SetInt(far) }},
+		{"OQ.outRR", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "outRR", 0).SetInt(-1) }},
+		{"IOQ.outRR", ioq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "outRR", 0).SetInt(-1) }},
+		{"Credit.VC", iq, func(t *testing.T, sm *Simulation) { liveCredit(t, sm).FieldByName("VC").SetInt(far) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 	"sort"
 )
 
@@ -342,7 +343,7 @@ func (a *FactoryReg) Finish() []Diagnostic {
 					Rule: RuleFactoryReg, Pos: p.Position(tn.Pos()),
 					Message: fmt.Sprintf(
 						"%s implements %s.%s but is not registered with %s — it can never be selected from a config",
-						tn.Name(), shortPkg(r.ifacePkg), r.ifaceName, r.name),
+						tn.Name(), path.Base(r.ifacePkg), r.ifaceName, r.name),
 				})
 			}
 		}

@@ -56,9 +56,6 @@ func FixtureSpecs() []FixtureSpec {
 		{Name: "hotpath", Dir: "hotpath",
 			ImportPath: "supersim/internal/lint/testdata/src/hotpath",
 			Rules:      []string{RuleHotpath}},
-		{Name: "probeguard", Dir: "probeguard",
-			ImportPath: "supersim/internal/lint/testdata/src/probeguard",
-			Rules:      []string{RuleProbeguard}},
 		{Name: "factoryreg", Dir: "factoryreg",
 			ImportPath: "supersim/internal/lint/testdata/src/factoryreg",
 			Rules:      []string{RuleFactoryReg}},

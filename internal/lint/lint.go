@@ -1,22 +1,19 @@
 // Package lint implements sslint, a simulator-aware static analysis suite.
 //
 // SuperSim's value rests on bit-exact reproducibility: identical configs must
-// yield identical results, the zero-allocation traffic hot path must stay
-// allocation-free, and every observation probe must be free when disabled.
+// yield identical results, and the zero-allocation traffic hot path must stay
+// allocation-free.
 // The runtime test suite (golden traces, byte-identical observation-only e2e,
 // the verify subsystem) catches violations after the fact; this package
 // catches them at lint time, as structural properties of the source.
 //
-// Six analyzers encode the repo's invariants:
+// Five analyzers encode the repo's invariants:
 //
 //   - determinism: sim-core packages must not read the wall clock, draw from
 //     the global math/rand source, or let map iteration order feed simulation
 //     state (Determinism).
 //   - hotpath: functions marked //sslint:hotpath must not contain syntactic
 //     allocation sources (Hotpath).
-//   - probeguard: calls to telemetry/spans/verify probes must be dominated by
-//     a nil check of the receiver, preserving the disabled-path-is-free
-//     guarantee (Probeguard).
 //   - factoryreg: every concrete implementation of a factory-registered
 //     component interface must be registered in an init(), and registration
 //     names must be unique per registry (FactoryReg).
@@ -25,13 +22,17 @@
 //     the field must be marked ephemeral (SnapshotComplete).
 //   - shardsafety: state owned by a destination shard must only be written
 //     from the owning shard's event context; source-side code goes through
-//     the RemotePort seam or a remote == nil guard (ShardSafety).
+//     the RemotePort seam or follows a remote != nil early return
+//     (ShardSafety).
+//
+// That observation probes are free and safe when disabled is not a lint
+// property: every probe method is a no-op on a nil receiver, which
+// TestProbesNilSafe in internal/telemetry and internal/verify enforces.
 //
 // The engine is stdlib-only: packages are loaded with go/parser and
 // type-checked with go/types using importer.ForCompiler's source importer.
-// Since v2 a shared statement-level CFG (cfg.go) and a nil-facts
-// must-dataflow (dataflow.go) answer the dominance questions probeguard and
-// shardsafety ask; no external analysis framework is required.
+// Every rule is a walk over the typed AST; there is no control-flow or
+// dataflow layer.
 //
 // # Directives
 //
@@ -67,7 +68,6 @@ import (
 const (
 	RuleDeterminism      = "determinism"
 	RuleHotpath          = "hotpath"
-	RuleProbeguard       = "probeguard"
 	RuleFactoryReg       = "factoryreg"
 	RuleSnapshotComplete = "snapshotcomplete"
 	RuleShardSafety      = "shardsafety"
@@ -81,8 +81,7 @@ const (
 
 // Rules returns the names of the selectable analyzers, sorted.
 func Rules() []string {
-	return []string{RuleDeterminism, RuleFactoryReg, RuleHotpath, RuleProbeguard,
-		RuleShardSafety, RuleSnapshotComplete}
+	return []string{RuleDeterminism, RuleFactoryReg, RuleHotpath, RuleShardSafety, RuleSnapshotComplete}
 }
 
 // RuleDoc returns a one-line description of a rule, for `sslint -list-rules`
@@ -93,8 +92,6 @@ func RuleDoc(name string) string {
 		return "sim-core code must not read the wall clock, draw global randomness, iterate maps into state, or spawn ad-hoc concurrency"
 	case RuleHotpath:
 		return "//sslint:hotpath functions must be free of syntactic allocation sources"
-	case RuleProbeguard:
-		return "probe/ledger method calls must be dominated by a nil check of the receiver (CFG dataflow)"
 	case RuleFactoryReg:
 		return "every concrete factory component must be registered in an init() under a unique name"
 	case RuleSnapshotComplete:
@@ -125,8 +122,6 @@ func NewAnalyzer(name string) (Analyzer, error) {
 		return NewDeterminism(), nil
 	case RuleHotpath:
 		return NewHotpath(), nil
-	case RuleProbeguard:
-		return NewProbeguard(), nil
 	case RuleFactoryReg:
 		return NewFactoryReg(), nil
 	case RuleSnapshotComplete:

@@ -57,16 +57,6 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-func TestProbeguardExemptPackages(t *testing.T) {
-	// Inside a probe-defining package the receivers are the probes themselves.
-	p := loadFixture(t, "probeguard", "supersim/internal/lint/testdata/src/probeguard")
-	a := NewProbeguard()
-	a.ExemptPackages = append(a.ExemptPackages, p.ImportPath)
-	if diags := a.Check(p); len(diags) != 0 {
-		t.Fatalf("probeguard fired in an exempt package: %v", diags)
-	}
-}
-
 func TestDirectiveProblems(t *testing.T) {
 	p := loadFixture(t, "directive", "supersim/internal/lint/testdata/src/directive")
 	wantSubstr := []string{

@@ -29,7 +29,7 @@ type Package struct {
 
 	directives *directives
 	parents    map[ast.Node]ast.Node
-	fdecls     map[types.Object]*ast.FuncDecl // lazy; see funcDecl in dataflow.go
+	fdecls     map[types.Object]*ast.FuncDecl // lazy; see funcDeclOf
 }
 
 // TypeOf returns the type of an expression, or nil when untyped.
@@ -116,7 +116,7 @@ func (l *Loader) Load(dir, importPath string) (*Package, error) {
 }
 
 // buildParents indexes every node's syntactic parent across the package's
-// files, for the guard-domination walk and composite-literal context checks.
+// files, for the enclosing-function and composite-literal context checks.
 func (p *Package) buildParents() {
 	p.parents = make(map[ast.Node]ast.Node)
 	for _, f := range p.Files {
@@ -133,4 +133,30 @@ func (p *Package) buildParents() {
 			return true
 		})
 	}
+}
+
+// funcDeclOf returns the declaration of a package-level function or method
+// object, building the index lazily.
+func (p *Package) funcDeclOf(obj types.Object) *ast.FuncDecl {
+	if p.fdecls == nil {
+		p.fdecls = map[types.Object]*ast.FuncDecl{}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if o := p.Info.Defs[fd.Name]; o != nil {
+					p.fdecls[o] = fd
+				}
+			}
+		}
+	}
+	return p.fdecls[obj]
+}
+
+// isNilIdent reports whether e is the identifier nil.
+func isNilIdent(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
 }

@@ -24,12 +24,18 @@ import (
 // component. Its fields partition by goroutine: whatever its inbox methods
 // (ReceiveRemote, ProcessEvent) write is destination-shard state, and no
 // other method may touch it — or call the destination-bound ComponentBase
-// accessors Sim, Panicf, Assert — unless the nil-facts dataflow proves the
-// remote port is nil at that point (the component is local, so there is
-// only one shard). The canonical safe shape is Channel.Inject:
+// accessors Sim, Panicf, Assert — except after the method has established
+// that the remote port is nil (the component is local, so there is only one
+// shard). Exactly one shape establishes that, the one Channel.Inject uses: a
+// top-level statement of the method body that hands the remote case to the
+// seam and returns.
 //
 //	if c.remote != nil { c.injectRemote(f); return } // source side: inbox seam
 //	... writes to c.pending, calls c.Sim() ...       // remote == nil here
+//
+// The test is syntactic on purpose. Any other arrangement — the access
+// inside `if c.remote == nil { ... }`, the early return nested in a loop —
+// is flagged; write the early return.
 type ShardSafety struct {
 	// SimCore holds the import-path prefixes the rule applies to.
 	SimCore []string
@@ -159,7 +165,6 @@ func (a *ShardSafety) checkRemoteOwnership(p *Package) []Diagnostic {
 	}
 
 	var diags []Diagnostic
-	analyses := newBodyAnalyses(p)
 	for rs, fds := range methods {
 		if len(rs.destOwned) == 0 {
 			continue
@@ -168,7 +173,7 @@ func (a *ShardSafety) checkRemoteOwnership(p *Package) []Diagnostic {
 			if a.ExemptMethods[fd.Name.Name] || a.InboxMethods[fd.Name.Name] {
 				continue
 			}
-			diags = append(diags, a.checkMethod(p, analyses, rs, fd)...)
+			diags = append(diags, a.checkMethod(p, rs, fd)...)
 		}
 	}
 	return diags
@@ -278,9 +283,33 @@ func receiverFieldOf(p *Package, e ast.Expr, subj *types.Named) *types.Var {
 // Assert read its clock.
 var destBoundAccessors = map[string]bool{"Sim": true, "Panicf": true, "Assert": true}
 
+// localFrom returns the position after which a method body runs with the
+// remote port known nil: the end of its first top-level
+// `if recv.<remote> != nil { ...; return }` statement, or NoPos without one.
+func localFrom(p *Package, rs *remoteStruct, body *ast.BlockStmt) token.Pos {
+	for _, st := range body.List {
+		ifs, ok := st.(*ast.IfStmt)
+		if !ok || ifs.Init != nil || ifs.Else != nil || len(ifs.Body.List) == 0 {
+			continue
+		}
+		cond, ok := ifs.Cond.(*ast.BinaryExpr)
+		if !ok || cond.Op != token.NEQ || !isNilIdent(cond.Y) {
+			continue
+		}
+		v := receiverFieldOf(p, cond.X, rs.named)
+		if v == nil || !rs.remoteFields[v] {
+			continue
+		}
+		if _, returns := ifs.Body.List[len(ifs.Body.List)-1].(*ast.ReturnStmt); returns {
+			return ifs.End()
+		}
+	}
+	return token.NoPos
+}
+
 // checkMethod flags destination-owned accesses in one source-side method
-// unless the remote port is provably nil at the access point.
-func (a *ShardSafety) checkMethod(p *Package, analyses *bodyAnalyses, rs *remoteStruct, fd *ast.FuncDecl) []Diagnostic {
+// unless they follow the method's remote-port early return.
+func (a *ShardSafety) checkMethod(p *Package, rs *remoteStruct, fd *ast.FuncDecl) []Diagnostic {
 	recvName := ""
 	if names := fd.Recv.List[0].Names; len(names) == 1 {
 		recvName = names[0].Name
@@ -292,22 +321,8 @@ func (a *ShardSafety) checkMethod(p *Package, analyses *bodyAnalyses, rs *remote
 	for v := range rs.remoteFields {
 		remoteKeys = append(remoteKeys, recvName+"."+v.Name())
 	}
-	localProven := func(n ast.Node) bool {
-		fa := analyses.forNode(n)
-		if fa == nil {
-			return false
-		}
-		facts := fa.factsAt(n)
-		if facts == nil {
-			return true // unreachable
-		}
-		for _, k := range remoteKeys {
-			if facts.knownNil(k) {
-				return true
-			}
-		}
-		return false
-	}
+	local := localFrom(p, rs, fd.Body)
+	localProven := func(n ast.Node) bool { return local.IsValid() && n.Pos() >= local }
 
 	var diags []Diagnostic
 	flagWrite := func(e ast.Expr, at ast.Node) {
@@ -318,7 +333,7 @@ func (a *ShardSafety) checkMethod(p *Package, analyses *bodyAnalyses, rs *remote
 		diags = append(diags, Diagnostic{
 			Rule: RuleShardSafety, Pos: p.Position(at.Pos()),
 			Message: fmt.Sprintf(
-				"write to %s.%s outside the inbox methods — the field is destination-shard state (written by %s); post through the RemotePort seam or guard with `if %s == nil`",
+				"write to %s.%s outside the inbox methods — the field is destination-shard state (written by %s); post through the RemotePort seam, or return early with `if %s != nil { ...; return }` first",
 				rs.named.Obj().Name(), v.Name(), inboxNames(a.InboxMethods), strings.Join(remoteKeys, " / ")),
 		})
 	}
@@ -352,7 +367,7 @@ func (a *ShardSafety) checkMethod(p *Package, analyses *bodyAnalyses, rs *remote
 			diags = append(diags, Diagnostic{
 				Rule: RuleShardSafety, Pos: p.Position(x.Pos()),
 				Message: fmt.Sprintf(
-					"%s.%s() on a shard-spanning component outside the inbox methods — it is bound to the destination shard; use the RemotePort (SrcNow/Send) or guard with `if %s == nil`",
+					"%s.%s() on a shard-spanning component outside the inbox methods — it is bound to the destination shard; use the RemotePort (SrcNow/Send), or return early with `if %s != nil { ...; return }` first",
 					recvName, sel.Sel.Name, strings.Join(remoteKeys, " / ")),
 			})
 		}

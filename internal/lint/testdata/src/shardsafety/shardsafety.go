@@ -1,7 +1,7 @@
 // Package lintfixture exercises the shardsafety analyzer. link mirrors
 // channel.Channel: a shard-spanning component whose inbox methods own
-// pending/head/scheduled, with a remote-port guard making the local path
-// provably single-shard. The sync/atomic cases exercise the access-level
+// pending/head/scheduled, with a remote-port early return making the rest of
+// the method single-shard. The sync/atomic cases exercise the access-level
 // confinement that catches promoted methods no import line reveals. Never
 // part of the build.
 package lintfixture
@@ -52,8 +52,9 @@ func (l *link) injectUnguarded(v int) {
 }
 
 // injectGuarded is the sanctioned shape: cross-shard traffic goes through
-// the RemotePort seam, and the fall-through proves remote == nil, so the
-// local writes and the destination-bound clock read cannot race.
+// the RemotePort seam and returns, so everything after the if statement runs
+// with remote == nil and the local writes and the destination-bound clock
+// read cannot race.
 func (l *link) injectGuarded(v int) {
 	if l.remote != nil {
 		l.remote.Send(sim.Tick(v), nil, v)
@@ -77,6 +78,25 @@ func (l *link) panicGuarded() {
 		return
 	}
 	l.Panicf("local only")
+}
+
+// clockInLocalBlock is race-free at run time, but the rule accepts only the
+// early-return shape above: an access nested inside `if l.remote == nil`
+// is flagged, so every source-side method reads the same way.
+func (l *link) clockInLocalBlock() (now sim.Time) {
+	if l.remote == nil {
+		now = l.Sim().Now() // want `l\.Sim\(\) on a shard-spanning component outside the inbox methods`
+	}
+	return now
+}
+
+// lateReturn establishes remote == nil only after the write it would cover.
+func (l *link) lateReturn(v int) {
+	l.scheduled = true // want `write to link\.scheduled outside the inbox methods`
+	if l.remote != nil {
+		return
+	}
+	l.pending = append(l.pending, v)
 }
 
 // sourceSide writes a field the inbox methods never touch — source-owned,

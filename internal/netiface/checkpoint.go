@@ -1,6 +1,8 @@
 package netiface
 
 import (
+	"math"
+
 	"supersim/internal/snapshot"
 	"supersim/internal/types"
 )
@@ -44,7 +46,9 @@ func (n *Interface) State(c *snapshot.Codec, t *types.MessageTable) {
 	}
 	c.Index(&n.curFlit, headFlits, "Interface.curFlit")
 	c.IndexOrNone(&n.curVC, n.vcs, "Interface.curVC")
-	c.Int(&n.injectRR)
+	// A rotation counter: it only counts up and is used modulo the candidate
+	// count, so a negative one would index negatively.
+	c.Index(&n.injectRR, math.MaxInt, "Interface.injectRR")
 	c.Bool(&n.scheduled)
 	c.FixedLen(len(n.downCred), "interface VCs")
 	for vc := range n.downCred {

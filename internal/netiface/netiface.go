@@ -120,9 +120,7 @@ func (n *Interface) SetDownstreamCredits(perVC int) {
 	for vc := range n.downCred {
 		n.downCred[vc] = perVC
 	}
-	if n.v != nil {
-		n.credLed = n.v.NewCreditLedger(n.Name()+".inject", n.vcs, perVC)
-	}
+	n.credLed = n.v.NewCreditLedger(n.Name(), ".inject", n.vcs, perVC)
 }
 
 // VerifyIdle panics unless the interface is quiescent: nothing queued for
@@ -170,14 +168,10 @@ func (n *Interface) SendMessage(m *types.Message) {
 	if len(m.Packets) == 0 {
 		n.Panicf("message %d has no packets", m.ID)
 	}
-	if n.sp != nil {
-		n.sp.Start(n.Sim(), m)
-	}
+	n.sp.Start(n.Sim(), m)
 	//sslint:allow hotpath — amortized send-queue growth, compacted in popPacket
 	n.sendQ = append(n.sendQ, m.Packets...)
-	if n.tp != nil {
-		n.tp.QueueDepth(n.QueueDepth())
-	}
+	n.tp.QueueDepth(n.QueueDepth())
 	n.scheduleInject()
 }
 
@@ -254,18 +248,14 @@ func (n *Interface) injectOne() {
 			}
 		}
 		if best < 0 {
-			if n.tp != nil {
-				n.tp.Backpressure()
-			}
+			n.tp.Backpressure()
 			return // no credits on any legal VC; wait for credit arrival
 		}
 		n.injectRR++
 		n.curVC = best
 	}
 	if n.curVC < 0 || n.downCred[n.curVC] < 1 {
-		if n.tp != nil {
-			n.tp.Backpressure()
-		}
+		n.tp.Backpressure()
 		return // credit stall mid-packet
 	}
 	if !n.outCh.Available(n.Sim().Now().Tick) {
@@ -274,31 +264,24 @@ func (n *Interface) injectOne() {
 	now := n.Sim().Now().Tick
 	f.VC = n.curVC
 	n.downCred[n.curVC]--
-	if n.v != nil {
-		// Register the flit in the in-flight ledger before the channel's
-		// touch check sees it.
-		n.v.FlitInjected(f)
-	}
-	if n.credLed != nil {
-		// Cross-check the credit mirror.
-		n.credLed.Debit(n.curVC, n.downCred[n.curVC])
-	}
+	// Register the flit in the in-flight ledger before the channel's touch
+	// check sees it, then cross-check the credit mirror.
+	n.v.FlitInjected(f)
+	n.credLed.Debit(n.curVC, n.downCred[n.curVC])
 	if f.Head {
 		pkt.InjectTime = now
 		if pkt.ID == 0 && f.ID == 0 {
 			pkt.Msg.InjectTime = now
 		}
 	}
-	if n.sp != nil && n.sp.Tracked(f) {
+	if n.sp.Tracked(f) {
 		// Creation to injection-channel entry is source queueing: the wait
 		// behind earlier packets plus credit backpressure.
 		n.sp.Step(n.Sim(), now, f, telemetry.SpanQueue)
 	}
 	n.outCh.Inject(f)
 	n.flitsSent++
-	if n.tp != nil {
-		n.tp.FlitSent(n.Sim(), now, f)
-	}
+	n.tp.FlitSent(n.Sim(), now, f)
 	if f.Tail {
 		n.popPacket()
 		n.curFlit = 0
@@ -325,9 +308,7 @@ func (n *Interface) popPacket() {
 		n.sendQ = n.sendQ[:copy(n.sendQ, n.sendQ[n.sendHead:])]
 		n.sendHead = 0
 	}
-	if n.tp != nil {
-		n.tp.QueueDepth(n.QueueDepth())
-	}
+	n.tp.QueueDepth(n.QueueDepth())
 }
 
 // ReceiveFlit ejects a flit from the network: the delivery checks run, the
@@ -337,12 +318,8 @@ func (n *Interface) popPacket() {
 func (n *Interface) ReceiveFlit(port int, f *types.Flit) {
 	now := n.Sim().Now().Tick
 	n.flitsReceived++
-	if n.tp != nil {
-		n.tp.FlitReceived(n.Sim(), now, f)
-	}
-	if n.v != nil {
-		n.v.FlitRetired(f)
-	}
+	n.tp.FlitReceived(n.Sim(), now, f)
+	n.v.FlitRetired(f)
 	packetDone := n.checker.Check(f)
 	n.creditOut.Inject(types.Credit{VC: f.VC})
 	// The reassembly countdown lives in the message (initialized to the flit
@@ -395,8 +372,6 @@ func (n *Interface) ReceiveCredit(port int, c types.Credit) {
 		n.Panicf("credit for unregistered VC %d", c.VC)
 	}
 	n.downCred[c.VC]++
-	if n.credLed != nil {
-		n.credLed.Credit(c.VC, n.downCred[c.VC])
-	}
+	n.credLed.Credit(c.VC, n.downCred[c.VC])
 	n.scheduleInject()
 }

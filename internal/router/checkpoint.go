@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math"
+
 	"supersim/internal/congestion"
 	"supersim/internal/routing"
 	"supersim/internal/snapshot"
@@ -122,6 +124,15 @@ func stateInts(c *snapshot.Codec, s []int, what string) {
 	}
 }
 
+// stateIndices is stateInts for an array of slice indices: index is c.Index
+// or c.IndexOrNone, so every entry is range-checked against bound on load.
+func stateIndices(c *snapshot.Codec, s []int, index func(p *int, bound int, what string), bound int, what string) {
+	c.FixedLen(len(s), what)
+	for i := range s {
+		index(&s[i], bound, what)
+	}
+}
+
 func stateBools(c *snapshot.Codec, s []bool) {
 	for i := range s {
 		c.Bool(&s[i])
@@ -129,16 +140,18 @@ func stateBools(c *snapshot.Codec, s []bool) {
 }
 
 // stateAllocation codes the VC-allocation and crossbar-scheduling state the
-// IQ and IOQ pipelines share.
+// IQ and IOQ pipelines share. holder and vcPending carry client numbers;
+// vcRotate only ever counts up and is used modulo the pending count, so a
+// negative one would index negatively.
 func stateAllocation(c *snapshot.Codec, clients int, holder [][]int, vcPending *[]int, vcRotate *int, sched []*xbarSched) {
 	for port := range holder {
-		stateInts(c, holder[port], "output VC holder")
+		stateIndices(c, holder[port], c.IndexOrNone, clients, "output VC holder")
 	}
 	snapshot.Slice(c, vcPending)
 	for i := range *vcPending {
-		c.Int(&(*vcPending)[i])
+		c.Index(&(*vcPending)[i], clients, "vcPending")
 	}
-	c.Int(vcRotate)
+	c.Index(vcRotate, math.MaxInt, "vcRotate")
 	for _, sc := range sched {
 		sc.state(c, clients)
 	}
@@ -193,9 +206,9 @@ func (r *OQ) State(c *snapshot.Codec, t *types.MessageTable) {
 		r.outQ[i].state(c, t)
 	}
 	stateInts(c, r.outOcc, "output occupancy")
-	stateInts(c, r.outOwner, "output owner")
+	stateIndices(c, r.outOwner, c.IndexOrNone, len(r.in), "OQ.outOwner")
 	stateBools(c, r.outBusy)
-	stateInts(c, r.outRR, "output round robin")
+	stateIndices(c, r.outRR, c.Index, r.vcs, "OQ.outRR")
 	for i := range r.transfer {
 		snapshot.Uint(c, &r.transfer[i])
 	}
@@ -226,5 +239,5 @@ func (r *IOQ) State(c *snapshot.Codec, t *types.MessageTable) {
 	}
 	stateInts(c, r.outOcc, "output occupancy")
 	stateBools(c, r.outBusy)
-	stateInts(c, r.outRR, "output round robin")
+	stateIndices(c, r.outRR, c.Index, r.vcs, "IOQ.outRR")
 }

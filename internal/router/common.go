@@ -1,8 +1,8 @@
 package router
 
 import (
-	"fmt"
 	"math/rand/v2"
+	"strconv"
 
 	"supersim/internal/channel"
 	"supersim/internal/config"
@@ -103,12 +103,13 @@ func newBase(s *sim.Simulator, name string, cfg *config.Settings, p Params) base
 	for i := range b.downCred {
 		b.downCred[i] = make([]int, vcs)
 	}
-	if b.v = verify.For(s); b.v != nil {
-		b.credLed = make([]*verify.CreditLedger, p.Radix)
-		b.bufLed = make([]*verify.BufferLedger, p.Radix)
-		for port := 0; port < p.Radix; port++ {
-			b.bufLed[port] = b.v.NewBufferLedger(fmt.Sprintf("%s.in%d", name, port), vcs, bufDepth)
-		}
+	// The ledger slices are always sized to radix: with verification off they
+	// hold the nil ledgers a nil Verifier hands out, which check nothing.
+	b.v = verify.For(s)
+	b.credLed = make([]*verify.CreditLedger, p.Radix)
+	b.bufLed = make([]*verify.BufferLedger, p.Radix)
+	for port := range b.bufLed {
+		b.bufLed[port] = b.v.NewBufferLedger(name, ".in"+strconv.Itoa(port), vcs, bufDepth)
 	}
 	b.tp = telemetry.ForRouter(s, name, vcs)
 	b.sp = telemetry.SpansFor(s)
@@ -168,9 +169,7 @@ func (b *base) SetDownstreamCredits(port int, perVC int) {
 	for vc := range b.downCred[port] {
 		b.downCred[port][vc] = perVC
 	}
-	if b.v != nil {
-		b.credLed[port] = b.v.NewCreditLedger(fmt.Sprintf("%s.out%d", b.Name(), port), b.vcs, perVC)
-	}
+	b.credLed[port] = b.v.NewCreditLedger(b.Name(), ".out"+strconv.Itoa(port), b.vcs, perVC)
 }
 
 func (b *base) checkPort(port int) {
@@ -207,9 +206,7 @@ func (b *base) takeDownstreamCredit(port, vc int) {
 	if b.downCred[port][vc] < 0 {
 		b.Panicf("downstream credits went negative on port %d vc %d", port, vc)
 	}
-	if b.credLed != nil {
-		b.credLed[port].Debit(vc, b.downCred[port][vc])
-	}
+	b.credLed[port].Debit(vc, b.downCred[port][vc])
 	b.sensor.AddDownstream(b.Sim().Now().Tick, port, vc, 1)
 }
 
@@ -221,9 +218,7 @@ func (b *base) returnDownstreamCredit(port, vc int) {
 	if b.downCap[port] > 0 && b.downCred[port][vc] > b.downCap[port] {
 		b.Panicf("downstream credits exceeded capacity on port %d vc %d", port, vc)
 	}
-	if b.credLed != nil {
-		b.credLed[port].Credit(vc, b.downCred[port][vc])
-	}
+	b.credLed[port].Credit(vc, b.downCred[port][vc])
 	b.sensor.AddDownstream(b.Sim().Now().Tick, port, vc, -1)
 }
 
@@ -232,12 +227,8 @@ func (b *base) returnDownstreamCredit(port, vc int) {
 //
 //sslint:hotpath
 func (b *base) noteArrival(port, vc int) {
-	if b.bufLed != nil {
-		b.bufLed[port].Arrive(vc)
-	}
-	if b.tp != nil {
-		b.tp.FlitBuffered(vc)
-	}
+	b.bufLed[port].Arrive(vc)
+	b.tp.FlitBuffered(vc)
 }
 
 // sendCreditUpstream releases one input buffer slot back to the sender.
@@ -248,12 +239,8 @@ func (b *base) sendCreditUpstream(port, vc int) {
 	if cc == nil {
 		b.Panicf("no credit channel on input port %d", port)
 	}
-	if b.bufLed != nil {
-		b.bufLed[port].Free(vc)
-	}
-	if b.tp != nil {
-		b.tp.FlitUnbuffered(vc)
-	}
+	b.bufLed[port].Free(vc)
+	b.tp.FlitUnbuffered(vc)
 	cc.Inject(types.Credit{VC: vc})
 }
 
@@ -263,9 +250,7 @@ func (b *base) sendCreditUpstream(port, vc int) {
 //sslint:hotpath
 func (b *base) noteRouted() {
 	b.flitsRouted++
-	if b.tp != nil {
-		b.tp.FlitRouted()
-	}
+	b.tp.FlitRouted()
 }
 
 // noteAlloc reports one VC-allocation round to telemetry given the pending
@@ -273,7 +258,7 @@ func (b *base) noteRouted() {
 //
 //sslint:hotpath
 func (b *base) noteAlloc(before, after int) {
-	if b.tp != nil && before > 0 {
+	if before > 0 {
 		b.tp.Alloc(before-after, after)
 	}
 }
@@ -282,11 +267,7 @@ func (b *base) noteAlloc(before, after int) {
 // downstream credit pool was empty.
 //
 //sslint:hotpath
-func (b *base) noteCreditStall() {
-	if b.tp != nil {
-		b.tp.CreditStall()
-	}
-}
+func (b *base) noteCreditStall() { b.tp.CreditStall() }
 
 // FlitsRouted returns the number of flits this router has forwarded.
 func (b *base) FlitsRouted() uint64 { return b.flitsRouted }
@@ -360,12 +341,10 @@ func allocateVCs(s *sim.Simulator, now sim.Tick, sp *telemetry.Spans, pending, s
 				sched[iv.resp.Port].addContender(client)
 				iv.granted = true
 				progress = true
-				if sp != nil {
-					if f := iv.q.peek(); sp.Tracked(f) {
-						// Arrival to VC grant: route computation plus the
-						// wait for a free output VC.
-						sp.Step(s, now, f, telemetry.SpanVCAlloc)
-					}
+				if f := iv.q.peek(); sp.Tracked(f) {
+					// Arrival to VC grant: route computation plus the wait
+					// for a free output VC.
+					sp.Step(s, now, f, telemetry.SpanVCAlloc)
 				}
 				break
 			}

@@ -195,7 +195,7 @@ func (r *IOQ) drainFlights() {
 			return
 		}
 		fl := r.dl.pop()
-		if r.sp != nil && r.sp.Tracked(fl.f) {
+		if r.sp.Tracked(fl.f) {
 			// Crossbar traversal ends at output-queue entry.
 			r.sp.Step(r.Sim(), now, fl.f, telemetry.SpanXbar)
 		}
@@ -276,7 +276,7 @@ func (r *IOQ) eligible(port, client int) bool {
 func (r *IOQ) sendFlit(now sim.Tick, port, client int) {
 	iv := &r.in[client]
 	f := iv.q.pop()
-	if r.sp != nil && r.sp.Tracked(f) {
+	if r.sp.Tracked(f) {
 		// VC grant to switch grant: crossbar arbitration plus the wait for
 		// output-queue space.
 		r.sp.Step(r.Sim(), now, f, telemetry.SpanSWAlloc)
@@ -317,7 +317,7 @@ func (r *IOQ) drain(port int) {
 			continue
 		}
 		f := r.outQ[qi].pop()
-		if r.sp != nil && r.sp.Tracked(f) {
+		if r.sp.Tracked(f) {
 			// Output-queue residency: the wait for downstream credits.
 			r.sp.Step(r.Sim(), now, f, telemetry.SpanOutput)
 		}

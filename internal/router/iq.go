@@ -182,7 +182,7 @@ func (r *IQ) drainFlights() {
 			return
 		}
 		fl := r.dl.pop()
-		if r.sp != nil && r.sp.Tracked(fl.f) {
+		if r.sp.Tracked(fl.f) {
 			// Crossbar traversal ends at channel entry.
 			r.sp.Step(r.Sim(), now, fl.f, telemetry.SpanXbar)
 		}
@@ -270,7 +270,7 @@ func (r *IQ) eligible(now sim.Tick, port, client int) (bool, bool) {
 func (r *IQ) sendFlit(now sim.Tick, port, client int) {
 	iv := &r.in[client]
 	f := iv.q.pop()
-	if r.sp != nil && r.sp.Tracked(f) {
+	if r.sp.Tracked(f) {
 		// VC grant to switch grant: crossbar arbitration plus credit waits.
 		r.sp.Step(r.Sim(), now, f, telemetry.SpanSWAlloc)
 	}

@@ -189,7 +189,7 @@ func (r *OQ) pipeline() {
 		}
 		// Transfer one flit.
 		iv.q.pop()
-		if r.sp != nil && r.sp.Tracked(f) {
+		if r.sp.Tracked(f) {
 			// Arrival to transfer start: routing (synchronous here), output
 			// VC acquisition, and the wait for output-queue space — the OQ
 			// analogue of VC allocation.
@@ -241,7 +241,7 @@ func (r *OQ) drainFlights() {
 			return
 		}
 		fl := r.dl.pop()
-		if r.sp != nil && r.sp.Tracked(fl.f) {
+		if r.sp.Tracked(fl.f) {
 			// Queue-to-queue transfer ends at output-queue entry.
 			r.sp.Step(r.Sim(), now, fl.f, telemetry.SpanXbar)
 		}
@@ -266,7 +266,7 @@ func (r *OQ) drain(port int) {
 			continue
 		}
 		f := r.outQ[qi].pop()
-		if r.sp != nil && r.sp.Tracked(f) {
+		if r.sp.Tracked(f) {
 			// Output-queue residency: the wait for downstream credits.
 			r.sp.Step(r.Sim(), now, f, telemetry.SpanOutput)
 		}

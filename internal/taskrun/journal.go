@@ -19,8 +19,9 @@ const (
 // Probe observes the lifecycle of every task a Runner executes: the fleet-
 // level counterpart of the telemetry probes one layer down. Constructors hand
 // the runner a probe via SetProbe; a nil probe means observation is disabled
-// and every call site nil-guards (the same opaque-slot pattern sslint's
-// probeguard enforces for the telemetry and verify probes).
+// and every call site nil-guards (Probe is an interface, so unlike the
+// telemetry and verify probe types it cannot make its own methods nil-safe;
+// the Runner has this one probe field, so there is no wrong guard to pick).
 //
 // The runner invokes all methods serially under its scheduler lock, in a
 // deterministic order when the run itself is deterministic (capacity-1 pools

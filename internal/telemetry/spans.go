@@ -148,9 +148,11 @@ type spanHistKey struct {
 
 // Spans is the per-simulation span recorder. Create it with NewSpans, hand it
 // to telemetry.Attach via Options.Spans, and components discover it with
-// SpansFor. On a serial simulator all recording methods run on the simulation
-// thread and apply immediately; only the Records counter is read concurrently
-// (progress document).
+// SpansFor. A nil *Spans is the disabled recorder: it samples nothing and
+// every method is a no-op, so components call it unguarded. On a serial
+// simulator all recording methods run on the simulation thread and apply
+// immediately; only the Records counter is read concurrently (progress
+// document).
 //
 // Under a parallel engine (partition), each recording call instead appends a
 // value-captured operation — start, step, or finish — to the calling shard's
@@ -245,22 +247,31 @@ func NewSpans(w io.Writer, fraction float64) *Spans {
 // probe point agrees without coordination.
 func (sp *Spans) SampledMsg(msgID uint64) bool {
 	h := msgID * 0x9E3779B97F4A7C15
-	return h>>48 < sp.threshold
+	return sp != nil && h>>48 < sp.threshold
 }
 
 // Tracked reports whether f is the tracked flit of a sampled message — the
-// head flit of packet 0, the one flit whose transitions are timestamped.
+// head flit of packet 0, the one flit whose transitions are timestamped. It
+// is false for every flit when span recording is disabled, which makes it the
+// one cheap test call sites put in front of Step.
 func (sp *Spans) Tracked(f *types.Flit) bool {
-	return f.Head && f.Pkt.ID == 0 && sp.SampledMsg(f.Pkt.Msg.ID)
+	return sp != nil && f.Head && f.Pkt.ID == 0 && sp.SampledMsg(f.Pkt.Msg.ID)
 }
 
 // Records returns the number of finished span records.
-func (sp *Spans) Records() uint64 { return sp.records.Load() }
+func (sp *Spans) Records() uint64 {
+	if sp == nil {
+		return 0
+	}
+	return sp.records.Load()
+}
 
 // partition switches the recorder into per-shard op buffering across n
 // shards. Called once, before the engine runs.
 func (sp *Spans) partition(n int) {
-	sp.lanes = make([][]spanOp, n)
+	if sp != nil {
+		sp.lanes = make([][]spanOp, n)
+	}
 }
 
 // seal replays the buffered operation lanes in global stamp order — exactly
@@ -270,7 +281,7 @@ func (sp *Spans) partition(n int) {
 // concatenate correctly and the live-span state carried across a seal is the
 // serial state at that time.
 func (sp *Spans) seal() {
-	if sp.lanes == nil {
+	if sp == nil || sp.lanes == nil {
 		return
 	}
 	mergeByStamp(sp.lanes, func(o *spanOp) sim.Stamp { return o.stamp }, func(o *spanOp) {
@@ -296,6 +307,12 @@ func (sp *Spans) seal() {
 // s is the calling component's simulator, which supplies the shard lane and
 // merge stamp under a parallel engine.
 func (sp *Spans) Start(s *sim.Simulator, m *types.Message) {
+	if sp != nil {
+		sp.start(s, m)
+	}
+}
+
+func (sp *Spans) start(s *sim.Simulator, m *types.Message) {
 	if !sp.SampledMsg(m.ID) {
 		return
 	}
@@ -325,9 +342,12 @@ func (sp *Spans) applyStart(msg uint64, app, src, dst int, createT sim.Tick) {
 
 // Step closes the open segment of a tracked flit's message: the time since
 // the previous transition is charged to kind at the current hop. Callers
-// check Tracked first. A SpanWire step (channel exit) advances to the next
-// hop.
+// check Tracked first, so the disabled path never reaches the call. A
+// SpanWire step (channel exit) advances to the next hop.
 func (sp *Spans) Step(s *sim.Simulator, now sim.Tick, f *types.Flit, kind SpanKind) {
+	if sp == nil {
+		return
+	}
 	if sp.lanes != nil {
 		k := s.ShardID()
 		sp.lanes[k] = append(sp.lanes[k], spanOp{
@@ -380,6 +400,12 @@ func (sp *Spans) applyStep(msg uint64, now sim.Tick, kind SpanKind) {
 // invariant is asserted, and the record is folded and emitted. Unsampled
 // messages return immediately.
 func (sp *Spans) Finish(s *sim.Simulator, m *types.Message) {
+	if sp != nil {
+		sp.finish(s, m)
+	}
+}
+
+func (sp *Spans) finish(s *sim.Simulator, m *types.Message) {
 	if sp.lanes != nil {
 		if !sp.SampledMsg(m.ID) {
 			return
@@ -488,7 +514,7 @@ func (sp *Spans) writeHeader() {
 // header so readers can distinguish "no sampled messages" from truncation.
 // Messages still live (a stalled run) are dropped — their spans never closed.
 func (sp *Spans) Close() error {
-	if sp.w == nil {
+	if sp == nil || sp.w == nil {
 		return nil
 	}
 	sp.writeHeader()

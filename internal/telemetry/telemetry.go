@@ -7,10 +7,11 @@
 // Discovery follows the internal/verify pattern: telemetry is attached per
 // Simulator (telemetry.Attach, stored in an opaque slot) and found by
 // components at construction with the For* probe constructors, which return
-// nil when telemetry is disabled. Components guard every hook with a nil
-// check, so the disabled hot path costs one predictable branch and zero
-// allocations — BenchmarkFigure5's allocation count is unchanged, which
-// `make bench-guard` enforces.
+// nil when telemetry is disabled. Every probe method is a no-op on a nil
+// receiver, so components call their hooks unguarded and the disabled hot
+// path costs one predictable (inlined) branch and zero allocations —
+// BenchmarkFigure5's allocation count is unchanged, which `make bench-guard`
+// enforces.
 //
 // Telemetry is observation-only: it never touches the simulation PRNG or any
 // component state, and trace sampling is a pure hash of message IDs, so
@@ -146,7 +147,7 @@ func (t *Telemetry) Spans() *Spans { return t.opts.Spans }
 
 // SpansFor returns the simulator's span recorder, or nil when telemetry or
 // span recording is disabled. Components call it once at construction and
-// nil-guard every hook, like the For* probe constructors.
+// keep the pointer; a nil *Spans records nothing.
 func SpansFor(s *sim.Simulator) *Spans {
 	t := For(s)
 	if t == nil {
@@ -161,12 +162,8 @@ func SpansFor(s *sim.Simulator) *Spans {
 // merged back into the serial order by seal. Serial runs never call it and
 // keep the direct streaming/apply paths.
 func (t *Telemetry) Partition(n int) {
-	if tr := t.opts.Tracer; tr != nil {
-		tr.partition(n)
-	}
-	if sp := t.opts.Spans; sp != nil {
-		sp.partition(n)
-	}
+	t.opts.Tracer.partition(n)
+	t.opts.Spans.partition(n)
 }
 
 // seal merges and drains the per-shard observation lanes in global stamp
@@ -174,12 +171,8 @@ func (t *Telemetry) Partition(n int) {
 // end of the run (Close) or at a checkpoint barrier (State); the engine's
 // RunUntil WaitGroup is the happens-before edge publishing the lanes.
 func (t *Telemetry) seal() {
-	if tr := t.opts.Tracer; tr != nil {
-		tr.seal()
-	}
-	if sp := t.opts.Spans; sp != nil {
-		sp.seal()
-	}
+	t.opts.Tracer.seal()
+	t.opts.Spans.seal()
 }
 
 // SetPhase records the workload phase shown in the progress document.
@@ -230,12 +223,8 @@ func (t *Telemetry) updateProgress(tick uint64) {
 		p.EventsSec = float64(evs-t.lastEvs) / secs
 		p.TicksSec = float64(tick-t.lastTick) / secs
 	}
-	if tr := t.opts.Tracer; tr != nil {
-		p.TraceEvs = tr.Events()
-	}
-	if sp := t.opts.Spans; sp != nil {
-		p.SpanRecs = sp.Records()
-	}
+	p.TraceEvs = t.opts.Tracer.Events()
+	p.SpanRecs = t.opts.Spans.Records()
 	t.lastWall, t.lastTick, t.lastEvs = wall, tick, evs
 	t.prog = p
 }
@@ -269,15 +258,11 @@ func (t *Telemetry) Close() error {
 			err = cerr
 		}
 	}
-	if tr := t.opts.Tracer; tr != nil {
-		if cerr := tr.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := t.opts.Tracer.Close(); err == nil {
+		err = cerr
 	}
-	if sp := t.opts.Spans; sp != nil {
-		if cerr := sp.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := t.opts.Spans.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

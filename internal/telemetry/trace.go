@@ -31,6 +31,9 @@ import (
 // sim.Stamp. Lanes are merged in stamp order at seal time, which reproduces
 // the serial emission order exactly (see mergeByStamp), so the rendered JSON
 // is byte-identical to a serial run for any worker count.
+//
+// A nil *Tracer is the disabled tracer: it samples nothing and every method
+// is a no-op.
 type Tracer struct {
 	mu        sync.Mutex
 	w         *bufio.Writer
@@ -83,22 +86,32 @@ func NewTracer(w io.Writer, fraction float64) *Tracer {
 // journey agree without coordination.
 func (t *Tracer) Sampled(msgID uint64) bool {
 	h := msgID * 0x9E3779B97F4A7C15 // Fibonacci hashing; top bits well mixed
-	return h>>48 < t.threshold
+	return t != nil && h>>48 < t.threshold
 }
 
 // Events returns the number of trace events recorded so far.
-func (t *Tracer) Events() uint64 { return t.events.Load() }
+func (t *Tracer) Events() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.events.Load()
+}
 
 // partition switches the tracer into per-shard lane recording across n
 // shards. Called once, before the engine runs.
 func (t *Tracer) partition(n int) {
-	t.lanes = make([][]traceEntry, n)
+	if t != nil {
+		t.lanes = make([][]traceEntry, n)
+	}
 }
 
 // record captures one trace event. On a partitioned tracer the event is
 // appended to the calling shard's lane with the executing event's stamp; on a
 // serial tracer it streams straight to the writer.
 func (t *Tracer) record(ph byte, s *sim.Simulator, now sim.Tick, f *types.Flit, tid int) {
+	if t == nil {
+		return
+	}
 	m := f.Pkt.Msg
 	if t.lanes != nil {
 		k := s.ShardID()
@@ -140,7 +153,7 @@ func (t *Tracer) emit(ph byte, ts sim.Tick, msg uint64, pkt, flit, app, tid int)
 // engine's checkpoint barriers partition stamps by time, sequential seals
 // concatenate in correct global order.
 func (t *Tracer) seal() {
-	if t.lanes == nil {
+	if t == nil || t.lanes == nil {
 		return
 	}
 	mergeByStamp(t.lanes, func(e *traceEntry) sim.Stamp { return e.stamp }, func(e *traceEntry) {
@@ -168,6 +181,9 @@ func (t *Tracer) FlitReceived(s *sim.Simulator, now sim.Tick, f *types.Flit, src
 // writer when it is closable. Safe to call with no events emitted. Callers
 // running under an engine seal first (Telemetry.Close does).
 func (t *Tracer) Close() error {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.started {

@@ -15,8 +15,8 @@ import (
 func buildLedgers(epoch sim.Tick) (*Verifier, *CreditLedger, *BufferLedger) {
 	s := sim.NewSimulator(1)
 	v := Attach(s, Options{WatchdogEpoch: epoch})
-	cl := v.NewCreditLedger("router_0.out1", 2, 8)
-	bl := v.NewBufferLedger("router_1.in0", 2, 8)
+	cl := v.NewCreditLedger("router_0", ".out1", 2, 8)
+	bl := v.NewBufferLedger("router_1", ".in0", 2, 8)
 	return v, cl, bl
 }
 
@@ -83,31 +83,31 @@ func TestVerifierLoadRejectsMismatchedBuild(t *testing.T) {
 		{"watchdog off", func() *Verifier {
 			s := sim.NewSimulator(1)
 			rv := Attach(s, Options{})
-			rv.NewCreditLedger("router_0.out1", 2, 8)
-			rv.NewBufferLedger("router_1.in0", 2, 8)
+			rv.NewCreditLedger("router_0", ".out1", 2, 8)
+			rv.NewBufferLedger("router_1", ".in0", 2, 8)
 			return rv
 		}(), "watchdog state"},
 		{"missing credit ledger", build(func(rv *Verifier) {
-			rv.NewBufferLedger("router_1.in0", 2, 8)
+			rv.NewBufferLedger("router_1", ".in0", 2, 8)
 		}), "credit ledgers"},
 		{"credit name mismatch", build(func(rv *Verifier) {
-			rv.NewCreditLedger("router_9.out1", 2, 8)
-			rv.NewBufferLedger("router_1.in0", 2, 8)
+			rv.NewCreditLedger("router_9", ".out1", 2, 8)
+			rv.NewBufferLedger("router_1", ".in0", 2, 8)
 		}), "credit ledger mismatch"},
 		{"credit vc mismatch", build(func(rv *Verifier) {
-			rv.NewCreditLedger("router_0.out1", 3, 8)
-			rv.NewBufferLedger("router_1.in0", 2, 8)
+			rv.NewCreditLedger("router_0", ".out1", 3, 8)
+			rv.NewBufferLedger("router_1", ".in0", 2, 8)
 		}), "VCs"},
 		{"missing buffer ledger", build(func(rv *Verifier) {
-			rv.NewCreditLedger("router_0.out1", 2, 8)
+			rv.NewCreditLedger("router_0", ".out1", 2, 8)
 		}), "buffer ledgers"},
 		{"buffer name mismatch", build(func(rv *Verifier) {
-			rv.NewCreditLedger("router_0.out1", 2, 8)
-			rv.NewBufferLedger("router_9.in0", 2, 8)
+			rv.NewCreditLedger("router_0", ".out1", 2, 8)
+			rv.NewBufferLedger("router_9", ".in0", 2, 8)
 		}), "buffer ledger mismatch"},
 		{"buffer vc mismatch", build(func(rv *Verifier) {
-			rv.NewCreditLedger("router_0.out1", 2, 8)
-			rv.NewBufferLedger("router_1.in0", 3, 8)
+			rv.NewCreditLedger("router_0", ".out1", 2, 8)
+			rv.NewBufferLedger("router_1", ".in0", 3, 8)
 		}), "VCs"},
 	}
 	for _, tc := range cases {

@@ -7,6 +7,10 @@ package verify
 // either bound (zero, capacity) is violated. This catches flipped, skipped
 // or duplicated credit updates at the first operation after the bug, not at
 // drain time.
+//
+// A nil ledger — what a nil Verifier's NewCreditLedger returns — checks
+// nothing: components keep whatever the constructor gave them and call Debit
+// and Credit unguarded. The same holds for BufferLedger.
 type CreditLedger struct {
 	v      *Verifier
 	name   string
@@ -14,14 +18,19 @@ type CreditLedger struct {
 	mirror []int // per VC, counts available credits
 }
 
-// NewCreditLedger registers a credit counter mirror for a component. name
-// identifies the counter in diagnostics (e.g. "router_3.out2"); capacity is
-// the downstream buffer depth per VC, the initial credit count.
-func (v *Verifier) NewCreditLedger(name string, vcs, capacity int) *CreditLedger {
+// NewCreditLedger registers a credit counter mirror for a component. owner
+// and suffix together name the counter in diagnostics (e.g. "router_3" and
+// ".out2"); they are joined here, not by the caller, so a component whose
+// verifier is nil does not build a name nobody reads. capacity is the
+// downstream buffer depth per VC, the initial credit count.
+func (v *Verifier) NewCreditLedger(owner, suffix string, vcs, capacity int) *CreditLedger {
+	if v == nil {
+		return nil
+	}
 	if vcs <= 0 || capacity <= 0 {
 		panic("verify: credit ledger needs positive vcs and capacity")
 	}
-	cl := &CreditLedger{v: v, name: name, cap: capacity, mirror: make([]int, vcs)}
+	cl := &CreditLedger{v: v, name: owner + suffix, cap: capacity, mirror: make([]int, vcs)}
 	for i := range cl.mirror {
 		cl.mirror[i] = capacity
 	}
@@ -32,6 +41,12 @@ func (v *Verifier) NewCreditLedger(name string, vcs, capacity int) *CreditLedger
 // Debit records the component consuming one credit on vc; have is the
 // component's counter value after its own decrement.
 func (cl *CreditLedger) Debit(vc, have int) {
+	if cl != nil {
+		cl.debit(vc, have)
+	}
+}
+
+func (cl *CreditLedger) debit(vc, have int) {
 	cl.mirror[vc]--
 	if cl.mirror[vc] < 0 {
 		cl.v.Panicf("%s vc %d: credit debit below zero — downstream buffer overcommitted", cl.name, vc)
@@ -46,6 +61,12 @@ func (cl *CreditLedger) Debit(vc, have int) {
 // Credit records a credit returning on vc; have is the component's counter
 // value after its own increment.
 func (cl *CreditLedger) Credit(vc, have int) {
+	if cl != nil {
+		cl.credit(vc, have)
+	}
+}
+
+func (cl *CreditLedger) credit(vc, have int) {
 	cl.mirror[vc]++
 	if cl.mirror[vc] > cl.cap {
 		cl.v.Panicf("%s vc %d: credits exceed capacity %d — credit duplicated", cl.name, vc, cl.cap)
@@ -67,20 +88,30 @@ type BufferLedger struct {
 	occ  []int
 }
 
-// NewBufferLedger registers an input buffer for a component. name identifies
-// the buffer in diagnostics (e.g. "router_3.in1"); capacity is the per-VC
-// depth in flits.
-func (v *Verifier) NewBufferLedger(name string, vcs, capacity int) *BufferLedger {
+// NewBufferLedger registers an input buffer for a component. owner and
+// suffix together name the buffer in diagnostics (e.g. "router_3" and
+// ".in1"), joined here as in NewCreditLedger; capacity is the per-VC depth in
+// flits.
+func (v *Verifier) NewBufferLedger(owner, suffix string, vcs, capacity int) *BufferLedger {
+	if v == nil {
+		return nil
+	}
 	if vcs <= 0 || capacity <= 0 {
 		panic("verify: buffer ledger needs positive vcs and capacity")
 	}
-	bl := &BufferLedger{v: v, name: name, cap: capacity, occ: make([]int, vcs)}
+	bl := &BufferLedger{v: v, name: owner + suffix, cap: capacity, occ: make([]int, vcs)}
 	v.buffers = append(v.buffers, bl)
 	return bl
 }
 
 // Arrive records a flit entering the buffer on vc.
 func (bl *BufferLedger) Arrive(vc int) {
+	if bl != nil {
+		bl.arrive(vc)
+	}
+}
+
+func (bl *BufferLedger) arrive(vc int) {
 	bl.occ[vc]++
 	if bl.occ[vc] > bl.cap {
 		bl.v.Panicf("%s vc %d: buffer overrun: %d flits in a %d-deep buffer — upstream sent without credit",
@@ -91,6 +122,12 @@ func (bl *BufferLedger) Arrive(vc int) {
 
 // Free records a buffer slot being released on vc (a credit sent upstream).
 func (bl *BufferLedger) Free(vc int) {
+	if bl != nil {
+		bl.free(vc)
+	}
+}
+
+func (bl *BufferLedger) free(vc int) {
 	bl.occ[vc]--
 	if bl.occ[vc] < 0 {
 		bl.v.Panicf("%s vc %d: buffer freed below zero — credit sent for a flit that never arrived",

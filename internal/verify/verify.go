@@ -34,11 +34,13 @@
 //     progress.
 //
 // Verification is attached per Simulator (verify.Attach) and discovered by
-// components with verify.For, which returns nil when disabled; components
-// guard every hook with a nil check, so the disabled hot path costs one
-// predictable branch and zero allocations. Checks are observation-only: they
-// never touch the PRNG or any component state, so enabling them cannot
-// change simulation results.
+// components with verify.For, which returns nil when disabled. The hooks
+// components call — FlitInjected, FlitTouched, FlitRetired, the ledger
+// constructors and every ledger method — are no-ops on a nil receiver (a nil
+// Verifier hands out nil ledgers), so components call them unguarded and the
+// disabled hot path costs one predictable branch and zero allocations. Checks
+// are observation-only: they never touch the PRNG or any component state, so
+// enabling them cannot change simulation results.
 package verify
 
 import (
@@ -134,6 +136,12 @@ func (v *Verifier) InFlight() int { return int(v.injected - v.retired) }
 // FlitInjected records a flit entering the network at a terminal. Injecting
 // a flit that is already in flight panics (duplicate injection or aliasing).
 func (v *Verifier) FlitInjected(f *types.Flit) {
+	if v != nil {
+		v.flitInjected(f)
+	}
+}
+
+func (v *Verifier) flitInjected(f *types.Flit) {
 	if gen, ok := f.VerifyInFlight(); ok {
 		v.Panicf("%v injected while already in flight (generation %d, now %d) — duplicate injection or pool aliasing",
 			f, gen, f.Pkt.Msg.Generation())
@@ -148,6 +156,12 @@ func (v *Verifier) FlitInjected(f *types.Flit) {
 // generation. A generation mismatch means the owning message was recycled
 // while this flit was still traversing the network.
 func (v *Verifier) FlitTouched(f *types.Flit) {
+	if v != nil {
+		v.flitTouched(f)
+	}
+}
+
+func (v *Verifier) flitTouched(f *types.Flit) {
 	gen, ok := f.VerifyInFlight()
 	if !ok {
 		v.Panicf("%v touched but not in flight — flit forged, duplicated, or already retired", f)
@@ -162,6 +176,12 @@ func (v *Verifier) FlitTouched(f *types.Flit) {
 // FlitRetired records a flit leaving the network at its destination
 // terminal. The flit must be in flight with an unchanged generation.
 func (v *Verifier) FlitRetired(f *types.Flit) {
+	if v != nil {
+		v.flitRetired(f)
+	}
+}
+
+func (v *Verifier) flitRetired(f *types.Flit) {
 	gen, ok := f.VerifyInFlight()
 	if !ok {
 		v.Panicf("%v retired but not in flight — double retirement or lost injection record", f)

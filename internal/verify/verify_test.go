@@ -152,33 +152,33 @@ func TestCreditLedgerDivergenceOnDebit(t *testing.T) {
 	// A component whose decrement was skipped or flipped reports a counter
 	// value that disagrees with the mirror — caught on the very next debit.
 	_, v := newVerifier(t, Options{})
-	cl := v.NewCreditLedger("r.out0", 1, 4)
+	cl := v.NewCreditLedger("r", ".out0", 1, 4)
 	mustPanic(t, "diverged on debit", func() { cl.Debit(0, 4) }) // should be 3
 }
 
 func TestCreditLedgerDivergenceOnCredit(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	cl := v.NewCreditLedger("r.out0", 1, 4)
+	cl := v.NewCreditLedger("r", ".out0", 1, 4)
 	cl.Debit(0, 3)
 	mustPanic(t, "diverged on credit", func() { cl.Credit(0, 5) }) // should be 4
 }
 
 func TestCreditDebitBelowZeroPanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	cl := v.NewCreditLedger("r.out0", 1, 1)
+	cl := v.NewCreditLedger("r", ".out0", 1, 1)
 	cl.Debit(0, 0)
 	mustPanic(t, "below zero", func() { cl.Debit(0, -1) })
 }
 
 func TestCreditAboveCapacityPanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	cl := v.NewCreditLedger("r.out0", 1, 1)
+	cl := v.NewCreditLedger("r", ".out0", 1, 1)
 	mustPanic(t, "exceed capacity", func() { cl.Credit(0, 2) })
 }
 
 func TestBufferOverrunPanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	bl := v.NewBufferLedger("r.in0", 1, 2)
+	bl := v.NewBufferLedger("r", ".in0", 1, 2)
 	bl.Arrive(0)
 	bl.Arrive(0)
 	mustPanic(t, "buffer overrun", func() { bl.Arrive(0) })
@@ -186,7 +186,7 @@ func TestBufferOverrunPanics(t *testing.T) {
 
 func TestBufferFreeBelowZeroPanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	bl := v.NewBufferLedger("r.in0", 1, 2)
+	bl := v.NewBufferLedger("r", ".in0", 1, 2)
 	mustPanic(t, "freed below zero", func() { bl.Free(0) })
 }
 
@@ -199,14 +199,14 @@ func TestVerifyDrainedCatchesLeaks(t *testing.T) {
 
 func TestVerifyDrainedCatchesHeldCredits(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	cl := v.NewCreditLedger("r.out0", 1, 2)
+	cl := v.NewCreditLedger("r", ".out0", 1, 2)
 	cl.Debit(0, 1)
 	mustPanic(t, "holds 1 of 2 credits", func() { v.VerifyDrained() })
 }
 
 func TestVerifyDrainedCatchesOccupiedBuffers(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	bl := v.NewBufferLedger("r.in0", 1, 2)
+	bl := v.NewBufferLedger("r", ".in0", 1, 2)
 	bl.Arrive(0)
 	mustPanic(t, "still holds 1 flits", func() { v.VerifyDrained() })
 }
@@ -279,8 +279,8 @@ func (c *flitToucher) ProcessEvent(ev *sim.Event) {
 
 func TestOccupancyDumpListsState(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	cl := v.NewCreditLedger("r.out7", 2, 4)
-	bl := v.NewBufferLedger("r.in3", 2, 4)
+	cl := v.NewCreditLedger("r", ".out7", 2, 4)
+	bl := v.NewBufferLedger("r", ".in3", 2, 4)
 	cl.Debit(1, 3)
 	bl.Arrive(0)
 	dump := v.OccupancyDump()

@@ -134,9 +134,8 @@ func New(s *sim.Simulator, cfg *config.Settings, net network.Network) *Workload 
 	for t := 0; t < net.NumTerminals(); t++ {
 		net.Interface(t).SetMessageSink(&demux{w: w})
 	}
-	if w.tp = telemetry.ForWorkload(s, len(w.apps), net.NumTerminals(), net.ChannelPeriod()); w.tp != nil {
-		w.tp.Phase(Warming.String())
-	}
+	w.tp = telemetry.ForWorkload(s, len(w.apps), net.NumTerminals(), net.ChannelPeriod())
+	w.tp.Phase(Warming.String())
 	w.sp = telemetry.SpansFor(s)
 	return w
 }
@@ -184,9 +183,7 @@ func (w *Workload) SetPool(p *types.Pool) {
 // allocation-free.
 func (w *Workload) NewMessage(app, src, dst, totalFlits, maxPacketSize int) *types.Message {
 	w.msgID++
-	if w.tp != nil {
-		w.tp.MessageOffered(app, totalFlits)
-	}
+	w.tp.MessageOffered(app, totalFlits)
 	return w.pool.NewMessage(w.msgID, app, src, dst, totalFlits, maxPacketSize)
 }
 
@@ -241,9 +238,7 @@ func (w *Workload) signal(app int, want Phase, flags []bool, advance func()) {
 	if w.pending == 0 {
 		w.pending = len(w.apps)
 		advance()
-		if w.tp != nil {
-			w.tp.Phase(w.phase.String())
-		}
+		w.tp.Phase(w.phase.String())
 	}
 }
 
@@ -260,13 +255,9 @@ func (d *demux) DeliverMessage(m *types.Message) {
 	if m.App < 0 || m.App >= len(d.w.apps) {
 		panic(fmt.Sprintf("workload: message %d from unknown application %d", m.ID, m.App))
 	}
-	if tp := d.w.tp; tp != nil {
-		tp.MessageDelivered(m.App, m.TotalFlits(), m.ReceiveTime-m.CreateTime)
-	}
-	if sp := d.w.sp; sp != nil {
-		// Close the span before the message's blocks return to the pool.
-		sp.Finish(d.w.Sim(), m)
-	}
+	d.w.tp.MessageDelivered(m.App, m.TotalFlits(), m.ReceiveTime-m.CreateTime)
+	// Close the span before the message's blocks return to the pool.
+	d.w.sp.Finish(d.w.Sim(), m)
 	d.w.apps[m.App].DeliverMessage(m)
 	d.w.pool.Release(m)
 }

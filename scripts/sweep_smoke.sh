@@ -14,9 +14,8 @@
 #   4. ssplot -plot taskgantt renders the timeline with the resource
 #      utilization row.
 #
-# The observability additions must also keep the disabled hot path free: the
-# caller (the sweep-smoke Makefile target) runs the bench-guard against the
-# unchanged committed ceiling after this script passes.
+# The observability additions must also keep the disabled hot path free; that
+# is `make bench-guard`, which `make ci` runs beside this target.
 set -eu
 
 go=${GO:-go}
