@@ -98,15 +98,21 @@ func goldenDoc(network, traffic string, rate float64) string {
 }
 
 func goldenCases() []goldenCase {
-	iqRouter := `"router": {
-	  "architecture": "input_queued",
+	router := func(arch string, vcs int) string {
+		return fmt.Sprintf(`"router": {
+	  %s
 	  "num_vcs": %d,
 	  "input_buffer_depth": 8,
 	  "crossbar_latency": 2
-	}`
-	cases := []goldenCase{
-		{
-			name: "torus_tornado", topo: "torus",
+	}`, arch, vcs)
+	}
+	iqRouter := func(vcs int) string { return router(`"architecture": "input_queued",`, vcs) }
+	// torus is the first case's network under a given router architecture:
+	// the other two architectures run the same tornado workload, so their
+	// pipelines, codecs and shard seams are pinned like the IQ one's.
+	torus := func(name, arch string) goldenCase {
+		return goldenCase{
+			name: name, topo: "torus",
 			traffic: `{"type": "tornado", "widths": [4, 4], "concentration": 1}`,
 			doc: goldenDoc(`{
 			  "topology": "torus",
@@ -114,9 +120,12 @@ func goldenCases() []goldenCase {
 			  "concentration": 1,
 			  "channel": {"latency": 4, "period": 2},
 			  "injection": {"latency": 2},
-			  `+fmt.Sprintf(iqRouter, 4)+`
+			  `+router(arch, 4)+`
 			}`, `{"type": "tornado", "widths": [4, 4], "concentration": 1}`, 0.2),
-		},
+		}
+	}
+	cases := []goldenCase{
+		torus("torus_tornado", `"architecture": "input_queued",`),
 		{
 			name: "folded_clos_uniform", topo: "folded_clos",
 			traffic: `{"type": "uniform_random"}`,
@@ -126,7 +135,7 @@ func goldenCases() []goldenCase {
 			  "levels": 3,
 			  "channel": {"latency": 4, "period": 2},
 			  "injection": {"latency": 2},
-			  `+fmt.Sprintf(iqRouter, 2)+`,
+			  `+iqRouter(2)+`,
 			  "routing": {"algorithm": "oblivious_uprouting"}
 			}`, `{"type": "uniform_random"}`, 0.15),
 		},
@@ -139,7 +148,7 @@ func goldenCases() []goldenCase {
 			  "concentration": 1,
 			  "channel": {"latency": 4, "period": 2},
 			  "injection": {"latency": 2},
-			  `+fmt.Sprintf(iqRouter, 2)+`,
+			  `+iqRouter(2)+`,
 			  "routing": {"algorithm": "dimension_order"}
 			}`, `{"type": "bit_complement"}`, 0.2),
 		},
@@ -153,7 +162,7 @@ func goldenCases() []goldenCase {
 			  "global_links": 1,
 			  "channel": {"latency": 4, "period": 2},
 			  "injection": {"latency": 2},
-			  `+fmt.Sprintf(iqRouter, 3)+`,
+			  `+iqRouter(3)+`,
 			  "routing": {"algorithm": "ugal"}
 			}`, `{"type": "uniform_random"}`, 0.1),
 		},
@@ -165,9 +174,11 @@ func goldenCases() []goldenCase {
 			  "routers": 6,
 			  "channel": {"latency": 4, "period": 2},
 			  "injection": {"latency": 2},
-			  `+fmt.Sprintf(iqRouter, 2)+`
+			  `+iqRouter(2)+`
 			}`, `{"type": "hotspot", "destination": 0, "fraction": 0.5}`, 0.1),
 		},
+		torus("torus_tornado_oq", `"architecture": "output_queued", "queue_latency": 3,`),
+		torus("torus_tornado_ioq", `"architecture": "input_output_queued", "output_queue_depth": 8,`),
 	}
 	return cases
 }

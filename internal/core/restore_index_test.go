@@ -66,7 +66,8 @@ func liveCredit(t *testing.T, sm *Simulation) reflect.Value {
 
 func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 	const far = 1 << 20 // beyond any terminal, port, VC or client count
-	iq, oq, ioq := pinnedCases()[0].doc, pinnedCases()[5].doc, pinnedCases()[6].doc
+	gcs := goldenCases()
+	iq, oq, ioq := gcs[0].doc, gcs[5].doc, gcs[6].doc
 	router0 := func(sm *Simulation) any { return sm.Net.Router(0) }
 	cases := []struct {
 		field string // as named by the restore error

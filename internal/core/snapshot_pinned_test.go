@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"supersim/internal/config"
@@ -18,7 +17,8 @@ import (
 // The round-trip and fuzz tests seed themselves from the code under test, so
 // they cannot see a format change that save and load make together. This
 // file pins the schema-v1 bytes themselves: the length and SHA-256 of a
-// mid-run snapshot of every golden topology, with verification, telemetry
+// mid-run snapshot of every golden case (five topologies under IQ routers,
+// then the torus under OQ and IOQ), with verification, telemetry
 // and full-sample span recording on so every section carries state. The
 // hashes were recorded on the last commit that had hand-written
 // SaveState/LoadState pairs; regenerate (SUPERSIM_UPDATE_GOLDEN=1) only
@@ -41,26 +41,6 @@ type pinnedSnapshot struct {
 	// registry additionally holds the engine's per-shard metrics.
 	StateBytes  int    `json:"state_bytes"`
 	StateSHA256 string `json:"state_sha256"`
-}
-
-// pinnedCases are the five golden topologies plus the torus under the other
-// two router architectures, whose codecs no golden exercises.
-func pinnedCases() []goldenCase {
-	cases := goldenCases()
-	torus := cases[0]
-	for _, arch := range []struct{ name, block string }{
-		{"torus_tornado_oq", `"architecture": "output_queued", "queue_latency": 3,`},
-		{"torus_tornado_ioq", `"architecture": "input_output_queued", "output_queue_depth": 8,`},
-	} {
-		c := torus
-		c.name = arch.name
-		c.doc = strings.Replace(torus.doc, `"architecture": "input_queued",`, arch.block, 1)
-		if c.doc == torus.doc {
-			panic("pinnedCases: router block not found in the torus golden document")
-		}
-		cases = append(cases, c)
-	}
-	return cases
 }
 
 // snapshotAt runs the document to pinnedTick under RunCheckpointed and
@@ -124,7 +104,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		"simulation.telemetry.spans_sample=float=1.0",
 	}
 	var got []pinnedSnapshot
-	for _, gc := range pinnedCases() {
+	for _, gc := range goldenCases() {
 		full := snapshotAt(t, gc.doc, probesOn, 1)
 		state := afterConfig(t, snapshotAt(t, gc.doc, nil, 1))
 		sharded := afterConfig(t, snapshotAt(t, gc.doc, nil, 2))
