@@ -1,15 +1,20 @@
 # SuperSim build/test/benchmark entry points.
 #
-#   make ci      - everything a merge must pass: build, vet, sslint, tests
-#                  (which include the fuzz seed corpora and golden-trace
-#                  conformance runs), and the race detector over every package
+#   make ci      - everything a merge must pass: build, vet, sslint, every
+#                  test (with the fuzz seed corpora and golden-trace
+#                  conformance runs) under the coverage floors, the race
+#                  detector over every package, checkpoint equivalence, the
+#                  benchmark's smoke tests, the allocation guard and the sweep
+#                  smoke
 #   make lint    - sslint, the simulator-aware static analysis suite
 #                  (determinism, hotpath, factoryreg, snapshotcomplete,
 #                  shardsafety; see cmd/sslint and TESTING.md). Runs the fixture self-check first, then the
 #                  repo, and writes the findings artifact sslint.findings.json
 #   make lint-rules - list the active sslint rules with their one-line docs
-#   make cover   - per-package statement coverage against the committed floors
-#                  in coverage_floors.txt
+#   make cover   - the one test pass of ci: `go test -cover ./...`, failing on
+#                  any test failure or any package below its committed floor in
+#                  coverage_floors.txt (`make test` is the same pass without
+#                  the floors)
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  simulation-after-import harness, cross-worker restores,
 #                  byte-exact snapshot round-trips and the pinned v1 bytes
@@ -78,7 +83,10 @@ race:
 	$(GO) test -race ./...
 
 # Per-package statement coverage with committed floors: a drop below any
-# package's floor in coverage_floors.txt fails the target.
+# package's floor in coverage_floors.txt fails the target, and so does a
+# failing test — a package that fails reports no coverage, which the script
+# treats as below its floor. That holds for packages that have a floor: give
+# every package with tests one (the script names those without).
 cover:
 	sh scripts/check_cover.sh coverage_floors.txt
 
@@ -100,7 +108,9 @@ test-import-export:
 	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
-ci: build vet lint test race test-import-export bench-smoke bench-guard sweep-smoke
+# cover runs every test once, with the floors enforced; ci does not also run
+# the plain test target.
+ci: build vet lint cover race test-import-export bench-smoke bench-guard sweep-smoke
 
 # The benchmark's smoke test (~15 s), so every merge runs the six workloads
 # and their cross-path fingerprint equalities, not only the changes that are

@@ -102,8 +102,10 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 		{"vcRotate", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "vcRotate").SetInt(-1) }},
 		{"Interface.injectRR", iq, func(t *testing.T, sm *Simulation) { peek(sm.Net.Interface(0), "injectRR").SetInt(-1) }},
 		{"OQ.outOwner", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "outOwner", 0).SetInt(far) }},
-		{"OQ.outRR", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "outRR", 0).SetInt(-1) }},
-		{"IOQ.outRR", ioq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "outRR", 0).SetInt(-1) }},
+		// One back end, two places in the stream: OQ codes its queue owners
+		// between the two halves of the output stage's state.
+		{"outputStage.outRR", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "out", "outRR", 0).SetInt(-1) }},
+		{"outputStage.outRR", ioq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "out", "outRR", 0).SetInt(-1) }},
 		{"Credit.VC", iq, func(t *testing.T, sm *Simulation) { liveCredit(t, sm).FieldByName("VC").SetInt(far) }},
 	}
 	for _, tc := range cases {

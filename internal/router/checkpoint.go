@@ -1,8 +1,6 @@
 package router
 
 import (
-	"math"
-
 	"supersim/internal/congestion"
 	"supersim/internal/routing"
 	"supersim/internal/snapshot"
@@ -45,39 +43,16 @@ func (q *flitQueue) state(c *snapshot.Codec, t *types.MessageTable) {
 	}
 }
 
-func (dl *delayLine) collect(t *types.MessageTable) {
-	for i := dl.head; i < len(dl.q); i++ {
-		t.Add(dl.q[i].f.Pkt.Msg)
-	}
-}
-
-func (dl *delayLine) state(c *snapshot.Codec, t *types.MessageTable, ports int) {
-	c.Bool(&dl.scheduled)
-	live := dl.q[dl.head:]
-	snapshot.Slice(c, &live)
-	if c.Loading() {
-		dl.q, dl.head = live, 0
-	}
-	for i := range live {
-		snapshot.Uint(c, &live[i].at)
-		c.Index(&live[i].port, ports, "delay line output port")
-		t.Flit(c, &live[i].f)
-		if c.Loading() && c.Err() == nil && live[i].f == nil {
-			c.Failf("delay line entry %d has no flit", i)
-		}
-	}
-}
-
 // stateResponse codes a routing decision. The zero Response (port 0, no VCs)
 // is what an input VC holds before its head packet is routed.
-func (b *base) stateResponse(c *snapshot.Codec, r *routing.Response) {
-	c.Index(&r.Port, b.radix, "routing.Response.Port")
+func stateResponse(c *snapshot.Codec, r *routing.Response, ports, vcs int) {
+	c.Index(&r.Port, ports, "routing.Response.Port")
 	if c.Loading() {
 		r.VCs = nil // never write through a VC set aliased from the algorithm
 	}
 	snapshot.Slice(c, &r.VCs)
 	for i := range r.VCs {
-		c.Index(&r.VCs[i], b.vcs, "routing.Response.VCs")
+		c.Index(&r.VCs[i], vcs, "routing.Response.VCs")
 	}
 }
 
@@ -105,14 +80,29 @@ func (b *base) state(c *snapshot.Codec) {
 	c.U64(&b.flitsRouted)
 }
 
-func (iv *inputVC) state(c *snapshot.Codec, t *types.MessageTable, b *base) {
-	iv.q.state(c, t)
-	c.Int(&iv.routeState)
-	b.stateResponse(c, &iv.resp)
-	c.IndexOrNone(&iv.outPort, b.radix, "inputVC.outPort")
-	c.IndexOrNone(&iv.outVC, b.vcs, "inputVC.outVC")
+// collectFlights adds the messages with flits in the internal datapath.
+func (b *base) collectFlights(t *types.MessageTable) {
+	for _, fl := range b.dl.q[b.dl.head:] {
+		t.Add(fl.f.Pkt.Msg)
+	}
+}
+
+// stateFlights codes the internal datapath's delay line.
+func (b *base) stateFlights(c *snapshot.Codec, t *types.MessageTable) {
+	dl := &b.dl
+	c.Bool(&dl.scheduled)
+	live := dl.q[dl.head:]
+	snapshot.Slice(c, &live)
 	if c.Loading() {
-		iv.granted = false
+		dl.q, dl.head = live, 0
+	}
+	for i := range live {
+		snapshot.Uint(c, &live[i].at)
+		c.Index(&live[i].port, b.radix, "delay line output port")
+		t.Flit(c, &live[i].f)
+		if c.Loading() && c.Err() == nil && live[i].f == nil {
+			c.Failf("delay line entry %d has no flit", i)
+		}
 	}
 }
 
@@ -131,113 +121,4 @@ func stateIndices(c *snapshot.Codec, s []int, index func(p *int, bound int, what
 	for i := range s {
 		index(&s[i], bound, what)
 	}
-}
-
-func stateBools(c *snapshot.Codec, s []bool) {
-	for i := range s {
-		c.Bool(&s[i])
-	}
-}
-
-// stateAllocation codes the VC-allocation and crossbar-scheduling state the
-// IQ and IOQ pipelines share. holder and vcPending carry client numbers;
-// vcRotate only ever counts up and is used modulo the pending count, so a
-// negative one would index negatively.
-func stateAllocation(c *snapshot.Codec, clients int, holder [][]int, vcPending *[]int, vcRotate *int, sched []*xbarSched) {
-	for port := range holder {
-		stateIndices(c, holder[port], c.IndexOrNone, clients, "output VC holder")
-	}
-	snapshot.Slice(c, vcPending)
-	for i := range *vcPending {
-		c.Index(&(*vcPending)[i], clients, "vcPending")
-	}
-	c.Index(vcRotate, math.MaxInt, "vcRotate")
-	for _, sc := range sched {
-		sc.state(c, clients)
-	}
-}
-
-// Collect implements Stater for the IQ architecture.
-func (r *IQ) Collect(t *types.MessageTable) {
-	for i := range r.in {
-		r.in[i].q.collect(t)
-	}
-	r.dl.collect(t)
-}
-
-// State implements Stater for the IQ architecture.
-func (r *IQ) State(c *snapshot.Codec, t *types.MessageTable) {
-	r.base.state(c)
-	r.xbar.State(c)
-	r.dl.state(c, t, r.radix)
-	for i := range r.in {
-		r.in[i].state(c, t, &r.base)
-	}
-	stateAllocation(c, len(r.in), r.holder, &r.vcPending, &r.vcRotate, r.sched)
-	c.FixedLen(len(r.nextChanStart), "router channel-start slots")
-	for i := range r.nextChanStart {
-		snapshot.Uint(c, &r.nextChanStart[i])
-	}
-}
-
-// Collect implements Stater for the OQ architecture.
-func (r *OQ) Collect(t *types.MessageTable) {
-	for i := range r.in {
-		r.in[i].q.collect(t)
-	}
-	for i := range r.outQ {
-		r.outQ[i].collect(t)
-	}
-	r.dl.collect(t)
-}
-
-// State implements Stater for the OQ architecture.
-func (r *OQ) State(c *snapshot.Codec, t *types.MessageTable) {
-	r.base.state(c)
-	r.dl.state(c, t, r.radix)
-	for i := range r.in {
-		iv := &r.in[i]
-		iv.q.state(c, t)
-		c.Bool(&iv.routed)
-		r.stateResponse(c, &iv.resp)
-		c.IndexOrNone(&iv.outVC, r.vcs, "oqInput.outVC")
-	}
-	for i := range r.outQ {
-		r.outQ[i].state(c, t)
-	}
-	stateInts(c, r.outOcc, "output occupancy")
-	stateIndices(c, r.outOwner, c.IndexOrNone, len(r.in), "OQ.outOwner")
-	stateBools(c, r.outBusy)
-	stateIndices(c, r.outRR, c.Index, r.vcs, "OQ.outRR")
-	for i := range r.transfer {
-		snapshot.Uint(c, &r.transfer[i])
-	}
-}
-
-// Collect implements Stater for the IOQ architecture.
-func (r *IOQ) Collect(t *types.MessageTable) {
-	for i := range r.in {
-		r.in[i].q.collect(t)
-	}
-	for i := range r.outQ {
-		r.outQ[i].collect(t)
-	}
-	r.dl.collect(t)
-}
-
-// State implements Stater for the IOQ architecture.
-func (r *IOQ) State(c *snapshot.Codec, t *types.MessageTable) {
-	r.base.state(c)
-	r.xbar.State(c)
-	r.dl.state(c, t, r.radix)
-	for i := range r.in {
-		r.in[i].state(c, t, &r.base)
-	}
-	stateAllocation(c, len(r.in), r.holder, &r.vcPending, &r.vcRotate, r.sched)
-	for i := range r.outQ {
-		r.outQ[i].state(c, t)
-	}
-	stateInts(c, r.outOcc, "output occupancy")
-	stateBools(c, r.outBusy)
-	stateIndices(c, r.outRR, c.Index, r.vcs, "IOQ.outRR")
 }

@@ -24,15 +24,21 @@ const (
 )
 
 // base holds the plumbing common to all router architectures: ports,
-// virtual channels, clocks, downstream credit counters, the congestion
+// virtual channels, clocks, the input-buffer arrival checks, the
+// fixed-latency internal datapath, downstream credit counters, the congestion
 // sensor, and per-input-port routing engines.
 type base struct {
 	sim.ComponentBase
+	// self is the architecture embedding this base: the handler every event
+	// the shared code schedules is delivered to. Constructors set it.
+	self  sim.Handler
 	id    int
 	radix int
 	vcs   int
 
 	bufDepth   int
+	dl         delayLine // the internal datapath: flits between input buffer and output
+	dlEvent    int       // the architecture's event type for a dl completion
 	chanPeriod sim.Tick
 	coreClock  *sim.Clock
 
@@ -178,6 +184,55 @@ func (b *base) checkPort(port int) {
 	}
 }
 
+// Input VCs are numbered port-major; the number is the "client" the
+// allocators and schedulers arbitrate among.
+func (b *base) client(port, vc int) int   { return port*b.vcs + vc }
+func (b *base) clientPort(client int) int { return client / b.vcs }
+func (b *base) clientVC(client int) int   { return client % b.vcs }
+
+// arrivalClient applies the framework's error detection to an arriving
+// flit's address — the port exists and the VC is registered — and returns
+// its input client.
+//
+//sslint:hotpath
+func (b *base) arrivalClient(port int, f *types.Flit) int {
+	b.checkPort(port)
+	if f.VC < 0 || f.VC >= b.vcs {
+		b.Panicf("%v arrived on unregistered VC", f)
+	}
+	return b.client(port, f.VC)
+}
+
+// receive appends an arriving flit to its input buffer q, panicking on an
+// overrun: the sender spent a credit it did not have.
+//
+//sslint:hotpath
+func (b *base) receive(q *flitQueue, port int, f *types.Flit) {
+	if q.len() >= b.bufDepth {
+		b.Panicf("input buffer overrun on port %d vc %d", port, f.VC)
+	}
+	q.push(f)
+	b.bufLed[port].Arrive(f.VC)
+	b.tp.FlitBuffered(f.VC)
+}
+
+// schedulePipeline arms the architecture's pipeline event for the next core
+// clock edge, unless one is already pending.
+//
+//sslint:hotpath
+func (b *base) schedulePipeline() {
+	if b.pipelineScheduled {
+		return
+	}
+	now := b.Sim().Now()
+	t := sim.Time{Tick: b.coreClock.NextEdge(now.Tick), Eps: 1}
+	if !now.Before(t) {
+		t = sim.Time{Tick: b.coreClock.NextEdge(now.Tick + 1), Eps: 1}
+	}
+	b.pipelineScheduled = true
+	b.Sim().Schedule(b.self, t, evPipeline, nil)
+}
+
 // validateResponse applies the framework error detection to a routing
 // decision: the port must exist and be connected, and every VC must be
 // registered (in range).
@@ -214,6 +269,7 @@ func (b *base) takeDownstreamCredit(port, vc int) {
 //
 //sslint:hotpath
 func (b *base) returnDownstreamCredit(port, vc int) {
+	b.checkPort(port)
 	b.downCred[port][vc]++
 	if b.downCap[port] > 0 && b.downCred[port][vc] > b.downCap[port] {
 		b.Panicf("downstream credits exceeded capacity on port %d vc %d", port, vc)
@@ -222,19 +278,13 @@ func (b *base) returnDownstreamCredit(port, vc int) {
 	b.sensor.AddDownstream(b.Sim().Now().Tick, port, vc, -1)
 }
 
-// noteArrival records a flit entering an input buffer with the verifier's
-// buffer ledger; architectures call it from ReceiveFlit.
+// forwarded accounts for a flit that left a client's input buffer for its
+// output: the slot's credit goes back to the sender and the flit counts as
+// routed, in the router's own statistic and the telemetry registry.
 //
 //sslint:hotpath
-func (b *base) noteArrival(port, vc int) {
-	b.bufLed[port].Arrive(vc)
-	b.tp.FlitBuffered(vc)
-}
-
-// sendCreditUpstream releases one input buffer slot back to the sender.
-//
-//sslint:hotpath
-func (b *base) sendCreditUpstream(port, vc int) {
+func (b *base) forwarded(client int) {
+	port, vc := b.clientPort(client), b.clientVC(client)
 	cc := b.creditOut[port]
 	if cc == nil {
 		b.Panicf("no credit channel on input port %d", port)
@@ -242,39 +292,19 @@ func (b *base) sendCreditUpstream(port, vc int) {
 	b.bufLed[port].Free(vc)
 	b.tp.FlitUnbuffered(vc)
 	cc.Inject(types.Credit{VC: vc})
-}
-
-// noteRouted counts one flit forwarded, in both the router's own statistic
-// and the telemetry registry.
-//
-//sslint:hotpath
-func (b *base) noteRouted() {
 	b.flitsRouted++
 	b.tp.FlitRouted()
 }
 
-// noteAlloc reports one VC-allocation round to telemetry given the pending
-// client counts before and after the round.
-//
-//sslint:hotpath
-func (b *base) noteAlloc(before, after int) {
-	if before > 0 {
-		b.tp.Alloc(before-after, after)
-	}
-}
-
-// noteCreditStall counts one cycle in which a flit was ready but the
-// downstream credit pool was empty.
-//
-//sslint:hotpath
-func (b *base) noteCreditStall() { b.tp.CreditStall() }
-
 // FlitsRouted returns the number of flits this router has forwarded.
 func (b *base) FlitsRouted() uint64 { return b.flitsRouted }
 
-// verifyIdleCredits panics unless every connected output port has all of its
-// downstream credits back.
-func (b *base) verifyIdleCredits() {
+// verifyIdle panics unless the internal datapath is empty and every connected
+// output port has all of its downstream credits back.
+func (b *base) verifyIdle() {
+	if _, ok := b.dl.next(); ok {
+		b.Panicf("idle check: flits in flight between input and output")
+	}
 	for port := 0; port < b.radix; port++ {
 		if b.outCh[port] == nil || b.downCap[port] == 0 {
 			continue
@@ -286,118 +316,6 @@ func (b *base) verifyIdleCredits() {
 			}
 		}
 	}
-}
-
-// allocateVCs performs one cycle of output VC allocation shared by the IQ
-// and IOQ architectures. Pending clients (input VCs whose head packet has a
-// routing response) try to take a free output VC from their response's
-// registered set. Contention is resolved either by a rotating start offset
-// (round robin) or by packet age (oldest first). It returns the clients
-// still pending and whether any grant was made.
-//
-// scratch is caller-owned ordering storage with capacity for at least
-// len(pending) entries (routers size it to their input VC count once); grant
-// marks ride in the inputVC structs. The allocator itself never allocates —
-// it runs every core cycle on every router.
-// s, now and sp drive span recording: a grant whose head flit is tracked by
-// the span recorder closes that flit's vc_alloc segment, routed to s's shard
-// lane under a parallel engine. sp is nil when span recording is disabled
-// (then s may be nil too).
-//
-//sslint:hotpath
-func allocateVCs(s *sim.Simulator, now sim.Tick, sp *telemetry.Spans, pending, scratch []int, rotate int, ageOrder bool,
-	in []inputVC, holder [][]int, sched []*xbarSched) ([]int, bool) {
-	n := len(pending)
-	if n == 0 {
-		return pending, false
-	}
-	order := scratch[:n]
-	if ageOrder {
-		copy(order, pending)
-		// Insertion sort by age: pending lists are short.
-		for i := 1; i < n; i++ {
-			c := order[i]
-			a := in[c].q.peek().Pkt.Age()
-			j := i - 1
-			for j >= 0 && in[order[j]].q.peek().Pkt.Age() > a {
-				order[j+1] = order[j]
-				j--
-			}
-			order[j+1] = c
-		}
-	} else {
-		start := rotate % n
-		for i := range order {
-			order[i] = pending[(start+i)%n]
-		}
-	}
-	progress := false
-	for _, client := range order {
-		iv := &in[client]
-		for _, vc := range iv.resp.VCs {
-			if holder[iv.resp.Port][vc] == -1 {
-				holder[iv.resp.Port][vc] = client
-				iv.outPort, iv.outVC = iv.resp.Port, vc
-				sched[iv.resp.Port].addContender(client)
-				iv.granted = true
-				progress = true
-				if f := iv.q.peek(); sp.Tracked(f) {
-					// Arrival to VC grant: route computation plus the wait
-					// for a free output VC.
-					sp.Step(s, now, f, telemetry.SpanVCAlloc)
-				}
-				break
-			}
-		}
-	}
-	kept := pending[:0]
-	for _, client := range pending {
-		iv := &in[client]
-		if iv.granted {
-			iv.granted = false
-		} else {
-			//sslint:allow hotpath — appends into pending[:0], never past its original length
-			kept = append(kept, client)
-		}
-	}
-	return kept, progress
-}
-
-// holFromInputVC snapshots the head-of-line state of one input VC for the
-// architectures built on inputVC (IQ and IOQ). Architectures with output
-// queues overlay their queue occupancy on the result.
-func holFromInputVC(b *base, in []inputVC, holder [][]int, client int) HOLState {
-	iv := &in[client]
-	st := HOLState{Occupancy: iv.q.len(), OutPort: -1, OutVC: -1, WantPort: -1, HolderPort: -1, HolderVC: -1, OutDepth: -1}
-	f := iv.q.peek()
-	if f == nil {
-		st.Phase = HOLEmpty
-		return st
-	}
-	st.Flit = f
-	switch {
-	case iv.outVC >= 0:
-		st.Phase = HOLAllocated
-		st.OutPort, st.OutVC = iv.outPort, iv.outVC
-		st.Credits = b.downCred[iv.outPort][iv.outVC]
-		st.CreditCap = b.downCap[iv.outPort]
-	case iv.routeState == rsDone:
-		st.Phase = HOLAwaitingVC
-		st.WantPort = iv.resp.Port
-		st.WantVCs = iv.resp.VCs
-		for _, vc := range iv.resp.VCs {
-			if holder[iv.resp.Port][vc] == -1 {
-				// A wanted VC is free, so the wait is transient: a grant is
-				// due next allocation cycle. No holder to chain to.
-				return st
-			}
-		}
-		h := holder[iv.resp.Port][iv.resp.VCs[0]]
-		st.HolderPort, st.HolderVC = h/b.vcs, h%b.vcs
-	default:
-		st.Phase = HOLRouting
-	}
-	return st
 }
 
 // flight is one flit traversing a fixed-latency internal datapath (crossbar
@@ -417,6 +335,42 @@ type delayLine struct {
 	q         []flight
 	head      int
 	scheduled bool
+}
+
+// startFlight sends a flit down the internal datapath, to complete at tick
+// at, scheduling the completion event unless one is pending.
+//
+//sslint:hotpath
+func (b *base) startFlight(at sim.Tick, f *types.Flit, port int) {
+	b.dl.push(at, f, port)
+	if !b.dl.scheduled {
+		b.dl.scheduled = true
+		b.Sim().Schedule(b.self, sim.Time{Tick: at}, b.dlEvent, nil)
+	}
+}
+
+// landFlight pops the next traversal completing now. When none is left it
+// re-arms the completion event for the earliest later one and reports false;
+// the architecture's completion handler loops on it.
+//
+//sslint:hotpath
+func (b *base) landFlight() (flight, bool) {
+	now := b.Sim().Now().Tick
+	at, ok := b.dl.next()
+	if !ok {
+		b.dl.scheduled = false
+		return flight{}, false
+	}
+	if at > now {
+		b.Sim().Schedule(b.self, sim.Time{Tick: at}, b.dlEvent, nil)
+		return flight{}, false
+	}
+	fl := b.dl.pop()
+	if b.sp.Tracked(fl.f) {
+		// The traversal ends where the flit enters the channel or the output queue.
+		b.sp.Step(b.Sim(), now, fl.f, telemetry.SpanXbar)
+	}
+	return fl, true
 }
 
 // push appends a traversal; it panics if completion times go backwards.

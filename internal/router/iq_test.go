@@ -2,6 +2,7 @@ package router
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"supersim/internal/channel"
@@ -127,85 +128,153 @@ func TestIQForwardsPacketInOrder(t *testing.T) {
 	r.VerifyIdle()
 }
 
-func TestIQStallsWithoutDownstreamCredits(t *testing.T) {
-	// Disable the sink's automatic credit return to starve the router.
-	s, r, out, _ := buildLoneRouter(t, iqDoc, 2, 2)
-	out.creditC = nil
-	pushPacket(s, r, 4, 0, 10)
-	s.Run()
-	if len(out.flits) != 2 {
-		t.Fatalf("forwarded %d flits with 2 credits", len(out.flits))
-	}
-	// Returning credits resumes the stream.
-	back := channel.NewCredit(s, "late", 1)
-	back.SetSink(r, 1)
-	out.creditC = back
-	s.Schedule(sim.HandlerFunc(func(*sim.Event) {
-		r.ReceiveCredit(1, types.Credit{VC: out.flits[0].VC})
-		r.ReceiveCredit(1, types.Credit{VC: out.flits[0].VC})
-	}), sim.Time{Tick: s.Now().Tick + 1}, 0, nil)
-	s.Run()
-	if len(out.flits) != 4 {
-		t.Fatalf("forwarded %d flits after credit return", len(out.flits))
-	}
-	r.VerifyIdle()
+// archDoc is iqDoc for any registered architecture; each ignores the
+// settings it does not have.
+func archDoc(arch string) string {
+	return strings.Replace(iqDoc, "input_queued", arch, 1)
 }
 
-func TestIQInputBufferOverrunPanics(t *testing.T) {
-	s, r, _, _ := buildLoneRouter(t, iqDoc, 2, 0x7fffffff)
-	// 9 flits into an 8-deep buffer in one tick: the 9th must panic.
-	m := types.NewMessage(1, 0, 5, 9, 9, 9)
-	panicked := false
-	s.Schedule(sim.HandlerFunc(func(*sim.Event) {
-		defer func() { panicked = recover() != nil }()
-		for _, f := range m.Packets[0].Flits {
-			f.VC = 0
-			r.ReceiveFlit(0, f)
-		}
-	}), sim.Time{Tick: 1}, 0, nil)
-	s.Run()
-	if !panicked {
-		t.Fatal("expected buffer overrun panic")
+// forEachArch runs a subtest per registered router architecture: the
+// framework's error detection is shared code and must hold on all of them.
+func forEachArch(t *testing.T, fn func(t *testing.T, doc string)) {
+	for _, arch := range Registry.Names() {
+		t.Run(arch, func(t *testing.T) { fn(t, archDoc(arch)) })
 	}
 }
 
-func TestIQRejectsUnregisteredVC(t *testing.T) {
-	s, r, _, _ := buildLoneRouter(t, iqDoc, 2, 8)
-	m := types.NewMessage(1, 0, 5, 9, 1, 1)
-	m.Packets[0].Flits[0].VC = 7
-	panicked := false
-	s.Schedule(sim.HandlerFunc(func(*sim.Event) {
-		defer func() { panicked = recover() != nil }()
-		r.ReceiveFlit(0, m.Packets[0].Flits[0])
-	}), sim.Time{Tick: 1}, 0, nil)
-	s.Run()
-	if !panicked {
-		t.Fatal("expected unregistered VC panic")
-	}
-}
-
-func TestIQRoutingToUnusedPortRejected(t *testing.T) {
-	// Route to port 1 but leave it unconnected: validateResponse must panic.
-	s := sim.NewSimulator(1)
-	r := New(s, "r0", config.MustParse(iqDoc), Params{
-		ID: 0, Radix: 2, RoutingCtor: passCtor(2), ChannelPeriod: 1,
-	})
-	crs := &creditSink{}
-	cc := channel.NewCredit(s, "cr", 1)
-	cc.SetSink(crs, 0)
-	r.ConnectCreditOut(0, cc)
-	m := types.NewMessage(1, 0, 5, 9, 1, 1)
-	m.Packets[0].Flits[0].VC = 0
-	s.Schedule(sim.HandlerFunc(func(*sim.Event) {
-		r.ReceiveFlit(0, m.Packets[0].Flits[0])
-	}), sim.Time{Tick: 1}, 0, nil)
-	panicked := false
-	func() {
-		defer func() { panicked = recover() != nil }()
+func TestStallsWithoutDownstreamCredits(t *testing.T) {
+	forEachArch(t, func(t *testing.T, doc string) {
+		// Disable the sink's automatic credit return to starve the router.
+		s, r, out, _ := buildLoneRouter(t, doc, 2, 2)
+		out.creditC = nil
+		pushPacket(s, r, 4, 0, 10)
 		s.Run()
-	}()
-	if !panicked {
-		t.Fatal("expected unused-port rejection")
+		if len(out.flits) != 2 {
+			t.Fatalf("forwarded %d flits with 2 credits", len(out.flits))
+		}
+		// Returning credits resumes the stream.
+		back := channel.NewCredit(s, "late", 1)
+		back.SetSink(r, 1)
+		out.creditC = back
+		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
+			r.ReceiveCredit(1, types.Credit{VC: out.flits[0].VC})
+			r.ReceiveCredit(1, types.Credit{VC: out.flits[0].VC})
+		}), sim.Time{Tick: s.Now().Tick + 1}, 0, nil)
+		s.Run()
+		if len(out.flits) != 4 {
+			t.Fatalf("forwarded %d flits after credit return", len(out.flits))
+		}
+		r.VerifyIdle()
+	})
+}
+
+func TestInputBufferOverrunPanics(t *testing.T) {
+	forEachArch(t, func(t *testing.T, doc string) {
+		s, r, _, _ := buildLoneRouter(t, doc, 2, 0x7fffffff)
+		// 9 flits into an 8-deep buffer in one tick: the 9th must panic.
+		m := types.NewMessage(1, 0, 5, 9, 9, 9)
+		panicked := false
+		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
+			defer func() { panicked = recover() != nil }()
+			for _, f := range m.Packets[0].Flits {
+				f.VC = 0
+				r.ReceiveFlit(0, f)
+			}
+		}), sim.Time{Tick: 1}, 0, nil)
+		s.Run()
+		if !panicked {
+			t.Fatal("expected buffer overrun panic")
+		}
+	})
+}
+
+func TestRejectsUnregisteredVC(t *testing.T) {
+	forEachArch(t, func(t *testing.T, doc string) {
+		s, r, _, _ := buildLoneRouter(t, doc, 2, 8)
+		m := types.NewMessage(1, 0, 5, 9, 1, 1)
+		m.Packets[0].Flits[0].VC = 7
+		panicked := false
+		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
+			defer func() { panicked = recover() != nil }()
+			r.ReceiveFlit(0, m.Packets[0].Flits[0])
+		}), sim.Time{Tick: 1}, 0, nil)
+		s.Run()
+		if !panicked {
+			t.Fatal("expected unregistered VC panic")
+		}
+	})
+}
+
+func TestRoutingToUnusedPortRejected(t *testing.T) {
+	forEachArch(t, func(t *testing.T, doc string) {
+		// Route to port 1 but leave it unconnected: validateResponse must panic.
+		s := sim.NewSimulator(1)
+		r := New(s, "r0", config.MustParse(doc), Params{
+			ID: 0, Radix: 2, RoutingCtor: passCtor(2), ChannelPeriod: 1,
+		})
+		crs := &creditSink{}
+		cc := channel.NewCredit(s, "cr", 1)
+		cc.SetSink(crs, 0)
+		r.ConnectCreditOut(0, cc)
+		m := types.NewMessage(1, 0, 5, 9, 1, 1)
+		m.Packets[0].Flits[0].VC = 0
+		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
+			r.ReceiveFlit(0, m.Packets[0].Flits[0])
+		}), sim.Time{Tick: 1}, 0, nil)
+		panicked := false
+		func() {
+			defer func() { panicked = recover() != nil }()
+			s.Run()
+		}()
+		if !panicked {
+			t.Fatal("expected unused-port rejection")
+		}
+	})
+}
+
+// TestPacketBufferOversizePacketPanics: under packet_buffer flow control a
+// head only wins the switch when its whole packet fits the pool it is sent
+// into. A packet larger than the pool can never win; the router must say so
+// when it routes the head instead of wedging silently.
+func TestPacketBufferOversizePacketPanics(t *testing.T) {
+	pb := func(arch, extra string) string {
+		return strings.Replace(archDoc(arch), "{", `{"flow_control": "packet_buffer",`+extra, 1)
+	}
+	cases := []struct {
+		name        string
+		doc         string
+		downCredits int
+		want        string // substring of the panic, "" = the packet must get through
+	}{
+		{"iq packet > downstream credits", pb("input_queued", ""), 3, "input_buffer_depth"},
+		{"iq packet = downstream credits", pb("input_queued", ""), 4, ""},
+		{"ioq packet > output_queue_depth", pb("input_output_queued", `"output_queue_depth": 3,`), 8, "output_queue_depth"},
+		{"ioq packet = output_queue_depth", pb("input_output_queued", `"output_queue_depth": 4,`), 8, ""},
+		{"ioq unbounded output queue", pb("input_output_queued", `"output_queue_depth": 0,`), 1, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, r, out, _ := buildLoneRouter(t, tc.doc, 2, tc.downCredits)
+			pushPacket(s, r, 4, 0, 10)
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				s.Run()
+			}()
+			if tc.want == "" {
+				if got != nil || len(out.flits) != 4 {
+					t.Fatalf("panic %v, forwarded %d of 4 flits; want the packet through", got, len(out.flits))
+				}
+				r.VerifyIdle()
+				return
+			}
+			msg, _ := got.(string)
+			for _, part := range []string{"packet_buffer", "4 flits", "more than 3", tc.want} {
+				if !strings.Contains(msg, part) {
+					t.Fatalf("panic %q does not mention %q", msg, part)
+				}
+			}
+		})
 	}
 }
 

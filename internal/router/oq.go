@@ -4,6 +4,7 @@ import (
 	"supersim/internal/config"
 	"supersim/internal/routing"
 	"supersim/internal/sim"
+	"supersim/internal/snapshot"
 	"supersim/internal/telemetry"
 	"supersim/internal/types"
 )
@@ -31,41 +32,32 @@ type oqInput struct {
 // architecture to simulate.
 type OQ struct {
 	base
-	queueLat  sim.Tick // input-queue to output-queue transfer latency
-	outDepth  int      // per (port, vc); 0 = infinite
-	chanClock *sim.Clock
+	queueLat sim.Tick // input-queue to output-queue transfer latency
 
-	dl       delayLine
 	in       []oqInput
-	outQ     []flitQueue // [port*vcs+vc]
-	outOcc   []int       // reserved occupancy incl. in-flight transfers
-	outOwner []int       // [port*vcs+vc] input client streaming a packet, -1
-	outBusy  []bool      // per port: drain event scheduled
-	outRR    []int       // per port: round robin VC pointer
-	transfer []sim.Tick  // per client: tick of last transfer (rate limit)
+	out      outputStage
+	outOwner []int      // [port*vcs+vc] input client streaming a packet, -1
+	transfer []sim.Tick // per client: tick of last transfer (rate limit)
 }
 
 // NewOQ builds an output-queued router from its settings block.
 func NewOQ(s *sim.Simulator, name string, cfg *config.Settings, p Params) *OQ {
 	r := &OQ{base: newBase(s, name, cfg, p)}
+	r.self = r
+	r.dlEvent = evTransferArrive
 	r.queueLat = sim.Tick(cfg.UIntOr("queue_latency", 1))
 	if r.queueLat < 1 {
 		r.Panicf("queue_latency must be at least one tick")
 	}
-	r.outDepth = int(cfg.UIntOr("output_queue_depth", 0))
-	r.chanClock = sim.NewClock(r.chanPeriod, 0)
+	r.out = newOutputStage(&r.base, int(cfg.UIntOr("output_queue_depth", 0)))
 	r.in = make([]oqInput, r.radix*r.vcs)
 	for i := range r.in {
 		r.in[i].outVC = -1
 	}
-	r.outQ = make([]flitQueue, r.radix*r.vcs)
-	r.outOcc = make([]int, r.radix*r.vcs)
 	r.outOwner = make([]int, r.radix*r.vcs)
 	for i := range r.outOwner {
 		r.outOwner[i] = -1
 	}
-	r.outBusy = make([]bool, r.radix)
-	r.outRR = make([]int, r.radix)
 	r.transfer = make([]sim.Tick, r.radix*r.vcs)
 	for i := range r.transfer {
 		r.transfer[i] = ^sim.Tick(0)
@@ -73,55 +65,14 @@ func NewOQ(s *sim.Simulator, name string, cfg *config.Settings, p Params) *OQ {
 	return r
 }
 
-func (r *OQ) client(port, vc int) int { return port*r.vcs + vc }
-
 // ReceiveFlit accepts a flit from an input channel.
 func (r *OQ) ReceiveFlit(port int, f *types.Flit) {
-	r.checkPort(port)
-	if f.VC < 0 || f.VC >= r.vcs {
-		r.Panicf("%v arrived on unregistered VC", f)
-	}
-	iv := &r.in[r.client(port, f.VC)]
-	if iv.q.len() >= r.bufDepth {
-		r.Panicf("input buffer overrun on port %d vc %d", port, f.VC)
-	}
-	iv.q.push(f)
-	r.noteArrival(port, f.VC)
+	r.receive(&r.in[r.arrivalClient(port, f)].q, port, f)
 	r.schedulePipeline()
 }
 
 // ReceiveCredit accepts a downstream credit for an output port.
-func (r *OQ) ReceiveCredit(port int, c types.Credit) {
-	r.checkPort(port)
-	r.returnDownstreamCredit(port, c.VC)
-	r.scheduleOutput(port)
-}
-
-func (r *OQ) schedulePipeline() {
-	if r.pipelineScheduled {
-		return
-	}
-	now := r.Sim().Now()
-	t := sim.Time{Tick: r.coreClock.NextEdge(now.Tick), Eps: 1}
-	if !now.Before(t) {
-		t = sim.Time{Tick: r.coreClock.NextEdge(now.Tick + 1), Eps: 1}
-	}
-	r.pipelineScheduled = true
-	r.Sim().Schedule(r, t, evPipeline, nil)
-}
-
-func (r *OQ) scheduleOutput(port int) {
-	if r.outBusy[port] {
-		return
-	}
-	now := r.Sim().Now()
-	t := sim.Time{Tick: r.chanClock.NextEdge(now.Tick), Eps: 2}
-	if !now.Before(t) {
-		t = sim.Time{Tick: r.chanClock.NextEdge(now.Tick + 1), Eps: 2}
-	}
-	r.outBusy[port] = true
-	r.Sim().Schedule(r, t, evOutput, port)
-}
+func (r *OQ) ReceiveCredit(port int, c types.Credit) { r.out.receiveCredit(port, c) }
 
 // ProcessEvent dispatches the router's events.
 func (r *OQ) ProcessEvent(ev *sim.Event) {
@@ -130,11 +81,11 @@ func (r *OQ) ProcessEvent(ev *sim.Event) {
 		r.pipelineScheduled = false
 		r.pipeline()
 	case evTransferArrive:
-		r.drainFlights()
+		for fl, ok := r.landFlight(); ok; fl, ok = r.landFlight() {
+			r.out.accept(fl.port, fl.f)
+		}
 	case evOutput:
-		port := ev.Context.(int)
-		r.outBusy[port] = false
-		r.drain(port)
+		r.out.drain(ev.Context.(int))
 	default:
 		r.Panicf("unknown event type %d", ev.Type)
 	}
@@ -173,7 +124,7 @@ func (r *OQ) pipeline() {
 				if r.outOwner[qi] != -1 {
 					continue
 				}
-				if occ := r.outOcc[qi]; best == -1 || occ < bestOcc {
+				if occ := r.out.outOcc[qi]; best == -1 || occ < bestOcc {
 					best, bestOcc = vc, occ
 				}
 			}
@@ -184,7 +135,7 @@ func (r *OQ) pipeline() {
 			r.outOwner[r.client(iv.resp.Port, best)] = clientIdx
 		}
 		out := r.client(iv.resp.Port, iv.outVC)
-		if r.outDepth > 0 && r.outOcc[out] >= r.outDepth {
+		if !r.out.hasRoom(out, 1) {
 			continue // output queue full; drain will wake us
 		}
 		// Transfer one flit.
@@ -199,12 +150,10 @@ func (r *OQ) pipeline() {
 		if f.Head {
 			f.Pkt.HopCount++
 		}
-		r.outOcc[out]++
-		r.sensor.AddOutput(now, iv.resp.Port, iv.outVC, 1)
-		r.sendCreditUpstream(clientIdx/r.vcs, clientIdx%r.vcs)
+		r.out.reserve(now, iv.resp.Port, iv.outVC)
+		r.forwarded(clientIdx)
 		r.transfer[clientIdx] = now
-		r.noteRouted()
-		r.pushFlight(now+r.queueLat, f, iv.resp.Port)
+		r.startFlight(now+r.queueLat, f, iv.resp.Port)
 		if f.Tail {
 			r.outOwner[out] = -1
 			iv.routed = false
@@ -218,82 +167,6 @@ func (r *OQ) pipeline() {
 	}
 }
 
-// pushFlight enqueues a queue-to-queue transfer, arming the delay line.
-func (r *OQ) pushFlight(at sim.Tick, f *types.Flit, port int) {
-	r.dl.push(at, f, port)
-	if !r.dl.scheduled {
-		r.dl.scheduled = true
-		r.Sim().Schedule(r, sim.Time{Tick: at}, evTransferArrive, nil)
-	}
-}
-
-// drainFlights moves every transfer completing now into its output queue.
-func (r *OQ) drainFlights() {
-	now := r.Sim().Now().Tick
-	for {
-		at, ok := r.dl.next()
-		if !ok {
-			r.dl.scheduled = false
-			return
-		}
-		if at > now {
-			r.Sim().Schedule(r, sim.Time{Tick: at}, evTransferArrive, nil)
-			return
-		}
-		fl := r.dl.pop()
-		if r.sp.Tracked(fl.f) {
-			// Queue-to-queue transfer ends at output-queue entry.
-			r.sp.Step(r.Sim(), now, fl.f, telemetry.SpanXbar)
-		}
-		r.outQ[r.client(fl.port, fl.f.VC)].push(fl.f)
-		r.scheduleOutput(fl.port)
-	}
-}
-
-// drain sends one flit from the port's output queues to the channel, round
-// robin across VCs that have both a flit and a downstream credit.
-func (r *OQ) drain(port int) {
-	now := r.Sim().Now().Tick
-	sent := false
-	for i := 0; i < r.vcs; i++ {
-		vc := (r.outRR[port] + i) % r.vcs
-		qi := r.client(port, vc)
-		if r.outQ[qi].len() == 0 {
-			continue
-		}
-		if r.downCred[port][vc] < 1 {
-			r.noteCreditStall()
-			continue
-		}
-		f := r.outQ[qi].pop()
-		if r.sp.Tracked(f) {
-			// Output-queue residency: the wait for downstream credits.
-			r.sp.Step(r.Sim(), now, f, telemetry.SpanOutput)
-		}
-		r.takeDownstreamCredit(port, vc)
-		r.outOcc[qi]--
-		if r.outOcc[qi] < 0 {
-			r.Panicf("output queue occupancy went negative on port %d vc %d", port, vc)
-		}
-		r.sensor.AddOutput(now, port, vc, -1)
-		r.outCh[port].Inject(f)
-		r.outRR[port] = (vc + 1) % r.vcs
-		sent = true
-		break
-	}
-	if sent {
-		// A slot freed: blocked inputs may proceed, and more flits may be
-		// waiting to drain.
-		r.schedulePipeline()
-		for vc := 0; vc < r.vcs; vc++ {
-			if r.outQ[r.client(port, vc)].len() > 0 {
-				r.scheduleOutput(port)
-				break
-			}
-		}
-	}
-}
-
 // HOL reports the head-of-line state of one input VC for the stall
 // diagnostician. The OQ architecture has no VC-allocation pipeline; a routed
 // head without an output VC waits for an unowned output queue, and its
@@ -301,7 +174,7 @@ func (r *OQ) drain(port int) {
 // wanted queues.
 func (r *OQ) HOL(port, vc int) HOLState {
 	iv := &r.in[r.client(port, vc)]
-	st := HOLState{Occupancy: iv.q.len(), OutPort: -1, OutVC: -1, WantPort: -1, HolderPort: -1, HolderVC: -1, OutDepth: r.outDepth}
+	st := HOLState{Occupancy: iv.q.len(), OutPort: -1, OutVC: -1, WantPort: -1, HolderPort: -1, HolderVC: -1, OutDepth: r.out.outDepth}
 	f := iv.q.peek()
 	if f == nil {
 		st.Phase = HOLEmpty
@@ -312,10 +185,9 @@ func (r *OQ) HOL(port, vc int) HOLState {
 	case iv.outVC >= 0:
 		st.Phase = HOLAllocated
 		st.OutPort, st.OutVC = iv.resp.Port, iv.outVC
-		qi := r.client(iv.resp.Port, iv.outVC)
 		st.Credits = r.downCred[iv.resp.Port][iv.outVC]
 		st.CreditCap = r.downCap[iv.resp.Port]
-		st.OutQueued = r.outOcc[qi]
+		st.OutQueued = r.out.outOcc[r.client(iv.resp.Port, iv.outVC)]
 	case iv.routed:
 		st.Phase = HOLAwaitingVC
 		st.WantPort = iv.resp.Port
@@ -336,21 +208,43 @@ func (r *OQ) HOL(port, vc int) HOLState {
 // VerifyIdle implements the post-drain quiescence check.
 func (r *OQ) VerifyIdle() {
 	for client := range r.in {
-		if r.in[client].q.len() != 0 {
-			r.Panicf("idle check: input VC %d holds %d flits", client, r.in[client].q.len())
+		if n := r.in[client].q.len(); n != 0 {
+			r.Panicf("idle check: input VC %d holds %d flits", client, n)
 		}
 	}
-	for i := range r.outQ {
-		if r.outQ[i].len() != 0 || r.outOcc[i] != 0 {
-			r.Panicf("idle check: output queue %d holds %d flits (occ %d)",
-				i, r.outQ[i].len(), r.outOcc[i])
-		}
-		if r.outOwner[i] != -1 {
-			r.Panicf("idle check: output queue %d owned by client %d", i, r.outOwner[i])
+	r.out.verifyIdle()
+	for i, owner := range r.outOwner {
+		if owner != -1 {
+			r.Panicf("idle check: output queue %d owned by client %d", i, owner)
 		}
 	}
-	if _, ok := r.dl.next(); ok {
-		r.Panicf("idle check: transfers in flight")
+	r.verifyIdle()
+}
+
+// Collect implements Stater.
+func (r *OQ) Collect(t *types.MessageTable) {
+	for i := range r.in {
+		r.in[i].q.collect(t)
 	}
-	r.verifyIdleCredits()
+	r.out.collect(t)
+	r.collectFlights(t)
+}
+
+// State implements Stater.
+func (r *OQ) State(c *snapshot.Codec, t *types.MessageTable) {
+	r.base.state(c)
+	r.stateFlights(c, t)
+	for i := range r.in {
+		iv := &r.in[i]
+		iv.q.state(c, t)
+		c.Bool(&iv.routed)
+		stateResponse(c, &iv.resp, r.radix, r.vcs)
+		c.IndexOrNone(&iv.outVC, r.vcs, "oqInput.outVC")
+	}
+	r.out.stateQueues(c, t)
+	stateIndices(c, r.outOwner, c.IndexOrNone, len(r.in), "OQ.outOwner")
+	r.out.stateDrain(c)
+	for i := range r.transfer {
+		snapshot.Uint(c, &r.transfer[i])
+	}
 }

@@ -1,10 +1,13 @@
 // Package router implements the router microarchitecture models: the
 // idealistic output-queued (OQ) architecture, the input-queued (IQ)
 // architecture, and the combined input-output-queued (IOQ) architecture.
-// All three are assembled from common building blocks — input queues, credit
-// counters, crossbars, crossbar schedulers with configurable flow control
-// (flit-buffer, packet-buffer, winner-take-all), VC schedulers and
-// congestion sensors — and are configured entirely through JSON settings.
+// All three are assembled from two stages over common plumbing (base: ports,
+// credit counters, congestion sensor): inputStage, the input-queued
+// front end — routing, VC scheduler, crossbar scheduler with configurable
+// flow control (flit-buffer, packet-buffer, winner-take-all), crossbar — and
+// outputStage, the output-queue back end. IQ is inputStage alone, IOQ is
+// inputStage feeding outputStage, OQ is its own conflict-free transfer
+// feeding outputStage. All are configured entirely through JSON settings.
 package router
 
 import (

@@ -291,67 +291,69 @@ func TestParseFlowControlAndPolicies(t *testing.T) {
 	mustPanic(t, func() { parseVCPolicy(config.MustParse(`{"vc_policy": "x"}`)) })
 }
 
-func TestAllocateVCsGrantsFreeVCs(t *testing.T) {
-	in := make([]inputVC, 4)
-	for i := range in {
-		in[i].outPort, in[i].outVC = -1, -1
+// allocStage is a bare front end for the allocateVCs tests: input VCs with
+// no allocation, the given output VC holders, one scheduler per output port,
+// and the listed clients pending.
+func allocStage(clients int, holder [][]int, pending ...int) *inputStage {
+	s := &inputStage{in: make([]inputVC, clients), holder: holder, vcPending: pending, vcOrder: make([]int, clients)}
+	for i := range s.in {
+		s.in[i].outPort, s.in[i].outVC = -1, -1
 	}
-	holder := [][]int{{-1, -1}} // 1 port, 2 VCs
-	sched := []*xbarSched{newXbarSched(FlitBuffer, polRoundRobin, nil)}
+	for range holder {
+		s.sched = append(s.sched, newXbarSched(FlitBuffer, polRoundRobin, nil))
+	}
+	return s
+}
+
+func TestAllocateVCsGrantsFreeVCs(t *testing.T) {
+	s := allocStage(4, [][]int{{-1, -1}}, 0, 1) // 1 port, 2 VCs
 	// Clients 0 and 1 both want port 0; two VCs available -> both granted.
 	for _, c := range []int{0, 1} {
 		m := types.NewMessage(uint64(c), 0, 0, 1, 1, 1)
-		in[c].q.push(m.Packets[0].Flits[0])
-		in[c].resp.Port = 0
-		in[c].resp.VCs = []int{0, 1}
+		s.in[c].q.push(m.Packets[0].Flits[0])
+		s.in[c].resp.Port = 0
+		s.in[c].resp.VCs = []int{0, 1}
 	}
-	kept, progress := allocateVCs(nil, 0, nil, []int{0, 1}, make([]int, 2), 0, false, in, holder, sched)
-	if !progress || len(kept) != 0 {
-		t.Fatalf("kept=%v progress=%v", kept, progress)
+	if progress := s.allocateVCs(0); !progress || len(s.vcPending) != 0 {
+		t.Fatalf("kept=%v progress=%v", s.vcPending, progress)
 	}
-	if in[0].outVC == in[1].outVC {
+	if s.in[0].outVC == s.in[1].outVC {
 		t.Fatal("two clients granted the same output VC")
 	}
-	if holder[0][in[0].outVC] != 0 || holder[0][in[1].outVC] != 1 {
+	if s.holder[0][s.in[0].outVC] != 0 || s.holder[0][s.in[1].outVC] != 1 {
 		t.Fatal("holder bookkeeping wrong")
 	}
 }
 
 func TestAllocateVCsBlocksWhenFull(t *testing.T) {
-	in := make([]inputVC, 2)
-	holder := [][]int{{5}} // VC held by client 5
-	sched := []*xbarSched{newXbarSched(FlitBuffer, polRoundRobin, nil)}
+	s := allocStage(2, [][]int{{5}}, 0) // VC held by client 5
 	m := types.NewMessage(1, 0, 0, 1, 1, 1)
-	in[0].q.push(m.Packets[0].Flits[0])
-	in[0].resp.Port = 0
-	in[0].resp.VCs = []int{0}
-	in[0].outVC = -1
-	kept, progress := allocateVCs(nil, 0, nil, []int{0}, make([]int, 1), 0, false, in, holder, sched)
-	if progress || len(kept) != 1 {
-		t.Fatalf("kept=%v progress=%v, want blocked", kept, progress)
+	s.in[0].q.push(m.Packets[0].Flits[0])
+	s.in[0].resp.Port = 0
+	s.in[0].resp.VCs = []int{0}
+	if progress := s.allocateVCs(0); progress || len(s.vcPending) != 1 {
+		t.Fatalf("kept=%v progress=%v, want blocked", s.vcPending, progress)
 	}
 }
 
 func TestAllocateVCsAgeOrder(t *testing.T) {
 	// One free VC, two waiting clients; the older packet must win
 	// regardless of list order.
-	in := make([]inputVC, 2)
-	holder := [][]int{{-1}}
-	sched := []*xbarSched{newXbarSched(FlitBuffer, polRoundRobin, nil)}
+	s := allocStage(2, [][]int{{-1}}, 0, 1)
+	s.vcAgeOrder = true
 	for c := 0; c < 2; c++ {
 		m := types.NewMessage(uint64(c), 0, 0, 1, 1, 1)
 		m.CreateTime = sim.Tick(100 - c*50) // client 1 is older
-		in[c].q.push(m.Packets[0].Flits[0])
-		in[c].resp.Port = 0
-		in[c].resp.VCs = []int{0}
-		in[c].outVC = -1
+		s.in[c].q.push(m.Packets[0].Flits[0])
+		s.in[c].resp.Port = 0
+		s.in[c].resp.VCs = []int{0}
 	}
-	kept, _ := allocateVCs(nil, 0, nil, []int{0, 1}, make([]int, 2), 0, true, in, holder, sched)
-	if holder[0][0] != 1 {
-		t.Fatalf("holder = %d, want older client 1", holder[0][0])
+	s.allocateVCs(0)
+	if s.holder[0][0] != 1 {
+		t.Fatalf("holder = %d, want older client 1", s.holder[0][0])
 	}
-	if len(kept) != 1 || kept[0] != 0 {
-		t.Fatalf("kept = %v", kept)
+	if len(s.vcPending) != 1 || s.vcPending[0] != 0 {
+		t.Fatalf("kept = %v", s.vcPending)
 	}
 }
 

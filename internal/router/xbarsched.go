@@ -77,12 +77,6 @@ func parseVCPolicy(cfg *config.Settings) bool {
 	}
 }
 
-func schedFromConfig(cfg *config.Settings, rng *rand.Rand) func() *xbarSched {
-	mode := ParseFlowControl(cfg.StringOr("flow_control", "flit_buffer"))
-	pol := parsePolicy(cfg.StringOr("crossbar_policy", "round_robin"))
-	return func() *xbarSched { return newXbarSched(mode, pol, rng) }
-}
-
 // xbarSched is the per-output-port crossbar scheduler. Contenders are input
 // VC client indices that have been allocated an output VC on this port; the
 // scheduler picks at most one winner per core cycle, honoring the flow
