@@ -18,8 +18,8 @@
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  simulation-after-import harness, cross-worker restores,
 #                  byte-exact snapshot round-trips and the pinned v1 bytes
-#   make fuzz    - short live fuzzing session on the config parsers and the
-#                  event-order model
+#   make fuzz    - short live fuzzing session on the config parsers, the
+#                  event-order model and the transaction-log parser
 #   make bench   - the paper's table/figure benchmark suite with -benchmem
 #   make micro   - the standalone hot-structure micro-benchmarks
 #   make sweep-smoke - fleet-observability smoke: a tiny two-point sweep with
@@ -39,8 +39,14 @@
 #                  scale 1 only, by the benchmark itself
 #   make bench-guard - allocation-regression guard: BenchmarkFigure5 (and the
 #                  explicit workers=1 path) with telemetry disabled must stay
-#                  under the ceiling committed in bench_ceiling.txt; also
-#                  reports the traced workers=2 path informationally
+#                  under the allocs/op and B/op ceilings committed in
+#                  bench_ceiling.txt; also reports the traced workers=2 path
+#                  informationally
+#   make bench-set OUT=BENCH_<pr>.json [REPS=5] - the host-speed benchmark's
+#                  result set for every workload, with the machine line, for
+#                  committing beside the PR that claims or risks a hot path
+#   make bench-compare A=BENCH_<prev>.json B=BENCH_<pr>.json - the two sets
+#                  side by side (paths relative to the repository root)
 #   make bench-guard-spans - the guard plus an informational run of the
 #                  span-instrumented BenchmarkFigure5Spans (never enforced)
 #   make bench-parallel - the Figure 5 transient at -workers 1/2/4 on the
@@ -49,7 +55,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-rules test race cover fuzz ci test-import-export bench micro bench-smoke bench-guard bench-guard-spans bench-parallel sweep-smoke
+.PHONY: all build vet lint lint-rules test race cover fuzz ci test-import-export bench micro bench-smoke bench-set bench-compare bench-guard bench-guard-spans bench-parallel sweep-smoke
 
 all: ci
 
@@ -97,6 +103,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzSettingsOverride -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/ssparse
 
 # Checkpoint/restore equivalence: the simulation-after-import harness (all
 # golden topologies, serial and sharded), the cross-worker restore matrix,
@@ -117,6 +124,16 @@ ci: build vet lint cover race test-import-export bench-smoke bench-guard sweep-s
 # measured.
 bench-smoke:
 	$(GO) test -C benchmark ./...
+
+# The committed trajectory (ROADMAP 4(b)): one result set per PR, and the
+# comparison of two of them. The benchmark runs in benchmark/, so paths are
+# made absolute here.
+REPS ?= 5
+bench-set:
+	$(GO) run -C benchmark . -reps $(REPS) -out $(abspath $(OUT))
+
+bench-compare:
+	$(GO) run -C benchmark . -compare $(abspath $(A)) $(abspath $(B))
 
 # Fleet-observability smoke: the sweep→journal→manifest→parse→plot→dashboard
 # pipeline end-to-end. See scripts/sweep_smoke.sh.

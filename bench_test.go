@@ -349,8 +349,9 @@ func BenchmarkAblationArbiter(b *testing.B) {
 			b.Fatal(err)
 		}
 		counts := map[int]int{}
-		for _, s := range sm.Workload.App(0).(stats.Provider).Stats().Samples() {
-			counts[s.Src]++
+		rec := sm.Workload.App(0).(stats.Provider).Stats()
+		for i := 0; i < rec.Count(); i++ {
+			counts[rec.At(i).Src]++
 		}
 		if counts[1] == 0 {
 			return 0

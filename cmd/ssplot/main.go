@@ -114,7 +114,7 @@ func run(plot, csvPath string, binWidth uint64, width, height int, args []string
 	case "timeseries":
 		bw := binWidth
 		if bw == 0 {
-			span := rec.Samples()[len(rec.Samples())-1].End - rec.Samples()[0].End
+			span := rec.At(rec.Count()-1).End - rec.At(0).End
 			bw = uint64(span/40) + 1
 		}
 		series = ssplot.Series{Label: "mean latency", XY: rec.TimeSeries(bw)}

@@ -62,6 +62,10 @@ func TestRunWithCSVAndFilter(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	p := writeLog(t)
+	inverted := filepath.Join(t.TempDir(), "inverted.log")
+	if err := os.WriteFile(inverted, []byte("M 0 0 1 2 100 50 1 1 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		kind string
 		args []string
@@ -72,6 +76,7 @@ func TestRunErrors(t *testing.T) {
 		{"cdf", []string{p, p}},            // two files
 		{"cdf", []string{p, "+app=9"}},     // empty after filters
 		{"cdf", []string{"/no/such/file"}}, // missing file
+		{"cdf", []string{inverted}},        // received before sent: an error, not Record's panic
 	}
 	for _, c := range cases {
 		if err := run(c.kind, "", 0, 40, 10, c.args); err == nil {

@@ -416,7 +416,7 @@ func run(cfgPath string, overrides []string, o runOpts) error {
 			}
 		}
 		if logFile != nil {
-			if err := ssparse.Write(logFile, rec.Samples()); err != nil {
+			if err := ssparse.Write(logFile, rec); err != nil {
 				return err
 			}
 		}

@@ -52,8 +52,9 @@ func run(policy string) map[int]int {
 		log.Fatal(err)
 	}
 	counts := map[int]int{}
-	for _, s := range sm.Workload.App(0).(stats.Provider).Stats().Samples() {
-		counts[s.Src]++
+	rec := sm.Workload.App(0).(stats.Provider).Stats()
+	for i := 0; i < rec.Count(); i++ {
+		counts[rec.At(i).Src]++
 	}
 	return counts
 }

@@ -30,7 +30,7 @@ func runForSamples(t *testing.T, doc string, overrides []string) (sampleLog []by
 	}
 	blast := sm.Workload.App(0).(*apps.Blast)
 	var buf bytes.Buffer
-	if err := ssparse.Write(&buf, blast.Stats().Samples()); err != nil {
+	if err := ssparse.Write(&buf, blast.Stats()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), sm.Verify.Injected(), sm.Verify.Retired(), sm

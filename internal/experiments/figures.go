@@ -64,7 +64,8 @@ func Figure5(opts Options) Figure5Result {
 	}
 	// The pulse window is bracketed by its own samples.
 	first, last := sim.Tick(0), sim.Tick(0)
-	for i, s := range pulse.Stats().Samples() {
+	for i, rec := 0, pulse.Stats(); i < rec.Count(); i++ {
+		s := rec.At(i)
 		if i == 0 || s.Start < first {
 			first = s.Start
 		}

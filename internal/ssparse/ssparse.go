@@ -24,10 +24,11 @@ import (
 	"supersim/internal/stats"
 )
 
-// Write emits the transaction log for a set of samples.
-func Write(w io.Writer, samples []stats.Sample) error {
+// Write emits the transaction log for a recorder's samples.
+func Write(w io.Writer, rec *stats.Recorder) error {
 	bw := bufio.NewWriter(w)
-	for i, s := range samples {
+	for i := 0; i < rec.Count(); i++ {
+		s := rec.At(i)
 		nonmin := 0
 		if s.NonMinimal {
 			nonmin = 1
@@ -40,7 +41,8 @@ func Write(w io.Writer, samples []stats.Sample) error {
 	return bw.Flush()
 }
 
-// Parse reads a transaction log back into samples.
+// Parse reads a transaction log back into samples. Every sample it returns
+// passes stats.Sample.Check, so Apply can record it.
 func Parse(r io.Reader) ([]stats.Sample, error) {
 	var out []stats.Sample
 	sc := bufio.NewScanner(r)
@@ -67,11 +69,15 @@ func Parse(r io.Reader) ([]stats.Sample, error) {
 			}
 			n[i-1] = v
 		}
-		out = append(out, stats.Sample{
+		s := stats.Sample{
 			App: int(n[1]), Src: int(n[2]), Dst: int(n[3]),
 			Start: sim.Tick(n[4]), End: sim.Tick(n[5]),
 			Flits: int(n[6]), Hops: int(n[7]), NonMinimal: n[8] != 0,
-		})
+		}
+		if err := s.Check(); err != nil {
+			return nil, fmt.Errorf("ssparse: line %d: %v", lineNo, err)
+		}
+		out = append(out, s)
 	}
 	return out, sc.Err()
 }

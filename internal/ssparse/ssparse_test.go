@@ -2,6 +2,7 @@ package ssparse
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func fixture() []stats.Sample {
 
 func TestWriteParseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, fixture()); err != nil {
+	if err := Write(&buf, Apply(fixture(), nil)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Parse(&buf)
@@ -60,6 +61,45 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// A line that parses but that a recorder could not hold is an error naming
+// the line, not a panic in Apply.
+func TestParseRejectsUnrecordableSamples(t *testing.T) {
+	for _, bad := range []string{
+		"M 0 0 1 2 100 50 1 1 0\n",            // received before it was sent
+		"M 0 0 1 2 10 20 1099511627776 1 0\n", // 2^40 flits
+		"M 0 0 1 2 10 20 1 65536 0\n",         // hops
+		"M 0 256 1 2 10 20 1 1 0\n",           // app
+		"M 0 0 1 18446744073709551615 10 20 1 1 0\n",
+	} {
+		_, err := Parse(strings.NewReader("# header\n" + bad))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("Parse(%q) = %v, want an error naming line 2", bad, err)
+		}
+	}
+}
+
+// FuzzParse: whatever Parse accepts, Apply records and Write prints back to
+// the same samples.
+func FuzzParse(f *testing.F) {
+	f.Add("M 0 0 1 2 10 20 1 2 0\n")
+	f.Add("M 0 0 1 2 100 50 1 1 0\n")
+	f.Add("M 0 0 1 2 10 20 1099511627776 1 0\n")
+	f.Fuzz(func(t *testing.T, log string) {
+		samples, err := Parse(strings.NewReader(log))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, Apply(samples, nil)); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(&buf)
+		if err != nil || !slices.Equal(again, samples) {
+			t.Fatalf("log %q: wrote %q, read back %+v, %v; want %+v", log, buf.String(), again, err, samples)
+		}
+	})
+}
+
 func TestFilterApp(t *testing.T) {
 	f, err := ParseFilter("+app=0")
 	if err != nil {
@@ -89,7 +129,7 @@ func TestFilterCombination(t *testing.T) {
 	if rec.Count() != 1 {
 		t.Fatalf("combined filters kept %d", rec.Count())
 	}
-	if rec.Samples()[0].Src != 3 {
+	if rec.At(0).Src != 3 {
 		t.Fatal("wrong survivor")
 	}
 }

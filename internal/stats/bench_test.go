@@ -19,9 +19,24 @@ func BenchmarkPercentile(b *testing.B) {
 	}
 }
 
+// BenchmarkSummarize measures the whole aggregate set over 100 k samples,
+// with the sort a run's first Summarize pays.
+func BenchmarkSummarize(b *testing.B) {
+	_, r := manySamples(100000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.sorted = r.sorted[:0]
+		sink = r.Summarize()
+	}
+}
+
+var sink Summary
+
 // BenchmarkRecord measures sample append cost.
 func BenchmarkRecord(b *testing.B) {
 	r := NewRecorder()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Record(Sample{Start: 0, End: sim.Tick(i), Flits: 1})
 	}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,61 +19,68 @@ func recorderWithSamples() *Recorder {
 	return r
 }
 
-func TestRecorderStateRoundTrip(t *testing.T) {
-	r := recorderWithSamples()
-	_ = r.Percentile(50) // materialize the derived sorted view before saving
-
-	data := snaptest.Save(r.State)
-
-	// Load over a recorder holding different samples and a stale sorted
-	// view: both must be replaced.
-	got := NewRecorder()
-	got.Record(Sample{Start: 1, End: 2, Flits: 1, Hops: 1})
-	_ = got.Mean()
-	d := snapshot.NewLoader(data)
-	if got.State(d); d.Err() != nil {
-		t.Fatal(d.Err())
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d bytes left after load", d.Remaining())
-	}
-	if !reflect.DeepEqual(got.Samples(), r.Samples()) {
-		t.Fatalf("samples differ:\n got %+v\nwant %+v", got.Samples(), r.Samples())
-	}
-	if got.Percentile(99) != r.Percentile(99) || got.Mean() != r.Mean() {
-		t.Fatal("derived statistics differ after restore")
-	}
-
-	if !bytes.Equal(data, snaptest.Save(got.State)) {
-		t.Fatal("re-saved recorder state is not byte-identical")
+// The stream is schema v1 whatever the recorder stores: these are the bytes
+// the []Sample recorder of PR 16 saved for recorderWithSamples.
+func TestRecorderStateBytesPinned(t *testing.T) {
+	const want = "060a1908060102040e0b0b020200000a00285a100a00020006"
+	if got := hex.EncodeToString(snaptest.Save(recorderWithSamples().State)); got != want {
+		t.Fatalf("saved bytes\n got %s\nwant %s", got, want)
 	}
 }
 
-func TestRecorderStateRoundTripEmpty(t *testing.T) {
-	got := recorderWithSamples()
-	if err := snaptest.Load(snaptest.Save(NewRecorder().State), got.State); err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != 0 {
-		t.Fatalf("restored empty recorder has %d samples", got.Count())
+// Round trip on each side of a chunk boundary, into a recorder that is
+// empty, smaller and larger than the one saved.
+func TestRecorderStateRoundTripSizes(t *testing.T) {
+	for _, n := range chunkSizes {
+		ref, r := manySamples(n)
+		data := snaptest.Save(r.State)
+		for _, had := range []int{0, 5, n + chunkRows} {
+			_, got := manySamples(had)
+			_ = got.Percentile(50) // a sorted view the load must drop
+			d := snapshot.NewLoader(data)
+			if got.State(d); d.Done() != nil {
+				t.Fatalf("n=%d over %d: %v", n, had, d.Done())
+			}
+			if got.Count() != n || (n > 0 && !reflect.DeepEqual(got.Samples(), ref)) {
+				t.Fatalf("n=%d over %d: restored %d samples differ", n, had, got.Count())
+			}
+			if n > 0 && (got.Percentile(99) != r.Percentile(99) || got.Mean() != r.Mean()) {
+				t.Fatalf("n=%d over %d: derived statistics differ after restore", n, had)
+			}
+			if !bytes.Equal(data, snaptest.Save(got.State)) {
+				t.Fatalf("n=%d over %d: re-saved state is not byte-identical", n, had)
+			}
+		}
 	}
 }
 
-func TestRecorderLoadRejectsInvertedSample(t *testing.T) {
-	data := snaptest.Save(func(c *snapshot.Codec) {
-		snaptest.Put(c.Int, 1)
-		snaptest.Put(c.U64, 20) // Start
-		snaptest.Put(c.U64, 5)  // End before Start
-		snaptest.Put(c.Int, 1)
-		snaptest.Put(c.Int, 1)
-		snaptest.Put(c.Bool, false)
-		snaptest.Put(c.Int, 0)
-		snaptest.Put(c.Int, 0)
-		snaptest.Put(c.Int, 0)
-	})
-	err := snaptest.Load(data, NewRecorder().State)
-	if err == nil || !strings.Contains(err.Error(), "ends") {
-		t.Fatalf("err = %v, want inverted-sample error", err)
+// A well-formed stream whose sample a recorder cannot hold is an error, not
+// a panic and not a silently narrowed value.
+func TestRecorderLoadRejectsUnrecordableSample(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		s    Sample
+	}{
+		{"ends", Sample{Start: 20, End: 5, Flits: 1}},
+		{"out of range", Sample{Start: 5, End: 20, Flits: 1 << 40}},
+		{"out of range", Sample{Start: 5, End: 20, Hops: -1}},
+	} {
+		data := snaptest.Save(func(c *snapshot.Codec) {
+			snaptest.Put(c.Int, 1)
+			snaptest.Put(c.U64, tc.s.Start)
+			snaptest.Put(c.U64, tc.s.End)
+			snaptest.Put(c.Int, tc.s.Flits)
+			snaptest.Put(c.Int, tc.s.Hops)
+			snaptest.Put(c.Bool, tc.s.NonMinimal)
+			snaptest.Put(c.Int, tc.s.App)
+			snaptest.Put(c.Int, tc.s.Src)
+			snaptest.Put(c.Int, tc.s.Dst)
+		})
+		got := NewRecorder()
+		err := snaptest.Load(data, got.State)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || got.Count() != 0 {
+			t.Fatalf("%+v: err = %v with %d samples loaded, want a %q error and none", tc.s, err, got.Count(), tc.want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"supersim/internal/sim"
@@ -28,42 +29,116 @@ type Sample struct {
 // Latency returns the end-to-end latency in ticks.
 func (s Sample) Latency() sim.Tick { return s.End - s.Start }
 
+// row is a Sample as the recorder stores it: 32 bytes and pointer-free, so
+// a chunk of them is nothing for the GC to scan. The field types are the
+// ranges a recordable sample must fit (Check).
+type row struct {
+	start, end      uint64
+	flits, src, dst uint32
+	hops            uint16
+	app             uint8
+	nonMinimal      bool
+}
+
+func pack(s Sample) row {
+	return row{start: s.Start, end: s.End, flits: uint32(s.Flits), src: uint32(s.Src), dst: uint32(s.Dst),
+		hops: uint16(s.Hops), app: uint8(s.App), nonMinimal: s.NonMinimal}
+}
+
+func (w *row) sample() Sample {
+	return Sample{Start: w.start, End: w.end, Flits: int(w.flits), Hops: int(w.hops),
+		NonMinimal: w.nonMinimal, App: int(w.app), Src: int(w.src), Dst: int(w.dst)}
+}
+
+func (w *row) latency() float64 { return float64(w.end - w.start) }
+
+// holds reports whether w = pack(s) is a faithful, recordable copy of s: no
+// field was narrowed to a different value and s does not end before it starts.
+func (w *row) holds(s Sample) bool {
+	return s.End >= s.Start && int(w.flits) == s.Flits && int(w.src) == s.Src && int(w.dst) == s.Dst &&
+		int(w.hops) == s.Hops && int(w.app) == s.App
+}
+
+// Check reports why s cannot be recorded: it ends before it starts, or a
+// field is outside the range a row holds. Readers of outside input (a
+// transaction log, a snapshot) reject what fails it, so that Record's panic
+// stays a model invariant.
+func (s Sample) Check() error {
+	w := pack(s)
+	switch {
+	case s.End < s.Start:
+		return fmt.Errorf("sample ends (%d) before it starts (%d)", s.End, s.Start)
+	case !w.holds(s):
+		return fmt.Errorf("sample %+v has a field out of range (it would be stored as %+v)", s, w.sample())
+	}
+	return nil
+}
+
 // Provider is implemented by application models that expose their sampled
 // transfers (Blast, Pulse); tools use it to extract statistics generically.
 type Provider interface {
 	Stats() *Recorder
 }
 
-// Recorder accumulates samples.
+// chunkRows is the number of rows in one chunk: 256 KB of 32-byte rows.
+const chunkRows = 8192
+
+// Recorder accumulates samples in fixed-size chunks of packed rows, each
+// allocated when the one before it fills and never copied afterwards.
 type Recorder struct {
-	samples []Sample
-	sorted  []float64 // lazily built latency vector
-	dirty   bool
+	chunks []*[chunkRows]row
+	n      int
+	sorted []float64 // lazily built latency vector, stale while shorter than n
 }
 
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Record adds one sample. End must not precede Start.
+// Record adds one sample, which must pass Check.
 func (r *Recorder) Record(s Sample) {
-	if s.End < s.Start {
-		panic(fmt.Sprintf("stats: sample ends (%d) before it starts (%d)", s.End, s.Start))
+	w := pack(s)
+	if !w.holds(s) {
+		panic("stats: " + s.Check().Error())
 	}
-	r.samples = append(r.samples, s)
-	r.dirty = true
+	r.push(w)
 }
 
-// Count returns the number of samples.
-func (r *Recorder) Count() int { return len(r.samples) }
+func (r *Recorder) push(w row) {
+	if r.n == len(r.chunks)*chunkRows {
+		r.chunks = append(r.chunks, new([chunkRows]row))
+	}
+	*r.row(r.n) = w
+	r.n++
+}
 
-// Samples returns the raw samples (read-only).
-func (r *Recorder) Samples() []Sample { return r.samples }
+func (r *Recorder) row(i int) *row { return &r.chunks[uint(i)/chunkRows][uint(i)%chunkRows] }
+
+// Count returns the number of samples.
+func (r *Recorder) Count() int { return r.n }
+
+// At returns sample i, 0 <= i < Count(): the way to read samples in order.
+func (r *Recorder) At(i int) Sample {
+	if uint(i) >= uint(r.n) {
+		panic(fmt.Sprintf("stats: sample %d of %d", i, r.n))
+	}
+	return r.row(i).sample()
+}
+
+// Samples copies every sample into a new slice, 64 bytes each. It exists for
+// callers that need a slice; a walk should use Count and At.
+func (r *Recorder) Samples() []Sample {
+	out := make([]Sample, r.n)
+	for i := range out {
+		out[i] = r.row(i).sample()
+	}
+	return out
+}
 
 // Flits returns the total flits across all samples.
 func (r *Recorder) Flits() int {
 	n := 0
-	for _, s := range r.samples {
-		n += s.Flits
+	for i := 0; i < r.n; i++ {
+		n += int(r.row(i).flits)
 	}
 	return n
 }
@@ -71,40 +146,39 @@ func (r *Recorder) Flits() int {
 // NonMinimalFraction returns the fraction of samples that took a non-minimal
 // route.
 func (r *Recorder) NonMinimalFraction() float64 {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return 0
 	}
 	n := 0
-	for _, s := range r.samples {
-		if s.NonMinimal {
+	for i := 0; i < r.n; i++ {
+		if r.row(i).nonMinimal {
 			n++
 		}
 	}
-	return float64(n) / float64(len(r.samples))
+	return float64(n) / float64(r.n)
 }
 
 func (r *Recorder) latencies() []float64 {
-	if r.dirty || r.sorted == nil {
-		r.sorted = r.sorted[:0]
-		for _, s := range r.samples {
-			r.sorted = append(r.sorted, float64(s.Latency()))
+	if len(r.sorted) != r.n {
+		r.sorted = slices.Grow(r.sorted[:0], r.n)
+		for i := 0; i < r.n; i++ {
+			r.sorted = append(r.sorted, r.row(i).latency())
 		}
 		sort.Float64s(r.sorted)
-		r.dirty = false
 	}
 	return r.sorted
 }
 
 // Mean returns the average latency; NaN with no samples.
 func (r *Recorder) Mean() float64 {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return math.NaN()
 	}
 	sum := 0.0
-	for _, s := range r.samples {
-		sum += float64(s.Latency())
+	for i := 0; i < r.n; i++ {
+		sum += r.row(i).latency()
 	}
-	return sum / float64(len(r.samples))
+	return sum / float64(r.n)
 }
 
 // Min returns the smallest latency; NaN with no samples.
@@ -144,14 +218,14 @@ func (r *Recorder) Percentile(p float64) float64 {
 
 // MeanHops returns the average hop count; NaN with no samples.
 func (r *Recorder) MeanHops() float64 {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return math.NaN()
 	}
 	sum := 0
-	for _, s := range r.samples {
-		sum += s.Hops
+	for i := 0; i < r.n; i++ {
+		sum += int(r.row(i).hops)
 	}
-	return float64(sum) / float64(len(r.samples))
+	return float64(sum) / float64(r.n)
 }
 
 // Summary is the aggregate view of a recorder, convenient for tabulation.
@@ -240,7 +314,7 @@ func (r *Recorder) PDF(buckets int) [][2]float64 {
 // latency) points — the transient view used to watch one application disturb
 // another.
 func (r *Recorder) TimeSeries(binWidth sim.Tick) [][2]float64 {
-	if len(r.samples) == 0 || binWidth == 0 {
+	if r.n == 0 || binWidth == 0 {
 		return nil
 	}
 	type agg struct {
@@ -250,14 +324,15 @@ func (r *Recorder) TimeSeries(binWidth sim.Tick) [][2]float64 {
 	bins := map[uint64]*agg{}
 	var minB, maxB uint64
 	first := true
-	for _, s := range r.samples {
-		b := uint64(s.End / binWidth)
+	for i := 0; i < r.n; i++ {
+		w := r.row(i)
+		b := w.end / binWidth
 		a := bins[b]
 		if a == nil {
 			a = &agg{}
 			bins[b] = a
 		}
-		a.sum += float64(s.Latency())
+		a.sum += w.latency()
 		a.n++
 		if first || b < minB {
 			minB = b
