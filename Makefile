@@ -7,9 +7,9 @@
 #                  benchmark's smoke tests, the allocation guard and the sweep
 #                  smoke
 #   make lint    - sslint, the simulator-aware static analysis suite
-#                  (determinism, hotpath, factoryreg, snapshotcomplete,
-#                  shardsafety; see cmd/sslint and TESTING.md). Runs the fixture self-check first, then the
-#                  repo, and writes the findings artifact sslint.findings.json
+#                  (determinism, hotpath, snapshotcomplete, shardsafety and
+#                  directive hygiene; see cmd/sslint and TESTING.md) over
+#                  every package
 #   make lint-rules - list the active sslint rules with their one-line docs
 #   make cover   - the one test pass of ci: `go test -cover ./...`, failing on
 #                  any test failure or any package below its committed floor in
@@ -66,15 +66,11 @@ vet:
 	$(GO) vet ./...
 
 # Simulator-aware static analysis: determinism, hot-path allocation
-# discipline, factory-registration coverage, snapshot completeness and shard
-# safety. The fixture self-check replays the
-# want-comment fixture packages so a drifted rule fails here, not just in
-# `go test`; the repo run then writes its findings as a JSON artifact for CI
-# consumption. The baseline file holds accepted findings (currently none);
-# stale entries fail the run.
+# discipline, snapshot completeness and shard safety. A finding is accepted
+# only by a justified //sslint:allow at its site; the rules' own fixtures run
+# as TestFixtures under `make cover`.
 lint:
-	$(GO) run ./cmd/sslint -fixtures
-	$(GO) run ./cmd/sslint -baseline sslint.baseline -json-out sslint.findings.json ./...
+	$(GO) run ./cmd/sslint ./...
 
 lint-rules:
 	$(GO) run ./cmd/sslint -list-rules
@@ -107,12 +103,13 @@ fuzz:
 
 # Checkpoint/restore equivalence: the simulation-after-import harness (all
 # golden topologies, serial and sharded), the cross-worker restore matrix,
+# checkpoints of a restored run starting after its restore tick,
 # byte-exact snapshot round-trips, the schema-v1 bytes pinned in
 # testdata/golden/snapshots.json, restored-index validation, and the
 # randomized checkpoint sweep — under
 # the race detector, since restore re-partitions across shards.
 test-import-export:
-	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRandomizedCheckpointRestore' ./internal/core
+	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
 # cover runs every test once, with the floors enforced; ci does not also run
@@ -162,4 +159,4 @@ bench:
 micro:
 	$(GO) test -run='^$$' -bench='BenchmarkNewMessage|BenchmarkPoolNewMessage' -benchmem ./internal/types
 	$(GO) test -run='^$$' -bench='BenchmarkQueueShapes|BenchmarkQueueChurn' -benchmem ./internal/sim
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/arbiter ./internal/stats
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/stats

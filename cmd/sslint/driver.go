@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"supersim/internal/lint"
@@ -27,12 +25,7 @@ type target struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	rules := fs.String("rules", "", "comma-separated rule subset (default: all rules + directive hygiene)")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
-	jsonOut := fs.String("json-out", "", "also write the findings as a JSON artifact to this file")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings; stale entries fail the run")
 	listRules := fs.Bool("list-rules", false, "print the active rules with their one-line docs and exit")
-	fixtures := fs.Bool("fixtures", false, "replay the want-comment fixture packages as a self-check and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -40,19 +33,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printRules(stdout)
 		return 0
 	}
-	if *fixtures {
-		return runFixtures(stdout, stderr)
-	}
 	if fs.NArg() == 0 {
 		fmt.Fprintln(stderr, "sslint: no packages given (try ./...)")
 		return 2
 	}
 
-	runner, err := buildRunner(*rules)
-	if err != nil {
-		fmt.Fprintf(stderr, "sslint: %v\n", err)
-		return 2
-	}
 	targets, err := resolveTargets(fs.Args())
 	if err != nil {
 		fmt.Fprintf(stderr, "sslint: %v\n", err)
@@ -78,59 +63,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pkgs = append(pkgs, p)
 	}
 
-	diags := runner.Run(pkgs)
-	for i := range diags {
-		diags[i].Pos.Filename = relTo(moduleRoot, diags[i].Pos.Filename)
-	}
-
-	var baseline map[string]int
-	if *baselinePath != "" {
-		baseline, err = readBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "sslint: %v\n", err)
-			return 2
-		}
-	}
-	kept := diags[:0]
+	diags := lint.Run(lint.AllAnalyzers(), pkgs)
 	for _, d := range diags {
-		if baseline[d.String()] > 0 {
-			baseline[d.String()]--
-			continue
-		}
-		kept = append(kept, d)
-	}
-	diags = kept
-	var stale []string
-	for line, n := range baseline {
-		if n > 0 {
-			stale = append(stale, line)
-		}
-	}
-	sort.Strings(stale)
-
-	if *asJSON {
-		if err := writeJSON(stdout, diags); err != nil {
-			fmt.Fprintf(stderr, "sslint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d.String())
-		}
-	}
-	if *jsonOut != "" {
-		if err := writeJSONFile(*jsonOut, diags); err != nil {
-			fmt.Fprintf(stderr, "sslint: %v\n", err)
-			return 2
-		}
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(stderr, "sslint: %d stale baseline entr%s — the finding no longer exists, remove the line:\n",
-			len(stale), plural(len(stale), "y", "ies"))
-		for _, line := range stale {
-			fmt.Fprintf(stderr, "  %s\n", line)
-		}
-		return 2
+		d.Pos.Filename = relTo(moduleRoot, d.Pos.Filename)
+		fmt.Fprintln(stdout, d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "sslint: %d finding%s\n", len(diags), plural(len(diags), "", "s"))
@@ -139,76 +75,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printRules lists every selectable rule plus the always-on directive
+// printRules lists every analyzer rule plus the always-on directive
 // meta-rule, one line each, for `make lint-rules`.
 func printRules(w io.Writer) {
 	names := append(lint.Rules(), lint.RuleDirective)
 	for _, name := range names {
 		fmt.Fprintf(w, "%-18s %s\n", name, lint.RuleDoc(name))
 	}
-}
-
-// runFixtures replays the shared fixture registry against the repo's own
-// testdata tree: the same runs the internal/lint tests perform, exposed as a
-// CLI self-check so `make lint` fails when a rule drifts from its fixtures.
-func runFixtures(stdout, stderr io.Writer) int {
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintf(stderr, "sslint: %v\n", err)
-		return 2
-	}
-	root, err := findModuleRoot(wd)
-	if err != nil {
-		fmt.Fprintf(stderr, "sslint: %v\n", err)
-		return 2
-	}
-	lintDir := filepath.Join(root, "internal", "lint")
-	if _, err := os.Stat(filepath.Join(lintDir, "testdata", "src")); err != nil {
-		fmt.Fprintf(stderr, "sslint: fixture tree not found under %s — run -fixtures from the sslint repo\n", lintDir)
-		return 2
-	}
-	loader := lint.NewLoader()
-	cache := map[string]*lint.Package{}
-	specs := lint.FixtureSpecs()
-	failed := 0
-	for _, spec := range specs {
-		problems, err := lint.CheckFixture(loader, lintDir, spec, cache)
-		if err != nil {
-			fmt.Fprintf(stderr, "sslint: fixture %s: %v\n", spec.Name, err)
-			return 2
-		}
-		if len(problems) == 0 {
-			continue
-		}
-		failed++
-		for _, pr := range problems {
-			fmt.Fprintf(stderr, "sslint: fixture %s: %s\n", spec.Name, pr)
-		}
-	}
-	if failed > 0 {
-		fmt.Fprintf(stderr, "sslint: %d of %d fixture runs drifted from their want comments\n", failed, len(specs))
-		return 1
-	}
-	fmt.Fprintf(stdout, "sslint: %d fixture runs ok\n", len(specs))
-	return 0
-}
-
-// buildRunner translates the -rules flag into a Runner. Directive hygiene
-// (unused allows) is only checked with the full rule set: against a subset,
-// allows for the disabled rules would be falsely unused.
-func buildRunner(rules string) (*lint.Runner, error) {
-	if rules == "" {
-		return &lint.Runner{Analyzers: lint.AllAnalyzers(), CheckDirectives: true}, nil
-	}
-	var as []lint.Analyzer
-	for _, name := range strings.Split(rules, ",") {
-		a, err := lint.NewAnalyzer(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		as = append(as, a)
-	}
-	return &lint.Runner{Analyzers: as}, nil
 }
 
 // resolveTargets turns the positional arguments into (dir, import path)
@@ -328,8 +201,8 @@ func moduleName(root string) (string, error) {
 	return "", fmt.Errorf("no module line in %s/go.mod", root)
 }
 
-// relTo renders path relative to root when possible, for stable baselines and
-// output independent of the checkout location.
+// relTo renders path relative to root when possible, for output independent
+// of the checkout location.
 func relTo(root, path string) string {
 	abs, err := filepath.Abs(path)
 	if err != nil {
@@ -340,60 +213,6 @@ func relTo(root, path string) string {
 		return path
 	}
 	return filepath.ToSlash(rel)
-}
-
-// readBaseline loads accepted findings: one rendered diagnostic per line,
-// blank lines and # comments skipped. The count per line supports identical
-// diagnostics at one position.
-func readBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	baseline := map[string]int{}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		baseline[line]++
-	}
-	return baseline, nil
-}
-
-// jsonDiag is the JSON rendering of one finding.
-type jsonDiag struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// writeJSONFile renders the findings artifact for CI consumption.
-func writeJSONFile(path string, diags []lint.Diagnostic) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("writing findings artifact: %w", err)
-	}
-	if err := writeJSON(f, diags); err != nil {
-		f.Close()
-		return fmt.Errorf("writing findings artifact: %w", err)
-	}
-	return f.Close()
-}
-
-func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-			Rule: d.Rule, Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 func plural(n int, one, many string) string {

@@ -1,14 +1,16 @@
 // Command sslint runs the simulator-aware static analysis suite over the
-// repository: determinism, hotpath, factoryreg, snapshotcomplete and
-// shardsafety (see internal/lint).
+// repository: determinism, hotpath, snapshotcomplete and shardsafety, plus
+// the directive meta-rule (see internal/lint).
 //
 // Usage:
 //
-//	sslint [-rules determinism,hotpath] [-json] [-baseline sslint.baseline] <packages>
+//	sslint <packages>
+//	sslint -list-rules
 //
 // Targets are directories (./internal/router) or go-list patterns (./...).
-// Exit code 0 means clean, 1 means findings, 2 means the run itself failed
-// (unknown rule, unloadable package, stale baseline entry).
+// Every rule runs; a finding is accepted only by an //sslint:allow directive
+// with its justification at the site. Exit code 0 means clean, 1 means
+// findings, 2 means the run itself failed (no packages, unloadable package).
 package main
 
 import "os"

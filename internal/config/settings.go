@@ -4,7 +4,7 @@
 // format. The natural hierarchy of JSON maps onto the component hierarchy:
 // the top level of a network simulation holds a "network" block and a
 // "workload" block; beneath "network" are blocks such as "router" and
-// "interface"; "router" holds blocks such as "arbiter"; and so on. When the
+// "interface"; "router" holds blocks such as "congestion_sensor"; and so on. When the
 // simulator builds a component it passes the relevant sub-block to that
 // component's constructor without peeking inside it.
 //

@@ -364,9 +364,11 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 
 // RunCheckpointed executes the simulation to completion like Run, pausing at
 // every multiple of `every` ticks while real work remains to hand a snapshot
-// to sink. The checkpoint boundaries are invisible to the simulation — a
-// checkpointed run's results are identical to an uninterrupted one's — and
-// sink errors abort the run.
+// to sink. The first pause is the first multiple after the current tick, so
+// a restored simulation does not re-write the checkpoints it has passed. The
+// checkpoint boundaries are invisible to the simulation — a checkpointed
+// run's results are identical to an uninterrupted one's — and sink errors
+// abort the run.
 func (sm *Simulation) RunCheckpointed(every sim.Tick, sink func(tick sim.Tick, data []byte) error) (Result, error) {
 	if every == 0 {
 		return Result{}, fmt.Errorf("core: checkpoint interval must be positive")
@@ -381,10 +383,11 @@ func (sm *Simulation) RunCheckpointed(every sim.Tick, sink func(tick sim.Tick, d
 		}
 		return sink(at, data)
 	}
+	first := (sm.Sim.Now().Tick/every + 1) * every
 	var events uint64
 	var end sim.Time
 	if sm.engine != nil {
-		for at := every; ; at += every {
+		for at := first; ; at += every {
 			sm.engine.RunUntil(at)
 			sm.engine.DrainCross()
 			if sm.engine.Stopped() || sm.engine.Quiesced() {
@@ -397,7 +400,7 @@ func (sm *Simulation) RunCheckpointed(every sim.Tick, sink func(tick sim.Tick, d
 		sm.engine.RunUntil(^sim.Tick(0))
 		events, end = sm.engine.Finish()
 	} else {
-		for at := every; ; at += every {
+		for at := first; ; at += every {
 			sm.Sim.RunUntil(at)
 			if sm.Sim.Stopped() || sm.Sim.PendingNonDaemon() == 0 {
 				break

@@ -135,6 +135,40 @@ func TestRestoreAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestRestoredRunCheckpointsOnlyAhead resumes a checkpointed run: the
+// continuation must checkpoint only the boundaries after its restore tick,
+// not re-write (over the file it was restored from, under an earlier label)
+// the ones the original run already passed.
+func TestRestoredRunCheckpointsOnlyAhead(t *testing.T) {
+	gc := goldenCases()[0]
+	_, snaps := runCheckpointed(t, gc, 1)
+	var at1500 []byte
+	for _, s := range snaps {
+		if s.tick == 1500 {
+			at1500 = s.data
+		}
+	}
+	if at1500 == nil {
+		t.Fatal("no checkpoint at tick 1500")
+	}
+	for _, workers := range []int{1, 2} {
+		sm, _, err := Restore(at1500, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ticks []sim.Tick
+		if _, err := sm.RunCheckpointed(checkpointEvery, func(tick sim.Tick, _ []byte) error {
+			ticks = append(ticks, tick)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []sim.Tick{2000}; !reflect.DeepEqual(ticks, want) {
+			t.Errorf("workers=%d: restored run checkpointed at %v, want %v", workers, ticks, want)
+		}
+	}
+}
+
 // TestSnapshotRoundTrip is the exact export/import identity: restoring a
 // snapshot and immediately re-snapshotting at the same tick reproduces the
 // original byte-for-byte. Any state the decoder drops, defaults, or reorders

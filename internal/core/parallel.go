@@ -25,19 +25,15 @@ import (
 	"supersim/internal/network"
 	"supersim/internal/sim"
 	"supersim/internal/telemetry"
-	"supersim/internal/types"
 )
 
-// Shard describes one partition of a parallel simulation: its simulator,
-// the routers it owns, and its local message/flit pool. Shard 0 is the host
-// shard; its Pool is the workload's pool (all traffic originates and retires
-// there today — router shards carry their own pools so in-network allocation
-// stays shard-local if a future model needs it).
+// Shard describes one partition of a parallel simulation: its simulator and
+// the routers it owns. Shard 0 is the host shard, which also holds the
+// workload's message pool: all traffic originates and retires there.
 type Shard struct {
 	ID      int
 	Sim     *sim.Simulator
 	Routers []int
-	Pool    *types.Pool
 }
 
 // attachParallel partitions the built simulation into up to `workers` shards
@@ -59,10 +55,10 @@ func attachParallel(sm *Simulation, workers int) {
 	sims := make([]*sim.Simulator, ns)
 	sims[0] = sm.Sim
 	shards := make([]*Shard, ns)
-	shards[0] = &Shard{ID: 0, Sim: sm.Sim, Pool: sm.Workload.Pool()}
+	shards[0] = &Shard{ID: 0, Sim: sm.Sim}
 	for k := 1; k < ns; k++ {
 		sims[k] = eng.AddShard()
-		shards[k] = &Shard{ID: k, Sim: sims[k], Pool: types.NewPool()}
+		shards[k] = &Shard{ID: k, Sim: sims[k]}
 	}
 
 	// Router assignment: prefer group boundaries on hierarchical topologies

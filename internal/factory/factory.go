@@ -1,17 +1,19 @@
 // Package factory implements the simulator's smart object factories.
 //
-// Each major component type (Network, Router, RoutingAlgorithm, Arbiter,
-// Allocator, Application, TrafficPattern, ...) is abstractly defined by an
-// interface in its own package and owns a Registry mapping implementation
-// names to constructor functions. New component models self-register from an
-// init function in their own source file:
+// Each selectable component type (Network, Router, congestion sensor,
+// Application, traffic Pattern) is abstractly defined by an interface in its
+// own package and owns a Registry mapping implementation names to
+// constructor functions. New component models self-register from an init
+// function in their own source file:
 //
-//	func init() { arbiter.Register("round_robin", NewRoundRobin) }
+//	func init() { network.Registry.Register("torus", newTorus) }
 //
 // which mirrors the original simulator's registerWithObjectFactory macro:
 // adding a model requires dropping in a new source file with zero changes to
 // the existing code base. When the simulator builds components it calls the
-// registry with the name specified in the JSON settings.
+// registry with the name specified in the JSON settings. A model is
+// selectable only if its package is linked into internal/core, whose
+// registry test pins every registry's names against CONFIG.md.
 package factory
 
 import (

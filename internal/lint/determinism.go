@@ -19,9 +19,7 @@ var DefaultSimCorePackages = []string{
 	"supersim/internal/workload",
 	"supersim/internal/traffic",
 	"supersim/internal/routing",
-	"supersim/internal/allocator",
 	"supersim/internal/network",
-	"supersim/internal/arbiter",
 	"supersim/internal/congestion",
 	"supersim/internal/types",
 	// Snapshot encoding is compared byte-for-byte by the import/export

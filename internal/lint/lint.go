@@ -7,16 +7,13 @@
 // the verify subsystem) catches violations after the fact; this package
 // catches them at lint time, as structural properties of the source.
 //
-// Five analyzers encode the repo's invariants:
+// Four analyzers encode the repo's invariants:
 //
 //   - determinism: sim-core packages must not read the wall clock, draw from
 //     the global math/rand source, or let map iteration order feed simulation
 //     state (Determinism).
 //   - hotpath: functions marked //sslint:hotpath must not contain syntactic
 //     allocation sources (Hotpath).
-//   - factoryreg: every concrete implementation of a factory-registered
-//     component interface must be registered in an init(), and registration
-//     names must be unique per registry (FactoryReg).
 //   - snapshotcomplete: a type's State method (its one bidirectional
 //     checkpoint codec) must mention every mutable field of the struct or
 //     the field must be marked ephemeral (SnapshotComplete).
@@ -68,20 +65,19 @@ import (
 const (
 	RuleDeterminism      = "determinism"
 	RuleHotpath          = "hotpath"
-	RuleFactoryReg       = "factoryreg"
 	RuleSnapshotComplete = "snapshotcomplete"
 	RuleShardSafety      = "shardsafety"
 
 	// RuleDirective reports misuse of the //sslint: directives themselves:
 	// unknown rule names, missing justifications, allows that suppress
-	// nothing, and hotpath marks outside function doc comments. It is active
-	// whenever the full analyzer set runs.
+	// nothing, and hotpath marks outside function doc comments. It is always
+	// active.
 	RuleDirective = "directive"
 )
 
-// Rules returns the names of the selectable analyzers, sorted.
+// Rules returns the names of the shipped analyzers, sorted.
 func Rules() []string {
-	return []string{RuleDeterminism, RuleFactoryReg, RuleHotpath, RuleShardSafety, RuleSnapshotComplete}
+	return []string{RuleDeterminism, RuleHotpath, RuleShardSafety, RuleSnapshotComplete}
 }
 
 // RuleDoc returns a one-line description of a rule, for `sslint -list-rules`
@@ -92,8 +88,6 @@ func RuleDoc(name string) string {
 		return "sim-core code must not read the wall clock, draw global randomness, iterate maps into state, or spawn ad-hoc concurrency"
 	case RuleHotpath:
 		return "//sslint:hotpath functions must be free of syntactic allocation sources"
-	case RuleFactoryReg:
-		return "every concrete factory component must be registered in an init() under a unique name"
 	case RuleSnapshotComplete:
 		return "a type with a *snapshot.Codec method must mention every mutable field in it or mark the field //sslint:nosnapshot"
 	case RuleShardSafety:
@@ -104,7 +98,7 @@ func RuleDoc(name string) string {
 	return ""
 }
 
-// KnownRule reports whether name identifies a selectable analyzer.
+// KnownRule reports whether name identifies a shipped analyzer.
 func KnownRule(name string) bool {
 	for _, r := range Rules() {
 		if r == name {
@@ -122,8 +116,6 @@ func NewAnalyzer(name string) (Analyzer, error) {
 		return NewDeterminism(), nil
 	case RuleHotpath:
 		return NewHotpath(), nil
-	case RuleFactoryReg:
-		return NewFactoryReg(), nil
 	case RuleSnapshotComplete:
 		return NewSnapshotComplete(), nil
 	case RuleShardSafety:
@@ -152,15 +144,13 @@ type Diagnostic struct {
 	Message string
 }
 
-// String renders the diagnostic in the canonical file:line:col form used by
-// the text output and the baseline file.
+// String renders the diagnostic in the canonical file:line:col form sslint
+// prints.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Rule)
 }
 
-// Analyzer is one lint rule. Check is called once per loaded package;
-// analyzers that need a whole-program view (FactoryReg) accumulate state
-// across Check calls and implement Finisher.
+// Analyzer is one lint rule. Check is called once per loaded package.
 type Analyzer interface {
 	// Name returns the rule identifier reported with each diagnostic.
 	Name() string
@@ -168,41 +158,19 @@ type Analyzer interface {
 	Check(p *Package) []Diagnostic
 }
 
-// Finisher is implemented by analyzers that report cross-package diagnostics
-// after every package has been checked.
-type Finisher interface {
-	Finish() []Diagnostic
-}
-
-// Runner drives a set of analyzers over loaded packages and applies the
-// //sslint:allow suppression pass.
-type Runner struct {
-	// Analyzers to run. Use AllAnalyzers for the full suite.
-	Analyzers []Analyzer
-	// CheckDirectives enables the RuleDirective meta-findings (malformed
-	// directives and allows that suppressed nothing). It should be true only
-	// when the full analyzer set runs — with a rule subset, allows for the
-	// disabled rules would be falsely reported as unused.
-	CheckDirectives bool
-}
-
-// Run checks every package with every analyzer, applies suppression, and
-// returns the surviving diagnostics sorted by position.
-func (r *Runner) Run(pkgs []*Package) []Diagnostic {
+// Run checks every package with every analyzer, applies the //sslint:allow
+// suppression pass, and returns the surviving diagnostics sorted by
+// position. Malformed directives and allows that suppress nothing are
+// findings of their own (RuleDirective); with a subset of the analyzers, an
+// allow for a rule left out is one of them.
+func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range pkgs {
-		for _, a := range r.Analyzers {
+		for _, a := range analyzers {
 			diags = append(diags, a.Check(p)...)
 		}
 	}
-	for _, a := range r.Analyzers {
-		if f, ok := a.(Finisher); ok {
-			diags = append(diags, f.Finish()...)
-		}
-	}
-
-	// Suppression: an allow directive absorbs matching diagnostics; the
-	// directive problems (and unused allows) are findings of their own.
+	// Suppression: an allow directive absorbs matching diagnostics.
 	var allows []*allowDirective
 	for _, p := range pkgs {
 		allows = append(allows, p.directives.allows...)
@@ -222,38 +190,36 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	}
 	diags = kept
 
-	if r.CheckDirectives {
+	for _, p := range pkgs {
+		diags = append(diags, p.directives.problems...)
+	}
+	for _, a := range allows {
+		if !a.used {
+			diags = append(diags, Diagnostic{
+				Rule: RuleDirective,
+				Pos:  a.pos,
+				Message: fmt.Sprintf(
+					"//sslint:allow %s suppresses nothing — remove it", a.rule),
+			})
+		}
+	}
+	// A nosnapshot no field claimed is rot — but only the
+	// snapshotcomplete analyzer marks them used, so only a run that
+	// includes it can tell.
+	ranSnapshot := false
+	for _, a := range analyzers {
+		if a.Name() == RuleSnapshotComplete {
+			ranSnapshot = true
+		}
+	}
+	if ranSnapshot {
 		for _, p := range pkgs {
-			diags = append(diags, p.directives.problems...)
-		}
-		for _, a := range allows {
-			if !a.used {
-				diags = append(diags, Diagnostic{
-					Rule: RuleDirective,
-					Pos:  a.pos,
-					Message: fmt.Sprintf(
-						"//sslint:allow %s suppresses nothing — remove it", a.rule),
-				})
-			}
-		}
-		// A nosnapshot no field claimed is rot — but only the
-		// snapshotcomplete analyzer marks them used, so only a run that
-		// includes it can tell.
-		ranSnapshot := false
-		for _, a := range r.Analyzers {
-			if a.Name() == RuleSnapshotComplete {
-				ranSnapshot = true
-			}
-		}
-		if ranSnapshot {
-			for _, p := range pkgs {
-				for _, n := range p.directives.nosnapshots {
-					if !n.used {
-						diags = append(diags, Diagnostic{
-							Rule: RuleDirective, Pos: n.pos,
-							Message: "//sslint:nosnapshot does not cover any audited struct field — remove it",
-						})
-					}
+			for _, n := range p.directives.nosnapshots {
+				if !n.used {
+					diags = append(diags, Diagnostic{
+						Rule: RuleDirective, Pos: n.pos,
+						Message: "//sslint:nosnapshot does not cover any audited struct field — remove it",
+					})
 				}
 			}
 		}

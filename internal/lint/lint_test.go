@@ -2,51 +2,19 @@ package lint
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
-// All fixture loads share one Loader so stdlib and repo dependencies are
-// type-checked once per test binary, and one cache so a fixture is loaded at
-// most once per import path.
-var (
-	loaderMu sync.Mutex
-	loader   *Loader
-	pkgCache = map[string]*Package{}
-)
-
-func loadFixture(t *testing.T, name, importPath string) *Package {
-	t.Helper()
-	loaderMu.Lock()
-	defer loaderMu.Unlock()
-	if loader == nil {
-		loader = NewLoader()
-	}
-	p, err := LoadFixture(loader, ".", FixtureSpec{Dir: name, ImportPath: importPath}, pkgCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// TestFixtures replays the shared registry — the same runs `sslint
-// -fixtures` performs — so the tests and the self-check can never disagree
-// about what the fixtures mean.
+// TestFixtures replays every fixture run against its want comments.
 func TestFixtures(t *testing.T) {
 	seen := map[string]bool{}
-	for _, spec := range FixtureSpecs() {
+	for _, spec := range fixtureSpecs() {
 		if spec.Name == "" || seen[spec.Name] {
 			t.Fatalf("fixture spec name %q is empty or duplicated", spec.Name)
 		}
 		seen[spec.Name] = true
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			loaderMu.Lock()
-			defer loaderMu.Unlock()
-			if loader == nil {
-				loader = NewLoader()
-			}
-			problems, err := CheckFixture(loader, ".", spec, pkgCache)
+			problems, err := checkFixture(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +26,10 @@ func TestFixtures(t *testing.T) {
 }
 
 func TestDirectiveProblems(t *testing.T) {
-	p := loadFixture(t, "directive", "supersim/internal/lint/testdata/src/directive")
+	p, err := loadFixture("directive", "supersim/internal/lint/testdata/src/directive")
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantSubstr := []string{
 		"//sslint:allow requires a justification",
 		`unknown rule "nosuchrule"`,
@@ -79,14 +50,9 @@ func TestDirectiveProblems(t *testing.T) {
 			t.Errorf("problem %d rule = %q, want %q", i, probs[i].Rule, RuleDirective)
 		}
 	}
-	// The problems surface through Runner.Run only when directive checking is
-	// on, and never from a rule-subset run.
-	if diags := (&Runner{Analyzers: []Analyzer{NewHotpath()}}).Run([]*Package{p}); len(diags) != 0 {
-		t.Errorf("rule-subset run leaked directive problems: %v", diags)
-	}
-	// The full run adds one finding beyond the parse problems: the allow the
-	// duplicate listing registered suppresses nothing.
-	diags := (&Runner{Analyzers: AllAnalyzers(), CheckDirectives: true}).Run([]*Package{p})
+	// Run adds one finding beyond the parse problems: the allow the duplicate
+	// listing registered suppresses nothing.
+	diags := Run(AllAnalyzers(), []*Package{p})
 	if len(diags) != len(wantSubstr)+1 {
 		t.Errorf("full run reported %d diagnostics, want %d: %v", len(diags), len(wantSubstr)+1, diags)
 	}

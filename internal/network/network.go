@@ -83,8 +83,6 @@ func New(s *sim.Simulator, cfg *config.Settings) Network {
 // Base provides the construction helpers shared by all topologies: building
 // routers and interfaces from the shared settings blocks and wiring ports
 // together with paired flit and credit channels.
-//
-//sslint:allow factoryreg — embedded construction helper, not a selectable topology
 type Base struct {
 	Sim *sim.Simulator
 	Cfg *config.Settings
