@@ -1,20 +1,21 @@
 # SuperSim build/test/benchmark entry points.
 #
 #   make ci      - everything a merge must pass: build, vet, sslint, every
-#                  test (with the fuzz seed corpora and golden-trace
-#                  conformance runs) under the coverage floors, the race
-#                  detector over every package, checkpoint equivalence, the
-#                  benchmark's smoke tests, the allocation guard and the sweep
+#                  test (with the fuzz seed corpora, golden-trace conformance
+#                  runs and the two allocation tests) under the coverage
+#                  floors, the race detector over every package, checkpoint
+#                  equivalence, the benchmark's smoke tests and the sweep
 #                  smoke
 #   make lint    - sslint, the simulator-aware static analysis suite
-#                  (determinism, hotpath, snapshotcomplete, shardsafety and
-#                  directive hygiene; see cmd/sslint and TESTING.md) over
-#                  every package
+#                  (determinism, snapshotcomplete, shardsafety and directive
+#                  hygiene; see cmd/sslint and TESTING.md) over every package
 #   make lint-rules - list the active sslint rules with their one-line docs
 #   make cover   - the one test pass of ci: `go test -cover ./...`, failing on
 #                  any test failure or any package below its committed floor in
 #                  coverage_floors.txt (`make test` is the same pass without
-#                  the floors)
+#                  the floors). It includes the allocation tier:
+#                  TestSteadyStateAllocations (internal/core) and
+#                  TestFigure5AllocationBudget (internal/experiments)
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  simulation-after-import harness, cross-worker restores,
 #                  byte-exact snapshot round-trips and the pinned v1 bytes
@@ -26,9 +27,6 @@
 #                  journal, manifests and the live dashboard enabled, every
 #                  downstream consumer (ssparse -tasks, ssplot taskgantt, the
 #                  /sweep and /metrics endpoints) driven over its artifacts
-#                  (that the instrumentation keeps the disabled hot path
-#                  under the committed ceiling is bench-guard's job; ci runs
-#                  it once)
 #   make bench-smoke - the host-speed benchmark's own tests (benchmark/ is a
 #                  module of its own, so `go test ./...` does not see them):
 #                  all six workloads at 1/50 scale, traced and untraced,
@@ -37,25 +35,18 @@
 #                  probed runs must reproduce the serial run's simulated
 #                  outcome). The pinned seed-1 fingerprints are compared at
 #                  scale 1 only, by the benchmark itself
-#   make bench-guard - allocation-regression guard: BenchmarkFigure5 (and the
-#                  explicit workers=1 path) with telemetry disabled must stay
-#                  under the allocs/op and B/op ceilings committed in
-#                  bench_ceiling.txt; also reports the traced workers=2 path
-#                  informationally
 #   make bench-set OUT=BENCH_<pr>.json [REPS=5] - the host-speed benchmark's
 #                  result set for every workload, with the machine line, for
 #                  committing beside the PR that claims or risks a hot path
 #   make bench-compare A=BENCH_<prev>.json B=BENCH_<pr>.json - the two sets
 #                  side by side (paths relative to the repository root)
-#   make bench-guard-spans - the guard plus an informational run of the
-#                  span-instrumented BenchmarkFigure5Spans (never enforced)
 #   make bench-parallel - the Figure 5 transient at -workers 1/2/4 on the
 #                  sharded engine (wall-clock is informational and
 #                  hardware-dependent; results are identical at every count)
 
 GO ?= go
 
-.PHONY: all build vet lint lint-rules test race cover fuzz ci test-import-export bench micro bench-smoke bench-set bench-compare bench-guard bench-guard-spans bench-parallel sweep-smoke
+.PHONY: all build vet lint lint-rules test race cover fuzz ci test-import-export bench micro bench-smoke bench-set bench-compare bench-parallel sweep-smoke
 
 all: ci
 
@@ -65,8 +56,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Simulator-aware static analysis: determinism, hot-path allocation
-# discipline, snapshot completeness and shard safety. A finding is accepted
+# Simulator-aware static analysis: determinism, snapshot completeness and
+# shard safety. A finding is accepted
 # only by a justified //sslint:allow at its site; the rules' own fixtures run
 # as TestFixtures under `make cover`.
 lint:
@@ -114,7 +105,7 @@ test-import-export:
 
 # cover runs every test once, with the floors enforced; ci does not also run
 # the plain test target.
-ci: build vet lint cover race test-import-export bench-smoke bench-guard sweep-smoke
+ci: build vet lint cover race test-import-export bench-smoke sweep-smoke
 
 # The benchmark's smoke test (~15 s), so every merge runs the six workloads
 # and their cross-path fingerprint equalities, not only the changes that are
@@ -136,16 +127,6 @@ bench-compare:
 # pipeline end-to-end. See scripts/sweep_smoke.sh.
 sweep-smoke:
 	sh scripts/sweep_smoke.sh
-
-# Hot-path allocation guard: the telemetry subsystem's "zero overhead when
-# disabled" claim, enforced. See scripts/bench_guard.sh.
-bench-guard:
-	sh scripts/bench_guard.sh bench_ceiling.txt
-
-# Same guard, plus the span-instrumented variant for overhead measurement
-# (reported informationally, recorded in EXPERIMENTS.md; not part of ci).
-bench-guard-spans:
-	sh scripts/bench_guard.sh bench_ceiling.txt spans
 
 # Serial-vs-parallel wall-clock on the Figure 5 transient. Informational:
 # speedup depends on the host's core count (see EXPERIMENTS.md); correctness

@@ -15,20 +15,16 @@
 package supersim_test
 
 import (
+	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"testing"
 
-	"fmt"
-
 	"supersim/internal/config"
 	"supersim/internal/core"
 	"supersim/internal/experiments"
-	"supersim/internal/sim"
-	"supersim/internal/stats"
 )
 
 func benchName(prefix string, v uint64) string { return fmt.Sprintf("%s_%d", prefix, v) }
@@ -79,30 +75,11 @@ func BenchmarkFigure5(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure5Spans runs the same transient with span recording enabled
-// at full sampling (fold-only, no JSONL stream) — the instrumented
-// counterpart of the bench-guard's disabled-path BenchmarkFigure5. Run via
-// `make bench-guard-spans`; the guard reports it informationally and only
-// enforces the disabled-path ceiling.
-func BenchmarkFigure5Spans(b *testing.B) {
-	o := opts(b)
-	o.SpansSample = 1.0
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure5(o)
-		if r.PulsePeak <= r.BlastMean {
-			b.Fatalf("pulse did not disturb blast: peak %.1f vs mean %.1f",
-				r.PulsePeak, r.BlastMean)
-		}
-	}
-}
-
 // BenchmarkFigure5Workers runs the Figure 5 transient at explicit worker
-// counts. The workers_1 case is the serial path reached through the
-// simulation.workers setting — `make bench-guard` enforces the committed
-// allocs/op ceiling against it, pinning "parallel support costs the serial
-// path nothing". The higher counts exercise the sharded engine end to end and
-// report its wall-clock for EXPERIMENTS.md (speedup is hardware-dependent;
-// results are identical at every count).
+// counts (`make bench-parallel`). The workers_1 case is the serial path
+// reached through the simulation.workers setting; the higher counts exercise
+// the sharded engine end to end and report its wall-clock for EXPERIMENTS.md
+// (speedup is hardware-dependent; results are identical at every count).
 func BenchmarkFigure5Workers(b *testing.B) {
 	for _, w := range []uint64{1, 2, 4} {
 		b.Run(benchName("workers", w), func(b *testing.B) {
@@ -116,25 +93,6 @@ func BenchmarkFigure5Workers(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFigure5TraceParallel runs the Figure 5 transient at workers=2
-// with full-sampling flit tracing: every trace record lands in a per-shard
-// lane and the end-of-run merge reassembles the serial emission order. The
-// bench-guard reports it informationally alongside the spans path — the
-// enforced ceiling stays on the tracing-disabled benchmarks, whose hot path
-// this feature must not touch.
-func BenchmarkFigure5TraceParallel(b *testing.B) {
-	o := opts(b)
-	o.Workers = 2
-	o.TraceFile = filepath.Join(b.TempDir(), "trace.json")
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure5(o)
-		if r.PulsePeak <= r.BlastMean {
-			b.Fatalf("pulse did not disturb blast: peak %.1f vs mean %.1f",
-				r.PulsePeak, r.BlastMean)
-		}
 	}
 }
 
@@ -259,25 +217,6 @@ func BenchmarkFigure12(b *testing.B) {
 
 // --- Ablation benches for the design choices DESIGN.md calls out ---
 
-// BenchmarkEventQueue measures raw DES engine throughput: events/op is the
-// metric (one op = one scheduled+executed event) at a realistic pending-set
-// size.
-func BenchmarkEventQueue(b *testing.B) {
-	s := sim.NewSimulator(1)
-	const pending = 8192
-	var h sim.Handler
-	h = sim.HandlerFunc(func(ev *sim.Event) {
-		s.Schedule(h, s.Now().Plus(1+sim.Tick(ev.Type%97)), ev.Type, nil)
-	})
-	for i := 0; i < pending; i++ {
-		s.Schedule(h, sim.Time{Tick: sim.Tick(i%97) + 1}, i, nil)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i += pending {
-		s.RunUntil(s.Now().Tick + 97)
-	}
-}
-
 // BenchmarkAblationRouterArch compares the three router architectures on an
 // identical small workload, quantifying the paper's claim that the OQ model
 // reduces simulation execution time.
@@ -314,54 +253,6 @@ func BenchmarkAblationRouterArch(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(sm.Sim.Executed()), "events")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationArbiter compares round-robin against age-based
-// arbitration on the parking lot workload: the fairness ratio (far terminal
-// deliveries / near terminal deliveries) is reported per policy.
-func BenchmarkAblationArbiter(b *testing.B) {
-	run := func(policy string) float64 {
-		cfg := config.MustParse(`{
-		  "simulation": {"seed": 21},
-		  "network": {
-		    "topology": "parking_lot", "routers": 5,
-		    "channel": {"latency": 4, "period": 2},
-		    "injection": {"latency": 2},
-		    "router": {
-		      "architecture": "input_queued", "num_vcs": 1,
-		      "input_buffer_depth": 8, "crossbar_latency": 2,
-		      "crossbar_policy": "` + policy + `",
-		      "vc_policy": "` + policy + `"
-		    }
-		  },
-		  "workload": {"applications": [{
-		    "type": "blast", "injection_rate": 0.9, "message_size": 1,
-		    "warmup_duration": 1000, "sample_duration": 8000,
-		    "source_queue_limit": 16,
-		    "traffic": {"type": "fixed", "destination": 0}
-		  }]}
-		}`)
-		sm := core.Build(cfg)
-		if _, err := sm.Run(); err != nil {
-			b.Fatal(err)
-		}
-		counts := map[int]int{}
-		rec := sm.Workload.App(0).(stats.Provider).Stats()
-		for i := 0; i < rec.Count(); i++ {
-			counts[rec.At(i).Src]++
-		}
-		if counts[1] == 0 {
-			return 0
-		}
-		return float64(counts[4]) / float64(counts[1])
-	}
-	for _, policy := range []string{"round_robin", "age_based"} {
-		b.Run(policy, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(run(policy), "fairness")
 			}
 		})
 	}

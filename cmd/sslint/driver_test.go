@@ -21,15 +21,15 @@ func TestDirtyText(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
-	// Two findings: the hotpath allocation and the unused allow, rendered with
+	// Two findings: the unserialized field and the unused allow, rendered with
 	// module-root-relative paths.
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d findings, want 2:\n%s", len(lines), out)
 	}
 	if !strings.Contains(lines[0], "cmd/sslint/testdata/dirty/dirty.go:") ||
-		!strings.Contains(lines[0], "new allocates") ||
-		!strings.HasSuffix(lines[0], "[hotpath]") {
+		!strings.Contains(lines[0], "field counter.lost is mutated") ||
+		!strings.HasSuffix(lines[0], "[snapshotcomplete]") {
 		t.Errorf("unexpected first finding: %q", lines[0])
 	}
 	if !strings.Contains(lines[1], "suppresses nothing") ||
@@ -54,7 +54,7 @@ func TestListRules(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	want := []string{"determinism", "hotpath", "shardsafety", "snapshotcomplete", lint.RuleDirective}
+	want := []string{"determinism", "shardsafety", "snapshotcomplete", lint.RuleDirective}
 	if len(lines) != len(want) {
 		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), out)
 	}

@@ -1,6 +1,6 @@
 // Command sslint runs the simulator-aware static analysis suite over the
-// repository: determinism, hotpath, snapshotcomplete and shardsafety, plus
-// the directive meta-rule (see internal/lint).
+// repository: determinism, snapshotcomplete and shardsafety, plus the
+// directive meta-rule (see internal/lint).
 //
 // Usage:
 //

@@ -121,8 +121,6 @@ func (c *Channel) InFlight() int { return len(c.pending) - c.head }
 // Inject sends a flit down the channel. The caller must respect the
 // channel's bandwidth: injecting before NextSlot panics. The flit arrives at
 // the sink latency ticks later.
-//
-//sslint:hotpath
 func (c *Channel) Inject(f *types.Flit) {
 	if c.remote != nil {
 		c.injectRemote(f)
@@ -143,7 +141,6 @@ func (c *Channel) Inject(f *types.Flit) {
 	c.tp.FlitInjected()
 	f.SendTime = now.Tick
 	at := now.Tick + c.latency
-	//sslint:allow hotpath — amortized FIFO growth, compacted in ProcessEvent
 	c.pending = append(c.pending, flitFlight{at: at, f: f})
 	if !c.scheduled {
 		c.scheduled = true
@@ -156,8 +153,6 @@ func (c *Channel) Inject(f *types.Flit) {
 // Sim() is the destination shard's) and hand the flit to the destination
 // through the engine inbox. All source-side bookkeeping is identical to the
 // local path.
-//
-//sslint:hotpath
 func (c *Channel) injectRemote(f *types.Flit) {
 	now := c.remote.SrcNow()
 	if now.Tick < c.nextSlot {
@@ -189,8 +184,6 @@ func (c *Channel) ReceiveRemote(at sim.Tick, ptr any, aux int) {
 }
 
 // ProcessEvent delivers the head flit and re-arms for the next one.
-//
-//sslint:hotpath
 func (c *Channel) ProcessEvent(ev *sim.Event) {
 	now := c.Sim().Now().Tick
 	fl := c.pending[c.head]
@@ -279,8 +272,6 @@ func (c *CreditChannel) Latency() sim.Tick { return c.latency }
 func (c *CreditChannel) SetRemote(p *sim.RemotePort) { c.remote = p }
 
 // Inject sends a credit; it arrives latency ticks later.
-//
-//sslint:hotpath
 func (c *CreditChannel) Inject(cr types.Credit) {
 	if c.remote != nil {
 		c.remote.Send(c.remote.SrcNow().Tick+c.latency, nil, cr.VC)
@@ -290,7 +281,6 @@ func (c *CreditChannel) Inject(cr types.Credit) {
 		c.Panicf("credit injected into unconnected channel")
 	}
 	at := c.Sim().Now().Tick + c.latency
-	//sslint:allow hotpath — amortized FIFO growth, compacted in ProcessEvent
 	c.pending = append(c.pending, creditFlight{at: at, cr: cr})
 	if !c.scheduled {
 		c.scheduled = true
@@ -310,8 +300,6 @@ func (c *CreditChannel) ReceiveRemote(at sim.Tick, ptr any, aux int) {
 }
 
 // ProcessEvent delivers every credit due at the current tick.
-//
-//sslint:hotpath
 func (c *CreditChannel) ProcessEvent(ev *sim.Event) {
 	now := c.Sim().Now().Tick
 	for c.head < len(c.pending) && c.pending[c.head].at == now {

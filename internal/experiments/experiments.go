@@ -35,24 +35,11 @@ type Options struct {
 	// SUPERSIM_MONITOR to this.
 	MonitorEvery uint64
 
-	// SpansSample, when positive, enables telemetry with span recording at
-	// that sample fraction (fold-only: spans feed the registry histograms, no
-	// JSONL stream). BenchmarkFigure5Spans uses this to measure the
-	// instrumented hot path against the disabled-path bench-guard ceiling.
-	SpansSample float64
-
 	// Workers, when positive, sets simulation.workers on every simulation
-	// the experiment runs: 1 pins the explicit serial path (the bench-guard
-	// enforces its allocation ceiling there), > 1 runs that many parallel
-	// shards with results identical to the serial run (`make bench-parallel`).
+	// the experiment runs: 1 pins the explicit serial path, > 1 runs that
+	// many parallel shards with results identical to the serial run (`make
+	// bench-parallel`).
 	Workers uint64
-
-	// TraceFile, when non-empty, enables telemetry with full-sampling flit
-	// tracing to that path. Combined with Workers > 1 it measures the cost of
-	// per-shard lane recording plus the end-of-run stamp merge
-	// (BenchmarkFigure5TraceParallel); the output bytes are identical to a
-	// serial trace.
-	TraceFile string
 
 	// TaskProbe, when non-nil, receives a lifecycle event pair per sweep
 	// point: every sweepLoads simulation is reported as a queued → ready →
@@ -75,17 +62,8 @@ func (o Options) prep(cfg *config.Settings) *config.Settings {
 	if o.MonitorEvery > 0 {
 		cfg.Set("simulation.monitor_interval", o.MonitorEvery)
 	}
-	if o.SpansSample > 0 {
-		cfg.Set("simulation.telemetry.enabled", true)
-		cfg.Set("simulation.telemetry.spans_sample", o.SpansSample)
-	}
 	if o.Workers > 0 {
 		cfg.Set("simulation.workers", o.Workers)
-	}
-	if o.TraceFile != "" {
-		cfg.Set("simulation.telemetry.enabled", true)
-		cfg.Set("simulation.telemetry.trace_file", o.TraceFile)
-		cfg.Set("simulation.telemetry.trace_sample", 1.0)
 	}
 	return cfg
 }

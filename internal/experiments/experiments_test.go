@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +141,53 @@ func TestFigure7Deterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("point %d differs: %v vs %v — experiments are not deterministic", i, a[i], b[i])
 		}
+	}
+}
+
+// The Figure 5 transient's allocation budget, for one whole run (build,
+// simulate, summarize) with telemetry disabled.
+const (
+	// figure5MaxAllocs: measured ~42.6k (the build and the pooled
+	// message/packet/flit lifecycle); the headroom covers run-to-run jitter,
+	// not new per-flit allocations.
+	figure5MaxAllocs = 45000
+	// figure5MaxBytes: measured ~19.5 MB, nearly all of it the recorders'
+	// 256 KB chunks (2 x 232k samples x 32 bytes) and one sorted latency
+	// vector. It was 167 MB when the recorder was one growing slice; a store
+	// that re-copies itself as it grows cannot fit under this.
+	figure5MaxBytes = 32000000
+)
+
+// TestFigure5AllocationBudget holds the Figure 5 transient to its
+// allocation and byte ceilings on the default path and on the explicit
+// workers=1 path (simulation.workers set to 1), which must be the same serial
+// path: parallel support costs the serial run nothing.
+func TestFigure5AllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the Figure 5 transient twice")
+	}
+	for _, tc := range []struct {
+		name    string
+		workers uint64
+	}{{"default", 0}, {"workers_1", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r := Figure5(Options{Seed: 1, Workers: tc.workers})
+			runtime.ReadMemStats(&after)
+			if r.PulsePeak <= r.BlastMean {
+				t.Fatalf("pulse did not disturb blast: peak %.1f vs mean %.1f", r.PulsePeak, r.BlastMean)
+			}
+			allocs := after.Mallocs - before.Mallocs
+			allocated := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%d allocations, %d bytes", allocs, allocated)
+			if allocs > figure5MaxAllocs {
+				t.Errorf("%d allocations, ceiling %d", allocs, figure5MaxAllocs)
+			}
+			if allocated > figure5MaxBytes {
+				t.Errorf("%d bytes allocated, ceiling %d", allocated, figure5MaxBytes)
+			}
+		})
 	}
 }
 

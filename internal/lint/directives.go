@@ -9,7 +9,6 @@ import (
 
 const (
 	allowPrefix      = "//sslint:allow"
-	hotpathMarker    = "//sslint:hotpath"
 	nosnapshotPrefix = "//sslint:nosnapshot"
 	anyPrefix        = "//sslint:"
 )
@@ -60,7 +59,6 @@ func (n *nosnapshotDirective) coversLine(file string, line int) bool {
 
 // directives holds one package's parsed //sslint: comments.
 type directives struct {
-	hotpath     []*ast.FuncDecl
 	allows      []*allowDirective
 	nosnapshots []*nosnapshotDirective
 	problems    []Diagnostic // malformed directives, reported under RuleDirective
@@ -82,8 +80,8 @@ func (d *directives) nosnapshotFor(pos token.Position) *nosnapshotDirective {
 func parseDirectives(p *Package) *directives {
 	d := &directives{}
 	for _, f := range p.Files {
-		// Map each doc-comment line to its function, so directives in doc
-		// comments get function scope and hotpath marks find their target.
+		// Map each doc-comment line to its function, so allows in doc
+		// comments get function scope.
 		docOwner := map[*ast.Comment]*ast.FuncDecl{}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -101,16 +99,6 @@ func parseDirectives(p *Package) *directives {
 				}
 				pos := p.Position(c.Pos())
 				switch {
-				case text == hotpathMarker:
-					fd := docOwner[c]
-					if fd == nil || fd.Body == nil {
-						d.problems = append(d.problems, Diagnostic{
-							Rule: RuleDirective, Pos: pos,
-							Message: "//sslint:hotpath must appear in the doc comment of a function with a body",
-						})
-						continue
-					}
-					d.hotpath = append(d.hotpath, fd)
 				case strings.HasPrefix(text, allowPrefix+" "):
 					d.parseAllow(p, c, docOwner[c], pos)
 				case text == nosnapshotPrefix || strings.HasPrefix(text, nosnapshotPrefix+" "):

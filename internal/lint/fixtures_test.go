@@ -52,9 +52,6 @@ func fixtureSpecs() []fixtureSpec {
 		{Name: "taskrun-out-of-scope", Dir: "taskrun",
 			ImportPath: "supersim/internal/lint/testdata/src/taskrun",
 			Rules:      det, WantClean: true},
-		{Name: "hotpath", Dir: "hotpath",
-			ImportPath: "supersim/internal/lint/testdata/src/hotpath",
-			Rules:      []string{RuleHotpath}},
 		{Name: "snapshotcomplete", Dir: "snapshotcomplete",
 			ImportPath: "supersim/internal/lint/testdata/src/snapshotcomplete",
 			Rules:      []string{RuleSnapshotComplete}},

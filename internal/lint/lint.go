@@ -1,19 +1,16 @@
 // Package lint implements sslint, a simulator-aware static analysis suite.
 //
 // SuperSim's value rests on bit-exact reproducibility: identical configs must
-// yield identical results, and the zero-allocation traffic hot path must stay
-// allocation-free.
-// The runtime test suite (golden traces, byte-identical observation-only e2e,
-// the verify subsystem) catches violations after the fact; this package
-// catches them at lint time, as structural properties of the source.
+// yield identical results. The runtime test suite (golden traces,
+// byte-identical observation-only e2e, the verify subsystem) catches
+// violations after the fact; this package catches them at lint time, as
+// structural properties of the source.
 //
-// Four analyzers encode the repo's invariants:
+// Three analyzers encode the repo's invariants:
 //
 //   - determinism: sim-core packages must not read the wall clock, draw from
 //     the global math/rand source, or let map iteration order feed simulation
 //     state (Determinism).
-//   - hotpath: functions marked //sslint:hotpath must not contain syntactic
-//     allocation sources (Hotpath).
 //   - snapshotcomplete: a type's State method (its one bidirectional
 //     checkpoint codec) must mention every mutable field of the struct or
 //     the field must be marked ephemeral (SnapshotComplete).
@@ -22,9 +19,11 @@
 //     the RemotePort seam or follows a remote != nil early return
 //     (ShardSafety).
 //
-// That observation probes are free and safe when disabled is not a lint
-// property: every probe method is a no-op on a nil receiver, which
-// TestProbesNilSafe in internal/telemetry and internal/verify enforces.
+// Run-time properties are tested, not linted: every probe method is a no-op
+// on a nil receiver (TestProbesNilSafe in internal/telemetry and
+// internal/verify), and the flit path does not allocate once warm
+// (TestSteadyStateAllocations in internal/core, measured over every
+// topology, routing algorithm and router architecture).
 //
 // The engine is stdlib-only: packages are loaded with go/parser and
 // type-checked with go/types using importer.ForCompiler's source importer.
@@ -33,11 +32,7 @@
 //
 // # Directives
 //
-// Three comment directives steer the analyzers:
-//
-//	//sslint:hotpath
-//
-// in a function's doc comment marks it for the hotpath analyzer.
+// Two comment directives steer the analyzers:
 //
 //	//sslint:allow <rule>[,<rule>...] — <justification>
 //
@@ -64,20 +59,18 @@ import (
 // Rule names of the shipped analyzers plus the internal directive checker.
 const (
 	RuleDeterminism      = "determinism"
-	RuleHotpath          = "hotpath"
 	RuleSnapshotComplete = "snapshotcomplete"
 	RuleShardSafety      = "shardsafety"
 
 	// RuleDirective reports misuse of the //sslint: directives themselves:
-	// unknown rule names, missing justifications, allows that suppress
-	// nothing, and hotpath marks outside function doc comments. It is always
-	// active.
+	// unknown rule names, missing justifications, and allows that suppress
+	// nothing. It is always active.
 	RuleDirective = "directive"
 )
 
 // Rules returns the names of the shipped analyzers, sorted.
 func Rules() []string {
-	return []string{RuleDeterminism, RuleHotpath, RuleShardSafety, RuleSnapshotComplete}
+	return []string{RuleDeterminism, RuleShardSafety, RuleSnapshotComplete}
 }
 
 // RuleDoc returns a one-line description of a rule, for `sslint -list-rules`
@@ -86,8 +79,6 @@ func RuleDoc(name string) string {
 	switch name {
 	case RuleDeterminism:
 		return "sim-core code must not read the wall clock, draw global randomness, iterate maps into state, or spawn ad-hoc concurrency"
-	case RuleHotpath:
-		return "//sslint:hotpath functions must be free of syntactic allocation sources"
 	case RuleSnapshotComplete:
 		return "a type with a *snapshot.Codec method must mention every mutable field in it or mark the field //sslint:nosnapshot"
 	case RuleShardSafety:
@@ -114,8 +105,6 @@ func NewAnalyzer(name string) (Analyzer, error) {
 	switch name {
 	case RuleDeterminism:
 		return NewDeterminism(), nil
-	case RuleHotpath:
-		return NewHotpath(), nil
 	case RuleSnapshotComplete:
 		return NewSnapshotComplete(), nil
 	case RuleShardSafety:

@@ -36,7 +36,6 @@ func TestDirectiveProblems(t *testing.T) {
 		`lists rule "determinism" twice`,
 		`unknown sslint directive "//sslint:frobnicate"`,
 		"//sslint:nosnapshot requires a justification",
-		"doc comment of a function",
 	}
 	probs := p.directives.problems
 	if len(probs) != len(wantSubstr) {
@@ -80,7 +79,7 @@ func TestNewAnalyzer(t *testing.T) {
 	if _, err := NewAnalyzer("bogus"); err == nil {
 		t.Fatal("NewAnalyzer accepted an unknown rule")
 	}
-	if !KnownRule(RuleHotpath) || KnownRule("bogus") || KnownRule(RuleDirective) {
+	if !KnownRule(RuleShardSafety) || KnownRule("bogus") || KnownRule(RuleDirective) {
 		t.Fatal("KnownRule misclassifies")
 	}
 }

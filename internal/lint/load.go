@@ -18,7 +18,7 @@ import (
 var ErrNoGoFiles = fmt.Errorf("lint: no non-test Go files")
 
 // Package is one loaded, type-checked package plus the lint bookkeeping the
-// analyzers share: parsed //sslint: directives and an AST parent index.
+// analyzers share: its parsed //sslint: directives.
 type Package struct {
 	ImportPath string
 	Dir        string
@@ -28,22 +28,14 @@ type Package struct {
 	Info       *types.Info
 
 	directives *directives
-	parents    map[ast.Node]ast.Node
 	fdecls     map[types.Object]*ast.FuncDecl // lazy; see funcDeclOf
 }
 
 // TypeOf returns the type of an expression, or nil when untyped.
 func (p *Package) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// Parent returns the syntactic parent of a node within this package, or nil
-// for file roots and foreign nodes.
-func (p *Package) Parent(n ast.Node) ast.Node { return p.parents[n] }
-
 // Position resolves a token position.
 func (p *Package) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
-
-// HotpathFuncs returns the function declarations marked //sslint:hotpath.
-func (p *Package) HotpathFuncs() []*ast.FuncDecl { return p.directives.hotpath }
 
 // Loader parses and type-checks packages. All packages loaded through one
 // Loader share a FileSet and a source importer, so dependency packages are
@@ -110,29 +102,8 @@ func (l *Loader) Load(dir, importPath string) (*Package, error) {
 		Pkg:        pkg,
 		Info:       info,
 	}
-	p.buildParents()
 	p.directives = parseDirectives(p)
 	return p, nil
-}
-
-// buildParents indexes every node's syntactic parent across the package's
-// files, for the enclosing-function and composite-literal context checks.
-func (p *Package) buildParents() {
-	p.parents = make(map[ast.Node]ast.Node)
-	for _, f := range p.Files {
-		var stack []ast.Node
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			if len(stack) > 0 {
-				p.parents[n] = stack[len(stack)-1]
-			}
-			stack = append(stack, n)
-			return true
-		})
-	}
 }
 
 // funcDeclOf returns the declaration of a package-level function or method

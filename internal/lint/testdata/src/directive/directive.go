@@ -21,5 +21,3 @@ func unknownDirective() {}
 
 //sslint:nosnapshot
 func nosnapshotWithoutJustification() {}
-
-var notAFunc = 1 //sslint:hotpath

@@ -156,8 +156,6 @@ func (n *Interface) FlitsReceived() uint64 { return n.flitsReceived }
 
 // SendMessage queues a message's packets for injection. The message must
 // originate at this terminal.
-//
-//sslint:hotpath
 func (n *Interface) SendMessage(m *types.Message) {
 	if m.Src != n.id {
 		n.Panicf("message %d src %d sent from terminal %d", m.ID, m.Src, n.id)
@@ -169,7 +167,6 @@ func (n *Interface) SendMessage(m *types.Message) {
 		n.Panicf("message %d has no packets", m.ID)
 	}
 	n.sp.Start(n.Sim(), m)
-	//sslint:allow hotpath — amortized send-queue growth, compacted in popPacket
 	n.sendQ = append(n.sendQ, m.Packets...)
 	n.tp.QueueDepth(n.QueueDepth())
 	n.scheduleInject()
@@ -206,8 +203,6 @@ func (n *Interface) ProcessEvent(ev *sim.Event) {
 
 // headSendable reports whether the head packet's next flit has a usable VC
 // credit right now.
-//
-//sslint:hotpath
 func (n *Interface) headSendable() bool {
 	if n.QueueDepth() == 0 {
 		return false
@@ -223,7 +218,6 @@ func (n *Interface) headSendable() bool {
 	return false
 }
 
-//sslint:hotpath
 func (n *Interface) injectOne() {
 	if n.QueueDepth() == 0 {
 		return
@@ -295,8 +289,6 @@ func (n *Interface) injectOne() {
 // the queue resets when it drains and compacts when the consumed prefix is
 // at least half of a non-trivial buffer, keeping dequeue O(1) amortized
 // without unbounded growth at saturation.
-//
-//sslint:hotpath
 func (n *Interface) popPacket() {
 	n.sendQ[n.sendHead] = nil
 	n.sendHead++
@@ -313,8 +305,6 @@ func (n *Interface) popPacket() {
 
 // ReceiveFlit ejects a flit from the network: the delivery checks run, the
 // credit returns to the router, and completed messages go to the sink.
-//
-//sslint:hotpath
 func (n *Interface) ReceiveFlit(port int, f *types.Flit) {
 	now := n.Sim().Now().Tick
 	n.flitsReceived++
@@ -365,8 +355,6 @@ func (n *Interface) InjectionCredits() []int {
 func (n *Interface) OutputChannel() *channel.Channel { return n.outCh }
 
 // ReceiveCredit restores an injection credit for a VC.
-//
-//sslint:hotpath
 func (n *Interface) ReceiveCredit(port int, c types.Credit) {
 	if c.VC < 0 || c.VC >= n.vcs {
 		n.Panicf("credit for unregistered VC %d", c.VC)

@@ -41,6 +41,12 @@ type Dragonfly struct {
 	vcs     int
 	alg     int
 	thresh  float64
+
+	// VC sets, built once and shared by every route: single[v] is {v}, all
+	// is every VC (ejection). Routing algorithms must treat them as
+	// immutable.
+	single [][]int
+	all    []int
 }
 
 // New builds a dragonfly from the network settings block.
@@ -72,6 +78,12 @@ func New(s *sim.Simulator, cfg *config.Settings) *Dragonfly {
 		panic("dragonfly: this routing algorithm requires more VCs")
 	}
 	d.thresh = cfg.FloatOr("routing.ugal_bias", 0)
+	d.all = make([]int, d.vcs)
+	d.single = make([][]int, d.vcs)
+	for v := range d.all {
+		d.all[v] = v
+		d.single[v] = []int{v}
+	}
 
 	numRouters := d.groups * d.a
 	radix := d.p + (d.a - 1) + d.h
@@ -108,7 +120,7 @@ func New(s *sim.Simulator, cfg *config.Settings) *Dragonfly {
 			d.LinkBidir(d.Routers[sr], d.globalPort(l%d.h), d.Routers[tr], d.globalPort(back%d.h))
 		}
 	}
-	policy := func(pkt *types.Packet) []int { return []int{0} }
+	policy := func(pkt *types.Packet) []int { return d.single[0] }
 	for t := 0; t < numRouters*d.p; t++ {
 		ifc := d.BuildInterface(t, d.vcs, policy)
 		d.AttachTerminal(ifc, d.Routers[t/d.p], t%d.p)
@@ -173,14 +185,10 @@ func (a *dfAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 			lastLocal = 2
 		}
 		if a.router == dstR {
-			all := make([]int, d.vcs)
-			for i := range all {
-				all[i] = i
-			}
-			return routing.Response{Port: dst % d.p, VCs: all}
+			return routing.Response{Port: dst % d.p, VCs: d.all}
 		}
 		o := ((dstR-a.router)%d.a + d.a) % d.a
-		return routing.Response{Port: d.localPort(o), VCs: []int{lastLocal}}
+		return routing.Response{Port: d.localPort(o), VCs: d.single[lastLocal]}
 	}
 	tg := dg
 	if pkt.NonMinimal && !st.Dateline {
@@ -192,10 +200,10 @@ func (a *dfAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 		class = 1
 	}
 	if a.router%d.a == ro {
-		return routing.Response{Port: d.globalPort(gp), VCs: []int{class}}
+		return routing.Response{Port: d.globalPort(gp), VCs: d.single[class]}
 	}
 	o := ((ro-a.router%d.a)%d.a + d.a) % d.a
-	return routing.Response{Port: d.localPort(o), VCs: []int{class}}
+	return routing.Response{Port: d.localPort(o), VCs: d.single[class]}
 }
 
 // hops counts the minimal path length from router r to router dstR.

@@ -153,8 +153,6 @@ type upAlg struct {
 }
 
 // Route implements routing.Algorithm.
-//
-//sslint:hotpath
 func (a *upAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
 	f := a.f
 	lvl, w := f.level(a.router), f.index(a.router)

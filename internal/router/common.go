@@ -193,8 +193,6 @@ func (b *base) clientVC(client int) int   { return client % b.vcs }
 // arrivalClient applies the framework's error detection to an arriving
 // flit's address — the port exists and the VC is registered — and returns
 // its input client.
-//
-//sslint:hotpath
 func (b *base) arrivalClient(port int, f *types.Flit) int {
 	b.checkPort(port)
 	if f.VC < 0 || f.VC >= b.vcs {
@@ -205,8 +203,6 @@ func (b *base) arrivalClient(port int, f *types.Flit) int {
 
 // receive appends an arriving flit to its input buffer q, panicking on an
 // overrun: the sender spent a credit it did not have.
-//
-//sslint:hotpath
 func (b *base) receive(q *flitQueue, port int, f *types.Flit) {
 	if q.len() >= b.bufDepth {
 		b.Panicf("input buffer overrun on port %d vc %d", port, f.VC)
@@ -218,8 +214,6 @@ func (b *base) receive(q *flitQueue, port int, f *types.Flit) {
 
 // schedulePipeline arms the architecture's pipeline event for the next core
 // clock edge, unless one is already pending.
-//
-//sslint:hotpath
 func (b *base) schedulePipeline() {
 	if b.pipelineScheduled {
 		return
@@ -254,8 +248,6 @@ func (b *base) validateResponse(resp routing.Response, pkt *types.Packet) {
 }
 
 // takeDownstreamCredit consumes one downstream credit and updates the sensor.
-//
-//sslint:hotpath
 func (b *base) takeDownstreamCredit(port, vc int) {
 	b.downCred[port][vc]--
 	if b.downCred[port][vc] < 0 {
@@ -266,8 +258,6 @@ func (b *base) takeDownstreamCredit(port, vc int) {
 }
 
 // returnDownstreamCredit restores one downstream credit (on credit arrival).
-//
-//sslint:hotpath
 func (b *base) returnDownstreamCredit(port, vc int) {
 	b.checkPort(port)
 	b.downCred[port][vc]++
@@ -281,8 +271,6 @@ func (b *base) returnDownstreamCredit(port, vc int) {
 // forwarded accounts for a flit that left a client's input buffer for its
 // output: the slot's credit goes back to the sender and the flit counts as
 // routed, in the router's own statistic and the telemetry registry.
-//
-//sslint:hotpath
 func (b *base) forwarded(client int) {
 	port, vc := b.clientPort(client), b.clientVC(client)
 	cc := b.creditOut[port]
@@ -339,8 +327,6 @@ type delayLine struct {
 
 // startFlight sends a flit down the internal datapath, to complete at tick
 // at, scheduling the completion event unless one is pending.
-//
-//sslint:hotpath
 func (b *base) startFlight(at sim.Tick, f *types.Flit, port int) {
 	b.dl.push(at, f, port)
 	if !b.dl.scheduled {
@@ -352,8 +338,6 @@ func (b *base) startFlight(at sim.Tick, f *types.Flit, port int) {
 // landFlight pops the next traversal completing now. When none is left it
 // re-arms the completion event for the earliest later one and reports false;
 // the architecture's completion handler loops on it.
-//
-//sslint:hotpath
 func (b *base) landFlight() (flight, bool) {
 	now := b.Sim().Now().Tick
 	at, ok := b.dl.next()
@@ -374,19 +358,14 @@ func (b *base) landFlight() (flight, bool) {
 }
 
 // push appends a traversal; it panics if completion times go backwards.
-//
-//sslint:hotpath
 func (d *delayLine) push(at sim.Tick, f *types.Flit, port int) {
 	if n := len(d.q); n > d.head && d.q[n-1].at > at {
 		panic("router: delay line completion times must be monotone")
 	}
-	//sslint:allow hotpath — amortized FIFO growth, compacted in pop
 	d.q = append(d.q, flight{at: at, f: f, port: port})
 }
 
 // next returns the earliest pending completion time.
-//
-//sslint:hotpath
 func (d *delayLine) next() (sim.Tick, bool) {
 	if d.head >= len(d.q) {
 		return 0, false
@@ -395,8 +374,6 @@ func (d *delayLine) next() (sim.Tick, bool) {
 }
 
 // pop removes and returns the earliest traversal.
-//
-//sslint:hotpath
 func (d *delayLine) pop() flight {
 	fl := d.q[d.head]
 	d.q[d.head] = flight{}
@@ -421,10 +398,8 @@ type flitQueue struct {
 
 func (q *flitQueue) len() int { return q.n }
 
-//sslint:hotpath
 func (q *flitQueue) push(f *types.Flit) {
 	if q.n == len(q.buf) {
-		//sslint:allow hotpath — amortized ring doubling, bounded by buffer depth
 		grown := make([]*types.Flit, max(4, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
@@ -436,7 +411,6 @@ func (q *flitQueue) push(f *types.Flit) {
 	q.n++
 }
 
-//sslint:hotpath
 func (q *flitQueue) peek() *types.Flit {
 	if q.n == 0 {
 		return nil
@@ -444,7 +418,6 @@ func (q *flitQueue) peek() *types.Flit {
 	return q.buf[q.head]
 }
 
-//sslint:hotpath
 func (q *flitQueue) pop() *types.Flit {
 	if q.n == 0 {
 		return nil

@@ -208,8 +208,6 @@ func (s *inputStage) pipeline() {
 // first). It reports whether any grant was made. Ordering storage is
 // vcOrder and grant marks ride in the inputVC structs: the allocator never
 // allocates — it runs every core cycle on every router.
-//
-//sslint:hotpath
 func (s *inputStage) allocateVCs(now sim.Tick) bool {
 	pending := s.vcPending
 	rotate := s.vcRotate
@@ -263,7 +261,6 @@ func (s *inputStage) allocateVCs(now sim.Tick) bool {
 		if iv.granted {
 			iv.granted = false
 		} else {
-			//sslint:allow hotpath — appends into pending[:0], never past its original length
 			kept = append(kept, client)
 		}
 	}

@@ -114,7 +114,6 @@ func (q *eventQueue) len() int { return q.n }
 // be empty.
 func (q *eventQueue) nextTick() Tick { return q.times[0].tick }
 
-//sslint:hotpath
 func (q *eventQueue) push(e *Event) {
 	t := e.Time
 	if q.open != 0 {
@@ -160,8 +159,6 @@ func (q *eventQueue) home(tick Tick, eps Epsilon) int {
 
 // addBucket creates the bucket for t, a timestamp with nothing pending, and
 // enters it in the hash table at slot, the free slot that ended t's probe run.
-//
-//sslint:hotpath
 func (q *eventQueue) addBucket(t Time, slot int) int32 {
 	var i int32
 	if n := len(q.spare); n > 0 {
@@ -169,13 +166,11 @@ func (q *eventQueue) addBucket(t Time, slot int) int32 {
 		q.spare = q.spare[:n-1]
 	} else {
 		i = int32(len(q.buckets))
-		//sslint:allow hotpath — amortized slab growth, bounded by the pending-timestamp high-water mark
 		q.buckets = append(q.buckets, bucket{})
 	}
 	item := tsEntry{tick: t.Tick, eps: t.Eps, b: i}
 	q.table[slot] = item
 
-	//sslint:allow hotpath — amortized heap growth, bounded by the pending-timestamp high-water mark
 	q.times = append(q.times, item)
 	a := q.times
 	j := len(a) - 1
@@ -212,8 +207,6 @@ func (q *eventQueue) growTable() {
 // unhash removes the entry for a pending timestamp from the hash table,
 // moving later entries of its probe run back so that none is cut off from its
 // home slot (Knuth 6.4, algorithm R).
-//
-//sslint:hotpath
 func (q *eventQueue) unhash(tick Tick, eps Epsilon) {
 	mask := len(q.table) - 1
 	free := q.home(tick, eps)
@@ -234,8 +227,6 @@ func (q *eventQueue) unhash(tick Tick, eps Epsilon) {
 
 // pop removes and returns the earliest pending event. The queue must not be
 // empty.
-//
-//sslint:hotpath
 func (q *eventQueue) pop() *Event {
 	if q.open == 0 {
 		q.openMin()
@@ -250,17 +241,13 @@ func (q *eventQueue) pop() *Event {
 }
 
 // openMin opens the bucket with the earliest timestamp.
-//
-//sslint:hotpath
 func (q *eventQueue) openMin() {
 	i := q.times[0].b
 	b := &q.buckets[i]
 	keys, evs := q.sorted[:0], q.evs[:0]
 	or, and := uint32(0), ^uint32(0)
 	for e := b.head; e != nil; {
-		//sslint:allow hotpath — amortized growth of the shared open-bucket arrays, bounded by the largest bucket
 		keys = append(keys, uint64(e.owner)<<32|uint64(len(evs)))
-		//sslint:allow hotpath — as above
 		evs = append(evs, e)
 		or |= e.owner
 		and &= e.owner
@@ -305,11 +292,8 @@ const insertionSortMax = 24
 // passes, least significant first, skipping the bytes in which no two keys
 // differ (varying has a bit set wherever two owners differ). It returns the
 // sorted slice and the other buffer, which swap roles on every pass.
-//
-//sslint:hotpath
 func radixSortOwners(keys, tmp []uint64, varying uint32) (sorted, other []uint64) {
 	if cap(tmp) < len(keys) {
-		//sslint:allow hotpath — amortized growth of the shared second buffer, bounded by the largest bucket
 		tmp = make([]uint64, len(keys), cap(keys))
 	}
 	tmp = tmp[:len(keys)]
@@ -347,11 +331,8 @@ func sortByOseq(keys []uint64, evs []*Event) {
 }
 
 // retireMin removes the drained open bucket from the queue.
-//
-//sslint:hotpath
 func (q *eventQueue) retireMin() {
 	q.unhash(q.times[0].tick, q.times[0].eps)
-	//sslint:allow hotpath — amortized free-list growth, bounded by the pending-timestamp high-water mark
 	q.spare = append(q.spare, q.open)
 	q.open, q.cur, q.sorted = 0, 0, q.sorted[:0]
 

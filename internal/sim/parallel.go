@@ -141,13 +141,10 @@ func (p *RemotePort) SrcNow() Time { return p.src.sim.now }
 
 // Send posts a timestamped message to the destination shard's inbox.
 // It is called from the source shard's goroutine.
-//
-//sslint:hotpath
 func (p *RemotePort) Send(at Tick, ptr any, aux int) {
 	d := p.dst
 	d.eng.work.Add(1)
 	d.mu.Lock()
-	//sslint:allow hotpath — inbox buffer reuse via double-buffering bounds growth to the per-window burst
 	d.inbox = append(d.inbox, remotePost{at: at, tgt: p.tgt, ptr: ptr, aux: aux})
 	depth := len(d.inbox)
 	d.mu.Unlock()

@@ -262,7 +262,6 @@ func (s *Simulator) ScheduleDaemon(h Handler, t Time, typ int, ctx any) {
 	s.schedule(h, t, typ, ctx, true)
 }
 
-//sslint:hotpath
 func (s *Simulator) schedule(h Handler, t Time, typ int, ctx any, daemon bool) {
 	if h == nil {
 		panic("sim: Schedule with nil handler")
@@ -275,7 +274,6 @@ func (s *Simulator) schedule(h Handler, t Time, typ int, ctx any, daemon bool) {
 		e = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		//sslint:allow hotpath — cold miss path: the event free list absorbs steady-state traffic
 		e = &Event{}
 	}
 	e.Time = t
@@ -360,7 +358,6 @@ func (s *Simulator) FinishMonitor() {
 	}
 }
 
-//sslint:hotpath
 func (s *Simulator) runUntil(tick Tick, all bool) uint64 {
 	start := s.executed
 	s.running = true
@@ -388,7 +385,6 @@ func (s *Simulator) runUntil(tick Tick, all bool) uint64 {
 		e.Handler = nil
 		e.Context = nil
 		if len(s.free) < maxEventFreeList {
-			//sslint:allow hotpath — growth is bounded by maxEventFreeList; steady state recycles without allocating
 			s.free = append(s.free, e)
 		}
 		if sh := s.shard; sh != nil && !daemon {

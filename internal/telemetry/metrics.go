@@ -35,13 +35,9 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//sslint:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//sslint:hotpath
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current count.
@@ -53,13 +49,9 @@ type Gauge struct {
 }
 
 // Add moves the gauge by d (negative to decrease).
-//
-//sslint:hotpath
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Set replaces the gauge value.
-//
-//sslint:hotpath
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Load returns the current level.
@@ -97,8 +89,6 @@ func BucketUpper(i int) uint64 {
 }
 
 // Observe records one value.
-//
-//sslint:hotpath
 func (h *Histogram) Observe(v uint64) {
 	h.buckets[bucketIndex(v)].Add(1)
 	h.count.Add(1)

@@ -9,9 +9,9 @@
 // components at construction with the For* probe constructors, which return
 // nil when telemetry is disabled. Every probe method is a no-op on a nil
 // receiver, so components call their hooks unguarded and the disabled hot
-// path costs one predictable (inlined) branch and zero allocations —
-// BenchmarkFigure5's allocation count is unchanged, which `make bench-guard`
-// enforces.
+// path costs one predictable (inlined) branch and zero allocations, which
+// TestSteadyStateAllocations in internal/core and TestFigure5AllocationBudget
+// in internal/experiments enforce.
 //
 // Telemetry is observation-only: it never touches the simulation PRNG or any
 // component state, and trace sampling is a pure hash of message IDs, so

@@ -60,8 +60,6 @@ func (p *Pool) Stats() PoolStats {
 // at most maxPacketSize flits, recycling a retired message of the same shape
 // when one is available. The returned message is field-for-field identical to
 // one built by the package-level NewMessage.
-//
-//sslint:hotpath
 func (p *Pool) NewMessage(id uint64, app, src, dst int, totalFlits, maxPacketSize int) *Message {
 	validateShape(id, totalFlits, maxPacketSize)
 	p.gets++
@@ -77,7 +75,6 @@ func (p *Pool) NewMessage(id uint64, app, src, dst int, totalFlits, maxPacketSiz
 		}
 		return m
 	}
-	//sslint:allow hotpath — cold miss path: first message of this shape, recycled forever after
 	m := &Message{pool: p}
 	m.alloc(totalFlits, maxPacketSize)
 	m.reset(id, app, src, dst)
@@ -92,8 +89,6 @@ func (p *Pool) NewMessage(id uint64, app, src, dst int, totalFlits, maxPacketSiz
 // (it would alias one block between two live messages). Messages owned by a
 // different pool, unpooled messages and nil are ignored, so callers can
 // release unconditionally at the retirement point.
-//
-//sslint:hotpath
 func (p *Pool) Release(m *Message) {
 	if m == nil || m.pool != p {
 		return
@@ -107,6 +102,5 @@ func (p *Pool) Release(m *Message) {
 		p.obs.MessageReleased(m)
 	}
 	k := poolKey{len(m.flitBlock), m.maxPkt}
-	//sslint:allow hotpath — amortized free-list growth, bounded by the in-flight high-water mark
 	p.free[k] = append(p.free[k], m)
 }

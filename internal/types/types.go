@@ -151,8 +151,6 @@ func (m *Message) alloc(totalFlits, maxPacketSize int) {
 
 // reset restores every mutable field to its initial value so a recycled
 // message is indistinguishable from a freshly allocated one.
-//
-//sslint:hotpath
 func (m *Message) reset(id uint64, app, src, dst int) {
 	m.gen++
 	m.ID = id

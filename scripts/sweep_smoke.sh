@@ -15,7 +15,8 @@
 #      utilization row.
 #
 # The observability additions must also keep the disabled hot path free; that
-# is `make bench-guard`, which `make ci` runs beside this target.
+# is TestSteadyStateAllocations and TestFigure5AllocationBudget, which `make
+# cover` runs beside this target in `make ci`.
 set -eu
 
 go=${GO:-go}
