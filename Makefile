@@ -1,15 +1,11 @@
 # SuperSim build/test/benchmark entry points.
 #
-#   make ci      - everything a merge must pass: build, vet, sslint, every
-#                  test (with the fuzz seed corpora, golden-trace conformance
-#                  runs and the two allocation tests) under the coverage
-#                  floors, the race detector over every package, checkpoint
-#                  equivalence, the benchmark's smoke tests and the sweep
-#                  smoke
-#   make lint    - sslint, the simulator-aware static analysis suite
-#                  (determinism, snapshotcomplete, shardsafety and directive
-#                  hygiene; see cmd/sslint and TESTING.md) over every package
-#   make lint-rules - list the active sslint rules with their one-line docs
+#   make ci      - everything a merge must pass: build, vet, every test
+#                  (with the fuzz seed corpora, golden-trace conformance
+#                  runs, the equivalence matrix and the two allocation tests)
+#                  under the coverage floors, the race detector over every
+#                  package, checkpoint equivalence, the benchmark's smoke
+#                  tests and the sweep smoke
 #   make cover   - the one test pass of ci: `go test -cover ./...`, failing on
 #                  any test failure or any package below its committed floor in
 #                  coverage_floors.txt (`make test` is the same pass without
@@ -17,10 +13,13 @@
 #                  TestSteadyStateAllocations (internal/core) and
 #                  TestFigure5AllocationBudget (internal/experiments)
 #   make test-import-export - checkpoint/restore equivalence under -race: the
-#                  simulation-after-import harness, cross-worker restores,
-#                  byte-exact snapshot round-trips and the pinned v1 bytes
+#                  equivalence matrix (serial = sharded = restored, byte for
+#                  byte, over every model), the simulation-after-import
+#                  harness, cross-worker restores, byte-exact snapshot
+#                  round-trips and the pinned v2 bytes
 #   make fuzz    - short live fuzzing session on the config parsers, the
-#                  event-order model and the transaction-log parser
+#                  event-order model, the transaction-log parser, the task
+#                  journal reader and the run-manifest loader
 #   make bench   - the paper's table/figure benchmark suite with -benchmem
 #   make micro   - the standalone hot-structure micro-benchmarks
 #   make sweep-smoke - fleet-observability smoke: a tiny two-point sweep with
@@ -46,7 +45,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-rules test race cover fuzz ci test-import-export bench micro bench-smoke bench-set bench-compare bench-parallel sweep-smoke
+.PHONY: all build vet test race cover fuzz ci test-import-export bench micro bench-smoke bench-set bench-compare bench-parallel sweep-smoke
 
 all: ci
 
@@ -55,16 +54,6 @@ build:
 
 vet:
 	$(GO) vet ./...
-
-# Simulator-aware static analysis: determinism, snapshot completeness and
-# shard safety. A finding is accepted
-# only by a justified //sslint:allow at its site; the rules' own fixtures run
-# as TestFixtures under `make cover`.
-lint:
-	$(GO) run ./cmd/sslint ./...
-
-lint-rules:
-	$(GO) run ./cmd/sslint -list-rules
 
 test:
 	$(GO) test ./...
@@ -83,29 +72,32 @@ race:
 cover:
 	sh scripts/check_cover.sh coverage_floors.txt
 
-# Short live fuzzing session on the config loader and override parser. The
-# committed seed corpora under internal/config/testdata/fuzz run on every
-# plain `go test`; this target actually explores beyond them.
+# Short live fuzzing session on every parser of outside input. The seeds
+# (f.Add and the committed corpora under testdata/fuzz) run on every plain
+# `go test`; this target actually explores beyond them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzSettingsOverride -fuzztime=10s ./internal/config
 	$(GO) test -run='^$$' -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/ssparse
+	$(GO) test -run='^$$' -fuzz=FuzzLoadTasks -fuzztime=10s ./internal/ssparse
+	$(GO) test -run='^$$' -fuzz=FuzzManifestLoad -fuzztime=10s ./internal/manifest
 
-# Checkpoint/restore equivalence: the simulation-after-import harness (all
-# golden topologies, serial and sharded), the cross-worker restore matrix,
-# checkpoints of a restored run starting after its restore tick,
-# byte-exact snapshot round-trips, the schema-v1 bytes pinned in
-# testdata/golden/snapshots.json, restored-index validation, and the
-# randomized checkpoint sweep — under
-# the race detector, since restore re-partitions across shards.
+# Checkpoint/restore equivalence: the equivalence matrix (every model, serial
+# repeat, workers 2, restore at workers 1 and 2, compared checkpoint by
+# checkpoint), the simulation-after-import harness (all golden topologies,
+# serial and sharded), the cross-worker restore matrix, checkpoints of a
+# restored run starting after its restore tick, byte-exact snapshot
+# round-trips, the schema-v2 bytes pinned in testdata/golden/snapshots.json,
+# restored-index validation, and the randomized checkpoint sweep — under the
+# race detector, since restore re-partitions across shards.
 test-import-export:
-	$(GO) test -race -count=1 -run='TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRandomizedCheckpointRestore' ./internal/core
+	$(GO) test -race -count=1 -run='TestEquivalenceMatrix|TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRestoreRejectsVersion1|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
 # cover runs every test once, with the floors enforced; ci does not also run
 # the plain test target.
-ci: build vet lint cover race test-import-export bench-smoke sweep-smoke
+ci: build vet cover race test-import-export bench-smoke sweep-smoke
 
 # The benchmark's smoke test (~15 s), so every merge runs the six workloads
 # and their cross-path fingerprint equalities, not only the changes that are

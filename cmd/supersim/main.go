@@ -385,6 +385,8 @@ func run(cfgPath string, overrides []string, o runOpts) error {
 	}
 	if !o.quiet {
 		fmt.Printf("simulation complete: %d events, %d ticks\n", res.Events, res.EndTick)
+		// Gets and releases count from the run's start; recycled hits from
+		// this process's, so a restored run reports fewer.
 		ps := sm.Workload.Pool().Stats()
 		if ps.Gets > 0 {
 			fmt.Printf("message pool: %d gets, %d recycled (%.1f%%), %d released\n",

@@ -39,11 +39,9 @@ type flitFlight struct {
 // between them.
 type Channel struct {
 	sim.ComponentBase
-	latency sim.Tick
-	period  sim.Tick
-	//sslint:nosnapshot — topology wiring, re-established by SetSink during the rebuild
-	sink types.FlitSink
-	//sslint:nosnapshot — topology wiring, re-established by SetSink during the rebuild
+	latency  sim.Tick
+	period   sim.Tick
+	sink     types.FlitSink
 	sinkPort int
 	nextSlot sim.Tick // earliest tick the next flit may be injected
 	injected uint64
@@ -51,7 +49,6 @@ type Channel struct {
 	// remote is non-nil when the channel crosses a shard boundary: the
 	// component (and its delivery events) lives on the destination shard,
 	// and source-side injections post through this port instead.
-	//sslint:nosnapshot — engine wiring, re-established by SetRemote when the rebuilt shards are linked
 	remote *sim.RemotePort
 
 	pending   []flitFlight // FIFO of in-flight flits (ring on head index)
@@ -230,16 +227,13 @@ type creditFlight struct {
 // but no bandwidth limit. Same-tick credits are delivered in one event.
 type CreditChannel struct {
 	sim.ComponentBase
-	latency sim.Tick
-	//sslint:nosnapshot — topology wiring, re-established by SetSink during the rebuild
-	sink types.CreditSink
-	//sslint:nosnapshot — topology wiring, re-established by SetSink during the rebuild
+	latency  sim.Tick
+	sink     types.CreditSink
 	sinkPort int
 
 	// remote is non-nil when the credit channel crosses a shard boundary;
 	// see Channel.remote. Credits are value types, so the post carries the
 	// VC number in the integer slot — no boxing, no allocation.
-	//sslint:nosnapshot — engine wiring, re-established by SetRemote when the rebuilt shards are linked
 	remote *sim.RemotePort
 
 	pending   []creditFlight

@@ -117,11 +117,12 @@ type allocCase struct {
 	cfg  *config.Settings
 }
 
-// allocCases is the measured configuration set: the routing table crossed
-// with every router architecture, one row per non-default router, sensor and
-// application model, and the golden cases with verification off and on,
-// with telemetry and on the sharded engine.
-func allocCases(t *testing.T) []allocCase {
+// modelCases is every network model a configuration can select, each running
+// app: the routing table crossed with every router architecture, then one row
+// per non-default router and congestion-sensor model. TestSteadyStateAllocations
+// checks the routing table against network.Registry and CONFIG.md, and
+// TestEquivalenceMatrix runs the same rows.
+func modelCases(app string) []allocCase {
 	var cases []allocCase
 	add := func(name, doc string) {
 		cases = append(cases, allocCase{name, config.MustParse(doc)})
@@ -132,18 +133,26 @@ func allocCases(t *testing.T) []allocCase {
 			if r.alg != "" {
 				name = r.topo + "_" + r.alg + "/" + arch
 			}
-			add(name, allocDoc(r.topo, r.alg, fmt.Sprintf(`"architecture": %q`, arch), allocBlast))
+			add(name, allocDoc(r.topo, r.alg, fmt.Sprintf(`"architecture": %q`, arch), app))
 		}
 	}
 	const iq = `"architecture": "input_queued"`
-	add("packet_buffer", allocDoc("torus", "", iq+`, "flow_control": "packet_buffer"`, allocBlast))
-	add("winner_take_all", allocDoc("torus", "", iq+`, "flow_control": "winner_take_all"`, allocBlast))
-	add("crossbar_age_based", allocDoc("torus", "", iq+`, "crossbar_policy": "age_based", "vc_policy": "age_based"`, allocBlast))
-	add("crossbar_random", allocDoc("torus", "", iq+`, "crossbar_policy": "random"`, allocBlast))
-	add("null_sensor", allocDoc("hyperx", "ugal", iq+`, "congestion_sensor": {"type": "null"}`, allocBlast))
-	add("pulse", allocDoc("torus", "", iq, `{"type": "pulse", "injection_rate": 0.2,
-	  "message_size": 4, "max_packet_size": 2, "count": 1000000,
-	  "traffic": {"type": "uniform_random"}}`))
+	add("packet_buffer", allocDoc("torus", "", iq+`, "flow_control": "packet_buffer"`, app))
+	add("winner_take_all", allocDoc("torus", "", iq+`, "flow_control": "winner_take_all"`, app))
+	add("crossbar_age_based", allocDoc("torus", "", iq+`, "crossbar_policy": "age_based", "vc_policy": "age_based"`, app))
+	add("crossbar_random", allocDoc("torus", "", iq+`, "crossbar_policy": "random"`, app))
+	add("null_sensor", allocDoc("hyperx", "ugal", iq+`, "congestion_sensor": {"type": "null"}`, app))
+	return cases
+}
+
+// allocCases is the measured configuration set: modelCases, one row per
+// non-default application model, and the golden cases with verification off
+// and on, with telemetry and on the sharded engine.
+func allocCases(t *testing.T) []allocCase {
+	cases := modelCases(allocBlast)
+	cases = append(cases, allocCase{"pulse", config.MustParse(allocDoc("torus", "", `"architecture": "input_queued"`,
+		`{"type": "pulse", "injection_rate": 0.2, "message_size": 4, "max_packet_size": 2, "count": 1000000,
+		  "traffic": {"type": "uniform_random"}}`))})
 
 	for _, gc := range goldenCases() {
 		const sampled = `"sample_duration": 1500`

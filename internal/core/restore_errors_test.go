@@ -8,6 +8,7 @@ import (
 
 	"supersim/internal/config"
 	"supersim/internal/sim"
+	"supersim/internal/snapshot"
 )
 
 // smallSnapshot captures one snapshot of the smallest golden topology.
@@ -64,6 +65,18 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		if _, _, err := Restore(data[:n], 0); err == nil {
 			t.Fatalf("truncation to %d of %d bytes restored without error", n, len(data))
 		}
+	}
+}
+
+// TestRestoreRejectsVersion1 pins the one decode path: schema v1 stored the
+// pool's hit count and the message generations, and this build reads v2 only.
+func TestRestoreRejectsVersion1(t *testing.T) {
+	data := smallSnapshot(t)
+	v1 := append([]byte(snapshot.Magic), 1)
+	v1 = append(v1, data[len(snapshot.Magic)+1:]...)
+	const want = "unsupported schema version 1 (this build reads version 2)"
+	if _, _, err := Restore(v1, 0); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v1-headed snapshot: err = %v, want %q", err, want)
 	}
 }
 

@@ -16,13 +16,13 @@ import (
 
 // The round-trip and fuzz tests seed themselves from the code under test, so
 // they cannot see a format change that save and load make together. This
-// file pins the schema-v1 bytes themselves: the length and SHA-256 of a
+// file pins the schema-v2 bytes themselves: the length and SHA-256 of a
 // mid-run snapshot of every golden case (five topologies under IQ routers,
 // then the torus under OQ and IOQ), with verification, telemetry
 // and full-sample span recording on so every section carries state. The
-// hashes were recorded on the last commit that had hand-written
-// SaveState/LoadState pairs; regenerate (SUPERSIM_UPDATE_GOLDEN=1) only
-// together with a snapshot.Version bump.
+// hashes were recorded when v2 dropped v1's host-recycling values (the
+// pool's hit count, message and flit generations); regenerate
+// (SUPERSIM_UPDATE_GOLDEN=1) only together with a snapshot.Version bump.
 
 // pinnedTick is the checkpoint the hashes are taken at: the middle of the
 // sampling window, with traffic in flight in every layer.
@@ -96,13 +96,16 @@ func digest(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// probesOn turns on telemetry with a short bin and full-sample spans, so the
+// TEL section carries every kind of registry state.
+var probesOn = []string{
+	"simulation.telemetry.enabled=bool=true",
+	"simulation.telemetry.bin=uint=250",
+	"simulation.telemetry.spans_sample=float=1.0",
+}
+
 func TestSnapshotBytesPinned(t *testing.T) {
 	path := filepath.Join("testdata", "golden", "snapshots.json")
-	probesOn := []string{
-		"simulation.telemetry.enabled=bool=true",
-		"simulation.telemetry.bin=uint=250",
-		"simulation.telemetry.spans_sample=float=1.0",
-	}
 	var got []pinnedSnapshot
 	for _, gc := range goldenCases() {
 		full := snapshotAt(t, gc.doc, probesOn, 1)

@@ -10,7 +10,7 @@ import (
 	"supersim/internal/config"
 )
 
-func testCfg(t *testing.T) *config.Settings {
+func testCfg(t testing.TB) *config.Settings {
 	t.Helper()
 	cfg, err := config.Parse([]byte(`{
 		"simulation": {"seed": 7, "workers": 2},
@@ -154,4 +154,45 @@ func TestAddArtifactMissingFile(t *testing.T) {
 	if err := m.AddArtifact("log", filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("AddArtifact accepted a missing file")
 	}
+}
+
+// FuzzManifestLoad feeds arbitrary bytes to Load: a manifest is outside input
+// (sweeps and tools read ones written by other builds), so it must load or
+// fail with an error, never panic, and whatever loads must write and load
+// again. Seeds are a written manifest, a committed sweep manifest, their
+// truncations and headers of the wrong schema or version.
+func FuzzManifestLoad(f *testing.F) {
+	var written bytes.Buffer
+	m := New(testCfg(f))
+	m.Labels = map[string]string{"point": "CL=1"}
+	m.Metrics = map[string]float64{"latency_p99": 123.5}
+	m.Artifacts = []Artifact{{Role: "log", Path: "tx.log", SHA256: strings.Repeat("0", 64), Bytes: 7}}
+	if err := m.Write(&written); err != nil {
+		f.Fatal(err)
+	}
+	committed, err := os.ReadFile("../sweep/testdata/golden_manifest_CL=4.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, doc := range [][]byte{written.Bytes(), committed} {
+		f.Add(doc)
+		f.Add(doc[:len(doc)/2])
+	}
+	f.Add([]byte(`{"schema":"supersim-tasks","version":1}`))
+	f.Add([]byte(`{"schema":"supersim-manifest","version":2}`))
+	f.Add([]byte(`{"schema":"supersim-manifest","version":1,"seed":-1}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err != nil {
+			t.Fatalf("a loaded manifest does not load again: %v", err)
+		}
+	})
 }

@@ -35,14 +35,11 @@ type Interface struct {
 	vcs       int
 	chanClock *sim.Clock
 
-	//sslint:nosnapshot — topology wiring, re-established by ConnectOut during the rebuild
-	outCh *channel.Channel // to the router input port
-	//sslint:nosnapshot — topology wiring, re-established during the rebuild
+	outCh     *channel.Channel       // to the router input port
 	creditOut *channel.CreditChannel // credits back to the router for ejected flits
 	downCred  []int                  // per VC credits at the router input buffer
-	//sslint:nosnapshot — configuration constant, re-derived from the config during the rebuild
-	credInit int // initial per-VC credit count
-	policy   InjectionPolicy
+	credInit  int                    // initial per-VC credit count
+	policy    InjectionPolicy
 
 	// sendQ[sendHead:] is the FIFO of packets awaiting injection. Dequeuing
 	// advances sendHead instead of re-slicing so the buffer's capacity is
@@ -56,14 +53,12 @@ type Interface struct {
 	scheduled bool
 
 	checker *types.OrderChecker
-	//sslint:nosnapshot — delivery wiring, re-established by SetSink during the rebuild
 	sink    MessageSink
 	partial int // messages with some but not all flits delivered
 
 	// invariant verification, nil unless attached to the simulator
-	v *verify.Verifier
-	//sslint:nosnapshot — verification wiring, re-attached during the rebuild; ledger state is reconstructed from restored credits
-	credLed *verify.CreditLedger
+	v       *verify.Verifier
+	credLed *verify.CreditLedger // mirrors downCred; rebuilt from it on restore
 
 	// telemetry probe and span recorder, nil unless attached to the simulator
 	tp *telemetry.IfaceProbe

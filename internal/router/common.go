@@ -42,21 +42,17 @@ type base struct {
 	chanPeriod sim.Tick
 	coreClock  *sim.Clock
 
-	//sslint:nosnapshot — topology wiring, re-established by the connect calls during the rebuild
-	outCh []*channel.Channel // per output port, nil if unconnected
-	//sslint:nosnapshot — topology wiring, re-established by the connect calls during the rebuild
+	outCh     []*channel.Channel       // per output port, nil if unconnected
 	creditOut []*channel.CreditChannel // per input port, nil if unconnected
 	downCred  [][]int                  // [port][vc] available downstream credits
-	//sslint:nosnapshot — configuration constants, re-derived from the config during the rebuild
-	downCap []int // [port] initial per-VC downstream credits
+	downCap   []int                    // [port] initial per-VC downstream credits
 
 	sensor congestion.Tracker
 	algs   []routing.Algorithm // per input port
 	rng    *rand.Rand
 
 	// invariant verification, nil unless attached to the simulator
-	v *verify.Verifier
-	//sslint:nosnapshot — verification wiring, re-attached during the rebuild; ledger state is reconstructed from restored credits
+	v       *verify.Verifier
 	credLed []*verify.CreditLedger // per output port, mirrors downCred
 	bufLed  []*verify.BufferLedger // per input port, tracks buffer occupancy
 

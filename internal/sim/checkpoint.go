@@ -123,7 +123,6 @@ func (s *Simulator) ResetQueue() {
 	}
 	s.daemons = 0
 	if sh := s.shard; sh != nil && nonDaemon > 0 {
-		//sslint:allow shardsafety — the engine's global work counter is its sanctioned shared-memory seam
 		sh.eng.work.Add(-int64(nonDaemon))
 	}
 }
@@ -158,7 +157,6 @@ func (s *Simulator) InjectEvent(h Handler, r EventRecord) {
 	if r.Daemon {
 		s.daemons++
 	} else if sh := s.shard; sh != nil {
-		//sslint:allow shardsafety — the engine's global work counter is its sanctioned shared-memory seam
 		sh.eng.work.Add(1)
 	}
 	s.queue.push(e)

@@ -44,9 +44,8 @@ type rebindable interface {
 // it and implement ProcessEvent.
 type ComponentBase struct {
 	name string
-	//sslint:nosnapshot — simulator wiring, rebound by Engine.Adopt when shards are assigned
-	sim *Simulator
-	ord eventOrder
+	sim  *Simulator
+	ord  eventOrder
 }
 
 // NewComponentBase initializes the embedded base with a simulator and name.

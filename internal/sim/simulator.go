@@ -25,26 +25,21 @@ const maxEventFreeList = 4096
 // parallel execution, several Simulators (one per shard) are coordinated by
 // an Engine (see parallel.go); each remains single-threaded internally.
 type Simulator struct {
-	queue eventQueue
-	//sslint:nosnapshot — restored by the container: SetNow re-seeds the clock from the checkpoint tick
-	now Time
-	//sslint:nosnapshot — true only inside Run; snapshots are taken quiesced
-	running bool
-	//sslint:nosnapshot — sticky Stop latch; a stopped simulation is over and is never snapshotted
-	stopped bool
-	//sslint:nosnapshot — partition-dependent split; the container stores run-wide totals and restores them via SetProgress
+	queue   eventQueue
+	now     Time // restored by SetNow from the checkpoint tick
+	running bool // true only inside Run; snapshots are taken quiesced
+	stopped bool // sticky Stop latch; a stopped simulation is never snapshotted
+	// executed and lastWork are this simulator's share of the run; the
+	// container snapshots run-wide totals and restores them with SetProgress.
 	executed uint64
-	//sslint:nosnapshot — restored with executed via SetProgress (run-wide totals)
 	lastWork Time // time of the most recent non-daemon event executed
 	seqGen   uint64
 	orderGen uint32
-	//sslint:nosnapshot — recomputed by InjectEvent as the restored queue is re-injected
-	daemons int // queued events scheduled with ScheduleDaemon
-	//sslint:nosnapshot — event recycling cache; holds no observable state
-	free []*Event
-	rng  *rand.Rand
-	pcg  *rand.PCG // rng's source, retained so checkpoints can serialize it
-	seed uint64
+	daemons  int      // queued events scheduled with ScheduleDaemon; InjectEvent recounts them
+	free     []*Event // event recycling cache
+	rng      *rand.Rand
+	pcg      *rand.PCG // rng's source, retained so checkpoints can serialize it
+	seed     uint64
 
 	// derived records every DeriveRand stream in derivation order, so
 	// checkpoints can serialize and restore the streams' PCG states. The
@@ -55,29 +50,23 @@ type Simulator struct {
 
 	// shard is non-nil when this simulator is coordinated by a parallel
 	// Engine; it carries the cross-shard inbox and horizon state.
-	//sslint:nosnapshot — engine wiring, re-established when the rebuilt shards are linked
 	shard *shardState
 
 	// curOwner/curOseq are the ordering key of the event currently executing
 	// in runUntil. Together with now they form the CurrentStamp — the event's
 	// position in the partition-independent total order, which shard-local
 	// observers use to tag recordings for a deterministic global merge.
-	//sslint:nosnapshot — live only while an event executes; snapshots are taken between events
 	curOwner uint32
-	//sslint:nosnapshot — live only while an event executes; snapshots are taken between events
-	curOseq uint64
+	curOseq  uint64
 
 	// Monitor, if non-nil, is invoked every MonitorInterval executed
 	// (non-daemon) events.
-	//sslint:nosnapshot — host-side progress hook, not simulation state
-	Monitor func(now Time, executed uint64)
-	//sslint:nosnapshot — host-side progress hook, not simulation state
+	Monitor         func(now Time, executed uint64)
 	MonitorInterval uint64
 
 	// MonitorFinish, if non-nil, is invoked once when Run returns (queue
 	// drained or Stop called), so periodic reporters can flush their final
 	// partial interval instead of losing it.
-	//sslint:nosnapshot — host-side progress hook, not simulation state
 	MonitorFinish func(now Time, executed uint64)
 
 	// verifier and telemetry are opaque attachment slots for the
@@ -86,9 +75,7 @@ type Simulator struct {
 	// can discover the attachments through the simulator they are built
 	// with; sim itself never inspects them, keeping this package
 	// dependency-free.
-	//sslint:nosnapshot — attachment wiring, re-attached during the rebuild
-	verifier any
-	//sslint:nosnapshot — attachment wiring, re-attached during the rebuild
+	verifier  any
 	telemetry any
 }
 
@@ -237,7 +224,6 @@ func (s *Simulator) PendingNonDaemon() int {
 	if sh := s.shard; sh != nil {
 		for _, o := range sh.eng.shards {
 			if o != sh {
-				//sslint:allow shardsafety — published pending counts are the engine's sanctioned cross-shard read seam
 				n += int(o.pendingPub.Load())
 			}
 		}
@@ -304,7 +290,6 @@ func (s *Simulator) schedule(h Handler, t Time, typ int, ctx any, daemon bool) {
 		// Daemon observers are excluded from the engine's global work count:
 		// a far-future watchdog must not keep every shard lock-stepping
 		// lookahead windows toward a tick where no real work remains.
-		//sslint:allow shardsafety — the engine's global work counter is its sanctioned shared-memory seam
 		sh.eng.work.Add(1)
 	}
 	s.queue.push(e)
@@ -388,7 +373,6 @@ func (s *Simulator) runUntil(tick Tick, all bool) uint64 {
 			s.free = append(s.free, e)
 		}
 		if sh := s.shard; sh != nil && !daemon {
-			//sslint:allow shardsafety — the engine's global work counter is its sanctioned shared-memory seam
 			sh.eng.work.Add(-1)
 		}
 		if !daemon && s.Monitor != nil && s.MonitorInterval > 0 && s.executed%s.MonitorInterval == 0 {

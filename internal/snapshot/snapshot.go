@@ -43,9 +43,11 @@
 // # Determinism
 //
 // Snapshot bytes are compared byte-for-byte by the import/export equivalence
-// tests, so State methods must be deterministic: iterate slices, or map keys
-// in sorted order, never raw Go maps. The sslint determinism rule covers this
-// package for that reason.
+// tests and by internal/core's TestEquivalenceMatrix, so State methods must
+// be deterministic: iterate slices, or map keys in sorted order, never raw Go
+// maps. A value that records how host memory was recycled (a free list, a
+// hit count, a block's generation) is not state either: a restored run
+// cannot reproduce it.
 package snapshot
 
 import (
@@ -60,7 +62,7 @@ const Magic = "SSIMSNAP"
 // Version is the schema version this build reads and writes. Loaders reject
 // any other version (fail-fast forward compatibility): state layouts are not
 // self-describing, so decoding a future layout would silently corrupt state.
-const Version = 1
+const Version = 2
 
 // Codec moves primitive values between component fields and a snapshot
 // stream, in the direction fixed at construction.

@@ -3,6 +3,8 @@ package ssparse
 import (
 	"bytes"
 	"errors"
+	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -89,4 +91,33 @@ func TestWriteTasksCSVMarksUnreachedPhases(t *testing.T) {
 	if !strings.HasSuffix(buf.String(), want) {
 		t.Fatalf("csv:\n%s", buf.String())
 	}
+}
+
+// FuzzLoadTasks feeds arbitrary bytes to the task-journal reader behind
+// `ssparse -tasks` and `ssplot taskgantt`: a journal is outside input, so it
+// must load or fail with an error, never panic. Seeds are the committed
+// fixture journal, its truncations and headers of the wrong schema.
+func FuzzLoadTasks(f *testing.F) {
+	fixture, err := os.ReadFile("../../cmd/ssparse/testdata/tasks.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	for _, n := range []int{len(fixture) / 2, len(fixture) / 3, bytes.IndexByte(fixture, '\n') + 1} {
+		f.Add(fixture[:n])
+	}
+	f.Add([]byte(`{"schema":"supersim-manifest","version":1}`))
+	f.Add([]byte(`{"schema":"supersim-tasks","version":2}`))
+	f.Add([]byte(`{"schema":"supersim-tasks","version":1}` + "\n" + `{"t":1,"ev":"done","res":{"cpu":-1}}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		log, err := LoadTasks(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		log.SpanMS()
+		if err := log.WriteTasksCSV(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -13,7 +13,7 @@ import "time"
 type Clock func() time.Time
 
 // WallClock returns the real-time clock. This is the only wall-clock seam in
-// the package (enforced by the sslint determinism rule's allowlist).
+// the package.
 func WallClock() Clock { return time.Now }
 
 // FixedClock returns a deterministic Clock for tests: the first call returns

@@ -109,7 +109,6 @@ type Runner struct {
 // capacity are rejected at Add time.
 func NewRunner(capacity map[string]int) *Runner {
 	cp := make(map[string]int, len(capacity))
-	//sslint:allow determinism — defensive copy keyed by the iteration key; the validation panic aborts identically in any order
 	for k, v := range capacity {
 		if v <= 0 {
 			panic("taskrun: resource capacity must be positive")
@@ -149,7 +148,6 @@ func sortedResources(m map[string]int) []string {
 		return nil
 	}
 	names := make([]string, 0, len(m))
-	//sslint:allow determinism — keys are sorted immediately below; iteration order cannot escape
 	for name := range m {
 		names = append(names, name)
 	}

@@ -164,27 +164,21 @@ type Spans struct {
 	threshold uint64 // sample iff top 16 hash bits < threshold
 	fraction  float64
 	reg       *Registry // set by Attach; nil folds nothing
-	//sslint:nosnapshot — JSONL output stream: a restored run re-emits on its own writer
-	w *bufio.Writer
-	c io.Closer
-	//sslint:nosnapshot — JSONL output stream: a restored run re-emits on its own writer
-	enc *json.Encoder
-	//sslint:nosnapshot — output-stream bookkeeping (header emitted), not simulation state
+	// The JSONL output stream; a restored run writes its own.
+	w      *bufio.Writer
+	c      io.Closer
+	enc    *json.Encoder
 	header bool
 
-	live map[uint64]*msgSpan
-	//sslint:nosnapshot — span recycling cache; holds no observable state
-	free []*msgSpan
-	//sslint:nosnapshot — histogram cache, rebuilt lazily against the restored registry
-	hists map[spanHistKey]*Histogram
-	//sslint:nosnapshot — histogram cache, rebuilt lazily against the restored registry
-	e2e     map[int]*Histogram // per app
+	live    map[uint64]*msgSpan
+	free    []*msgSpan                 // span recycling cache
+	hists   map[spanHistKey]*Histogram // rebuilt lazily against the restored registry
+	e2e     map[int]*Histogram         // per app, rebuilt like hists
 	records atomic.Uint64
 
 	// lanes, when non-nil, switches recording to per-shard op buffering;
 	// lane k is written only by shard k's goroutine and replayed by seal
 	// between phases.
-	//sslint:nosnapshot — per-shard scratch, drained by seal before every checkpoint
 	lanes [][]spanOp
 }
 

@@ -77,22 +77,17 @@ type Telemetry struct {
 	bw  *bufio.Writer
 	wc  io.Closer
 
-	first bool // next snapshot is the baseline bin
-	//sslint:nosnapshot — output lifecycle latch; a restored run opens its own writer
-	closed bool
+	first  bool // next snapshot is the baseline bin
+	closed bool // output latch; a restored run opens its own writer
 
 	mu        sync.Mutex
 	phase     string
 	startWall time.Time
-	//sslint:nosnapshot — wall-clock progress bookkeeping, presentation-only
-	lastWall time.Time
-	//sslint:nosnapshot — wall-clock progress bookkeeping, presentation-only
-	lastTick uint64
-	//sslint:nosnapshot — wall-clock progress bookkeeping, presentation-only
-	lastEvs uint64
-	//sslint:nosnapshot — wall-clock progress bookkeeping, presentation-only
-	prog Progress
-	//sslint:nosnapshot — per-shard registry wiring, re-established when shards re-attach
+	// Wall-clock progress bookkeeping, for presentation only.
+	lastWall  time.Time
+	lastTick  uint64
+	lastEvs   uint64
+	prog      Progress
 	shardRegs []shardReg
 }
 

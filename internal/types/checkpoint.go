@@ -11,10 +11,10 @@ import (
 // contiguous blocks, so a checkpoint stores each live message once (shape +
 // every mutable field) and every component that holds flit pointers stores
 // (message ID, packet index, flit index) references resolved against the
-// restored table. The pool's free list is deliberately not serialized —
-// recycled blocks carry no simulation state, so a restored run simply
-// allocates fresh blocks on its first misses; only the lifecycle counters
-// are preserved.
+// restored table. Nothing that records how host memory was recycled is
+// serialized: not the pool's free list or its hit count, not a message's
+// generation, not a flit's copy of it. A restored run allocates fresh blocks
+// on its first misses and starts every live message at generation 1.
 
 // MessageTable is the set of live messages referenced by a checkpoint. A
 // saving walk populates it from every flit-holding component, deduplicating
@@ -114,6 +114,7 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 		// so drawing it again would double-count.
 		m.pool = pool
 		m.alloc(flits, m.maxPkt)
+		m.gen = 1
 	}
 	c.Index(&m.App, b.Apps, "Message.App")
 	c.U64(&m.Transaction)
@@ -125,7 +126,6 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 	c.Bool(&m.Sampled)
 	c.Int(&m.OpCode)
 	c.Int(&m.RxRemaining)
-	c.U64(&m.gen)
 	for i := range m.pktBlock {
 		p := &m.pktBlock[i]
 		c.Int(&p.HopCount)
@@ -144,7 +144,11 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 		c.IndexOrNone(&f.VC, b.VCs, "Flit.VC")
 		snapshot.Uint(c, &f.SendTime)
 		snapshot.Uint(c, &f.ReceiveTime)
-		c.U64(&f.vfGen)
+		if c.Loading() {
+			// The aliasing sentinel compares a flit's stamp with its message's
+			// generation, never their absolute values.
+			f.vfGen = m.gen
+		}
 		c.Bool(&f.vfInFlight)
 	}
 }
@@ -209,11 +213,10 @@ func (t *MessageTable) Flit(c *snapshot.Codec, pf **Flit) {
 	}
 }
 
-// State codes the pool's lifecycle counters. The free list is not state —
-// see the file comment.
+// State codes the pool's lifecycle counters. The free list and the hit count
+// are not state — see the file comment.
 func (p *Pool) State(c *snapshot.Codec) {
 	c.U64(&p.gets)
-	c.U64(&p.hits)
 	c.U64(&p.releases)
 }
 

@@ -25,13 +25,14 @@ type PoolObserver interface {
 //
 // The zero Pool is not usable; call NewPool.
 type Pool struct {
-	//sslint:nosnapshot — recycling cache: only live messages are state; retired blocks are reconstructible scratch
 	free map[poolKey][]*Message
-	//sslint:nosnapshot — observer wiring, re-attached during the rebuild
-	obs PoolObserver
+	obs  PoolObserver
 
-	gets     uint64 // NewMessage calls
-	hits     uint64 // NewMessage calls served from the free list
+	gets uint64 // NewMessage calls
+	// hits counts NewMessage calls served from the free list since this
+	// process built the pool. Like the free list it is not simulation state:
+	// a restored run starts it at zero.
+	hits     uint64
 	releases uint64 // messages returned
 }
 
@@ -47,7 +48,7 @@ func (p *Pool) SetObserver(o PoolObserver) { p.obs = o }
 // PoolStats is a snapshot of a pool's recycling counters.
 type PoolStats struct {
 	Gets     uint64 // messages requested
-	Hits     uint64 // requests served without allocating
+	Hits     uint64 // requests served without allocating, since process start
 	Releases uint64 // messages returned to the pool
 }
 

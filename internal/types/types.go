@@ -80,12 +80,14 @@ type Message struct {
 
 	maxPkt int   // segmentation parameter, part of the pool bucket key
 	pool   *Pool // owning pool; nil for unpooled messages
-	//sslint:nosnapshot — double-Release guard; snapshots hold live messages only, so it is always false
-	released bool // guards against double Release
+	// released guards against double Release. Snapshots hold live messages
+	// only, so it is always false there.
+	released bool
 
-	// gen counts the message's lives: it is bumped on every (re)initialization
+	// gen counts the block's lives: it is bumped on every (re)initialization
 	// so verification layers can detect references into a recycled block (see
-	// internal/verify's pool-aliasing sentinel).
+	// internal/verify's pool-aliasing sentinel). It records host-memory reuse,
+	// not simulation state: a restored message starts at 1.
 	gen uint64
 }
 

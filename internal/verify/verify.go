@@ -87,7 +87,6 @@ type Verifier struct {
 
 	// diagnose, when set, renders a blocked-chain report appended to the
 	// watchdog's occupancy dump (see internal/diagnose).
-	//sslint:nosnapshot — diagnostic wiring, re-attached during the rebuild
 	diagnose func() string
 }
 
