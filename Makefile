@@ -19,9 +19,11 @@
 #                  round-trips and the pinned v2 bytes
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
-#                  journal reader and the run-manifest loader
+#                  journal, spans and telemetry stream readers, the
+#                  run-manifest loader, the snapshot codec and Restore
 #   make bench   - the paper's table/figure benchmark suite with -benchmem
-#   make micro   - the standalone hot-structure micro-benchmarks
+#   make micro   - the standalone hot-structure micro-benchmarks, and the
+#                  enabled span recorder's cost per message
 #   make sweep-smoke - fleet-observability smoke: a tiny two-point sweep with
 #                  journal, manifests and the live dashboard enabled, every
 #                  downstream consumer (ssparse -tasks, ssplot taskgantt, the
@@ -81,7 +83,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/ssparse
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTasks -fuzztime=10s ./internal/ssparse
+	$(GO) test -run='^$$' -fuzz=FuzzLoadSpans -fuzztime=10s ./internal/ssparse
+	$(GO) test -run='^$$' -fuzz=FuzzLoadTelemetry -fuzztime=10s ./internal/ssparse
 	$(GO) test -run='^$$' -fuzz=FuzzManifestLoad -fuzztime=10s ./internal/manifest
+	$(GO) test -run='^$$' -fuzz=FuzzCodec -fuzztime=10s ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=10s ./internal/core
 
 # Checkpoint/restore equivalence: the equivalence matrix (every model, serial
 # repeat, workers 2, restore at workers 1 and 2, compared checkpoint by
@@ -133,3 +139,4 @@ micro:
 	$(GO) test -run='^$$' -bench='BenchmarkNewMessage|BenchmarkPoolNewMessage' -benchmem ./internal/types
 	$(GO) test -run='^$$' -bench='BenchmarkQueueShapes|BenchmarkQueueChurn' -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/stats
+	$(GO) test -run='^$$' -bench='BenchmarkSpansMessage' -benchmem ./internal/telemetry

@@ -64,6 +64,19 @@ func liveCredit(t *testing.T, sm *Simulation) reflect.Value {
 	return reflect.Value{}
 }
 
+// liveSpan returns an open span of the span recorder.
+func liveSpan(t *testing.T, sm *Simulation) any {
+	t.Helper()
+	slots := peek(sm.Telemetry.Spans(), "live", "slots")
+	for i := 0; i < slots.Len(); i++ {
+		if s := peek(slots.Index(i).Addr().Interface(), "s"); !s.IsNil() {
+			return s.Interface()
+		}
+	}
+	t.Fatal("no open span at the snapshot tick")
+	return nil
+}
+
 func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 	const far = 1 << 20 // beyond any terminal, port, VC or client count
 	gcs := goldenCases()
@@ -107,10 +120,18 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 		{"outputStage.outRR", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "out", "outRR", 0).SetInt(-1) }},
 		{"outputStage.outRR", ioq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "out", "outRR", 0).SetInt(-1) }},
 		{"Credit.VC", iq, func(t *testing.T, sm *Simulation) { liveCredit(t, sm).FieldByName("VC").SetInt(far) }},
+		{"span app", iq, func(t *testing.T, sm *Simulation) { peek(liveSpan(t, sm), "rec", "App").SetInt(far) }},
+		{"span hop", iq, func(t *testing.T, sm *Simulation) { peek(liveSpan(t, sm), "hop").SetInt(-1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {
-			sm := Build(config.MustParse(tc.doc))
+			cfg := config.MustParse(tc.doc)
+			if strings.HasPrefix(tc.field, "span ") {
+				if err := cfg.ApplyOverrides(probesOn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sm := Build(cfg)
 			sm.Sim.RunUntil(pinnedTick)
 			tc.plant(t, sm)
 			data, err := sm.Snapshot(pinnedTick)

@@ -72,7 +72,7 @@ func New(s *sim.Simulator, cfg *config.Settings) *FoldedClos {
 		up[u] = routing.Candidate{Port: f.k + u, VC: 0}
 	}
 	rc := func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
-		return &upAlg{f: f, router: routerID, sensor: sensor, rng: rng, all: all, up: up}
+		return f.newAlg(routerID, sensor, rng, all, up)
 	}
 	// Routers level by level; id = level*perLvl + index(w).
 	for lvl := 0; lvl < f.levels; lvl++ {
@@ -127,43 +127,44 @@ func (f *FoldedClos) replaceDigit(w, d, v int) int {
 func (f *FoldedClos) level(rid int) int { return rid / f.perLvl }
 func (f *FoldedClos) index(rid int) int { return rid % f.perLvl }
 
-// covers reports whether the subtree of router (lvl, w) contains terminal t:
-// every terminal digit above position lvl must match the router digit one
-// place below it.
-func (f *FoldedClos) covers(lvl, w, t int) bool {
-	tr := t / f.k // terminal digits t[n-1..1] as an index, aligned with w
-	for j := lvl; j < f.levels-1; j++ {
-		if f.digit(tr, j) != f.digit(w, j) {
-			return false
-		}
-	}
-	return true
-}
-
 // upAlg routes up adaptively (or obliviously) until the current router's
 // subtree covers the destination, then down deterministically by destination
 // digits.
 type upAlg struct {
 	f      *FoldedClos
-	router int
 	sensor congestion.Sensor
 	rng    *rand.Rand
 	all    []int               // every VC; shared, read-only
 	up     []routing.Candidate // the k up ports, as adaptive candidates; shared, read-only
+	// The router's subtree covers terminals [lo, lo+span); each down port
+	// covers sub of them.
+	lo, span, sub int
+}
+
+// newAlg builds the routing algorithm of router rid. Router (l, w) covers the
+// terminals t whose t/k agrees with w in every digit from position l up: the
+// k^(l+1) terminals from (w/k^l)·k^(l+1) on. The down port toward a covered
+// terminal is the terminal's digit l.
+func (f *FoldedClos) newAlg(rid int, sensor congestion.Sensor, rng *rand.Rand, all []int, up []routing.Candidate) *upAlg {
+	sub := 1
+	for i := 0; i < f.level(rid); i++ {
+		sub *= f.k
+	}
+	span := sub * f.k
+	return &upAlg{f: f, sensor: sensor, rng: rng, all: all, up: up,
+		lo: f.index(rid) / sub * span, span: span, sub: sub}
 }
 
 // Route implements routing.Algorithm.
 func (a *upAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
-	f := a.f
-	lvl, w := f.level(a.router), f.index(a.router)
-	dst := pkt.Msg.Dst
-	if f.covers(lvl, w, dst) {
+	if off := pkt.Msg.Dst - a.lo; uint(off) < uint(a.span) {
 		// Down: the child covering dst is selected by the terminal digit at
 		// this level; at the leaf that digit is the terminal port.
-		return routing.Response{Port: f.digit(dst, lvl), VCs: a.all}
+		return routing.Response{Port: off / a.sub, VCs: a.all}
 	}
 	// Up: choose among the k up ports.
-	if !a.f.adapt {
+	f := a.f
+	if !f.adapt {
 		return routing.Response{Port: f.k + a.rng.IntN(f.k), VCs: a.all}
 	}
 	best := routing.LeastCongested(now, a.sensor, a.rng, a.up)

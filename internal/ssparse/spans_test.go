@@ -2,6 +2,8 @@ package ssparse
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -151,4 +153,39 @@ func TestWriteSpansCSV(t *testing.T) {
 			t.Errorf("unexpected source-hop row %q", l)
 		}
 	}
+}
+
+// FuzzLoadSpans feeds arbitrary bytes to the spans-stream reader behind
+// `ssparse -spans` and `ssplot -plot breakdown`: a spans file is outside
+// input, so it must load or fail with an error, never panic, and what loads
+// must render. Seeds are the committed stream, a truncation of it and its
+// first lines, headers of the wrong schema and version, and a record with a
+// very long perhop.
+func FuzzLoadSpans(f *testing.F) {
+	fixture, err := os.ReadFile("../../cmd/ssparse/testdata/spans.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	f.Add(fixture[:len(fixture)/2])
+	f.Add(fixture[:bytes.LastIndexByte(fixture[:4096], '\n')+1])
+	f.Add([]byte(spansStream))
+	f.Add([]byte(`{"schema":"supersim-tasks","version":1}` + "\n"))
+	f.Add([]byte(`{"schema":"supersim-spans","version":2,"sample":1}` + "\n"))
+	long := `{"schema":"supersim-spans","version":1,"sample":1}` + "\n" +
+		`{"msg":1,"app":7,"hops":4000,"e2e":4001,"perhop":[` + strings.Repeat(`{"wire":1},`, 4000) + `{"wire":1}]}` + "\n"
+	f.Add([]byte(long))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		agg, err := LoadSpans(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := agg.WriteTable(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.WriteSpansCSV(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -1,6 +1,9 @@
 package ssparse
 
 import (
+	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -73,4 +76,36 @@ func TestWriteTelemetryCSV(t *testing.T) {
 	if b.String() != want {
 		t.Fatalf("CSV output:\n%s\nwant:\n%s", b.String(), want)
 	}
+}
+
+// FuzzLoadTelemetry feeds arbitrary bytes to the telemetry-stream reader
+// behind `ssparse -telemetry` and ssplot's telemetry plots: it must load or
+// fail with an error, never panic, and what loads must render. Seeds are the
+// committed stream, a truncation of it, a header of another schema (the
+// stream has none) and a record with a very long component name.
+func FuzzLoadTelemetry(f *testing.F) {
+	fixture, err := os.ReadFile("../../cmd/ssparse/testdata/telemetry.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	f.Add(fixture[:len(fixture)/2])
+	f.Add([]byte(`{"schema":"supersim-spans","version":1,"sample":1}` + "\n"))
+	f.Add([]byte(`{"t":500,"comp":"` + strings.Repeat("r", 4000) + `","metric":"m","kind":"hist","vc":-1,"v":1e308,"m":-1}` + "\n"))
+	f.Add([]byte{})
+	filter, err := ParseTelemetryFilter("+t=0-1000")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, filters := range [][]TelemetryFilter{nil, {filter}} {
+			recs, err := LoadTelemetry(bytes.NewReader(data), filters)
+			if err != nil {
+				return
+			}
+			if err := WriteTelemetryCSV(io.Discard, recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

@@ -141,36 +141,40 @@ func (t *Telemetry) State(c *snapshot.Codec) {
 		return
 	}
 	if hasSpans {
-		t.opts.Spans.state(c)
+		t.opts.Spans.state(c, t.apps)
 	}
 }
 
 // state codes the span recorder's open spans (sorted by message ID so the
-// bytes are independent of map iteration order) and the finished record
-// count. The histogram caches rebuild lazily against the restored registry;
+// bytes are independent of table layout) and the finished record count. An
+// open span's app and hop index the histogram table and its per-hop record, so
+// loading range-checks them against the workload's application count and the
+// record. The histogram table rebuilds lazily against the restored registry;
 // the JSONL stream is output, not state.
-func (sp *Spans) state(c *snapshot.Codec) {
-	var ids []uint64
+func (sp *Spans) state(c *snapshot.Codec, apps int) {
+	var open []*msgSpan
 	if !c.Loading() {
-		ids = make([]uint64, 0, len(sp.live))
-		for id := range sp.live {
-			ids = append(ids, id)
+		open = make([]*msgSpan, 0, sp.live.n)
+		for _, e := range sp.live.slots {
+			if e.s != nil {
+				open = append(open, e.s)
+			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		sort.Slice(open, func(i, j int) bool { return open[i].rec.Msg < open[j].rec.Msg })
 	}
-	n := c.Len(len(ids))
+	n := c.Len(len(open))
 	if c.Loading() {
-		sp.live = make(map[uint64]*msgSpan, n)
+		sp.live = spanTable{}
 	}
 	for i := 0; i < n; i++ {
 		var s *msgSpan
 		if c.Loading() {
 			s = &msgSpan{}
 		} else {
-			s = sp.live[ids[i]]
+			s = open[i]
 		}
 		c.U64(&s.rec.Msg)
-		c.Int(&s.rec.App)
+		c.Index(&s.rec.App, apps, "span app")
 		c.Int(&s.rec.Src)
 		c.Int(&s.rec.Dst)
 		c.U64(&s.rec.Queue)
@@ -184,18 +188,18 @@ func (sp *Spans) state(c *snapshot.Codec) {
 			c.U64(&hop.Wire)
 		}
 		snapshot.Uint(c, &s.lastT)
-		c.Int(&s.hop)
+		c.Index(&s.hop, len(s.rec.PerHop)+1, "span hop")
 		if !c.Loading() {
 			continue
 		}
 		if c.Err() != nil {
 			return
 		}
-		if _, dup := sp.live[s.rec.Msg]; dup {
+		if sp.live.get(s.rec.Msg) != nil {
 			c.Failf("duplicate open span for message %d", s.rec.Msg)
 			return
 		}
-		sp.live[s.rec.Msg] = s
+		sp.live.put(s.rec.Msg, s)
 	}
 	stateAtomic(c, &sp.records)
 }

@@ -108,6 +108,7 @@ func buildTelemetry(t *testing.T, withSpans bool) *Telemetry {
 	}
 	tl := Attach(s, opts)
 	tl.Registry().Counter("flits_routed", "r0", -1, 0).Add(7)
+	ForWorkload(s, 2, 4, 1)
 	return tl
 }
 
@@ -118,12 +119,12 @@ func TestTelemetryStateRoundTrip(t *testing.T) {
 	tl.SetPhase("generating")
 	tl.first = false
 	sp := tl.Spans()
-	sp.live[7] = &msgSpan{
+	sp.live.put(7, &msgSpan{
 		rec: SpanRecord{Msg: 7, App: 1, Src: 2, Dst: 3, Queue: 4,
 			PerHop: []SpanHop{{VCAlloc: 1, SWAlloc: 2, Xbar: 3, Output: 4, Wire: 5}}},
 		lastT: 50, hop: 1,
-	}
-	sp.live[3] = &msgSpan{rec: SpanRecord{Msg: 3, App: 0, Src: 9, Dst: 0}, lastT: 41}
+	})
+	sp.live.put(3, &msgSpan{rec: SpanRecord{Msg: 3, App: 0, Src: 9, Dst: 0}, lastT: 41})
 	sp.records.Store(12)
 	data := saveTelemetry(tl)
 
@@ -139,12 +140,12 @@ func TestTelemetryStateRoundTrip(t *testing.T) {
 		t.Fatalf("phase %q first %v after restore", got.phase, got.first)
 	}
 	gsp := got.Spans()
-	if len(gsp.live) != 2 || gsp.Records() != 12 {
-		t.Fatalf("restored spans: %d live, %d records", len(gsp.live), gsp.Records())
+	if gsp.live.n != 2 || gsp.Records() != 12 {
+		t.Fatalf("restored spans: %d live, %d records", gsp.live.n, gsp.Records())
 	}
-	if s7 := gsp.live[7]; s7 == nil || s7.hop != 1 || s7.lastT != 50 || len(s7.rec.PerHop) != 1 ||
+	if s7 := gsp.live.get(7); s7 == nil || s7.hop != 1 || s7.lastT != 50 || len(s7.rec.PerHop) != 1 ||
 		s7.rec.PerHop[0].Wire != 5 {
-		t.Fatalf("restored span 7: %+v", gsp.live[7])
+		t.Fatalf("restored span 7: %+v", s7)
 	}
 	if !bytes.Equal(saveTelemetry(got), data) {
 		t.Fatal("re-saved telemetry state is not byte-identical")
@@ -172,25 +173,57 @@ func TestTelemetryLoadRejectsSpansMismatch(t *testing.T) {
 	}
 }
 
+// putOpenSpan writes one open span with no hops, as Spans.state codes it.
+func putOpenSpan(c *snapshot.Codec, msg uint64, app, hop int) {
+	snaptest.Put(c.U64, msg)
+	snaptest.Put(c.Int, app)
+	snaptest.Put(c.Int, 1)
+	snaptest.Put(c.Int, 2)
+	snaptest.Put(c.U64, 3)
+	snaptest.Put(c.Int, 0) // no hops
+	snaptest.Put(c.U64, 10)
+	snaptest.Put(c.Int, hop)
+}
+
+// loadSpans loads a spans stream into a fresh recorder of a two-app workload.
+func loadSpans(data []byte) error {
+	sp := NewSpans(nil, 1.0)
+	return snaptest.Load(data, func(c *snapshot.Codec) { sp.state(c, 2) })
+}
+
 func TestSpansLoadRejectsDuplicate(t *testing.T) {
 	dup := snaptest.Save(func(c *snapshot.Codec) {
 		snaptest.Put(c.Int, 2)
 		for i := 0; i < 2; i++ { // two open spans for the same message ID
-			snaptest.Put(c.U64, 5)
-			snaptest.Put(c.Int, 0)
-			snaptest.Put(c.Int, 1)
-			snaptest.Put(c.Int, 2)
-			snaptest.Put(c.U64, 3)
-			snaptest.Put(c.Int, 0) // no hops
-			snaptest.Put(c.U64, 10)
-			snaptest.Put(c.Int, 0)
+			putOpenSpan(c, 5, 0, 0)
 		}
 		snaptest.Put(c.U64, 0)
 	})
-	sp := NewSpans(nil, 1.0)
-	if err := snaptest.Load(dup, sp.state); err == nil ||
-		!strings.Contains(err.Error(), "duplicate open span") {
+	if err := loadSpans(dup); err == nil || !strings.Contains(err.Error(), "duplicate open span") {
 		t.Fatalf("err = %v, want duplicate-span error", err)
+	}
+}
+
+// An open span's app indexes the histogram table and its hop the per-hop
+// record, so a snapshot carrying either out of range must not load.
+func TestSpansLoadRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		app, hop int
+		want     string
+	}{
+		{2, 0, "span app 2 out of range"},
+		{-1, 0, "span app -1 out of range"},
+		{0, 1, "span hop 1 out of range"}, // one past an empty record
+		{0, -1, "span hop -1 out of range"},
+	} {
+		data := snaptest.Save(func(c *snapshot.Codec) {
+			snaptest.Put(c.Int, 1)
+			putOpenSpan(c, 5, tc.app, tc.hop)
+			snaptest.Put(c.U64, 0)
+		})
+		if err := loadSpans(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("app %d hop %d: err = %v, want %q", tc.app, tc.hop, err, tc.want)
+		}
 	}
 }
 

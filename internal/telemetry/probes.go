@@ -210,6 +210,7 @@ func ForWorkload(s *sim.Simulator, numApps, terminals int, period sim.Tick) *Wor
 	if t == nil {
 		return nil
 	}
+	t.apps = numApps
 	scale := 0.0
 	if terminals > 0 {
 		scale = float64(period) / float64(terminals)

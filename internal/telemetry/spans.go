@@ -140,11 +140,97 @@ type msgSpan struct {
 	hop   int
 }
 
-type spanHistKey struct {
-	kind SpanKind
-	app  int
-	hop  int
+// spanTable holds the open spans by message ID: open addressing with linear
+// probing, home slot id & mask, at most half full, backward-shift deletion.
+// Workloads number messages sequentially, so the open spans occupy a dense
+// window of IDs and nearly every lookup hits its home slot.
+type spanTable struct {
+	slots []spanSlot // len is a power of two
+	n     int
 }
+
+// spanSlot is one table entry; s == nil marks a free slot.
+type spanSlot struct {
+	id uint64
+	s  *msgSpan
+}
+
+// slot returns the index of message id's entry, or of the free slot that ends
+// its probe run. The table must not be empty.
+func (t *spanTable) slot(id uint64) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	i := id & mask
+	for t.slots[i].s != nil && t.slots[i].id != id {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns the open span of message id, or nil.
+func (t *spanTable) get(id uint64) *msgSpan {
+	if t.n == 0 {
+		return nil
+	}
+	return t.slots[t.slot(id)].s
+}
+
+// put enters s as the open span of message id, replacing any span it had.
+func (t *spanTable) put(id uint64, s *msgSpan) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	i := t.slot(id)
+	if t.slots[i].s == nil {
+		t.n++
+	}
+	t.slots[i] = spanSlot{id, s}
+}
+
+// take removes and returns the open span of message id, or nil, moving later
+// entries of its probe run back so that none is cut off from its home slot
+// (Knuth 6.4, algorithm R).
+func (t *spanTable) take(id uint64) *msgSpan {
+	if t.n == 0 {
+		return nil
+	}
+	free := t.slot(id)
+	s := t.slots[free].s
+	if s == nil {
+		return nil
+	}
+	mask := uint64(len(t.slots) - 1)
+	for probe := (free + 1) & mask; t.slots[probe].s != nil; probe = (probe + 1) & mask {
+		// The entry at probe may move into the free slot unless its home lies
+		// cyclically after free, up to probe.
+		if h := t.slots[probe].id & mask; (probe-h)&mask >= (probe-free)&mask {
+			t.slots[free] = t.slots[probe]
+			free = probe
+		}
+	}
+	t.slots[free] = spanSlot{}
+	t.n--
+	return s
+}
+
+// grow doubles the table (64 slots at first) and re-enters every span.
+func (t *spanTable) grow() {
+	old := t.slots
+	t.slots = make([]spanSlot, max(64, 2*len(old)))
+	for _, e := range old {
+		if e.s != nil {
+			t.slots[t.slot(e.id)] = e
+		}
+	}
+}
+
+// Span histogram table: an app's row of histograms holds, at index
+// (hop+1)*spanKinds + kind, the span_<kind> histogram of that hop; the hop -1
+// row holds the hop-independent queue and eject, and span_e2e in the slot no
+// SpanKind uses.
+const (
+	spanKinds = 8
+	spanE2E   = SpanKind(spanKinds - 1)
+)
 
 // Spans is the per-simulation span recorder. Create it with NewSpans, hand it
 // to telemetry.Attach via Options.Spans, and components discover it with
@@ -170,10 +256,9 @@ type Spans struct {
 	enc    *json.Encoder
 	header bool
 
-	live    map[uint64]*msgSpan
-	free    []*msgSpan                 // span recycling cache
-	hists   map[spanHistKey]*Histogram // rebuilt lazily against the restored registry
-	e2e     map[int]*Histogram         // per app, rebuilt like hists
+	live    spanTable
+	free    []*msgSpan     // span recycling cache
+	hists   [][]*Histogram // [app][(hop+1)*spanKinds + kind]; rebuilt lazily against the restored registry
 	records atomic.Uint64
 
 	// lanes, when non-nil, switches recording to per-shard op buffering;
@@ -222,9 +307,6 @@ func NewSpans(w io.Writer, fraction float64) *Spans {
 	sp := &Spans{
 		threshold: uint64(fraction * 65536),
 		fraction:  fraction,
-		live:      make(map[uint64]*msgSpan),
-		hists:     make(map[spanHistKey]*Histogram),
-		e2e:       make(map[int]*Histogram),
 	}
 	if w != nil {
 		sp.w = bufio.NewWriterSize(w, 1<<16)
@@ -331,7 +413,7 @@ func (sp *Spans) applyStart(msg uint64, app, src, dst int, createT sim.Tick) {
 	s.rec = SpanRecord{Msg: msg, App: app, Src: src, Dst: dst, PerHop: s.rec.PerHop[:0]}
 	s.lastT = createT
 	s.hop = 0
-	sp.live[msg] = s
+	sp.live.put(msg, s)
 }
 
 // Step closes the open segment of a tracked flit's message: the time since
@@ -354,7 +436,7 @@ func (sp *Spans) Step(s *sim.Simulator, now sim.Tick, f *types.Flit, kind SpanKi
 }
 
 func (sp *Spans) applyStep(msg uint64, now sim.Tick, kind SpanKind) {
-	s := sp.live[msg]
+	s := sp.live.get(msg)
 	if s == nil {
 		panic(fmt.Sprintf("telemetry: span step %v for message %d without a started span — probe before SendMessage?", kind, msg))
 	}
@@ -420,11 +502,10 @@ func (sp *Spans) finish(s *sim.Simulator, m *types.Message) {
 // applyFinish reports whether a span was actually open (unsampled messages
 // have none and are ignored).
 func (sp *Spans) applyFinish(msg uint64, recvT, createT sim.Tick) bool {
-	s := sp.live[msg]
+	s := sp.live.take(msg)
 	if s == nil {
 		return false
 	}
-	delete(sp.live, msg)
 	if recvT < s.lastT {
 		panic(fmt.Sprintf("telemetry: span finish for message %d goes backwards: delivered %d, last transition %d", msg, recvT, s.lastT))
 	}
@@ -451,36 +532,49 @@ func (sp *Spans) fold(r *SpanRecord) {
 	if sp.reg == nil {
 		return
 	}
-	sp.hist(SpanQueue, r.App, -1).Observe(r.Queue)
-	sp.hist(SpanEject, r.App, -1).Observe(r.Eject)
-	e2e := sp.e2e[r.App]
-	if e2e == nil {
-		e2e = sp.reg.Histogram("span_e2e", "app"+strconv.Itoa(r.App), -1)
-		sp.e2e[r.App] = e2e
-	}
-	e2e.Observe(r.E2E)
+	sp.hist(r.App, -1, SpanQueue).Observe(r.Queue)
+	sp.hist(r.App, -1, SpanEject).Observe(r.Eject)
+	sp.hist(r.App, -1, spanE2E).Observe(r.E2E)
 	for i := range r.PerHop {
 		h := &r.PerHop[i]
-		sp.hist(SpanWire, r.App, i).Observe(h.Wire)
+		sp.hist(r.App, i, SpanWire).Observe(h.Wire)
 		if i == 0 {
 			continue // the source interface has no router pipeline stages
 		}
-		sp.hist(SpanVCAlloc, r.App, i).Observe(h.VCAlloc)
-		sp.hist(SpanSWAlloc, r.App, i).Observe(h.SWAlloc)
-		sp.hist(SpanXbar, r.App, i).Observe(h.Xbar)
-		sp.hist(SpanOutput, r.App, i).Observe(h.Output)
+		sp.hist(r.App, i, SpanVCAlloc).Observe(h.VCAlloc)
+		sp.hist(r.App, i, SpanSWAlloc).Observe(h.SWAlloc)
+		sp.hist(r.App, i, SpanXbar).Observe(h.Xbar)
+		sp.hist(r.App, i, SpanOutput).Observe(h.Output)
 	}
 }
 
-// hist returns the cached histogram for (kind, app, hop), registering it on
-// first use.
-func (sp *Spans) hist(kind SpanKind, app, hop int) *Histogram {
-	k := spanHistKey{kind, app, hop}
-	h := sp.hists[k]
-	if h == nil {
-		h = sp.reg.Histogram("span_"+kind.String(), "app"+strconv.Itoa(app), hop)
-		sp.hists[k] = h
+// hist returns the histogram of (app, hop, kind).
+func (sp *Spans) hist(app, hop int, kind SpanKind) *Histogram {
+	i := (hop+1)*spanKinds + int(kind)
+	if uint(app) < uint(len(sp.hists)) {
+		if row := sp.hists[app]; i < len(row) && row[i] != nil {
+			return row[i]
+		}
 	}
+	return sp.register(app, hop, kind)
+}
+
+// register creates the histogram of (app, hop, kind) on its first
+// observation, growing the table to hold it.
+func (sp *Spans) register(app, hop int, kind SpanKind) *Histogram {
+	if len(sp.hists) <= app {
+		sp.hists = append(sp.hists, make([][]*Histogram, app+1-len(sp.hists))...)
+	}
+	i := (hop+1)*spanKinds + int(kind)
+	if row := sp.hists[app]; len(row) <= i {
+		sp.hists[app] = append(row, make([]*Histogram, (hop+2)*spanKinds-len(row))...)
+	}
+	name := "span_e2e"
+	if kind != spanE2E {
+		name = "span_" + kind.String()
+	}
+	h := sp.reg.Histogram(name, "app"+strconv.Itoa(app), hop)
+	sp.hists[app][i] = h
 	return h
 }
 

@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -190,8 +193,8 @@ func TestSpanStateReuseAcrossMessages(t *testing.T) {
 	if sp.Records() != 3 {
 		t.Fatalf("records = %d, want 3", sp.Records())
 	}
-	if len(sp.live) != 0 {
-		t.Fatalf("%d spans still live after all messages finished", len(sp.live))
+	if sp.live.n != 0 {
+		t.Fatalf("%d spans still live after all messages finished", sp.live.n)
 	}
 	if len(sp.free) != 1 {
 		t.Fatalf("freelist has %d entries, want 1 (serial reuse)", len(sp.free))
@@ -202,7 +205,7 @@ func TestUnsampledMessagesIgnored(t *testing.T) {
 	sp := NewSpans(nil, 0)
 	m := spanMsg(1)
 	sp.Start(nil, m)
-	if len(sp.live) != 0 {
+	if sp.live.n != 0 {
 		t.Fatal("unsampled Start left live state")
 	}
 	sp.Finish(nil, m) // no span started: must be a silent no-op
@@ -304,3 +307,170 @@ var errStop = errorString("stop")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// TestSpanTableMatchesMap drives the open-span table and a map through the
+// same random put/get/take script. The IDs slide forward as a workload's do,
+// with stragglers left open far behind the window, so the script grows the
+// table, wraps probe runs around the end of the slot array and deletes from
+// the middle of runs that backward shifts must close.
+func TestSpanTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var tab spanTable
+	ref := map[uint64]*msgSpan{}
+	var window []uint64 // open IDs past the stragglers, oldest first
+	check := func(op string, id uint64) {
+		t.Helper()
+		if tab.n != len(ref) {
+			t.Fatalf("after %s %d: table holds %d spans, map %d", op, id, tab.n, len(ref))
+		}
+		for k, s := range ref {
+			if got := tab.get(k); got != s {
+				t.Fatalf("after %s %d: get(%d) = %p, map has %p", op, id, k, got, s)
+			}
+		}
+		if got := tab.get(id); got != ref[id] {
+			t.Fatalf("after %s %d: get(%d) = %p, map has %p", op, id, id, got, ref[id])
+		}
+	}
+	put := func(id uint64) {
+		ref[id] = &msgSpan{}
+		tab.put(id, ref[id])
+		check("put", id)
+	}
+	take := func(id uint64) {
+		want := ref[id]
+		delete(ref, id)
+		if got := tab.take(id); got != want {
+			t.Fatalf("take(%d) = %p, want %p", id, got, want)
+		}
+		check("take", id)
+	}
+	for i := uint64(0); i < 8; i++ { // stragglers, a power of two apart
+		put(i * 256)
+	}
+	next := uint64(1 << 12)
+	for op := 0; op < 20000; op++ {
+		open := 40 + op/40 // the number of open spans grows, and so the table
+		switch r := rng.IntN(10); {
+		case r < 4 || len(window) < open:
+			window = append(window, next)
+			put(next)
+			next += 1 + uint64(rng.IntN(3))
+		case r < 8:
+			// Finish one of the oldest few.
+			i := rng.IntN(min(len(window), 8))
+			id := window[i]
+			window = slices.Delete(window, i, i+1)
+			take(id)
+		case r < 9:
+			// Any ID, mostly absent ones: behind, inside and ahead of the
+			// window.
+			id := uint64(rng.IntN(int(next) + 64))
+			window = slices.DeleteFunc(window, func(k uint64) bool { return k == id })
+			take(id)
+		default:
+			put(window[rng.IntN(len(window))]) // re-open an open span: put replaces
+		}
+	}
+	if len(tab.slots) < 1024 {
+		t.Fatalf("table of %d slots for %d spans: the script did not grow it", len(tab.slots), tab.n)
+	}
+}
+
+// TestSpanFoldMatchesRecords folds records of two sparse apps, one of them
+// nine router hops long, and compares every span_* histogram of the registry
+// with a direct pass over the records: the set of histograms, their
+// registration order, and each one's count and sum.
+func TestSpanFoldMatchesRecords(t *testing.T) {
+	sp := NewSpans(nil, 1.0)
+	sp.reg = newRegistry()
+	type key struct {
+		name, comp string
+		vc         int
+	}
+	type sums struct{ count, sum uint64 }
+	want := map[key]*sums{}
+	var order []key
+	observe := func(name string, app, vc int, v uint64) {
+		k := key{"span_" + name, "app" + strconv.Itoa(app), vc}
+		if want[k] == nil {
+			want[k] = &sums{}
+			order = append(order, k)
+		}
+		want[k].count++
+		want[k].sum += v
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i, app := range []int{3, 0, 3, 3, 0} {
+		hops := []int{2, 9, 1, 9, 4}[i]
+		r := SpanRecord{App: app, Queue: rng.Uint64N(50), Eject: rng.Uint64N(50), PerHop: make([]SpanHop, hops+1)}
+		for h := range r.PerHop {
+			r.PerHop[h] = SpanHop{Wire: rng.Uint64N(9)}
+			if h > 0 {
+				r.PerHop[h] = SpanHop{VCAlloc: rng.Uint64N(9), SWAlloc: rng.Uint64N(9), Xbar: rng.Uint64N(9),
+					Output: rng.Uint64N(9), Wire: rng.Uint64N(9)}
+			}
+		}
+		r.E2E = r.ComponentSum()
+		sp.fold(&r)
+
+		observe("queue", app, -1, r.Queue)
+		observe("eject", app, -1, r.Eject)
+		observe("e2e", app, -1, r.E2E)
+		for h, ph := range r.PerHop {
+			observe("wire", app, h, ph.Wire)
+			if h > 0 {
+				observe("vc_alloc", app, h, ph.VCAlloc)
+				observe("sw_alloc", app, h, ph.SWAlloc)
+				observe("xbar", app, h, ph.Xbar)
+				observe("output", app, h, ph.Output)
+			}
+		}
+	}
+	sp.reg.mu.Lock()
+	list := append([]*metric(nil), sp.reg.list...) // registration order
+	sp.reg.mu.Unlock()
+	if len(list) != len(order) {
+		t.Fatalf("registry holds %d span histograms, the records give %d", len(list), len(order))
+	}
+	for i, m := range list {
+		k := key{m.name, m.comp, m.vc}
+		if k != order[i] {
+			t.Fatalf("histogram %d registered as %v, first used as %v", i, k, order[i])
+		}
+		if w := want[k]; m.h.Count() != w.count || m.h.Sum() != w.sum {
+			t.Errorf("%v: count %d sum %d, want count %d sum %d", k, m.h.Count(), m.h.Sum(), w.count, w.sum)
+		}
+	}
+}
+
+// BenchmarkSpansMessage is the enabled span path per message: Start, the 17
+// Steps of a three-router path (queue, the injection wire, then vc_alloc,
+// sw_alloc, xbar, output and wire at each router) and Finish, which folds 19
+// registry histograms. Message IDs advance as a workload's do.
+func BenchmarkSpansMessage(b *testing.B) {
+	sp := NewSpans(nil, 1.0)
+	sp.reg = newRegistry()
+	m := spanMsg(0)
+	f := m.Packets[0].Flits[0]
+	kinds := []SpanKind{SpanVCAlloc, SpanSWAlloc, SpanXbar, SpanOutput, SpanWire}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.ID = uint64(i)
+		m.CreateTime = sim.Tick(i)
+		t := m.CreateTime
+		sp.Start(nil, m)
+		t += 2
+		sp.Step(nil, t, f, SpanQueue)
+		t += 1
+		sp.Step(nil, t, f, SpanWire)
+		for hop := 0; hop < 3; hop++ {
+			for _, k := range kinds {
+				t += 2
+				sp.Step(nil, t, f, k)
+			}
+		}
+		m.ReceiveTime = t + 3
+		sp.Finish(nil, m)
+	}
+}

@@ -79,6 +79,7 @@ type Telemetry struct {
 
 	first  bool // next snapshot is the baseline bin
 	closed bool // output latch; a restored run opens its own writer
+	apps   int  // the workload's application count, which bounds a restored span's app
 
 	mu        sync.Mutex
 	phase     string
