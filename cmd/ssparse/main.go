@@ -22,6 +22,12 @@
 //
 //	ssparse -spans spans.jsonl -csv breakdown.csv
 //
+// With -spans and -chrome the records are instead rendered as a Chrome
+// trace-event timeline, one slice per message with its pipeline stages nested
+// in it, for chrome://tracing or Perfetto:
+//
+//	ssparse -spans spans.jsonl -chrome timeline.json
+//
 // With -tasks the input is a task event journal (JSONL, written by sssweep
 // -journal); the per-task lifecycle summary prints to stdout, and -csv emits
 // one timeline row per task (queued/ready/started/finished offsets plus
@@ -32,6 +38,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -47,7 +54,7 @@ func main() {
 }
 
 func run(args []string) error {
-	var path, csvPath string
+	var path, csvPath, chromePath string
 	var telemetryMode, spansMode, tasksMode bool
 	var rawFilters []string
 	for i := 0; i < len(args); i++ {
@@ -61,6 +68,12 @@ func run(args []string) error {
 				return fmt.Errorf("-csv requires a file argument")
 			}
 			csvPath = args[i]
+		case arg == "-chrome":
+			i++
+			if i >= len(args) {
+				return fmt.Errorf("-chrome requires a file argument")
+			}
+			chromePath = args[i]
 		case arg == "-telemetry":
 			telemetryMode = true
 		case arg == "-spans":
@@ -74,7 +87,7 @@ func run(args []string) error {
 		}
 	}
 	if path == "" {
-		return fmt.Errorf("usage: ssparse [-telemetry|-spans|-tasks] <log file> [+filter ...] [-csv out.csv]")
+		return fmt.Errorf("usage: ssparse [-telemetry|-spans|-tasks] <log file> [+filter ...] [-csv out.csv | -chrome out.json]")
 	}
 	modes := 0
 	for _, on := range []bool{telemetryMode, spansMode, tasksMode} {
@@ -85,11 +98,14 @@ func run(args []string) error {
 	if modes > 1 {
 		return fmt.Errorf("-telemetry, -spans and -tasks are mutually exclusive")
 	}
+	if chromePath != "" && (!spansMode || csvPath != "") {
+		return fmt.Errorf("-chrome renders a spans stream: it needs -spans and excludes -csv")
+	}
 	if telemetryMode {
 		return runTelemetry(path, rawFilters, csvPath)
 	}
 	if spansMode {
-		return runSpans(path, rawFilters, csvPath)
+		return runSpans(path, rawFilters, csvPath, chromePath)
 	}
 	if tasksMode {
 		return runTasks(path, rawFilters, csvPath)
@@ -139,8 +155,9 @@ func run(args []string) error {
 
 // runSpans aggregates a spans JSONL stream (supersim -spans) into the per-app
 // per-hop latency decomposition: a stacked table on stdout and, with -csv,
-// one (app, hop, component) row per distribution cell.
-func runSpans(path string, rawFilters []string, csvPath string) error {
+// one (app, hop, component) row per distribution cell. With -chrome it
+// renders the stream as a trace-event timeline instead.
+func runSpans(path string, rawFilters []string, csvPath, chromePath string) error {
 	if len(rawFilters) > 0 {
 		return fmt.Errorf("+filters are not supported with -spans (the stream is already per-app)")
 	}
@@ -149,6 +166,9 @@ func runSpans(path string, rawFilters []string, csvPath string) error {
 		return err
 	}
 	defer f.Close()
+	if chromePath != "" {
+		return runChrome(f, chromePath)
+	}
 	agg, err := ssparse.LoadSpans(f)
 	if err != nil {
 		return err
@@ -167,6 +187,25 @@ func runSpans(path string, rawFilters []string, csvPath string) error {
 		}
 		fmt.Printf("wrote spans CSV to %s\n", csvPath)
 	}
+	return nil
+}
+
+// runChrome streams the spans records in r into a Chrome trace-event file. A
+// failed render removes the file rather than leave a truncated document.
+func runChrome(r io.Reader, chromePath string) error {
+	out, err := os.Create(chromePath)
+	if err != nil {
+		return err
+	}
+	n, err := ssparse.WriteChrome(out, r)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(chromePath)
+		return err
+	}
+	fmt.Printf("wrote Chrome trace of %d messages to %s\n", n, chromePath)
 	return nil
 }
 

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// End-to-end golden tests: the committed sample log runs through the real
+// End-to-end golden tests: the shared sample log runs through the real
 // run() entry point for every plot kind at a fixed terminal size, and the
 // rendered output must match the committed goldens byte for byte. Regenerate
 // after intentional output changes with:
@@ -16,6 +16,13 @@ import (
 //	SUPERSIM_UPDATE_GOLDEN=1 go test ./cmd/ssplot
 
 const updateEnv = "SUPERSIM_UPDATE_GOLDEN"
+
+// input names one of the tool-input fixtures (the sample log and the
+// telemetry, engine, spans and task streams), which ssplot shares with
+// ssparse: one copy lives in cmd/ssparse/testdata.
+func input(name string) string {
+	return filepath.Join("..", "ssparse", "testdata", name)
+}
 
 func captureStdout(t *testing.T, fn func() error) []byte {
 	t.Helper()
@@ -61,7 +68,7 @@ func checkGolden(t *testing.T, goldenPath string, got []byte) {
 }
 
 func TestGoldenPlots(t *testing.T) {
-	log := filepath.Join("testdata", "sample.log")
+	log := input("sample.log")
 	for _, kind := range []string{"percentile", "cdf", "pdf", "timeseries"} {
 		t.Run(kind, func(t *testing.T) {
 			out := captureStdout(t, func() error {
@@ -73,7 +80,7 @@ func TestGoldenPlots(t *testing.T) {
 }
 
 func TestGoldenPlotCSV(t *testing.T) {
-	log := filepath.Join("testdata", "sample.log")
+	log := input("sample.log")
 	csv := filepath.Join(t.TempDir(), "o.csv")
 	captureStdout(t, func() error {
 		return run("cdf", csv, 100, 60, 16, []string{log})

@@ -12,7 +12,7 @@ import (
 // must zero-fill bins an application was silent in.
 
 func TestGoldenTelemetryPlots(t *testing.T) {
-	stream := filepath.Join("testdata", "telemetry.jsonl")
+	stream := input("telemetry.jsonl")
 	for _, kind := range []string{"chanutil", "rates"} {
 		t.Run(kind, func(t *testing.T) {
 			out := captureStdout(t, func() error {
@@ -27,7 +27,7 @@ func TestGoldenTelemetryPlots(t *testing.T) {
 // engine snapshot stream: one series per shard from the engine_window_events
 // deltas, non-engine records ignored, bins aligned across shards.
 func TestGoldenShardUtil(t *testing.T) {
-	stream := filepath.Join("testdata", "engine.jsonl")
+	stream := input("engine.jsonl")
 	out := captureStdout(t, func() error {
 		return run("shardutil", "", 0, 60, 16, []string{stream})
 	})
@@ -35,7 +35,7 @@ func TestGoldenShardUtil(t *testing.T) {
 }
 
 func TestGoldenShardUtilCSV(t *testing.T) {
-	stream := filepath.Join("testdata", "engine.jsonl")
+	stream := input("engine.jsonl")
 	csv := filepath.Join(t.TempDir(), "o.csv")
 	captureStdout(t, func() error {
 		return run("shardutil", csv, 0, 60, 16, []string{stream})
@@ -50,14 +50,14 @@ func TestGoldenShardUtilCSV(t *testing.T) {
 // The shardutil reducer must come up empty — not crash, not plot noise — on
 // a serial stream with no engine metrics.
 func TestShardUtilNoEngineMetrics(t *testing.T) {
-	stream := filepath.Join("testdata", "telemetry.jsonl")
+	stream := input("telemetry.jsonl")
 	if err := run("shardutil", "", 0, 60, 16, []string{stream}); err == nil {
 		t.Fatal("serial stream without engine metrics did not error")
 	}
 }
 
 func TestGoldenTelemetryPlotCSV(t *testing.T) {
-	stream := filepath.Join("testdata", "telemetry.jsonl")
+	stream := input("telemetry.jsonl")
 	csv := filepath.Join(t.TempDir(), "o.csv")
 	captureStdout(t, func() error {
 		return run("rates", csv, 0, 60, 16, []string{stream})
@@ -70,7 +70,7 @@ func TestGoldenTelemetryPlotCSV(t *testing.T) {
 }
 
 func TestTelemetryPlotNoMatches(t *testing.T) {
-	stream := filepath.Join("testdata", "telemetry.jsonl")
+	stream := input("telemetry.jsonl")
 	err := run("chanutil", "", 0, 60, 16, []string{stream, "+comp=nonexistent"})
 	if err == nil {
 		t.Fatal("empty record set did not error")

@@ -22,27 +22,26 @@
 // The telemetry subsystem (see OBSERVABILITY.md) is controlled by flags that
 // map onto simulation.telemetry.* settings: -telemetry enables the metric
 // registry, -telemetry-file <f> writes time-binned JSONL snapshots every
-// -telemetry-bin ticks, -trace <f> writes a Chrome trace-event JSON of flit
-// lifecycles sampled at -trace-sample, -spans <f> writes per-message latency
-// decompositions (spans JSONL, see ssparse -spans and ssplot -plot breakdown)
-// sampled at -spans-sample, and -telemetry-addr <host:port> serves live run
+// -telemetry-bin ticks, -spans <f> writes per-message latency decompositions
+// (spans JSONL, see ssparse -spans, which also renders them as a Chrome
+// trace-event timeline with -chrome, and ssplot -plot breakdown) sampled at
+// -spans-sample, and -telemetry-addr <host:port> serves live run
 // introspection (/metrics Prometheus text, /progress JSON, /debug/pprof,
 // /debug/vars) while the simulation executes. Modifier flags set without the
-// flag they modify (-trace-sample without -trace, -spans-sample without
-// -spans, -telemetry-bin with no telemetry consumer) are rejected up front.
+// flag they modify (-spans-sample without -spans, -telemetry-bin with no
+// telemetry consumer) are rejected up front.
 //
 // -workers N executes the simulation on N parallel shards coordinated by the
 // conservative lookahead engine (see DESIGN.md); results are byte-identical
-// to the default serial run — including the -trace and -spans streams, which
-// record into per-shard lanes merged back into the serial order at the end of
-// the run. Parallel runs additionally expose per-shard engine metrics
-// (engine_* in /metrics and snapshots) and a /shards JSON endpoint on
-// -telemetry-addr.
+// to the default serial run — including the -spans stream, which records into
+// per-shard lanes merged back into the serial order at the end of the run.
+// Parallel runs additionally expose per-shard engine metrics (engine_* in
+// /metrics and snapshots) and a /shards JSON endpoint on -telemetry-addr.
 //
 // Provenance: -manifest <f> writes a versioned JSON run manifest on
 // completion — the canonical config hash, seed, worker count, the flags of
 // the invocation, wall/sim time, per-app latency metrics, and the SHA-256
-// digest of every artifact the run produced (log, telemetry, trace, spans,
+// digest of every artifact the run produced (log, telemetry, spans,
 // checkpoint). Manifests tie artifacts back to exactly what produced them;
 // see OBSERVABILITY.md. -manifest is output-only and therefore also valid
 // with -restore.
@@ -86,8 +85,6 @@ func main() {
 	telemetryFile := flag.String("telemetry-file", "", "write time-binned telemetry snapshots (JSONL) to this file (implies -telemetry)")
 	telemetryBin := flag.Uint64("telemetry-bin", 1000, "telemetry snapshot bin width in ticks")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live introspection HTTP on this address (implies -telemetry)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of flit lifecycles to this file (implies -telemetry)")
-	traceSample := flag.Float64("trace-sample", 1.0, "fraction of messages to trace, 0..1")
 	spansPath := flag.String("spans", "", "write per-message latency decompositions (spans JSONL) to this file (implies -telemetry)")
 	spansSample := flag.Float64("spans-sample", 1.0, "fraction of messages to span-record, 0..1")
 	workers := flag.Uint("workers", 1, "run the simulation on N parallel shards (results are identical to -workers 1)")
@@ -141,8 +138,6 @@ func main() {
 		telemetryFile:   *telemetryFile,
 		telemetryBin:    *telemetryBin,
 		telemetryAddr:   *telemetryAddr,
-		tracePath:       *tracePath,
-		traceSample:     *traceSample,
 		spansPath:       *spansPath,
 		spansSample:     *spansSample,
 		workers:         *workers,
@@ -203,8 +198,6 @@ type runOpts struct {
 	telemetryFile string
 	telemetryBin  uint64
 	telemetryAddr string
-	tracePath     string
-	traceSample   float64
 	spansPath     string
 	spansSample   float64
 	workers       uint
@@ -223,16 +216,13 @@ type runOpts struct {
 // modifier would make the run look correctly configured while producing none
 // of the requested output, so fail fast instead.
 func validateFlags(set map[string]bool, workers uint) error {
-	if set["trace-sample"] && !set["trace"] {
-		return fmt.Errorf("-trace-sample has no effect without -trace")
-	}
 	if set["spans-sample"] && !set["spans"] {
 		return fmt.Errorf("-spans-sample has no effect without -spans")
 	}
 	if set["telemetry-bin"] &&
 		!set["telemetry"] && !set["telemetry-file"] && !set["telemetry-addr"] &&
-		!set["trace"] && !set["spans"] {
-		return fmt.Errorf("-telemetry-bin has no effect without -telemetry, -telemetry-file, -telemetry-addr, -trace, or -spans")
+		!set["spans"] {
+		return fmt.Errorf("-telemetry-bin has no effect without -telemetry, -telemetry-file, -telemetry-addr, or -spans")
 	}
 	if set["checkpoint-every"] && !set["checkpoint-file"] {
 		return fmt.Errorf("-checkpoint-every requires -checkpoint-file")
@@ -246,7 +236,7 @@ func validateFlags(set map[string]bool, workers uint) error {
 		// would make the restored state incoherent. Worker count is the one
 		// safe override: snapshots are partition-independent.
 		for _, f := range []string{"verify", "telemetry", "telemetry-file", "telemetry-bin",
-			"telemetry-addr", "trace", "trace-sample", "spans", "spans-sample"} {
+			"telemetry-addr", "spans", "spans-sample"} {
 			if set[f] {
 				return fmt.Errorf("-restore rebuilds from the snapshot's embedded settings; -%s would change them (only -workers may override)", f)
 			}
@@ -276,7 +266,7 @@ func (o *runOpts) apply(cfg *config.Settings) error {
 			return err
 		}
 	}
-	if o.telemetryFile != "" || o.telemetryAddr != "" || o.tracePath != "" || o.spansPath != "" {
+	if o.telemetryFile != "" || o.telemetryAddr != "" || o.spansPath != "" {
 		o.telemetry = true
 	}
 	if !o.telemetry {
@@ -285,13 +275,9 @@ func (o *runOpts) apply(cfg *config.Settings) error {
 	ov := []string{
 		"simulation.telemetry.enabled=bool=true",
 		fmt.Sprintf("simulation.telemetry.bin=uint=%d", o.telemetryBin),
-		fmt.Sprintf("simulation.telemetry.trace_sample=float=%g", o.traceSample),
 	}
 	if o.telemetryFile != "" {
 		ov = append(ov, "simulation.telemetry.snapshot_file=string="+o.telemetryFile)
-	}
-	if o.tracePath != "" {
-		ov = append(ov, "simulation.telemetry.trace_file=string="+o.tracePath)
 	}
 	if o.spansPath != "" {
 		ov = append(ov,
@@ -464,7 +450,6 @@ func writeRunManifest(sm *core.Simulation, cfg *config.Settings, o runOpts,
 	artifacts := []struct{ role, path string }{
 		{"log", o.logPath},
 		{"telemetry", cfg.StringOr("simulation.telemetry.snapshot_file", "")},
-		{"trace", cfg.StringOr("simulation.telemetry.trace_file", "")},
 		{"spans", cfg.StringOr("simulation.telemetry.spans_file", "")},
 		{"checkpoint", ckPath},
 	}

@@ -28,26 +28,22 @@ func TestValidateFlags(t *testing.T) {
 		wantErr string // empty = valid
 	}{
 		{"no flags", setOf(), 1, ""},
-		{"trace with sample", setOf("trace", "trace-sample"), 1, ""},
-		{"trace-sample alone", setOf("trace-sample"), 1, "-trace-sample"},
 		{"spans with sample", setOf("spans", "spans-sample"), 1, ""},
 		{"spans-sample alone", setOf("spans-sample"), 1, "-spans-sample"},
-		{"spans-sample with only trace", setOf("trace", "spans-sample"), 1, "-spans-sample"},
+		{"spans-sample with only telemetry-file", setOf("telemetry-file", "spans-sample"), 1, "-spans-sample"},
 		{"bin alone", setOf("telemetry-bin"), 1, "-telemetry-bin"},
 		{"bin with log only", setOf("telemetry-bin", "log"), 1, "-telemetry-bin"},
 		{"bin with telemetry", setOf("telemetry-bin", "telemetry"), 1, ""},
 		{"bin with telemetry-file", setOf("telemetry-bin", "telemetry-file"), 1, ""},
 		{"bin with telemetry-addr", setOf("telemetry-bin", "telemetry-addr"), 1, ""},
-		{"bin with trace", setOf("telemetry-bin", "trace"), 1, ""},
 		{"bin with spans", setOf("telemetry-bin", "spans"), 1, ""},
-		{"workers serial with trace", setOf("trace", "workers"), 1, ""},
+		{"workers serial with spans", setOf("spans", "workers"), 1, ""},
 		{"workers parallel", setOf("workers"), 4, ""},
 		{"workers parallel with telemetry", setOf("workers", "telemetry"), 4, ""},
-		// Shard-aware recorders: -trace and -spans are accepted at any worker
-		// count (per-shard lanes merge back into the serial byte stream).
-		{"workers parallel with trace", setOf("trace", "workers"), 2, ""},
+		// The shard-aware span recorder: -spans is accepted at any worker count
+		// (per-shard lanes merge back into the serial byte stream).
 		{"workers parallel with spans", setOf("spans", "workers"), 2, ""},
-		{"workers parallel with trace and spans", setOf("trace", "spans", "workers"), 4, ""},
+		{"workers parallel with telemetry-file and spans", setOf("telemetry-file", "spans", "workers"), 4, ""},
 		{"checkpoint pair", setOf("checkpoint-every", "checkpoint-file"), 1, ""},
 		{"checkpoint-every alone", setOf("checkpoint-every"), 1, "-checkpoint-file"},
 		{"checkpoint-file alone", setOf("checkpoint-file"), 1, "-checkpoint-every"},
@@ -61,7 +57,7 @@ func TestValidateFlags(t *testing.T) {
 		// -manifest is output-only: it records the run, never changes it, so it
 		// is valid even on the restore path.
 		{"restore with manifest", setOf("restore", "manifest"), 1, ""},
-		{"manifest with full telemetry", setOf("manifest", "telemetry", "trace", "spans"), 1, ""},
+		{"manifest with full telemetry", setOf("manifest", "telemetry", "spans"), 1, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -85,7 +81,7 @@ func TestValidateFlags(t *testing.T) {
 
 func TestApplyMapsSpansFlags(t *testing.T) {
 	cfg := config.New()
-	o := runOpts{spansPath: "out/spans.jsonl", spansSample: 0.25, telemetryBin: 500, traceSample: 1.0}
+	o := runOpts{spansPath: "out/spans.jsonl", spansSample: 0.25, telemetryBin: 500}
 	if err := o.apply(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +98,7 @@ func TestApplyMapsSpansFlags(t *testing.T) {
 
 func TestApplyMapsWorkersFlag(t *testing.T) {
 	cfg := config.New()
-	o := runOpts{workers: 4, telemetryBin: 1000, traceSample: 1.0}
+	o := runOpts{workers: 4, telemetryBin: 1000}
 	if err := o.apply(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +106,7 @@ func TestApplyMapsWorkersFlag(t *testing.T) {
 		t.Fatalf("simulation.workers = %d, want 4", got)
 	}
 	cfg = config.New()
-	o = runOpts{workers: 1, telemetryBin: 1000, traceSample: 1.0}
+	o = runOpts{workers: 1, telemetryBin: 1000}
 	if err := o.apply(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +117,7 @@ func TestApplyMapsWorkersFlag(t *testing.T) {
 
 func TestApplyWithoutSpansLeavesSettingsUnset(t *testing.T) {
 	cfg := config.New()
-	o := runOpts{telemetry: true, telemetryBin: 1000, traceSample: 1.0}
+	o := runOpts{telemetry: true, telemetryBin: 1000}
 	if err := o.apply(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +159,7 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := run(cfgPath, nil, runOpts{
-		quiet: true, telemetryBin: 1000, traceSample: 1.0, spansSample: 1.0,
+		quiet: true, telemetryBin: 1000, spansSample: 1.0,
 		checkpointEvery: 100, checkpointFile: snapPath,
 	})
 	if err != nil {
@@ -176,7 +172,7 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 	// file) and must complete cleanly; -workers 2 exercises the re-partition
 	// override on the restore path.
 	err = run("", nil, runOpts{
-		quiet: true, telemetryBin: 1000, traceSample: 1.0, spansSample: 1.0,
+		quiet: true, telemetryBin: 1000, spansSample: 1.0,
 		restorePath: snapPath, workers: 2, workersSet: true,
 	})
 	if err != nil {
@@ -213,7 +209,7 @@ func TestRunRejectsMismatchedCheckpointConfig(t *testing.T) {
 	if err := os.WriteFile(cfgPath, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run(cfgPath, nil, runOpts{quiet: true, telemetryBin: 1000, traceSample: 1.0})
+	err := run(cfgPath, nil, runOpts{quiet: true, telemetryBin: 1000})
 	if err == nil || !strings.Contains(err.Error(), "checkpoint_file") {
 		t.Fatalf("error = %v, want checkpoint_file mention", err)
 	}
@@ -251,7 +247,7 @@ func TestRunWritesSpansStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := run(cfgPath, nil, runOpts{
-		quiet: true, spansPath: spansPath, spansSample: 1.0, telemetryBin: 1000, traceSample: 1.0,
+		quiet: true, spansPath: spansPath, spansSample: 1.0, telemetryBin: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +310,7 @@ func TestRunWritesManifest(t *testing.T) {
 		logPath:       filepath.Join(dir, "log.txt"),
 		spansPath:     filepath.Join(dir, "spans.jsonl"),
 		telemetryFile: filepath.Join(dir, "telemetry.jsonl"),
-		spansSample:   1.0, telemetryBin: 1000, traceSample: 1.0,
+		spansSample:   1.0, telemetryBin: 1000,
 		manifestPath: manifestPath,
 		flags:        map[string]string{"log": "log.txt", "spans": "spans.jsonl"},
 	})
@@ -349,7 +345,7 @@ func TestRunWritesManifest(t *testing.T) {
 			t.Fatalf("artifact role %s missing: %+v", want, m.Artifacts)
 		}
 	}
-	if roles["checkpoint"] || roles["trace"] {
+	if roles["checkpoint"] {
 		t.Fatalf("unrequested artifacts recorded: %+v", m.Artifacts)
 	}
 	// Every digest must verify against the files the run actually wrote.
@@ -391,7 +387,7 @@ func TestRunManifestDeterministicModuloWallClock(t *testing.T) {
 	render := func(name string) []byte {
 		path := filepath.Join(dir, name)
 		err := run(cfgPath, nil, runOpts{
-			quiet: true, telemetryBin: 1000, traceSample: 1.0,
+			quiet: true, telemetryBin: 1000,
 			logPath:      filepath.Join(dir, "log.txt"),
 			manifestPath: path,
 			flags:        map[string]string{"log": "log.txt", "manifest": "run.manifest.json"},
@@ -451,7 +447,7 @@ func TestManifestSurvivesCheckpointRestore(t *testing.T) {
 	}
 	full := filepath.Join(dir, "full.manifest.json")
 	err := run(cfgPath, nil, runOpts{
-		quiet: true, telemetryBin: 1000, traceSample: 1.0,
+		quiet: true, telemetryBin: 1000,
 		checkpointEvery: 100, checkpointFile: snapPath,
 		manifestPath: full,
 	})
@@ -460,7 +456,7 @@ func TestManifestSurvivesCheckpointRestore(t *testing.T) {
 	}
 	restored := filepath.Join(dir, "restored.manifest.json")
 	err = run("", nil, runOpts{
-		quiet: true, telemetryBin: 1000, traceSample: 1.0,
+		quiet: true, telemetryBin: 1000,
 		restorePath:  snapPath,
 		manifestPath: restored,
 	})

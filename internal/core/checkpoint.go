@@ -369,13 +369,11 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 // checkpoint boundaries are invisible to the simulation — a checkpointed
 // run's results are identical to an uninterrupted one's — and sink errors
 // abort the run.
-func (sm *Simulation) RunCheckpointed(every sim.Tick, sink func(tick sim.Tick, data []byte) error) (Result, error) {
+func (sm *Simulation) RunCheckpointed(every sim.Tick, sink func(tick sim.Tick, data []byte) error) (res Result, err error) {
 	if every == 0 {
 		return Result{}, fmt.Errorf("core: checkpoint interval must be positive")
 	}
-	if sm.Telemetry != nil {
-		defer sm.Telemetry.Close()
-	}
+	defer sm.closeTelemetry(&err)
 	checkpoint := func(at sim.Tick) error {
 		data, err := sm.Snapshot(at)
 		if err != nil {

@@ -65,6 +65,15 @@ func (sm *Simulation) Config() *config.Settings { return sm.cfg }
 // (with *config.Error where applicable) on invalid settings; use BuildE for
 // an error-returning wrapper.
 func Build(cfg *config.Settings) *Simulation {
+	// simulation.telemetry.trace_file asked for the Chrome trace of a flit
+	// tracer this build no longer has; fail rather than write nothing (the
+	// timeline is rendered offline from a spans stream). trace_sample alone is
+	// ignored: earlier command lines set it on every telemetry run, so their
+	// snapshots embed it.
+	if cfg.Has("simulation.telemetry.trace_file") {
+		panic("core: simulation.telemetry.trace_file is no longer supported: record spans with " +
+			"simulation.telemetry.spans_file and render the timeline with ssparse -spans <file> -chrome <out.json>")
+	}
 	seed := cfg.UIntOr("simulation.seed", 1)
 	s := sim.NewSimulator(seed)
 	// Opt-in progress reporting: "simulation": {"monitor_interval": N} emits
@@ -90,10 +99,10 @@ func Build(cfg *config.Settings) *Simulation {
 		})
 	}
 	// Opt-in telemetry: "simulation": {"telemetry": {"enabled": true, ...}}
-	// attaches the metrics/tracing subsystem before components are built, so
-	// channels, routers, interfaces and the workload pick up their probes via
-	// the telemetry.For* constructors. Like verification it is observation-
-	// only: traffic results are identical with it on or off.
+	// attaches the metrics and span-recording subsystem before components are
+	// built, so channels, routers, interfaces and the workload pick up their
+	// probes via the telemetry.For* constructors. Like verification it is
+	// observation-only: traffic results are identical with it on or off.
 	var tel *telemetry.Telemetry
 	if cfg.BoolOr("simulation.telemetry.enabled", false) {
 		opts := telemetry.Options{
@@ -105,13 +114,6 @@ func Build(cfg *config.Settings) *Simulation {
 				panic(fmt.Sprintf("core: telemetry snapshot file: %v", err))
 			}
 			opts.SnapshotW = f
-		}
-		if path := cfg.StringOr("simulation.telemetry.trace_file", ""); path != "" {
-			f, err := os.Create(path)
-			if err != nil {
-				panic(fmt.Sprintf("core: telemetry trace file: %v", err))
-			}
-			opts.Tracer = telemetry.NewTracer(f, cfg.FloatOr("simulation.telemetry.trace_sample", 1.0))
 		}
 		// Span recording: "spans_file" streams per-message latency
 		// decompositions as JSONL; "spans_sample" alone folds sampled spans
@@ -179,13 +181,8 @@ type Result struct {
 // the workload protocol completed. It returns an error when the queue
 // drained in an earlier phase, which indicates stalled traffic (for example
 // a deadlock or a misconfigured application).
-func (sm *Simulation) Run() (Result, error) {
-	if sm.Telemetry != nil {
-		// Final snapshot bin, stream flush, and trace termination happen even
-		// when the run errors out — a truncated trace of a stalled run is
-		// exactly what the diagnosis needs.
-		defer sm.Telemetry.Close()
-	}
+func (sm *Simulation) Run() (res Result, err error) {
+	defer sm.closeTelemetry(&err)
 	var events uint64
 	var end sim.Time
 	if sm.engine != nil {
@@ -199,6 +196,20 @@ func (sm *Simulation) Run() (Result, error) {
 		end = sm.Sim.LastWork()
 	}
 	return sm.verifyOutcome(events, end)
+}
+
+// closeTelemetry writes the final snapshot bin and flushes and closes the
+// output streams. Run and RunCheckpointed defer it, so it happens even when
+// the run errors out — a truncated stream of a stalled run is exactly what
+// the diagnosis needs — and a close failure becomes the error of a run that
+// otherwise succeeded, since its output files are incomplete.
+func (sm *Simulation) closeTelemetry(err *error) {
+	if sm.Telemetry == nil {
+		return
+	}
+	if cerr := sm.Telemetry.Close(); cerr != nil && *err == nil {
+		*err = fmt.Errorf("core: telemetry output: %w", cerr)
+	}
 }
 
 // verifyOutcome assembles the Result and runs the post-drain checks shared by

@@ -107,9 +107,9 @@ func attachParallel(sm *Simulation, workers int) {
 		}
 	}
 	if sm.Telemetry != nil {
-		// Shard-aware observability: switch the tracer/span recorder into
-		// per-shard lane buffering (merged back into the serial order at seal
-		// time), and instrument every shard's scheduler with an engine probe
+		// Shard-aware observability: switch the span recorder into per-shard
+		// lane buffering (merged back into the serial order at seal time), and
+		// instrument every shard's scheduler with an engine probe
 		// exposed through the registry and the /shards endpoint.
 		sm.Telemetry.Partition(ns)
 		for k := 0; k < ns; k++ {

@@ -1,6 +1,6 @@
 // Package manifest records run provenance: a versioned JSON document that
-// ties every artifact a simulation produced (telemetry snapshots, traces,
-// spans, transaction logs, checkpoints) back to exactly what produced it —
+// ties every artifact a simulation produced (telemetry snapshots, spans,
+// transaction logs, checkpoints) back to exactly what produced it —
 // the canonical hash of the settings document, the seed, the worker count,
 // the schema versions of every stream format, and the SHA-256 digest of each
 // output file. Sweeps write one manifest per permutation, which is the
@@ -38,7 +38,7 @@ const (
 // — manifests sit next to their artifacts, and relative names keep the
 // document independent of where the run directory lands.
 type Artifact struct {
-	Role   string `json:"role"` // log | telemetry | trace | spans | checkpoint
+	Role   string `json:"role"` // log | telemetry | spans | checkpoint
 	Path   string `json:"path"`
 	SHA256 string `json:"sha256"`
 	Bytes  int64  `json:"bytes"`

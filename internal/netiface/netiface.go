@@ -87,7 +87,7 @@ func New(s *sim.Simulator, name string, id int, cfg *config.Settings, vcs int, c
 		curVC:         -1,
 		checker:       types.NewOrderChecker(id),
 		v:             verify.For(s),
-		tp:            telemetry.ForIface(s, name, id),
+		tp:            telemetry.ForIface(s, name),
 		sp:            telemetry.SpansFor(s),
 	}
 }
@@ -270,7 +270,7 @@ func (n *Interface) injectOne() {
 	}
 	n.outCh.Inject(f)
 	n.flitsSent++
-	n.tp.FlitSent(n.Sim(), now, f)
+	n.tp.FlitSent()
 	if f.Tail {
 		n.popPacket()
 		n.curFlit = 0
@@ -303,7 +303,7 @@ func (n *Interface) popPacket() {
 func (n *Interface) ReceiveFlit(port int, f *types.Flit) {
 	now := n.Sim().Now().Tick
 	n.flitsReceived++
-	n.tp.FlitReceived(n.Sim(), now, f)
+	n.tp.FlitReceived()
 	n.v.FlitRetired(f)
 	packetDone := n.checker.Check(f)
 	n.creditOut.Inject(types.Credit{VC: f.VC})

@@ -70,8 +70,8 @@ type Simulator struct {
 	MonitorFinish func(now Time, executed uint64)
 
 	// verifier and telemetry are opaque attachment slots for the
-	// invariant-verification subsystem (internal/verify) and the metrics/
-	// tracing subsystem (internal/telemetry). They live here so components
+	// invariant-verification subsystem (internal/verify) and the metrics and
+	// span-recording subsystem (internal/telemetry). They live here so components
 	// can discover the attachments through the simulator they are built
 	// with; sim itself never inspects them, keeping this package
 	// dependency-free.

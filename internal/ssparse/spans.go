@@ -109,16 +109,11 @@ func (a *SpanAgg) appIDs() []int {
 	return ids
 }
 
-// LoadSpans reads and aggregates a spans JSONL stream. Every record's
-// exactness invariant (components sum to the end-to-end latency) is
-// re-verified on load, so a corrupted or hand-edited stream fails loudly.
+// LoadSpans reads and aggregates a spans JSONL stream (telemetry.ReadSpans
+// verifies each record's exactness on the way in).
 func LoadSpans(r io.Reader) (*SpanAgg, error) {
 	agg := &SpanAgg{Apps: map[int]*AppSpans{}}
 	hdr, err := telemetry.ReadSpans(r, func(rec telemetry.SpanRecord) error {
-		if got := rec.ComponentSum(); got != rec.E2E {
-			return fmt.Errorf("ssparse: span record for message %d is not exact: components sum to %d, e2e is %d",
-				rec.Msg, got, rec.E2E)
-		}
 		agg.Records++
 		app := agg.Apps[rec.App]
 		if app == nil {

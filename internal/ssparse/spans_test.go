@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-const spansStream = `{"schema":"supersim-spans","version":1,"sample":0.5}
-{"msg":1,"app":0,"src":0,"dst":5,"hops":2,"e2e":20,"queue":5,"eject":1,"perhop":[{"wire":2},{"vc":1,"sw":1,"xbar":2,"wire":4},{"xbar":2,"out":1,"wire":1}]}
-{"msg":3,"app":0,"src":1,"dst":6,"hops":2,"e2e":30,"queue":9,"eject":3,"perhop":[{"wire":2},{"vc":3,"sw":1,"xbar":2,"wire":4},{"xbar":2,"out":3,"wire":1}]}
-{"msg":4,"app":1,"src":2,"dst":7,"hops":1,"e2e":12,"queue":2,"eject":2,"perhop":[{"wire":2},{"vc":1,"xbar":2,"wire":3}]}
+const spansStream = `{"schema":"supersim-spans","version":2,"sample":0.5}
+{"msg":1,"app":0,"src":0,"dst":5,"hops":2,"t0":100,"e2e":20,"queue":5,"eject":1,"perhop":[{"wire":2},{"vc":1,"sw":1,"xbar":2,"wire":4},{"xbar":2,"out":1,"wire":1}]}
+{"msg":3,"app":0,"src":1,"dst":6,"hops":2,"t0":110,"e2e":30,"queue":9,"eject":3,"perhop":[{"wire":2},{"vc":3,"sw":1,"xbar":2,"wire":4},{"xbar":2,"out":3,"wire":1}]}
+{"msg":4,"app":1,"src":2,"dst":7,"hops":1,"t0":120,"e2e":12,"queue":2,"eject":2,"perhop":[{"wire":2},{"vc":1,"xbar":2,"wire":3}]}
 `
 
 func TestDistStatistics(t *testing.T) {
@@ -75,7 +75,7 @@ func TestLoadSpansAggregates(t *testing.T) {
 }
 
 func TestLoadSpansRejectsInexactRecord(t *testing.T) {
-	bad := `{"schema":"supersim-spans","version":1,"sample":1}
+	bad := `{"schema":"supersim-spans","version":2,"sample":1}
 {"msg":9,"app":0,"src":0,"dst":1,"hops":1,"e2e":99,"queue":5,"eject":1,"perhop":[{"wire":2},{"wire":4}]}
 `
 	if _, err := LoadSpans(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "not exact") {
@@ -158,9 +158,9 @@ func TestWriteSpansCSV(t *testing.T) {
 // FuzzLoadSpans feeds arbitrary bytes to the spans-stream reader behind
 // `ssparse -spans` and `ssplot -plot breakdown`: a spans file is outside
 // input, so it must load or fail with an error, never panic, and what loads
-// must render. Seeds are the committed stream, a truncation of it and its
-// first lines, headers of the wrong schema and version, and a record with a
-// very long perhop.
+// must render, as reports and as a Chrome timeline. Seeds are the committed
+// stream, a truncation of it and its first lines, headers of the wrong schema
+// and of version 1, and a record with a very long perhop.
 func FuzzLoadSpans(f *testing.F) {
 	fixture, err := os.ReadFile("../../cmd/ssparse/testdata/spans.jsonl")
 	if err != nil {
@@ -171,9 +171,9 @@ func FuzzLoadSpans(f *testing.F) {
 	f.Add(fixture[:bytes.LastIndexByte(fixture[:4096], '\n')+1])
 	f.Add([]byte(spansStream))
 	f.Add([]byte(`{"schema":"supersim-tasks","version":1}` + "\n"))
-	f.Add([]byte(`{"schema":"supersim-spans","version":2,"sample":1}` + "\n"))
-	long := `{"schema":"supersim-spans","version":1,"sample":1}` + "\n" +
-		`{"msg":1,"app":7,"hops":4000,"e2e":4001,"perhop":[` + strings.Repeat(`{"wire":1},`, 4000) + `{"wire":1}]}` + "\n"
+	f.Add([]byte(`{"schema":"supersim-spans","version":1,"sample":1}` + "\n"))
+	long := `{"schema":"supersim-spans","version":2,"sample":1}` + "\n" +
+		`{"msg":1,"app":7,"hops":4000,"t0":9,"e2e":4001,"perhop":[` + strings.Repeat(`{"wire":1},`, 4000) + `{"wire":1}]}` + "\n"
 	f.Add([]byte(long))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -185,6 +185,9 @@ func FuzzLoadSpans(f *testing.F) {
 			t.Fatal(err)
 		}
 		if err := agg.WriteSpansCSV(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WriteChrome(io.Discard, bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -95,7 +95,7 @@ func TestForDisabled(t *testing.T) {
 		t.Fatal("For returned non-nil on a bare simulator")
 	}
 	if ForChannel(s, "c", 1) != nil || ForRouter(s, "r", 2) != nil ||
-		ForIface(s, "i", 0) != nil || ForWorkload(s, 1, 4, 1) != nil {
+		ForIface(s, "i") != nil || ForWorkload(s, 1, 4, 1) != nil {
 		t.Fatal("a probe constructor returned non-nil with telemetry disabled")
 	}
 }

@@ -2,8 +2,8 @@ package telemetry
 
 import "supersim/internal/sim"
 
-// mergeByStamp replays per-shard observation lanes in the global
-// partition-independent event order. Each lane k holds records appended by
+// mergeByStamp replays the per-shard span lanes in the global
+// partition-independent event order. Each lane k holds operations appended by
 // shard k's goroutine in its local execution order, tagged with the stamp of
 // the event that produced them. Two engine invariants make a k-way merge by
 // stamp reproduce the serial order exactly:
@@ -12,18 +12,18 @@ import "supersim/internal/sim"
 //     that shard (events are keyed by (tick, epsilon, owner, oseq), which is
 //     independent of the partition), so every lane is already sorted by stamp;
 //   - a stamp identifies one executing event, which runs on exactly one
-//     shard, so equal stamps never occur across lanes — records with equal
+//     shard, so equal stamps never occur across lanes — operations with equal
 //     stamps all sit in one lane, where their append order is the serial
 //     emission order.
 //
 // The merge therefore takes the strictly smallest head stamp each step and
-// preserves intra-lane order for runs of equal stamps. Cost is O(records ×
+// preserves intra-lane order for runs of equal stamps. Cost is O(operations ×
 // lanes); lanes is the worker count, which is small.
 //
 // mergeByStamp must only run while no shard goroutine is recording — the
 // engine's RunUntil WaitGroup is the happens-before edge that publishes the
 // lanes to the sealing goroutine.
-func mergeByStamp[E any](lanes [][]E, stamp func(*E) sim.Stamp, apply func(*E)) {
+func mergeByStamp(lanes [][]spanOp, apply func(*spanOp)) {
 	idx := make([]int, len(lanes))
 	for {
 		best := -1
@@ -32,7 +32,7 @@ func mergeByStamp[E any](lanes [][]E, stamp func(*E) sim.Stamp, apply func(*E)) 
 			if idx[k] >= len(lanes[k]) {
 				continue
 			}
-			s := stamp(&lanes[k][idx[k]])
+			s := lanes[k][idx[k]].stamp
 			if best < 0 || s.Less(bs) {
 				best, bs = k, s
 			}

@@ -9,12 +9,12 @@ import (
 // code calls its hooks unguarded, so every exported method of every probe
 // type must be a no-op on a nil receiver — no panic, zero-valued results —
 // whatever its arguments (nil pointers included). A method added without the
-// nil check fails here. Nothing is excluded: all six types are nil when their
+// nil check fails here. Nothing is excluded: all five types are nil when their
 // feature is off.
 func TestProbesNilSafe(t *testing.T) {
 	for _, probe := range []any{
 		(*ChannelProbe)(nil), (*RouterProbe)(nil), (*IfaceProbe)(nil),
-		(*WorkloadProbe)(nil), (*Spans)(nil), (*Tracer)(nil),
+		(*WorkloadProbe)(nil), (*Spans)(nil),
 	} {
 		v := reflect.ValueOf(probe)
 		for i := 0; i < v.NumMethod(); i++ {

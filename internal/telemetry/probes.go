@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"supersim/internal/sim"
-	"supersim/internal/types"
 )
 
 // Probes are the component-facing face of the registry: each component asks
@@ -125,13 +124,11 @@ type IfaceProbe struct {
 	received *Counter
 	backpr   *Counter
 	depth    *Gauge
-	tr       *Tracer
-	terminal int
 }
 
-// ForIface returns the interface probe for terminal id, or nil when
-// telemetry is disabled.
-func ForIface(s *sim.Simulator, name string, terminal int) *IfaceProbe {
+// ForIface returns the probe of the named interface, or nil when telemetry is
+// disabled.
+func ForIface(s *sim.Simulator, name string) *IfaceProbe {
 	t := For(s)
 	if t == nil {
 		return nil
@@ -141,40 +138,20 @@ func ForIface(s *sim.Simulator, name string, terminal int) *IfaceProbe {
 		received: t.reg.Counter("iface_flits_received", name, -1, 0),
 		backpr:   t.reg.Counter("inject_backpressure", name, -1, 0),
 		depth:    t.reg.Gauge("source_queue_depth", name, -1),
-		tr:       t.opts.Tracer,
-		terminal: terminal,
 	}
 }
 
-// FlitSent records a flit entering the network and, when tracing is enabled
-// and the owning message is sampled, emits the trace begin event. s is the
-// calling component's simulator (an adopted component's shard, not the
-// construction-time host), which routes the record to the right trace lane.
-func (p *IfaceProbe) FlitSent(s *sim.Simulator, now sim.Tick, f *types.Flit) {
+// FlitSent records a flit entering the network.
+func (p *IfaceProbe) FlitSent() {
 	if p != nil {
-		p.flitSent(s, now, f)
+		p.sent.Inc()
 	}
 }
 
-func (p *IfaceProbe) flitSent(s *sim.Simulator, now sim.Tick, f *types.Flit) {
-	p.sent.Inc()
-	if p.tr.Sampled(f.Pkt.Msg.ID) {
-		p.tr.FlitSent(s, now, f, p.terminal)
-	}
-}
-
-// FlitReceived records a flit delivered at this terminal and emits the trace
-// end event for sampled messages.
-func (p *IfaceProbe) FlitReceived(s *sim.Simulator, now sim.Tick, f *types.Flit) {
+// FlitReceived records a flit delivered at this terminal.
+func (p *IfaceProbe) FlitReceived() {
 	if p != nil {
-		p.flitReceived(s, now, f)
-	}
-}
-
-func (p *IfaceProbe) flitReceived(s *sim.Simulator, now sim.Tick, f *types.Flit) {
-	p.received.Inc()
-	if p.tr.Sampled(f.Pkt.Msg.ID) {
-		p.tr.FlitReceived(s, now, f, f.Pkt.Msg.Src)
+		p.received.Inc()
 	}
 }
 

@@ -13,24 +13,24 @@ import (
 )
 
 // The span recorder decomposes each sampled message's end-to-end latency into
-// the time it spent in every pipeline stage of every hop. It rides the same
-// probe points the tracer uses — one tracked flit per message (the head flit
-// of packet 0) is timestamped at each lifecycle transition, and the time since
-// the previous transition is charged to exactly one span kind. Because every
-// tick between message creation and message delivery is charged somewhere,
-// the decomposition is exact by construction: Finish asserts that the
-// components sum to the end-to-end latency and panics on any unattributed
-// tick, so a missing or misplaced probe cannot produce silently wrong
-// attributions.
+// the time it spent in every pipeline stage of every hop. One tracked flit
+// per message (the head flit of packet 0) is timestamped at each lifecycle
+// transition, and the time since the previous transition is charged to
+// exactly one span kind. Because every tick between message creation and
+// message delivery is charged somewhere, the decomposition is exact by
+// construction: Finish asserts that the components sum to the end-to-end
+// latency and panics on any unattributed tick, so a missing or misplaced
+// probe cannot produce silently wrong attributions.
 //
-// Sampling reuses the tracer's message-ID hash (never the simulation PRNG),
-// so span recording is observation-only and all transitions of a message are
-// either all recorded or all skipped. Each finished message is folded online
-// into per-hop, per-component registry histograms (metric span_<kind>,
-// component app<N>, vc field = hop index) — these flow into the telemetry
-// JSONL snapshot stream and the Prometheus exposition — and optionally
-// emitted as one JSONL record for offline analysis with ssparse -spans and
-// ssplot -plot breakdown.
+// Sampling is a multiplicative hash of the message ID against a fixed
+// threshold (never the simulation PRNG), so span recording is
+// observation-only and all transitions of a message are either all recorded
+// or all skipped. Each finished message is folded online into per-hop,
+// per-component registry histograms (metric span_<kind>, component app<N>, vc
+// field = hop index) — these flow into the telemetry JSONL snapshot stream
+// and the Prometheus exposition — and optionally emitted as one JSONL record
+// for offline analysis with ssparse -spans (a report, or with -chrome a
+// trace-event timeline) and ssplot -plot breakdown.
 
 // SpanKind identifies the pipeline stage a latency segment is charged to.
 type SpanKind uint8
@@ -82,7 +82,7 @@ func (k SpanKind) String() string {
 // on any incompatible record change.
 const (
 	SpanSchema        = "supersim-spans"
-	SpanSchemaVersion = 1
+	SpanSchemaVersion = 2
 )
 
 // SpanHeader is the first line of a spans JSONL stream.
@@ -109,13 +109,15 @@ func (h *SpanHop) Total() uint64 {
 }
 
 // SpanRecord is one message's exact latency decomposition:
-// Queue + Eject + sum over PerHop of every component == E2E.
+// Queue + Eject + sum over PerHop of every component == E2E. T0 is the
+// message's creation tick, where the decomposition starts.
 type SpanRecord struct {
 	Msg    uint64    `json:"msg"`
 	App    int       `json:"app"`
 	Src    int       `json:"src"`
 	Dst    int       `json:"dst"`
 	Hops   int       `json:"hops"` // router hops = len(PerHop)-1
+	T0     uint64    `json:"t0"`
 	E2E    uint64    `json:"e2e"`
 	Queue  uint64    `json:"queue"`
 	Eject  uint64    `json:"eject"`
@@ -318,9 +320,9 @@ func NewSpans(w io.Writer, fraction float64) *Spans {
 	return sp
 }
 
-// SampledMsg reports whether the message with the given ID is recorded. Same
-// multiplicative hash as the tracer: a pure function of the ID, so every
-// probe point agrees without coordination.
+// SampledMsg reports whether the message with the given ID is recorded. The
+// decision is a pure function of the ID, so every probe point agrees without
+// coordination.
 func (sp *Spans) SampledMsg(msgID uint64) bool {
 	h := msgID * 0x9E3779B97F4A7C15
 	return sp != nil && h>>48 < sp.threshold
@@ -360,7 +362,7 @@ func (sp *Spans) seal() {
 	if sp == nil || sp.lanes == nil {
 		return
 	}
-	mergeByStamp(sp.lanes, func(o *spanOp) sim.Stamp { return o.stamp }, func(o *spanOp) {
+	mergeByStamp(sp.lanes, func(o *spanOp) {
 		switch o.op {
 		case opStart:
 			sp.applyStart(o.msg, o.app, o.src, o.dst, o.t)
@@ -510,6 +512,7 @@ func (sp *Spans) applyFinish(msg uint64, recvT, createT sim.Tick) bool {
 		panic(fmt.Sprintf("telemetry: span finish for message %d goes backwards: delivered %d, last transition %d", msg, recvT, s.lastT))
 	}
 	s.rec.Eject = recvT - s.lastT
+	s.rec.T0 = uint64(createT)
 	s.rec.E2E = recvT - createT
 	s.rec.Hops = len(s.rec.PerHop) - 1
 	if total := s.rec.ComponentSum(); total != s.rec.E2E {
@@ -619,7 +622,9 @@ func (sp *Spans) Close() error {
 
 // ReadSpans parses a spans JSONL stream: it validates the header line
 // (schema name and version) and calls fn for each record. A stream written
-// by an incompatible schema version is rejected up front.
+// by an incompatible schema version is rejected up front, and a record whose
+// components do not sum to its end-to-end latency is an error, so a corrupted
+// or hand-edited stream fails loudly in every reader.
 func ReadSpans(rd io.Reader, fn func(SpanRecord) error) (SpanHeader, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -647,6 +652,10 @@ func ReadSpans(rd io.Reader, fn func(SpanRecord) error) (SpanHeader, error) {
 		var rec SpanRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return hdr, fmt.Errorf("telemetry: spans line %d: %w", line, err)
+		}
+		if sum := rec.ComponentSum(); sum != rec.E2E {
+			return hdr, fmt.Errorf("telemetry: spans line %d: record for message %d is not exact: components sum to %d, e2e is %d",
+				line, rec.Msg, sum, rec.E2E)
 		}
 		if err := fn(rec); err != nil {
 			return hdr, err

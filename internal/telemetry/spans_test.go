@@ -133,7 +133,7 @@ func TestSpanLifecycleExactAndEmitted(t *testing.T) {
 		t.Fatalf("stream has %d records, want 1", len(recs))
 	}
 	r := recs[0]
-	if r.Msg != 1 || r.App != 0 || r.Src != 2 || r.Dst != 7 {
+	if r.Msg != 1 || r.App != 0 || r.Src != 2 || r.Dst != 7 || r.T0 != 100 {
 		t.Fatalf("record identity wrong: %+v", r)
 	}
 	if r.Queue != 3 || r.Eject != 6 || r.Hops != 1 || len(r.PerHop) != 2 {
@@ -276,12 +276,24 @@ func TestCloseWritesHeaderForEmptyStream(t *testing.T) {
 }
 
 func TestReadSpansRejectsGarbageRecord(t *testing.T) {
-	in := `{"schema":"supersim-spans","version":1,"sample":1}` + "\n" + `{not json}` + "\n"
+	in := `{"schema":"supersim-spans","version":2,"sample":1}` + "\n" + `{not json}` + "\n"
 	if _, err := ReadSpans(strings.NewReader(in), func(SpanRecord) error { return nil }); err == nil {
 		t.Fatal("garbage record line accepted")
 	}
 	if _, err := ReadSpans(strings.NewReader("{not json}\n"), func(SpanRecord) error { return nil }); err == nil {
 		t.Fatal("garbage header line accepted")
+	}
+}
+
+// TestReadSpansRejectsVersion1: a version 1 stream has no t0, so its records
+// cannot be placed on a timeline; there is one decode path, for version 2.
+func TestReadSpansRejectsVersion1(t *testing.T) {
+	in := `{"schema":"supersim-spans","version":1,"sample":1}` + "\n" +
+		`{"msg":1,"app":0,"src":0,"dst":1,"hops":0,"e2e":2,"queue":1,"eject":1,"perhop":[{}]}` + "\n"
+	calls := 0
+	_, err := ReadSpans(strings.NewReader(in), func(SpanRecord) error { calls++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "version 1") || calls != 0 {
+		t.Fatalf("version 1 stream: err %v after %d records, want a version error before any", err, calls)
 	}
 }
 

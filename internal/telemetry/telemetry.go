@@ -1,8 +1,9 @@
 // Package telemetry implements the simulator's observability subsystem: a
 // per-simulation metrics registry (counters, gauges, power-of-two-bucketed
-// histograms) with time-binned JSONL snapshotting, a flit-lifecycle tracer
-// emitting Chrome trace-event JSON, and a live introspection HTTP endpoint
-// (Prometheus text /metrics, /debug/pprof, a JSON run-progress document).
+// histograms) with time-binned JSONL snapshotting, a per-message span
+// recorder whose JSONL records ssparse renders as reports or a Chrome
+// trace-event timeline, and a live introspection HTTP endpoint (Prometheus
+// text /metrics, /debug/pprof, a JSON run-progress document).
 //
 // Discovery follows the internal/verify pattern: telemetry is attached per
 // Simulator (telemetry.Attach, stored in an opaque slot) and found by
@@ -14,7 +15,7 @@
 // in internal/experiments enforce.
 //
 // Telemetry is observation-only: it never touches the simulation PRNG or any
-// component state, and trace sampling is a pure hash of message IDs, so
+// component state, and span sampling is a pure hash of message IDs, so
 // enabling any part of it cannot change simulation results. Snapshot events
 // are scheduled as daemon events (sim.ScheduleDaemon), so periodic
 // snapshotting never extends the life of a drained simulation.
@@ -43,10 +44,6 @@ type Options struct {
 	// every BinTicks. If it also implements io.Closer, Close closes it.
 	SnapshotW io.Writer
 
-	// Tracer, when non-nil, receives flit-lifecycle events from the network
-	// interfaces.
-	Tracer *Tracer
-
 	// Spans, when non-nil, records per-hop latency decompositions of sampled
 	// messages; its histograms fold into this telemetry's registry.
 	Spans *Spans
@@ -61,7 +58,6 @@ type Progress struct {
 	TicksSec  float64 `json:"ticks_per_sec"`
 	Phase     string  `json:"phase"`
 	Metrics   int     `json:"metrics"`
-	TraceEvs  uint64  `json:"trace_events,omitempty"`
 	SpanRecs  uint64  `json:"span_records,omitempty"`
 	WallSec   float64 `json:"wall_sec"`
 }
@@ -135,9 +131,6 @@ func For(s *sim.Simulator) *Telemetry {
 // Registry returns the metric registry.
 func (t *Telemetry) Registry() *Registry { return t.reg }
 
-// Tracer returns the attached flit tracer, or nil.
-func (t *Telemetry) Tracer() *Tracer { return t.opts.Tracer }
-
 // Spans returns the attached span recorder, or nil.
 func (t *Telemetry) Spans() *Spans { return t.opts.Spans }
 
@@ -152,23 +145,13 @@ func SpansFor(s *sim.Simulator) *Spans {
 	return t.opts.Spans
 }
 
-// Partition switches the tracer and span recorder into per-shard lane
-// buffering across n shards. Core calls it once, before a parallel engine
-// runs; recordings are tagged with partition-independent event stamps and
-// merged back into the serial order by seal. Serial runs never call it and
-// keep the direct streaming/apply paths.
+// Partition switches the span recorder into per-shard lane buffering across
+// n shards. Core calls it once, before a parallel engine runs; recordings are
+// tagged with partition-independent event stamps and merged back into the
+// serial order by Spans.seal. Serial runs never call it and keep the direct
+// apply path.
 func (t *Telemetry) Partition(n int) {
-	t.opts.Tracer.partition(n)
 	t.opts.Spans.partition(n)
-}
-
-// seal merges and drains the per-shard observation lanes in global stamp
-// order. It must only run while no shard goroutines are executing — at the
-// end of the run (Close) or at a checkpoint barrier (State); the engine's
-// RunUntil WaitGroup is the happens-before edge publishing the lanes.
-func (t *Telemetry) seal() {
-	t.opts.Tracer.seal()
-	t.opts.Spans.seal()
 }
 
 // SetPhase records the workload phase shown in the progress document.
@@ -219,7 +202,6 @@ func (t *Telemetry) updateProgress(tick uint64) {
 		p.EventsSec = float64(evs-t.lastEvs) / secs
 		p.TicksSec = float64(tick-t.lastTick) / secs
 	}
-	p.TraceEvs = t.opts.Tracer.Events()
 	p.SpanRecs = t.opts.Spans.Records()
 	t.lastWall, t.lastTick, t.lastEvs = wall, tick, evs
 	t.prog = p
@@ -233,7 +215,7 @@ func (t *Telemetry) ProgressDoc() Progress {
 }
 
 // Close emits a final snapshot bin (so the tail of the run is never lost),
-// flushes and closes the snapshot stream, and closes the tracer. It is
+// flushes and closes the snapshot stream, and closes the spans stream. It is
 // idempotent; core.Run calls it after the network drains.
 func (t *Telemetry) Close() error {
 	if t.closed {
@@ -243,7 +225,7 @@ func (t *Telemetry) Close() error {
 	t.SetPhase("done")
 	// Seal before the final snapshot bin so span histograms folded from the
 	// buffered lanes reach it (the serial path folds online).
-	t.seal()
+	t.opts.Spans.seal()
 	t.snapshotNow()
 	var err error
 	if t.bw != nil {
@@ -253,9 +235,6 @@ func (t *Telemetry) Close() error {
 		if cerr := t.wc.Close(); err == nil {
 			err = cerr
 		}
-	}
-	if cerr := t.opts.Tracer.Close(); err == nil {
-		err = cerr
 	}
 	if cerr := t.opts.Spans.Close(); err == nil {
 		err = cerr
