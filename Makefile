@@ -16,7 +16,7 @@
 #                  equivalence matrix (serial = sharded = restored, byte for
 #                  byte, over every model), the simulation-after-import
 #                  harness, cross-worker restores, byte-exact snapshot
-#                  round-trips and the pinned v2 bytes
+#                  round-trips and the pinned v3 bytes
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
 #                  journal, spans and telemetry stream readers, the
@@ -94,11 +94,11 @@ fuzz:
 # checkpoint), the simulation-after-import harness (all golden topologies,
 # serial and sharded), the cross-worker restore matrix, checkpoints of a
 # restored run starting after its restore tick, byte-exact snapshot
-# round-trips, the schema-v2 bytes pinned in testdata/golden/snapshots.json,
+# round-trips, the schema-v3 bytes pinned in testdata/golden/snapshots.json,
 # restored-index validation, and the randomized checkpoint sweep — under the
 # race detector, since restore re-partitions across shards.
 test-import-export:
-	$(GO) test -race -count=1 -run='TestEquivalenceMatrix|TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRestoreRejectsVersion1|TestRandomizedCheckpointRestore' ./internal/core
+	$(GO) test -race -count=1 -run='TestEquivalenceMatrix|TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRestoreRejectsVersion2|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
 # cover runs every test once, with the floors enforced; ci does not also run

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -477,7 +478,7 @@ func TestManifestSurvivesCheckpointRestore(t *testing.T) {
 	if mf.Seed != mr.Seed || mf.Workers != mr.Workers || mf.SimTicks != mr.SimTicks {
 		t.Fatalf("provenance diverged: %+v vs %+v", mf, mr)
 	}
-	for _, k := range []string{"app0_samples", "app0_latency_mean", "app0_latency_p50", "app0_latency_p99"} {
+	for _, k := range []string{"sim.events_per_flit_hop", "app0_samples", "app0_latency_mean", "app0_latency_p50", "app0_latency_p99"} {
 		if mf.Metrics[k] != mr.Metrics[k] {
 			t.Fatalf("metric %s diverged: %v vs %v", k, mf.Metrics[k], mr.Metrics[k])
 		}
@@ -487,5 +488,86 @@ func TestManifestSurvivesCheckpointRestore(t *testing.T) {
 	// restored manifest.
 	if err := mr.VerifyArtifacts(dir); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunReportsEventsPerFlitHop: the run prints its flit-hops and events
+// per flit-hop on the "simulation complete" line, and the manifest records
+// the same ratio as sim.events_per_flit_hop.
+func TestRunReportsEventsPerFlitHop(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "cfg.json")
+	doc := `{
+	  "simulation": {"seed": 5},
+	  "network": {
+	    "topology": "torus",
+	    "dimensions": [2, 2],
+	    "concentration": 1,
+	    "channel": {"latency": 2, "period": 1},
+	    "injection": {"latency": 1},
+	    "router": {"architecture": "input_output_queued", "num_vcs": 2, "input_buffer_depth": 8}
+	  },
+	  "workload": {
+	    "applications": [{
+	      "type": "blast",
+	      "injection_rate": 0.1,
+	      "message_size": 2,
+	      "max_packet_size": 2,
+	      "warmup_duration": 100,
+	      "sample_duration": 300,
+	      "traffic": {"type": "uniform_random"}
+	    }]
+	  }
+	}`
+	if err := os.WriteFile(cfgPath, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(dir, "stdout.txt")
+	out, err := os.Create(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	manifestPath := filepath.Join(dir, "run.manifest.json")
+	err = run(cfgPath, nil, runOpts{telemetryBin: 1000, spansSample: 1.0, manifestPath: manifestPath})
+	os.Stdout = stdout
+	out.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events, ticks, hops uint64
+	var ratio float64
+	found := false
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "simulation complete:") {
+			if _, err := fmt.Sscanf(line, "simulation complete: %d events, %d ticks, %d flit-hops, %g events per flit-hop",
+				&events, &ticks, &hops, &ratio); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no simulation complete line in:\n%s", text)
+	}
+	if hops == 0 || events <= hops {
+		t.Fatalf("%d events over %d flit-hops", events, hops)
+	}
+	want := float64(events) / float64(hops)
+	if got := fmt.Sprintf("%.3f", want); got != fmt.Sprintf("%.3f", ratio) {
+		t.Fatalf("printed ratio %v, events/flit-hops %s", ratio, got)
+	}
+	m, err := manifest.LoadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Events != events || m.Metrics["sim.events_per_flit_hop"] != want {
+		t.Fatalf("manifest events %d, sim.events_per_flit_hop %v; printed %d events, ratio %v",
+			m.Events, m.Metrics["sim.events_per_flit_hop"], events, want)
 	}
 }

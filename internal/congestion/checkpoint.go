@@ -33,18 +33,16 @@ func StateTracker(c *snapshot.Codec, t Tracker) {
 }
 
 // State codes the credit sensor: raw occupancy counters and the
-// delayed-visibility histories the routing engines read.
+// delayed-visibility histories of the granularity the routing engines read.
 func (cs *CreditSensor) State(c *snapshot.Codec) {
 	c.FixedLen(len(cs.outputOcc), "credit sensor slots")
 	for i := range cs.outputOcc {
 		c.Int(&cs.outputOcc[i])
 		c.Int(&cs.downUsed[i])
 	}
-	for _, v := range cs.vcVals {
-		v.state(c)
-	}
-	for _, v := range cs.portVals {
-		v.state(c)
+	c.FixedLen(len(cs.vals), "credit sensor histories")
+	for i := range cs.vals {
+		cs.vals[i].state(c)
 	}
 }
 

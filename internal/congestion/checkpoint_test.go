@@ -130,7 +130,8 @@ func TestCreditSensorLoadRejectsCorruption(t *testing.T) {
 		snaptest.Put(c.Int, 1) // one slot
 		snaptest.Put(c.Int, 0)
 		snaptest.Put(c.Int, 0)
-		snaptest.Put(c.Int, 0) // vcVals[0]: empty history
+		snaptest.Put(c.Int, 1) // one history
+		snaptest.Put(c.Int, 0) // vals[0]: empty history
 	})
 	if err := loadTracker(empty, NewCreditSensor(1, 1, PerVC, SourceOutput, 4)); err == nil ||
 		!strings.Contains(err.Error(), "empty history") {

@@ -269,3 +269,104 @@ func mustPanic(t *testing.T, fn func()) {
 	}()
 	fn()
 }
+
+// twoHistorySensor is the reference the credit sensor is checked against:
+// it writes both the per-VC and the per-port history on every change and
+// reads the one its granularity selects.
+type twoHistorySensor struct {
+	gran               Granularity
+	src                Source
+	vcs                int
+	outputOcc, downUse []int
+	vcVals, portVals   []*DelayedValue
+}
+
+func newTwoHistorySensor(ports, vcs int, gran Granularity, src Source, latency sim.Tick) *twoHistorySensor {
+	r := &twoHistorySensor{gran: gran, src: src, vcs: vcs,
+		outputOcc: make([]int, ports*vcs), downUse: make([]int, ports*vcs)}
+	for i := 0; i < ports*vcs; i++ {
+		r.vcVals = append(r.vcVals, NewDelayedValue(latency, 0))
+	}
+	for i := 0; i < ports; i++ {
+		r.portVals = append(r.portVals, NewDelayedValue(latency, 0))
+	}
+	return r
+}
+
+func (r *twoHistorySensor) score(i int) float64 {
+	switch r.src {
+	case SourceOutput:
+		return float64(r.outputOcc[i])
+	case SourceDownstream:
+		return float64(r.downUse[i])
+	}
+	return float64(r.outputOcc[i] + r.downUse[i])
+}
+
+func (r *twoHistorySensor) add(now sim.Tick, counts []int, port, vc, delta int) {
+	i := port*r.vcs + vc
+	counts[i] += delta
+	r.vcVals[i].Set(now, r.score(i))
+	total := 0.0
+	for v := 0; v < r.vcs; v++ {
+		total += r.score(port*r.vcs + v)
+	}
+	r.portVals[port].Set(now, total)
+}
+
+func (r *twoHistorySensor) congestion(now sim.Tick, port, vc int) float64 {
+	if r.gran == PerPort {
+		return r.portVals[port].Get(now)
+	}
+	return r.vcVals[port*r.vcs+vc].Get(now)
+}
+
+// TestCreditSensorMatchesTwoHistories: keeping only the history Congestion
+// reads changes no reading. Random nondecreasing AddOutput/AddDownstream
+// sequences run against the sensor and the two-history reference for every
+// granularity, source and a range of sensing latencies, and every
+// Congestion(now, port, vc) agrees after every update.
+func TestCreditSensorMatchesTwoHistories(t *testing.T) {
+	const ports, vcs = 3, 2
+	for _, gran := range []Granularity{PerVC, PerPort} {
+		for _, src := range []Source{SourceOutput, SourceDownstream, SourceBoth} {
+			for _, latency := range []sim.Tick{0, 1, 4} {
+				prop := func(ops [40]uint16) bool {
+					cs := NewCreditSensor(ports, vcs, gran, src, latency)
+					ref := newTwoHistorySensor(ports, vcs, gran, src, latency)
+					now := sim.Tick(0)
+					for _, op := range ops {
+						now += sim.Tick(op % 3)
+						port, vc := int(op>>2)%ports, int(op>>4)%vcs
+						downstream := op&(1<<6) != 0
+						counts := ref.outputOcc
+						if downstream {
+							counts = ref.downUse
+						}
+						delta := 1 + int(op>>7)%3
+						if op&(1<<9) != 0 && counts[port*vcs+vc] >= delta {
+							delta = -delta
+						}
+						if downstream {
+							cs.AddDownstream(now, port, vc, delta)
+						} else {
+							cs.AddOutput(now, port, vc, delta)
+						}
+						ref.add(now, counts, port, vc, delta)
+						for p := 0; p < ports; p++ {
+							for v := 0; v < vcs; v++ {
+								if cs.Congestion(now, p, v) != ref.congestion(now, p, v) {
+									return false
+								}
+							}
+						}
+					}
+					return true
+				}
+				if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+					t.Errorf("granularity %d source %d latency %d: %v", gran, src, latency, err)
+				}
+			}
+		}
+	}
+}

@@ -100,8 +100,10 @@ type CreditSensor struct {
 	outputOcc []int // [port*vcs+vc] flits in output queue
 	downUsed  []int // [port*vcs+vc] downstream credits in use
 
-	vcVals   []*DelayedValue // per (port, vc)
-	portVals []*DelayedValue // per port
+	// vals is the delayed history Congestion reads: per (port, vc) under
+	// PerVC, per port under PerPort. The other granularity is never read, so
+	// it is not kept.
+	vals []DelayedValue
 }
 
 // NewCreditSensor creates a credit sensor for a router with the given port
@@ -110,19 +112,19 @@ func NewCreditSensor(ports, vcs int, gran Granularity, src Source, latency sim.T
 	if ports <= 0 || vcs <= 0 {
 		panic("congestion: ports and vcs must be positive")
 	}
+	n := ports * vcs
+	if gran == PerPort {
+		n = ports
+	}
 	cs := &CreditSensor{
 		gran: gran, src: src, latency: latency,
 		ports: ports, vcs: vcs,
 		outputOcc: make([]int, ports*vcs),
 		downUsed:  make([]int, ports*vcs),
-		vcVals:    make([]*DelayedValue, ports*vcs),
-		portVals:  make([]*DelayedValue, ports),
+		vals:      make([]DelayedValue, n),
 	}
-	for i := range cs.vcVals {
-		cs.vcVals[i] = NewDelayedValue(latency, 0)
-	}
-	for i := range cs.portVals {
-		cs.portVals[i] = NewDelayedValue(latency, 0)
+	for i := range cs.vals {
+		cs.vals[i] = *NewDelayedValue(latency, 0)
 	}
 	return cs
 }
@@ -148,14 +150,18 @@ func (cs *CreditSensor) score(i int) float64 {
 	}
 }
 
+// update records (port, vc)'s new score in the history Congestion reads.
 func (cs *CreditSensor) update(now sim.Tick, port, vc int) {
-	i := cs.idx(port, vc)
-	cs.vcVals[i].Set(now, cs.score(i))
-	total := 0.0
-	for v := 0; v < cs.vcs; v++ {
-		total += cs.score(port*cs.vcs + v)
+	if cs.gran == PerPort {
+		total := 0.0
+		for v := 0; v < cs.vcs; v++ {
+			total += cs.score(port*cs.vcs + v)
+		}
+		cs.vals[port].Set(now, total)
+		return
 	}
-	cs.portVals[port].Set(now, total)
+	i := cs.idx(port, vc)
+	cs.vals[i].Set(now, cs.score(i))
 }
 
 // AddOutput adjusts output queue occupancy; negative counts panic (credits
@@ -186,9 +192,9 @@ func (cs *CreditSensor) Congestion(now sim.Tick, port, vc int) float64 {
 		if port < 0 || port >= cs.ports {
 			panic("congestion: port out of range")
 		}
-		return cs.portVals[port].Get(now)
+		return cs.vals[port].Get(now)
 	}
-	return cs.vcVals[cs.idx(port, vc)].Get(now)
+	return cs.vals[cs.idx(port, vc)].Get(now)
 }
 
 // NullSensor reports zero congestion everywhere; oblivious routing uses it.

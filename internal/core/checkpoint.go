@@ -205,7 +205,10 @@ func (sm *Simulation) collect(table *types.MessageTable) {
 // after Engine.RunUntil(T) followed by DrainCross, so every cross-shard post
 // has become a locally queued event.
 func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
-	c := snapshot.NewSaver()
+	// A run's snapshots grow as its samples accumulate. Twice the last one's
+	// length is the capacity appending would reach by doubling, allocated
+	// once instead of once per doubling.
+	c := snapshot.NewSaverCap(2 * sm.snapLen)
 	c.Header()
 
 	// Restore re-parses the settings and rebuilds via Build before it can
@@ -250,6 +253,7 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 	if err := c.Done(); err != nil {
 		return nil, err
 	}
+	sm.snapLen = len(c.Bytes())
 	return c.Bytes(), nil
 }
 

@@ -54,6 +54,10 @@ type Simulation struct {
 	// checkpoints can embed it (a snapshot restores by rebuilding the identical
 	// component graph and overwriting its state).
 	cfg *config.Settings
+
+	// snapLen is the length of the last snapshot taken, which sizes the next
+	// one's buffer.
+	snapLen int
 }
 
 // Config returns the settings document the simulation was built from. For a

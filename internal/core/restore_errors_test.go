@@ -68,15 +68,16 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsVersion1 pins the one decode path: schema v1 stored the
-// pool's hit count and the message generations, and this build reads v2 only.
-func TestRestoreRejectsVersion1(t *testing.T) {
+// TestRestoreRejectsVersion2 pins the one decode path: schema v2 stored the
+// routers' per-port drain flags and delay-line scheduled bits and both of a
+// credit sensor's histories, and this build reads v3 only.
+func TestRestoreRejectsVersion2(t *testing.T) {
 	data := smallSnapshot(t)
-	v1 := append([]byte(snapshot.Magic), 1)
-	v1 = append(v1, data[len(snapshot.Magic)+1:]...)
-	const want = "unsupported schema version 1 (this build reads version 2)"
-	if _, _, err := Restore(v1, 0); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("v1-headed snapshot: err = %v, want %q", err, want)
+	v2 := append([]byte(snapshot.Magic), 2)
+	v2 = append(v2, data[len(snapshot.Magic)+1:]...)
+	const want = "unsupported schema version 2 (this build reads version 3)"
+	if _, _, err := Restore(v2, 0); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v2-headed snapshot: err = %v, want %q", err, want)
 	}
 }
 

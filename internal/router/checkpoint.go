@@ -83,26 +83,36 @@ func (b *base) state(c *snapshot.Codec) {
 // collectFlights adds the messages with flits in the internal datapath.
 func (b *base) collectFlights(t *types.MessageTable) {
 	for _, fl := range b.dl.q[b.dl.head:] {
-		t.Add(fl.f.Pkt.Msg)
+		t.Add(fl.v.f.Pkt.Msg)
 	}
 }
 
 // stateFlights codes the internal datapath's delay line.
 func (b *base) stateFlights(c *snapshot.Codec, t *types.MessageTable) {
-	dl := &b.dl
-	c.Bool(&dl.scheduled)
-	live := dl.q[dl.head:]
+	b.dl.state(c, "delay line", func(i int, fl *flight) {
+		c.Index(&fl.port, b.radix, "delay line output port")
+		t.Flit(c, &fl.f)
+		if c.Loading() && c.Err() == nil && fl.f == nil {
+			c.Failf("delay line entry %d has no flit", i)
+		}
+	})
+}
+
+// state codes a delay line's live entries, each value by stateV. A loaded
+// line starts at head 0 and has its event pending exactly when it holds
+// entries, which is when the saved one had.
+func (d *delayLine[T]) state(c *snapshot.Codec, what string, stateV func(i int, v *T)) {
+	live := d.q[d.head:]
 	snapshot.Slice(c, &live)
 	if c.Loading() {
-		dl.q, dl.head = live, 0
+		d.q, d.head, d.scheduled = live, 0, len(live) > 0
 	}
 	for i := range live {
 		snapshot.Uint(c, &live[i].at)
-		c.Index(&live[i].port, b.radix, "delay line output port")
-		t.Flit(c, &live[i].f)
-		if c.Loading() && c.Err() == nil && live[i].f == nil {
-			c.Failf("delay line entry %d has no flit", i)
+		if c.Loading() && c.Err() == nil && i > 0 && live[i].at < live[i-1].at {
+			c.Failf("%s entry %d is due before the one ahead of it", what, i)
 		}
+		stateV(i, &live[i].v)
 	}
 }
 

@@ -37,8 +37,7 @@ type base struct {
 	vcs   int
 
 	bufDepth   int
-	dl         delayLine // the internal datapath: flits between input buffer and output
-	dlEvent    int       // the architecture's event type for a dl completion
+	dl         delayLine[flight] // the internal datapath: flits between input buffer and output
 	chanPeriod sim.Tick
 	coreClock  *sim.Clock
 
@@ -305,74 +304,92 @@ func (b *base) verifyIdle() {
 // flight is one flit traversing a fixed-latency internal datapath (crossbar
 // or queue-to-queue transfer) toward an output port.
 type flight struct {
-	at   sim.Tick
 	f    *types.Flit
 	port int
 }
 
-// delayLine batches a router's fixed-latency internal traversals so the
-// router holds at most one pending event for all of them: traversal
-// completion times are monotone (fixed latency, monotone starts), so the
-// line is a FIFO. This keeps the global event queue small even with long
-// crossbar latencies.
-type delayLine struct {
-	q         []flight
+// timed is one delay-line entry: a value due at a tick.
+type timed[T any] struct {
+	at sim.Tick
+	v  T
+}
+
+// delayLine is a FIFO of values each due at a tick, for which the router
+// holds at most one pending event (of type ev) in the global queue. Due
+// times must be monotone, which the two uses guarantee by construction:
+// internal traversals (fixed latency, monotone starts) and route completions
+// (a fixed number of core cycles after monotone starts). This keeps the
+// global event queue small even with long crossbar or routing latencies.
+type delayLine[T any] struct {
+	q         []timed[T]
 	head      int
+	ev        int
 	scheduled bool
 }
 
-// startFlight sends a flit down the internal datapath, to complete at tick
-// at, scheduling the completion event unless one is pending.
-func (b *base) startFlight(at sim.Tick, f *types.Flit, port int) {
-	b.dl.push(at, f, port)
-	if !b.dl.scheduled {
-		b.dl.scheduled = true
-		b.Sim().Schedule(b.self, sim.Time{Tick: at}, b.dlEvent, nil)
+// add appends v, due at tick at, and schedules the line's event on the
+// router unless one is pending.
+func (d *delayLine[T]) add(b *base, at sim.Tick, v T) {
+	d.push(at, v)
+	if !d.scheduled {
+		d.scheduled = true
+		b.Sim().Schedule(b.self, sim.Time{Tick: at}, d.ev, nil)
 	}
 }
 
-// landFlight pops the next traversal completing now. When none is left it
-// re-arms the completion event for the earliest later one and reports false;
-// the architecture's completion handler loops on it.
-func (b *base) landFlight() (flight, bool) {
-	now := b.Sim().Now().Tick
-	at, ok := b.dl.next()
+// land pops the next entry due now. When none is left it re-arms the line's
+// event for the earliest later entry and reports false; the event's handler
+// loops on it.
+func (d *delayLine[T]) land(b *base) (T, bool) {
+	var zero T
+	at, ok := d.next()
 	if !ok {
-		b.dl.scheduled = false
-		return flight{}, false
+		d.scheduled = false
+		return zero, false
 	}
-	if at > now {
-		b.Sim().Schedule(b.self, sim.Time{Tick: at}, b.dlEvent, nil)
-		return flight{}, false
+	if at > b.Sim().Now().Tick {
+		b.Sim().Schedule(b.self, sim.Time{Tick: at}, d.ev, nil)
+		return zero, false
 	}
-	fl := b.dl.pop()
-	if b.sp.Tracked(fl.f) {
-		// The traversal ends where the flit enters the channel or the output queue.
-		b.sp.Step(b.Sim(), now, fl.f, telemetry.SpanXbar)
-	}
-	return fl, true
+	return d.pop(), true
 }
 
-// push appends a traversal; it panics if completion times go backwards.
-func (d *delayLine) push(at sim.Tick, f *types.Flit, port int) {
+// startFlight sends a flit down the internal datapath, to complete at tick
+// at.
+func (b *base) startFlight(at sim.Tick, f *types.Flit, port int) {
+	b.dl.add(b, at, flight{f, port})
+}
+
+// landFlight pops the next traversal completing now; see delayLine.land.
+func (b *base) landFlight() (flight, bool) {
+	fl, ok := b.dl.land(b)
+	if ok && b.sp.Tracked(fl.f) {
+		// The traversal ends where the flit enters the channel or the output queue.
+		b.sp.Step(b.Sim(), b.Sim().Now().Tick, fl.f, telemetry.SpanXbar)
+	}
+	return fl, ok
+}
+
+// push appends an entry; it panics if due times go backwards.
+func (d *delayLine[T]) push(at sim.Tick, v T) {
 	if n := len(d.q); n > d.head && d.q[n-1].at > at {
 		panic("router: delay line completion times must be monotone")
 	}
-	d.q = append(d.q, flight{at: at, f: f, port: port})
+	d.q = append(d.q, timed[T]{at, v})
 }
 
-// next returns the earliest pending completion time.
-func (d *delayLine) next() (sim.Tick, bool) {
+// next returns the earliest pending due time.
+func (d *delayLine[T]) next() (sim.Tick, bool) {
 	if d.head >= len(d.q) {
 		return 0, false
 	}
 	return d.q[d.head].at, true
 }
 
-// pop removes and returns the earliest traversal.
-func (d *delayLine) pop() flight {
-	fl := d.q[d.head]
-	d.q[d.head] = flight{}
+// pop removes and returns the earliest entry.
+func (d *delayLine[T]) pop() T {
+	v := d.q[d.head].v
+	d.q[d.head] = timed[T]{}
 	d.head++
 	if d.head == len(d.q) {
 		d.q = d.q[:0]
@@ -382,7 +399,7 @@ func (d *delayLine) pop() flight {
 		d.q = d.q[:n]
 		d.head = 0
 	}
-	return fl
+	return v
 }
 
 // flitQueue is a FIFO of flits backed by a ring buffer.

@@ -62,9 +62,10 @@ type inputStage struct {
 	xbar       *crossbar.Crossbar
 
 	in         []inputVC
-	holder     [][]int // [port][vc] -> client holding the output VC, -1 free
-	vcPending  []int   // clients awaiting output VC allocation
-	vcOrder    []int   // allocateVCs ordering scratch, capacity len(in)
+	routes     delayLine[int] // clients whose route computation is in flight
+	holder     [][]int        // [port][vc] -> client holding the output VC, -1 free
+	vcPending  []int          // clients awaiting output VC allocation
+	vcOrder    []int          // allocateVCs ordering scratch, capacity len(in)
 	vcRotate   int
 	vcAgeOrder bool // VC scheduler policy: age_based instead of round_robin
 	sched      []*xbarSched
@@ -79,7 +80,8 @@ func initInputStage(st *inputStage, arch interface {
 }, s *sim.Simulator, name string, cfg *config.Settings, p Params) {
 	st.base = newBase(s, name, cfg, p)
 	st.self, st.arch = arch, arch
-	st.dlEvent = evXbarArrive
+	st.dl.ev = evXbarArrive
+	st.routes.ev = evRouteDone
 	st.routingLat = cfg.UIntOr("routing_latency", 1)
 	if st.routingLat < 1 {
 		st.Panicf("routing_latency must be at least one cycle")
@@ -125,7 +127,9 @@ func (s *inputStage) ProcessEvent(ev *sim.Event) {
 		s.pipelineScheduled = false
 		s.pipeline()
 	case evRouteDone:
-		s.routeDone(ev.Context.(int))
+		for client, ok := s.routes.land(&s.base); ok; client, ok = s.routes.land(&s.base) {
+			s.routeDone(client)
+		}
 	case evXbarArrive:
 		for fl, ok := s.landFlight(); ok; fl, ok = s.landFlight() {
 			s.arch.deliver(fl.port, fl.f)
@@ -136,7 +140,14 @@ func (s *inputStage) ProcessEvent(ev *sim.Event) {
 }
 
 // maybeStartRoute launches route computation when an input VC's queue head
-// is an unrouted head flit.
+// is an unrouted head flit. Completions go through the routes delay line, so
+// the router holds one evRouteDone for all of them, which completes every
+// route due at its tick in one batch. That batch can run ahead of an
+// evXbarArrive at the same time that, with one event per route, would have
+// run between two of its completions. The reordering is exact because the
+// two share no state: deliver touches neither the congestion sensor, the
+// rng nor vcPending, and routing reads only the sensor, the rng and the
+// topology, never channel or queue state.
 func (s *inputStage) maybeStartRoute(client int) {
 	iv := &s.in[client]
 	f := iv.q.peek()
@@ -144,8 +155,9 @@ func (s *inputStage) maybeStartRoute(client int) {
 		return
 	}
 	iv.routeState = rsPending
+	// done is monotone in now, so the line stays a FIFO.
 	done := s.coreClock.FutureEdge(s.Sim().Now().Tick+1, s.routingLat-1)
-	s.Sim().Schedule(s.self, sim.Time{Tick: done}, evRouteDone, client)
+	s.routes.add(&s.base, done, client)
 }
 
 func (s *inputStage) routeDone(client int) {
@@ -384,7 +396,8 @@ func (s *inputStage) Collect(t *types.MessageTable) {
 }
 
 // state codes the shared plumbing and the whole front end: crossbar, delay
-// line, input VCs, then the VC-allocation and crossbar-scheduling state.
+// line, input VCs and the routes in flight, then the VC-allocation and
+// crossbar-scheduling state.
 // holder and vcPending carry client numbers; vcRotate only ever counts up and
 // is used modulo the pending count, so a negative one would index negatively.
 func (s *inputStage) state(c *snapshot.Codec, t *types.MessageTable) {
@@ -394,6 +407,18 @@ func (s *inputStage) state(c *snapshot.Codec, t *types.MessageTable) {
 	for i := range s.in {
 		s.in[i].state(c, t, s.radix, s.vcs)
 	}
+	s.routes.state(c, "route line", func(i int, client *int) {
+		c.Index(client, len(s.in), "route line client")
+		if !c.Loading() || c.Err() != nil {
+			return
+		}
+		iv := &s.in[*client]
+		if f := iv.q.peek(); iv.routeState != rsIdle || f == nil || !f.Head {
+			c.Failf("route line entry %d: input VC %d is not an unrouted packet head", i, *client)
+			return
+		}
+		iv.routeState = rsPending
+	})
 	for port := range s.holder {
 		stateIndices(c, s.holder[port], c.IndexOrNone, len(s.in), "output VC holder")
 	}
@@ -409,11 +434,16 @@ func (s *inputStage) state(c *snapshot.Codec, t *types.MessageTable) {
 
 func (iv *inputVC) state(c *snapshot.Codec, t *types.MessageTable, ports, vcs int) {
 	iv.q.state(c, t)
-	c.Int(&iv.routeState)
 	stateResponse(c, &iv.resp, ports, vcs)
 	c.IndexOrNone(&iv.outPort, ports, "inputVC.outPort")
 	c.IndexOrNone(&iv.outVC, vcs, "inputVC.outVC")
 	if c.Loading() {
+		// A routed head holds its response until its tail leaves; a route in
+		// flight is marked by the route line, which is coded after the VCs.
+		iv.routeState = rsIdle
+		if len(iv.resp.VCs) > 0 {
+			iv.routeState = rsDone
+		}
 		iv.granted = false
 	}
 }

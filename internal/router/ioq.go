@@ -43,7 +43,7 @@ func (r *IOQ) ReceiveCredit(port int, c types.Credit) { r.out.receiveCredit(port
 // ProcessEvent dispatches the router's events.
 func (r *IOQ) ProcessEvent(ev *sim.Event) {
 	if ev.Type == evOutput {
-		r.out.drain(ev.Context.(int))
+		r.out.drainReady()
 		return
 	}
 	r.inputStage.ProcessEvent(ev)

@@ -128,6 +128,46 @@ func TestIQForwardsPacketInOrder(t *testing.T) {
 	r.VerifyIdle()
 }
 
+// TestRouteCompletionsAtTheirOwnTick: the front end holds one evRouteDone
+// for all routes in flight, and each completion still happens exactly
+// routing_latency cycles after its head arrived. Heads arriving one tick
+// apart keep two routes in flight at once, due a tick apart.
+func TestRouteCompletionsAtTheirOwnTick(t *testing.T) {
+	for _, arch := range []string{"input_queued", "input_output_queued"} {
+		t.Run(arch, func(t *testing.T) {
+			doc := strings.Replace(strings.Replace(iqDoc, "input_queued", arch, 1),
+				`"routing_latency": 1`, `"routing_latency": 3`, 1)
+			s := sim.NewSimulator(1)
+			var routed []sim.Tick
+			all := []int{0, 1}
+			ctor := func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
+				return routing.AlgorithmFunc(func(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
+					routed = append(routed, now)
+					return routing.Response{Port: 1, VCs: all}
+				})
+			}
+			r := New(s, "r0", config.MustParse(doc), Params{ID: 0, Radix: 2, RoutingCtor: ctor, ChannelPeriod: 1})
+			out := &flitSink{s: s}
+			ch := channel.New(s, "out", 1, 1)
+			ch.SetSink(out, 0)
+			r.ConnectOutput(1, ch)
+			r.SetDownstreamCredits(1, 8)
+			cc := channel.NewCredit(s, "cr", 1)
+			cc.SetSink(&creditSink{}, 0)
+			r.ConnectCreditOut(0, cc)
+			pushPacket(s, r, 1, 0, 10)
+			pushPacket(s, r, 1, 1, 11)
+			s.Run()
+			if len(routed) != 2 || routed[0] != 13 || routed[1] != 14 {
+				t.Fatalf("routes completed at %v, want [13 14]", routed)
+			}
+			if len(out.flits) != 2 {
+				t.Fatalf("forwarded %d flits", len(out.flits))
+			}
+		})
+	}
+}
+
 // archDoc is iqDoc for any registered architecture; each ignores the
 // settings it does not have.
 func archDoc(arch string) string {

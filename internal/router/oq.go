@@ -44,7 +44,7 @@ type OQ struct {
 func NewOQ(s *sim.Simulator, name string, cfg *config.Settings, p Params) *OQ {
 	r := &OQ{base: newBase(s, name, cfg, p)}
 	r.self = r
-	r.dlEvent = evTransferArrive
+	r.dl.ev = evTransferArrive
 	r.queueLat = sim.Tick(cfg.UIntOr("queue_latency", 1))
 	if r.queueLat < 1 {
 		r.Panicf("queue_latency must be at least one tick")
@@ -85,7 +85,7 @@ func (r *OQ) ProcessEvent(ev *sim.Event) {
 			r.out.accept(fl.port, fl.f)
 		}
 	case evOutput:
-		r.out.drain(ev.Context.(int))
+		r.out.drainReady()
 	default:
 		r.Panicf("unknown event type %d", ev.Type)
 	}

@@ -19,8 +19,13 @@ type outputStage struct {
 
 	outQ    []flitQueue // [port*vcs+vc]
 	outOcc  []int       // reserved occupancy incl. flits in flight to the queue
-	outBusy []bool      // per port: drain event scheduled
+	outBusy []bool      // per port: listed in ready
 	outRR   []int       // per port: round robin VC pointer
+
+	// ready lists the ports armed to drain at the next channel edge, in
+	// arming order; one evOutput is pending while it is non-empty. spare is
+	// the list the handler swaps in while it drains a batch.
+	ready, spare []int
 }
 
 func newOutputStage(b *base, depth int) outputStage {
@@ -59,10 +64,19 @@ func (o *outputStage) receiveCredit(port int, c types.Credit) {
 	o.scheduleOutput(port)
 }
 
-// scheduleOutput arms the port's drain event for the next channel clock
-// edge, unless one is already pending.
+// scheduleOutput arms the port to drain at the next channel clock edge,
+// unless it is armed already. The router holds one evOutput for every armed
+// port, scheduled when the first one is armed: each arming before the batch
+// runs computes the same edge, a drain at edge E can only arm for a later
+// edge, and one event per port would have run back to back in arming order
+// at that edge, which is the order drainReady keeps.
 func (o *outputStage) scheduleOutput(port int) {
 	if o.outBusy[port] {
+		return
+	}
+	o.outBusy[port] = true
+	o.ready = append(o.ready, port)
+	if len(o.ready) > 1 {
 		return
 	}
 	now := o.b.Sim().Now()
@@ -70,13 +84,23 @@ func (o *outputStage) scheduleOutput(port int) {
 	if !now.Before(t) {
 		t = sim.Time{Tick: o.chanClock.NextEdge(now.Tick + 1), Eps: 2}
 	}
-	o.outBusy[port] = true
-	o.b.Sim().Schedule(o.b.self, t, evOutput, port)
+	o.b.Sim().Schedule(o.b.self, t, evOutput, nil)
 }
 
-// drain handles the port's evOutput event: it sends one flit from the port's
-// output queues to the channel, round robin across VCs that have both a flit
-// and a downstream credit.
+// drainReady handles the router's evOutput event: it drains every armed
+// port in arming order. Ports re-armed meanwhile go to a fresh list, and
+// the first of them schedules the next evOutput.
+func (o *outputStage) drainReady() {
+	batch := o.ready
+	o.ready = o.spare[:0]
+	for _, port := range batch {
+		o.drain(port)
+	}
+	o.spare = batch
+}
+
+// drain sends one flit from the port's output queues to the channel, round
+// robin across VCs that have both a flit and a downstream credit.
 func (o *outputStage) drain(port int) {
 	b := o.b
 	o.outBusy[port] = false
@@ -142,10 +166,22 @@ func (o *outputStage) stateQueues(c *snapshot.Codec, t *types.MessageTable) {
 	stateInts(c, o.outOcc, "output occupancy")
 }
 
-// stateDrain codes the per-port drain scheduling state.
+// stateDrain codes the drain scheduling state: the armed ports, from which
+// a load rebuilds outBusy, and the VC round robin pointers.
 func (o *outputStage) stateDrain(c *snapshot.Codec) {
-	for i := range o.outBusy {
-		c.Bool(&o.outBusy[i])
+	snapshot.Slice(c, &o.ready)
+	if c.Loading() {
+		clear(o.outBusy)
+	}
+	for i := range o.ready {
+		c.Index(&o.ready[i], len(o.outBusy), "outputStage.ready")
+		if !c.Loading() || c.Err() != nil {
+			continue
+		}
+		if o.outBusy[o.ready[i]] {
+			c.Failf("output port %d is armed twice", o.ready[i])
+		}
+		o.outBusy[o.ready[i]] = true
 	}
 	stateIndices(c, o.outRR, c.Index, o.b.vcs, "outputStage.outRR")
 }

@@ -70,14 +70,14 @@ func TestFlitQueueWrapAndGrow(t *testing.T) {
 }
 
 func TestDelayLineOrdering(t *testing.T) {
-	var d delayLine
+	var d delayLine[flight]
 	if _, ok := d.next(); ok {
 		t.Fatal("empty delay line has a next")
 	}
 	f1, f2 := flitOf(1, 0), flitOf(1, 0)
-	d.push(10, f1, 3)
-	d.push(10, f2, 4)
-	d.push(15, flitOf(1, 0), 5)
+	d.push(10, flight{f1, 3})
+	d.push(10, flight{f2, 4})
+	d.push(15, flight{flitOf(1, 0), 5})
 	at, ok := d.next()
 	if !ok || at != 10 {
 		t.Fatalf("next = %d, %v", at, ok)
@@ -95,20 +95,20 @@ func TestDelayLineOrdering(t *testing.T) {
 }
 
 func TestDelayLineMonotonePanics(t *testing.T) {
-	var d delayLine
-	d.push(10, flitOf(1, 0), 0)
+	var d delayLine[flight]
+	d.push(10, flight{flitOf(1, 0), 0})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.push(9, flitOf(1, 0), 0)
+	d.push(9, flight{flitOf(1, 0), 0})
 }
 
 func TestDelayLineCompaction(t *testing.T) {
-	var d delayLine
+	var d delayLine[flight]
 	for i := 0; i < 1000; i++ {
-		d.push(sim.Tick(i), flitOf(1, 0), 0)
+		d.push(sim.Tick(i), flight{flitOf(1, 0), 0})
 		if i%2 == 1 {
 			d.pop()
 			d.pop()

@@ -208,6 +208,20 @@ func (s *Simulator) LastWork() Time { return s.lastWork }
 // Pending returns the number of events currently queued.
 func (s *Simulator) Pending() int { return s.queue.len() }
 
+// PendingFor returns the number of queued events of type typ addressed to
+// handler h. It walks the whole queue: it is for tests and diagnostics, not
+// for model code.
+func (s *Simulator) PendingFor(h Handler, typ int) int {
+	n := 0
+	s.queue.each(func(e *Event) bool {
+		if e.Handler == h && e.Type == typ {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
 // PendingNonDaemon returns the number of queued events that were not
 // scheduled with ScheduleDaemon — the events that represent real simulation
 // work. Periodic observers (watchdogs, telemetry snapshots) use it to decide

@@ -62,7 +62,7 @@ const Magic = "SSIMSNAP"
 // Version is the schema version this build reads and writes. Loaders reject
 // any other version (fail-fast forward compatibility): state layouts are not
 // self-describing, so decoding a future layout would silently corrupt state.
-const Version = 2
+const Version = 3
 
 // Codec moves primitive values between component fields and a snapshot
 // stream, in the direction fixed at construction.
@@ -75,6 +75,10 @@ type Codec struct {
 
 // NewSaver returns a codec that appends to an empty stream.
 func NewSaver() *Codec { return &Codec{} }
+
+// NewSaverCap returns a codec that appends to an empty stream with room for
+// n bytes, so a stream of about that size is written without regrowing.
+func NewSaverCap(n int) *Codec { return &Codec{buf: make([]byte, 0, n)} }
 
 // NewLoader returns a codec that reads the given stream.
 func NewLoader(data []byte) *Codec { return &Codec{loading: true, buf: data} }
@@ -224,6 +228,11 @@ func (c *Codec) readU64() uint64 {
 	if c.err != nil {
 		return 0
 	}
+	// Most values in a stream are small: decode one-byte varints inline.
+	if c.off < len(c.buf) && c.buf[c.off] < 0x80 {
+		c.off++
+		return uint64(c.buf[c.off-1])
+	}
 	v, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
 		c.Failf("truncated or malformed varint at offset %d", c.off)
@@ -236,6 +245,11 @@ func (c *Codec) readU64() uint64 {
 func (c *Codec) readI64() int64 {
 	if c.err != nil {
 		return 0
+	}
+	if c.off < len(c.buf) && c.buf[c.off] < 0x80 {
+		b := int64(c.buf[c.off])
+		c.off++
+		return b>>1 ^ -(b & 1) // zigzag
 	}
 	v, n := binary.Varint(c.buf[c.off:])
 	if n <= 0 {
