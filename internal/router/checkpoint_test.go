@@ -128,3 +128,39 @@ func TestRouterLoadRejectsMismatchedBuild(t *testing.T) {
 		t.Fatalf("sensor mismatch: err = %v", err)
 	}
 }
+
+// TestRouterLoadRejectsBatchingCorruption: the batching state a v3 snapshot
+// stores once is validated on load, since the rest is rebuilt from it.
+func TestRouterLoadRejectsBatchingCorruption(t *testing.T) {
+	cases := []struct {
+		name, doc string
+		vcs       int
+		corrupt   func(r Stater)
+		want      string
+	}{
+		{"port armed twice", ioqCheckpointDoc, 2, func(r Stater) {
+			r.(*IOQ).out.ready = []int{1, 1}
+		}, "armed twice"},
+		{"route for a VC with no unrouted head", iqDoc, 2, func(r Stater) {
+			r.(*IQ).routes.push(1000, 0) // input VC 0 is empty
+		}, "not an unrouted packet head"},
+		{"delay line out of order", oqCheckpointDoc, 1, func(r Stater) {
+			oq := r.(*OQ)
+			f := oq.out.outQ[oq.client(1, 0)].peek() // a stalled flit
+			dl := &oq.dl
+			dl.q = []timed[flight]{{at: 20, v: flight{f, 1}}, {at: 10, v: flight{f, 1}}}
+			dl.head = 0
+		}, "due before"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := stalledRouter(t, tc.doc, tc.vcs)
+			tc.corrupt(r)
+			rtab, data := saveRouter(t, r)
+			_, fresh, _, _ := buildLoneRouter(t, tc.doc, tc.vcs, 1)
+			if err := loadRouter(data, fresh, rtab); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -417,3 +417,27 @@ func TestComponentBasePanicHelpers(t *testing.T) {
 func TestNewComponentBaseNilSimPanics(t *testing.T) {
 	mustPanic(t, func() { NewComponentBase(nil, "x") })
 }
+
+func TestPendingFor(t *testing.T) {
+	s := NewSimulator(1)
+	a := &recorder{ComponentBase: NewComponentBase(s, "a")}
+	b := &recorder{ComponentBase: NewComponentBase(s, "b")}
+	s.Schedule(a, Time{5, 0}, 1, nil)
+	s.Schedule(a, Time{5, 0}, 1, nil)
+	s.Schedule(a, Time{9, 0}, 1, nil)
+	s.Schedule(a, Time{9, 0}, 2, nil)
+	s.Schedule(b, Time{5, 0}, 1, nil)
+	if n := s.PendingFor(a, 1); n != 3 {
+		t.Fatalf("PendingFor(a, 1) = %d, want 3", n)
+	}
+	s.RunUntil(6)
+	for _, c := range []struct {
+		h    Handler
+		typ  int
+		want int
+	}{{a, 1, 1}, {a, 2, 1}, {b, 1, 0}, {a, 3, 0}} {
+		if n := s.PendingFor(c.h, c.typ); n != c.want {
+			t.Fatalf("after tick 6: PendingFor(%p, %d) = %d, want %d", c.h, c.typ, n, c.want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -106,6 +107,27 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if err := d.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
+	}
+}
+
+// TestNewSaverCap: a presized saver writes the same stream as a plain one,
+// without regrowing when the capacity suffices.
+func TestNewSaverCap(t *testing.T) {
+	write := func(c *Codec) []byte {
+		c.Header()
+		for i := int64(-300); i < 300; i++ {
+			c.I64(&i)
+		}
+		return c.Bytes()
+	}
+	want := write(NewSaver())
+	c := NewSaverCap(len(want))
+	got := write(c)
+	if !bytes.Equal(got, want) {
+		t.Fatal("presized saver wrote a different stream")
+	}
+	if cap(got) != len(want) {
+		t.Fatalf("capacity %d, want the presized %d", cap(got), len(want))
 	}
 }
 
