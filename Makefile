@@ -41,13 +41,17 @@
 #                  committing beside the PR that claims or risks a hot path
 #   make bench-compare A=BENCH_<prev>.json B=BENCH_<pr>.json - the two sets
 #                  side by side (paths relative to the repository root)
+#   make bench-pairs BASE=<rev> W=<workload> [N=10] - the claim rule: N
+#                  alternating pairs of BASE and the working tree on one
+#                  workload, each pair's ratio, the pairs won and the base's
+#                  quartile spread (see scripts/bench_pairs.sh)
 #   make bench-parallel - the Figure 5 transient at -workers 1/2/4 on the
 #                  sharded engine (wall-clock is informational and
 #                  hardware-dependent; results are identical at every count)
 
 GO ?= go
 
-.PHONY: all build vet test race cover fuzz ci test-import-export bench micro bench-smoke bench-set bench-compare bench-parallel sweep-smoke
+.PHONY: all build vet test race cover fuzz ci test-import-export bench micro bench-smoke bench-set bench-compare bench-pairs bench-parallel sweep-smoke
 
 all: ci
 
@@ -120,6 +124,10 @@ bench-set:
 
 bench-compare:
 	$(GO) run -C benchmark . -compare $(abspath $(A)) $(abspath $(B))
+
+N ?= 10
+bench-pairs:
+	sh scripts/bench_pairs.sh $(BASE) $(W) $(N)
 
 # Fleet-observability smoke: the sweep→journal→manifest→parse→plot→dashboard
 # pipeline end-to-end. See scripts/sweep_smoke.sh.

@@ -32,7 +32,7 @@ func (cc *creditCollector) ReceiveCredit(port int, c types.Credit) {
 }
 
 func flit() *types.Flit {
-	return types.NewMessage(1, 0, 0, 1, 1, 1).Packets[0].Flits[0]
+	return types.NewMessage(1, 0, 0, 1, 1, 1).Packet(0).Flit(0)
 }
 
 func at(s *sim.Simulator, tick sim.Tick, fn func()) {

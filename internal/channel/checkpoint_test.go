@@ -19,9 +19,9 @@ func inFlightChannel(t *testing.T) (*Channel, *types.Message) {
 	c := New(s, "chan_0", 4, 2)
 	c.SetSink(&flitCollector{s: s}, 0)
 	m := types.NewMessage(7, 0, 0, 1, 2, 2)
-	c.Inject(m.Packets[0].Flits[0])
+	c.Inject(m.Packet(0).Flit(0))
 	s.SetNow(sim.Time{Tick: 2})
-	c.Inject(m.Packets[0].Flits[1])
+	c.Inject(m.Packet(0).Flit(1))
 	return c, m
 }
 
@@ -169,9 +169,9 @@ func TestChannelRemoteDelivery(t *testing.T) {
 	cc.SetRemote(eng.Link(host, sh, cc.Latency(), cc))
 
 	m := types.NewMessage(1, 0, 0, 1, 2, 2)
-	at(host, 0, func() { ch.Inject(m.Packets[0].Flits[0]) })
+	at(host, 0, func() { ch.Inject(m.Packet(0).Flit(0)) })
 	at(host, 2, func() {
-		ch.Inject(m.Packets[0].Flits[1])
+		ch.Inject(m.Packet(0).Flit(1))
 		cc.Inject(types.Credit{VC: 2})
 	})
 	eng.Run()

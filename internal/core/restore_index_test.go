@@ -90,7 +90,7 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 		{"Message.Src", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Src = far }},
 		{"Message.Dst", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Dst = -1 }},
 		{"Message.App", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).App = far }},
-		{"Flit.VC", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Packets[0].Flits[0].VC = far }},
+		{"Flit.VC", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Packet(0).Flit(0).VC = far }},
 		{"inputVC.outPort", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outPort").SetInt(far) }},
 		{"inputVC.outVC", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outVC").SetInt(far) }},
 		{"oqInput.outVC", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outVC").SetInt(far) }},

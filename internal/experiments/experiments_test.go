@@ -147,11 +147,11 @@ func TestFigure7Deterministic(t *testing.T) {
 // The Figure 5 transient's allocation budget, for one whole run (build,
 // simulate, summarize) with telemetry disabled.
 const (
-	// figure5MaxAllocs: measured ~42.6k (the build and the pooled
-	// message/packet/flit lifecycle); the headroom covers run-to-run jitter,
-	// not new per-flit allocations.
-	figure5MaxAllocs = 45000
-	// figure5MaxBytes: measured ~19.5 MB, nearly all of it the recorders'
+	// figure5MaxAllocs: measured ~13.7k (the build and the pooled message
+	// lifecycle, where a 1-flit message is one object); the ~5% headroom
+	// covers run-to-run jitter, not new per-flit or per-message allocations.
+	figure5MaxAllocs = 14400
+	// figure5MaxBytes: measured ~19 MB, nearly all of it the recorders'
 	// 256 KB chunks (2 x 232k samples x 32 bytes) and one sorted latency
 	// vector. It was 167 MB when the recorder was one growing slice; a store
 	// that re-copies itself as it grows cannot fit under this.

@@ -41,7 +41,7 @@ func (n *Interface) State(c *snapshot.Codec, t *types.MessageTable) {
 			return
 		}
 		if i == 0 {
-			headFlits = len(queued[0].Flits)
+			headFlits = queued[0].Size()
 		}
 	}
 	c.Index(&n.curFlit, headFlits, "Interface.curFlit")

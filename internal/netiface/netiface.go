@@ -158,11 +158,10 @@ func (n *Interface) SendMessage(m *types.Message) {
 	if m.Dst == n.id {
 		n.Panicf("message %d targets its own source terminal", m.ID)
 	}
-	if len(m.Packets) == 0 {
-		n.Panicf("message %d has no packets", m.ID)
-	}
 	n.sp.Start(n.Sim(), m)
-	n.sendQ = append(n.sendQ, m.Packets...)
+	for i := 0; i < m.NumPackets(); i++ {
+		n.sendQ = append(n.sendQ, m.Packet(i))
+	}
 	n.tp.QueueDepth(n.QueueDepth())
 	n.scheduleInject()
 }
@@ -218,7 +217,7 @@ func (n *Interface) injectOne() {
 		return
 	}
 	pkt := n.sendQ[n.sendHead]
-	f := pkt.Flits[n.curFlit]
+	f := pkt.Flit(n.curFlit)
 	if f.Head && n.curVC < 0 {
 		// Choose an injection VC: among the policy's legal VCs with credit,
 		// take the one with the most credits, rotating ties.

@@ -163,7 +163,8 @@ func TestSendMessageValidation(t *testing.T) {
 func TestEjectDeliversAndReturnsCredits(t *testing.T) {
 	s, n, _, sink := rig(t, 2, 4, nil)
 	m := types.NewMessage(9, 0, 7, 0, 3, 3) // dst is this interface (id 0)
-	for _, f := range m.Packets[0].Flits {
+	for fi := 0; fi < m.Packet(0).Size(); fi++ {
+		f := m.Packet(0).Flit(fi)
 		f.VC = 1
 		n.ReceiveFlit(0, f)
 	}
@@ -185,22 +186,24 @@ func TestEjectDeliversAndReturnsCredits(t *testing.T) {
 func TestEjectOutOfOrderPanics(t *testing.T) {
 	_, n, _, _ := rig(t, 1, 4, nil)
 	m := types.NewMessage(9, 0, 7, 0, 2, 2)
-	m.Packets[0].Flits[1].VC = 0
-	mustPanic(t, func() { n.ReceiveFlit(0, m.Packets[0].Flits[1]) })
+	m.Packet(0).Flit(1).VC = 0
+	mustPanic(t, func() { n.ReceiveFlit(0, m.Packet(0).Flit(1)) })
 }
 
 func TestEjectWrongDestinationPanics(t *testing.T) {
 	_, n, _, _ := rig(t, 1, 4, nil)
 	m := types.NewMessage(9, 0, 7, 3, 1, 1) // dst 3, interface is 0
-	m.Packets[0].Flits[0].VC = 0
-	mustPanic(t, func() { n.ReceiveFlit(0, m.Packets[0].Flits[0]) })
+	m.Packet(0).Flit(0).VC = 0
+	mustPanic(t, func() { n.ReceiveFlit(0, m.Packet(0).Flit(0)) })
 }
 
 func TestMultiPacketMessageReassembly(t *testing.T) {
 	s, n, _, sink := rig(t, 1, 4, nil)
 	m := types.NewMessage(9, 0, 7, 0, 8, 3) // 3 packets: 3+3+2
-	for _, p := range m.Packets {
-		for _, f := range p.Flits {
+	for pi := 0; pi < m.NumPackets(); pi++ {
+		p := m.Packet(pi)
+		for fi := 0; fi < p.Size(); fi++ {
+			f := p.Flit(fi)
 			f.VC = 0
 			n.ReceiveFlit(0, f)
 		}
@@ -271,8 +274,8 @@ func TestVerifyIdleDetectsMissingCredits(t *testing.T) {
 func TestVerifyIdleDetectsPartialMessage(t *testing.T) {
 	s, n, _, _ := rig(t, 1, 4, nil)
 	m := types.NewMessage(9, 0, 7, 0, 3, 3)
-	m.Packets[0].Flits[0].VC = 0
-	n.ReceiveFlit(0, m.Packets[0].Flits[0]) // only 1 of 3 flits arrives
+	m.Packet(0).Flit(0).VC = 0
+	n.ReceiveFlit(0, m.Packet(0).Flit(0)) // only 1 of 3 flits arrives
 	s.Run()
 	mustPanic(t, func() { n.VerifyIdle() })
 }

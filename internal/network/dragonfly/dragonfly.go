@@ -164,7 +164,7 @@ type dfAlg struct {
 func (a *dfAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
 	d := a.d
 	g := a.router / d.a
-	dst := pkt.Msg.Dst
+	dst := pkt.Dst()
 	dstR := dst / d.p
 	dg := dstR / d.a
 

@@ -100,7 +100,7 @@ func algs(d *Dragonfly) []*dfAlg {
 // newPacket is a head packet bound for terminal dst that has not yet left
 // its source router.
 func newPacket(dst int) *types.Packet {
-	return &types.Packet{Msg: &types.Message{Dst: dst}, Intermediate: -1}
+	return types.NewMessage(0, 0, 0, dst, 1, 1).Packet(0)
 }
 
 // walk routes a packet from router src to terminal dst hop by hop through the
@@ -184,13 +184,13 @@ func TestRouteDoesNotAllocate(t *testing.T) {
 	for _, alg := range []string{"minimal", "valiant", "ugal"} {
 		d := buildAlg(t, alg, 3)
 		as := algs(d)
-		pkt := newPacket(0)
+		pool := types.NewPool()
 		allocs := testing.AllocsPerRun(10, func() {
 			for r := 0; r < d.NumRouters(); r++ {
 				for dst := 0; dst < d.NumTerminals(); dst++ {
-					*pkt = types.Packet{Msg: pkt.Msg, Intermediate: -1}
-					pkt.Msg.Dst = dst
-					as[r].Route(0, pkt, 0, 0)
+					m := pool.NewMessage(0, 0, 0, dst, 1, 1)
+					as[r].Route(0, m.Packet(0), 0, 0)
+					pool.Release(m)
 				}
 			}
 		})

@@ -157,7 +157,7 @@ func (f *FoldedClos) newAlg(rid int, sensor congestion.Sensor, rng *rand.Rand, a
 
 // Route implements routing.Algorithm.
 func (a *upAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
-	if off := pkt.Msg.Dst - a.lo; uint(off) < uint(a.span) {
+	if off := pkt.Dst() - a.lo; uint(off) < uint(a.span) {
 		// Down: the child covering dst is selected by the terminal digit at
 		// this level; at the leaf that digit is the terminal port.
 		return routing.Response{Port: off / a.sub, VCs: a.all}

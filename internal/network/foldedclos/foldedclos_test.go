@@ -175,10 +175,9 @@ func TestRoutingInvariants(t *testing.T) {
 
 func routingInvariants(t *testing.T, alg string, k, levels int) {
 	f, as := buildAlg(t, k, levels, alg)
-	pkt := &types.Packet{Msg: &types.Message{}}
 	for src := 0; src < f.NumRouters(); src++ {
 		for dst := 0; dst < f.NumTerminals(); dst++ {
-			pkt.Msg.Dst = dst
+			pkt := types.NewMessage(0, 0, 0, dst, 1, 1).Packet(0)
 			hops, down := 0, false
 			for cur := src; ; {
 				resp := as[cur].Route(0, pkt, 0, 0)
@@ -210,12 +209,13 @@ func routingInvariants(t *testing.T, alg string, k, levels int) {
 func TestRouteDoesNotAllocate(t *testing.T) {
 	for _, alg := range []string{"adaptive_uprouting", "oblivious_uprouting"} {
 		f, as := buildAlg(t, 4, 3, alg)
-		pkt := &types.Packet{Msg: &types.Message{}}
+		pool := types.NewPool()
 		allocs := testing.AllocsPerRun(10, func() {
 			for r := 0; r < f.NumRouters(); r++ {
 				for dst := 0; dst < f.NumTerminals(); dst++ {
-					pkt.Msg.Dst = dst
-					as[r].Route(0, pkt, 0, 0)
+					m := pool.NewMessage(0, 0, 0, dst, 1, 1)
+					as[r].Route(0, m.Packet(0), 0, 0)
+					pool.Release(m)
 				}
 			}
 		})

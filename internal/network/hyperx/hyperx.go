@@ -191,7 +191,7 @@ type hxAlg struct {
 // Route implements routing.Algorithm.
 func (a *hxAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
 	h := a.h
-	dst := pkt.Msg.Dst
+	dst := pkt.Dst()
 	dstR := dst / h.conc
 	// Source decision for non-minimal algorithms: made once, at injection.
 	if h.alg != algMinimal && pkt.HopCount == 0 && pkt.Intermediate < 0 && !pkt.NonMinimal {

@@ -123,7 +123,7 @@ func buildAlg(t *testing.T, alg string) (*HyperX, []*hxAlg) {
 // offered at each router-to-router hop.
 func walk(t *testing.T, h *HyperX, as []*hxAlg, src, dst int) (*types.Packet, []int) {
 	t.Helper()
-	pkt := &types.Packet{Msg: &types.Message{Dst: dst}, Intermediate: -1}
+	pkt := types.NewMessage(0, 0, 0, dst, 1, 1).Packet(0)
 	var vcs []int
 	for cur := src; ; {
 		resp := as[cur].Route(0, pkt, 0, 0)
@@ -197,13 +197,13 @@ func TestRoutingInvariants(t *testing.T) {
 func TestRouteDoesNotAllocate(t *testing.T) {
 	for _, alg := range []string{"dimension_order", "valiant", "ugal"} {
 		h, as := buildAlg(t, alg)
-		pkt := &types.Packet{Msg: &types.Message{}, Intermediate: -1}
+		pool := types.NewPool()
 		allocs := testing.AllocsPerRun(10, func() {
 			for r := 0; r < h.NumRouters(); r++ {
 				for dst := 0; dst < h.NumTerminals(); dst++ {
-					*pkt = types.Packet{Msg: pkt.Msg, Intermediate: -1}
-					pkt.Msg.Dst = dst
-					as[r].Route(0, pkt, 0, 0)
+					m := pool.NewMessage(0, 0, 0, dst, 1, 1)
+					as[r].Route(0, m.Packet(0), 0, 0)
+					pool.Release(m)
 				}
 			}
 		})

@@ -46,7 +46,7 @@ func New(s *sim.Simulator, cfg *config.Settings) *ParkingLot {
 	}
 	rc := func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) routing.Algorithm {
 		return routing.AlgorithmFunc(func(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
-			dst := pkt.Msg.Dst
+			dst := pkt.Dst()
 			switch {
 			case dst < routerID:
 				return routing.Response{Port: 1, VCs: all}

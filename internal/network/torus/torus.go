@@ -136,7 +136,7 @@ type dorAlg struct {
 // Route implements routing.Algorithm.
 func (a *dorAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing.Response {
 	t := a.t
-	dst := pkt.Msg.Dst
+	dst := pkt.Dst()
 	dstR := dst / t.conc
 	if a.router == dstR {
 		return routing.Response{Port: dst % t.conc, VCs: a.all}

@@ -101,7 +101,7 @@ type hop struct{ dim, class int }
 // built wiring, as the routers would, and returns its router-to-router hops.
 func walk(t *testing.T, tor *Torus, as []*dorAlg, src, dst int) []hop {
 	t.Helper()
-	pkt := &types.Packet{Msg: &types.Message{Dst: dst}, Intermediate: -1}
+	pkt := types.NewMessage(0, 0, 0, dst, 1, 1).Packet(0)
 	var hops []hop
 	for cur := src; ; {
 		resp := as[cur].Route(0, pkt, 0, 0)
@@ -166,13 +166,13 @@ func TestRoutingInvariants(t *testing.T) {
 func TestRouteDoesNotAllocate(t *testing.T) {
 	tor := build(t, t2x3x4)
 	as := algs(tor)
-	pkt := &types.Packet{Msg: &types.Message{}, Intermediate: -1}
+	pool := types.NewPool()
 	allocs := testing.AllocsPerRun(10, func() {
 		for r := 0; r < tor.NumRouters(); r++ {
 			for dst := 0; dst < tor.NumTerminals(); dst++ {
-				*pkt = types.Packet{Msg: pkt.Msg, Intermediate: -1}
-				pkt.Msg.Dst = dst
-				as[r].Route(0, pkt, 0, 0)
+				m := pool.NewMessage(0, 0, 0, dst, 1, 1)
+				as[r].Route(0, m.Packet(0), 0, 0)
+				pool.Release(m)
 			}
 		}
 	})

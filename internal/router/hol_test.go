@@ -46,7 +46,8 @@ func buildHOLRouter(t *testing.T, cfgDoc string, vcs, downCredits int) (*sim.Sim
 // pushHOL schedules a packet's flits into port 0 on the given VC, one per tick.
 func pushHOL(s *sim.Simulator, r Router, id uint64, size, vc int, atTick sim.Tick) {
 	m := types.NewMessage(id, 0, 5, 9, size, size)
-	for i, f := range m.Packets[0].Flits {
+	for i := 0; i < m.Packet(0).Size(); i++ {
+		f := m.Packet(0).Flit(i)
 		f.VC = vc
 		fl := f
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) { r.ReceiveFlit(0, fl) }),

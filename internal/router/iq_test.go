@@ -84,7 +84,8 @@ const iqDoc = `{
 
 func pushPacket(s *sim.Simulator, r Router, size, vc int, atTick sim.Tick) *types.Message {
 	m := types.NewMessage(1, 0, 5, 9, size, size)
-	for i, f := range m.Packets[0].Flits {
+	for i := 0; i < m.Packet(0).Size(); i++ {
+		f := m.Packet(0).Flit(i)
 		f.VC = vc
 		fl := f
 		tick := atTick + sim.Tick(i)
@@ -216,7 +217,8 @@ func TestInputBufferOverrunPanics(t *testing.T) {
 		panicked := false
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
 			defer func() { panicked = recover() != nil }()
-			for _, f := range m.Packets[0].Flits {
+			for fi := 0; fi < m.Packet(0).Size(); fi++ {
+				f := m.Packet(0).Flit(fi)
 				f.VC = 0
 				r.ReceiveFlit(0, f)
 			}
@@ -232,11 +234,11 @@ func TestRejectsUnregisteredVC(t *testing.T) {
 	forEachArch(t, func(t *testing.T, doc string) {
 		s, r, _, _ := buildLoneRouter(t, doc, 2, 8)
 		m := types.NewMessage(1, 0, 5, 9, 1, 1)
-		m.Packets[0].Flits[0].VC = 7
+		m.Packet(0).Flit(0).VC = 7
 		panicked := false
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
 			defer func() { panicked = recover() != nil }()
-			r.ReceiveFlit(0, m.Packets[0].Flits[0])
+			r.ReceiveFlit(0, m.Packet(0).Flit(0))
 		}), sim.Time{Tick: 1}, 0, nil)
 		s.Run()
 		if !panicked {
@@ -257,9 +259,9 @@ func TestRoutingToUnusedPortRejected(t *testing.T) {
 		cc.SetSink(crs, 0)
 		r.ConnectCreditOut(0, cc)
 		m := types.NewMessage(1, 0, 5, 9, 1, 1)
-		m.Packets[0].Flits[0].VC = 0
+		m.Packet(0).Flit(0).VC = 0
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
-			r.ReceiveFlit(0, m.Packets[0].Flits[0])
+			r.ReceiveFlit(0, m.Packet(0).Flit(0))
 		}), sim.Time{Tick: 1}, 0, nil)
 		panicked := false
 		func() {

@@ -12,7 +12,7 @@ import (
 
 func flitOf(size, idx int) *types.Flit {
 	m := types.NewMessage(1, 0, 0, 1, size, size)
-	return m.Packets[0].Flits[idx]
+	return m.Packet(0).Flit(idx)
 }
 
 func TestFlitQueueFIFO(t *testing.T) {
@@ -310,7 +310,7 @@ func TestAllocateVCsGrantsFreeVCs(t *testing.T) {
 	// Clients 0 and 1 both want port 0; two VCs available -> both granted.
 	for _, c := range []int{0, 1} {
 		m := types.NewMessage(uint64(c), 0, 0, 1, 1, 1)
-		s.in[c].q.push(m.Packets[0].Flits[0])
+		s.in[c].q.push(m.Packet(0).Flit(0))
 		s.in[c].resp.Port = 0
 		s.in[c].resp.VCs = []int{0, 1}
 	}
@@ -328,7 +328,7 @@ func TestAllocateVCsGrantsFreeVCs(t *testing.T) {
 func TestAllocateVCsBlocksWhenFull(t *testing.T) {
 	s := allocStage(2, [][]int{{5}}, 0) // VC held by client 5
 	m := types.NewMessage(1, 0, 0, 1, 1, 1)
-	s.in[0].q.push(m.Packets[0].Flits[0])
+	s.in[0].q.push(m.Packet(0).Flit(0))
 	s.in[0].resp.Port = 0
 	s.in[0].resp.VCs = []int{0}
 	if progress := s.allocateVCs(0); progress || len(s.vcPending) != 1 {
@@ -344,7 +344,7 @@ func TestAllocateVCsAgeOrder(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		m := types.NewMessage(uint64(c), 0, 0, 1, 1, 1)
 		m.CreateTime = sim.Tick(100 - c*50) // client 1 is older
-		s.in[c].q.push(m.Packets[0].Flits[0])
+		s.in[c].q.push(m.Packet(0).Flit(0))
 		s.in[c].resp.Port = 0
 		s.in[c].resp.VCs = []int{0}
 	}

@@ -21,7 +21,7 @@ func spanMsg(id uint64) *types.Message {
 // driveSpan walks one message through a two-hop lifecycle (source interface,
 // then one router) with fixed per-stage delays and returns the delivery time.
 func driveSpan(sp *Spans, m *types.Message) sim.Tick {
-	f := m.Packets[0].Flits[0]
+	f := m.Packet(0).Flit(0)
 	sp.Start(nil, m)
 	t := m.CreateTime
 	t += 3
@@ -90,8 +90,10 @@ func TestTrackedSelectsHeadOfPacketZero(t *testing.T) {
 	sp := NewSpans(nil, 1.0)
 	m := spanMsg(1)
 	tracked := 0
-	for _, p := range m.Packets {
-		for _, f := range p.Flits {
+	for pi := 0; pi < m.NumPackets(); pi++ {
+		p := m.Packet(pi)
+		for fi := 0; fi < p.Size(); fi++ {
+			f := p.Flit(fi)
 			if sp.Tracked(f) {
 				tracked++
 				if !f.Head || p.ID != 0 {
@@ -103,7 +105,7 @@ func TestTrackedSelectsHeadOfPacketZero(t *testing.T) {
 	if tracked != 1 {
 		t.Fatalf("message has %d tracked flits, want exactly 1", tracked)
 	}
-	if none := NewSpans(nil, 0); none.Tracked(m.Packets[0].Flits[0]) {
+	if none := NewSpans(nil, 0); none.Tracked(m.Packet(0).Flit(0)) {
 		t.Fatal("unsampled message has a tracked flit")
 	}
 }
@@ -218,26 +220,26 @@ func TestSpanStepPanics(t *testing.T) {
 	mustPanicContains(t, "without a started span", func() {
 		sp := NewSpans(nil, 1.0)
 		m := spanMsg(1)
-		sp.Step(nil, 5, m.Packets[0].Flits[0], SpanQueue)
+		sp.Step(nil, 5, m.Packet(0).Flit(0), SpanQueue)
 	})
 	mustPanicContains(t, "goes backwards", func() {
 		sp := NewSpans(nil, 1.0)
 		m := spanMsg(1)
 		m.CreateTime = 100
 		sp.Start(nil, m)
-		sp.Step(nil, 50, m.Packets[0].Flits[0], SpanQueue)
+		sp.Step(nil, 50, m.Packet(0).Flit(0), SpanQueue)
 	})
 	mustPanicContains(t, "invalid kind", func() {
 		sp := NewSpans(nil, 1.0)
 		m := spanMsg(1)
 		sp.Start(nil, m)
-		sp.Step(nil, 5, m.Packets[0].Flits[0], SpanEject) // eject is charged by Finish, not Step
+		sp.Step(nil, 5, m.Packet(0).Flit(0), SpanEject) // eject is charged by Finish, not Step
 	})
 	mustPanicContains(t, "goes backwards", func() {
 		sp := NewSpans(nil, 1.0)
 		m := spanMsg(1)
 		sp.Start(nil, m)
-		sp.Step(nil, 10, m.Packets[0].Flits[0], SpanQueue)
+		sp.Step(nil, 10, m.Packet(0).Flit(0), SpanQueue)
 		m.ReceiveTime = 5
 		sp.Finish(nil, m)
 	})
@@ -464,7 +466,7 @@ func BenchmarkSpansMessage(b *testing.B) {
 	sp := NewSpans(nil, 1.0)
 	sp.reg = newRegistry()
 	m := spanMsg(0)
-	f := m.Packets[0].Flits[0]
+	f := m.Packet(0).Flit(0)
 	kinds := []SpanKind{SpanVCAlloc, SpanSWAlloc, SpanXbar, SpanOutput, SpanWire}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -3,8 +3,8 @@ package types
 import "testing"
 
 // BenchmarkNewMessage measures the unpooled construction cost of the traffic
-// object graph. With contiguous packet/flit blocks this is a constant number
-// of allocations regardless of message size (run with -benchmem).
+// object graph: one allocation for a 1-flit message, and at most three for any
+// shape whatever its size (run with -benchmem).
 func BenchmarkNewMessage(b *testing.B) {
 	for _, bc := range []struct {
 		name          string

@@ -28,7 +28,8 @@ func testMessage(pool *Pool, id uint64) *Message {
 	m.Sampled = true
 	m.OpCode = 4
 	m.RxRemaining = 2
-	for i, p := range m.Packets {
+	for i := 0; i < m.NumPackets(); i++ {
+		p := m.Packet(i)
 		p.HopCount = i + 1
 		p.NonMinimal = i%2 == 0
 		p.Intermediate = 7
@@ -38,7 +39,8 @@ func testMessage(pool *Pool, id uint64) *Message {
 		p.Routing.Phase = int8(i - 1)
 		p.Routing.Dateline = i == 0
 		p.rxNext = i
-		for j, f := range p.Flits {
+		for j := 0; j < p.Size(); j++ {
+			f := p.Flit(j)
 			f.VC = j % 3
 			f.SendTime = 14
 			f.ReceiveTime = 15
@@ -94,7 +96,7 @@ func TestMessageTableRoundTrip(t *testing.T) {
 	if rm.pool != pool {
 		t.Fatal("restored message not owned by the given pool")
 	}
-	if len(rm.Packets) != 3 || rm.Packets[0].Size() != 2 || rm.Packets[2].Size() != 1 {
+	if rm.NumPackets() != 3 || rm.Packet(0).Size() != 2 || rm.Packet(2).Size() != 1 {
 		t.Fatal("restored message shape wrong (5 flits, max packet 2)")
 	}
 	// How often a block was recycled is not state: every restored message
@@ -103,8 +105,10 @@ func TestMessageTableRoundTrip(t *testing.T) {
 		if m.Generation() != 1 {
 			t.Errorf("restored message %d at generation %d, want 1", m.ID, m.Generation())
 		}
-		for _, p := range m.Packets {
-			for _, f := range p.Flits {
+		for pi := 0; pi < m.NumPackets(); pi++ {
+			p := m.Packet(pi)
+			for fi := 0; fi < p.Size(); fi++ {
+				f := p.Flit(fi)
 				if gen, _ := f.VerifyInFlight(); gen != m.Generation() {
 					t.Errorf("restored %v stamped generation %d, message at %d", f, gen, m.Generation())
 				}
@@ -117,7 +121,7 @@ func TestFlitAndPacketReferences(t *testing.T) {
 	m := testMessage(nil, 11)
 	tab := NewMessageTable()
 	tab.Add(m)
-	flit, pkt := m.Packets[1].Flits[1], m.Packets[2]
+	flit, pkt := m.Packet(1).Flit(1), m.Packet(2)
 	var noFlit *Flit
 	var noPkt *Packet
 	data := snaptest.Save(func(c *snapshot.Codec) {
@@ -127,7 +131,7 @@ func TestFlitAndPacketReferences(t *testing.T) {
 		tab.Packet(c, &pkt)
 		tab.Packet(c, &noPkt)
 	})
-	if flit != m.Packets[1].Flits[1] || pkt != m.Packets[2] {
+	if flit != m.Packet(1).Flit(1) || pkt != m.Packet(2) {
 		t.Fatal("saving a reference disturbed the holder's pointer")
 	}
 
@@ -163,13 +167,13 @@ func TestReferenceDecodingRejectsCorruption(t *testing.T) {
 	tab.Add(m)
 
 	loadFlit := func(c *snapshot.Codec) {
-		f := m.Packets[0].Flits[0] // a failed load must clear the holder
+		f := m.Packet(0).Flit(0) // a failed load must clear the holder
 		if tab.Flit(c, &f); f != nil {
 			t.Errorf("failed flit load left %v behind", f)
 		}
 	}
 	loadPacket := func(c *snapshot.Codec) {
-		p := m.Packets[0]
+		p := m.Packet(0)
 		if tab.Packet(c, &p); p != nil {
 			t.Errorf("failed packet load left %v behind", p)
 		}
@@ -249,8 +253,8 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 		{"source terminal", mutated(&m3.Src, testBounds.Terminals), "Message.Src 4 out of range"},
 		{"destination terminal", mutated(&m3.Dst, -1), "Message.Dst -1 out of range"},
 		{"application", mutated(&m3.App, testBounds.Apps), "Message.App 2 out of range"},
-		{"flit VC", mutated(&m3.Packets[1].Flits[0].VC, testBounds.VCs), "Flit.VC 3 out of range"},
-		{"flit VC below none", mutated(&m3.Packets[0].Flits[1].VC, -2), "Flit.VC -2 out of range"},
+		{"flit VC", mutated(&m3.Packet(1).Flit(0).VC, testBounds.VCs), "Flit.VC 3 out of range"},
+		{"flit VC below none", mutated(&m3.Packet(0).Flit(1).VC, -2), "Flit.VC -2 out of range"},
 	}
 	for _, tc := range cases {
 		if err := load(tc.enc); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -258,7 +262,7 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 		}
 	}
 	// -1 is a flit's VC before it wins one at the interface: legal.
-	if err := load(mutated(&m3.Packets[0].Flits[0].VC, -1)); err != nil {
+	if err := load(mutated(&m3.Packet(0).Flit(0).VC, -1)); err != nil {
 		t.Errorf("uninjected flit (VC -1) rejected: %v", err)
 	}
 }
@@ -269,8 +273,9 @@ func TestMessageTablePanics(t *testing.T) {
 	mustPanicContains(t, "share an ID", func() { tab.Add(testMessage(nil, 1)) })
 	stranger := testMessage(nil, 2)
 	c := snapshot.NewSaver()
-	mustPanicContains(t, "not in the checkpoint table", func() { tab.Flit(c, &stranger.Packets[0].Flits[0]) })
-	mustPanicContains(t, "not in the checkpoint table", func() { tab.Packet(c, &stranger.Packets[0]) })
+	f, p := stranger.Packet(0).Head(), stranger.Packet(0)
+	mustPanicContains(t, "not in the checkpoint table", func() { tab.Flit(c, &f) })
+	mustPanicContains(t, "not in the checkpoint table", func() { tab.Packet(c, &p) })
 }
 
 func mustPanicContains(t *testing.T, substr string, fn func()) {
@@ -312,7 +317,7 @@ func TestPoolStateRoundTrip(t *testing.T) {
 func TestOrderCheckerStateRoundTrip(t *testing.T) {
 	c := NewOrderChecker(0)
 	m := NewMessage(9, 0, 0, 0, 2, 2)
-	if c.Check(m.Packets[0].Flits[0]) {
+	if c.Check(m.Packet(0).Flit(0)) {
 		t.Fatal("head flit of a 2-flit packet reported as packet completion")
 	}
 	got := NewOrderChecker(0)

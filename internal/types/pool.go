@@ -102,6 +102,6 @@ func (p *Pool) Release(m *Message) {
 	if p.obs != nil {
 		p.obs.MessageReleased(m)
 	}
-	k := poolKey{len(m.flitBlock), m.maxPkt}
+	k := poolKey{m.TotalFlits(), m.maxPkt}
 	p.free[k] = append(p.free[k], m)
 }

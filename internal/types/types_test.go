@@ -7,14 +7,14 @@ import (
 
 func TestNewMessageSingleFlit(t *testing.T) {
 	m := NewMessage(1, 0, 3, 7, 1, 16)
-	if len(m.Packets) != 1 {
-		t.Fatalf("packets = %d", len(m.Packets))
+	if m.NumPackets() != 1 {
+		t.Fatalf("packets = %d", m.NumPackets())
 	}
-	p := m.Packets[0]
+	p := m.Packet(0)
 	if p.Size() != 1 {
 		t.Fatalf("size = %d", p.Size())
 	}
-	f := p.Flits[0]
+	f := p.Flit(0)
 	if !f.Head || !f.Tail {
 		t.Fatal("single flit must be head and tail")
 	}
@@ -32,18 +32,20 @@ func TestNewMessageSingleFlit(t *testing.T) {
 func TestNewMessageSegmentation(t *testing.T) {
 	// 10 flits, packets of up to 4 -> 4+4+2
 	m := NewMessage(2, 1, 0, 1, 10, 4)
-	if len(m.Packets) != 3 {
-		t.Fatalf("packets = %d", len(m.Packets))
+	if m.NumPackets() != 3 {
+		t.Fatalf("packets = %d", m.NumPackets())
 	}
 	sizes := []int{4, 4, 2}
-	for i, p := range m.Packets {
+	for i := 0; i < m.NumPackets(); i++ {
+		p := m.Packet(i)
 		if p.Size() != sizes[i] {
 			t.Fatalf("packet %d size %d, want %d", i, p.Size(), sizes[i])
 		}
 		if p.ID != i || p.Msg != m {
 			t.Fatal("packet identity wrong")
 		}
-		for j, f := range p.Flits {
+		for j := 0; j < p.Size(); j++ {
+			f := p.Flit(j)
 			if f.ID != j || f.Pkt != p {
 				t.Fatal("flit identity wrong")
 			}
@@ -62,7 +64,7 @@ func TestNewMessageSegmentation(t *testing.T) {
 
 func TestNewMessageExactMultiple(t *testing.T) {
 	m := NewMessage(3, 0, 0, 1, 8, 4)
-	if len(m.Packets) != 2 || m.Packets[0].Size() != 4 || m.Packets[1].Size() != 4 {
+	if m.NumPackets() != 2 || m.Packet(0).Size() != 4 || m.Packet(1).Size() != 4 {
 		t.Fatal("exact multiple segmentation wrong")
 	}
 }
@@ -92,11 +94,12 @@ func TestMessageSegmentationProperty(t *testing.T) {
 		if m.TotalFlits() != total {
 			return false
 		}
-		for i, p := range m.Packets {
+		for i := 0; i < m.NumPackets(); i++ {
+			p := m.Packet(i)
 			if p.Size() > max || p.Size() == 0 {
 				return false
 			}
-			if i < len(m.Packets)-1 && p.Size() != max {
+			if i < m.NumPackets()-1 && p.Size() != max {
 				return false // only last packet may be short
 			}
 			if !p.Head().Head || !p.Tail().Tail {
@@ -113,33 +116,34 @@ func TestMessageSegmentationProperty(t *testing.T) {
 func TestPacketAge(t *testing.T) {
 	m := NewMessage(1, 0, 0, 1, 2, 1)
 	m.CreateTime = 12345
-	if m.Packets[0].Age() != 12345 || m.Packets[1].Age() != 12345 {
+	if m.Packet(0).Age() != 12345 || m.Packet(1).Age() != 12345 {
 		t.Fatal("Age should be message creation time")
 	}
 }
 
 func TestStringForms(t *testing.T) {
 	m := NewMessage(5, 0, 1, 2, 3, 2)
-	if s := m.Packets[0].String(); s == "" {
+	if s := m.Packet(0).String(); s == "" {
 		t.Fatal("empty packet string")
 	}
-	head := m.Packets[0].Flits[0]
+	head := m.Packet(0).Flit(0)
 	if got := head.String(); got == "" {
 		t.Fatal("empty flit string")
 	}
-	solo := NewMessage(6, 0, 1, 2, 1, 1).Packets[0].Flits[0]
-	for _, f := range []*Flit{head, m.Packets[0].Flits[1], solo} {
+	solo := NewMessage(6, 0, 1, 2, 1, 1).Packet(0).Flit(0)
+	for _, f := range []*Flit{head, m.Packet(0).Flit(1), solo} {
 		_ = f.String() // head, tail and head+tail branches
 	}
-	body := NewMessage(7, 0, 1, 2, 3, 3).Packets[0].Flits[1]
+	body := NewMessage(7, 0, 1, 2, 3, 3).Packet(0).Flit(1)
 	_ = body.String()
 }
 
 func TestOrderCheckerAcceptsInOrder(t *testing.T) {
 	m := NewMessage(1, 0, 0, 5, 4, 4)
 	c := NewOrderChecker(5)
-	p := m.Packets[0]
-	for i, f := range p.Flits {
+	p := m.Packet(0)
+	for i := 0; i < p.Size(); i++ {
+		f := p.Flit(i)
 		done := c.Check(f)
 		if done != (i == 3) {
 			t.Fatalf("Check(%d) done=%v", i, done)
@@ -153,15 +157,15 @@ func TestOrderCheckerAcceptsInOrder(t *testing.T) {
 func TestOrderCheckerInterleavedPackets(t *testing.T) {
 	// Flits of different packets may interleave; order within each packet
 	// must hold.
-	a := NewMessage(1, 0, 0, 5, 2, 2).Packets[0]
-	b := NewMessage(2, 0, 0, 5, 2, 2).Packets[0]
+	a := NewMessage(1, 0, 0, 5, 2, 2).Packet(0)
+	b := NewMessage(2, 0, 0, 5, 2, 2).Packet(0)
 	c := NewOrderChecker(5)
-	c.Check(a.Flits[0])
-	c.Check(b.Flits[0])
+	c.Check(a.Flit(0))
+	c.Check(b.Flit(0))
 	if c.Outstanding() != 2 {
 		t.Fatalf("Outstanding = %d", c.Outstanding())
 	}
-	if !c.Check(b.Flits[1]) || !c.Check(a.Flits[1]) {
+	if !c.Check(b.Flit(1)) || !c.Check(a.Flit(1)) {
 		t.Fatal("completion not reported")
 	}
 }
@@ -174,29 +178,29 @@ func TestOrderCheckerWrongDestination(t *testing.T) {
 			t.Fatal("expected wrong-destination panic")
 		}
 	}()
-	c.Check(m.Packets[0].Flits[0])
+	c.Check(m.Packet(0).Flit(0))
 }
 
 func TestOrderCheckerOutOfOrder(t *testing.T) {
 	m := NewMessage(1, 0, 0, 5, 3, 3)
 	c := NewOrderChecker(5)
-	c.Check(m.Packets[0].Flits[0])
+	c.Check(m.Packet(0).Flit(0))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected out-of-order panic")
 		}
 	}()
-	c.Check(m.Packets[0].Flits[2])
+	c.Check(m.Packet(0).Flit(2))
 }
 
 func TestOrderCheckerDuplicate(t *testing.T) {
 	m := NewMessage(1, 0, 0, 5, 2, 2)
 	c := NewOrderChecker(5)
-	c.Check(m.Packets[0].Flits[0])
+	c.Check(m.Packet(0).Flit(0))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected duplicate panic")
 		}
 	}()
-	c.Check(m.Packets[0].Flits[0])
+	c.Check(m.Packet(0).Flit(0))
 }

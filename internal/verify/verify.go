@@ -208,8 +208,10 @@ func (v *Verifier) MessageReleased(m *types.Message) {
 }
 
 func (v *Verifier) checkNoFlitsInFlight(m *types.Message, action string) {
-	for _, p := range m.Packets {
-		for _, f := range p.Flits {
+	for i := 0; i < m.NumPackets(); i++ {
+		p := m.Packet(i)
+		for j := 0; j < p.Size(); j++ {
+			f := p.Flit(j)
 			if _, ok := f.VerifyInFlight(); ok {
 				v.Panicf("message %d %s while %v is still in the network — pool aliasing",
 					m.ID, action, f)

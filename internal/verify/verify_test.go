@@ -61,8 +61,10 @@ func TestForFindsAttachedVerifier(t *testing.T) {
 func TestFlitLifecycleHappyPath(t *testing.T) {
 	_, v := newVerifier(t, Options{})
 	m := msg(1)
-	for _, p := range m.Packets {
-		for _, f := range p.Flits {
+	for pi := 0; pi < m.NumPackets(); pi++ {
+		p := m.Packet(pi)
+		for fi := 0; fi < p.Size(); fi++ {
+			f := p.Flit(fi)
 			v.FlitInjected(f)
 			v.FlitTouched(f)
 			v.FlitTouched(f)
@@ -77,20 +79,20 @@ func TestFlitLifecycleHappyPath(t *testing.T) {
 
 func TestDuplicateInjectionPanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	f := msg(1).Packets[0].Flits[0]
+	f := msg(1).Packet(0).Flit(0)
 	v.FlitInjected(f)
 	mustPanic(t, "already in flight", func() { v.FlitInjected(f) })
 }
 
 func TestTouchWithoutInjectionPanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	f := msg(1).Packets[0].Flits[0]
+	f := msg(1).Packet(0).Flit(0)
 	mustPanic(t, "not in flight", func() { v.FlitTouched(f) })
 }
 
 func TestDoubleRetirementPanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	f := msg(1).Packets[0].Flits[0]
+	f := msg(1).Packet(0).Flit(0)
 	v.FlitInjected(f)
 	v.FlitRetired(f)
 	mustPanic(t, "not in flight", func() { v.FlitRetired(f) })
@@ -103,7 +105,7 @@ func TestStaleGenerationTouchPanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
 	pool := types.NewPool()
 	m := pool.NewMessage(1, 0, 0, 1, 4, 2)
-	f := m.Packets[0].Flits[0]
+	f := m.Packet(0).Flit(0)
 	v.FlitInjected(f)
 	pool.Release(m)
 	m2 := pool.NewMessage(2, 0, 2, 3, 4, 2) // recycles m's blocks, bumps gen
@@ -117,7 +119,7 @@ func TestStaleGenerationRetirePanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
 	pool := types.NewPool()
 	m := pool.NewMessage(1, 0, 0, 1, 4, 2)
-	f := m.Packets[0].Flits[0]
+	f := m.Packet(0).Flit(0)
 	v.FlitInjected(f)
 	pool.Release(m)
 	m2 := pool.NewMessage(2, 0, 2, 3, 4, 2)
@@ -132,7 +134,7 @@ func TestPoolReleaseWhileInFlightPanics(t *testing.T) {
 	pool := types.NewPool()
 	pool.SetObserver(v)
 	m := pool.NewMessage(1, 0, 0, 1, 4, 2)
-	v.FlitInjected(m.Packets[0].Flits[0])
+	v.FlitInjected(m.Packet(0).Flit(0))
 	mustPanic(t, "pool aliasing", func() { pool.Release(m) })
 }
 
@@ -142,7 +144,7 @@ func TestPoolObtainWithFlitsInFlightPanics(t *testing.T) {
 	_, v := newVerifier(t, Options{})
 	pool := types.NewPool()
 	m := pool.NewMessage(1, 0, 0, 1, 4, 2)
-	v.FlitInjected(m.Packets[0].Flits[0])
+	v.FlitInjected(m.Packet(0).Flit(0))
 	pool.Release(m)
 	pool.SetObserver(v)
 	mustPanic(t, "pool aliasing", func() { pool.NewMessage(2, 0, 2, 3, 4, 2) })
@@ -192,7 +194,7 @@ func TestBufferFreeBelowZeroPanics(t *testing.T) {
 
 func TestVerifyDrainedCatchesLeaks(t *testing.T) {
 	_, v := newVerifier(t, Options{})
-	f := msg(1).Packets[0].Flits[0]
+	f := msg(1).Packet(0).Flit(0)
 	v.FlitInjected(f)
 	mustPanic(t, "never retired", func() { v.VerifyDrained() })
 }
@@ -226,7 +228,7 @@ func (h *watchdogHarness) ProcessEvent(ev *sim.Event) {
 
 func TestWatchdogFiresOnStall(t *testing.T) {
 	s, v := newVerifier(t, Options{WatchdogEpoch: 10})
-	v.FlitInjected(msg(1).Packets[0].Flits[0]) // a flit is stuck in flight
+	v.FlitInjected(msg(1).Packet(0).Flit(0)) // a flit is stuck in flight
 	h := &watchdogHarness{ComponentBase: sim.NewComponentBase(s, "busy"), until: 100}
 	s.Schedule(h, sim.Time{Tick: 1}, 0, nil)
 	mustPanic(t, "deadlock or livelock", func() { s.Run() })
@@ -235,7 +237,7 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 func TestWatchdogAppendsDiagnoserReport(t *testing.T) {
 	s, v := newVerifier(t, Options{WatchdogEpoch: 10})
 	v.SetDiagnoser(func() string { return "chain: terminal 3 -> router 1 (deadlock)" })
-	v.FlitInjected(msg(1).Packets[0].Flits[0])
+	v.FlitInjected(msg(1).Packet(0).Flit(0))
 	h := &watchdogHarness{ComponentBase: sim.NewComponentBase(s, "busy"), until: 100}
 	s.Schedule(h, sim.Time{Tick: 1}, 0, nil)
 	mustPanic(t, "chain: terminal 3 -> router 1 (deadlock)", func() { s.Run() })
@@ -252,7 +254,7 @@ func TestWatchdogToleratesProgress(t *testing.T) {
 	// Continuous flit activity across epochs: no panic even with a flit in
 	// flight the whole time.
 	s, v := newVerifier(t, Options{WatchdogEpoch: 10})
-	f := msg(1).Packets[0].Flits[0]
+	f := msg(1).Packet(0).Flit(0)
 	v.FlitInjected(f)
 	h := &watchdogHarness{ComponentBase: sim.NewComponentBase(s, "busy"), until: 50}
 	toucher := &flitToucher{ComponentBase: sim.NewComponentBase(s, "toucher"), v: v, f: f, until: 50}

@@ -219,23 +219,21 @@ func (b *Blast) DeliverMessage(m *types.Message) {
 		return
 	}
 	nonMin := false
-	for _, p := range m.Packets {
-		if p.NonMinimal {
-			nonMin = true
-			break
-		}
+	for i := 0; i < m.NumPackets() && !nonMin; i++ {
+		nonMin = m.Packet(i).NonMinimal
 	}
 	b.rec.Record(stats.Sample{
 		Start:      m.CreateTime,
 		End:        m.ReceiveTime,
 		Flits:      m.TotalFlits(),
-		Hops:       m.Packets[0].HopCount,
+		Hops:       m.Packet(0).HopCount,
 		NonMinimal: nonMin,
 		App:        m.App,
 		Src:        m.Src,
 		Dst:        m.Dst,
 	})
-	for _, p := range m.Packets {
+	for i := 0; i < m.NumPackets(); i++ {
+		p := m.Packet(i)
 		b.pktRec.Record(stats.Sample{
 			Start:      p.InjectTime,
 			End:        p.ReceiveTime,

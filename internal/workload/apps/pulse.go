@@ -166,7 +166,7 @@ func (p *Pulse) DeliverMessage(m *types.Message) {
 		Start: m.CreateTime,
 		End:   m.ReceiveTime,
 		Flits: m.TotalFlits(),
-		Hops:  m.Packets[0].HopCount,
+		Hops:  m.Packet(0).HopCount,
 		App:   m.App,
 		Src:   m.Src,
 		Dst:   m.Dst,

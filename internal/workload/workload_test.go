@@ -145,7 +145,7 @@ func sinkDeliver(t *testing.T, net network.Network, m *types.Message) {
 	_ = ifc
 	// Interfaces expose the sink only internally; emulate by calling the
 	// demux through a delivered flit:
-	f := m.Packets[0].Flits[0]
+	f := m.Packet(0).Flit(0)
 	f.VC = 0
 	net.Interface(1).ReceiveFlit(0, f)
 }
