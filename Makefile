@@ -13,10 +13,9 @@
 #                  TestSteadyStateAllocations (internal/core) and
 #                  TestFigure5AllocationBudget (internal/experiments)
 #   make test-import-export - checkpoint/restore equivalence under -race: the
-#                  equivalence matrix (serial = sharded = restored, byte for
-#                  byte, over every model), the simulation-after-import
-#                  harness, cross-worker restores, byte-exact snapshot
-#                  round-trips and the pinned v3 bytes
+#                  equivalence matrix (repeated = restored, byte for byte,
+#                  over every model), the simulation-after-import harness,
+#                  byte-exact snapshot round-trips and the pinned v3 bytes
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
 #                  journal, spans and telemetry stream readers, the
@@ -32,8 +31,8 @@
 #                  module of its own, so `go test ./...` does not see them):
 #                  all six workloads at 1/50 scale, traced and untraced,
 #                  each run's own outcome checks and the fingerprint
-#                  equalities across engine paths (sharded, checkpointed and
-#                  probed runs must reproduce the serial run's simulated
+#                  equalities across run paths (the workers-key, checkpointed
+#                  and probed runs must reproduce the plain run's simulated
 #                  outcome). The pinned seed-1 fingerprints are compared at
 #                  scale 1 only, by the benchmark itself
 #   make bench-set OUT=BENCH_<pr>.json [REPS=5] - the host-speed benchmark's
@@ -45,13 +44,10 @@
 #                  alternating pairs of BASE and the working tree on one
 #                  workload, each pair's ratio, the pairs won and the base's
 #                  quartile spread (see scripts/bench_pairs.sh)
-#   make bench-parallel - the Figure 5 transient at -workers 1/2/4 on the
-#                  sharded engine (wall-clock is informational and
-#                  hardware-dependent; results are identical at every count)
 
 GO ?= go
 
-.PHONY: all build vet test race cover fuzz ci test-import-export bench micro bench-smoke bench-set bench-compare bench-pairs bench-parallel sweep-smoke
+.PHONY: all build vet test race cover fuzz ci test-import-export bench micro bench-smoke bench-set bench-compare bench-pairs sweep-smoke
 
 all: ci
 
@@ -93,16 +89,15 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCodec -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=10s ./internal/core
 
-# Checkpoint/restore equivalence: the equivalence matrix (every model, serial
-# repeat, workers 2, restore at workers 1 and 2, compared checkpoint by
-# checkpoint), the simulation-after-import harness (all golden topologies,
-# serial and sharded), the cross-worker restore matrix, checkpoints of a
-# restored run starting after its restore tick, byte-exact snapshot
-# round-trips, the schema-v3 bytes pinned in testdata/golden/snapshots.json,
-# restored-index validation, and the randomized checkpoint sweep — under the
-# race detector, since restore re-partitions across shards.
+# Checkpoint/restore equivalence: the equivalence matrix (every model, a
+# repeat and a restore of the middle checkpoint, compared checkpoint by
+# checkpoint), the simulation-after-import harness (all golden topologies),
+# checkpoints of a restored run starting after its restore tick, byte-exact
+# snapshot round-trips, the schema-v3 bytes pinned in
+# testdata/golden/snapshots.json, restored-index validation, and the
+# randomized checkpoint sweep — under the race detector.
 test-import-export:
-	$(GO) test -race -count=1 -run='TestEquivalenceMatrix|TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoreAcrossWorkerCounts|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRestoreRejectsVersion2|TestRandomizedCheckpointRestore' ./internal/core
+	$(GO) test -race -count=1 -run='TestEquivalenceMatrix|TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRestoreRejectsVersion2|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
 # cover runs every test once, with the floors enforced; ci does not also run
@@ -133,12 +128,6 @@ bench-pairs:
 # pipeline end-to-end. See scripts/sweep_smoke.sh.
 sweep-smoke:
 	sh scripts/sweep_smoke.sh
-
-# Serial-vs-parallel wall-clock on the Figure 5 transient. Informational:
-# speedup depends on the host's core count (see EXPERIMENTS.md); correctness
-# at every worker count is enforced by the golden-conformance tests instead.
-bench-parallel:
-	$(GO) test -run='^$$' -bench='BenchmarkFigure5Workers' -benchtime=1x -benchmem .
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem .

@@ -75,27 +75,6 @@ func BenchmarkFigure5(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure5Workers runs the Figure 5 transient at explicit worker
-// counts (`make bench-parallel`). The workers_1 case is the serial path
-// reached through the simulation.workers setting; the higher counts exercise
-// the sharded engine end to end and report its wall-clock for EXPERIMENTS.md
-// (speedup is hardware-dependent; results are identical at every count).
-func BenchmarkFigure5Workers(b *testing.B) {
-	for _, w := range []uint64{1, 2, 4} {
-		b.Run(benchName("workers", w), func(b *testing.B) {
-			o := opts(b)
-			o.Workers = w
-			for i := 0; i < b.N; i++ {
-				r := experiments.Figure5(o)
-				if r.PulsePeak <= r.BlastMean {
-					b.Fatalf("pulse did not disturb blast: peak %.1f vs mean %.1f",
-						r.PulsePeak, r.BlastMean)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFigure7 regenerates the percentile distribution plot (Figure 7).
 func BenchmarkFigure7(b *testing.B) {
 	o := opts(b)

@@ -10,9 +10,7 @@
 // written by supersim -telemetry-file) instead of a transaction log:
 // chanutil plots mean and peak channel utilization per snapshot bin, rates
 // plots each application's offered vs. delivered rate (flits per cycle per
-// terminal), and shardutil plots each engine shard's drained events per bin
-// (a load-balance timeline for parallel runs, from the engine_window_events
-// self-metrics). Telemetry filters (+comp=, +metric=, +t=lo-hi, ...) apply.
+// terminal). Telemetry filters (+comp=, +metric=, +t=lo-hi, ...) apply.
 //
 // The breakdown plot kind reads a latency-decomposition stream (spans JSONL,
 // written by supersim -spans) and renders each application's per-hop pipeline
@@ -39,7 +37,7 @@ import (
 )
 
 func main() {
-	plot := flag.String("plot", "percentile", "percentile | cdf | pdf | timeseries | chanutil | rates | shardutil | breakdown | taskgantt")
+	plot := flag.String("plot", "percentile", "percentile | cdf | pdf | timeseries | chanutil | rates | breakdown | taskgantt")
 	csvPath := flag.String("csv", "", "also write the series as CSV")
 	binWidth := flag.Uint64("bin", 0, "time series bin width in ticks (default: span/40)")
 	width := flag.Int("width", 70, "ASCII plot width")
@@ -67,7 +65,7 @@ func run(plot, csvPath string, binWidth uint64, width, height int, args []string
 	if path == "" {
 		return fmt.Errorf("usage: ssplot -plot <kind> <log file> [+filter ...]")
 	}
-	if plot == "chanutil" || plot == "rates" || plot == "shardutil" {
+	if plot == "chanutil" || plot == "rates" {
 		return runTelemetry(plot, path, rawFilters, csvPath, width, height)
 	}
 	if plot == "breakdown" {
@@ -389,9 +387,6 @@ func runTelemetry(plot, path string, rawFilters []string, csvPath string, width,
 	case "rates":
 		series = rateSeries(recs)
 		title, xl, yl = "offered vs delivered rate", "time (ticks)", "flits/cycle/terminal"
-	case "shardutil":
-		series = shardUtilSeries(recs)
-		title, xl, yl = "per-shard drained events", "time (ticks)", "events/bin"
 	}
 	if len(series) == 0 {
 		return fmt.Errorf("no matching telemetry records in %s", path)
@@ -478,45 +473,6 @@ func rateSeries(recs []telemetry.Record) []ssplot.Series {
 		s := ssplot.Series{Label: k.comp + " " + strings.TrimSuffix(k.metric, "_flits")}
 		for _, t := range bins {
 			s.XY = append(s.XY, [2]float64{float64(t), vals[k][t]})
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// shardUtilSeries builds one series per engine shard from the
-// engine_window_events counter deltas: how many events each shard committed
-// per snapshot bin. On a well-balanced partition the lines track each other;
-// a shard pinned at zero while others climb is the visual signature of a
-// lopsided partition. Bins a shard was silent in are zero-filled so the
-// timelines stay aligned.
-func shardUtilSeries(recs []telemetry.Record) []ssplot.Series {
-	vals := map[string]map[uint64]float64{}
-	binSet := map[uint64]float64{}
-	for _, r := range recs {
-		if r.Metric != "engine_window_events" {
-			continue
-		}
-		if vals[r.Comp] == nil {
-			vals[r.Comp] = map[uint64]float64{}
-		}
-		vals[r.Comp][r.T] = r.D
-		binSet[r.T] = 0
-	}
-	if len(vals) == 0 {
-		return nil
-	}
-	bins := sortedBins(binSet)
-	comps := make([]string, 0, len(vals))
-	for c := range vals {
-		comps = append(comps, c)
-	}
-	sort.Strings(comps)
-	var out []ssplot.Series
-	for _, c := range comps {
-		s := ssplot.Series{Label: c}
-		for _, t := range bins {
-			s.XY = append(s.XY, [2]float64{float64(t), vals[c][t]})
 		}
 		out = append(out, s)
 	}

@@ -31,15 +31,8 @@
 // flag they modify (-spans-sample without -spans, -telemetry-bin with no
 // telemetry consumer) are rejected up front.
 //
-// -workers N executes the simulation on N parallel shards coordinated by the
-// conservative lookahead engine (see DESIGN.md); results are byte-identical
-// to the default serial run — including the -spans stream, which records into
-// per-shard lanes merged back into the serial order at the end of the run.
-// Parallel runs additionally expose per-shard engine metrics (engine_* in
-// /metrics and snapshots) and a /shards JSON endpoint on -telemetry-addr.
-//
 // Provenance: -manifest <f> writes a versioned JSON run manifest on
-// completion — the canonical config hash, seed, worker count, the flags of
+// completion — the canonical config hash, seed, the flags of
 // the invocation, wall/sim time, per-app latency metrics, and the SHA-256
 // digest of every artifact the run produced (log, telemetry, spans,
 // checkpoint). Manifests tie artifacts back to exactly what produced them;
@@ -52,8 +45,7 @@
 // -restore F rebuilds a simulation from a snapshot — no config file or
 // overrides are accepted, because the snapshot embeds its settings document —
 // and runs it to completion with results byte-identical to the uninterrupted
-// run. The one exception is -workers, which may re-partition the restored
-// run; snapshots are partition-independent. The same behavior is available
+// run. The same behavior is available
 // from a config file via the simulation.checkpoint_every and
 // simulation.checkpoint_file keys (see CONFIG.md).
 package main
@@ -87,7 +79,6 @@ func main() {
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live introspection HTTP on this address (implies -telemetry)")
 	spansPath := flag.String("spans", "", "write per-message latency decompositions (spans JSONL) to this file (implies -telemetry)")
 	spansSample := flag.Float64("spans-sample", 1.0, "fraction of messages to span-record, 0..1")
-	workers := flag.Uint("workers", 1, "run the simulation on N parallel shards (results are identical to -workers 1)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0, "write a checkpoint snapshot every N ticks (requires -checkpoint-file)")
 	checkpointFile := flag.String("checkpoint-file", "", "checkpoint snapshot path, atomically replaced at each interval (requires -checkpoint-every)")
 	restorePath := flag.String("restore", "", "restore simulator state from a checkpoint snapshot (replaces the config file argument)")
@@ -99,13 +90,13 @@ func main() {
 		set[f.Name] = true
 		flagVals[f.Name] = f.Value.String()
 	})
-	if err := validateFlags(set, *workers); err != nil {
+	if err := validateFlags(set); err != nil {
 		fmt.Fprintln(os.Stderr, "supersim:", err)
 		os.Exit(2)
 	}
 	if *restorePath != "" {
 		if flag.NArg() > 0 {
-			fmt.Fprintln(os.Stderr, "supersim: -restore takes no config file or overrides (the snapshot embeds its settings; only -workers may override)")
+			fmt.Fprintln(os.Stderr, "supersim: -restore takes no config file or overrides (the snapshot embeds its settings)")
 			os.Exit(2)
 		}
 	} else if flag.NArg() < 1 {
@@ -140,8 +131,6 @@ func main() {
 		telemetryAddr:   *telemetryAddr,
 		spansPath:       *spansPath,
 		spansSample:     *spansSample,
-		workers:         *workers,
-		workersSet:      set["workers"],
 		checkpointEvery: *checkpointEvery,
 		checkpointFile:  *checkpointFile,
 		restorePath:     *restorePath,
@@ -200,8 +189,6 @@ type runOpts struct {
 	telemetryAddr string
 	spansPath     string
 	spansSample   float64
-	workers       uint
-	workersSet    bool // -workers was given explicitly (matters with -restore)
 
 	checkpointEvery uint64
 	checkpointFile  string
@@ -215,7 +202,7 @@ type runOpts struct {
 // command line but the flag it modifies is absent: silently ignoring the
 // modifier would make the run look correctly configured while producing none
 // of the requested output, so fail fast instead.
-func validateFlags(set map[string]bool, workers uint) error {
+func validateFlags(set map[string]bool) error {
 	if set["spans-sample"] && !set["spans"] {
 		return fmt.Errorf("-spans-sample has no effect without -spans")
 	}
@@ -233,12 +220,11 @@ func validateFlags(set map[string]bool, workers uint) error {
 	if set["restore"] {
 		// A snapshot restores by rebuilding the identical component graph from
 		// its embedded settings; any flag that would change those settings
-		// would make the restored state incoherent. Worker count is the one
-		// safe override: snapshots are partition-independent.
+		// would make the restored state incoherent.
 		for _, f := range []string{"verify", "telemetry", "telemetry-file", "telemetry-bin",
 			"telemetry-addr", "spans", "spans-sample"} {
 			if set[f] {
-				return fmt.Errorf("-restore rebuilds from the snapshot's embedded settings; -%s would change them (only -workers may override)", f)
+				return fmt.Errorf("-restore rebuilds from the snapshot's embedded settings; -%s would change them", f)
 			}
 		}
 	}
@@ -250,11 +236,6 @@ func validateFlags(set map[string]bool, workers uint) error {
 func (o *runOpts) apply(cfg *config.Settings) error {
 	if o.verify {
 		if err := cfg.ApplyOverride("simulation.verify.enabled=bool=true"); err != nil {
-			return err
-		}
-	}
-	if o.workers > 1 {
-		if err := cfg.ApplyOverride(fmt.Sprintf("simulation.workers=uint=%d", o.workers)); err != nil {
 			return err
 		}
 	}
@@ -295,14 +276,8 @@ func run(cfgPath string, overrides []string, o runOpts) error {
 		if err != nil {
 			return err
 		}
-		// 0 keeps the snapshot's configured worker count; an explicit -workers
-		// re-partitions the restored run (results are identical either way).
-		workers := 0
-		if o.workersSet {
-			workers = int(o.workers)
-		}
 		var tick sim.Tick
-		sm, tick, err = core.Restore(data, workers)
+		sm, tick, err = core.Restore(data, 0)
 		if err != nil {
 			return err
 		}
@@ -442,7 +417,7 @@ func eventsPerFlitHop(res core.Result, hops uint64) float64 {
 }
 
 // writeRunManifest records the run's provenance next to its artifacts: config
-// hash, seed, workers, the explicit flags, wall/sim time, events per
+// hash, seed, the explicit flags, wall/sim time, events per
 // flit-hop, per-app latency metrics, and a digest of every output file.
 // Artifacts are added in a fixed role order so the document layout is
 // stable; the checkpoint entry is stat-gated because a run shorter than the

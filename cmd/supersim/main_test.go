@@ -25,48 +25,35 @@ func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
 		set     map[string]bool
-		workers uint
 		wantErr string // empty = valid
 	}{
-		{"no flags", setOf(), 1, ""},
-		{"spans with sample", setOf("spans", "spans-sample"), 1, ""},
-		{"spans-sample alone", setOf("spans-sample"), 1, "-spans-sample"},
-		{"spans-sample with only telemetry-file", setOf("telemetry-file", "spans-sample"), 1, "-spans-sample"},
-		{"bin alone", setOf("telemetry-bin"), 1, "-telemetry-bin"},
-		{"bin with log only", setOf("telemetry-bin", "log"), 1, "-telemetry-bin"},
-		{"bin with telemetry", setOf("telemetry-bin", "telemetry"), 1, ""},
-		{"bin with telemetry-file", setOf("telemetry-bin", "telemetry-file"), 1, ""},
-		{"bin with telemetry-addr", setOf("telemetry-bin", "telemetry-addr"), 1, ""},
-		{"bin with spans", setOf("telemetry-bin", "spans"), 1, ""},
-		{"workers serial with spans", setOf("spans", "workers"), 1, ""},
-		{"workers parallel", setOf("workers"), 4, ""},
-		{"workers parallel with telemetry", setOf("workers", "telemetry"), 4, ""},
-		// The shard-aware span recorder: -spans is accepted at any worker count
-		// (per-shard lanes merge back into the serial byte stream).
-		{"workers parallel with spans", setOf("spans", "workers"), 2, ""},
-		{"workers parallel with telemetry-file and spans", setOf("telemetry-file", "spans", "workers"), 4, ""},
-		{"checkpoint pair", setOf("checkpoint-every", "checkpoint-file"), 1, ""},
-		{"checkpoint-every alone", setOf("checkpoint-every"), 1, "-checkpoint-file"},
-		{"checkpoint-file alone", setOf("checkpoint-file"), 1, "-checkpoint-every"},
-		{"restore alone", setOf("restore"), 1, ""},
-		{"restore with workers", setOf("restore", "workers"), 4, ""},
-		{"restore with checkpointing", setOf("restore", "checkpoint-every", "checkpoint-file"), 1, ""},
-		{"restore with verify", setOf("restore", "verify"), 1, "-verify"},
-		{"restore with telemetry", setOf("restore", "telemetry"), 1, "-telemetry"},
-		{"restore with spans", setOf("restore", "spans"), 1, "-spans"},
-		{"manifest alone", setOf("manifest"), 1, ""},
+		{"no flags", setOf(), ""},
+		{"spans with sample", setOf("spans", "spans-sample"), ""},
+		{"spans-sample alone", setOf("spans-sample"), "-spans-sample"},
+		{"spans-sample with only telemetry-file", setOf("telemetry-file", "spans-sample"), "-spans-sample"},
+		{"bin alone", setOf("telemetry-bin"), "-telemetry-bin"},
+		{"bin with log only", setOf("telemetry-bin", "log"), "-telemetry-bin"},
+		{"bin with telemetry", setOf("telemetry-bin", "telemetry"), ""},
+		{"bin with telemetry-file", setOf("telemetry-bin", "telemetry-file"), ""},
+		{"bin with telemetry-addr", setOf("telemetry-bin", "telemetry-addr"), ""},
+		{"bin with spans", setOf("telemetry-bin", "spans"), ""},
+		{"checkpoint pair", setOf("checkpoint-every", "checkpoint-file"), ""},
+		{"checkpoint-every alone", setOf("checkpoint-every"), "-checkpoint-file"},
+		{"checkpoint-file alone", setOf("checkpoint-file"), "-checkpoint-every"},
+		{"restore alone", setOf("restore"), ""},
+		{"restore with checkpointing", setOf("restore", "checkpoint-every", "checkpoint-file"), ""},
+		{"restore with verify", setOf("restore", "verify"), "-verify"},
+		{"restore with telemetry", setOf("restore", "telemetry"), "-telemetry"},
+		{"restore with spans", setOf("restore", "spans"), "-spans"},
+		{"manifest alone", setOf("manifest"), ""},
 		// -manifest is output-only: it records the run, never changes it, so it
 		// is valid even on the restore path.
-		{"restore with manifest", setOf("restore", "manifest"), 1, ""},
-		{"manifest with full telemetry", setOf("manifest", "telemetry", "spans"), 1, ""},
+		{"restore with manifest", setOf("restore", "manifest"), ""},
+		{"manifest with full telemetry", setOf("manifest", "telemetry", "spans"), ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			workers := c.workers
-			if workers == 0 {
-				workers = 1
-			}
-			err := validateFlags(c.set, workers)
+			err := validateFlags(c.set)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -94,25 +81,6 @@ func TestApplyMapsSpansFlags(t *testing.T) {
 	}
 	if got := cfg.FloatOr("simulation.telemetry.spans_sample", -1); got != 0.25 {
 		t.Fatalf("spans_sample = %v", got)
-	}
-}
-
-func TestApplyMapsWorkersFlag(t *testing.T) {
-	cfg := config.New()
-	o := runOpts{workers: 4, telemetryBin: 1000}
-	if err := o.apply(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.UIntOr("simulation.workers", 1); got != 4 {
-		t.Fatalf("simulation.workers = %d, want 4", got)
-	}
-	cfg = config.New()
-	o = runOpts{workers: 1, telemetryBin: 1000}
-	if err := o.apply(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Has("simulation.workers") {
-		t.Fatal("-workers 1 must leave simulation.workers unset (config file wins)")
 	}
 }
 
@@ -170,11 +138,10 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 		t.Fatalf("no snapshot written: %v", err)
 	}
 	// The restored continuation rebuilds from the embedded settings (no config
-	// file) and must complete cleanly; -workers 2 exercises the re-partition
-	// override on the restore path.
+	// file) and must complete cleanly.
 	err = run("", nil, runOpts{
 		quiet: true, telemetryBin: 1000, spansSample: 1.0,
-		restorePath: snapPath, workers: 2, workersSet: true,
+		restorePath: snapPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +289,7 @@ func TestRunWritesManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.ConfigHash) != 64 || m.Seed != 7 || m.Workers != 1 {
+	if len(m.ConfigHash) != 64 || m.Seed != 7 {
 		t.Fatalf("provenance header %+v", m)
 	}
 	if m.SimTicks == 0 || m.Events == 0 {
@@ -475,7 +442,7 @@ func TestManifestSurvivesCheckpointRestore(t *testing.T) {
 	if mf.ConfigHash != mr.ConfigHash {
 		t.Fatalf("config hash changed across restore:\n%s\n%s", mf.ConfigHash, mr.ConfigHash)
 	}
-	if mf.Seed != mr.Seed || mf.Workers != mr.Workers || mf.SimTicks != mr.SimTicks {
+	if mf.Seed != mr.Seed || mf.SimTicks != mr.SimTicks {
 		t.Fatalf("provenance diverged: %+v vs %+v", mf, mr)
 	}
 	for _, k := range []string{"sim.events_per_flit_hop", "app0_samples", "app0_latency_mean", "app0_latency_p50", "app0_latency_p99"} {

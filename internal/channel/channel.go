@@ -11,8 +11,6 @@
 package channel
 
 import (
-	"fmt"
-
 	"supersim/internal/sim"
 	"supersim/internal/telemetry"
 	"supersim/internal/types"
@@ -30,13 +28,6 @@ type flitFlight struct {
 
 // Channel is a unidirectional flit link with bandwidth of one flit per
 // period ticks and a fixed propagation latency in ticks.
-//
-// Under a parallel engine a channel may span two shards (see SetRemote). Its
-// fields then partition cleanly by goroutine: nextSlot and injected are
-// touched only by the source side (Inject, Available, NextSlot), while
-// pending/head/scheduled are touched only by the destination side
-// (ReceiveRemote, ProcessEvent). The engine inbox is the ownership hand-off
-// between them.
 type Channel struct {
 	sim.ComponentBase
 	latency  sim.Tick
@@ -45,11 +36,6 @@ type Channel struct {
 	sinkPort int
 	nextSlot sim.Tick // earliest tick the next flit may be injected
 	injected uint64
-
-	// remote is non-nil when the channel crosses a shard boundary: the
-	// component (and its delivery events) lives on the destination shard,
-	// and source-side injections post through this port instead.
-	remote *sim.RemotePort
 
 	pending   []flitFlight // FIFO of in-flight flits (ring on head index)
 	head      int
@@ -86,11 +72,6 @@ func (c *Channel) SetSink(sink types.FlitSink, port int) {
 	c.sinkPort = port
 }
 
-// SetRemote marks the channel as crossing a shard boundary. The port's
-// destination must be the shard this channel was adopted into; injections on
-// the source shard then travel through the engine inbox.
-func (c *Channel) SetRemote(p *sim.RemotePort) { c.remote = p }
-
 // Latency returns the propagation latency in ticks.
 func (c *Channel) Latency() sim.Tick { return c.latency }
 
@@ -119,10 +100,6 @@ func (c *Channel) InFlight() int { return len(c.pending) - c.head }
 // channel's bandwidth: injecting before NextSlot panics. The flit arrives at
 // the sink latency ticks later.
 func (c *Channel) Inject(f *types.Flit) {
-	if c.remote != nil {
-		c.injectRemote(f)
-		return
-	}
 	now := c.Sim().Now()
 	if now.Tick < c.nextSlot {
 		c.Panicf("flit injected at %d before next slot %d (bandwidth violation)", now.Tick, c.nextSlot)
@@ -138,41 +115,6 @@ func (c *Channel) Inject(f *types.Flit) {
 	c.tp.FlitInjected()
 	f.SendTime = now.Tick
 	at := now.Tick + c.latency
-	c.pending = append(c.pending, flitFlight{at: at, f: f})
-	if !c.scheduled {
-		c.scheduled = true
-		c.Sim().Schedule(c, sim.Time{Tick: at}, evDeliver, nil)
-	}
-}
-
-// injectRemote is the cross-shard variant of Inject: it runs on the source
-// shard's goroutine, so it must use the source clock (the component's own
-// Sim() is the destination shard's) and hand the flit to the destination
-// through the engine inbox. All source-side bookkeeping is identical to the
-// local path.
-func (c *Channel) injectRemote(f *types.Flit) {
-	now := c.remote.SrcNow()
-	if now.Tick < c.nextSlot {
-		panic(fmt.Sprintf("%s @%v: flit injected at %d before next slot %d (bandwidth violation)",
-			c.Name(), now, now.Tick, c.nextSlot))
-	}
-	if c.sink == nil {
-		panic(fmt.Sprintf("%s @%v: flit injected into unconnected channel", c.Name(), now))
-	}
-	c.v.FlitTouched(f)
-	c.nextSlot = now.Tick + c.period
-	c.injected++
-	c.tp.FlitInjected()
-	f.SendTime = now.Tick
-	c.remote.Send(now.Tick+c.latency, f, 0)
-}
-
-// ReceiveRemote implements sim.RemoteReceiver: it accepts a cross-shard flit
-// on the destination shard's goroutine and mirrors the local Inject tail
-// exactly — append to the FIFO and arm the delivery event if idle — so the
-// destination shard's event sequence is identical to the serial run's.
-func (c *Channel) ReceiveRemote(at sim.Tick, ptr any, aux int) {
-	f := ptr.(*types.Flit)
 	c.pending = append(c.pending, flitFlight{at: at, f: f})
 	if !c.scheduled {
 		c.scheduled = true
@@ -208,7 +150,7 @@ func (c *Channel) ProcessEvent(ev *sim.Event) {
 		// propagation is charged to the wire, and the span moves to the next
 		// hop. This fires for injection, router-router and ejection links
 		// alike, so every hop on the path ends with exactly one wire step.
-		c.sp.Step(c.Sim(), now, fl.f, telemetry.SpanWire)
+		c.sp.Step(now, fl.f, telemetry.SpanWire)
 	}
 	c.sink.ReceiveFlit(c.sinkPort, fl.f)
 }
@@ -230,11 +172,6 @@ type CreditChannel struct {
 	latency  sim.Tick
 	sink     types.CreditSink
 	sinkPort int
-
-	// remote is non-nil when the credit channel crosses a shard boundary;
-	// see Channel.remote. Credits are value types, so the post carries the
-	// VC number in the integer slot — no boxing, no allocation.
-	remote *sim.RemotePort
 
 	pending   []creditFlight
 	head      int
@@ -261,32 +198,13 @@ func (c *CreditChannel) SetSink(sink types.CreditSink, port int) {
 // Latency returns the propagation latency in ticks.
 func (c *CreditChannel) Latency() sim.Tick { return c.latency }
 
-// SetRemote marks the credit channel as crossing a shard boundary; see
-// Channel.SetRemote.
-func (c *CreditChannel) SetRemote(p *sim.RemotePort) { c.remote = p }
-
 // Inject sends a credit; it arrives latency ticks later.
 func (c *CreditChannel) Inject(cr types.Credit) {
-	if c.remote != nil {
-		c.remote.Send(c.remote.SrcNow().Tick+c.latency, nil, cr.VC)
-		return
-	}
 	if c.sink == nil {
 		c.Panicf("credit injected into unconnected channel")
 	}
 	at := c.Sim().Now().Tick + c.latency
 	c.pending = append(c.pending, creditFlight{at: at, cr: cr})
-	if !c.scheduled {
-		c.scheduled = true
-		c.Sim().Schedule(c, sim.Time{Tick: at}, evDeliver, nil)
-	}
-}
-
-// ReceiveRemote implements sim.RemoteReceiver for cross-shard credits: the
-// VC number travels in aux, and the FIFO/arming logic mirrors the local
-// Inject tail exactly.
-func (c *CreditChannel) ReceiveRemote(at sim.Tick, ptr any, aux int) {
-	c.pending = append(c.pending, creditFlight{at: at, cr: types.Credit{VC: aux}})
 	if !c.scheduled {
 		c.scheduled = true
 		c.Sim().Schedule(c, sim.Time{Tick: at}, evDeliver, nil)

@@ -44,6 +44,9 @@ func TestChannelDeliversAfterLatency(t *testing.T) {
 	ch := New(s, "ch", 50, 1)
 	sink := &flitCollector{s: s}
 	ch.SetSink(sink, 3)
+	if got, port := ch.Sink(); got != sink || port != 3 {
+		t.Fatal("Sink() does not return the connected sink")
+	}
 	f := flit()
 	at(s, 100, func() { ch.Inject(f) })
 	s.Run()

@@ -9,8 +9,7 @@ import (
 // tick, flit reference) pairs against the checkpoint's message table; the
 // FIFO is normalized (the consumed prefix before head is not part of the
 // stream, and a loaded FIFO starts at head 0) so the bytes do not depend on
-// compaction history. The cross-shard remote port is topology wiring, not
-// state — the restore path rebuilds it when it re-partitions the network.
+// compaction history.
 
 // Collect adds every message with a flit in flight on this channel to the
 // checkpoint's message table.

@@ -143,43 +143,3 @@ func TestCreditChannelStateRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestChannelRemoteDelivery drives both channel kinds across a two-shard
-// engine boundary: injections run on the source shard's goroutine through
-// the RemotePort, deliveries on the destination shard's, and the delivery
-// times must match the serial path exactly.
-func TestChannelRemoteDelivery(t *testing.T) {
-	host := sim.NewSimulator(1)
-	eng := sim.NewEngine(host)
-	sh := eng.AddShard()
-
-	ch := New(host, "chan_x", 4, 2)
-	eng.Adopt(ch, sh)
-	sink := &flitCollector{s: sh}
-	ch.SetSink(sink, 1)
-	ch.SetRemote(eng.Link(host, sh, ch.Latency(), ch))
-	if s, p := ch.Sink(); s != sink || p != 1 {
-		t.Fatal("Sink() does not return the connected sink")
-	}
-
-	cc := NewCredit(host, "cred_x", 3)
-	eng.Adopt(cc, sh)
-	csink := &creditCollector{s: sh}
-	cc.SetSink(csink, 0)
-	cc.SetRemote(eng.Link(host, sh, cc.Latency(), cc))
-
-	m := types.NewMessage(1, 0, 0, 1, 2, 2)
-	at(host, 0, func() { ch.Inject(m.Packet(0).Flit(0)) })
-	at(host, 2, func() {
-		ch.Inject(m.Packet(0).Flit(1))
-		cc.Inject(types.Credit{VC: 2})
-	})
-	eng.Run()
-
-	if len(sink.flits) != 2 || sink.times[0] != 4 || sink.times[1] != 6 {
-		t.Fatalf("remote flit deliveries: %v at %v", sink.flits, sink.times)
-	}
-	if len(csink.credits) != 1 || csink.credits[0].VC != 2 || csink.times[0] != 5 {
-		t.Fatalf("remote credit deliveries: %v at %v", csink.credits, csink.times)
-	}
-}

@@ -147,7 +147,7 @@ func modelCases(app string) []allocCase {
 
 // allocCases is the measured configuration set: modelCases, one row per
 // non-default application model, and the golden cases with verification off
-// and on, with telemetry and on the sharded engine.
+// and on, and with telemetry.
 func allocCases(t *testing.T) []allocCase {
 	cases := modelCases(allocBlast)
 	cases = append(cases, allocCase{"pulse", config.MustParse(allocDoc("torus", "", `"architecture": "input_queued"`,
@@ -168,7 +168,6 @@ func allocCases(t *testing.T) []allocCase {
 			{"verify", "", nil},
 			{"plain", "simulation.verify.enabled", false},
 			{"telemetry", "simulation.telemetry.enabled", true},
-			{"workers2", "simulation.workers", 2},
 		} {
 			cfg := config.MustParse(doc)
 			if mode.key != "" {
@@ -186,29 +185,16 @@ func allocCases(t *testing.T) []allocCase {
 func steadyStateAllocs(t *testing.T, cfg *config.Settings) (allocs, events uint64) {
 	t.Helper()
 	sm := Build(cfg)
-	advance := func(to sim.Tick) {
-		if sm.engine != nil {
-			sm.engine.RunUntil(to)
-		} else {
-			sm.Sim.RunUntil(to)
-		}
-	}
-	executed := func() (n uint64) {
-		for _, s := range sm.sims() {
-			n += s.Executed()
-		}
-		return n
-	}
-	advance(allocWarmup)
-	start := executed()
+	sm.Sim.RunUntil(allocWarmup)
+	start := sm.Sim.Executed()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	advance(allocWarmup + allocWindow)
+	sm.Sim.RunUntil(allocWarmup + allocWindow)
 	runtime.ReadMemStats(&after)
 	if p := sm.Workload.Phase(); p != workload.Generating {
 		t.Fatalf("workload left steady-state generation before the window closed: %v", p)
 	}
-	return after.Mallocs - before.Mallocs, executed() - start
+	return after.Mallocs - before.Mallocs, sm.Sim.Executed() - start
 }
 
 // TestSteadyStateAllocations holds every model to the zero-allocation flit

@@ -3,15 +3,13 @@
 // A snapshot is a complete, versioned serialization of simulator state at a
 // tick boundary T: the settings document, every PRNG stream, all live
 // messages, every component's mutable state, the verify and telemetry
-// registries, and the merged event queue in partition-independent order.
-// Restore rebuilds the identical component graph by re-running Build on the
-// embedded settings — construction is deterministic, so every component
-// reoccupies its construction-order slot — then overwrites the fresh state
-// with the snapshot's and re-injects the saved events with their exact
-// ordering keys. Because event records are keyed by (tick, epsilon, owner,
-// oseq) and component state is serialized per component rather than per
-// shard, a snapshot taken at one worker count restores into any other with
-// identical results.
+// registries, and the event queue sorted by its total order. Restore
+// rebuilds the identical component graph by re-running Build on the embedded
+// settings — construction is deterministic, so every component reoccupies its
+// construction-order slot — then overwrites the fresh state with the
+// snapshot's and re-injects the saved events with their exact (tick, epsilon,
+// owner, oseq) ordering keys, so the restored run continues exactly as the
+// uninterrupted one.
 package core
 
 import (
@@ -38,13 +36,11 @@ const (
 )
 
 // keyed is the view of a component the checkpoint machinery needs: it
-// processes events, carries a construction-order key, and knows its owning
-// (possibly shard) simulator. Every type embedding sim.ComponentBase
-// satisfies it.
+// processes events and carries a construction-order key. Every type embedding
+// sim.ComponentBase satisfies it.
 type keyed interface {
 	sim.Handler
 	OrderKey() uint32
-	Sim() *sim.Simulator
 }
 
 // handlers walks every component that can own queued events, in a fixed
@@ -96,18 +92,6 @@ func (sm *Simulation) handlers(fn func(keyed) error) error {
 	return nil
 }
 
-// sims returns every simulator of the partition (just the host when serial).
-func (sm *Simulation) sims() []*sim.Simulator {
-	if len(sm.Shards) == 0 {
-		return []*sim.Simulator{sm.Sim}
-	}
-	out := make([]*sim.Simulator, len(sm.Shards))
-	for i, sh := range sm.Shards {
-		out[i] = sh.Sim
-	}
-	return out
-}
-
 // state is the one walk over every stateful component, shared by Snapshot
 // and Restore: the SIM…TEL sections in stream order. A saving walk has a
 // table already populated by collect; a loading walk fills it in the MSG
@@ -115,9 +99,7 @@ func (sm *Simulation) sims() []*sim.Simulator {
 // section tag ends the walk; within a section the codec's sticky error turns
 // the remaining reads into no-ops.
 func (sm *Simulation) state(c *snapshot.Codec, table *types.MessageTable) {
-	// Host simulator core state: scheduling counters and every PRNG stream.
-	// Components are constructed against the host, so the host owns all order
-	// keys and derived streams regardless of the partition.
+	// Simulator core state: scheduling counters and every PRNG stream.
 	if c.Section(secSim) != nil {
 		return
 	}
@@ -201,9 +183,7 @@ func (sm *Simulation) collect(table *types.MessageTable) {
 }
 
 // Snapshot serializes the complete simulation state at the tick boundary T.
-// The simulation must be paused at T: serially, after RunUntil(T); sharded,
-// after Engine.RunUntil(T) followed by DrainCross, so every cross-shard post
-// has become a locally queued event.
+// The simulation must be paused at T, after RunUntil(T).
 func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 	// A run's snapshots grow as its samples accumulate. Twice the last one's
 	// length is the capacity appending would reach by doubling, allocated
@@ -217,16 +197,7 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 	cfgJSON := []byte(sm.cfg.JSON())
 	c.Blob(&cfgJSON)
 
-	// Partition-independent progress totals: the per-shard split of executed
-	// events depends on the worker count, so only the run-wide sums are state.
-	var executed uint64
-	var last sim.Time
-	for _, s := range sm.sims() {
-		executed += s.Executed()
-		if last.Before(s.LastWork()) {
-			last = s.LastWork()
-		}
-	}
+	executed, last := sm.Sim.Executed(), sm.Sim.LastWork()
 	c.Section(secTime)
 	progress(c, &tick, &executed, &last)
 
@@ -234,15 +205,11 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 	sm.collect(table)
 	sm.state(c, table)
 
-	// The merged event queue: records from every shard, sorted by the queue's
-	// total order so the bytes are partition-independent.
-	var recs []sim.EventRecord
-	for _, s := range sm.sims() {
-		r, err := s.ExportEvents()
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, r...)
+	// The event queue, sorted by its total order so the bytes do not depend
+	// on the queue's internal layout.
+	recs, err := sm.Sim.ExportEvents()
+	if err != nil {
+		return nil, err
 	}
 	sim.SortEventRecords(recs)
 	c.Section(secEvents)
@@ -257,7 +224,7 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 	return c.Bytes(), nil
 }
 
-// progress codes the TIM section: the checkpoint tick and the run-wide
+// progress codes the TIM section: the checkpoint tick and the
 // executed-event and last-work totals.
 func progress(c *snapshot.Codec, tick *sim.Tick, executed *uint64, last *sim.Time) {
 	snapshot.Uint(c, tick)
@@ -267,12 +234,12 @@ func progress(c *snapshot.Codec, tick *sim.Tick, executed *uint64, last *sim.Tim
 }
 
 // Restore rebuilds a simulation from snapshot bytes and returns it with the
-// checkpoint tick. workers overrides the snapshot's simulation.workers when
-// positive; zero keeps the snapshot's configured value. Any panic on the
-// decode path (including a Build failure on a corrupted embedded config) is
-// recovered into an error — a snapshot is external input and must never
-// crash the process.
-func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error) {
+// checkpoint tick. Any panic on the decode path (including a Build failure on
+// a corrupted embedded config) is recovered into an error — a snapshot is
+// external input and must never crash the process.
+//
+// The second parameter is ignored; benchmark/child.go still passes it (ROADMAP 4(a)).
+func Restore(data []byte, _ int) (sm *Simulation, tick sim.Tick, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sm, tick, err = nil, 0, fmt.Errorf("core: restore failed: %v", r)
@@ -291,10 +258,6 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: snapshot config: %w", err)
 	}
-	if workers > 0 {
-		cfg.Set("simulation.workers", workers)
-	}
-
 	c.Section(secTime)
 	var executed uint64
 	var last sim.Time
@@ -310,8 +273,7 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 	}
 
 	// Event queue: map each record's owner key back to the rebuilt component
-	// and inject it — on the component's owning simulator, so a record lands
-	// on whichever shard the new partition placed its handler.
+	// and inject it.
 	keyMap := map[uint32]keyed{}
 	if err := sm.handlers(func(k keyed) error {
 		if prev, dup := keyMap[k.OrderKey()]; dup {
@@ -330,9 +292,7 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 	// The fresh build scheduled its own initial events (application init,
 	// observer daemons); the snapshot's queue holds their in-flight
 	// successors, so the initial set is dropped wholesale before injection.
-	for _, s := range sm.sims() {
-		s.ResetQueue()
-	}
+	sm.Sim.ResetQueue()
 	for i := 0; i < n; i++ {
 		var r sim.EventRecord
 		r.State(c)
@@ -346,23 +306,14 @@ func Restore(data []byte, workers int) (sm *Simulation, tick sim.Tick, err error
 		if !ok {
 			return nil, 0, c.Failf("event %d owned by unknown component key %d", i, r.Owner)
 		}
-		h.Sim().InjectEvent(h, r)
+		sm.Sim.InjectEvent(h, r)
 	}
 	if err := c.Done(); err != nil {
 		return nil, 0, err
 	}
 
-	for _, s := range sm.sims() {
-		s.SetNow(sim.Time{Tick: tick})
-	}
-	// Run-wide progress totals live on the host; shard counters stay zero.
+	sm.Sim.SetNow(sim.Time{Tick: tick})
 	sm.Sim.SetProgress(executed, last)
-	if sm.engine != nil {
-		// Every queued event is at tick or later, so every shard has
-		// vacuously committed the checkpoint tick; without this the first
-		// phase would crawl from tick 0 in empty lookahead windows.
-		sm.engine.SeedCommit(tick)
-	}
 	return sm, tick, nil
 }
 
@@ -385,37 +336,17 @@ func (sm *Simulation) RunCheckpointed(every sim.Tick, sink func(tick sim.Tick, d
 		}
 		return sink(at, data)
 	}
-	first := (sm.Sim.Now().Tick/every + 1) * every
-	var events uint64
-	var end sim.Time
-	if sm.engine != nil {
-		for at := first; ; at += every {
-			sm.engine.RunUntil(at)
-			sm.engine.DrainCross()
-			if sm.engine.Stopped() || sm.engine.Quiesced() {
-				break
-			}
-			if err := checkpoint(at); err != nil {
-				return Result{}, err
-			}
+	for at := (sm.Sim.Now().Tick/every + 1) * every; ; at += every {
+		sm.Sim.RunUntil(at)
+		if sm.Sim.Stopped() || sm.Sim.PendingNonDaemon() == 0 {
+			break
 		}
-		sm.engine.RunUntil(^sim.Tick(0))
-		events, end = sm.engine.Finish()
-	} else {
-		for at := first; ; at += every {
-			sm.Sim.RunUntil(at)
-			if sm.Sim.Stopped() || sm.Sim.PendingNonDaemon() == 0 {
-				break
-			}
-			if err := checkpoint(at); err != nil {
-				return Result{}, err
-			}
+		if err := checkpoint(at); err != nil {
+			return Result{}, err
 		}
-		// Trailing daemon events and the final monitor flush, exactly as an
-		// un-checkpointed serial Run would.
-		sm.Sim.Run()
-		events = sm.Sim.Executed()
-		end = sm.Sim.LastWork()
 	}
-	return sm.verifyOutcome(events, end)
+	// Trailing daemon events and the final monitor flush, exactly as an
+	// un-checkpointed Run would.
+	sm.Sim.Run()
+	return sm.verifyOutcome()
 }

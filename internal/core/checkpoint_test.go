@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,8 +11,8 @@ import (
 
 // The checkpoint equivalence harness proves the snapshot format complete: a
 // run paused for snapshots is identical to an uninterrupted one, and a run
-// killed at a checkpoint and restored from the snapshot — possibly with a
-// different worker count — finishes with the committed golden fingerprint.
+// killed at a checkpoint and restored from the snapshot finishes with the
+// committed golden fingerprint.
 // Anything the serializer misses (a queue, a counter, a PRNG stream, an
 // in-flight flit) perturbs the continuation and shows up as a fingerprint
 // diff against the golden.
@@ -30,13 +29,9 @@ type snap struct {
 
 // runCheckpointed executes one golden case with a snapshot at every interval
 // boundary and returns the run's fingerprint plus the captured snapshots.
-func runCheckpointed(t *testing.T, gc goldenCase, workers int) (fingerprint, []snap) {
+func runCheckpointed(t *testing.T, gc goldenCase) (fingerprint, []snap) {
 	t.Helper()
-	cfg := config.MustParse(gc.doc)
-	if workers > 1 {
-		cfg.Set("simulation.workers", uint64(workers))
-	}
-	sm := Build(cfg)
+	sm := Build(config.MustParse(gc.doc))
 	var snaps []snap
 	res, err := sm.RunCheckpointed(checkpointEvery, func(tick sim.Tick, data []byte) error {
 		snaps = append(snaps, snap{tick, append([]byte(nil), data...)})
@@ -48,11 +43,11 @@ func runCheckpointed(t *testing.T, gc goldenCase, workers int) (fingerprint, []s
 	return goldenFingerprint(t, gc, sm, res), snaps
 }
 
-// resumeFingerprint restores a snapshot (workers > 0 overrides the snapshot's
-// worker count), runs the continuation to completion, and fingerprints it.
-func resumeFingerprint(t *testing.T, gc goldenCase, data []byte, workers int) fingerprint {
+// resumeFingerprint restores a snapshot, runs the continuation to
+// completion, and fingerprints it.
+func resumeFingerprint(t *testing.T, gc goldenCase, data []byte) fingerprint {
 	t.Helper()
-	sm, tick, err := Restore(data, workers)
+	sm, tick, err := Restore(data, 0)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -68,21 +63,18 @@ func resumeFingerprint(t *testing.T, gc goldenCase, data []byte, workers int) fi
 
 // TestCheckpointedRunMatchesGolden proves checkpoint boundaries are invisible:
 // a run paused for a snapshot every 500 ticks produces the committed golden
-// fingerprint, serial and sharded.
+// fingerprint.
 func TestCheckpointedRunMatchesGolden(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		for _, gc := range goldenCases() {
-			t.Run(fmt.Sprintf("%s_w%d", gc.name, workers), func(t *testing.T) {
-				got, snaps := runCheckpointed(t, gc, workers)
-				if len(snaps) < 2 {
-					t.Fatalf("expected at least 2 checkpoints, got %d", len(snaps))
-				}
-				if want := loadGolden(t, gc); !reflect.DeepEqual(got, want) {
-					t.Fatalf("checkpointed run (workers=%d) diverged from golden:\ngot:  %+v\nwant: %+v",
-						workers, got, want)
-				}
-			})
-		}
+	for _, gc := range goldenCases() {
+		t.Run(gc.name, func(t *testing.T) {
+			got, snaps := runCheckpointed(t, gc)
+			if len(snaps) < 2 {
+				t.Fatalf("expected at least 2 checkpoints, got %d", len(snaps))
+			}
+			if want := loadGolden(t, gc); !reflect.DeepEqual(got, want) {
+				t.Fatalf("checkpointed run diverged from golden:\ngot:  %+v\nwant: %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -91,47 +83,21 @@ func TestCheckpointedRunMatchesGolden(t *testing.T) {
 // must finish byte-identical — same event count, end tick, conservation
 // ledger totals, and latency histogram — to the uninterrupted run.
 func TestSimulationAfterImport(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		for _, gc := range goldenCases() {
-			t.Run(fmt.Sprintf("%s_w%d", gc.name, workers), func(t *testing.T) {
-				_, snaps := runCheckpointed(t, gc, workers)
-				if len(snaps) == 0 {
-					t.Fatal("no checkpoints captured")
-				}
-				// The middle snapshot: traffic in full flight, flits occupying
-				// every layer the serializer has to capture.
-				mid := snaps[len(snaps)/2]
-				got := resumeFingerprint(t, gc, mid.data, 0)
-				if want := loadGolden(t, gc); !reflect.DeepEqual(got, want) {
-					t.Fatalf("continuation restored at tick %d (workers=%d) diverged from golden:\ngot:  %+v\nwant: %+v",
-						mid.tick, workers, got, want)
-				}
-			})
-		}
-	}
-}
-
-// TestRestoreAcrossWorkerCounts proves snapshots are partition-independent:
-// a snapshot taken at one worker count restores into any other with the
-// identical golden result.
-func TestRestoreAcrossWorkerCounts(t *testing.T) {
-	gc := goldenCases()[0]
-	want := loadGolden(t, gc)
-	for _, snapW := range []int{1, 2} {
-		_, snaps := runCheckpointed(t, gc, snapW)
-		if len(snaps) == 0 {
-			t.Fatal("no checkpoints captured")
-		}
-		mid := snaps[len(snaps)/2]
-		for _, restoreW := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("snap_w%d_restore_w%d", snapW, restoreW), func(t *testing.T) {
-				got := resumeFingerprint(t, gc, mid.data, restoreW)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("snapshot at workers=%d restored at workers=%d diverged from golden:\ngot:  %+v\nwant: %+v",
-						snapW, restoreW, got, want)
-				}
-			})
-		}
+	for _, gc := range goldenCases() {
+		t.Run(gc.name, func(t *testing.T) {
+			_, snaps := runCheckpointed(t, gc)
+			if len(snaps) == 0 {
+				t.Fatal("no checkpoints captured")
+			}
+			// The middle snapshot: traffic in full flight, flits occupying
+			// every layer the serializer has to capture.
+			mid := snaps[len(snaps)/2]
+			got := resumeFingerprint(t, gc, mid.data)
+			if want := loadGolden(t, gc); !reflect.DeepEqual(got, want) {
+				t.Fatalf("continuation restored at tick %d diverged from golden:\ngot:  %+v\nwant: %+v",
+					mid.tick, got, want)
+			}
+		})
 	}
 }
 
@@ -141,7 +107,7 @@ func TestRestoreAcrossWorkerCounts(t *testing.T) {
 // the ones the original run already passed.
 func TestRestoredRunCheckpointsOnlyAhead(t *testing.T) {
 	gc := goldenCases()[0]
-	_, snaps := runCheckpointed(t, gc, 1)
+	_, snaps := runCheckpointed(t, gc)
 	var at1500 []byte
 	for _, s := range snaps {
 		if s.tick == 1500 {
@@ -151,21 +117,19 @@ func TestRestoredRunCheckpointsOnlyAhead(t *testing.T) {
 	if at1500 == nil {
 		t.Fatal("no checkpoint at tick 1500")
 	}
-	for _, workers := range []int{1, 2} {
-		sm, _, err := Restore(at1500, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ticks []sim.Tick
-		if _, err := sm.RunCheckpointed(checkpointEvery, func(tick sim.Tick, _ []byte) error {
-			ticks = append(ticks, tick)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if want := []sim.Tick{2000}; !reflect.DeepEqual(ticks, want) {
-			t.Errorf("workers=%d: restored run checkpointed at %v, want %v", workers, ticks, want)
-		}
+	sm, _, err := Restore(at1500, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ticks []sim.Tick
+	if _, err := sm.RunCheckpointed(checkpointEvery, func(tick sim.Tick, _ []byte) error {
+		ticks = append(ticks, tick)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []sim.Tick{2000}; !reflect.DeepEqual(ticks, want) {
+		t.Errorf("restored run checkpointed at %v, want %v", ticks, want)
 	}
 }
 
@@ -174,31 +138,26 @@ func TestRestoredRunCheckpointsOnlyAhead(t *testing.T) {
 // original byte-for-byte. Any state the decoder drops, defaults, or reorders
 // breaks this before it could show up as a behavioral diff.
 func TestSnapshotRoundTrip(t *testing.T) {
-	gc := goldenCases()[0]
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			_, snaps := runCheckpointed(t, gc, workers)
-			if len(snaps) == 0 {
-				t.Fatal("no checkpoints captured")
-			}
-			for _, s := range snaps {
-				sm, tick, err := Restore(s.data, 0)
-				if err != nil {
-					t.Fatalf("restore at tick %d: %v", s.tick, err)
-				}
-				if tick != s.tick {
-					t.Fatalf("restore reported tick %d, snapshot taken at %d", tick, s.tick)
-				}
-				again, err := sm.Snapshot(tick)
-				if err != nil {
-					t.Fatalf("re-snapshot at tick %d: %v", tick, err)
-				}
-				if !bytes.Equal(again, s.data) {
-					t.Fatalf("round-trip at tick %d not byte-identical: %d bytes re-encoded vs %d original",
-						tick, len(again), len(s.data))
-				}
-			}
-		})
+	_, snaps := runCheckpointed(t, goldenCases()[0])
+	if len(snaps) == 0 {
+		t.Fatal("no checkpoints captured")
+	}
+	for _, s := range snaps {
+		sm, tick, err := Restore(s.data, 0)
+		if err != nil {
+			t.Fatalf("restore at tick %d: %v", s.tick, err)
+		}
+		if tick != s.tick {
+			t.Fatalf("restore reported tick %d, snapshot taken at %d", tick, s.tick)
+		}
+		again, err := sm.Snapshot(tick)
+		if err != nil {
+			t.Fatalf("re-snapshot at tick %d: %v", tick, err)
+		}
+		if !bytes.Equal(again, s.data) {
+			t.Fatalf("round-trip at tick %d not byte-identical: %d bytes re-encoded vs %d original",
+				tick, len(again), len(s.data))
+		}
 	}
 }
 

@@ -45,10 +45,8 @@ type Simulation struct {
 	Verify    *verify.Verifier     // nil unless simulation.verify.enabled
 	Telemetry *telemetry.Telemetry // nil unless simulation.telemetry.enabled
 
-	// Shards is the parallel partition (simulation.workers > 1), or nil for
-	// a serial simulation. Shard 0 is the host shard.
-	Shards []*Shard
-	engine *sim.Engine
+	// Shards is always nil; benchmark/child.go still reads it (ROADMAP 4(a)).
+	Shards []struct{}
 
 	// cfg is the settings document the simulation was built from, retained so
 	// checkpoints can embed it (a snapshot restores by rebuilding the identical
@@ -61,8 +59,8 @@ type Simulation struct {
 }
 
 // Config returns the settings document the simulation was built from. For a
-// restored simulation this is the snapshot's embedded document (plus any
-// worker-count override), so drivers can read effective settings either way.
+// restored simulation this is the snapshot's embedded document, so drivers
+// can read effective settings either way.
 func (sm *Simulation) Config() *config.Settings { return sm.cfg }
 
 // Build assembles a simulation from the full settings document. It panics
@@ -154,14 +152,7 @@ func Build(cfg *config.Settings) *Simulation {
 		// pointers (aliasing bugs) are caught by the generation sentinel.
 		w.Pool().SetObserver(v)
 	}
-	sm := &Simulation{Sim: s, Net: net, Workload: w, Verify: v, Telemetry: tel, cfg: cfg}
-	// Opt-in parallel execution: "simulation": {"workers": N} partitions the
-	// routers across N-1 shards coordinated by the conservative engine, with
-	// results byte-identical to the serial path (workers <= 1, the default).
-	if workers := int(cfg.UIntOr("simulation.workers", 1)); workers > 1 {
-		attachParallel(sm, workers)
-	}
-	return sm
+	return &Simulation{Sim: s, Net: net, Workload: w, Verify: v, Telemetry: tel, cfg: cfg}
 }
 
 // BuildE is Build with panics recovered into errors.
@@ -187,19 +178,8 @@ type Result struct {
 // a deadlock or a misconfigured application).
 func (sm *Simulation) Run() (res Result, err error) {
 	defer sm.closeTelemetry(&err)
-	var events uint64
-	var end sim.Time
-	if sm.engine != nil {
-		events, end = sm.engine.Run()
-	} else {
-		// Cumulative rather than this call's delta: a restored simulation
-		// resumes with the checkpoint's executed-event total already seeded,
-		// and its final count must match the uninterrupted run's.
-		sm.Sim.Run()
-		events = sm.Sim.Executed()
-		end = sm.Sim.LastWork()
-	}
-	return sm.verifyOutcome(events, end)
+	sm.Sim.Run()
+	return sm.verifyOutcome()
 }
 
 // closeTelemetry writes the final snapshot bin and flushes and closes the
@@ -217,11 +197,13 @@ func (sm *Simulation) closeTelemetry(err *error) {
 }
 
 // verifyOutcome assembles the Result and runs the post-drain checks shared by
-// Run and RunCheckpointed.
-func (sm *Simulation) verifyOutcome(events uint64, end sim.Time) (Result, error) {
+// Run and RunCheckpointed. The counts are cumulative rather than the last
+// call's: a restored simulation resumes with the checkpoint's totals already
+// seeded, and its final counts must match the uninterrupted run's.
+func (sm *Simulation) verifyOutcome() (Result, error) {
 	res := Result{
-		Events:  events,
-		EndTick: end.Tick,
+		Events:  sm.Sim.Executed(),
+		EndTick: sm.Sim.LastWork().Tick,
 		Drained: sm.Workload.Phase() == workload.Draining,
 	}
 	if !res.Drained {

@@ -9,23 +9,19 @@ import (
 	"supersim/internal/sim"
 )
 
-// The equivalence matrix measures the three promises the simulator makes
+// The equivalence matrix measures the two promises the simulator makes
 // about a run, over every model a configuration can select. Each
-// configuration first runs to completion serially with a checkpoint every
+// configuration first runs to completion with a checkpoint every
 // checkpointEvery ticks: the reference. Then:
 //
-//   - serial repeat: a second serial run writes byte-identical checkpoints,
-//     so a run is a pure function of its settings document;
-//   - workers 2: the sharded engine writes the same state after the settings
-//     document at every checkpoint, so serial = sharded;
-//   - restore w1, restore w2: a run restored from the reference's middle
-//     checkpoint writes the same state at every later checkpoint and ends
-//     with the same Result, so restored = uninterrupted.
+//   - repeat: a second run writes byte-identical checkpoints, so a run is a
+//     pure function of its settings document;
+//   - restore: a run restored from the reference's middle checkpoint writes
+//     the same state at every later checkpoint and ends with the same
+//     Result, so restored = uninterrupted.
 //
-// The sharded modes skip the telemetry rows: a sharded run's registry holds
-// the engine's per-shard wall-clock metrics by construction. A failure names
-// the mode, the first divergent checkpoint and the section and byte offset
-// where it diverges.
+// A failure names the mode, the first divergent checkpoint and the section
+// and byte offset where it diverges.
 
 // eqBlast is a blast application that finishes: 500 ticks of warm-up, a
 // 2,000-tick sampling window, then the drain.
@@ -72,9 +68,9 @@ func checkpointed(t *testing.T, sm *Simulation) eqRun {
 }
 
 // compareRuns checks got, a run whose first checkpoint comes after tick from,
-// against the reference's checkpoints after from: the whole snapshot when
-// full, else the state after the settings document; then the Results.
-func compareRuns(t *testing.T, mode string, ref, got eqRun, from sim.Tick, full bool) {
+// against the reference's checkpoints after from, byte for byte; then the
+// Results.
+func compareRuns(t *testing.T, mode string, ref, got eqRun, from sim.Tick) {
 	t.Helper()
 	want := ref.snaps
 	for len(want) > 0 && want[0].tick <= from {
@@ -89,9 +85,6 @@ func compareRuns(t *testing.T, mode string, ref, got eqRun, from sim.Tick, full 
 		if s.tick != want[i].tick {
 			t.Errorf("%s: checkpoint %d at tick %d, reference at %d", mode, i, s.tick, want[i].tick)
 			return
-		}
-		if !full {
-			a, b = afterConfig(t, a), afterConfig(t, b)
 		}
 		if off := firstDiff(a, b); off >= 0 {
 			t.Errorf("%s: first divergent checkpoint at tick %d: %s (%d bytes, reference %d)",
@@ -118,8 +111,7 @@ func firstDiff(a, b []byte) int {
 	return -1
 }
 
-// sectionOf names the section of a snapshot, or of its state after the
-// settings document, that holds byte off. Section markers are found by
+// sectionOf names the section of a snapshot that holds byte off. Section markers are found by
 // searching for each tag in stream order; a tag's bytes occurring by chance
 // inside an earlier section would misplace the boundary, which is acceptable
 // for a diagnostic.
@@ -147,24 +139,13 @@ func TestEquivalenceMatrix(t *testing.T) {
 			if len(ref.snaps) < 3 {
 				t.Fatalf("%d checkpoints: the run is too short to restore mid-flight", len(ref.snaps))
 			}
-			compareRuns(t, "serial repeat", ref, checkpointed(t, Build(c.cfg)), 0, true)
-			sharded := !c.cfg.BoolOr("simulation.telemetry.enabled", false)
-			if sharded {
-				cfg := c.cfg.Clone()
-				cfg.Set("simulation.workers", 2)
-				compareRuns(t, "workers 2", ref, checkpointed(t, Build(cfg)), 0, false)
-			}
+			compareRuns(t, "repeat", ref, checkpointed(t, Build(c.cfg)), 0)
 			mid := len(ref.snaps) / 2
-			for _, workers := range []int{1, 2} {
-				if workers > 1 && !sharded {
-					continue
-				}
-				sm, tick, err := Restore(ref.snaps[mid].data, workers)
-				if err != nil {
-					t.Fatalf("restore at tick %d: %v", ref.snaps[mid].tick, err)
-				}
-				compareRuns(t, fmt.Sprintf("restore w%d", workers), ref, checkpointed(t, sm), tick, false)
+			sm, tick, err := Restore(ref.snaps[mid].data, 0)
+			if err != nil {
+				t.Fatalf("restore at tick %d: %v", ref.snaps[mid].tick, err)
 			}
+			compareRuns(t, "restore", ref, checkpointed(t, sm), tick)
 		})
 	}
 }

@@ -185,22 +185,8 @@ func goldenCases() []goldenCase {
 
 // runGolden executes one golden case and returns its fingerprint.
 func runGolden(t *testing.T, gc goldenCase) fingerprint {
-	return runGoldenWorkers(t, gc, 1)
-}
-
-// runGoldenWorkers executes one golden case with the given worker count and
-// returns its fingerprint. workers > 1 runs the sharded parallel engine,
-// which must produce a byte-identical fingerprint.
-func runGoldenWorkers(t *testing.T, gc goldenCase, workers int) fingerprint {
 	t.Helper()
-	cfg := config.MustParse(gc.doc)
-	if workers > 1 {
-		cfg.Set("simulation.workers", uint64(workers))
-	}
-	sm := Build(cfg)
-	if workers > 1 && sm.Shards == nil {
-		t.Fatalf("workers=%d did not produce a parallel partition", workers)
-	}
+	sm := Build(config.MustParse(gc.doc))
 	if sm.Verify == nil {
 		t.Fatal("golden runs must have verification enabled")
 	}
@@ -288,39 +274,5 @@ func TestGoldenTraces(t *testing.T) {
 					path, gb, updateEnv)
 			}
 		})
-	}
-}
-
-// TestGoldenTracesParallel runs every committed golden topology on the
-// sharded parallel engine at workers 2 and 4 and requires the fingerprint to
-// be byte-identical to the committed (serial) golden — the parallel/serial
-// equivalence oracle. The fingerprint covers event counts, end tick, flit
-// conservation totals, and the full sampled latency histogram, so any
-// divergence in event ordering, routing decisions, or timing between the
-// serial loop and the conservative engine fails here.
-func TestGoldenTracesParallel(t *testing.T) {
-	if os.Getenv(updateEnv) != "" {
-		t.Skip("golden update runs are serial-only")
-	}
-	for _, workers := range []int{2, 4} {
-		for _, gc := range goldenCases() {
-			t.Run(fmt.Sprintf("%s_w%d", gc.name, workers), func(t *testing.T) {
-				got := runGoldenWorkers(t, gc, workers)
-				path := filepath.Join("testdata", "golden", gc.name+".json")
-				buf, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden (run with %s=1 to create): %v", updateEnv, err)
-				}
-				var want fingerprint
-				if err := json.Unmarshal(buf, &want); err != nil {
-					t.Fatalf("corrupt golden %s: %v", path, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					gb, _ := json.MarshalIndent(got, "", "  ")
-					t.Fatalf("parallel run (workers=%d) diverged from serial golden %s\ngot:\n%s",
-						workers, path, gb)
-				}
-			})
-		}
 	}
 }

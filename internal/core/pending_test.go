@@ -12,8 +12,8 @@ import (
 // show in Result.Events, which no test compares across changes, so a change
 // that quietly went back to one event per output port or per route would
 // pass every golden. TestRouterEventBudget steps every model through its run
-// in short slices, serially and on the sharded engine, and at each pause
-// holds every router to router.CheckPending.
+// in short slices and at each pause holds every router to
+// router.CheckPending.
 const (
 	budgetSlice   sim.Tick = 37 // ticks per slice: prime, so pauses fall on every clock phase
 	budgetHorizon sim.Tick = 3000
@@ -21,20 +21,12 @@ const (
 
 func TestRouterEventBudget(t *testing.T) {
 	for _, tc := range modelCases(eqBlast) {
-		for _, workers := range []int{1, 2} {
-			cfg := tc.cfg.Clone()
-			cfg.Set("simulation.workers", uint64(workers))
-			sm := Build(cfg)
-			for to := budgetSlice; to <= budgetHorizon; to += budgetSlice {
-				if sm.engine != nil {
-					sm.engine.RunUntil(to)
-				} else {
-					sm.Sim.RunUntil(to)
-				}
-				for i := 0; i < sm.Net.NumRouters(); i++ {
-					if err := router.CheckPending(sm.Net.Router(i)); err != nil {
-						t.Fatalf("%s workers %d at tick %d: %v", tc.name, workers, to, err)
-					}
+		sm := Build(tc.cfg)
+		for to := budgetSlice; to <= budgetHorizon; to += budgetSlice {
+			sm.Sim.RunUntil(to)
+			for i := 0; i < sm.Net.NumRouters(); i++ {
+				if err := router.CheckPending(sm.Net.Router(i)); err != nil {
+					t.Fatalf("%s at tick %d: %v", tc.name, to, err)
 				}
 			}
 		}

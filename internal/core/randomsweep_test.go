@@ -116,11 +116,6 @@ func TestRandomizedConfigSweep(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		g := gens[rng.IntN(len(gens))]
 		net := g.net()
-		// Alternate worker counts across the sweep so the randomized configs
-		// also exercise the sharded parallel engine (including under -race
-		// via `make race`); every parallel run is additionally compared
-		// against its serial twin below.
-		workers := []int{1, 2, 3, 4}[i%4]
 		doc := fmt.Sprintf(`{
 		  "simulation": {
 		    "seed": %d,
@@ -139,7 +134,7 @@ func TestRandomizedConfigSweep(t *testing.T) {
 		    }]
 		  }
 		}`, rng.Uint64N(1<<20)+1, net, rates[rng.IntN(len(rates))], pick(1, 2, 4))
-		t.Run(fmt.Sprintf("run%02d_%s_w%d", i, g.topo, workers), func(t *testing.T) {
+		t.Run(fmt.Sprintf("run%02d_%s", i, g.topo), func(t *testing.T) {
 			sm := Build(config.MustParse(doc))
 			res, err := sm.Run()
 			if err != nil {
@@ -159,36 +154,6 @@ func TestRandomizedConfigSweep(t *testing.T) {
 			if sm.Verify.InFlight() != 0 {
 				t.Fatalf("%d flits still in flight after drain", sm.Verify.InFlight())
 			}
-			if workers == 1 {
-				return
-			}
-			// Parallel twin: the same document on the sharded engine must
-			// reproduce the serial run exactly — same event count, end tick,
-			// conservation totals, and sampled latency distribution.
-			pcfg := config.MustParse(doc)
-			pcfg.Set("simulation.workers", uint64(workers))
-			pm := Build(pcfg)
-			if pm.Shards == nil {
-				t.Fatalf("workers=%d did not produce a parallel partition", workers)
-			}
-			pres, err := pm.Run()
-			if err != nil {
-				t.Fatalf("parallel (workers=%d) config:\n%s\nerror: %v", workers, doc, err)
-			}
-			if pres != res {
-				t.Fatalf("parallel result diverged (workers=%d): serial %+v, parallel %+v",
-					workers, res, pres)
-			}
-			pblast := pm.Workload.App(0).(*apps.Blast)
-			if pm.Verify.Injected() != sm.Verify.Injected() || pm.Verify.Retired() != sm.Verify.Retired() {
-				t.Fatalf("parallel conservation diverged: serial %d/%d, parallel %d/%d",
-					sm.Verify.Injected(), sm.Verify.Retired(), pm.Verify.Injected(), pm.Verify.Retired())
-			}
-			sh, ph := histogram(blast.Stats().Samples()), histogram(pblast.Stats().Samples())
-			if !reflect.DeepEqual(sh, ph) {
-				t.Fatalf("parallel latency histogram diverged (workers=%d):\nserial:   %v\nparallel: %v",
-					workers, sh, ph)
-			}
 		})
 	}
 }
@@ -196,8 +161,7 @@ func TestRandomizedConfigSweep(t *testing.T) {
 // TestRandomizedCheckpointRestore is the randomized twin of the checkpoint
 // equivalence harness: each short randomized configuration runs once
 // uninterrupted and once with a snapshot at every 100-tick boundary, then a
-// continuation is restored from every captured snapshot — rotating the
-// worker-count override through {keep, 1, 2, 4} — and must reproduce the
+// continuation is restored from every captured snapshot and must reproduce the
 // uninterrupted run's result, conservation totals, and sampled latency
 // histogram exactly. The PRNG is fixed-seeded so failures reproduce.
 func TestRandomizedCheckpointRestore(t *testing.T) {
@@ -250,7 +214,6 @@ func TestRandomizedCheckpointRestore(t *testing.T) {
 		doc := fmt.Sprintf(`{
 		  "simulation": {
 		    "seed": %d,
-		    "workers": %d,
 		    "verify": {"enabled": true, "watchdog_epoch": 20000}
 		  },
 		  "network": %s,
@@ -265,7 +228,7 @@ func TestRandomizedCheckpointRestore(t *testing.T) {
 		      "traffic": {"type": "uniform_random"}
 		    }]
 		  }
-		}`, rng.Uint64N(1<<20)+1, pick(1, 2), nets[i%len(nets)](),
+		}`, rng.Uint64N(1<<20)+1, nets[i%len(nets)](),
 			[]float64{0.05, 0.1, 0.15}[rng.IntN(3)], pick(1, 2, 4))
 		t.Run(fmt.Sprintf("run%02d", i), func(t *testing.T) {
 			base := Build(config.MustParse(doc))
@@ -294,22 +257,21 @@ func TestRandomizedCheckpointRestore(t *testing.T) {
 			if len(snaps) == 0 {
 				t.Fatal("no checkpoints captured")
 			}
-			for j, s := range snaps {
-				workers := []int{0, 1, 2, 4}[j%4]
-				rm, tick, err := Restore(s.data, workers)
+			for _, s := range snaps {
+				rm, tick, err := Restore(s.data, 0)
 				if err != nil {
-					t.Fatalf("restore at tick %d (workers=%d): %v", s.tick, workers, err)
+					t.Fatalf("restore at tick %d: %v", s.tick, err)
 				}
 				if tick != s.tick {
 					t.Fatalf("restore reported tick %d, snapshot taken at %d", tick, s.tick)
 				}
 				rres, err := rm.Run()
 				if err != nil {
-					t.Fatalf("continuation from tick %d (workers=%d): %v", s.tick, workers, err)
+					t.Fatalf("continuation from tick %d: %v", s.tick, err)
 				}
 				if got := sig(rm, rres); !reflect.DeepEqual(got, want) {
-					t.Fatalf("continuation from tick %d (workers=%d) diverged:\ngot:  %+v\nwant: %+v",
-						s.tick, workers, got, want)
+					t.Fatalf("continuation from tick %d diverged:\ngot:  %+v\nwant: %+v",
+						s.tick, got, want)
 				}
 			}
 		})

@@ -82,25 +82,16 @@ func TestRestoreRejectsVersion2(t *testing.T) {
 }
 
 func TestRunCheckpointedErrors(t *testing.T) {
-	build := func(workers int) *Simulation {
-		cfg := config.MustParse(goldenCases()[4].doc)
-		if workers > 1 {
-			cfg.Set("simulation.workers", uint64(workers))
-		}
-		return Build(cfg)
-	}
+	build := func() *Simulation { return Build(config.MustParse(goldenCases()[4].doc)) }
 
-	if _, err := build(1).RunCheckpointed(0, func(sim.Tick, []byte) error { return nil }); err == nil ||
+	if _, err := build().RunCheckpointed(0, func(sim.Tick, []byte) error { return nil }); err == nil ||
 		!strings.Contains(err.Error(), "interval") {
 		t.Fatalf("zero interval: err = %v", err)
 	}
 
-	// A sink failure aborts the run, on both the serial and sharded paths.
-	for _, workers := range []int{1, 2} {
-		sm := build(workers)
-		boom := fmt.Errorf("sink failed")
-		if _, err := sm.RunCheckpointed(checkpointEvery, func(sim.Tick, []byte) error { return boom }); err != boom {
-			t.Fatalf("workers=%d: err = %v, want the sink's error", workers, err)
-		}
+	// A sink failure aborts the run.
+	boom := fmt.Errorf("sink failed")
+	if _, err := build().RunCheckpointed(checkpointEvery, func(sim.Tick, []byte) error { return boom }); err != boom {
+		t.Fatalf("err = %v, want the sink's error", err)
 	}
 }

@@ -36,24 +36,20 @@ type pinnedSnapshot struct {
 	// Bytes and SHA256 cover the whole serial snapshot.
 	Bytes  int    `json:"bytes"`
 	SHA256 string `json:"sha256"`
-	// StateSHA256 covers everything after the embedded settings document
-	// with telemetry off, where serial and workers=2 must agree: the
-	// settings differ in simulation.workers, and a sharded run's telemetry
-	// registry additionally holds the engine's per-shard metrics.
+	// StateSHA256 covers everything after the embedded settings document,
+	// with telemetry off: the state that a settings key read nowhere must
+	// leave unchanged (TestRemovedKeys).
 	StateBytes  int    `json:"state_bytes"`
 	StateSHA256 string `json:"state_sha256"`
 }
 
 // snapshotAt runs the document to pinnedTick under RunCheckpointed and
 // returns the snapshot taken there.
-func snapshotAt(t *testing.T, doc string, overrides []string, workers int) []byte {
+func snapshotAt(t *testing.T, doc string, overrides []string) []byte {
 	t.Helper()
 	cfg := config.MustParse(doc)
 	if err := cfg.ApplyOverrides(overrides); err != nil {
 		t.Fatal(err)
-	}
-	if workers > 1 {
-		cfg.Set("simulation.workers", uint64(workers))
 	}
 	sm := Build(cfg)
 	var out []byte
@@ -109,13 +105,8 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	path := filepath.Join("testdata", "golden", "snapshots.json")
 	var got []pinnedSnapshot
 	for _, gc := range goldenCases() {
-		full := snapshotAt(t, gc.doc, probesOn, 1)
-		state := afterConfig(t, snapshotAt(t, gc.doc, nil, 1))
-		sharded := afterConfig(t, snapshotAt(t, gc.doc, nil, 2))
-		if digest(sharded) != digest(state) {
-			t.Errorf("%s: workers=2 snapshot state (%d bytes) differs from serial (%d bytes)",
-				gc.name, len(sharded), len(state))
-		}
+		full := snapshotAt(t, gc.doc, probesOn)
+		state := afterConfig(t, snapshotAt(t, gc.doc, nil))
 		got = append(got, pinnedSnapshot{
 			Name: gc.name, Tick: pinnedTick,
 			Bytes: len(full), SHA256: digest(full),

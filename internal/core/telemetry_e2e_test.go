@@ -2,9 +2,9 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -128,163 +128,6 @@ func TestTelemetryObservationOnly(t *testing.T) {
 	}
 }
 
-// stripEngineLines removes engine_* metric lines from a Prometheus
-// exposition. The engine metrics exist only on parallel runs and several
-// (rounds, stalls, blocked_ns) are goroutine-schedule- or wall-clock-
-// dependent, so cross-worker-count comparisons exclude them; everything the
-// simulation computes must match exactly.
-func stripEngineLines(prom []byte) []byte {
-	var out bytes.Buffer
-	for _, line := range bytes.Split(prom, []byte("\n")) {
-		if bytes.Contains(line, []byte("engine_")) {
-			continue
-		}
-		out.Write(line)
-		out.WriteByte('\n')
-	}
-	return out.Bytes()
-}
-
-// TestShardedObserversByteIdentical is the tentpole gate for shard-aware
-// observability: on every golden topology, the spans JSONL stream, the
-// sampled-transaction log, and the Prometheus exposition (minus the engine_*
-// self-metrics) of a parallel run at workers {2,4} must be byte-identical to
-// the serial run. Per-shard recording lanes tagged with
-// partition-independent event stamps, merged at seal time, are what makes
-// this hold.
-func TestShardedObserversByteIdentical(t *testing.T) {
-	type artifacts struct {
-		log, spans, prom []byte
-	}
-	for _, gc := range goldenCases() {
-		t.Run(gc.name, func(t *testing.T) {
-			run := func(workers int) artifacts {
-				dir := t.TempDir()
-				spansPath := filepath.Join(dir, "spans.jsonl")
-				ov := []string{
-					"simulation.telemetry.enabled=bool=true",
-					"simulation.telemetry.spans_file=string=" + spansPath,
-					"simulation.telemetry.spans_sample=float=0.5",
-				}
-				if workers > 1 {
-					ov = append(ov, fmt.Sprintf("simulation.workers=uint=%d", workers))
-				}
-				log, _, _, sm := runForSamples(t, gc.doc, ov)
-				if workers > 1 {
-					if sm.Shards == nil {
-						t.Fatalf("workers=%d did not produce a parallel partition", workers)
-					}
-					// The engine introspection must be live on parallel runs:
-					// one shard doc per shard, every shard committed to the
-					// end, the host shard's windows counted.
-					docs := sm.Telemetry.ShardDocs()
-					if len(docs) != len(sm.Shards) {
-						t.Fatalf("ShardDocs has %d entries, want %d", len(docs), len(sm.Shards))
-					}
-					for _, d := range docs {
-						if d.Windows == 0 {
-							t.Errorf("shard %d committed no windows", d.ID)
-						}
-					}
-				} else if len(sm.Telemetry.ShardDocs()) != 0 {
-					t.Fatal("serial run has shard docs")
-				}
-				spans, err := os.ReadFile(spansPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var pb bytes.Buffer
-				if err := sm.Telemetry.Registry().WritePrometheus(&pb); err != nil {
-					t.Fatal(err)
-				}
-				if workers > 1 && !bytes.Contains(pb.Bytes(), []byte("engine_windows")) {
-					t.Error("parallel exposition is missing engine_* metrics")
-				}
-				return artifacts{log: log, spans: spans, prom: stripEngineLines(pb.Bytes())}
-			}
-			serial := run(1)
-			if len(serial.spans) == 0 {
-				t.Fatal("serial run produced an empty spans stream")
-			}
-			for _, w := range []int{2, 4} {
-				par := run(w)
-				if !bytes.Equal(serial.spans, par.spans) {
-					t.Errorf("workers=%d spans differ from serial (%d vs %d bytes)", w, len(par.spans), len(serial.spans))
-				}
-				if !bytes.Equal(serial.log, par.log) {
-					t.Errorf("workers=%d sampled-transaction log differs from serial", w)
-				}
-				if !bytes.Equal(serial.prom, par.prom) {
-					t.Errorf("workers=%d Prometheus exposition (minus engine_*) differs from serial", w)
-				}
-			}
-		})
-	}
-}
-
-// TestEngineMetricsCheckpointRestore pins engine-metric snapshot safety: a
-// parallel checkpointed run's engine_* values ride the registry section, a
-// restore into the same worker count re-creates them, and an immediate
-// re-snapshot at the checkpoint tick is byte-identical — the same
-// import/export equivalence the rest of the simulator state obeys. Span
-// recording is enabled (fold-only) so the checkpoint barrier also exercises
-// lane sealing mid-run.
-func TestEngineMetricsCheckpointRestore(t *testing.T) {
-	gc := goldenCases()[0]
-	cfg := config.MustParse(gc.doc)
-	cfg.Set("simulation.workers", uint64(2))
-	cfg.Set("simulation.telemetry.enabled", true)
-	cfg.Set("simulation.telemetry.spans_sample", 1.0)
-	sm := Build(cfg)
-	if sm.Shards == nil {
-		t.Fatal("workers=2 did not produce a parallel partition")
-	}
-	type snap struct {
-		tick sim.Tick
-		data []byte
-	}
-	var snaps []snap
-	if _, err := sm.RunCheckpointed(500, func(tick sim.Tick, data []byte) error {
-		snaps = append(snaps, snap{tick, append([]byte(nil), data...)})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("run produced no checkpoints")
-	}
-	var pb bytes.Buffer
-	if err := sm.Telemetry.Registry().WritePrometheus(&pb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(pb.Bytes(), []byte(`supersim_engine_windows{component="shard1"}`)) {
-		t.Fatal("parallel run did not register per-shard engine metrics")
-	}
-
-	last := snaps[len(snaps)-1]
-	rm, tick, err := Restore(last.data, 2)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if tick != last.tick {
-		t.Fatalf("restore tick = %d, want %d", tick, last.tick)
-	}
-	var rb bytes.Buffer
-	if err := rm.Telemetry.Registry().WritePrometheus(&rb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(rb.Bytes(), []byte("supersim_engine_")) {
-		t.Fatal("restored registry is missing engine_* metrics")
-	}
-	again, err := rm.Snapshot(tick)
-	if err != nil {
-		t.Fatalf("re-snapshot: %v", err)
-	}
-	if !bytes.Equal(last.data, again) {
-		t.Fatalf("re-snapshot after restore differs: %d vs %d bytes", len(again), len(last.data))
-	}
-}
-
 // TestTelemetryProgressDoc checks the run-progress document reflects a
 // completed run: final phase "done" and a tick/metric population consistent
 // with the simulation that produced it.
@@ -303,23 +146,29 @@ func TestTelemetryProgressDoc(t *testing.T) {
 	}
 }
 
-// TestRemovedTraceKeys pins how a settings document written for the removed
-// flit tracer builds: trace_file asked for output this build cannot write, so
-// BuildE fails and names the replacement; trace_sample, which earlier command
-// lines set on every telemetry run (so snapshots embed it), is ignored.
-func TestRemovedTraceKeys(t *testing.T) {
+// TestRemovedKeys pins how a settings document written for a removed
+// mechanism builds. trace_file asked for the flit tracer's output, which this
+// build cannot write, so BuildE fails and names the replacement. trace_sample
+// (set by earlier command lines on every telemetry run) and workers (the
+// sharded engine's worker count) are read nowhere: old snapshots embed them,
+// so a document carrying either must reproduce the golden fingerprint, and a
+// snapshot whose embedded settings carry it must restore to the same result.
+func TestRemovedKeys(t *testing.T) {
 	gc := goldenCases()[0]
+	const telemetryOn = "simulation.telemetry.enabled=bool=true"
 	for _, c := range []struct {
-		name, override string
-		wantErr        []string // empty = builds and runs
+		name      string
+		overrides []string
+		wantErr   []string // empty = builds and runs
 	}{
-		{"trace_file rejected", "simulation.telemetry.trace_file=string=trace.json",
+		{"trace_file rejected", []string{telemetryOn, "simulation.telemetry.trace_file=string=trace.json"},
 			[]string{"trace_file", "spans_file", "ssparse -spans", "-chrome"}},
-		{"trace_sample ignored", "simulation.telemetry.trace_sample=float=0.5", nil},
+		{"trace_sample ignored", []string{telemetryOn, "simulation.telemetry.trace_sample=float=0.5"}, nil},
+		{"workers ignored", []string{"simulation.workers=uint=2"}, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := config.MustParse(gc.doc)
-			if err := cfg.ApplyOverrides([]string{"simulation.telemetry.enabled=bool=true", c.override}); err != nil {
+			if err := cfg.ApplyOverrides(c.overrides); err != nil {
 				t.Fatal(err)
 			}
 			sm, err := BuildE(cfg)
@@ -327,8 +176,20 @@ func TestRemovedTraceKeys(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := sm.Run(); err != nil {
+				var snaps [][]byte
+				res, err := sm.RunCheckpointed(checkpointEvery, func(_ sim.Tick, data []byte) error {
+					snaps = append(snaps, append([]byte(nil), data...))
+					return nil
+				})
+				if err != nil {
 					t.Fatal(err)
+				}
+				want := loadGolden(t, gc)
+				if got := goldenFingerprint(t, gc, sm, res); !reflect.DeepEqual(got, want) {
+					t.Fatalf("run diverged from golden:\ngot:  %+v\nwant: %+v", got, want)
+				}
+				if got := resumeFingerprint(t, gc, snaps[len(snaps)/2]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("restored run diverged from golden:\ngot:  %+v\nwant: %+v", got, want)
 				}
 				return
 			}

@@ -35,12 +35,6 @@ type Options struct {
 	// SUPERSIM_MONITOR to this.
 	MonitorEvery uint64
 
-	// Workers, when positive, sets simulation.workers on every simulation
-	// the experiment runs: 1 pins the explicit serial path, > 1 runs that
-	// many parallel shards with results identical to the serial run (`make
-	// bench-parallel`).
-	Workers uint64
-
 	// TaskProbe, when non-nil, receives a lifecycle event pair per sweep
 	// point: every sweepLoads simulation is reported as a queued → ready →
 	// started → finished task named "<label> load=<l>", so a taskrun.Journal
@@ -61,9 +55,6 @@ func (o Options) seed() uint64 {
 func (o Options) prep(cfg *config.Settings) *config.Settings {
 	if o.MonitorEvery > 0 {
 		cfg.Set("simulation.monitor_interval", o.MonitorEvery)
-	}
-	if o.Workers > 0 {
-		cfg.Set("simulation.workers", o.Workers)
 	}
 	return cfg
 }

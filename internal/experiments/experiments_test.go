@@ -159,35 +159,26 @@ const (
 )
 
 // TestFigure5AllocationBudget holds the Figure 5 transient to its
-// allocation and byte ceilings on the default path and on the explicit
-// workers=1 path (simulation.workers set to 1), which must be the same serial
-// path: parallel support costs the serial run nothing.
+// allocation and byte ceilings.
 func TestFigure5AllocationBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the Figure 5 transient twice")
+		t.Skip("runs the Figure 5 transient")
 	}
-	for _, tc := range []struct {
-		name    string
-		workers uint64
-	}{{"default", 0}, {"workers_1", 1}} {
-		t.Run(tc.name, func(t *testing.T) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			r := Figure5(Options{Seed: 1, Workers: tc.workers})
-			runtime.ReadMemStats(&after)
-			if r.PulsePeak <= r.BlastMean {
-				t.Fatalf("pulse did not disturb blast: peak %.1f vs mean %.1f", r.PulsePeak, r.BlastMean)
-			}
-			allocs := after.Mallocs - before.Mallocs
-			allocated := after.TotalAlloc - before.TotalAlloc
-			t.Logf("%d allocations, %d bytes", allocs, allocated)
-			if allocs > figure5MaxAllocs {
-				t.Errorf("%d allocations, ceiling %d", allocs, figure5MaxAllocs)
-			}
-			if allocated > figure5MaxBytes {
-				t.Errorf("%d bytes allocated, ceiling %d", allocated, figure5MaxBytes)
-			}
-		})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := Figure5(Options{Seed: 1})
+	runtime.ReadMemStats(&after)
+	if r.PulsePeak <= r.BlastMean {
+		t.Fatalf("pulse did not disturb blast: peak %.1f vs mean %.1f", r.PulsePeak, r.BlastMean)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d allocations, %d bytes", allocs, allocated)
+	if allocs > figure5MaxAllocs {
+		t.Errorf("%d allocations, ceiling %d", allocs, figure5MaxAllocs)
+	}
+	if allocated > figure5MaxBytes {
+		t.Errorf("%d bytes allocated, ceiling %d", allocated, figure5MaxBytes)
 	}
 }
 

@@ -50,7 +50,6 @@ type Manifest struct {
 	Version    int    `json:"version"`
 	ConfigHash string `json:"config_hash"` // sha256 of the canonical settings JSON
 	Seed       uint64 `json:"seed"`
-	Workers    uint64 `json:"workers"`
 
 	// Flags are the command-line flags explicitly set on the producing
 	// invocation, name to rendered value.
@@ -88,7 +87,7 @@ func HashConfig(cfg *config.Settings) string {
 }
 
 // New creates a manifest for a run of cfg, filling the schema header, the
-// config hash, seed and worker count, and the stream schema versions. The
+// config hash and seed, and the stream schema versions. The
 // caller adds timings, metrics and artifacts.
 func New(cfg *config.Settings) *Manifest {
 	return &Manifest{
@@ -96,7 +95,6 @@ func New(cfg *config.Settings) *Manifest {
 		Version:    Version,
 		ConfigHash: HashConfig(cfg),
 		Seed:       cfg.UIntOr("simulation.seed", 1),
-		Workers:    cfg.UIntOr("simulation.workers", 1),
 		SchemaVersions: map[string]int{
 			"manifest": Version,
 			"snapshot": snapshot.Version,

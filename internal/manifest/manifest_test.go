@@ -13,7 +13,7 @@ import (
 func testCfg(t testing.TB) *config.Settings {
 	t.Helper()
 	cfg, err := config.Parse([]byte(`{
-		"simulation": {"seed": 7, "workers": 2},
+		"simulation": {"seed": 7},
 		"network": {"topology": "torus"}
 	}`))
 	if err != nil {
@@ -50,13 +50,25 @@ func TestNewFillsProvenance(t *testing.T) {
 	if m.Schema != Schema || m.Version != Version {
 		t.Fatalf("schema header %q/%d", m.Schema, m.Version)
 	}
-	if m.Seed != 7 || m.Workers != 2 {
-		t.Fatalf("seed/workers %d/%d", m.Seed, m.Workers)
+	if m.Seed != 7 {
+		t.Fatalf("seed %d", m.Seed)
 	}
 	for _, k := range []string{"manifest", "snapshot", "spans", "tasks"} {
 		if m.SchemaVersions[k] == 0 {
 			t.Fatalf("schema version %q missing: %v", k, m.SchemaVersions)
 		}
+	}
+}
+
+// TestLoadAcceptsRemovedWorkersField: manifests written before the sharded
+// engine was removed carry a "workers" field; they must still load.
+func TestLoadAcceptsRemovedWorkersField(t *testing.T) {
+	m, err := Load(strings.NewReader(`{"schema":"supersim-manifest","version":1,"seed":7,"workers":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Seed != 7 {
+		t.Fatalf("seed %d, want 7", m.Seed)
 	}
 }
 

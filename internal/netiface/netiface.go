@@ -158,7 +158,7 @@ func (n *Interface) SendMessage(m *types.Message) {
 	if m.Dst == n.id {
 		n.Panicf("message %d targets its own source terminal", m.ID)
 	}
-	n.sp.Start(n.Sim(), m)
+	n.sp.Start(m)
 	for i := 0; i < m.NumPackets(); i++ {
 		n.sendQ = append(n.sendQ, m.Packet(i))
 	}
@@ -265,7 +265,7 @@ func (n *Interface) injectOne() {
 	if n.sp.Tracked(f) {
 		// Creation to injection-channel entry is source queueing: the wait
 		// behind earlier packets plus credit backpressure.
-		n.sp.Step(n.Sim(), now, f, telemetry.SpanQueue)
+		n.sp.Step(now, f, telemetry.SpanQueue)
 	}
 	n.outCh.Inject(f)
 	n.flitsSent++

@@ -131,14 +131,6 @@ func New(s *sim.Simulator, cfg *config.Settings) *Dragonfly {
 func (d *Dragonfly) localPort(o int) int  { return d.p + o - 1 }
 func (d *Dragonfly) globalPort(j int) int { return d.p + d.a - 1 + j }
 
-// NumGroups implements network.Grouped: the parallel partitioner splits a
-// dragonfly along group boundaries, since all-to-all local links stay inside
-// a group and only the sparse global links cross shards.
-func (d *Dragonfly) NumGroups() int { return d.groups }
-
-// RouterGroup implements network.Grouped.
-func (d *Dragonfly) RouterGroup(i int) int { return i / d.a }
-
 // globalOwner returns the router index (within group g) and global port that
 // hold group g's link to group tg.
 func (d *Dragonfly) globalOwner(g, tg int) (router, port int) {

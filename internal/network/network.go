@@ -35,37 +35,16 @@ type Network interface {
 	// ChannelPeriod returns the link cycle time in ticks (one flit per
 	// period per channel), the unit offered load is normalized against.
 	ChannelPeriod() sim.Tick
-	// Links returns every channel pair in the network with its endpoint
-	// ownership, the information the parallel partitioner needs to decide
-	// which shard each channel belongs to and which links cross shards.
+	// Links returns every channel pair in the network, injection and
+	// ejection links included.
 	Links() []Link
 }
 
-// Link records one unidirectional connection: the flit channel, its paired
-// credit channel, and the routers that own each end. A FromRouter/ToRouter of
-// Terminal (-1) marks the interface side of an injection/ejection link.
+// Link records one unidirectional connection: the flit channel and its
+// paired credit channel, which runs in the opposite direction.
 type Link struct {
 	Ch *channel.Channel
 	Cr *channel.CreditChannel
-	// FromRouter is the router injecting into Ch (Terminal for injection
-	// links); ToRouter is the router Ch delivers into (Terminal for ejection
-	// links). The credit channel runs in the opposite direction: injected at
-	// ToRouter's side, delivered at FromRouter's side.
-	FromRouter, ToRouter int
-}
-
-// Terminal is the Link endpoint marker for the interface (terminal) side.
-const Terminal = -1
-
-// Grouped is implemented by hierarchical topologies that have a natural
-// coarse partition (e.g. dragonfly groups). The parallel partitioner prefers
-// group boundaries when assigning routers to shards, because the vast
-// majority of a hierarchical topology's links are intra-group.
-type Grouped interface {
-	// NumGroups returns the number of topology groups.
-	NumGroups() int
-	// RouterGroup returns the group of router i.
-	RouterGroup(i int) int
 }
 
 // Ctor is the constructor signature registered by topologies. The cfg is the
@@ -163,7 +142,7 @@ func (b *Base) Link(src router.Router, srcPort int, dst router.Router, dstPort i
 	dst.ConnectCreditOut(dstPort, cc)
 
 	src.SetDownstreamCredits(srcPort, dst.InputBufferDepth())
-	b.AllLinks = append(b.AllLinks, Link{Ch: ch, Cr: cc, FromRouter: src.ID(), ToRouter: dst.ID()})
+	b.AllLinks = append(b.AllLinks, Link{Ch: ch, Cr: cc})
 }
 
 // LinkBidir wires both directions between two router ports.
@@ -187,7 +166,7 @@ func (b *Base) AttachTerminal(ifc *netiface.Interface, r router.Router, port int
 	injCr.SetSink(ifc, 0)
 	r.ConnectCreditOut(port, injCr)
 	ifc.SetDownstreamCredits(r.InputBufferDepth())
-	b.AllLinks = append(b.AllLinks, Link{Ch: inj, Cr: injCr, FromRouter: Terminal, ToRouter: r.ID()})
+	b.AllLinks = append(b.AllLinks, Link{Ch: inj, Cr: injCr})
 
 	// Ejection direction.
 	ejName := fmt.Sprintf("ch_r%dp%d_t%d", r.ID(), port, ifc.ID())
@@ -200,7 +179,7 @@ func (b *Base) AttachTerminal(ifc *netiface.Interface, r router.Router, port int
 	ejCr.SetSink(r, port)
 	ifc.ConnectCreditOut(ejCr)
 	r.SetDownstreamCredits(port, b.EjectDepth)
-	b.AllLinks = append(b.AllLinks, Link{Ch: ej, Cr: ejCr, FromRouter: r.ID(), ToRouter: Terminal})
+	b.AllLinks = append(b.AllLinks, Link{Ch: ej, Cr: ejCr})
 }
 
 // NumRouters returns the number of routers built.

@@ -97,8 +97,7 @@ func newBase(s *sim.Simulator, name string, cfg *config.Settings, p Params) base
 		downCred:      make([][]int, p.Radix),
 		downCap:       make([]int, p.Radix),
 		// A stream derived from the router's (unique) name: the router draws
-		// the same sequence whether it executes serially or on a shard of the
-		// parallel engine, and independently of other components' draws.
+		// the same sequence independently of other components' draws.
 		rng: s.DeriveRand(name),
 	}
 	for i := range b.downCred {
@@ -365,7 +364,7 @@ func (b *base) landFlight() (flight, bool) {
 	fl, ok := b.dl.land(b)
 	if ok && b.sp.Tracked(fl.f) {
 		// The traversal ends where the flit enters the channel or the output queue.
-		b.sp.Step(b.Sim(), b.Sim().Now().Tick, fl.f, telemetry.SpanXbar)
+		b.sp.Step(b.Sim().Now().Tick, fl.f, telemetry.SpanXbar)
 	}
 	return fl, ok
 }

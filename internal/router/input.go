@@ -261,7 +261,7 @@ func (s *inputStage) allocateVCs(now sim.Tick) bool {
 				if f := iv.q.peek(); s.sp.Tracked(f) {
 					// Arrival to VC grant: route computation plus the wait
 					// for a free output VC.
-					s.sp.Step(s.Sim(), now, f, telemetry.SpanVCAlloc)
+					s.sp.Step(now, f, telemetry.SpanVCAlloc)
 				}
 				break
 			}
@@ -304,7 +304,7 @@ func (s *inputStage) sendFlit(now sim.Tick, port, client int) {
 	if s.sp.Tracked(f) {
 		// VC grant to switch grant: crossbar arbitration plus the wait for
 		// whatever the architecture's eligibility rule waits for.
-		s.sp.Step(s.Sim(), now, f, telemetry.SpanSWAlloc)
+		s.sp.Step(now, f, telemetry.SpanSWAlloc)
 	}
 	f.VC = iv.outVC
 	if f.Head {

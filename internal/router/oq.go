@@ -144,7 +144,7 @@ func (r *OQ) pipeline() {
 			// Arrival to transfer start: routing (synchronous here), output
 			// VC acquisition, and the wait for output-queue space — the OQ
 			// analogue of VC allocation.
-			r.sp.Step(r.Sim(), now, f, telemetry.SpanVCAlloc)
+			r.sp.Step(now, f, telemetry.SpanVCAlloc)
 		}
 		f.VC = iv.outVC
 		if f.Head {

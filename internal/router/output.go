@@ -118,7 +118,7 @@ func (o *outputStage) drain(port int) {
 		f := o.outQ[qi].pop()
 		if b.sp.Tracked(f) {
 			// Output-queue residency: the wait for downstream credits.
-			b.sp.Step(b.Sim(), now, f, telemetry.SpanOutput)
+			b.sp.Step(now, f, telemetry.SpanOutput)
 		}
 		b.takeDownstreamCredit(port, vc)
 		o.outOcc[qi]--

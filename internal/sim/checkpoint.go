@@ -9,16 +9,16 @@ import (
 )
 
 // This file is the simulator's checkpoint surface: serializing the PRNG
-// streams and scheduling counters, exporting the event queue in partition-
-// independent form, and re-injecting a restored queue into a freshly built
+// streams and scheduling counters, exporting the event queue keyed by its
+// total order, and re-injecting a restored queue into a freshly built
 // simulator. The container format and component walk live in internal/core;
 // this file only knows about sim-owned state.
 
-// EventRecord is one queued event in partition-independent form. The
-// (Tick, Eps, Owner, Oseq) key is the event queue's total order (see
-// event.go), so a merged, key-sorted record list is identical no matter how
-// the simulation was sharded when it was exported — which is what lets a
-// snapshot taken at one worker count restore into any other.
+// EventRecord is one queued event, keyed by the event queue's total order
+// (Tick, Eps, Owner, Oseq) (see event.go). The key names the scheduling
+// component by its construction-order number, not by a pointer, so a sorted
+// record list is identical for any two runs that reach the same state, and
+// restore can re-inject each event into a freshly built simulation.
 //
 // Context is restricted to the two shapes production components use (nil or
 // a plain int); ExportEvents rejects anything else rather than guessing at a
@@ -49,8 +49,7 @@ func (r *EventRecord) State(c *snapshot.Codec) {
 }
 
 // ExportEvents returns every queued event as a record. The result is in queue
-// (arbitrary) order; callers merge records across shards and sort with
-// SortEventRecords. Events whose handler is not a keyed component, or whose
+// (arbitrary) order; callers sort it with SortEventRecords. Events whose handler is not a keyed component, or whose
 // context is neither nil nor int, cannot be re-bound at restore and are
 // reported as errors.
 func (s *Simulator) ExportEvents() ([]EventRecord, error) {
@@ -84,8 +83,8 @@ func (s *Simulator) ExportEvents() ([]EventRecord, error) {
 }
 
 // SortEventRecords sorts records by the event queue's total order
-// (tick, epsilon, owner, oseq), producing the partition-independent queue
-// layout stored in snapshots.
+// (tick, epsilon, owner, oseq), producing the queue layout stored in
+// snapshots.
 func SortEventRecords(recs []EventRecord) {
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := &recs[i], &recs[j]
@@ -105,13 +104,11 @@ func SortEventRecords(recs []EventRecord) {
 // ResetQueue discards every queued event. Restore uses it to drop the
 // initial events a fresh build schedules (application init, observer
 // daemons) before re-injecting the snapshot's queue, which already contains
-// their in-flight successors. The engine work count, if any, is kept
-// consistent.
+// their in-flight successors.
 func (s *Simulator) ResetQueue() {
 	if s.running {
 		panic("sim: ResetQueue while running")
 	}
-	nonDaemon := s.queue.len() - s.daemons
 	for s.queue.len() > 0 {
 		e := s.queue.pop()
 		e.Handler = nil
@@ -122,9 +119,6 @@ func (s *Simulator) ResetQueue() {
 		}
 	}
 	s.daemons = 0
-	if sh := s.shard; sh != nil && nonDaemon > 0 {
-		sh.eng.work.Add(-int64(nonDaemon))
-	}
 }
 
 // InjectEvent enqueues a restored event with its exact saved ordering key,
@@ -156,14 +150,12 @@ func (s *Simulator) InjectEvent(h Handler, r EventRecord) {
 	e.owner, e.oseq = r.Owner, r.Oseq
 	if r.Daemon {
 		s.daemons++
-	} else if sh := s.shard; sh != nil {
-		sh.eng.work.Add(1)
 	}
 	s.queue.push(e)
 }
 
 // SetNow moves the simulator clock to a restored checkpoint time. Restore
-// sets every shard to {tick: T, eps: 0}; all queued events are at T or
+// sets it to {tick: T, eps: 0}; all queued events are at T or
 // later, so the time-went-backwards invariant holds for the continuation.
 func (s *Simulator) SetNow(t Time) {
 	if s.running {
@@ -173,10 +165,8 @@ func (s *Simulator) SetNow(t Time) {
 }
 
 // SetProgress overwrites the executed-event and last-work counters. Restore
-// seeds the host simulator with the run-wide totals at the checkpoint (a
-// sharded snapshot's per-shard split is partition-dependent, so only the
-// totals are stored) and leaves router shards at zero; cumulative totals then
-// continue correctly under any worker count.
+// seeds them with the totals at the checkpoint, so the continuation's counts
+// are cumulative from the start of the run.
 func (s *Simulator) SetProgress(executed uint64, lastWork Time) {
 	if s.running {
 		panic("sim: SetProgress while running")
@@ -186,13 +176,9 @@ func (s *Simulator) SetProgress(executed uint64, lastWork Time) {
 }
 
 // State codes the simulator-owned scalar state: scheduling counters and
-// every PRNG stream (the base generator plus all DeriveRand streams). For
-// sharded runs this is called on the host simulator only — order keys are
-// handed out by the host during the build, shard base generators are never
-// drawn from, and DeriveRand streams are all derived against the host
-// (components derive before adoption). Progress counters (executed,
-// lastWork) are partition-dependent per simulator, so the container stores
-// run-wide totals instead and restores them with SetProgress.
+// every PRNG stream (the base generator plus all DeriveRand streams).
+// Progress counters (executed, lastWork) are coded by the container, which
+// restores them with SetProgress.
 //
 // The derived-stream registry must match by order and name — a mismatch
 // means the rebuilt component graph differs from the one that took the
@@ -236,8 +222,8 @@ func statePCG(c *snapshot.Codec, p *rand.PCG, what string) {
 	}
 }
 
-// OrderKey returns the handler's construction-order key — the partition-
-// independent component identity that event records are keyed by. Restore
+// OrderKey returns the handler's construction-order key — the component
+// identity that event records are keyed by. Restore
 // maps keys back to handlers by walking the rebuilt component graph.
 func (c *ComponentBase) OrderKey() uint32 { return c.ord.key }
 

@@ -225,30 +225,6 @@ func TestComponentOrderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEngineCheckpointAccessors(t *testing.T) {
-	host := NewSimulator(1)
-	r := &recorder{ComponentBase: NewComponentBase(host, "rec")}
-	host.Schedule(r, Time{5, 0}, 0, nil)
-	eng := NewEngine(host)
-	eng.AddShard()
-	if eng.NumShards() != 2 {
-		t.Fatalf("NumShards = %d", eng.NumShards())
-	}
-	eng.RunUntil(10)
-	eng.DrainCross()
-	if !eng.Quiesced() {
-		t.Fatal("engine not quiescent after draining a finished run")
-	}
-	if eng.Stopped() {
-		t.Fatal("Stopped with no Stop call")
-	}
-	eng.SeedCommit(10)
-	n, _ := eng.Finish()
-	if n != 1 || len(r.typesRun) != 1 {
-		t.Fatalf("executed %d events (%d recorded), want 1", n, len(r.typesRun))
-	}
-}
-
 func TestClockAccessors(t *testing.T) {
 	c := NewClock(4, 1)
 	if c.Period() != 4 || c.Phase() != 1 {

@@ -32,14 +32,6 @@ type ordered interface {
 	order() *eventOrder
 }
 
-// rebindable is the sealed hook the parallel engine uses to move a component
-// onto a shard's simulator (see Engine.Adopt). Only types embedding
-// ComponentBase can satisfy it — the method is unexported, so the set of
-// adoptable components is closed over this package's base type.
-type rebindable interface {
-	rebind(s *Simulator)
-}
-
 // ComponentBase provides the common Component plumbing. Concrete models embed
 // it and implement ProcessEvent.
 type ComponentBase struct {
@@ -67,8 +59,6 @@ func (c *ComponentBase) Name() string { return c.name }
 func (c *ComponentBase) Sim() *Simulator { return c.sim }
 
 func (c *ComponentBase) order() *eventOrder { return &c.ord }
-
-func (c *ComponentBase) rebind(s *Simulator) { c.sim = s }
 
 // Panicf raises a simulation model error with the component name attached.
 // It is used by the framework's error detection (buffer overruns, negative

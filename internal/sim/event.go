@@ -28,10 +28,9 @@ type Event struct {
 	// identical (tick, epsilon): owner is the scheduling handler's
 	// construction-order key and oseq its per-handler schedule counter.
 	// Unlike a global schedule-order sequence, this key is independent of
-	// the interleaving of *different* handlers' Schedule calls — which is
-	// what makes sharded parallel execution (see parallel.go) reproduce the
-	// serial event order exactly: each shard assigns the same (owner, oseq)
-	// pairs the serial run would, no matter how worker goroutines interleave.
+	// the interleaving of *different* handlers' Schedule calls, and it names
+	// the owner by construction order rather than by pointer — which is what
+	// lets a snapshot store the queue and restore re-inject it exactly.
 	owner  uint32
 	daemon bool // scheduled with ScheduleDaemon; excluded from PendingNonDaemon
 	oseq   uint64
@@ -67,8 +66,7 @@ type Event struct {
 // any priority queue over that key. Two events of the same handler at the same
 // time execute in schedule order (oseq); events of different handlers at the
 // same time execute in handler construction order (owner), which is fixed at
-// build time and therefore identical no matter how the simulation is
-// partitioned across shards.
+// build time.
 type eventQueue struct {
 	n int // pending events
 

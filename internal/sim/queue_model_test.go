@@ -44,7 +44,7 @@ type modelEvent struct {
 }
 
 func (a modelEvent) less(b modelEvent) bool {
-	return Stamp{a.t, a.owner, a.oseq}.Less(Stamp{b.t, b.owner, b.oseq})
+	return eventKey{a.t, a.owner, a.oseq}.less(eventKey{b.t, b.owner, b.oseq})
 }
 
 // child is one Schedule call an executing event makes.
@@ -175,9 +175,6 @@ func (m *model) mirror(k child) {
 // says. The reference's half of each Schedule happens in run, when it executes
 // its own copy of the event.
 func (m *model) execute(h int, ev *Event) {
-	if st := m.s.CurrentStamp(); st != (Stamp{ev.Time, ev.owner, ev.oseq}) {
-		m.t.Fatalf("CurrentStamp %+v while executing %v owner %d oseq %d", st, ev.Time, ev.owner, ev.oseq)
-	}
 	m.got = append(m.got, modelEvent{t: ev.Time, owner: ev.owner, oseq: ev.oseq, typ: ev.Type, h: h})
 	kids, stop := react(ev.Type, ev.Time)
 	for _, k := range kids {

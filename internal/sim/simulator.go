@@ -21,9 +21,9 @@ const maxEventFreeList = 4096
 // until the queue runs empty.
 //
 // A Simulator is single-threaded and deterministic: the same configuration
-// and seed always produce the same event order and the same results. For
-// parallel execution, several Simulators (one per shard) are coordinated by
-// an Engine (see parallel.go); each remains single-threaded internally.
+// and seed always produce the same event order and the same results.
+// Parallelism is across simulations, not within one: internal/taskrun and
+// internal/sweep run many Simulators at once, as SuperSim's TaskRun does.
 type Simulator struct {
 	queue   eventQueue
 	now     Time // restored by SetNow from the checkpoint tick
@@ -47,17 +47,6 @@ type Simulator struct {
 	// (construction is config-driven and single-threaded), and slice
 	// iteration keeps snapshot bytes deterministic too.
 	derived []derivedStream
-
-	// shard is non-nil when this simulator is coordinated by a parallel
-	// Engine; it carries the cross-shard inbox and horizon state.
-	shard *shardState
-
-	// curOwner/curOseq are the ordering key of the event currently executing
-	// in runUntil. Together with now they form the CurrentStamp — the event's
-	// position in the partition-independent total order, which shard-local
-	// observers use to tag recordings for a deterministic global merge.
-	curOwner uint32
-	curOseq  uint64
 
 	// Monitor, if non-nil, is invoked every MonitorInterval executed
 	// (non-daemon) events.
@@ -114,10 +103,9 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // simulator's seed and the given name. Two simulators with the same seed
 // derive identical streams for identical names, regardless of what other
 // components exist or when they draw — this is what makes per-component
-// randomness partition-independent: a router draws the same sequence whether
-// it runs in the serial loop or on any shard of a parallel engine. Names must
-// be unique per logical stream (include an instance index when several
-// components share a type name).
+// randomness independent of event interleaving and of which other
+// components a configuration builds. Names must be unique per logical stream
+// (include an instance index when several components share a type name).
 func (s *Simulator) DeriveRand(name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -152,52 +140,9 @@ func (s *Simulator) SetTelemetry(t any) { s.telemetry = t }
 // Telemetry returns the attached telemetry object, or nil.
 func (s *Simulator) Telemetry() any { return s.telemetry }
 
-// Stamp is the position of an executing event in the partition-independent
-// total order: the event's time plus its (owner, oseq) tiebreak — the same key
-// the event queue orders by (see eventQueue). Stamps taken on different shards
-// are mutually comparable, and equal stamps cannot occur for distinct events,
-// so observation records tagged with stamps can be merged across shards into
-// exactly the serial emission order.
-type Stamp struct {
-	T     Time
-	Owner uint32
-	Oseq  uint64
-}
-
-// Less orders stamps by (tick, epsilon, owner, oseq).
-func (a Stamp) Less(b Stamp) bool {
-	if a.T.Tick != b.T.Tick {
-		return a.T.Tick < b.T.Tick
-	}
-	if a.T.Eps != b.T.Eps {
-		return a.T.Eps < b.T.Eps
-	}
-	if a.Owner != b.Owner {
-		return a.Owner < b.Owner
-	}
-	return a.Oseq < b.Oseq
-}
-
-// CurrentStamp returns the stamp of the event currently executing on this
-// simulator. It is only meaningful inside a ProcessEvent call.
-func (s *Simulator) CurrentStamp() Stamp {
-	return Stamp{T: s.now, Owner: s.curOwner, Oseq: s.curOseq}
-}
-
-// ShardID returns the index of the engine shard this simulator runs on, or 0
-// when the simulator is serial (shard 0 is the host, so serial and host
-// observations share lane 0).
-func (s *Simulator) ShardID() int {
-	if s.shard == nil {
-		return 0
-	}
-	return s.shard.id
-}
-
 // Executed returns the number of non-daemon events executed so far. Daemon
 // events (ScheduleDaemon) are pure observers; excluding them keeps the count
-// identical between serial and parallel runs, where observer re-arming can
-// legitimately differ.
+// independent of which observers are attached.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // LastWork returns the time of the most recent non-daemon event executed —
@@ -228,22 +173,7 @@ func (s *Simulator) PendingFor(h Handler, typ int) int {
 // whether to re-arm: re-arming while only daemon events remain would keep
 // the simulation alive forever, and two daemons checking Pending would keep
 // each other alive.
-//
-// Under a parallel engine the count covers this shard exactly and remote
-// shards as of their last committed window — a slightly stale but safe
-// over-approximation is impossible to avoid without a global barrier, and
-// observers only use the value as a liveness hint.
-func (s *Simulator) PendingNonDaemon() int {
-	n := s.queue.len() - s.daemons
-	if sh := s.shard; sh != nil {
-		for _, o := range sh.eng.shards {
-			if o != sh {
-				n += int(o.pendingPub.Load())
-			}
-		}
-	}
-	return n
-}
+func (s *Simulator) PendingNonDaemon() int { return s.queue.len() - s.daemons }
 
 // Schedule enqueues an event for the handler at the given time with a type
 // tag and context pointer. The time must not be in the past; scheduling at
@@ -300,12 +230,6 @@ func (s *Simulator) schedule(h Handler, t Time, typ int, ctx any, daemon bool) {
 		s.seqGen++
 		e.owner, e.oseq = ^uint32(0), s.seqGen
 	}
-	if sh := s.shard; sh != nil && !daemon {
-		// Daemon observers are excluded from the engine's global work count:
-		// a far-future watchdog must not keep every shard lock-stepping
-		// lookahead windows toward a tick where no real work remains.
-		sh.eng.work.Add(1)
-	}
 	s.queue.push(e)
 }
 
@@ -313,10 +237,10 @@ func (s *Simulator) schedule(h Handler, t Time, typ int, ctx any, daemon bool) {
 // executing event completes, even if events remain queued, and every later
 // Run or RunUntil call returns at once having executed nothing. The latch is
 // sticky on purpose: drivers that step a simulation (RunCheckpointed's RunUntil
-// loop, the parallel engine's windows) finish with one more Run for trailing
-// daemons, and that call must not resume a simulation an error path or a
-// workload controller declared complete. Events left in the queue, including
-// the rest of the timestamp that was executing, stay pending and exportable.
+// loop) finish with one more Run for trailing daemons, and that call must not
+// resume a simulation an error path or a workload controller declared
+// complete. Events left in the queue, including the rest of the timestamp
+// that was executing, stay pending and exportable.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Stopped reports whether Stop has been called.
@@ -326,9 +250,7 @@ func (s *Simulator) Stopped() bool { return s.stopped }
 // called. It returns the number of non-daemon events executed by this call.
 func (s *Simulator) Run() uint64 {
 	n := s.runUntil(^Tick(0), true)
-	if s.MonitorFinish != nil {
-		s.MonitorFinish(s.now, s.executed)
-	}
+	s.FinishMonitor()
 	return n
 }
 
@@ -341,9 +263,8 @@ func (s *Simulator) Run() uint64 {
 // Unlike Run, RunUntil does NOT invoke MonitorFinish: reaching the horizon
 // tick is a pause, not the end of the simulation, and a stepped run would
 // otherwise flush its "final" interval once per step. Callers that finish a
-// simulation via RunUntil (the parallel engine, test drivers) must call
-// FinishMonitor once when the whole run is over. This asymmetry is pinned by
-// TestRunUntilDoesNotMonitorFinish.
+// simulation via RunUntil must call FinishMonitor once when the whole run is
+// over. This asymmetry is pinned by TestRunUntilDoesNotMonitorFinish.
 func (s *Simulator) RunUntil(tick Tick) uint64 {
 	return s.runUntil(tick, false)
 }
@@ -374,7 +295,6 @@ func (s *Simulator) runUntil(tick Tick, all bool) uint64 {
 			e.daemon = false
 		}
 		s.now = e.Time
-		s.curOwner, s.curOseq = e.owner, e.oseq
 		h := e.Handler
 		if !daemon {
 			s.executed++
@@ -385,9 +305,6 @@ func (s *Simulator) runUntil(tick Tick, all bool) uint64 {
 		e.Context = nil
 		if len(s.free) < maxEventFreeList {
 			s.free = append(s.free, e)
-		}
-		if sh := s.shard; sh != nil && !daemon {
-			sh.eng.work.Add(-1)
 		}
 		if !daemon && s.Monitor != nil && s.MonitorInterval > 0 && s.executed%s.MonitorInterval == 0 {
 			s.Monitor(s.now, s.executed)

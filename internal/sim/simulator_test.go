@@ -2,9 +2,31 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// eventKey is an event's position in the queue's total order.
+type eventKey struct {
+	t     Time
+	owner uint32
+	oseq  uint64
+}
+
+// less orders keys by (tick, epsilon, owner, oseq).
+func (a eventKey) less(b eventKey) bool {
+	if a.t.Tick != b.t.Tick {
+		return a.t.Tick < b.t.Tick
+	}
+	if a.t.Eps != b.t.Eps {
+		return a.t.Eps < b.t.Eps
+	}
+	if a.owner != b.owner {
+		return a.owner < b.owner
+	}
+	return a.oseq < b.oseq
+}
 
 // recorder is a test component that records the order of executed events.
 // (Its slice was once a field named order, which hid ComponentBase.order()
@@ -238,12 +260,12 @@ func TestQueuePushAheadOfOpenBucket(t *testing.T) {
 	if q.nextTick() != 5 {
 		t.Fatalf("nextTick() = %d, want 5", q.nextTick())
 	}
-	var got []Stamp
+	var got []eventKey
 	for q.len() > 0 {
 		e := q.pop()
-		got = append(got, Stamp{e.Time, e.owner, e.oseq})
+		got = append(got, eventKey{e.Time, e.owner, e.oseq})
 	}
-	want := []Stamp{{Time{5, 0}, 9, 1}, {Time{10, 0}, 1, 1}, {Time{10, 0}, 2, 1}, {Time{10, 0}, 3, 1}}
+	want := []eventKey{{Time{5, 0}, 9, 1}, {Time{10, 0}, 1, 1}, {Time{10, 0}, 2, 1}, {Time{10, 0}, 3, 1}}
 	if len(got) != len(want) {
 		t.Fatalf("popped %d events, want %d", len(got), len(want))
 	}
@@ -439,5 +461,134 @@ func TestPendingFor(t *testing.T) {
 		if n := s.PendingFor(c.h, c.typ); n != c.want {
 			t.Fatalf("after tick 6: PendingFor(%p, %d) = %d, want %d", c.h, c.typ, n, c.want)
 		}
+	}
+}
+
+// namedRec records which component executed, for cross-component order tests.
+type namedRec struct {
+	ComponentBase
+	out *[]string
+}
+
+func (n *namedRec) ProcessEvent(ev *Event) { *n.out = append(*n.out, n.Name()) }
+
+func TestSameTimeOrderByConstructionOrder(t *testing.T) {
+	// Events at identical (tick, eps) from different components execute in
+	// component construction order, not scheduling order: construction order
+	// is fixed at build time, so the order does not depend on how the
+	// handlers' Schedule calls interleave.
+	s := NewSimulator(1)
+	var got []string
+	a := &namedRec{ComponentBase: NewComponentBase(s, "a"), out: &got}
+	b := &namedRec{ComponentBase: NewComponentBase(s, "b"), out: &got}
+	c := &namedRec{ComponentBase: NewComponentBase(s, "c"), out: &got}
+	for _, h := range []Handler{c, a, b} { // schedule out of construction order
+		s.Schedule(h, Time{Tick: 5}, 0, nil)
+	}
+	s.Run()
+	if want := "a b c"; strings.Join(got, " ") != want {
+		t.Fatalf("same-time order %v, want construction order %q", got, want)
+	}
+
+	// The shared test recorder is a keyed component too: its events carry a
+	// real construction-order key (not the foreign-handler marker ^0), so
+	// they execute by that key and survive ExportEvents.
+	s = NewSimulator(1)
+	r1 := &recorder{ComponentBase: NewComponentBase(s, "r1")}
+	r2 := &recorder{ComponentBase: NewComponentBase(s, "r2")}
+	s.Schedule(r2, Time{Tick: 5}, 2, nil)
+	s.Schedule(r1, Time{Tick: 5}, 1, nil)
+	recs, err := s.ExportEvents()
+	if err != nil {
+		t.Fatalf("recorder events do not export: %v", err)
+	}
+	SortEventRecords(recs)
+	if len(recs) != 2 || recs[0].Owner != r1.OrderKey() || recs[1].Owner != r2.OrderKey() ||
+		r1.OrderKey() == 0 || r1.OrderKey() >= r2.OrderKey() {
+		t.Fatalf("recorder events not keyed by construction order: %+v (keys %d, %d)",
+			recs, r1.OrderKey(), r2.OrderKey())
+	}
+}
+
+func TestDeriveRandPartitionIndependent(t *testing.T) {
+	s1 := NewSimulator(9)
+	s2 := NewSimulator(9)
+	// Perturb s2's global stream: derived streams must not care.
+	s2.Rand().Uint64()
+	a1 := s1.DeriveRand("router7")
+	a2 := s2.DeriveRand("router7")
+	for i := 0; i < 32; i++ {
+		if a1.Uint64() != a2.Uint64() {
+			t.Fatalf("same seed+name diverged at draw %d", i)
+		}
+	}
+	// Different names and different seeds give different streams.
+	b := s1.DeriveRand("router8")
+	c := NewSimulator(10).DeriveRand("router7")
+	ref := NewSimulator(9).DeriveRand("router7")
+	sameB, sameC := true, true
+	for i := 0; i < 32; i++ {
+		v := ref.Uint64()
+		if b.Uint64() != v {
+			sameB = false
+		}
+		if c.Uint64() != v {
+			sameC = false
+		}
+	}
+	if sameB {
+		t.Fatal("different names produced identical streams")
+	}
+	if sameC {
+		t.Fatal("different seeds produced identical streams")
+	}
+}
+
+func TestRunUntilDoesNotMonitorFinish(t *testing.T) {
+	// Pins the Run/RunUntil asymmetry documented on RunUntil: a horizon is a
+	// pause, not the end of the run, so only Run (or an explicit
+	// FinishMonitor) flushes the final monitor interval.
+	s := NewSimulator(1)
+	finishes := 0
+	s.MonitorFinish = func(now Time, executed uint64) { finishes++ }
+	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
+	for i := 0; i < 10; i++ {
+		s.Schedule(r, Time{Tick: Tick(i + 1)}, i, nil)
+	}
+	s.RunUntil(5)
+	s.RunUntil(100) // drains the queue — still not the declared end
+	if finishes != 0 {
+		t.Fatalf("RunUntil invoked MonitorFinish %d times, want 0", finishes)
+	}
+	s.FinishMonitor()
+	if finishes != 1 {
+		t.Fatalf("FinishMonitor invoked MonitorFinish %d times, want 1", finishes)
+	}
+
+	s2 := NewSimulator(1)
+	finishes2 := 0
+	s2.MonitorFinish = func(now Time, executed uint64) { finishes2++ }
+	s2.Schedule(&recorder{ComponentBase: NewComponentBase(s2, "rec")}, Time{Tick: 1}, 0, nil)
+	s2.Run()
+	if finishes2 != 1 {
+		t.Fatalf("Run invoked MonitorFinish %d times, want 1", finishes2)
+	}
+}
+
+func TestEventFreeListCapped(t *testing.T) {
+	// Recycling far more events than the cap must not grow the free list past
+	// maxEventFreeList: burst peaks are returned to the GC.
+	s := NewSimulator(1)
+	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
+	for i := 0; i < 3*maxEventFreeList; i++ {
+		s.Schedule(r, Time{Tick: Tick(i + 1)}, i, nil)
+	}
+	s.Run()
+	if len(s.free) > maxEventFreeList {
+		t.Fatalf("free list grew to %d, cap is %d", len(s.free), maxEventFreeList)
+	}
+	if len(s.free) != maxEventFreeList {
+		t.Fatalf("free list holds %d after a %d-event run, want full cap %d",
+			len(s.free), 3*maxEventFreeList, maxEventFreeList)
 	}
 }

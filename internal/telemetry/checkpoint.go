@@ -120,13 +120,6 @@ func (m *metric) state(c *snapshot.Codec) {
 // the next snapshot bin, the workload phase, the registry, and the span
 // recorder's in-flight state.
 func (t *Telemetry) State(c *snapshot.Codec) {
-	if !c.Loading() {
-		// Under a parallel engine, flush the per-shard span lanes first: the
-		// checkpoint barrier guarantees every recorded stamp is below the
-		// snapshot time, so sealing here emits exactly the serial prefix and
-		// the serialized registry/span state matches a serial run's.
-		t.opts.Spans.seal()
-	}
 	t.OrderState(c)
 	c.Bool(&t.first)
 	t.mu.Lock()

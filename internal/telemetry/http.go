@@ -11,7 +11,6 @@ import (
 //
 //	/            JSON run-progress document (also at /progress)
 //	/metrics     Prometheus text exposition of the registry
-//	/shards      JSON per-shard engine state (empty array on serial runs)
 //	/debug/vars  standard expvar dump (ProgressMonitor gauges)
 //	/debug/pprof standard pprof index, profile, heap, trace, ...
 //
@@ -30,16 +29,6 @@ func (t *Telemetry) Handler() http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		t.reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/shards", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		docs := t.ShardDocs()
-		if docs == nil {
-			docs = []ShardDoc{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(docs)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -237,17 +237,9 @@ const (
 // Spans is the per-simulation span recorder. Create it with NewSpans, hand it
 // to telemetry.Attach via Options.Spans, and components discover it with
 // SpansFor. A nil *Spans is the disabled recorder: it samples nothing and
-// every method is a no-op, so components call it unguarded. On a serial
-// simulator all recording methods run on the simulation thread and apply
-// immediately; only the Records counter is read concurrently (progress
-// document).
-//
-// Under a parallel engine (partition), each recording call instead appends a
-// value-captured operation — start, step, or finish — to the calling shard's
-// lane, tagged with the executing event's sim.Stamp. Lanes are replayed in
-// merged stamp order at seal time (see mergeByStamp), which is exactly the
-// serial order, so the folded histograms, the JSONL stream, and the exactness
-// assertion behave byte-identically to a serial run for any worker count.
+// every method is a no-op, so components call it unguarded. All recording
+// methods run on the simulation thread; only the Records counter is read
+// concurrently (progress document).
 type Spans struct {
 	threshold uint64 // sample iff top 16 hash bits < threshold
 	fraction  float64
@@ -262,36 +254,6 @@ type Spans struct {
 	free    []*msgSpan     // span recycling cache
 	hists   [][]*Histogram // [app][(hop+1)*spanKinds + kind]; rebuilt lazily against the restored registry
 	records atomic.Uint64
-
-	// lanes, when non-nil, switches recording to per-shard op buffering;
-	// lane k is written only by shard k's goroutine and replayed by seal
-	// between phases.
-	lanes [][]spanOp
-}
-
-// spanOp opcodes.
-const (
-	opStart uint8 = iota
-	opStep
-	opFinish
-)
-
-// spanOp is one buffered recording operation, captured by value (messages and
-// flits are pooled, so pointers must not be retained past the event).
-//
-//	opStart:  msg/app/src/dst identify the message, t is its CreateTime.
-//	opStep:   msg and kind identify the transition, t is the current tick.
-//	opFinish: t is the message's ReceiveTime, t2 its CreateTime.
-type spanOp struct {
-	stamp sim.Stamp
-	msg   uint64
-	t     sim.Tick
-	t2    sim.Tick
-	app   int
-	src   int
-	dst   int
-	op    uint8
-	kind  SpanKind
 }
 
 // NewSpans creates a span recorder sampling the given fraction of messages
@@ -344,100 +306,42 @@ func (sp *Spans) Records() uint64 {
 	return sp.records.Load()
 }
 
-// partition switches the recorder into per-shard op buffering across n
-// shards. Called once, before the engine runs.
-func (sp *Spans) partition(n int) {
-	if sp != nil {
-		sp.lanes = make([][]spanOp, n)
-	}
-}
-
-// seal replays the buffered operation lanes in global stamp order — exactly
-// the serial application order — and resets them. It must only be called
-// while no shard goroutines run (end of run, or a checkpoint barrier); the
-// engine's checkpoint barriers partition stamps by time, so sequential seals
-// concatenate correctly and the live-span state carried across a seal is the
-// serial state at that time.
-func (sp *Spans) seal() {
-	if sp == nil || sp.lanes == nil {
-		return
-	}
-	mergeByStamp(sp.lanes, func(o *spanOp) {
-		switch o.op {
-		case opStart:
-			sp.applyStart(o.msg, o.app, o.src, o.dst, o.t)
-		case opStep:
-			sp.applyStep(o.msg, o.t, o.kind)
-		case opFinish:
-			// Counted when the op was recorded, so the progress document
-			// stays live mid-run.
-			sp.applyFinish(o.msg, o.t, o.t2)
-		}
-	})
-	for k := range sp.lanes {
-		sp.lanes[k] = sp.lanes[k][:0]
-	}
-}
-
 // Start opens the span of a sampled message; the network interface calls it
 // from SendMessage. The first segment is charged from the message's creation
 // time, so app-side queueing before injection is part of the decomposition.
-// s is the calling component's simulator, which supplies the shard lane and
-// merge stamp under a parallel engine.
-func (sp *Spans) Start(s *sim.Simulator, m *types.Message) {
+func (sp *Spans) Start(m *types.Message) {
 	if sp != nil {
-		sp.start(s, m)
+		sp.start(m)
 	}
 }
 
-func (sp *Spans) start(s *sim.Simulator, m *types.Message) {
+func (sp *Spans) start(m *types.Message) {
 	if !sp.SampledMsg(m.ID) {
 		return
 	}
-	if sp.lanes != nil {
-		k := s.ShardID()
-		sp.lanes[k] = append(sp.lanes[k], spanOp{
-			stamp: s.CurrentStamp(), op: opStart,
-			msg: m.ID, app: m.App, src: m.Src, dst: m.Dst, t: m.CreateTime,
-		})
-		return
-	}
-	sp.applyStart(m.ID, m.App, m.Src, m.Dst, m.CreateTime)
-}
-
-func (sp *Spans) applyStart(msg uint64, app, src, dst int, createT sim.Tick) {
 	var s *msgSpan
 	if n := len(sp.free); n > 0 {
 		s, sp.free = sp.free[n-1], sp.free[:n-1]
 	} else {
 		s = &msgSpan{}
 	}
-	s.rec = SpanRecord{Msg: msg, App: app, Src: src, Dst: dst, PerHop: s.rec.PerHop[:0]}
-	s.lastT = createT
+	s.rec = SpanRecord{Msg: m.ID, App: m.App, Src: m.Src, Dst: m.Dst, PerHop: s.rec.PerHop[:0]}
+	s.lastT = m.CreateTime
 	s.hop = 0
-	sp.live.put(msg, s)
+	sp.live.put(m.ID, s)
 }
 
 // Step closes the open segment of a tracked flit's message: the time since
 // the previous transition is charged to kind at the current hop. Callers
 // check Tracked first, so the disabled path never reaches the call. A
 // SpanWire step (channel exit) advances to the next hop.
-func (sp *Spans) Step(s *sim.Simulator, now sim.Tick, f *types.Flit, kind SpanKind) {
-	if sp == nil {
-		return
+func (sp *Spans) Step(now sim.Tick, f *types.Flit, kind SpanKind) {
+	if sp != nil {
+		sp.step(f.Pkt.Msg.ID, now, kind)
 	}
-	if sp.lanes != nil {
-		k := s.ShardID()
-		sp.lanes[k] = append(sp.lanes[k], spanOp{
-			stamp: s.CurrentStamp(), op: opStep,
-			msg: f.Pkt.Msg.ID, t: now, kind: kind,
-		})
-		return
-	}
-	sp.applyStep(f.Pkt.Msg.ID, now, kind)
 }
 
-func (sp *Spans) applyStep(msg uint64, now sim.Tick, kind SpanKind) {
+func (sp *Spans) step(msg uint64, now sim.Tick, kind SpanKind) {
 	s := sp.live.get(msg)
 	if s == nil {
 		panic(fmt.Sprintf("telemetry: span step %v for message %d without a started span — probe before SendMessage?", kind, msg))
@@ -477,33 +381,15 @@ func (sp *Spans) applyStep(msg uint64, now sim.Tick, kind SpanKind) {
 // flit arrival to last flit delivered — is charged to eject, the exactness
 // invariant is asserted, and the record is folded and emitted. Unsampled
 // messages return immediately.
-func (sp *Spans) Finish(s *sim.Simulator, m *types.Message) {
-	if sp != nil {
-		sp.finish(s, m)
-	}
-}
-
-func (sp *Spans) finish(s *sim.Simulator, m *types.Message) {
-	if sp.lanes != nil {
-		if !sp.SampledMsg(m.ID) {
-			return
-		}
-		k := s.ShardID()
-		sp.lanes[k] = append(sp.lanes[k], spanOp{
-			stamp: s.CurrentStamp(), op: opFinish,
-			msg: m.ID, t: m.ReceiveTime, t2: m.CreateTime,
-		})
-		sp.records.Add(1)
-		return
-	}
-	if sp.applyFinish(m.ID, m.ReceiveTime, m.CreateTime) {
+func (sp *Spans) Finish(m *types.Message) {
+	if sp != nil && sp.finish(m.ID, m.ReceiveTime, m.CreateTime) {
 		sp.records.Add(1)
 	}
 }
 
-// applyFinish reports whether a span was actually open (unsampled messages
+// finish reports whether a span was actually open (unsampled messages
 // have none and are ignored).
-func (sp *Spans) applyFinish(msg uint64, recvT, createT sim.Tick) bool {
+func (sp *Spans) finish(msg uint64, recvT, createT sim.Tick) bool {
 	s := sp.live.take(msg)
 	if s == nil {
 		return false

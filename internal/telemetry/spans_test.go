@@ -22,25 +22,25 @@ func spanMsg(id uint64) *types.Message {
 // then one router) with fixed per-stage delays and returns the delivery time.
 func driveSpan(sp *Spans, m *types.Message) sim.Tick {
 	f := m.Packet(0).Flit(0)
-	sp.Start(nil, m)
+	sp.Start(m)
 	t := m.CreateTime
 	t += 3
-	sp.Step(nil, t, f, SpanQueue) // 3 ticks of source queueing
+	sp.Step(t, f, SpanQueue) // 3 ticks of source queueing
 	t += 4
-	sp.Step(nil, t, f, SpanWire) // injection link: hop 0 -> hop 1
+	sp.Step(t, f, SpanWire) // injection link: hop 0 -> hop 1
 	t += 5
-	sp.Step(nil, t, f, SpanVCAlloc)
+	sp.Step(t, f, SpanVCAlloc)
 	t += 2
-	sp.Step(nil, t, f, SpanSWAlloc)
+	sp.Step(t, f, SpanSWAlloc)
 	t += 1
-	sp.Step(nil, t, f, SpanXbar)
+	sp.Step(t, f, SpanXbar)
 	t += 2
-	sp.Step(nil, t, f, SpanOutput)
+	sp.Step(t, f, SpanOutput)
 	t += 4
-	sp.Step(nil, t, f, SpanWire) // ejection link: hop 1 -> destination
-	t += 6                       // reassembly tail
+	sp.Step(t, f, SpanWire) // ejection link: hop 1 -> destination
+	t += 6                  // reassembly tail
 	m.ReceiveTime = t
-	sp.Finish(nil, m)
+	sp.Finish(m)
 	return t
 }
 
@@ -206,11 +206,11 @@ func TestSpanStateReuseAcrossMessages(t *testing.T) {
 func TestUnsampledMessagesIgnored(t *testing.T) {
 	sp := NewSpans(nil, 0)
 	m := spanMsg(1)
-	sp.Start(nil, m)
+	sp.Start(m)
 	if sp.live.n != 0 {
 		t.Fatal("unsampled Start left live state")
 	}
-	sp.Finish(nil, m) // no span started: must be a silent no-op
+	sp.Finish(m) // no span started: must be a silent no-op
 	if sp.Records() != 0 {
 		t.Fatal("unsampled Finish recorded a span")
 	}
@@ -220,28 +220,28 @@ func TestSpanStepPanics(t *testing.T) {
 	mustPanicContains(t, "without a started span", func() {
 		sp := NewSpans(nil, 1.0)
 		m := spanMsg(1)
-		sp.Step(nil, 5, m.Packet(0).Flit(0), SpanQueue)
+		sp.Step(5, m.Packet(0).Flit(0), SpanQueue)
 	})
 	mustPanicContains(t, "goes backwards", func() {
 		sp := NewSpans(nil, 1.0)
 		m := spanMsg(1)
 		m.CreateTime = 100
-		sp.Start(nil, m)
-		sp.Step(nil, 50, m.Packet(0).Flit(0), SpanQueue)
+		sp.Start(m)
+		sp.Step(50, m.Packet(0).Flit(0), SpanQueue)
 	})
 	mustPanicContains(t, "invalid kind", func() {
 		sp := NewSpans(nil, 1.0)
 		m := spanMsg(1)
-		sp.Start(nil, m)
-		sp.Step(nil, 5, m.Packet(0).Flit(0), SpanEject) // eject is charged by Finish, not Step
+		sp.Start(m)
+		sp.Step(5, m.Packet(0).Flit(0), SpanEject) // eject is charged by Finish, not Step
 	})
 	mustPanicContains(t, "goes backwards", func() {
 		sp := NewSpans(nil, 1.0)
 		m := spanMsg(1)
-		sp.Start(nil, m)
-		sp.Step(nil, 10, m.Packet(0).Flit(0), SpanQueue)
+		sp.Start(m)
+		sp.Step(10, m.Packet(0).Flit(0), SpanQueue)
 		m.ReceiveTime = 5
-		sp.Finish(nil, m)
+		sp.Finish(m)
 	})
 }
 
@@ -473,18 +473,18 @@ func BenchmarkSpansMessage(b *testing.B) {
 		m.ID = uint64(i)
 		m.CreateTime = sim.Tick(i)
 		t := m.CreateTime
-		sp.Start(nil, m)
+		sp.Start(m)
 		t += 2
-		sp.Step(nil, t, f, SpanQueue)
+		sp.Step(t, f, SpanQueue)
 		t += 1
-		sp.Step(nil, t, f, SpanWire)
+		sp.Step(t, f, SpanWire)
 		for hop := 0; hop < 3; hop++ {
 			for _, k := range kinds {
 				t += 2
-				sp.Step(nil, t, f, k)
+				sp.Step(t, f, k)
 			}
 		}
 		m.ReceiveTime = t + 3
-		sp.Finish(nil, m)
+		sp.Finish(m)
 	}
 }

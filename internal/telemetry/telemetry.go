@@ -81,11 +81,10 @@ type Telemetry struct {
 	phase     string
 	startWall time.Time
 	// Wall-clock progress bookkeeping, for presentation only.
-	lastWall  time.Time
-	lastTick  uint64
-	lastEvs   uint64
-	prog      Progress
-	shardRegs []shardReg
+	lastWall time.Time
+	lastTick uint64
+	lastEvs  uint64
+	prog     Progress
 }
 
 // Attach creates a Telemetry and registers it on the simulator so that
@@ -143,15 +142,6 @@ func SpansFor(s *sim.Simulator) *Spans {
 		return nil
 	}
 	return t.opts.Spans
-}
-
-// Partition switches the span recorder into per-shard lane buffering across
-// n shards. Core calls it once, before a parallel engine runs; recordings are
-// tagged with partition-independent event stamps and merged back into the
-// serial order by Spans.seal. Serial runs never call it and keep the direct
-// apply path.
-func (t *Telemetry) Partition(n int) {
-	t.opts.Spans.partition(n)
 }
 
 // SetPhase records the workload phase shown in the progress document.
@@ -223,9 +213,6 @@ func (t *Telemetry) Close() error {
 	}
 	t.closed = true
 	t.SetPhase("done")
-	// Seal before the final snapshot bin so span histograms folded from the
-	// buffered lanes reach it (the serial path folds online).
-	t.opts.Spans.seal()
 	t.snapshotNow()
 	var err error
 	if t.bw != nil {

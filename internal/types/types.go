@@ -304,11 +304,9 @@ type Flit struct {
 
 	// vfGen and vfInFlight are the invariant-verification subsystem's
 	// in-flight ledger, inlined into the flit so the ledger needs no shared
-	// map: a map would be written by the injecting terminal while being read
-	// at every channel hop, which under the parallel engine happens on
-	// different shards. The fields are written only at injection/retirement
-	// (terminal side); hops merely read them, and the engine's inbox
-	// hand-off orders those reads after the injection write.
+	// map: every channel hop checks it, and a field read costs no lookup and
+	// no allocation. The fields are written only at injection/retirement
+	// (terminal side); hops merely read them.
 	vfGen uint64
 }
 

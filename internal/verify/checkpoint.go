@@ -17,11 +17,7 @@ func (v *Verifier) State(c *snapshot.Codec) {
 	v.OrderState(c)
 	c.U64(&v.injected)
 	c.U64(&v.retired)
-	activity := v.activity.Load()
-	c.U64(&activity)
-	if c.Loading() {
-		v.activity.Store(activity)
-	}
+	c.U64(&v.activity)
 	c.U64(&v.lastActivity)
 	won := v.watchdogOn
 	c.Bool(&won)

@@ -55,7 +55,7 @@ func (cl *CreditLedger) debit(vc, have int) {
 		cl.v.Panicf("%s vc %d: credit counter diverged on debit: component has %d, ledger has %d",
 			cl.name, vc, have, cl.mirror[vc])
 	}
-	cl.v.activity.Add(1)
+	cl.v.activity++
 }
 
 // Credit records a credit returning on vc; have is the component's counter
@@ -75,7 +75,7 @@ func (cl *CreditLedger) credit(vc, have int) {
 		cl.v.Panicf("%s vc %d: credit counter diverged on credit: component has %d, ledger has %d",
 			cl.name, vc, have, cl.mirror[vc])
 	}
-	cl.v.activity.Add(1)
+	cl.v.activity++
 }
 
 // BufferLedger tracks one downstream input buffer's per-VC occupancy against
@@ -117,7 +117,7 @@ func (bl *BufferLedger) arrive(vc int) {
 		bl.v.Panicf("%s vc %d: buffer overrun: %d flits in a %d-deep buffer — upstream sent without credit",
 			bl.name, vc, bl.occ[vc], bl.cap)
 	}
-	bl.v.activity.Add(1)
+	bl.v.activity++
 }
 
 // Free records a buffer slot being released on vc (a credit sent upstream).
@@ -133,5 +133,5 @@ func (bl *BufferLedger) free(vc int) {
 		bl.v.Panicf("%s vc %d: buffer freed below zero — credit sent for a flit that never arrived",
 			bl.name, vc)
 	}
-	bl.v.activity.Add(1)
+	bl.v.activity++
 }

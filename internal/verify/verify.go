@@ -12,9 +12,8 @@
 //     in-flight mark) lives on each flit; injection, every channel
 //     traversal, and ejection check against it, and core.Run reconciles the
 //     injected/retired counts at drain. Keeping the ledger per-flit rather
-//     than in a shared map is what makes the checks shard-safe under the
-//     parallel engine: terminals write the marks, hops only read them, and
-//     cross-shard flit hand-offs order the reads after the writes.
+//     than in a shared map keeps every hop's check a field read, with no
+//     lookup and no allocation.
 //   - Credit conservation: each upstream credit counter gets a CreditLedger
 //     mirror. Every debit/credit reports the component's own counter value,
 //     so any divergence (a flipped or skipped decrement) is caught at the
@@ -46,7 +45,6 @@ package verify
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"supersim/internal/sim"
 	"supersim/internal/types"
@@ -70,15 +68,13 @@ type Verifier struct {
 
 	// Flit conservation counters. The per-flit in-flight marks live on the
 	// flits themselves (types.Flit.VerifyInFlight); injected and retired are
-	// written only on the terminal (host) side, so they stay plain.
+	// written only on the terminal side.
 	injected uint64
 	retired  uint64
 
 	// activity counts flit movements (injections, hops, retirements); the
-	// watchdog compares it across epochs. It is the one counter bumped from
-	// every shard (channel hops, router-side credit/buffer ledgers), so it
-	// is atomic; everything else the Verifier mutates is host-side only.
-	activity     atomic.Uint64
+	// watchdog compares it across epochs.
+	activity     uint64
 	lastActivity uint64
 	watchdogOn   bool
 
@@ -147,7 +143,7 @@ func (v *Verifier) flitInjected(f *types.Flit) {
 	}
 	f.VerifyMarkInFlight(f.Pkt.Msg.Generation())
 	v.injected++
-	v.activity.Add(1)
+	v.activity++
 }
 
 // FlitTouched validates a flit at an intermediate touch point (every channel
@@ -169,7 +165,7 @@ func (v *Verifier) flitTouched(f *types.Flit) {
 		v.Panicf("%v touched with stale generation: injected at %d, message now at %d — pooled message recycled while in network",
 			f, gen, now)
 	}
-	v.activity.Add(1)
+	v.activity++
 }
 
 // FlitRetired records a flit leaving the network at its destination
@@ -191,7 +187,7 @@ func (v *Verifier) flitRetired(f *types.Flit) {
 	}
 	f.VerifyClearInFlight()
 	v.retired++
-	v.activity.Add(1)
+	v.activity++
 }
 
 // MessageObtained implements types.PoolObserver: a recycled message's flits
@@ -225,8 +221,7 @@ func (v *Verifier) ProcessEvent(ev *sim.Event) {
 	if ev.Type != evWatchdog {
 		v.Panicf("unknown event type %d", ev.Type)
 	}
-	activity := v.activity.Load()
-	if activity == v.lastActivity && v.InFlight() > 0 {
+	if v.activity == v.lastActivity && v.InFlight() > 0 {
 		report := v.OccupancyDump()
 		if v.diagnose != nil {
 			report += "\n" + v.diagnose()
@@ -234,7 +229,7 @@ func (v *Verifier) ProcessEvent(ev *sim.Event) {
 		v.Panicf("no flit movement for %d ticks with %d flits in flight — deadlock or livelock\n%s",
 			v.opts.WatchdogEpoch, v.InFlight(), report)
 	}
-	v.lastActivity = activity
+	v.lastActivity = v.activity
 	// Re-arm only while non-daemon events are pending: a queue holding only
 	// daemon events (this watchdog, telemetry snapshots) means the simulation
 	// is about to drain, and a perpetual watchdog would keep it alive forever

@@ -89,7 +89,7 @@ func NewBlast(s *sim.Simulator, cfg *config.Settings, w *workload.Workload, appI
 		// Derived per-application stream keyed by the (unique) app index:
 		// two applications of the same type must not share draws, and the
 		// stream must be independent of other components' draw interleaving
-		// so results are identical under the parallel engine.
+		// so adding or reordering another component's draws cannot change it.
 		rng:       s.DeriveRand(fmt.Sprintf("app%d/%s", appID, cfg.StringOr("name", "blast"))),
 		rate:      cfg.Float("injection_rate"),
 		msgSize:   int(cfg.UIntOr("message_size", 1)),

@@ -58,7 +58,7 @@ func NewPulse(s *sim.Simulator, cfg *config.Settings, w *workload.Workload, appI
 		w:             w,
 		appID:         appID,
 		net:           net,
-		// See Blast: derived per-application stream, partition-independent.
+		// See Blast: derived per-application stream.
 		rng:     s.DeriveRand(fmt.Sprintf("app%d/%s", appID, cfg.StringOr("name", "pulse"))),
 		rate:    cfg.Float("injection_rate"),
 		msgSize: int(cfg.UIntOr("message_size", 1)),

@@ -257,7 +257,7 @@ func (d *demux) DeliverMessage(m *types.Message) {
 	}
 	d.w.tp.MessageDelivered(m.App, m.TotalFlits(), m.ReceiveTime-m.CreateTime)
 	// Close the span before the message's blocks return to the pool.
-	d.w.sp.Finish(d.w.Sim(), m)
+	d.w.sp.Finish(m)
 	d.w.apps[m.App].DeliverMessage(m)
 	d.w.pool.Release(m)
 }
