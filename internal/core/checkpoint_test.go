@@ -136,28 +136,48 @@ func TestRestoredRunCheckpointsOnlyAhead(t *testing.T) {
 // TestSnapshotRoundTrip is the exact export/import identity: restoring a
 // snapshot and immediately re-snapshotting at the same tick reproduces the
 // original byte-for-byte. Any state the decoder drops, defaults, or reorders
-// breaks this before it could show up as a behavioral diff.
+// breaks this before it could show up as a behavioral diff. The w2 case runs
+// a config that still carries the removed simulation.workers key, which must
+// round-trip as exactly as one without it.
 func TestSnapshotRoundTrip(t *testing.T) {
-	_, snaps := runCheckpointed(t, goldenCases()[0])
-	if len(snaps) == 0 {
-		t.Fatal("no checkpoints captured")
-	}
-	for _, s := range snaps {
-		sm, tick, err := Restore(s.data, 0)
-		if err != nil {
-			t.Fatalf("restore at tick %d: %v", s.tick, err)
-		}
-		if tick != s.tick {
-			t.Fatalf("restore reported tick %d, snapshot taken at %d", tick, s.tick)
-		}
-		again, err := sm.Snapshot(tick)
-		if err != nil {
-			t.Fatalf("re-snapshot at tick %d: %v", tick, err)
-		}
-		if !bytes.Equal(again, s.data) {
-			t.Fatalf("round-trip at tick %d not byte-identical: %d bytes re-encoded vs %d original",
-				tick, len(again), len(s.data))
-		}
+	gc := goldenCases()[0]
+	for _, c := range []struct {
+		name      string
+		overrides []string
+	}{{"w1", nil}, {"w2", []string{"simulation.workers=uint=2"}}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := config.MustParse(gc.doc)
+			if err := cfg.ApplyOverrides(c.overrides); err != nil {
+				t.Fatal(err)
+			}
+			var snaps []snap
+			if _, err := Build(cfg).RunCheckpointed(checkpointEvery, func(tick sim.Tick, data []byte) error {
+				snaps = append(snaps, snap{tick, append([]byte(nil), data...)})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) == 0 {
+				t.Fatal("no checkpoints captured")
+			}
+			for _, s := range snaps {
+				sm, tick, err := Restore(s.data, 0)
+				if err != nil {
+					t.Fatalf("restore at tick %d: %v", s.tick, err)
+				}
+				if tick != s.tick {
+					t.Fatalf("restore reported tick %d, snapshot taken at %d", tick, s.tick)
+				}
+				again, err := sm.Snapshot(tick)
+				if err != nil {
+					t.Fatalf("re-snapshot at tick %d: %v", tick, err)
+				}
+				if !bytes.Equal(again, s.data) {
+					t.Fatalf("round-trip at tick %d not byte-identical: %d bytes re-encoded vs %d original",
+						tick, len(again), len(s.data))
+				}
+			}
+		})
 	}
 }
 

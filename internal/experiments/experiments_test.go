@@ -164,22 +164,24 @@ func TestFigure5AllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the Figure 5 transient")
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r := Figure5(Options{Seed: 1})
-	runtime.ReadMemStats(&after)
-	if r.PulsePeak <= r.BlastMean {
-		t.Fatalf("pulse did not disturb blast: peak %.1f vs mean %.1f", r.PulsePeak, r.BlastMean)
-	}
-	allocs := after.Mallocs - before.Mallocs
-	allocated := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d allocations, %d bytes", allocs, allocated)
-	if allocs > figure5MaxAllocs {
-		t.Errorf("%d allocations, ceiling %d", allocs, figure5MaxAllocs)
-	}
-	if allocated > figure5MaxBytes {
-		t.Errorf("%d bytes allocated, ceiling %d", allocated, figure5MaxBytes)
-	}
+	t.Run("default", func(t *testing.T) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := Figure5(Options{Seed: 1})
+		runtime.ReadMemStats(&after)
+		if r.PulsePeak <= r.BlastMean {
+			t.Fatalf("pulse did not disturb blast: peak %.1f vs mean %.1f", r.PulsePeak, r.BlastMean)
+		}
+		allocs := after.Mallocs - before.Mallocs
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d allocations, %d bytes", allocs, allocated)
+		if allocs > figure5MaxAllocs {
+			t.Errorf("%d allocations, ceiling %d", allocs, figure5MaxAllocs)
+		}
+		if allocated > figure5MaxBytes {
+			t.Errorf("%d bytes allocated, ceiling %d", allocated, figure5MaxBytes)
+		}
+	})
 }
 
 func TestSweepLoadsReportsTasksToProbe(t *testing.T) {
