@@ -65,17 +65,15 @@ func (sm *Simulation) handlers(fn func(keyed) error) error {
 		if err := add(fmt.Sprintf("router %d", i), sm.Net.Router(i)); err != nil {
 			return err
 		}
+		if err := add(fmt.Sprintf("router %d arrival line", i), sm.Net.Router(i).Arrivals()); err != nil {
+			return err
+		}
 	}
 	for i := 0; i < sm.Net.NumTerminals(); i++ {
 		if err := add(fmt.Sprintf("interface %d", i), sm.Net.Interface(i)); err != nil {
 			return err
 		}
-	}
-	for i, l := range sm.Net.Links() {
-		if err := add(fmt.Sprintf("link %d flit channel", i), l.Ch); err != nil {
-			return err
-		}
-		if err := add(fmt.Sprintf("link %d credit channel", i), l.Cr); err != nil {
+		if err := add(fmt.Sprintf("interface %d arrival line", i), sm.Net.Interface(i).Arrivals()); err != nil {
 			return err
 		}
 	}
@@ -130,13 +128,14 @@ func (sm *Simulation) state(c *snapshot.Codec, table *types.MessageTable) {
 			return
 		}
 		st.State(c, table)
+		sm.Net.Router(i).Arrivals().State(c, table, vcs)
 	}
 	for i := 0; i < sm.Net.NumTerminals(); i++ {
 		sm.Net.Interface(i).State(c, table)
+		sm.Net.Interface(i).Arrivals().State(c, table, vcs)
 	}
 	for _, l := range sm.Net.Links() {
-		l.Ch.State(c, table)
-		l.Cr.State(c, vcs)
+		l.Ch.State(c)
 	}
 
 	if c.Section(secVerify) != nil {
@@ -171,14 +170,13 @@ func attached(c *snapshot.Codec, what string, have bool) {
 func (sm *Simulation) collect(table *types.MessageTable) {
 	for i := 0; i < sm.Net.NumTerminals(); i++ {
 		sm.Net.Interface(i).Collect(table)
+		sm.Net.Interface(i).Arrivals().Collect(table)
 	}
 	for i := 0; i < sm.Net.NumRouters(); i++ {
 		if st, ok := sm.Net.Router(i).(router.Stater); ok {
 			st.Collect(table)
 		}
-	}
-	for _, l := range sm.Net.Links() {
-		l.Ch.Collect(table)
+		sm.Net.Router(i).Arrivals().Collect(table)
 	}
 }
 

@@ -70,14 +70,18 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 
 // TestRestoreRejectsVersion2 pins the one decode path: schema v2 stored the
 // routers' per-port drain flags and delay-line scheduled bits and both of a
-// credit sensor's histories, and this build reads v3 only.
+// credit sensor's histories, v3 stored in-flight flits and credits in their
+// channels instead of their receivers' arrival lines, and this build reads
+// v4 only.
 func TestRestoreRejectsVersion2(t *testing.T) {
 	data := smallSnapshot(t)
-	v2 := append([]byte(snapshot.Magic), 2)
-	v2 = append(v2, data[len(snapshot.Magic)+1:]...)
-	const want = "unsupported schema version 2 (this build reads version 3)"
-	if _, _, err := Restore(v2, 0); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("v2-headed snapshot: err = %v, want %q", err, want)
+	for _, old := range []byte{2, 3} {
+		stale := append([]byte(snapshot.Magic), old)
+		stale = append(stale, data[len(snapshot.Magic)+1:]...)
+		want := fmt.Sprintf("unsupported schema version %d (this build reads version 4)", old)
+		if _, _, err := Restore(stale, 0); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d-headed snapshot: err = %v, want %q", old, err, want)
+		}
 	}
 }
 

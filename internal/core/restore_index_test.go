@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"supersim/internal/channel"
 	"supersim/internal/config"
 	"supersim/internal/types"
 )
@@ -38,30 +39,37 @@ func peek(root any, path ...any) reflect.Value {
 	return v
 }
 
+// liveArrival returns the first in-flight arrival, a flit's (credit false)
+// or a credit's (credit true), on any receiver's arrival line.
+func liveArrival(t *testing.T, sm *Simulation, credit bool) reflect.Value {
+	t.Helper()
+	var lines []*channel.Line
+	for i := 0; i < sm.Net.NumRouters(); i++ {
+		lines = append(lines, sm.Net.Router(i).Arrivals())
+	}
+	for i := 0; i < sm.Net.NumTerminals(); i++ {
+		lines = append(lines, sm.Net.Interface(i).Arrivals())
+	}
+	for _, l := range lines {
+		lanes := peek(l, "lanes")
+		for ln := 0; ln < lanes.Len(); ln++ {
+			buf, head := peek(l, "lanes", ln, "q", "buf"), int(peek(l, "lanes", ln, "q", "head").Int())
+			for i := head; i < buf.Len(); i++ {
+				if a := peek(l, "lanes", ln, "q", "buf", i); a.FieldByName("f").IsNil() == credit {
+					return a
+				}
+			}
+		}
+	}
+	t.Fatalf("no arrival (credit %v) in flight at the snapshot tick", credit)
+	return reflect.Value{}
+}
+
 // liveMessage returns a message with a flit in flight on some channel.
 func liveMessage(t *testing.T, sm *Simulation) *types.Message {
 	t.Helper()
-	for _, l := range sm.Net.Links() {
-		pending, head := peek(l.Ch, "pending"), int(peek(l.Ch, "head").Int())
-		if pending.Len() > head {
-			return peek(l.Ch, "pending", head, "f").Interface().(*types.Flit).Pkt.Msg
-		}
-	}
-	t.Fatal("no flit in flight at the snapshot tick")
-	return nil
-}
-
-// liveCredit returns the head in-flight credit of some credit channel.
-func liveCredit(t *testing.T, sm *Simulation) reflect.Value {
-	t.Helper()
-	for _, l := range sm.Net.Links() {
-		pending, head := peek(l.Cr, "pending"), int(peek(l.Cr, "head").Int())
-		if pending.Len() > head {
-			return peek(l.Cr, "pending", head, "cr")
-		}
-	}
-	t.Fatal("no credit in flight at the snapshot tick")
-	return reflect.Value{}
+	f := liveArrival(t, sm, false).FieldByName("f")
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface().(*types.Flit).Pkt.Msg
 }
 
 // liveSpan returns an open span of the span recorder.
@@ -119,7 +127,9 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 		// between the two halves of the output stage's state.
 		{"outputStage.outRR", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "out", "outRR", 0).SetInt(-1) }},
 		{"outputStage.outRR", ioq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "out", "outRR", 0).SetInt(-1) }},
-		{"Credit.VC", iq, func(t *testing.T, sm *Simulation) { liveCredit(t, sm).FieldByName("VC").SetInt(far) }},
+		{"Credit.VC", iq, func(t *testing.T, sm *Simulation) {
+			peek(liveArrival(t, sm, true).Addr().Interface(), "vc").SetInt(far)
+		}},
 		{"span app", iq, func(t *testing.T, sm *Simulation) { peek(liveSpan(t, sm), "rec", "App").SetInt(far) }},
 		{"span hop", iq, func(t *testing.T, sm *Simulation) { peek(liveSpan(t, sm), "hop").SetInt(-1) }},
 	}

@@ -11,25 +11,26 @@ import (
 // references into the checkpoint's message table), the head packet's
 // mid-injection cursor, per-VC downstream credits, the order checker, and
 // the reassembly/statistics counters. The send queue is normalized (the
-// consumed prefix before sendHead is not part of the stream, and a loaded
-// queue starts at sendHead 0).
+// consumed prefix before its head is not part of the stream, and a loaded
+// queue starts at head 0). The interface's arrival line is coded by the
+// simulation's walk, beside the interface.
 
 // Collect adds every message with a packet queued for injection to the
 // checkpoint's message table. Messages that are mid-flight but fully
 // dequeued here are collected by the components holding their flits.
 func (n *Interface) Collect(t *types.MessageTable) {
-	for i := n.sendHead; i < len(n.sendQ); i++ {
-		t.Add(n.sendQ[i].Msg)
+	for _, p := range n.sendQ.Live() {
+		t.Add(p.Msg)
 	}
 }
 
 // State codes the interface's mutable state.
 func (n *Interface) State(c *snapshot.Codec, t *types.MessageTable) {
 	n.OrderState(c)
-	queued := n.sendQ[n.sendHead:]
+	queued := n.sendQ.Live()
 	snapshot.Slice(c, &queued)
 	if c.Loading() {
-		n.sendQ, n.sendHead = queued, 0
+		n.sendQ.Reset(queued)
 	}
 	headFlits := 1 // an empty queue keeps the cursor at flit 0
 	for i := range queued {

@@ -82,7 +82,7 @@ func (b *base) state(c *snapshot.Codec) {
 
 // collectFlights adds the messages with flits in the internal datapath.
 func (b *base) collectFlights(t *types.MessageTable) {
-	for _, fl := range b.dl.q[b.dl.head:] {
+	for _, fl := range b.dl.q.Live() {
 		t.Add(fl.v.f.Pkt.Msg)
 	}
 }
@@ -102,10 +102,11 @@ func (b *base) stateFlights(c *snapshot.Codec, t *types.MessageTable) {
 // line starts at head 0 and has its event pending exactly when it holds
 // entries, which is when the saved one had.
 func (d *delayLine[T]) state(c *snapshot.Codec, what string, stateV func(i int, v *T)) {
-	live := d.q[d.head:]
+	live := d.q.Live()
 	snapshot.Slice(c, &live)
 	if c.Loading() {
-		d.q, d.head, d.scheduled = live, 0, len(live) > 0
+		d.q.Reset(live)
+		d.scheduled = len(live) > 0
 	}
 	for i := range live {
 		snapshot.Uint(c, &live[i].at)

@@ -36,7 +36,7 @@ func buildHOLRouter(t *testing.T, cfgDoc string, vcs, downCredits int) (*sim.Sim
 	ch.SetSink(out, 0)
 	r.ConnectOutput(1, ch)
 	r.SetDownstreamCredits(1, downCredits)
-	crs := &creditSink{}
+	crs := &creditSink{s: s}
 	cc := channel.NewCredit(s, "cr", 1)
 	cc.SetSink(crs, 0)
 	r.ConnectCreditOut(0, cc)

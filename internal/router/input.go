@@ -3,6 +3,7 @@ package router
 import (
 	"math"
 
+	"supersim/internal/channel"
 	"supersim/internal/config"
 	"supersim/internal/crossbar"
 	"supersim/internal/routing"
@@ -76,10 +77,12 @@ type inputStage struct {
 // supplies its inputArch; this is the one place the two are bound.
 func initInputStage(st *inputStage, arch interface {
 	sim.Handler
+	channel.Receiver
 	inputArch
 }, s *sim.Simulator, name string, cfg *config.Settings, p Params) {
 	st.base = newBase(s, name, cfg, p)
-	st.self, st.arch = arch, arch
+	st.bind(arch)
+	st.arch = arch
 	st.dl.ev = evXbarArrive
 	st.routes.ev = evRouteDone
 	st.routingLat = cfg.UIntOr("routing_latency", 1)

@@ -43,7 +43,7 @@ type OQ struct {
 // NewOQ builds an output-queued router from its settings block.
 func NewOQ(s *sim.Simulator, name string, cfg *config.Settings, p Params) *OQ {
 	r := &OQ{base: newBase(s, name, cfg, p)}
-	r.self = r
+	r.bind(r)
 	r.dl.ev = evTransferArrive
 	r.queueLat = sim.Tick(cfg.UIntOr("queue_latency", 1))
 	if r.queueLat < 1 {

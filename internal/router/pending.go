@@ -6,9 +6,14 @@ import "fmt"
 // batching state says it does: one evPipeline while its pipeline is armed,
 // and for each of its FIFOs (the internal datapath, the route line, the
 // armed output ports) one event while the FIFO is non-empty and none while
-// it is empty; and unless its armed output ports are listed once each. It
-// walks the simulator's event queue, so it is for tests between run slices.
+// it is empty; unless its armed output ports are listed once each; and
+// unless its arrival line holds one event per distinct arrival tick (see
+// channel.Line.CheckPending). It walks the simulator's event queue, so it
+// is for tests between run slices.
 func CheckPending(r Router) error {
+	if err := r.Arrivals().CheckPending(); err != nil {
+		return err
+	}
 	switch a := r.(type) {
 	case *IQ:
 		return a.inputStage.checkPending()

@@ -25,8 +25,7 @@ import (
 // algorithm constructor.
 type Router interface {
 	sim.Component
-	types.FlitSink
-	types.CreditSink
+	channel.Receiver
 
 	// ID returns the router's index within the network.
 	ID() int

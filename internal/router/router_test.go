@@ -82,10 +82,10 @@ func TestDelayLineOrdering(t *testing.T) {
 	if !ok || at != 10 {
 		t.Fatalf("next = %d, %v", at, ok)
 	}
-	if fl := d.pop(); fl.f != f1 || fl.port != 3 {
+	if fl := d.q.Pop().v; fl.f != f1 || fl.port != 3 {
 		t.Fatal("pop order wrong")
 	}
-	if fl := d.pop(); fl.f != f2 || fl.port != 4 {
+	if fl := d.q.Pop().v; fl.f != f2 || fl.port != 4 {
 		t.Fatal("same-tick FIFO wrong")
 	}
 	at, _ = d.next()
@@ -110,18 +110,18 @@ func TestDelayLineCompaction(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		d.push(sim.Tick(i), flight{flitOf(1, 0), 0})
 		if i%2 == 1 {
-			d.pop()
-			d.pop()
+			d.q.Pop()
+			d.q.Pop()
 		}
 	}
 	for {
 		if _, ok := d.next(); !ok {
 			break
 		}
-		d.pop()
+		d.q.Pop()
 	}
-	if len(d.q) != 0 || d.head != 0 {
-		t.Fatalf("drained line not reset: len=%d head=%d", len(d.q), d.head)
+	if d.q.Len() != 0 || len(d.q.Live()) != 0 {
+		t.Fatalf("drained line not empty: len=%d", d.q.Len())
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 const (
 	evInit = iota
 	evInject
-	evWarmDone
 	evSampleDone
 )
 
@@ -74,9 +73,16 @@ type Blast struct {
 	generated   uint64
 
 	// next is the continuous-time Poisson arrival clock per terminal; the
-	// discrete injection event fires at ceil(next). Keeping the fractional
-	// part preserves the configured average rate exactly.
+	// discrete injection fires at ceil(next). Keeping the fractional part
+	// preserves the configured average rate exactly.
 	next []float64
+	// line holds each terminal's next injection, entry t for terminal t,
+	// and the warm-up timer, entry warmTimer (the terminal count). The
+	// timer rides the line, added right after the first injections, so
+	// that at its tick it runs after those and before every injection
+	// scheduled later, as an event of its own did.
+	line      injectLine
+	warmTimer int
 }
 
 // NewBlast builds a Blast application.
@@ -109,6 +115,8 @@ func NewBlast(s *sim.Simulator, cfg *config.Settings, w *workload.Workload, appI
 	b.pattern = traffic.New(cfg.Sub("traffic"), net.NumTerminals())
 	b.meanGap = float64(b.msgSize) / b.rate * float64(net.ChannelPeriod())
 	b.next = make([]float64, net.NumTerminals())
+	b.warmTimer = net.NumTerminals()
+	b.line = newInjectLine(b.warmTimer + 1)
 	s.Schedule(b, sim.TimeZero, evInit, nil)
 	return b
 }
@@ -143,14 +151,19 @@ func (b *Blast) ProcessEvent(ev *sim.Event) {
 		if b.warmup == 0 {
 			b.w.Ready(b.appID)
 		} else {
-			b.Sim().Schedule(b, sim.Time{Tick: b.warmup}, evWarmDone, nil)
+			b.line.add(b.Sim(), b, b.warmup, b.warmTimer)
 		}
-	case evWarmDone:
-		b.w.Ready(b.appID)
 	case evSampleDone:
 		b.w.Complete(b.appID)
 	case evInject:
-		b.inject(ev.Context.(int))
+		due := b.line.take(ev.Time.Tick)
+		for _, term := range due {
+			if term == b.warmTimer {
+				b.w.Ready(b.appID)
+			} else {
+				b.inject(term)
+			}
+		}
 	default:
 		b.Panicf("unknown event type %d", ev.Type)
 	}
@@ -187,7 +200,7 @@ func (b *Blast) scheduleNext(term int) {
 	if tick <= now {
 		tick = now + 1
 	}
-	b.Sim().Schedule(b, sim.Time{Tick: tick}, evInject, term)
+	b.line.add(b.Sim(), b, tick, term)
 }
 
 func (b *Blast) inject(term int) {

@@ -5,8 +5,8 @@ import "supersim/internal/snapshot"
 // Checkpoint state for the supplied application models. The RNG streams are
 // derived per-application from the simulator and serialized with the core;
 // traffic patterns are stateless value types. What remains is the lifecycle
-// phase, the per-terminal Poisson arrival clocks, sampling bookkeeping, and
-// the recorders.
+// phase, the per-terminal Poisson arrival clocks, the injection line,
+// sampling bookkeeping, and the recorders.
 
 func statePhase(c *snapshot.Codec, p *appPhase, app string) {
 	snapshot.Sint(c, p)
@@ -33,6 +33,7 @@ func (b *Blast) State(c *snapshot.Codec) {
 	c.U64(&b.skipped)
 	c.U64(&b.generated)
 	stateClocks(c, b.next, "blast arrival clocks")
+	b.line.state(c, "blast injection line")
 }
 
 // State implements snapshot.Stater.
@@ -47,4 +48,5 @@ func (p *Pulse) State(c *snapshot.Codec) {
 	c.Int(&p.outstanding)
 	p.rec.State(c)
 	stateClocks(c, p.next, "pulse arrival clocks")
+	p.line.state(c, "pulse injection line")
 }

@@ -48,7 +48,8 @@ type Pulse struct {
 	toCreate    int
 	outstanding int
 	rec         *stats.Recorder
-	next        []float64 // continuous-time arrival clock per terminal
+	next        []float64  // continuous-time arrival clock per terminal
+	line        injectLine // each terminal's next injection, entry t for terminal t
 }
 
 // NewPulse builds a Pulse application.
@@ -80,6 +81,7 @@ func NewPulse(s *sim.Simulator, cfg *config.Settings, w *workload.Workload, appI
 		p.remaining[i] = p.count
 	}
 	p.next = make([]float64, net.NumTerminals())
+	p.line = newInjectLine(net.NumTerminals())
 	p.toCreate = p.count * net.NumTerminals()
 	s.Schedule(p, sim.TimeZero, evInit, nil)
 	return p
@@ -95,7 +97,10 @@ func (p *Pulse) ProcessEvent(ev *sim.Event) {
 		// Pulse needs no warming; it idles until Start.
 		p.w.Ready(p.appID)
 	case evInject:
-		p.inject(ev.Context.(int))
+		due := p.line.take(ev.Time.Tick)
+		for _, term := range due {
+			p.inject(term)
+		}
 	default:
 		p.Panicf("unknown event type %d", ev.Type)
 	}
@@ -130,7 +135,7 @@ func (p *Pulse) scheduleNext(term int, extra sim.Tick) {
 	if tick <= now {
 		tick = now + 1
 	}
-	p.Sim().Schedule(p, sim.Time{Tick: tick}, evInject, term)
+	p.line.add(p.Sim(), p, tick, term)
 }
 
 func (p *Pulse) inject(term int) {
