@@ -22,9 +22,10 @@ func BenchmarkQueueChurn(b *testing.B) {
 }
 
 // BenchmarkQueueShapes measures schedule+execute cost per event at the queue
-// shapes the benchmark workloads were measured to have (pending events /
-// events per timestamp: fb_ioq 364/63, torus_iq 2,474/974, clos_oq
-// 4,708/1,551) and at the shape that defeats timestamp bucketing: every
+// shapes the benchmark workloads were measured to have (mean pending events /
+// events per timestamp, seed 1, once each receiver batches its arrivals and
+// each application its injections: fb_ioq 865/26, torus_iq 1,975/515,
+// clos_oq 8,658/408) and at the shape that defeats timestamp bucketing: every
 // pending event at a timestamp of its own, as BenchmarkSchedule builds. Every
 // handler is its own owner and reschedules itself one full rotation of the
 // pending timestamps ahead, so the shape holds for the whole run. It goes
@@ -35,9 +36,9 @@ func BenchmarkQueueShapes(b *testing.B) {
 		name                  string
 		pending, perTimestamp int
 	}{
-		{"fb_ioq", 364, 63},
-		{"torus_iq", 2474, 974},
-		{"clos_oq", 4708, 1551},
+		{"fb_ioq", 865, 26},
+		{"torus_iq", 1975, 515},
+		{"clos_oq", 8658, 408},
 		{"all_distinct", 4096, 1},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
