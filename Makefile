@@ -93,7 +93,7 @@ fuzz:
 # repeat and a restore of the middle checkpoint, compared checkpoint by
 # checkpoint), the simulation-after-import harness (all golden topologies),
 # checkpoints of a restored run starting after its restore tick, byte-exact
-# snapshot round-trips, the schema-v3 bytes pinned in
+# snapshot round-trips, the schema-v4 bytes pinned in
 # testdata/golden/snapshots.json, restored-index validation, and the
 # randomized checkpoint sweep — under the race detector.
 test-import-export:

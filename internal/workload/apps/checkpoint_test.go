@@ -89,3 +89,26 @@ func TestPulseStateRoundTrip(t *testing.T) {
 		t.Fatalf("pulse delivered %d, want %d", p2.Stats().Count(), 5*3)
 	}
 }
+
+// TestMidRunStateRoundTrip round-trips both applications in the middle of
+// the Pulse burst, when each injection line holds every terminal's next
+// injection, and holds them to one injection event per due tick first.
+func TestMidRunStateRoundTrip(t *testing.T) {
+	doc := baseDoc(pulseCheckpointDoc)
+	sm := core.Build(config.MustParse(doc))
+	sm.Sim.RunUntil(320)
+	for i := 0; i < 2; i++ {
+		if err := apps.CheckPending(sm.Workload.App(i)); err != nil {
+			t.Fatal(err)
+		}
+		a := sm.Workload.App(i).(snapshot.Stater)
+		data := saveApp(a)
+		fresh := core.Build(config.MustParse(doc)).Workload.App(i).(snapshot.Stater)
+		if err := snaptest.Load(data, fresh.State); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saveApp(fresh), data) {
+			t.Fatalf("app %d: re-saved state is not byte-identical", i)
+		}
+	}
+}
