@@ -16,13 +16,12 @@ import (
 
 // The round-trip and fuzz tests seed themselves from the code under test, so
 // they cannot see a format change that save and load make together. This
-// file pins the schema-v3 bytes themselves: the length and SHA-256 of a
+// file pins the schema-v4 bytes themselves: the length and SHA-256 of a
 // mid-run snapshot of every golden case (five topologies under IQ routers,
 // then the torus under OQ and IOQ), with verification, telemetry
 // and full-sample span recording on so every section carries state. The
-// hashes were recorded when v3 gave each router one pending event for its
-// output drains and one for its route completions, and kept only the
-// credit-sensor history that routing reads; regenerate
+// hashes were recorded when v4 moved in-flight flits and credits from the
+// channels into their receivers' arrival lines; regenerate
 // (SUPERSIM_UPDATE_GOLDEN=1) only together with a snapshot.Version bump.
 
 // pinnedTick is the checkpoint the hashes are taken at: the middle of the
