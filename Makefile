@@ -15,7 +15,7 @@
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  equivalence matrix (repeated = restored, byte for byte,
 #                  over every model), the simulation-after-import harness,
-#                  byte-exact snapshot round-trips and the pinned v3 bytes
+#                  byte-exact snapshot round-trips and the pinned v5 bytes
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
 #                  journal, spans and telemetry stream readers, the
@@ -40,10 +40,14 @@
 #                  committing beside the PR that claims or risks a hot path
 #   make bench-compare A=BENCH_<prev>.json B=BENCH_<pr>.json - the two sets
 #                  side by side (paths relative to the repository root)
-#   make bench-pairs BASE=<rev> W=<workload> [N=10] - the claim rule: N
-#                  alternating pairs of BASE and the working tree on one
-#                  workload, each pair's ratio, the pairs won and the base's
-#                  quartile spread (see scripts/bench_pairs.sh)
+#   make bench-pairs BASE=<rev> W=<workload> [N=10] [SEED=1]
+#                  [METRIC=run_s] - the claim rule: N alternating pairs of
+#                  BASE and the working tree on one workload, each pair's
+#                  ratio, the pairs won and the base's quartile spread (see
+#                  scripts/bench_pairs.sh). SEED=2 repeats a claim on a
+#                  held-out seed; METRIC=peak_rss_mb (or setup_s) judges
+#                  another end-to-end metric, e.g. a memory claim:
+#                  METRIC=peak_rss_mb make bench-pairs BASE=<rev> W=clos_oq
 
 GO ?= go
 

@@ -130,7 +130,6 @@ func (c *Channel) Inject(f *types.Flit) {
 	c.nextSlot = now + c.period
 	c.injected++
 	c.tp.FlitInjected()
-	f.SendTime = now
 	c.line.add(c.lane, now+c.latency, arrival{f: f, in: c.in})
 }
 

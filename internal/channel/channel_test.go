@@ -81,9 +81,6 @@ func TestChannelDeliversAfterLatency(t *testing.T) {
 	if sink.ports[0] != 3 {
 		t.Fatalf("port = %d, want 3", sink.ports[0])
 	}
-	if f.SendTime != 100 || f.ReceiveTime != 150 {
-		t.Fatalf("timestamps %d/%d", f.SendTime, f.ReceiveTime)
-	}
 	if ch.Injected() != 1 {
 		t.Fatalf("Injected = %d", ch.Injected())
 	}

@@ -210,7 +210,6 @@ func (l *Line) ProcessEvent(ev *sim.Event) {
 			l.sink.ReceiveCredit(int(p.port), types.Credit{VC: int(a.vc)})
 			continue
 		}
-		a.f.ReceiveTime = now
 		if l.sp.Tracked(a.f) {
 			// Channel exit is the uniform hop boundary: serialization wait
 			// plus propagation is charged to the wire, and the span moves to

@@ -71,14 +71,15 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 // TestRestoreRejectsVersion2 pins the one decode path: schema v2 stored the
 // routers' per-port drain flags and delay-line scheduled bits and both of a
 // credit sensor's histories, v3 stored in-flight flits and credits in their
-// channels instead of their receivers' arrival lines, and this build reads
-// v4 only.
+// channels instead of their receivers' arrival lines, v4 stored two
+// timestamps per flit and an injection time per message, and Blast's packet
+// rows of single-packet messages, and this build reads v5 only.
 func TestRestoreRejectsVersion2(t *testing.T) {
 	data := smallSnapshot(t)
-	for _, old := range []byte{2, 3} {
+	for _, old := range []byte{2, 3, 4} {
 		stale := append([]byte(snapshot.Magic), old)
 		stale = append(stale, data[len(snapshot.Magic)+1:]...)
-		want := fmt.Sprintf("unsupported schema version %d (this build reads version 4)", old)
+		want := fmt.Sprintf("unsupported schema version %d (this build reads version 5)", old)
 		if _, _, err := Restore(stale, 0); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d-headed snapshot: err = %v, want %q", old, err, want)
 		}

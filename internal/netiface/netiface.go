@@ -160,10 +160,10 @@ func (n *Interface) FlitsReceived() uint64 { return n.flitsReceived }
 // SendMessage queues a message's packets for injection. The message must
 // originate at this terminal.
 func (n *Interface) SendMessage(m *types.Message) {
-	if m.Src != n.id {
+	if int(m.Src) != n.id {
 		n.Panicf("message %d src %d sent from terminal %d", m.ID, m.Src, n.id)
 	}
-	if m.Dst == n.id {
+	if int(m.Dst) == n.id {
 		n.Panicf("message %d targets its own source terminal", m.ID)
 	}
 	n.sp.Start(m)
@@ -258,7 +258,7 @@ func (n *Interface) injectOne() {
 		return // channel busy this cycle (should not happen at edge pacing)
 	}
 	now := n.Sim().Now().Tick
-	f.VC = n.curVC
+	f.VC = int32(n.curVC)
 	n.downCred[n.curVC]--
 	// Register the flit in the in-flight ledger before the channel's touch
 	// check sees it, then cross-check the credit mirror.
@@ -266,9 +266,6 @@ func (n *Interface) injectOne() {
 	n.credLed.Debit(n.curVC, n.downCred[n.curVC])
 	if f.Head {
 		pkt.InjectTime = now
-		if pkt.ID == 0 && f.ID == 0 {
-			pkt.Msg.InjectTime = now
-		}
 	}
 	if n.sp.Tracked(f) {
 		// Creation to injection-channel entry is source queueing: the wait
@@ -301,12 +298,12 @@ func (n *Interface) ReceiveFlit(port int, f *types.Flit) {
 	n.tp.FlitReceived()
 	n.v.FlitRetired(f)
 	packetDone := n.checker.Check(f)
-	n.creditOut.Inject(types.Credit{VC: f.VC})
+	n.creditOut.Inject(types.Credit{VC: int(f.VC)})
 	// The reassembly countdown lives in the message (initialized to the flit
 	// count at construction) instead of an interface-side map; only the count
 	// of partially received messages is tracked here, for VerifyIdle.
 	m := f.Pkt.Msg
-	if m.RxRemaining == m.TotalFlits() {
+	if int(m.RxRemaining) == m.TotalFlits() {
 		n.partial++ // first flit of a message seen at the receiver
 	}
 	m.RxRemaining--

@@ -24,7 +24,7 @@ func (r *routerStub) ReceiveFlit(port int, f *types.Flit) {
 	r.flits = append(r.flits, f)
 	r.times = append(r.times, r.s.Now().Tick)
 	if r.auto {
-		r.creditC.Inject(types.Credit{VC: f.VC})
+		r.creditC.Inject(types.Credit{VC: int(f.VC)})
 	}
 }
 
@@ -87,9 +87,9 @@ func TestInjectSingleFlitMessage(t *testing.T) {
 	if stub.flits[0].VC < 0 || stub.flits[0].VC > 1 {
 		t.Fatalf("flit VC %d unset", stub.flits[0].VC)
 	}
-	if m.InjectTime+3 != stub.times[0] {
+	if inj := m.Packet(0).InjectTime; inj+3 != stub.times[0] {
 		t.Fatalf("inject time %d inconsistent with arrival %d (latency 3)",
-			m.InjectTime, stub.times[0])
+			inj, stub.times[0])
 	}
 	if n.FlitsSent() != 1 {
 		t.Fatal("FlitsSent")

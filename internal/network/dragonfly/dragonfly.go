@@ -168,7 +168,7 @@ func (a *dfAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 		a.sourceDecision(now, pkt, g, dg, dstR)
 	}
 	st.Valid = true
-	if pkt.NonMinimal && !st.Dateline && (g == pkt.Intermediate || g == dg) {
+	if pkt.NonMinimal && !st.Dateline && (g == int(pkt.Intermediate) || g == dg) {
 		st.Dateline = true
 	}
 	if g == dg {
@@ -184,7 +184,7 @@ func (a *dfAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 	}
 	tg := dg
 	if pkt.NonMinimal && !st.Dateline {
-		tg = pkt.Intermediate
+		tg = int(pkt.Intermediate)
 	}
 	ro, gp := d.globalOwner(g, tg)
 	class := 0
@@ -230,7 +230,7 @@ func (a *dfAlg) sourceDecision(now sim.Tick, pkt *types.Packet, g, dg, dstR int)
 		ig = a.rng.IntN(d.groups)
 	}
 	if d.alg == algValiant {
-		pkt.Intermediate = ig
+		pkt.Intermediate = int32(ig)
 		pkt.NonMinimal = true
 		return
 	}
@@ -250,7 +250,7 @@ func (a *dfAlg) sourceDecision(now sim.Tick, pkt *types.Packet, g, dg, dstR int)
 	entry := ig*d.a + back
 	hNon := float64(a.hops(a.router, entry) + a.hops(entry, dstR))
 	if hMin*qMin > hNon*(qNon+d.thresh) {
-		pkt.Intermediate = ig
+		pkt.Intermediate = int32(ig)
 		pkt.NonMinimal = true
 	}
 }

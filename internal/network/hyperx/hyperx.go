@@ -198,10 +198,10 @@ func (a *hxAlg) Route(now sim.Tick, pkt *types.Packet, inPort, inVC int) routing
 		a.sourceDecision(now, pkt, dstR)
 	}
 	// Phase 0: toward the intermediate router.
-	if pkt.Intermediate >= 0 && a.router != pkt.Intermediate {
-		return routing.Response{Port: h.minimalPort(a.router, pkt.Intermediate), VCs: a.phase0}
+	if pkt.Intermediate >= 0 && a.router != int(pkt.Intermediate) {
+		return routing.Response{Port: h.minimalPort(a.router, int(pkt.Intermediate)), VCs: a.phase0}
 	}
-	if pkt.Intermediate >= 0 && a.router == pkt.Intermediate {
+	if pkt.Intermediate >= 0 && a.router == int(pkt.Intermediate) {
 		pkt.Intermediate = -1 // phase transition
 	}
 	if a.router == dstR {
@@ -240,7 +240,7 @@ func (a *hxAlg) sourceDecision(now sim.Tick, pkt *types.Packet, dstR int) {
 		inter = a.rng.IntN(numRouters)
 	}
 	if h.alg == algValiant {
-		pkt.Intermediate = inter
+		pkt.Intermediate = int32(inter)
 		pkt.NonMinimal = true
 		return
 	}
@@ -251,7 +251,7 @@ func (a *hxAlg) sourceDecision(now sim.Tick, pkt *types.Packet, dstR int) {
 	hMin := float64(h.minimalHops(a.router, dstR))
 	hNon := float64(h.minimalHops(a.router, inter) + h.minimalHops(inter, dstR))
 	if hMin*qMin > hNon*(qNon+a.h.thresh) {
-		pkt.Intermediate = inter
+		pkt.Intermediate = int32(inter)
 		pkt.NonMinimal = true
 	}
 }

@@ -25,17 +25,22 @@ type Stater interface {
 
 func (q *flitQueue) collect(t *types.MessageTable) {
 	for i := 0; i < q.n; i++ {
-		t.Add(q.buf[(q.head+i)%len(q.buf)].Pkt.Msg)
+		t.Add((*q.at(i)).Pkt.Msg)
 	}
 }
 
 func (q *flitQueue) state(c *snapshot.Codec, t *types.MessageTable) {
 	n := c.Len(q.n)
 	if c.Loading() {
-		q.buf, q.head, q.n = make([]*types.Flit, max(4, n)), 0, n
+		// The ring stays a power of two long: flitQueue masks, not divides.
+		size := 4
+		for size < n {
+			size *= 2
+		}
+		q.buf, q.head, q.n = make([]*types.Flit, size), 0, n
 	}
 	for i := 0; i < n; i++ {
-		f := &q.buf[(q.head+i)%len(q.buf)]
+		f := q.at(i)
 		t.Flit(c, f)
 		if c.Loading() && c.Err() == nil && *f == nil {
 			c.Failf("flit queue entry %d has no flit", i)

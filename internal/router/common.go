@@ -236,7 +236,7 @@ func (b *base) arrivalClient(port int, f *types.Flit) int {
 	if uint(port) >= uint(b.radix) || uint(f.VC) >= uint(b.vcs) {
 		b.badArrival(port, f)
 	}
-	return b.client(port, f.VC)
+	return b.client(port, int(f.VC))
 }
 
 // receive appends an arriving flit to its input buffer q, panicking on an
@@ -246,8 +246,8 @@ func (b *base) receive(q *flitQueue, port int, f *types.Flit) {
 		b.overrun(port, f)
 	}
 	q.push(f)
-	b.bufLed[port].Arrive(f.VC)
-	b.tp.FlitBuffered(f.VC)
+	b.bufLed[port].Arrive(int(f.VC))
+	b.tp.FlitBuffered(int(f.VC))
 }
 
 // schedulePipeline arms the architecture's pipeline event for the next core
@@ -428,7 +428,9 @@ func (d *delayLine[T]) next() (sim.Tick, bool) {
 	return d.q.Front().at, true
 }
 
-// flitQueue is a FIFO of flits backed by a ring buffer.
+// flitQueue is a FIFO of flits backed by a ring buffer. The ring's length is
+// always a power of two (0, then 4, doubling), so positions wrap with a mask
+// rather than a divide.
 type flitQueue struct {
 	buf  []*types.Flit
 	head int
@@ -437,16 +439,19 @@ type flitQueue struct {
 
 func (q *flitQueue) len() int { return q.n }
 
+// at returns the ring slot of the queue's i-th entry.
+func (q *flitQueue) at(i int) **types.Flit { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
 func (q *flitQueue) push(f *types.Flit) {
 	if q.n == len(q.buf) {
 		grown := make([]*types.Flit, max(4, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+			grown[i] = *q.at(i)
 		}
 		q.buf = grown
 		q.head = 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = f
+	*q.at(q.n) = f
 	q.n++
 }
 
@@ -463,7 +468,7 @@ func (q *flitQueue) pop() *types.Flit {
 	}
 	f := q.buf[q.head]
 	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return f
 }

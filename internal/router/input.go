@@ -309,7 +309,7 @@ func (s *inputStage) sendFlit(now sim.Tick, port, client int) {
 		// whatever the architecture's eligibility rule waits for.
 		s.sp.Step(now, f, telemetry.SpanSWAlloc)
 	}
-	f.VC = iv.outVC
+	f.VC = int32(iv.outVC)
 	if f.Head {
 		f.Pkt.HopCount++
 	}

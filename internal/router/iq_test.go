@@ -37,7 +37,7 @@ func (f *flitSink) ReceiveFlit(port int, fl *types.Flit) {
 	f.flits = append(f.flits, fl)
 	f.times = append(f.times, f.s.Now().Tick)
 	if f.creditC != nil {
-		f.creditC.Inject(types.Credit{VC: fl.VC})
+		f.creditC.Inject(types.Credit{VC: int(fl.VC)})
 	}
 }
 
@@ -111,7 +111,7 @@ func pushPacket(s *sim.Simulator, r Router, size, vc int, atTick sim.Tick) *type
 	m := types.NewMessage(1, 0, 5, 9, size, size)
 	for i := 0; i < m.Packet(0).Size(); i++ {
 		f := m.Packet(0).Flit(i)
-		f.VC = vc
+		f.VC = int32(vc)
 		fl := f
 		tick := atTick + sim.Tick(i)
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) { r.ReceiveFlit(0, fl) }),
@@ -128,7 +128,7 @@ func TestIQForwardsPacketInOrder(t *testing.T) {
 		t.Fatalf("forwarded %d flits", len(out.flits))
 	}
 	for i, f := range out.flits {
-		if f.ID != i {
+		if int(f.ID) != i {
 			t.Fatalf("flit order %v", out.flits)
 		}
 	}
@@ -223,8 +223,8 @@ func TestStallsWithoutDownstreamCredits(t *testing.T) {
 		back.SetSink(r, 1)
 		out.creditC = back
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
-			r.ReceiveCredit(1, types.Credit{VC: out.flits[0].VC})
-			r.ReceiveCredit(1, types.Credit{VC: out.flits[0].VC})
+			r.ReceiveCredit(1, types.Credit{VC: int(out.flits[0].VC)})
+			r.ReceiveCredit(1, types.Credit{VC: int(out.flits[0].VC)})
 		}), sim.Time{Tick: s.Now().Tick + 1}, 0, nil)
 		s.Run()
 		if len(out.flits) != 4 {

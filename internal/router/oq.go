@@ -146,7 +146,7 @@ func (r *OQ) pipeline() {
 			// analogue of VC allocation.
 			r.sp.Step(now, f, telemetry.SpanVCAlloc)
 		}
-		f.VC = iv.outVC
+		f.VC = int32(iv.outVC)
 		if f.Head {
 			f.Pkt.HopCount++
 		}

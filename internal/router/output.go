@@ -53,7 +53,7 @@ func (o *outputStage) reserve(now sim.Tick, port, vc int) {
 
 // accept enqueues a flit that reached its output queue.
 func (o *outputStage) accept(port int, f *types.Flit) {
-	o.outQ[o.b.client(port, f.VC)].push(f)
+	o.outQ[o.b.client(port, int(f.VC))].push(f)
 	o.scheduleOutput(port)
 }
 

@@ -2,11 +2,14 @@ package router
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"supersim/internal/config"
 	"supersim/internal/sim"
+	"supersim/internal/snapshot"
+	"supersim/internal/snapshot/snaptest"
 	"supersim/internal/types"
 )
 
@@ -67,6 +70,43 @@ func TestFlitQueueWrapAndGrow(t *testing.T) {
 		t.Error(err)
 	}
 	_ = q
+}
+
+// TestFlitQueueRestoredRing restores a five-entry queue, which must come
+// back on an eight-slot ring (at masks, so the length is a power of two),
+// and runs it through a wrap.
+func TestFlitQueueRestoredRing(t *testing.T) {
+	var q flitQueue
+	m := types.NewMessage(1, 0, 0, 1, 9, 9)
+	for i := 0; i < 5; i++ {
+		q.push(m.Packet(0).Flit(i))
+	}
+	bounds := types.Bounds{Terminals: 2, Apps: 1, VCs: 1}
+	tab := types.NewMessageTable()
+	q.collect(tab)
+	data := snaptest.Save(func(c *snapshot.Codec) { tab.State(c, nil, bounds); q.state(c, tab) })
+	var got flitQueue
+	loaded := types.NewMessageTable()
+	if err := snaptest.Load(data, func(c *snapshot.Codec) { loaded.State(c, nil, bounds); got.state(c, loaded) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.buf) != 8 {
+		t.Fatalf("restored ring has %d slots, want 8", len(got.buf))
+	}
+	pkt := got.peek().Pkt
+	var ids []int32
+	for i := 0; i < 3; i++ {
+		ids = append(ids, got.pop().ID)
+	}
+	for i := 5; i < 9; i++ {
+		got.push(pkt.Flit(i))
+	}
+	for got.len() > 0 {
+		ids = append(ids, got.pop().ID)
+	}
+	if want := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("flit order %v, want %v", ids, want)
+	}
 }
 
 func TestDelayLineOrdering(t *testing.T) {

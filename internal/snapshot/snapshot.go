@@ -62,7 +62,7 @@ const Magic = "SSIMSNAP"
 // Version is the schema version this build reads and writes. Loaders reject
 // any other version (fail-fast forward compatibility): state layouts are not
 // self-describing, so decoding a future layout would silently corrupt state.
-const Version = 4
+const Version = 5
 
 // Codec moves primitive values between component fields and a snapshot
 // stream, in the direction fixed at construction.
@@ -186,9 +186,10 @@ func Uint[T ~uint64 | ~uint32](c *Codec, p *T) {
 	*p = T(v)
 }
 
-// Sint codes a named signed integer (a phase enum, an int8 counter) as a
-// zigzag varint; a loaded value that does not fit T is an error.
-func Sint[T ~int | ~int8](c *Codec, p *T) {
+// Sint codes a named or narrow signed integer (a phase enum, an int8 or
+// int32 counter) as a zigzag varint; a loaded value that does not fit T is
+// an error.
+func Sint[T ~int | ~int32 | ~int8](c *Codec, p *T) {
 	if !c.loading {
 		c.buf = binary.AppendVarint(c.buf, int64(*p))
 		return

@@ -36,7 +36,7 @@ func (c *OrderChecker) Check(f *Flit) bool {
 		panic(fmt.Sprintf("types: %v out of order at terminal %d: got flit %d, want %d",
 			f, c.terminal, f.ID, want))
 	}
-	if f.ID == len(p.body) {
+	if f.ID == p.bodyLen {
 		if !f.Tail {
 			panic(fmt.Sprintf("types: %v is last flit but not marked tail", f))
 		}

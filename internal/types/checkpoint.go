@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"sort"
 
 	"supersim/internal/snapshot"
@@ -88,18 +89,19 @@ func (t *MessageTable) State(c *snapshot.Codec, pool *Pool, b Bounds) {
 
 // state codes one message: its shape, then every mutable field of the
 // message, its packets and its flits. When loading, m is empty and the shape
-// sizes its blocks.
+// sizes its blocks. Every int32 field is range-checked as it loads: an index
+// against its bound, anything else against int32 itself.
 func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 	c.U64(&m.ID)
-	flits := m.TotalFlits()
+	flits, maxPkt := m.TotalFlits(), m.maxPkt()
 	c.Int(&flits)
-	c.Int(&m.maxPkt)
+	c.Int(&maxPkt)
 	if c.Loading() {
 		if c.Err() != nil {
 			return
 		}
-		if flits <= 0 || m.maxPkt <= 0 {
-			c.Failf("message %d has invalid shape (%d flits, max packet %d)", m.ID, flits, m.maxPkt)
+		if flits <= 0 || maxPkt <= 0 || flits > math.MaxInt32 {
+			c.Failf("message %d has invalid shape (%d flits, max packet %d)", m.ID, flits, maxPkt)
 			return
 		}
 		if flits > c.Remaining() {
@@ -111,40 +113,39 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 		// Blocks come from a fresh allocation, not pool.NewMessage: the pool's
 		// lifecycle counters were checkpointed after this message was obtained,
 		// so drawing it again would double-count.
-		m.pool = pool
-		m.alloc(flits, m.maxPkt)
+		if pool != nil {
+			m.pool = pool.id
+		}
+		m.alloc(flits, maxPkt)
 		m.gen = 1
 	}
-	c.Index(&m.App, b.Apps, "Message.App")
+	index32(c.Index, &m.App, b.Apps, "Message.App")
 	c.U64(&m.Transaction)
-	c.Index(&m.Src, b.Terminals, "Message.Src")
-	c.Index(&m.Dst, b.Terminals, "Message.Dst")
+	index32(c.Index, &m.Src, b.Terminals, "Message.Src")
+	index32(c.Index, &m.Dst, b.Terminals, "Message.Dst")
 	snapshot.Uint(c, &m.CreateTime)
-	snapshot.Uint(c, &m.InjectTime)
 	snapshot.Uint(c, &m.ReceiveTime)
 	c.Bool(&m.Sampled)
-	c.Int(&m.OpCode)
-	c.Int(&m.RxRemaining)
+	snapshot.Sint(c, &m.OpCode)
+	snapshot.Sint(c, &m.RxRemaining)
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
-		c.Int(&p.HopCount)
+		snapshot.Sint(c, &p.HopCount)
 		c.Bool(&p.NonMinimal)
-		c.Int(&p.Intermediate)
+		snapshot.Sint(c, &p.Intermediate)
 		snapshot.Uint(c, &p.InjectTime)
 		snapshot.Uint(c, &p.ReceiveTime)
 		c.Bool(&p.Routing.Valid)
 		snapshot.Sint(c, &p.Routing.Phase)
 		c.Bool(&p.Routing.Dateline)
-		c.Int(&p.rxNext)
+		snapshot.Sint(c, &p.rxNext)
 	}
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
 			// -1 until the flit wins its first VC at the injecting interface.
-			c.IndexOrNone(&f.VC, b.VCs, "Flit.VC")
-			snapshot.Uint(c, &f.SendTime)
-			snapshot.Uint(c, &f.ReceiveTime)
+			index32(c.IndexOrNone, &f.VC, b.VCs, "Flit.VC")
 			if c.Loading() {
 				// The aliasing sentinel compares a flit's stamp with its
 				// message's generation, never their absolute values.
@@ -153,6 +154,15 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 			c.Bool(&f.vfInFlight)
 		}
 	}
+}
+
+// index32 codes an int32 index field through code (Codec.Index or
+// IndexOrNone) and its range check; a bound beyond int32 is clipped to it,
+// so a loaded value always fits.
+func index32(code func(p *int, bound int, what string), p *int32, bound int, what string) {
+	v := int(*p)
+	code(&v, min(bound, math.MaxInt32), what)
+	*p = int32(v)
 }
 
 // Packet codes a reference to a packet held by a component: a present flag
@@ -174,7 +184,7 @@ func (t *MessageTable) Packet(c *snapshot.Codec, pp **Packet) {
 		if t.idx[p.Msg.ID] != p.Msg {
 			panic("types: reference to a message not in the checkpoint table")
 		}
-		id, pkt = p.Msg.ID, p.ID
+		id, pkt = p.Msg.ID, int(p.ID)
 	}
 	if present {
 		c.U64(&id)
@@ -201,7 +211,7 @@ func (t *MessageTable) Flit(c *snapshot.Codec, pf **Flit) {
 	var p *Packet
 	var fl int
 	if f := *pf; f != nil && !c.Loading() {
-		p, fl = f.Pkt, f.ID
+		p, fl = f.Pkt, int(f.ID)
 	}
 	t.Packet(c, &p)
 	if p != nil {

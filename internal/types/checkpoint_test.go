@@ -23,14 +23,13 @@ func testMessage(pool *Pool, id uint64) *Message {
 	}
 	m.Transaction = 99
 	m.CreateTime = 10
-	m.InjectTime = 12
 	m.ReceiveTime = 30
 	m.Sampled = true
 	m.OpCode = 4
 	m.RxRemaining = 2
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
-		p.HopCount = i + 1
+		p.HopCount = int32(i + 1)
 		p.NonMinimal = i%2 == 0
 		p.Intermediate = 7
 		p.InjectTime = 13
@@ -38,12 +37,10 @@ func testMessage(pool *Pool, id uint64) *Message {
 		p.Routing.Valid = true
 		p.Routing.Phase = int8(i - 1)
 		p.Routing.Dateline = i == 0
-		p.rxNext = i
+		p.rxNext = int32(i)
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
-			f.VC = j % 3
-			f.SendTime = 14
-			f.ReceiveTime = 15
+			f.VC = int32(j % 3)
 			f.vfGen = m.gen
 			f.vfInFlight = j == 0
 		}
@@ -93,7 +90,7 @@ func TestMessageTableRoundTrip(t *testing.T) {
 	if rm == nil || rm.Src != 2 || rm.Dst != 3 || rm.Transaction != 99 || !rm.Sampled {
 		t.Fatalf("restored message 7 lost fields: %+v", rm)
 	}
-	if rm.pool != pool {
+	if rm.pool != pool.id {
 		t.Fatal("restored message not owned by the given pool")
 	}
 	if rm.NumPackets() != 3 || rm.Packet(0).Size() != 2 || rm.Packet(2).Size() != 1 {
@@ -230,13 +227,32 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 		}
 	}
 	// mutated is a table holding m3 with one field changed for the save.
-	mutated := func(field *int, v int) func(c *snapshot.Codec) {
+	mutated := func(field *int32, v int32) func(c *snapshot.Codec) {
 		return func(c *snapshot.Codec) {
 			old := *field
 			*field = v
 			snaptest.Put(c.Int, 1)
 			msg(m3)(c)
 			*field = old
+		}
+	}
+	// packet0 writes a table of one 1-flit message up to its packet's
+	// Intermediate, with the given HopCount and Intermediate.
+	packet0 := func(hops, inter int) func(c *snapshot.Codec) {
+		return func(c *snapshot.Codec) {
+			shape(1, 1)(c)
+			snaptest.Put(c.Int, 0)      // App
+			snaptest.Put(c.U64, 0)      // Transaction
+			snaptest.Put(c.Int, 0)      // Src
+			snaptest.Put(c.Int, 1)      // Dst
+			snaptest.Put(c.U64, 0)      // CreateTime
+			snaptest.Put(c.U64, 0)      // ReceiveTime
+			snaptest.Put(c.Bool, false) // Sampled
+			snaptest.Put(c.Int, 0)      // OpCode
+			snaptest.Put(c.Int, 1)      // RxRemaining
+			snaptest.Put(c.Int, hops)   // HopCount
+			snaptest.Put(c.Bool, false) // NonMinimal
+			snaptest.Put(c.Int, inter)  // Intermediate
 		}
 	}
 	cases := []struct {
@@ -250,11 +266,15 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 		{"unsorted", func(c *snapshot.Codec) { snaptest.Put(c.Int, 2); msg(m7)(c); msg(m3)(c) }, "not sorted"},
 		{"truncated", func(c *snapshot.Codec) { snaptest.Put(c.Int, 3); msg(m3)(c) }, "snapshot:"},
 		{"empty", func(c *snapshot.Codec) {}, "snapshot:"},
-		{"source terminal", mutated(&m3.Src, testBounds.Terminals), "Message.Src 4 out of range"},
+		{"source terminal", mutated(&m3.Src, int32(testBounds.Terminals)), "Message.Src 4 out of range"},
 		{"destination terminal", mutated(&m3.Dst, -1), "Message.Dst -1 out of range"},
-		{"application", mutated(&m3.App, testBounds.Apps), "Message.App 2 out of range"},
-		{"flit VC", mutated(&m3.Packet(1).Flit(0).VC, testBounds.VCs), "Flit.VC 3 out of range"},
+		{"application", mutated(&m3.App, int32(testBounds.Apps)), "Message.App 2 out of range"},
+		{"flit VC", mutated(&m3.Packet(1).Flit(0).VC, int32(testBounds.VCs)), "Flit.VC 3 out of range"},
 		{"flit VC below none", mutated(&m3.Packet(0).Flit(1).VC, -2), "Flit.VC -2 out of range"},
+		{"shape beyond int32", shape(1<<31, 2), "invalid shape"},
+		{"hop count beyond int32", packet0(1<<31, -1), "overflows int32"},
+		{"intermediate beyond int32", packet0(0, 1<<31), "overflows int32"},
+		{"intermediate below int32", packet0(0, -1<<31-1), "overflows int32"},
 	}
 	for _, tc := range cases {
 		if err := load(tc.enc); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -44,32 +44,51 @@ func TestMessageAllocations(t *testing.T) {
 	}
 }
 
+// TestTrafficObjectSizes pins the traffic objects' sizes. A live
+// single-flit message is exactly one Message, so its size is the memory each
+// in-flight flit costs; a field that grows it past 192 bytes moves every
+// message into the allocator's next size class (208). Flit and Packet are
+// embedded in it, and Flit is also the element of every body block.
+func TestTrafficObjectSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		typ  reflect.Type
+		want uintptr
+	}{
+		{"Message", reflect.TypeFor[Message](), 192},
+		{"Packet", reflect.TypeFor[Packet](), 80},
+		{"Flit", reflect.TypeFor[Flit](), 24},
+	} {
+		if got := tc.typ.Size(); got != tc.want {
+			t.Errorf("%s is %d bytes, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 type flitView struct {
-	ID                    int
-	Head, Tail            bool
-	VC                    int
-	SendTime, ReceiveTime sim.Tick
+	ID, VC     int32
+	Head, Tail bool
 }
 
 type packetView struct {
 	ID, Size                int
-	HopCount, Intermediate  int
+	HopCount, Intermediate  int32
 	NonMinimal              bool
 	Routing                 RoutingScratch
 	InjectTime, ReceiveTime sim.Tick
-	RxNext                  int
+	RxNext                  int32
 	Flits                   []flitView
 }
 
 type messageView struct {
-	ID, Transaction                     uint64
-	App, Src, Dst                       int
-	CreateTime, InjectTime, ReceiveTime sim.Tick
-	Sampled                             bool
-	OpCode, RxRemaining                 int
-	TotalFlits, MaxPkt                  int
-	Released                            bool
-	Packets                             []packetView
+	ID, Transaction         uint64
+	App, Src, Dst           int32
+	CreateTime, ReceiveTime sim.Tick
+	Sampled                 bool
+	OpCode, RxRemaining     int32
+	TotalFlits, MaxPkt      int
+	Released                bool
+	Packets                 []packetView
 }
 
 // view copies every simulation field of m, its packets and its flits into
@@ -79,20 +98,20 @@ type messageView struct {
 func view(m *Message) messageView {
 	v := messageView{
 		ID: m.ID, Transaction: m.Transaction, App: m.App, Src: m.Src, Dst: m.Dst,
-		CreateTime: m.CreateTime, InjectTime: m.InjectTime, ReceiveTime: m.ReceiveTime,
+		CreateTime: m.CreateTime, ReceiveTime: m.ReceiveTime,
 		Sampled: m.Sampled, OpCode: m.OpCode, RxRemaining: m.RxRemaining,
-		TotalFlits: m.TotalFlits(), MaxPkt: m.maxPkt, Released: m.released,
+		TotalFlits: m.TotalFlits(), MaxPkt: m.maxPkt(), Released: m.released,
 	}
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
 		pv := packetView{
-			ID: p.ID, Size: p.Size(), HopCount: p.HopCount,
+			ID: int(p.ID), Size: p.Size(), HopCount: p.HopCount,
 			Intermediate: p.Intermediate, NonMinimal: p.NonMinimal, Routing: p.Routing,
 			InjectTime: p.InjectTime, ReceiveTime: p.ReceiveTime, RxNext: p.rxNext,
 		}
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
-			pv.Flits = append(pv.Flits, flitView{f.ID, f.Head, f.Tail, f.VC, f.SendTime, f.ReceiveTime})
+			pv.Flits = append(pv.Flits, flitView{f.ID, f.VC, f.Head, f.Tail})
 		}
 		v.Packets = append(v.Packets, pv)
 	}
@@ -107,7 +126,7 @@ func checkLinks(t *testing.T, label string, m *Message) {
 	seen := map[*Flit]bool{}
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
-		if p.Msg != m || p.ID != i {
+		if p.Msg != m || int(p.ID) != i {
 			t.Errorf("%s: Packet(%d) has Msg %p ID %d, want %p and %d", label, i, p.Msg, p.ID, m, i)
 		}
 		if p.Head() != p.Flit(0) || p.Tail() != p.Flit(p.Size()-1) {
@@ -115,7 +134,7 @@ func checkLinks(t *testing.T, label string, m *Message) {
 		}
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
-			if f.Pkt != p || f.ID != j {
+			if f.Pkt != p || int(f.ID) != j {
 				t.Errorf("%s: packet %d Flit(%d) has Pkt %p ID %d, want %p and %d", label, i, j, f.Pkt, f.ID, p, j)
 			}
 			if seen[f] {
@@ -133,7 +152,7 @@ func checkLinks(t *testing.T, label string, m *Message) {
 // delivered message leaves it. The verification ledger stays clear: a
 // message with flits in flight must not be released.
 func dirty(m *Message) {
-	m.Transaction, m.CreateTime, m.InjectTime, m.ReceiveTime = 9, 10, 11, 12
+	m.Transaction, m.CreateTime, m.ReceiveTime = 9, 10, 12
 	m.Sampled, m.OpCode, m.RxRemaining = true, 3, 0
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
@@ -142,19 +161,20 @@ func dirty(m *Message) {
 		p.InjectTime, p.ReceiveTime, p.rxNext = 13, 14, 1
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
-			f.VC, f.SendTime, f.ReceiveTime = 2, 15, 16
+			f.VC = 2
 		}
 	}
 }
 
 // TestMessageLayoutFieldForField builds each shape (one flit, one packet of
-// many flits, whole packets, a short last packet) four ways — fresh from a
+// many flits, whole packets, a short last packet, a cap beyond the flit
+// count) four ways — fresh from a
 // pool, recycled through it after a dirty first life, unpooled, and restored
 // from a checkpoint of a fresh message — and requires them equal field for
 // field, with an intact object graph.
 func TestMessageLayoutFieldForField(t *testing.T) {
 	const id, app, src, dst = 42, 1, 2, 3
-	for _, sh := range []struct{ flits, maxPkt int }{{1, 1}, {8, 8}, {8, 4}, {5, 2}} {
+	for _, sh := range []struct{ flits, maxPkt int }{{1, 1}, {8, 8}, {8, 4}, {5, 2}, {3, 8}} {
 		pool := NewPool()
 		fresh := pool.NewMessage(id, app, src, dst, sh.flits, sh.maxPkt)
 		want := view(fresh)

@@ -1,7 +1,10 @@
 package types
 
+import "sync/atomic"
+
 // poolKey buckets recycled messages by shape: segmentation depends on both
-// the flit count and the packet size cap, so both are part of the key.
+// the flit count and the packet size cap, so both are part of the key. The
+// cap is the one the shape shows (Message.maxPkt): min(cap, flit count).
 type poolKey struct {
 	totalFlits    int
 	maxPacketSize int
@@ -27,6 +30,9 @@ type PoolObserver interface {
 type Pool struct {
 	free map[poolKey][]*Message
 	obs  PoolObserver
+	// id names the pool in its messages (Message.pool), four bytes where a
+	// pointer would take eight; 0 means unpooled.
+	id uint32
 
 	gets uint64 // NewMessage calls
 	// hits counts NewMessage calls served from the free list since this
@@ -36,9 +42,13 @@ type Pool struct {
 	releases uint64 // messages returned
 }
 
+// poolIDs numbers pools process-wide from 1 (0 is unpooled). Sweeps build
+// pools from several goroutines, hence the atomic.
+var poolIDs atomic.Uint32
+
 // NewPool creates an empty message pool.
 func NewPool() *Pool {
-	return &Pool{free: map[poolKey][]*Message{}}
+	return &Pool{free: map[poolKey][]*Message{}, id: poolIDs.Add(1)}
 }
 
 // SetObserver registers a lifecycle observer (nil to remove). Observation is
@@ -62,9 +72,9 @@ func (p *Pool) Stats() PoolStats {
 // when one is available. The returned message is field-for-field identical to
 // one built by the package-level NewMessage.
 func (p *Pool) NewMessage(id uint64, app, src, dst int, totalFlits, maxPacketSize int) *Message {
-	validateShape(id, totalFlits, maxPacketSize)
+	validateShape(id, app, src, dst, totalFlits, maxPacketSize)
 	p.gets++
-	k := poolKey{totalFlits, maxPacketSize}
+	k := poolKey{totalFlits, min(maxPacketSize, totalFlits)}
 	if list := p.free[k]; len(list) > 0 {
 		m := list[len(list)-1]
 		list[len(list)-1] = nil
@@ -76,7 +86,7 @@ func (p *Pool) NewMessage(id uint64, app, src, dst int, totalFlits, maxPacketSiz
 		}
 		return m
 	}
-	m := &Message{pool: p}
+	m := &Message{pool: p.id}
 	m.alloc(totalFlits, maxPacketSize)
 	m.reset(id, app, src, dst)
 	if p.obs != nil {
@@ -91,7 +101,7 @@ func (p *Pool) NewMessage(id uint64, app, src, dst int, totalFlits, maxPacketSiz
 // different pool, unpooled messages and nil are ignored, so callers can
 // release unconditionally at the retirement point.
 func (p *Pool) Release(m *Message) {
-	if m == nil || m.pool != p {
+	if m == nil || m.pool != p.id {
 		return
 	}
 	if m.released {
@@ -102,6 +112,6 @@ func (p *Pool) Release(m *Message) {
 	if p.obs != nil {
 		p.obs.MessageReleased(m)
 	}
-	k := poolKey{m.TotalFlits(), m.maxPkt}
+	k := poolKey{m.TotalFlits(), m.maxPkt()}
 	p.free[k] = append(p.free[k], m)
 }

@@ -22,10 +22,20 @@
 // Packets and flits are reached through accessors (Message.NumPackets,
 // Message.Packet, Packet.Size, Packet.Flit, Packet.Head, Packet.Tail), not
 // pointer slices, which would add slice headers and pointers for the
-// collector to mark to every live message.
+// collector to mark to every live message. A packet's share of the body
+// block is an (offset, length) window into Message.body, not a slice.
 //
 // Because packets and flits point into their own message, a Message or a
 // Packet must never be copied by value; go vet's copylocks check enforces it.
+//
+// Every live single-flit message is one Message, so its size is the
+// simulator's memory per in-flight flit: 192 bytes (Flit 24, Packet 80).
+// Fields whose range the configuration bounds (terminal, application and VC
+// numbers, flit and packet counts, hop counts) are int32, and the accessors
+// that routing code reads (Packet.Dst, Packet.Size) return int. A flit
+// carries no per-hop timestamps and a message no injection time, since no
+// component read them (statistics use Packet.InjectTime).
+// TestTrafficObjectSizes pins the three sizes.
 //
 // # Pooling and the message lifecycle
 //
@@ -56,6 +66,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 
 	"supersim/internal/sim"
 )
@@ -72,33 +83,26 @@ type Message struct {
 	_ noCopy
 
 	ID          uint64 // globally unique
-	App         int    // application index within the workload
 	Transaction uint64 // transaction grouping tag
 
 	CreateTime  sim.Tick // when the application created the message
-	InjectTime  sim.Tick // when the first flit entered the network
 	ReceiveTime sim.Tick // when the last flit was delivered
 
-	Sampled bool // flagged for statistics sampling
-	OpCode  int  // application-specific operation code
+	App    int32 // application index within the workload
+	OpCode int32 // application-specific operation code
 
 	// RxRemaining counts the flits not yet delivered to the destination.
 	// It is initialized to the total flit count and owned by the
 	// ejection-side network interface during reassembly.
-	RxRemaining int
+	RxRemaining int32
 
-	// Src and Dst sit next to packet 0, so a router reading Packet.Dst of a
-	// head flit touches the cache lines it already holds for that flit.
-	Src, Dst int // terminal IDs
+	// Src and Dst are in the header, which fills the object's first 64-byte
+	// line (objects of the 192-byte size class start on a line boundary);
+	// packet 0's head flit and routing state fill the second. A router hop
+	// on a single-flit message reads those two lines.
+	Src, Dst int32 // terminal IDs
 
-	// first is packet 0; rest holds packets 1..n-1 (nil for one packet) and
-	// body every packet's non-head flits (nil when every packet is one flit).
-	first Packet
-	rest  []Packet
-	body  []Flit
-
-	maxPkt int   // segmentation parameter, part of the pool bucket key
-	pool   *Pool // owning pool; nil for unpooled messages
+	Sampled bool // flagged for statistics sampling
 	// released guards against double Release. Snapshots hold live messages
 	// only, so it is always false there.
 	released bool
@@ -107,37 +111,50 @@ type Message struct {
 	// so verification layers can detect references into a recycled block (see
 	// internal/verify's pool-aliasing sentinel). It records host-memory reuse,
 	// not simulation state: a restored message starts at 1.
-	gen uint64
+	gen uint32
+	// pool is the owning Pool's id; 0 for unpooled messages.
+	pool uint32
+
+	// first is packet 0; rest holds packets 1..n-1 (nil for one packet) and
+	// body every packet's non-head flits (nil when every packet is one flit).
+	first Packet
+	rest  []Packet
+	body  []Flit
 }
 
 // Generation returns the message's life counter, bumped each time the
 // message's blocks are (re)initialized. A component holding a flit whose
 // message generation has changed is holding an aliased, recycled block.
-func (m *Message) Generation() uint64 { return m.gen }
+func (m *Message) Generation() uint32 { return m.gen }
 
 // NewMessage creates an unpooled message of totalFlits flits segmented into
 // packets of at most maxPacketSize flits each. totalFlits and maxPacketSize
 // must be positive. Hot paths should draw from a Pool instead.
 func NewMessage(id uint64, app, src, dst int, totalFlits, maxPacketSize int) *Message {
-	validateShape(id, totalFlits, maxPacketSize)
+	validateShape(id, app, src, dst, totalFlits, maxPacketSize)
 	m := &Message{}
 	m.alloc(totalFlits, maxPacketSize)
 	m.reset(id, app, src, dst)
 	return m
 }
 
-func validateShape(id uint64, totalFlits, maxPacketSize int) {
-	if totalFlits <= 0 {
-		panic(fmt.Sprintf("types: message %d: totalFlits %d must be positive", id, totalFlits))
+// validateShape rejects what the message cannot hold: a non-positive shape,
+// and an application, terminal or flit count beyond the int32 fields.
+func validateShape(id uint64, app, src, dst, totalFlits, maxPacketSize int) {
+	if totalFlits <= 0 || totalFlits > math.MaxInt32 {
+		panic(fmt.Sprintf("types: message %d: totalFlits %d must be in [1, %d]", id, totalFlits, math.MaxInt32))
 	}
 	if maxPacketSize <= 0 {
 		panic(fmt.Sprintf("types: message %d: maxPacketSize %d must be positive", id, maxPacketSize))
 	}
+	if int(int32(app)) != app || int(int32(src)) != src || int(int32(dst)) != dst {
+		panic(fmt.Sprintf("types: message %d: app %d, src %d or dst %d overflows int32", id, app, src, dst))
+	}
 }
 
 // alloc builds the packet and flit blocks the shape needs and the immutable
-// identity fields (packet IDs, flit IDs, head/tail flags, back-pointers). It
-// runs once per message shape; reuse only re-runs reset.
+// identity fields (packet IDs, flit IDs, head/tail flags, back-pointers,
+// body windows). It runs once per message shape; reuse only re-runs reset.
 func (m *Message) alloc(totalFlits, maxPacketSize int) {
 	numPackets := (totalFlits + maxPacketSize - 1) / maxPacketSize
 	if numPackets > 1 {
@@ -146,7 +163,6 @@ func (m *Message) alloc(totalFlits, maxPacketSize int) {
 	if totalFlits > numPackets {
 		m.body = make([]Flit, totalFlits-numPackets)
 	}
-	m.maxPkt = maxPacketSize
 	remaining := totalFlits
 	base := 0
 	for i := 0; i < numPackets; i++ {
@@ -154,13 +170,13 @@ func (m *Message) alloc(totalFlits, maxPacketSize int) {
 		remaining -= size
 		pkt := m.Packet(i)
 		pkt.Msg = m
-		pkt.ID = i
-		pkt.body = m.body[base : base+size-1 : base+size-1]
+		pkt.ID = int32(i)
+		pkt.bodyOff, pkt.bodyLen = int32(base), int32(size-1)
 		base += size - 1
 		for f := 0; f < size; f++ {
 			fl := pkt.Flit(f)
 			fl.Pkt = pkt
-			fl.ID = f
+			fl.ID = int32(f)
 			fl.Head = f == 0
 			fl.Tail = f == size-1
 		}
@@ -168,20 +184,20 @@ func (m *Message) alloc(totalFlits, maxPacketSize int) {
 }
 
 // reset restores every mutable field to its initial value so a recycled
-// message is indistinguishable from a freshly allocated one.
+// message is indistinguishable from a freshly allocated one. validateShape
+// has range-checked app, src and dst.
 func (m *Message) reset(id uint64, app, src, dst int) {
 	m.gen++
 	m.ID = id
-	m.App = app
+	m.App = int32(app)
 	m.Transaction = 0
-	m.Src = src
-	m.Dst = dst
+	m.Src = int32(src)
+	m.Dst = int32(dst)
 	m.CreateTime = 0
-	m.InjectTime = 0
 	m.ReceiveTime = 0
 	m.Sampled = false
 	m.OpCode = 0
-	m.RxRemaining = m.TotalFlits()
+	m.RxRemaining = int32(m.TotalFlits())
 	m.released = false
 	for i := 0; i < m.NumPackets(); i++ {
 		pkt := m.Packet(i)
@@ -192,10 +208,10 @@ func (m *Message) reset(id uint64, app, src, dst int) {
 		pkt.ReceiveTime = 0
 		pkt.Routing = RoutingScratch{}
 		pkt.rxNext = 0
-		pkt.head.reset()
+		pkt.head.VC = -1
 	}
 	for i := range m.body {
-		m.body[i].reset()
+		m.body[i].VC = -1
 	}
 }
 
@@ -205,6 +221,12 @@ func (m *Message) TotalFlits() int { return m.NumPackets() + len(m.body) }
 
 // NumPackets returns the number of packets the message is segmented into.
 func (m *Message) NumPackets() int { return 1 + len(m.rest) }
+
+// maxPkt returns the message's packet size cap as its shape shows it: the
+// first packet's size, which every packet but the last shares. A cap beyond
+// the flit count builds the same shape as the flit count itself, so this is
+// all of the cap that is state.
+func (m *Message) maxPkt() int { return m.first.Size() }
 
 // Packet returns the message's i-th packet, 0 <= i < NumPackets().
 func (m *Message) Packet(i int) *Packet {
@@ -219,15 +241,20 @@ func (m *Message) Packet(i int) *Packet {
 type Packet struct {
 	_ noCopy
 
-	Msg *Message
-	ID  int // index within the message
-
+	Msg  *Message
 	head Flit
-	body []Flit // flits 1..Size()-1, a window of the message's body block
 
-	HopCount     int  // router-to-router hops taken so far
-	Intermediate int  // intermediate destination for non-minimal routing, -1 if none
-	NonMinimal   bool // took a non-minimal route (Valiant/UGAL deroute)
+	ID           int32 // index within the message
+	HopCount     int32 // router-to-router hops taken so far
+	Intermediate int32 // intermediate destination for non-minimal routing, -1 if none
+
+	// bodyOff and bodyLen window flits 1..Size()-1 in the message's body
+	// block.
+	bodyOff, bodyLen int32
+
+	rxNext int32 // next expected flit ID at the destination (OrderChecker)
+
+	NonMinimal bool // took a non-minimal route (Valiant/UGAL deroute)
 
 	// Routing is fixed-size scratch storage owned by the routing algorithm
 	// (e.g. dateline crossing flags, UGAL phase). Routers never interpret it.
@@ -236,8 +263,6 @@ type Packet struct {
 
 	InjectTime  sim.Tick // head flit network entry
 	ReceiveTime sim.Tick // tail flit delivery
-
-	rxNext int // next expected flit ID at the destination (OrderChecker)
 }
 
 // RoutingScratch is per-packet scratch storage for routing algorithms. It is
@@ -251,28 +276,31 @@ type RoutingScratch struct {
 }
 
 // Dst returns the destination terminal of the packet's message.
-func (p *Packet) Dst() int { return p.Msg.Dst }
+func (p *Packet) Dst() int { return int(p.Msg.Dst) }
 
 // Size returns the number of flits in the packet.
-func (p *Packet) Size() int { return 1 + len(p.body) }
+func (p *Packet) Size() int { return 1 + int(p.bodyLen) }
 
 // Flit returns the packet's i-th flit, 0 <= i < Size().
 func (p *Packet) Flit(i int) *Flit {
 	if i == 0 {
 		return &p.head
 	}
-	return &p.body[i-1]
+	return &p.body()[i-1]
 }
+
+// body returns the packet's window of the message's body block.
+func (p *Packet) body() []Flit { return p.Msg.body[p.bodyOff : p.bodyOff+p.bodyLen] }
 
 // Head returns the packet's head flit.
 func (p *Packet) Head() *Flit { return &p.head }
 
 // Tail returns the packet's tail flit.
 func (p *Packet) Tail() *Flit {
-	if len(p.body) == 0 {
+	if p.bodyLen == 0 {
 		return &p.head
 	}
-	return &p.body[len(p.body)-1]
+	return &p.Msg.body[p.bodyOff+p.bodyLen-1]
 }
 
 // Age returns the message creation time, used by age-based arbitration: the
@@ -287,39 +315,28 @@ func (p *Packet) String() string {
 // Flit is the unit of buffering and flow control. The head flit carries the
 // routing responsibility; the tail flit releases held resources.
 type Flit struct {
-	Pkt  *Packet
-	ID   int // index within the packet
-	Head bool
-	Tail bool
-	// vfInFlight is vfGen's partner (see there); it sits beside the flags so
-	// the three bools share one word.
-	vfInFlight bool
+	Pkt *Packet
+	ID  int32 // index within the packet
 
 	// VC is the virtual channel the flit currently occupies. It is rewritten
 	// at each hop by the winning routing/VC-allocation decision.
-	VC int
-
-	SendTime    sim.Tick // last channel injection time
-	ReceiveTime sim.Tick // last channel delivery time
+	VC int32
 
 	// vfGen and vfInFlight are the invariant-verification subsystem's
 	// in-flight ledger, inlined into the flit so the ledger needs no shared
 	// map: every channel hop checks it, and a field read costs no lookup and
 	// no allocation. The fields are written only at injection/retirement
 	// (terminal side); hops merely read them.
-	vfGen uint64
-}
+	vfGen uint32
 
-// reset restores the flit's per-life fields.
-func (f *Flit) reset() {
-	f.VC = -1
-	f.SendTime = 0
-	f.ReceiveTime = 0
+	Head       bool
+	Tail       bool
+	vfInFlight bool
 }
 
 // VerifyMarkInFlight records the flit entering the network, stamping the
 // owning message's generation. Owned by internal/verify.
-func (f *Flit) VerifyMarkInFlight(gen uint64) {
+func (f *Flit) VerifyMarkInFlight(gen uint32) {
 	f.vfGen = gen
 	f.vfInFlight = true
 }
@@ -330,7 +347,7 @@ func (f *Flit) VerifyClearInFlight() { f.vfInFlight = false }
 
 // VerifyInFlight returns the message generation recorded at injection and
 // whether the flit is currently marked in flight. Owned by internal/verify.
-func (f *Flit) VerifyInFlight() (uint64, bool) { return f.vfGen, f.vfInFlight }
+func (f *Flit) VerifyInFlight() (uint32, bool) { return f.vfGen, f.vfInFlight }
 
 func (f *Flit) String() string {
 	kind := "body"

@@ -41,12 +41,12 @@ func TestNewMessageSegmentation(t *testing.T) {
 		if p.Size() != sizes[i] {
 			t.Fatalf("packet %d size %d, want %d", i, p.Size(), sizes[i])
 		}
-		if p.ID != i || p.Msg != m {
+		if int(p.ID) != i || p.Msg != m {
 			t.Fatal("packet identity wrong")
 		}
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
-			if f.ID != j || f.Pkt != p {
+			if int(f.ID) != j || f.Pkt != p {
 				t.Fatal("flit identity wrong")
 			}
 			if f.Head != (j == 0) || f.Tail != (j == p.Size()-1) {
@@ -74,6 +74,11 @@ func TestNewMessageInvalid(t *testing.T) {
 		func() { NewMessage(1, 0, 0, 1, 0, 4) },
 		func() { NewMessage(1, 0, 0, 1, -1, 4) },
 		func() { NewMessage(1, 0, 0, 1, 4, 0) },
+		// Beyond the int32 fields.
+		func() { NewMessage(1, 0, 0, 1, 1<<31, 4) },
+		func() { NewMessage(1, 1<<31, 0, 1, 1, 1) },
+		func() { NewMessage(1, 0, 0, -1<<31-1, 1, 1) },
+		func() { NewPool().NewMessage(1, 0, 1<<31, 1, 1, 1) },
 	} {
 		func() {
 			defer func() {
@@ -203,4 +208,36 @@ func TestOrderCheckerDuplicate(t *testing.T) {
 		}
 	}()
 	c.Check(m.Packet(0).Flit(0))
+}
+
+// TestPoolReleaseOwnership: a pool ignores messages it did not hand out,
+// whether another pool's or unpooled, so the owner can still release them.
+func TestPoolReleaseOwnership(t *testing.T) {
+	a, b := NewPool(), NewPool()
+	m := a.NewMessage(1, 0, 0, 1, 1, 1)
+	b.Release(m)
+	b.Release(NewMessage(2, 0, 0, 1, 1, 1))
+	a.Release(NewMessage(3, 0, 0, 1, 1, 1))
+	if b.Stats().Releases != 0 || a.Stats().Releases != 0 {
+		t.Fatalf("foreign or unpooled release counted: a %+v, b %+v", a.Stats(), b.Stats())
+	}
+	a.Release(m)
+	if a.Stats().Releases != 1 {
+		t.Fatalf("owner's release not counted: %+v", a.Stats())
+	}
+}
+
+// TestPoolBucketsByShape: a packet size cap at or beyond the flit count
+// builds one shape, so such messages share a free-list bucket.
+func TestPoolBucketsByShape(t *testing.T) {
+	p := NewPool()
+	m := p.NewMessage(1, 0, 0, 1, 3, 8)
+	p.Release(m)
+	if got := p.NewMessage(2, 0, 0, 1, 3, 3); got != m {
+		t.Fatal("3-flit message with cap 3 did not recycle the one built with cap 8")
+	}
+	p.Release(m)
+	if got := p.NewMessage(3, 0, 0, 1, 3, 2); got == m || got.NumPackets() != 2 {
+		t.Fatal("cap 2 (two packets) recycled the one-packet shape")
+	}
 }

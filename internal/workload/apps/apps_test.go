@@ -178,3 +178,31 @@ func TestBlastPacketStats(t *testing.T) {
 		t.Fatalf("packet mean %v should be below message mean %v", pkts.Mean(), msgs.Mean())
 	}
 }
+
+// TestBlastSinglePacketStats is TestBlastPacketStats' twin where no message
+// can span two packets (max_packet_size at and beyond message_size): the
+// packet recorder stays empty.
+func TestBlastSinglePacketStats(t *testing.T) {
+	for _, maxPkt := range []int{6, 8} {
+		doc := baseDoc(fmt.Sprintf(`{
+		  "type": "blast",
+		  "injection_rate": 0.2,
+		  "message_size": 6,
+		  "max_packet_size": %d,
+		  "warmup_duration": 300,
+		  "sample_duration": 1500,
+		  "traffic": {"type": "neighbor"}
+		}`, maxPkt))
+		sm := core.Build(config.MustParse(doc))
+		if _, err := sm.Run(); err != nil {
+			t.Fatal(err)
+		}
+		blast := sm.Workload.App(0).(*apps.Blast)
+		if blast.Stats().Count() == 0 {
+			t.Fatalf("max_packet_size %d: no sampled messages", maxPkt)
+		}
+		if n := blast.PacketStats().Count(); n != 0 {
+			t.Fatalf("max_packet_size %d: %d packet rows, want none", maxPkt, n)
+		}
+	}
+}

@@ -69,8 +69,13 @@ type Blast struct {
 	outstanding int // sampled messages still in flight
 	rec         *stats.Recorder
 	pktRec      *stats.Recorder // per-packet samples of sampled messages
-	skipped     uint64          // injections suppressed by the source queue cap
-	generated   uint64
+	// perPacket is set when a message can span several packets
+	// (max_packet_size < message_size). Otherwise pktRec stays empty: there
+	// is one packet per message row, and the packet view is printed only
+	// where packets outnumber messages.
+	perPacket bool
+	skipped   uint64 // injections suppressed by the source queue cap
+	generated uint64
 
 	// next is the continuous-time Poisson arrival clock per terminal; the
 	// discrete injection fires at ceil(next). Keeping the fractional part
@@ -112,6 +117,7 @@ func NewBlast(s *sim.Simulator, cfg *config.Settings, w *workload.Workload, appI
 	if b.msgSize < 1 || b.maxPkt < 1 {
 		b.Panicf("message_size and max_packet_size must be positive")
 	}
+	b.perPacket = b.maxPkt < b.msgSize
 	b.pattern = traffic.New(cfg.Sub("traffic"), net.NumTerminals())
 	b.meanGap = float64(b.msgSize) / b.rate * float64(net.ChannelPeriod())
 	b.next = make([]float64, net.NumTerminals())
@@ -126,7 +132,8 @@ func (b *Blast) Stats() *stats.Recorder { return b.rec }
 
 // PacketStats returns the recorder holding the individual packets of the
 // sampled messages — packet latency distributions differ from message
-// latency distributions once messages span multiple packets.
+// latency distributions once messages span multiple packets. It is empty
+// when max_packet_size >= message_size: every message is then one packet.
 func (b *Blast) PacketStats() *stats.Recorder { return b.pktRec }
 
 // Skipped returns injections suppressed because the source queue hit its cap
@@ -239,23 +246,23 @@ func (b *Blast) DeliverMessage(m *types.Message) {
 		Start:      m.CreateTime,
 		End:        m.ReceiveTime,
 		Flits:      m.TotalFlits(),
-		Hops:       m.Packet(0).HopCount,
+		Hops:       int(m.Packet(0).HopCount),
 		NonMinimal: nonMin,
-		App:        m.App,
-		Src:        m.Src,
-		Dst:        m.Dst,
+		App:        int(m.App),
+		Src:        int(m.Src),
+		Dst:        int(m.Dst),
 	})
-	for i := 0; i < m.NumPackets(); i++ {
+	for i := 0; b.perPacket && i < m.NumPackets(); i++ {
 		p := m.Packet(i)
 		b.pktRec.Record(stats.Sample{
 			Start:      p.InjectTime,
 			End:        p.ReceiveTime,
 			Flits:      p.Size(),
-			Hops:       p.HopCount,
+			Hops:       int(p.HopCount),
 			NonMinimal: p.NonMinimal,
-			App:        m.App,
-			Src:        m.Src,
-			Dst:        m.Dst,
+			App:        int(m.App),
+			Src:        int(m.Src),
+			Dst:        int(m.Dst),
 		})
 	}
 	b.outstanding--

@@ -171,10 +171,10 @@ func (p *Pulse) DeliverMessage(m *types.Message) {
 		Start: m.CreateTime,
 		End:   m.ReceiveTime,
 		Flits: m.TotalFlits(),
-		Hops:  m.Packet(0).HopCount,
-		App:   m.App,
-		Src:   m.Src,
-		Dst:   m.Dst,
+		Hops:  int(m.Packet(0).HopCount),
+		App:   int(m.App),
+		Src:   int(m.Src),
+		Dst:   int(m.Dst),
 	})
 	p.outstanding--
 	if p.outstanding < 0 {

@@ -252,12 +252,13 @@ type demux struct {
 // and returned, no component holds a reference to the message, so its blocks
 // are recycled through the workload's pool.
 func (d *demux) DeliverMessage(m *types.Message) {
-	if m.App < 0 || m.App >= len(d.w.apps) {
-		panic(fmt.Sprintf("workload: message %d from unknown application %d", m.ID, m.App))
+	app := int(m.App)
+	if app < 0 || app >= len(d.w.apps) {
+		panic(fmt.Sprintf("workload: message %d from unknown application %d", m.ID, app))
 	}
-	d.w.tp.MessageDelivered(m.App, m.TotalFlits(), m.ReceiveTime-m.CreateTime)
+	d.w.tp.MessageDelivered(app, m.TotalFlits(), m.ReceiveTime-m.CreateTime)
 	// Close the span before the message's blocks return to the pool.
 	d.w.sp.Finish(m)
-	d.w.apps[m.App].DeliverMessage(m)
+	d.w.apps[app].DeliverMessage(m)
 	d.w.pool.Release(m)
 }
