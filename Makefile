@@ -15,7 +15,8 @@
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  equivalence matrix (repeated = restored, byte for byte,
 #                  over every model), the simulation-after-import harness,
-#                  byte-exact snapshot round-trips and the pinned v5 bytes
+#                  byte-exact snapshot round-trips, the pinned v6 bytes and
+#                  the restore-side corruption checks
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
 #                  journal, spans and telemetry stream readers, the
@@ -101,7 +102,7 @@ fuzz:
 # testdata/golden/snapshots.json, restored-index validation, and the
 # randomized checkpoint sweep — under the race detector.
 test-import-export:
-	$(GO) test -race -count=1 -run='TestEquivalenceMatrix|TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRestoreRejectsVersion2|TestRandomizedCheckpointRestore' ./internal/core
+	$(GO) test -race -count=1 -run='TestEquivalenceMatrix|TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRestoreRejectsVersion2|TestRestoreRejectsMessageCorruption|TestRestoreRejectsUncodedEventOwner|TestSnapshotRejectsUncodedEventOwner|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
 # cover runs every test once, with the floors enforced; ci does not also run

@@ -18,25 +18,13 @@ func (ch *Channel) State(c *snapshot.Codec) {
 	c.U64(&ch.injected)
 }
 
-// Collect adds every message with a flit in flight toward the line's
-// receiver to the checkpoint's message table.
-func (l *Line) Collect(t *types.MessageTable) {
-	for i := range l.lanes {
-		for _, a := range l.lanes[i].q.Live() {
-			if a.f != nil {
-				t.Add(a.f.Pkt.Msg)
-			}
-		}
-	}
-}
-
 // State codes the line's scheduling identity and its arrivals, lane by lane
 // and run by run: each run's tick, then its arrivals. vcs is the network's
 // VC count: the receiver indexes its credit counters with an arriving
 // credit's VC. A loaded line sets the due bit of every tick it holds
 // arrivals for; the snapshot's event queue holds their events.
 func (l *Line) State(c *snapshot.Codec, t *types.MessageTable, vcs int) {
-	l.OrderState(c)
+	l.OrderState(c, l)
 	c.FixedLen(len(l.lanes), "arrival line lanes")
 	if c.Loading() {
 		clear(l.due)

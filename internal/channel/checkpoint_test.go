@@ -28,22 +28,19 @@ func inFlightChannel(t *testing.T) (*Channel, *types.Message) {
 // lineVCs is the VC count the line tests code credits against.
 const lineVCs = 2
 
-// stateOf codes a channel and its receiver's arrival line, as the
-// simulation's walk does.
-func stateOf(ch *Channel, tab *types.MessageTable) func(*snapshot.Codec) {
+// stateOf codes a channel and its receiver's arrival line after their
+// simulator, as the simulation's walk does.
+func stateOf(ch *Channel) func(*snapshot.Codec) {
 	return func(c *snapshot.Codec) {
+		ch.line.Sim().State(c)
 		ch.State(c)
-		ch.line.State(c, tab, lineVCs)
+		ch.line.State(c, types.NewMessageTable(nil, anyIndex), lineVCs)
 	}
 }
 
-func saveChannel(ch *Channel, tab *types.MessageTable) []byte {
-	return snaptest.Save(stateOf(ch, tab))
-}
+func saveChannel(ch *Channel) []byte { return snaptest.Save(stateOf(ch)) }
 
-func loadChannel(data []byte, ch *Channel, tab *types.MessageTable) error {
-	return snaptest.Load(data, stateOf(ch, tab))
-}
+func loadChannel(data []byte, ch *Channel) error { return snaptest.Load(data, stateOf(ch)) }
 
 // freshChannel builds the channel inFlightChannel builds, connected, in a
 // new simulator and with nothing sent.
@@ -57,68 +54,55 @@ func freshChannel() *Channel {
 // anyIndex admits every terminal, application and VC number the tests use.
 var anyIndex = types.Bounds{Terminals: 64, Apps: 64, VCs: 64}
 
-// reloadTable returns a fresh table holding restored copies of tab's messages.
-func reloadTable(t *testing.T, tab *types.MessageTable) *types.MessageTable {
-	t.Helper()
-	data := snaptest.Save(func(c *snapshot.Codec) { tab.State(c, nil, anyIndex) })
-	rtab := types.NewMessageTable()
-	if err := snaptest.Load(data, func(c *snapshot.Codec) { rtab.State(c, nil, anyIndex) }); err != nil {
-		t.Fatal(err)
-	}
-	return rtab
-}
-
 func TestChannelStateRoundTrip(t *testing.T) {
-	c, _ := inFlightChannel(t)
-	tab := types.NewMessageTable()
-	c.line.Collect(tab)
-	if tab.Len() != 1 {
-		t.Fatalf("collected %d messages, want 1", tab.Len())
-	}
-	data := saveChannel(c, tab)
+	c, m := inFlightChannel(t)
+	data := saveChannel(c)
 
-	rtab := reloadTable(t, tab)
 	got := freshChannel()
-	if err := loadChannel(data, got, rtab); err != nil {
+	if err := loadChannel(data, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.InFlight() != 2 || got.Injected() != c.Injected() || got.NextSlot(0) != c.NextSlot(0) {
 		t.Fatalf("restored channel: inflight %d injected %d next %d", got.InFlight(), got.Injected(), got.NextSlot(0))
 	}
+	// Both flits are in one message, defined once, at the first of them.
+	f0, f1 := got.line.lanes[0].q.Live()[0].f, got.line.lanes[0].q.Live()[1].f
+	if f0.Pkt.Msg != f1.Pkt.Msg || f0.Pkt.Msg == m || f0.ID != 0 || f1.ID != 1 {
+		t.Fatalf("restored flits %v, %v do not share one new message", f0, f1)
+	}
 	if err := got.line.CheckPending(); err == nil || !strings.Contains(err.Error(), "0 pending arrival events for 2") {
 		// The snapshot's event queue, not the line, re-creates the events.
 		t.Fatalf("restored line: %v, want its two ticks marked and no events", err)
 	}
-	if !bytes.Equal(saveChannel(got, rtab), data) {
+	if !bytes.Equal(saveChannel(got), data) {
 		t.Fatal("re-saved channel state is not byte-identical")
 	}
 }
 
 func TestChannelLoadRejectsCorruption(t *testing.T) {
 	c, _ := inFlightChannel(t)
-	tab := types.NewMessageTable()
-	c.line.Collect(tab)
-	data := saveChannel(c, tab)
+	data := saveChannel(c)
 
-	// A missing flit reference: a present=false entry where one is required.
+	// A missing flit reference: an absent reference where one is required.
 	noFlit := snaptest.Save(func(e *snapshot.Codec) {
+		c.line.Sim().State(e)
 		snaptest.Put(e.U64, 4) // nextSlot
 		snaptest.Put(e.U64, 1) // injected
-		c.line.OrderState(e)
-		snaptest.Put(e.Int, 1)      // one lane
-		snaptest.Put(e.Int, 1)      // one run in it
-		snaptest.Put(e.U64, 5)      // due at 5
-		snaptest.Put(e.Int, 1)      // one arrival in the run
-		snaptest.Put(e.Int, 0)      // from inbound 0, the flit channel
-		snaptest.Put(e.Bool, false) // ... with no flit
+		c.line.OrderState(e, c.line)
+		snaptest.Put(e.Int, 1) // one lane
+		snaptest.Put(e.Int, 1) // one run in it
+		snaptest.Put(e.U64, 5) // due at 5
+		snaptest.Put(e.Int, 1) // one arrival in the run
+		snaptest.Put(e.Int, 0) // from inbound 0, the flit channel
+		snaptest.Put(e.Int, 0) // ... with no flit
 	})
-	if err := loadChannel(noFlit, freshChannel(), tab); err == nil ||
+	if err := loadChannel(noFlit, freshChannel()); err == nil ||
 		!strings.Contains(err.Error(), "no flit") {
 		t.Fatalf("err = %v, want missing-flit error", err)
 	}
 
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
-		if err := loadChannel(data[:n], freshChannel(), tab); err == nil {
+		if err := loadChannel(data[:n], freshChannel()); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
@@ -136,7 +120,10 @@ func TestCreditChannelStateRoundTrip(t *testing.T) {
 	c.Inject(types.Credit{VC: 1})
 	c.Inject(types.Credit{VC: 0})
 	state := func(cc *CreditChannel) func(*snapshot.Codec) {
-		return func(c *snapshot.Codec) { cc.line.State(c, nil, lineVCs) }
+		return func(c *snapshot.Codec) {
+			cc.line.Sim().State(c)
+			cc.line.State(c, nil, lineVCs)
+		}
 	}
 	data := snaptest.Save(state(c))
 
@@ -167,7 +154,8 @@ func TestCreditChannelStateRoundTrip(t *testing.T) {
 	}
 	// A credit for a VC the receiver does not have.
 	bad := snaptest.Save(func(e *snapshot.Codec) {
-		c.line.OrderState(e)
+		c.line.Sim().State(e)
+		c.line.OrderState(e, c.line)
 		snaptest.Put(e.Int, 1) // one lane
 		snaptest.Put(e.Int, 1) // one run in it
 		snaptest.Put(e.U64, 3) // due at 3

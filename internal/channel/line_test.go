@@ -199,14 +199,14 @@ func TestLineLoadRejectsInconsistentArrivals(t *testing.T) {
 		return r.line
 	}
 	l := build()
-	tab := types.NewMessageTable()
+	tab := types.NewMessageTable(nil, anyIndex)
 	for _, tc := range []struct {
 		name string
 		put  func(c *snapshot.Codec)
 		want string
 	}{
 		{"wrong lane", func(c *snapshot.Codec) {
-			l.OrderState(c)
+			l.OrderState(c, l)
 			snaptest.Put(c.Int, 2) // two lanes
 			snaptest.Put(c.Int, 1) // lane 0: one run
 			snaptest.Put(c.U64, 4)
@@ -215,7 +215,7 @@ func TestLineLoadRejectsInconsistentArrivals(t *testing.T) {
 			snaptest.Put(c.Int, 0)
 		}, "of lane 1"},
 		{"empty run", func(c *snapshot.Codec) {
-			l.OrderState(c)
+			l.OrderState(c, l)
 			snaptest.Put(c.Int, 2)
 			snaptest.Put(c.Int, 0) // lane 0: no runs
 			snaptest.Put(c.Int, 1) // lane 1: one run
@@ -223,7 +223,7 @@ func TestLineLoadRejectsInconsistentArrivals(t *testing.T) {
 			snaptest.Put(c.Int, 0) // ... of nothing
 		}, "no arrival"},
 		{"runs out of order", func(c *snapshot.Codec) {
-			l.OrderState(c)
+			l.OrderState(c, l)
 			snaptest.Put(c.Int, 2)
 			snaptest.Put(c.Int, 0)
 			snaptest.Put(c.Int, 2) // lane 1: two runs
@@ -237,6 +237,7 @@ func TestLineLoadRejectsInconsistentArrivals(t *testing.T) {
 			snaptest.Put(c.Int, 0)
 		}, "not due after"},
 	} {
+		l = build() // each stream codes a fresh line's identity
 		err := snaptest.Load(snaptest.Save(tc.put), func(c *snapshot.Codec) { build().State(c, tab, lineVCs) })
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)

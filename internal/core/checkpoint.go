@@ -1,22 +1,21 @@
 // Checkpoint/restore for assembled simulations.
 //
 // A snapshot is a complete, versioned serialization of simulator state at a
-// tick boundary T: the settings document, every PRNG stream, all live
-// messages, every component's mutable state, the verify and telemetry
-// registries, and the event queue sorted by its total order. Restore
-// rebuilds the identical component graph by re-running Build on the embedded
-// settings — construction is deterministic, so every component reoccupies its
-// construction-order slot — then overwrites the fresh state with the
-// snapshot's and re-injects the saved events with their exact (tick, epsilon,
-// owner, oseq) ordering keys, so the restored run continues exactly as the
-// uninterrupted one.
+// tick boundary T: the settings document, every PRNG stream, every
+// component's mutable state with each live message at its first reference,
+// the verify and telemetry registries, and the event queue sorted by its
+// total order. Restore rebuilds the identical component graph by re-running
+// Build on the embedded settings — construction is deterministic, so every
+// component reoccupies its construction-order slot — then overwrites the
+// fresh state with the snapshot's and re-injects the saved events with their
+// exact (tick, epsilon, owner, oseq) ordering keys, so the restored run
+// continues exactly as the uninterrupted one.
 package core
 
 import (
 	"fmt"
 
 	"supersim/internal/config"
-	"supersim/internal/router"
 	"supersim/internal/sim"
 	"supersim/internal/snapshot"
 	"supersim/internal/types"
@@ -27,7 +26,6 @@ const (
 	secConfig    = "CFG"
 	secTime      = "TIM"
 	secSim       = "SIM"
-	secMessages  = "MSG"
 	secWorkload  = "WKL"
 	secNetwork   = "NET"
 	secVerify    = "VER"
@@ -35,83 +33,19 @@ const (
 	secEvents    = "EVQ"
 )
 
-// keyed is the view of a component the checkpoint machinery needs: it
-// processes events and carries a construction-order key. Every type embedding
-// sim.ComponentBase satisfies it.
-type keyed interface {
-	sim.Handler
-	OrderKey() uint32
-}
-
-// handlers walks every component that can own queued events, in a fixed
-// deterministic order. fn receives each component exactly once.
-func (sm *Simulation) handlers(fn func(keyed) error) error {
-	add := func(what string, c any) error {
-		k, ok := c.(keyed)
-		if !ok {
-			return fmt.Errorf("core: %s (%T) does not embed sim.ComponentBase and cannot be checkpointed", what, c)
-		}
-		return fn(k)
-	}
-	if err := add("workload", sm.Workload); err != nil {
-		return err
-	}
-	for i := 0; i < sm.Workload.NumApps(); i++ {
-		if err := add(fmt.Sprintf("application %d", i), sm.Workload.App(i)); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < sm.Net.NumRouters(); i++ {
-		if err := add(fmt.Sprintf("router %d", i), sm.Net.Router(i)); err != nil {
-			return err
-		}
-		if err := add(fmt.Sprintf("router %d arrival line", i), sm.Net.Router(i).Arrivals()); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < sm.Net.NumTerminals(); i++ {
-		if err := add(fmt.Sprintf("interface %d", i), sm.Net.Interface(i)); err != nil {
-			return err
-		}
-		if err := add(fmt.Sprintf("interface %d arrival line", i), sm.Net.Interface(i).Arrivals()); err != nil {
-			return err
-		}
-	}
-	if sm.Verify != nil {
-		if err := add("verifier", sm.Verify); err != nil {
-			return err
-		}
-	}
-	if sm.Telemetry != nil {
-		if err := add("telemetry", sm.Telemetry); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // state is the one walk over every stateful component, shared by Snapshot
-// and Restore: the SIM…TEL sections in stream order. A saving walk has a
-// table already populated by collect; a loading walk fills it in the MSG
-// section, before the components that hold references into it. A failed
-// section tag ends the walk; within a section the codec's sticky error turns
-// the remaining reads into no-ops.
-func (sm *Simulation) state(c *snapshot.Codec, table *types.MessageTable) {
+// and Restore: the SIM…TEL sections in stream order. Each message is coded
+// in full at its first reference, so the walk's message table needs no
+// pass of its own, and each component that owns events names itself to the
+// simulator's owner table as the walk codes it. A failed section tag ends
+// the walk; within a section the codec's sticky error turns the remaining
+// reads into no-ops.
+func (sm *Simulation) state(c *snapshot.Codec) {
 	// Simulator core state: scheduling counters and every PRNG stream.
 	if c.Section(secSim) != nil {
 		return
 	}
 	sm.Sim.State(c)
-
-	if c.Section(secMessages) != nil {
-		return
-	}
-	vcs := sm.Net.Router(0).NumVCs()
-	table.State(c, sm.Workload.Pool(), types.Bounds{
-		Terminals: sm.Net.NumTerminals(),
-		Apps:      sm.Workload.NumApps(),
-		VCs:       vcs,
-	})
 
 	if c.Section(secWorkload) != nil {
 		return
@@ -121,13 +55,14 @@ func (sm *Simulation) state(c *snapshot.Codec, table *types.MessageTable) {
 	if c.Section(secNetwork) != nil {
 		return
 	}
+	vcs := sm.Net.Router(0).NumVCs()
+	table := types.NewMessageTable(sm.Workload.Pool(), types.Bounds{
+		Terminals: sm.Net.NumTerminals(),
+		Apps:      sm.Workload.NumApps(),
+		VCs:       vcs,
+	})
 	for i := 0; i < sm.Net.NumRouters(); i++ {
-		st, ok := sm.Net.Router(i).(router.Stater)
-		if !ok {
-			c.Failf("router %d (%T) does not support checkpointing", i, sm.Net.Router(i))
-			return
-		}
-		st.State(c, table)
+		sm.Net.Router(i).State(c, table)
 		sm.Net.Router(i).Arrivals().State(c, table, vcs)
 	}
 	for i := 0; i < sm.Net.NumTerminals(); i++ {
@@ -165,21 +100,6 @@ func attached(c *snapshot.Codec, what string, have bool) {
 	}
 }
 
-// collect gathers the live messages from every flit- or packet-holding
-// component into a saving walk's table.
-func (sm *Simulation) collect(table *types.MessageTable) {
-	for i := 0; i < sm.Net.NumTerminals(); i++ {
-		sm.Net.Interface(i).Collect(table)
-		sm.Net.Interface(i).Arrivals().Collect(table)
-	}
-	for i := 0; i < sm.Net.NumRouters(); i++ {
-		if st, ok := sm.Net.Router(i).(router.Stater); ok {
-			st.Collect(table)
-		}
-		sm.Net.Router(i).Arrivals().Collect(table)
-	}
-}
-
 // Snapshot serializes the complete simulation state at the tick boundary T.
 // The simulation must be paused at T, after RunUntil(T).
 func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
@@ -199,12 +119,12 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 	c.Section(secTime)
 	progress(c, &tick, &executed, &last)
 
-	table := types.NewMessageTable()
-	sm.collect(table)
-	sm.state(c, table)
+	sm.state(c)
 
 	// The event queue, sorted by its total order so the bytes do not depend
-	// on the queue's internal layout.
+	// on the queue's internal layout. Restore re-binds each event to the
+	// component the walk coded under its owner key, so an event no State
+	// method owns would make a snapshot that cannot be restored.
 	recs, err := sm.Sim.ExportEvents()
 	if err != nil {
 		return nil, err
@@ -213,6 +133,9 @@ func (sm *Simulation) Snapshot(tick sim.Tick) ([]byte, error) {
 	c.Section(secEvents)
 	c.Len(len(recs))
 	for i := range recs {
+		if _, ok := sm.Sim.Owner(recs[i].Owner); !ok {
+			return nil, c.Failf("event at tick %d is owned by component key %d, which no State method codes", recs[i].Tick, recs[i].Owner)
+		}
 		recs[i].State(c)
 	}
 	if err := c.Done(); err != nil {
@@ -265,23 +188,12 @@ func Restore(data []byte, _ int) (sm *Simulation, tick sim.Tick, err error) {
 	}
 
 	sm = Build(cfg)
-	sm.state(c, types.NewMessageTable())
+	sm.state(c)
 	if c.Err() != nil {
 		return nil, 0, c.Err()
 	}
 
-	// Event queue: map each record's owner key back to the rebuilt component
-	// and inject it.
-	keyMap := map[uint32]keyed{}
-	if err := sm.handlers(func(k keyed) error {
-		if prev, dup := keyMap[k.OrderKey()]; dup {
-			return fmt.Errorf("core: components share construction-order key %d (%T, %T)", k.OrderKey(), prev, k)
-		}
-		keyMap[k.OrderKey()] = k
-		return nil
-	}); err != nil {
-		return nil, 0, err
-	}
+	// Event queue: each record's owner key names a component the walk coded.
 	c.Section(secEvents)
 	n := c.Len(0)
 	if c.Err() != nil {
@@ -300,7 +212,7 @@ func Restore(data []byte, _ int) (sm *Simulation, tick sim.Tick, err error) {
 		if r.Tick < tick {
 			return nil, 0, c.Failf("event %d at tick %d predates the checkpoint tick %d", i, r.Tick, tick)
 		}
-		h, ok := keyMap[r.Owner]
+		h, ok := sm.Sim.Owner(r.Owner)
 		if !ok {
 			return nil, 0, c.Failf("event %d owned by unknown component key %d", i, r.Owner)
 		}

@@ -117,7 +117,7 @@ func firstDiff(a, b []byte) int {
 // for a diagnostic.
 func sectionOf(data []byte, off int) string {
 	name, start, pos := "header", 0, 0
-	for _, tag := range []string{secConfig, secTime, secSim, secMessages, secWorkload, secNetwork, secVerify, secTelemetry, secEvents} {
+	for _, tag := range []string{secConfig, secTime, secSim, secWorkload, secNetwork, secVerify, secTelemetry, secEvents} {
 		i := bytes.Index(data[pos:], append([]byte{byte(len(tag))}, tag...))
 		if i < 0 {
 			continue

@@ -43,6 +43,18 @@ func peek(root any, path ...any) reflect.Value {
 // or a credit's (credit true), on any receiver's arrival line.
 func liveArrival(t *testing.T, sm *Simulation, credit bool) reflect.Value {
 	t.Helper()
+	for _, a := range arrivals(sm) {
+		if a.FieldByName("f").IsNil() == credit {
+			return a
+		}
+	}
+	t.Fatalf("no arrival (credit %v) in flight at the snapshot tick", credit)
+	return reflect.Value{}
+}
+
+// arrivals returns every arrival in flight on a receiver's arrival line, in
+// the walk's order.
+func arrivals(sm *Simulation) []reflect.Value {
 	var lines []*channel.Line
 	for i := 0; i < sm.Net.NumRouters(); i++ {
 		lines = append(lines, sm.Net.Router(i).Arrivals())
@@ -50,19 +62,17 @@ func liveArrival(t *testing.T, sm *Simulation, credit bool) reflect.Value {
 	for i := 0; i < sm.Net.NumTerminals(); i++ {
 		lines = append(lines, sm.Net.Interface(i).Arrivals())
 	}
+	var all []reflect.Value
 	for _, l := range lines {
 		lanes := peek(l, "lanes")
 		for ln := 0; ln < lanes.Len(); ln++ {
 			buf, head := peek(l, "lanes", ln, "q", "buf"), int(peek(l, "lanes", ln, "q", "head").Int())
 			for i := head; i < buf.Len(); i++ {
-				if a := peek(l, "lanes", ln, "q", "buf", i); a.FieldByName("f").IsNil() == credit {
-					return a
-				}
+				all = append(all, peek(l, "lanes", ln, "q", "buf", i))
 			}
 		}
 	}
-	t.Fatalf("no arrival (credit %v) in flight at the snapshot tick", credit)
-	return reflect.Value{}
+	return all
 }
 
 // liveMessage returns a message with a flit in flight on some channel.

@@ -15,18 +15,9 @@ import (
 // queue starts at head 0). The interface's arrival line is coded by the
 // simulation's walk, beside the interface.
 
-// Collect adds every message with a packet queued for injection to the
-// checkpoint's message table. Messages that are mid-flight but fully
-// dequeued here are collected by the components holding their flits.
-func (n *Interface) Collect(t *types.MessageTable) {
-	for _, p := range n.sendQ.Live() {
-		t.Add(p.Msg)
-	}
-}
-
 // State codes the interface's mutable state.
 func (n *Interface) State(c *snapshot.Codec, t *types.MessageTable) {
-	n.OrderState(c)
+	n.OrderState(c, n)
 	queued := n.sendQ.Live()
 	snapshot.Slice(c, &queued)
 	if c.Loading() {

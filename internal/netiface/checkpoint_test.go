@@ -24,12 +24,13 @@ func stalledIface(t *testing.T) *Interface {
 	return n
 }
 
-func saveIface(n *Interface, tab *types.MessageTable) []byte {
-	return snaptest.Save(func(c *snapshot.Codec) { n.State(c, tab) })
-}
-
-func loadIface(data []byte, n *Interface, tab *types.MessageTable) error {
-	return snaptest.Load(data, func(c *snapshot.Codec) { n.State(c, tab) })
+// stateOf codes an interface after its simulator, as the simulation's walk
+// does, against a fresh message table.
+func stateOf(n *Interface) func(*snapshot.Codec) {
+	return func(c *snapshot.Codec) {
+		n.Sim().State(c)
+		n.State(c, types.NewMessageTable(nil, anyIndex))
+	}
 }
 
 // anyIndex admits every terminal, application and VC number the tests use.
@@ -37,22 +38,11 @@ var anyIndex = types.Bounds{Terminals: 64, Apps: 64, VCs: 64}
 
 func TestInterfaceStateRoundTrip(t *testing.T) {
 	n := stalledIface(t)
-	tab := types.NewMessageTable()
-	n.Collect(tab)
-	if tab.Len() != 1 {
-		t.Fatalf("collected %d messages, want 1", tab.Len())
-	}
-	data := saveIface(n, tab)
+	data := snaptest.Save(stateOf(n))
 
-	rtab := types.NewMessageTable()
-	if err := snaptest.Load(
-		snaptest.Save(func(c *snapshot.Codec) { tab.State(c, nil, anyIndex) }),
-		func(c *snapshot.Codec) { rtab.State(c, nil, anyIndex) }); err != nil {
-		t.Fatal(err)
-	}
 	_, got, _, _ := rig(t, 1, 1, nil)
 	d := snapshot.NewLoader(data)
-	if got.State(d, rtab); d.Err() != nil {
+	if stateOf(got)(d); d.Err() != nil {
 		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
@@ -62,42 +52,45 @@ func TestInterfaceStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored interface: depth %d sent %d curFlit %d",
 			got.QueueDepth(), got.FlitsSent(), got.curFlit)
 	}
+	// The queued packets are one message's two, defined at the first.
+	if q := got.sendQ.Live(); q[0].Msg != q[1].Msg || q[0].Msg.ID != 9 || q[0].ID != 0 || q[1].ID != 1 {
+		t.Fatalf("restored queue %v does not hold message 9's two packets", q)
+	}
 	if got.InjectionCredits()[0] != 0 {
 		t.Fatalf("restored credits %v, want exhausted", got.InjectionCredits())
 	}
-	if !bytes.Equal(saveIface(got, rtab), data) {
+	if !bytes.Equal(snaptest.Save(stateOf(got)), data) {
 		t.Fatal("re-saved interface state is not byte-identical")
 	}
 }
 
 func TestInterfaceLoadRejectsMismatchedBuild(t *testing.T) {
 	n := stalledIface(t)
-	tab := types.NewMessageTable()
-	n.Collect(tab)
-	data := saveIface(n, tab)
+	data := snaptest.Save(stateOf(n))
 
 	// A rebuild with a different VC count must be rejected.
 	_, wide, _, _ := rig(t, 2, 1, nil)
-	if err := loadIface(data, wide, tab); err == nil ||
+	if err := snaptest.Load(data, stateOf(wide)); err == nil ||
 		!strings.Contains(err.Error(), "VCs") {
 		t.Fatalf("VC mismatch: err = %v", err)
 	}
 
 	// An injection-queue entry whose packet reference is absent.
 	noPacket := snaptest.Save(func(c *snapshot.Codec) {
-		n.OrderState(c)
-		snaptest.Put(c.Int, 1)      // one queued packet
-		snaptest.Put(c.Bool, false) // ... with no message reference
+		n.Sim().State(c)
+		n.OrderState(c, n)
+		snaptest.Put(c.Int, 1) // one queued packet
+		snaptest.Put(c.Int, 0) // ... with no message reference
 	})
 	_, got, _, _ := rig(t, 1, 1, nil)
-	if err := loadIface(noPacket, got, tab); err == nil ||
+	if err := snaptest.Load(noPacket, stateOf(got)); err == nil ||
 		!strings.Contains(err.Error(), "no packet") {
 		t.Fatalf("missing packet: err = %v", err)
 	}
 
 	for _, nbytes := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		_, fresh, _, _ := rig(t, 1, 1, nil)
-		if err := loadIface(data[:nbytes], fresh, tab); err == nil {
+		if err := snaptest.Load(data[:nbytes], stateOf(fresh)); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", nbytes)
 		}
 	}

@@ -15,20 +15,6 @@ import (
 // the live entries are in the stream, and a loaded one starts at head 0) so
 // the bytes do not depend on compaction or wrap history.
 
-// Stater is implemented by every router architecture: Collect feeds the
-// message table of a saving walk, State codes the router against the table.
-// Loading runs on a freshly built router of the identical configuration.
-type Stater interface {
-	Collect(t *types.MessageTable)
-	State(c *snapshot.Codec, t *types.MessageTable)
-}
-
-func (q *flitQueue) collect(t *types.MessageTable) {
-	for i := 0; i < q.n; i++ {
-		t.Add((*q.at(i)).Pkt.Msg)
-	}
-}
-
 func (q *flitQueue) state(c *snapshot.Codec, t *types.MessageTable) {
 	n := c.Len(q.n)
 	if c.Loading() {
@@ -75,7 +61,7 @@ func (x *xbarSched) state(c *snapshot.Codec, clients int) {
 // state codes the plumbing shared by all architectures: scheduling identity,
 // downstream credits, the congestion sensor, and counters.
 func (b *base) state(c *snapshot.Codec) {
-	b.OrderState(c)
+	b.OrderState(c, b.self)
 	c.FixedLen(len(b.downCred), "router ports")
 	for port := range b.downCred {
 		stateInts(c, b.downCred[port], "router port VCs")
@@ -83,13 +69,6 @@ func (b *base) state(c *snapshot.Codec) {
 	congestion.StateTracker(c, b.sensor)
 	c.Bool(&b.pipelineScheduled)
 	c.U64(&b.flitsRouted)
-}
-
-// collectFlights adds the messages with flits in the internal datapath.
-func (b *base) collectFlights(t *types.MessageTable) {
-	for _, fl := range b.dl.q.Live() {
-		t.Add(fl.v.f.Pkt.Msg)
-	}
 }
 
 // stateFlights codes the internal datapath's delay line.

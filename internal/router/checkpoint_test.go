@@ -32,7 +32,7 @@ const oqCheckpointDoc = `{
 // credit returns, then pushes a 3-flit packet: one flit escapes, the rest of
 // the packet is buffered inside the router — routed, part-way through the
 // pipeline, but unable to leave.
-func stalledRouter(t *testing.T, doc string, vcs int) Stater {
+func stalledRouter(t *testing.T, doc string, vcs int) Router {
 	t.Helper()
 	s, r, out, _ := buildLoneRouter(t, doc, vcs, 1)
 	out.creditC = nil // starve the router: no credit returns
@@ -41,32 +41,19 @@ func stalledRouter(t *testing.T, doc string, vcs int) Stater {
 	if len(out.flits) != 1 {
 		t.Fatalf("router forwarded %d flits with 1 credit", len(out.flits))
 	}
-	return r.(Stater)
+	return r
 }
 
 // anyIndex admits every terminal, application and VC number the tests use.
 var anyIndex = types.Bounds{Terminals: 64, Apps: 64, VCs: 64}
 
-// saveRouter collects the router's buffered messages into a table and
-// serializes the router against it, returning a table of restored copies of
-// those messages and the state bytes.
-func saveRouter(t *testing.T, r Stater) (rtab *types.MessageTable, data []byte) {
-	t.Helper()
-	tab := types.NewMessageTable()
-	r.Collect(tab)
-	if tab.Len() != 1 {
-		t.Fatalf("collected %d messages, want the stalled packet's", tab.Len())
+// stateOf codes a router after its simulator, as the simulation's walk
+// does, against a fresh message table.
+func stateOf(r Router) func(*snapshot.Codec) {
+	return func(c *snapshot.Codec) {
+		r.Sim().State(c)
+		r.State(c, types.NewMessageTable(nil, anyIndex))
 	}
-	tabData := snaptest.Save(func(c *snapshot.Codec) { tab.State(c, nil, anyIndex) })
-	rtab = types.NewMessageTable()
-	if err := snaptest.Load(tabData, func(c *snapshot.Codec) { rtab.State(c, nil, anyIndex) }); err != nil {
-		t.Fatal(err)
-	}
-	return rtab, snaptest.Save(func(c *snapshot.Codec) { r.State(c, tab) })
-}
-
-func loadRouter(data []byte, r Router, tab *types.MessageTable) error {
-	return snaptest.Load(data, func(c *snapshot.Codec) { r.(Stater).State(c, tab) })
 }
 
 // roundTripRouter restores the stalled router's state into a freshly built
@@ -74,25 +61,23 @@ func loadRouter(data []byte, r Router, tab *types.MessageTable) error {
 // truncation sweep.
 func roundTripRouter(t *testing.T, doc string, vcs int) {
 	t.Helper()
-	r := stalledRouter(t, doc, vcs)
-	rtab, data := saveRouter(t, r)
+	data := snaptest.Save(stateOf(stalledRouter(t, doc, vcs)))
 
-	_, fresh, _, _ := buildLoneRouter(t, doc, vcs, 1)
-	got := fresh.(Stater)
+	_, got, _, _ := buildLoneRouter(t, doc, vcs, 1)
 	d := snapshot.NewLoader(data)
-	if got.State(d, rtab); d.Err() != nil {
+	if stateOf(got)(d); d.Err() != nil {
 		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
 	}
-	if resaved := snaptest.Save(func(c *snapshot.Codec) { got.State(c, rtab) }); !bytes.Equal(resaved, data) {
+	if resaved := snaptest.Save(stateOf(got)); !bytes.Equal(resaved, data) {
 		t.Fatal("re-saved router state is not byte-identical")
 	}
 
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		_, tr, _, _ := buildLoneRouter(t, doc, vcs, 1)
-		if err := loadRouter(data[:n], tr, rtab); err == nil {
+		if err := snaptest.Load(data[:n], stateOf(tr)); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
@@ -103,27 +88,25 @@ func TestIOQStateRoundTrip(t *testing.T) { roundTripRouter(t, ioqCheckpointDoc, 
 func TestOQStateRoundTrip(t *testing.T)  { roundTripRouter(t, oqCheckpointDoc, 1) }
 
 func TestRouterLoadRejectsMismatchedBuild(t *testing.T) {
-	r := stalledRouter(t, iqDoc, 2)
-	rtab, data := saveRouter(t, r)
+	data := snaptest.Save(stateOf(stalledRouter(t, iqDoc, 2)))
 
 	// Same architecture, different VC count: the per-port credit vectors
 	// cannot line up.
 	narrowDoc := strings.Replace(iqDoc, `"num_vcs": 2`, `"num_vcs": 1`, 1)
 	_, narrow, _, _ := buildLoneRouter(t, narrowDoc, 1, 1)
-	if err := loadRouter(data, narrow, rtab); err == nil ||
+	if err := snaptest.Load(data, stateOf(narrow)); err == nil ||
 		!strings.Contains(err.Error(), "VCs") {
 		t.Fatalf("VC mismatch: err = %v", err)
 	}
 
 	// An OQ snapshot restored into an OQ build with a different congestion
 	// sensor configuration must fail on the sensor state.
-	oq := stalledRouter(t, oqCheckpointDoc, 1)
-	oqrtab, oqData := saveRouter(t, oq)
+	oqData := snaptest.Save(stateOf(stalledRouter(t, oqCheckpointDoc, 1)))
 	nullDoc := strings.Replace(oqCheckpointDoc,
 		`"congestion_sensor": {"granularity": "port", "source": "output"}`,
 		`"congestion_sensor": {"type": "null"}`, 1)
 	_, ns, _, _ := buildLoneRouter(t, nullDoc, 1, 1)
-	if err := loadRouter(oqData, ns, oqrtab); err == nil ||
+	if err := snaptest.Load(oqData, stateOf(ns)); err == nil ||
 		!strings.Contains(err.Error(), "congestion sensor") {
 		t.Fatalf("sensor mismatch: err = %v", err)
 	}
@@ -135,16 +118,16 @@ func TestRouterLoadRejectsBatchingCorruption(t *testing.T) {
 	cases := []struct {
 		name, doc string
 		vcs       int
-		corrupt   func(r Stater)
+		corrupt   func(r Router)
 		want      string
 	}{
-		{"port armed twice", ioqCheckpointDoc, 2, func(r Stater) {
+		{"port armed twice", ioqCheckpointDoc, 2, func(r Router) {
 			r.(*IOQ).out.ready = []int{1, 1}
 		}, "armed twice"},
-		{"route for a VC with no unrouted head", iqDoc, 2, func(r Stater) {
+		{"route for a VC with no unrouted head", iqDoc, 2, func(r Router) {
 			r.(*IQ).routes.push(1000, 0) // input VC 0 is empty
 		}, "not an unrouted packet head"},
-		{"delay line out of order", oqCheckpointDoc, 1, func(r Stater) {
+		{"delay line out of order", oqCheckpointDoc, 1, func(r Router) {
 			oq := r.(*OQ)
 			f := oq.out.outQ[oq.client(1, 0)].peek() // a stalled flit
 			dl := &oq.dl
@@ -155,9 +138,9 @@ func TestRouterLoadRejectsBatchingCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := stalledRouter(t, tc.doc, tc.vcs)
 			tc.corrupt(r)
-			rtab, data := saveRouter(t, r)
+			data := snaptest.Save(stateOf(r))
 			_, fresh, _, _ := buildLoneRouter(t, tc.doc, tc.vcs, 1)
-			if err := loadRouter(data, fresh, rtab); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err := snaptest.Load(data, stateOf(fresh)); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})

@@ -389,15 +389,6 @@ func (s *inputStage) VerifyIdle() {
 	s.verifyIdle()
 }
 
-// Collect implements Stater for the front end alone; architectures with more
-// queues add theirs.
-func (s *inputStage) Collect(t *types.MessageTable) {
-	for i := range s.in {
-		s.in[i].q.collect(t)
-	}
-	s.collectFlights(t)
-}
-
 // state codes the shared plumbing and the whole front end: crossbar, delay
 // line, input VCs and the routes in flight, then the VC-allocation and
 // crossbar-scheduling state.

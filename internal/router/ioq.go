@@ -78,13 +78,7 @@ func (r *IOQ) VerifyIdle() {
 	r.inputStage.VerifyIdle()
 }
 
-// Collect implements Stater.
-func (r *IOQ) Collect(t *types.MessageTable) {
-	r.inputStage.Collect(t)
-	r.out.collect(t)
-}
-
-// State implements Stater.
+// State implements Router.
 func (r *IOQ) State(c *snapshot.Codec, t *types.MessageTable) {
 	r.state(c, t)
 	r.out.stateQueues(c, t)

@@ -60,7 +60,7 @@ func (r *IQ) packetRoom(port int) (int, string) {
 	return r.downCap[port], "the next hop's per-VC input_buffer_depth"
 }
 
-// State implements Stater; Collect is the front end's.
+// State implements Router.
 func (r *IQ) State(c *snapshot.Codec, t *types.MessageTable) {
 	r.state(c, t)
 	c.FixedLen(len(r.nextChanStart), "router channel-start slots")

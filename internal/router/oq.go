@@ -221,16 +221,7 @@ func (r *OQ) VerifyIdle() {
 	r.verifyIdle()
 }
 
-// Collect implements Stater.
-func (r *OQ) Collect(t *types.MessageTable) {
-	for i := range r.in {
-		r.in[i].q.collect(t)
-	}
-	r.out.collect(t)
-	r.collectFlights(t)
-}
-
-// State implements Stater.
+// State implements Router.
 func (r *OQ) State(c *snapshot.Codec, t *types.MessageTable) {
 	r.base.state(c)
 	r.stateFlights(c, t)

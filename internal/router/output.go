@@ -150,12 +150,6 @@ func (o *outputStage) verifyIdle() {
 	}
 }
 
-func (o *outputStage) collect(t *types.MessageTable) {
-	for i := range o.outQ {
-		o.outQ[i].collect(t)
-	}
-}
-
 // stateQueues codes the queues and their reserved occupancy; stateDrain is
 // the other half. Two parts, because the OQ architecture's stream has its
 // queue owners between them.

@@ -17,6 +17,7 @@ import (
 	"supersim/internal/factory"
 	"supersim/internal/routing"
 	"supersim/internal/sim"
+	"supersim/internal/snapshot"
 	"supersim/internal/types"
 )
 
@@ -61,6 +62,11 @@ type Router interface {
 	// SetDownstreamCredits initializes the per-VC credit count for an output
 	// port to the downstream device's input buffer depth.
 	SetDownstreamCredits(port int, perVC int)
+
+	// State codes the router's mutable state against the walk's message
+	// table. Loading runs on a freshly built router of the identical
+	// configuration.
+	State(c *snapshot.Codec, t *types.MessageTable)
 }
 
 // Head-of-line phases reported by HOL, ordered by pipeline progress.

@@ -82,12 +82,9 @@ func TestFlitQueueRestoredRing(t *testing.T) {
 		q.push(m.Packet(0).Flit(i))
 	}
 	bounds := types.Bounds{Terminals: 2, Apps: 1, VCs: 1}
-	tab := types.NewMessageTable()
-	q.collect(tab)
-	data := snaptest.Save(func(c *snapshot.Codec) { tab.State(c, nil, bounds); q.state(c, tab) })
+	data := snaptest.Save(func(c *snapshot.Codec) { q.state(c, types.NewMessageTable(nil, bounds)) })
 	var got flitQueue
-	loaded := types.NewMessageTable()
-	if err := snaptest.Load(data, func(c *snapshot.Codec) { loaded.State(c, nil, bounds); got.state(c, loaded) }); err != nil {
+	if err := snaptest.Load(data, func(c *snapshot.Codec) { got.state(c, types.NewMessageTable(nil, bounds)) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.buf) != 8 {

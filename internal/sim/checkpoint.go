@@ -175,8 +175,9 @@ func (s *Simulator) SetProgress(executed uint64, lastWork Time) {
 	s.lastWork = lastWork
 }
 
-// State codes the simulator-owned scalar state: scheduling counters and
-// every PRNG stream (the base generator plus all DeriveRand streams).
+// State codes the simulator-owned scalar state: the construction-order key
+// counter and every PRNG stream (the base generator plus all DeriveRand
+// streams). It opens a snapshot walk, so it empties the walk's owner table.
 // Progress counters (executed, lastWork) are coded by the container, which
 // restores them with SetProgress.
 //
@@ -184,8 +185,8 @@ func (s *Simulator) SetProgress(executed uint64, lastWork Time) {
 // means the rebuilt component graph differs from the one that took the
 // snapshot, so restoring state into it would be incoherent.
 func (s *Simulator) State(c *snapshot.Codec) {
+	clear(s.owners)
 	c.U32(&s.orderGen)
-	c.U64(&s.seqGen)
 	statePCG(c, s.pcg, "base PRNG")
 	n := uint64(len(s.derived))
 	c.U64(&n)
@@ -222,16 +223,14 @@ func statePCG(c *snapshot.Codec, p *rand.PCG, what string) {
 	}
 }
 
-// OrderKey returns the handler's construction-order key — the component
-// identity that event records are keyed by. Restore
-// maps keys back to handlers by walking the rebuilt component graph.
-func (c *ComponentBase) OrderKey() uint32 { return c.ord.key }
-
 // OrderState codes the component's scheduling identity: its
 // construction-order key (an integrity check: the rebuilt component must
 // occupy the same construction-order slot) and its per-handler schedule
-// counter, which future events' oseq values continue from.
-func (b *ComponentBase) OrderState(c *snapshot.Codec) {
+// counter, which future events' oseq values continue from. h is the handler
+// the component's events are queued for — the component itself, or the
+// architecture embedding it — and the walk's owner table maps the key to it,
+// so a snapshot can only hold events whose owner the walk coded.
+func (b *ComponentBase) OrderState(c *snapshot.Codec, h Handler) {
 	key := b.ord.key
 	c.U32(&key)
 	if c.Err() == nil && key != b.ord.key {
@@ -239,4 +238,23 @@ func (b *ComponentBase) OrderState(c *snapshot.Codec) {
 		return
 	}
 	c.U64(&b.ord.seq)
+	if o, ok := h.(ordered); !ok || o.order() != &b.ord {
+		c.Failf("component %q codes its events' owner as %T, which is another handler", b.name, h)
+		return
+	}
+	if _, dup := b.sim.owners[key]; dup {
+		c.Failf("component %q: construction-order key %d coded twice in one walk", b.name, key)
+		return
+	}
+	if b.sim.owners == nil {
+		b.sim.owners = map[uint32]Handler{}
+	}
+	b.sim.owners[key] = h
+}
+
+// Owner returns the handler the current snapshot walk coded under the
+// construction-order key, and whether it coded one.
+func (s *Simulator) Owner(key uint32) (Handler, bool) {
+	h, ok := s.owners[key]
+	return h, ok
 }

@@ -193,35 +193,88 @@ func TestComponentOrderRoundTrip(t *testing.T) {
 	s := NewSimulator(1)
 	ra := &recorder{ComponentBase: NewComponentBase(s, "a")}
 	b := NewComponentBase(s, "b")
-	if ra.OrderKey() == b.OrderKey() {
+	if ra.ord.key == b.ord.key {
 		t.Fatal("distinct components share an order key")
 	}
 	s.Schedule(ra, Time{1, 0}, 0, nil) // bumps the per-handler seq counter
-	a := &ra.ComponentBase
-	data := snaptest.Save(a.OrderState)
+	// walk codes a simulator and one component, as a snapshot's walk does.
+	walk := func(r *recorder) func(c *snapshot.Codec) {
+		return func(c *snapshot.Codec) {
+			r.sim.State(c)
+			r.OrderState(c, r)
+		}
+	}
+	data := snaptest.Save(walk(ra))
 
 	s2 := NewSimulator(1)
-	a2 := NewComponentBase(s2, "a")
-	if err := snaptest.Load(data, a2.OrderState); err != nil {
+	a2 := &recorder{ComponentBase: NewComponentBase(s2, "a")}
+	if err := snaptest.Load(data, walk(a2)); err != nil {
 		t.Fatal(err)
 	}
-	if a2.ord.seq != a.ord.seq {
-		t.Fatalf("restored seq %d, want %d", a2.ord.seq, a.ord.seq)
+	if a2.ord.seq != ra.ord.seq {
+		t.Fatalf("restored seq %d, want %d", a2.ord.seq, ra.ord.seq)
 	}
-	if !bytes.Equal(snaptest.Save(a2.OrderState), data) {
+	if h, ok := s2.Owner(a2.ord.key); !ok || h != Handler(a2) {
+		t.Fatalf("loaded walk's owner of key %d = %v, %v; want the component", a2.ord.key, h, ok)
+	}
+	if !bytes.Equal(snaptest.Save(walk(a2)), data) {
 		t.Fatal("re-saved order state is not byte-identical")
 	}
 
 	s3 := NewSimulator(1)
 	NewComponentBase(s3, "pad") // shifts the next key
-	w := NewComponentBase(s3, "a")
-	if err := snaptest.Load(data, w.OrderState); err == nil ||
+	w := &recorder{ComponentBase: NewComponentBase(s3, "a")}
+	if err := snaptest.Load(data, walk(w)); err == nil ||
 		!strings.Contains(err.Error(), "construction-order key") {
 		t.Fatalf("key mismatch: err = %v", err)
 	}
-	tc := NewComponentBase(NewSimulator(1), "a")
-	if err := snaptest.Load(data[:1], tc.OrderState); err == nil {
+	tc := &recorder{ComponentBase: NewComponentBase(NewSimulator(1), "a")}
+	if err := snaptest.Load(data[:1], walk(tc)); err == nil {
 		t.Fatal("truncated order state loaded without error")
+	}
+}
+
+// TestWalkOwnerTable pins the owner table a walk builds: State empties it,
+// OrderState enters each component's handler once, and a component coded
+// twice, or coded as some other handler, fails the walk.
+func TestWalkOwnerTable(t *testing.T) {
+	s := NewSimulator(1)
+	a := &recorder{ComponentBase: NewComponentBase(s, "a")}
+	b := &recorder{ComponentBase: NewComponentBase(s, "b")}
+	if _, ok := s.Owner(a.ord.key); ok {
+		t.Fatal("a component is an owner before any walk coded it")
+	}
+	walk := func(fn func(c *snapshot.Codec)) error {
+		c := snapshot.NewSaver()
+		s.State(c)
+		fn(c)
+		return c.Err()
+	}
+	if err := walk(func(c *snapshot.Codec) { a.OrderState(c, a); b.OrderState(c, b) }); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := s.Owner(b.ord.key); !ok || h != Handler(b) {
+		t.Fatalf("owner of b's key = %v, %v", h, ok)
+	}
+	// The next walk starts from an empty table.
+	if err := walk(func(c *snapshot.Codec) { a.OrderState(c, a) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Owner(b.ord.key); ok {
+		t.Fatal("an owner outlived the walk that coded it")
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func(c *snapshot.Codec)
+		want string
+	}{
+		{"coded twice", func(c *snapshot.Codec) { a.OrderState(c, a); a.OrderState(c, a) }, "coded twice"},
+		{"another handler", func(c *snapshot.Codec) { a.OrderState(c, b) }, "another handler"},
+		{"a function handler", func(c *snapshot.Codec) { a.OrderState(c, HandlerFunc(func(*Event) {})) }, "another handler"},
+	} {
+		if err := walk(tc.fn); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
 	}
 }
 

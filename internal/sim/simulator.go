@@ -32,8 +32,8 @@ type Simulator struct {
 	// executed and lastWork are this simulator's share of the run; the
 	// container snapshots run-wide totals and restores them with SetProgress.
 	executed uint64
-	lastWork Time // time of the most recent non-daemon event executed
-	seqGen   uint64
+	lastWork Time   // time of the most recent non-daemon event executed
+	seqGen   uint64 // schedule order of foreign-handler events, which are never snapshotted
 	orderGen uint32
 	daemons  int      // queued events scheduled with ScheduleDaemon; InjectEvent recounts them
 	free     []*Event // event recycling cache
@@ -47,6 +47,11 @@ type Simulator struct {
 	// (construction is config-driven and single-threaded), and slice
 	// iteration keeps snapshot bytes deterministic too.
 	derived []derivedStream
+
+	// owners maps each construction-order key the current snapshot walk has
+	// coded (OrderState) to its handler. State starts a walk, so it resets
+	// the table; Owner resolves event records against it.
+	owners map[uint32]Handler
 
 	// Monitor, if non-nil, is invoked every MonitorInterval executed
 	// (non-daemon) events.

@@ -503,10 +503,10 @@ func TestSameTimeOrderByConstructionOrder(t *testing.T) {
 		t.Fatalf("recorder events do not export: %v", err)
 	}
 	SortEventRecords(recs)
-	if len(recs) != 2 || recs[0].Owner != r1.OrderKey() || recs[1].Owner != r2.OrderKey() ||
-		r1.OrderKey() == 0 || r1.OrderKey() >= r2.OrderKey() {
+	if len(recs) != 2 || recs[0].Owner != r1.ord.key || recs[1].Owner != r2.ord.key ||
+		r1.ord.key == 0 || r1.ord.key >= r2.ord.key {
 		t.Fatalf("recorder events not keyed by construction order: %+v (keys %d, %d)",
-			recs, r1.OrderKey(), r2.OrderKey())
+			recs, r1.ord.key, r2.ord.key)
 	}
 }
 

@@ -120,7 +120,7 @@ func (m *metric) state(c *snapshot.Codec) {
 // the next snapshot bin, the workload phase, the registry, and the span
 // recorder's in-flight state.
 func (t *Telemetry) State(c *snapshot.Codec) {
-	t.OrderState(c)
+	t.OrderState(c, t)
 	c.Bool(&t.first)
 	t.mu.Lock()
 	c.Str(&t.phase)

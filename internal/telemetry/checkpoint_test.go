@@ -112,7 +112,15 @@ func buildTelemetry(t *testing.T, withSpans bool) *Telemetry {
 	return tl
 }
 
-func saveTelemetry(tl *Telemetry) []byte { return snaptest.Save(tl.State) }
+// walk codes a hub after its simulator, as the simulation's walk does.
+func walk(tl *Telemetry) func(*snapshot.Codec) {
+	return func(c *snapshot.Codec) {
+		tl.Sim().State(c)
+		tl.State(c)
+	}
+}
+
+func saveTelemetry(tl *Telemetry) []byte { return snaptest.Save(walk(tl)) }
 
 func TestTelemetryStateRoundTrip(t *testing.T) {
 	tl := buildTelemetry(t, true)
@@ -130,7 +138,7 @@ func TestTelemetryStateRoundTrip(t *testing.T) {
 
 	got := buildTelemetry(t, true)
 	d := snapshot.NewLoader(data)
-	if got.State(d); d.Err() != nil {
+	if walk(got)(d); d.Err() != nil {
 		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
@@ -156,7 +164,7 @@ func TestTelemetryStateRoundTripWithoutSpans(t *testing.T) {
 	tl := buildTelemetry(t, false)
 	data := saveTelemetry(tl)
 	got := buildTelemetry(t, false)
-	if err := snaptest.Load(data, got.State); err != nil {
+	if err := snaptest.Load(data, walk(got)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(saveTelemetry(got), data) {
@@ -167,7 +175,7 @@ func TestTelemetryStateRoundTripWithoutSpans(t *testing.T) {
 func TestTelemetryLoadRejectsSpansMismatch(t *testing.T) {
 	data := saveTelemetry(buildTelemetry(t, true))
 	got := buildTelemetry(t, false)
-	if err := snaptest.Load(data, got.State); err == nil ||
+	if err := snaptest.Load(data, walk(got)); err == nil ||
 		!strings.Contains(err.Error(), "spans state") {
 		t.Fatalf("err = %v, want spans mismatch", err)
 	}
@@ -231,7 +239,7 @@ func TestTelemetryLoadRejectsTruncation(t *testing.T) {
 	data := saveTelemetry(buildTelemetry(t, true))
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		got := buildTelemetry(t, true)
-		if err := snaptest.Load(data[:n], got.State); err == nil {
+		if err := snaptest.Load(data[:n], walk(got)); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

@@ -2,53 +2,38 @@ package types
 
 import (
 	"math"
-	"sort"
 
 	"supersim/internal/snapshot"
 )
 
-// This file serializes traffic objects for checkpoints. Messages are the
-// serialization root: packets and flits live inside their message, so a checkpoint stores each live message once (shape +
-// every mutable field) and every component that holds flit pointers stores
-// (message ID, packet index, flit index) references resolved against the
-// restored table. Nothing that records how host memory was recycled is
+// This file serializes traffic objects for checkpoints. Packets and flits
+// live inside their message, and components hold them by pointer, so every
+// holder codes a reference through the walk's MessageTable. The first
+// reference to a message defines it in full (shape + every mutable field);
+// later ones are (message ID, packet index, flit index). The walk visits
+// components in build order, so where each message is defined is
+// deterministic too. Nothing that records how host memory was recycled is
 // serialized: not the pool's free list or its hit count, not a message's
 // generation, not a flit's copy of it. A restored run allocates fresh blocks
 // on its first misses and starts every live message at generation 1.
 
-// MessageTable is the set of live messages referenced by a checkpoint. A
-// saving walk populates it from every flit-holding component, deduplicating
-// shared messages; a loading walk rebuilds the messages and resolves flit
-// references against them.
+// MessageTable is the set of messages one checkpoint walk has defined. A
+// saving walk writes each message at its first reference; a loading walk
+// builds it there, owned by the table's pool, and resolves later references
+// against it.
 type MessageTable struct {
-	msgs []*Message
 	idx  map[uint64]*Message
+	pool *Pool // nil for unpooled
+	b    Bounds
 }
 
-// NewMessageTable returns an empty table.
-func NewMessageTable() *MessageTable {
-	return &MessageTable{idx: map[uint64]*Message{}}
+// NewMessageTable returns an empty table for one walk. A loading walk builds
+// its messages into pool, so the restored run's delivery path releases them
+// back into it exactly as the original run would have, and range-checks
+// them against b.
+func NewMessageTable(pool *Pool, b Bounds) *MessageTable {
+	return &MessageTable{idx: map[uint64]*Message{}, pool: pool, b: b}
 }
-
-// Add records a live message. Adding the same message twice is a no-op, so
-// every holder of a flit can add its message unconditionally. Two distinct
-// messages with the same ID would corrupt the reference space and panic.
-func (t *MessageTable) Add(m *Message) {
-	if m == nil {
-		return
-	}
-	if prev, ok := t.idx[m.ID]; ok {
-		if prev != m {
-			panic("types: two live messages share an ID")
-		}
-		return
-	}
-	t.idx[m.ID] = m
-	t.msgs = append(t.msgs, m)
-}
-
-// Len returns the number of distinct messages added.
-func (t *MessageTable) Len() int { return len(t.msgs) }
 
 // Bounds are the index ranges restored traffic objects are validated
 // against: terminal, application and VC numbers end up as slice indices in
@@ -57,35 +42,13 @@ type Bounds struct {
 	Terminals, Apps, VCs int
 }
 
-// State codes the live messages, sorted by ID so the byte stream is
-// independent of collection order. Saving walks the messages Add collected;
-// loading rebuilds them into the (empty) table, owned by the given pool (nil
-// for unpooled) so the restored run's delivery path releases them back into
-// it exactly as the original run would have.
-func (t *MessageTable) State(c *snapshot.Codec, pool *Pool, b Bounds) {
-	if !c.Loading() {
-		sort.Slice(t.msgs, func(i, j int) bool { return t.msgs[i].ID < t.msgs[j].ID })
-	}
-	n := c.Len(len(t.msgs))
-	var prev uint64
-	for i := 0; i < n; i++ {
-		if !c.Loading() {
-			t.msgs[i].state(c, pool, b)
-			continue
-		}
-		m := &Message{}
-		m.state(c, pool, b)
-		if c.Err() != nil {
-			return
-		}
-		if i > 0 && m.ID <= prev {
-			c.Failf("message table not sorted: ID %d after %d", m.ID, prev)
-			return
-		}
-		prev = m.ID
-		t.Add(m)
-	}
-}
+// The kinds of packet reference, coded ahead of the reference.
+const (
+	refNone       = iota // no packet
+	refDefined           // a message the walk has defined: its ID follows
+	refDefinition        // the message's first reference: its definition follows
+	refKinds
+)
 
 // state codes one message: its shape, then every mutable field of the
 // message, its packets and its flits. When loading, m is empty and the shape
@@ -165,41 +128,60 @@ func index32(code func(p *int, bound int, what string), p *int32, bound int, wha
 	*p = int32(v)
 }
 
-// Packet codes a reference to a packet held by a component: a present flag
-// and, when present, (message ID, packet index). Saving, the packet's message
-// must have been added to the table first — an unknown message means the
-// checkpoint's collection pass missed a holder, which would produce a
-// dangling reference at restore. Loading resolves the reference against the
-// restored table, bounds-checking the index; *pp is nil for an absent
-// reference and after any error.
+// Packet codes a reference to a packet held by a component: its kind, the
+// message's ID or, at the message's first reference, its definition, then
+// the packet index. Loading builds a defined message, resolves a reference
+// against the messages defined before it and bounds-checks the index; *pp is
+// nil for an absent reference and after any error.
 func (t *MessageTable) Packet(c *snapshot.Codec, pp **Packet) {
+	var m *Message
+	var id uint64
+	var pkt int
+	kind := refNone
+	if p := *pp; p != nil && !c.Loading() {
+		m, id, pkt, kind = p.Msg, p.Msg.ID, int(p.ID), refDefinition
+		if prev, ok := t.idx[id]; ok {
+			if prev != m {
+				c.Failf("two live messages share ID %d", id)
+				return
+			}
+			kind = refDefined
+		}
+	}
 	if c.Loading() {
 		*pp = nil
 	}
-	present := *pp != nil
-	c.Bool(&present)
-	var id uint64
-	var pkt int
-	if p := *pp; p != nil {
-		if t.idx[p.Msg.ID] != p.Msg {
-			panic("types: reference to a message not in the checkpoint table")
-		}
-		id, pkt = p.Msg.ID, int(p.ID)
-	}
-	if present {
-		c.U64(&id)
-		c.Int(&pkt)
-	}
-	if !c.Loading() || !present || c.Err() != nil {
+	c.Index(&kind, refKinds, "message reference kind")
+	switch kind {
+	case refNone:
 		return
+	case refDefined:
+		c.U64(&id)
+		if c.Loading() {
+			if m = t.idx[id]; m == nil && c.Err() == nil {
+				c.Failf("reference to message %d before its definition", id)
+			}
+		}
+	case refDefinition:
+		if c.Loading() {
+			m = &Message{}
+		}
+		m.state(c, t.pool, t.b)
+		if c.Err() != nil {
+			return
+		}
+		if t.idx[m.ID] != nil {
+			c.Failf("message %d defined twice", m.ID)
+			return
+		}
+		t.idx[m.ID] = m
 	}
-	m, ok := t.idx[id]
-	if !ok {
-		c.Failf("reference to unknown message %d", id)
+	c.Int(&pkt)
+	if !c.Loading() || c.Err() != nil {
 		return
 	}
 	if pkt < 0 || pkt >= m.NumPackets() {
-		c.Failf("reference to message %d packet %d of %d", id, pkt, m.NumPackets())
+		c.Failf("reference to message %d packet %d of %d", m.ID, pkt, m.NumPackets())
 		return
 	}
 	*pp = m.Packet(pkt)

@@ -48,8 +48,14 @@ func testMessage(pool *Pool, id uint64) *Message {
 	return m
 }
 
-func saveTable(t *MessageTable) []byte {
-	return snaptest.Save(func(c *snapshot.Codec) { t.State(c, nil, testBounds) })
+// walkRefs codes a reference to each packet through tab, as a walk whose
+// holders hold those packets does.
+func walkRefs(tab *MessageTable, pkts []*Packet) func(c *snapshot.Codec) {
+	return func(c *snapshot.Codec) {
+		for i := range pkts {
+			tab.Packet(c, &pkts[i])
+		}
+	}
 }
 
 func TestMessageTableRoundTrip(t *testing.T) {
@@ -60,45 +66,46 @@ func TestMessageTableRoundTrip(t *testing.T) {
 	if m7.Generation() != 2 {
 		t.Fatalf("recycled message at generation %d, want 2", m7.Generation())
 	}
-	tab := NewMessageTable()
-	tab.Add(m7) // out of ID order: State must sort
-	tab.Add(m3)
-	tab.Add(m7) // duplicate add is a no-op
-	tab.Add(nil)
-	if tab.Len() != 2 {
-		t.Fatalf("table len %d, want 2", tab.Len())
+	// m7's first reference defines it; its second is short.
+	refs := []*Packet{m7.Packet(2), m3.Packet(0), nil, m7.Packet(1)}
+	data := snaptest.Save(walkRefs(NewMessageTable(nil, testBounds), refs))
+	// A second reference is its kind, ID 7 and packet index 1: a byte each.
+	def := snaptest.Save(walkRefs(NewMessageTable(nil, testBounds), []*Packet{m7.Packet(1)}))
+	twice := snaptest.Save(walkRefs(NewMessageTable(nil, testBounds), []*Packet{m7.Packet(1), m7.Packet(1)}))
+	if !bytes.Equal(twice[:len(def)], def) || len(twice)-len(def) != 3 {
+		t.Fatalf("a second reference takes %d bytes; only the first defines the message", len(twice)-len(def))
 	}
-	data := saveTable(tab)
 
 	d := snapshot.NewLoader(data)
-	got := NewMessageTable()
-	if got.State(d, pool, testBounds); d.Err() != nil {
+	got := NewMessageTable(pool, testBounds)
+	loaded := make([]*Packet, len(refs))
+	if walkRefs(got, loaded)(d); d.Err() != nil {
 		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
 	}
-	if got.Len() != 2 {
-		t.Fatalf("restored table len %d", got.Len())
+	if len(got.idx) != 2 || loaded[2] != nil || loaded[0].Msg != loaded[3].Msg || loaded[0].ID != 2 || loaded[3].ID != 1 {
+		t.Fatalf("restored %d messages, references %v", len(got.idx), loaded)
 	}
 	// The restored messages must re-serialize to the identical bytes: every
 	// field of every packet and flit made the trip.
-	if !bytes.Equal(saveTable(got), data) {
-		t.Fatal("restored table does not re-serialize byte-identically")
+	if !bytes.Equal(snaptest.Save(walkRefs(NewMessageTable(nil, testBounds), loaded)), data) {
+		t.Fatal("restored messages do not re-serialize byte-identically")
 	}
 	rm := got.idx[7]
 	if rm == nil || rm.Src != 2 || rm.Dst != 3 || rm.Transaction != 99 || !rm.Sampled {
 		t.Fatalf("restored message 7 lost fields: %+v", rm)
 	}
 	if rm.pool != pool.id {
-		t.Fatal("restored message not owned by the given pool")
+		t.Fatal("restored message not owned by the table's pool")
 	}
 	if rm.NumPackets() != 3 || rm.Packet(0).Size() != 2 || rm.Packet(2).Size() != 1 {
 		t.Fatal("restored message shape wrong (5 flits, max packet 2)")
 	}
 	// How often a block was recycled is not state: every restored message
 	// starts its first life, and its flits carry that generation.
-	for _, m := range got.msgs {
+	for _, m := range got.idx {
 		if m.Generation() != 1 {
 			t.Errorf("restored message %d at generation %d, want 1", m.ID, m.Generation())
 		}
@@ -116,13 +123,11 @@ func TestMessageTableRoundTrip(t *testing.T) {
 
 func TestFlitAndPacketReferences(t *testing.T) {
 	m := testMessage(nil, 11)
-	tab := NewMessageTable()
-	tab.Add(m)
+	tab := NewMessageTable(nil, testBounds)
 	flit, pkt := m.Packet(1).Flit(1), m.Packet(2)
 	var noFlit *Flit
 	var noPkt *Packet
 	data := snaptest.Save(func(c *snapshot.Codec) {
-		tab.State(c, nil, testBounds)
 		tab.Flit(c, &flit)
 		tab.Flit(c, &noFlit)
 		tab.Packet(c, &pkt)
@@ -133,8 +138,7 @@ func TestFlitAndPacketReferences(t *testing.T) {
 	}
 
 	d := snapshot.NewLoader(data)
-	got := NewMessageTable()
-	got.State(d, nil, testBounds)
+	got := NewMessageTable(nil, testBounds)
 	// Loading overwrites whatever the holder had, present or not.
 	f, f2, p, p2 := flit, flit, pkt, pkt
 	got.Flit(d, &f)
@@ -150,7 +154,7 @@ func TestFlitAndPacketReferences(t *testing.T) {
 	if f2 != nil {
 		t.Fatalf("nil flit reference resolved to %v", f2)
 	}
-	if p == nil || p == pkt || p.Msg.ID != 11 || p.ID != 2 {
+	if p == nil || p == pkt || p.Msg != f.Pkt.Msg || p.ID != 2 {
 		t.Fatalf("packet reference resolved to %v", p)
 	}
 	if p2 != nil {
@@ -160,25 +164,36 @@ func TestFlitAndPacketReferences(t *testing.T) {
 
 func TestReferenceDecodingRejectsCorruption(t *testing.T) {
 	m := testMessage(nil, 5)
-	tab := NewMessageTable()
-	tab.Add(m)
-
+	// defined is a table in which message 5 is defined.
+	defined := func(c *snapshot.Codec) *MessageTable {
+		tab := NewMessageTable(nil, testBounds)
+		if c.Loading() {
+			var p *Packet
+			tab.Packet(c, &p)
+		}
+		return tab
+	}
 	loadFlit := func(c *snapshot.Codec) {
+		tab := defined(c)
 		f := m.Packet(0).Flit(0) // a failed load must clear the holder
 		if tab.Flit(c, &f); f != nil {
 			t.Errorf("failed flit load left %v behind", f)
 		}
 	}
 	loadPacket := func(c *snapshot.Codec) {
+		tab := defined(c)
 		p := m.Packet(0)
 		if tab.Packet(c, &p); p != nil {
 			t.Errorf("failed packet load left %v behind", p)
 		}
 	}
-	// ref writes a present reference: the message ID, then the given indices.
-	ref := func(id uint64, idx ...int) func(c *snapshot.Codec) {
+	// ref writes message 5's definition, then a reference of the given
+	// kind: the message ID, then the given indices.
+	ref := func(kind int, id uint64, idx ...int) func(c *snapshot.Codec) {
 		return func(c *snapshot.Codec) {
-			snaptest.Put(c.Bool, true)
+			p := m.Packet(0)
+			NewMessageTable(nil, testBounds).Packet(c, &p)
+			snaptest.Put(c.Int, kind)
 			snaptest.Put(c.U64, id)
 			for _, i := range idx {
 				snaptest.Put(c.Int, i)
@@ -191,13 +206,15 @@ func TestReferenceDecodingRejectsCorruption(t *testing.T) {
 		enc  func(c *snapshot.Codec)
 		want string
 	}{
-		{"flit unknown message", loadFlit, ref(99, 0, 0), "unknown message"},
-		{"flit packet out of range", loadFlit, ref(5, 9, 0), "packet 9"},
-		{"flit index out of range", loadFlit, ref(5, 0, 9), "flit reference index 9"},
-		{"flit truncated", loadFlit, func(c *snapshot.Codec) { snaptest.Put(c.Bool, true) }, "snapshot:"},
-		{"packet unknown message", loadPacket, ref(99, 0), "unknown message"},
-		{"packet out of range", loadPacket, ref(5, -1), "packet -1"},
-		{"packet truncated", loadPacket, ref(5), "snapshot:"},
+		{"flit undefined message", loadFlit, ref(refDefined, 99, 0, 0), "message 99 before its definition"},
+		{"flit packet out of range", loadFlit, ref(refDefined, 5, 9, 0), "packet 9"},
+		{"flit index out of range", loadFlit, ref(refDefined, 5, 0, 9), "flit reference index 9"},
+		{"flit truncated", loadFlit, ref(refDefined, 5), "snapshot:"},
+		{"packet undefined message", loadPacket, ref(refDefined, 99, 0), "message 99 before its definition"},
+		{"packet out of range", loadPacket, ref(refDefined, 5, -1), "packet -1"},
+		{"packet truncated", loadPacket, ref(refDefined, 5), "snapshot:"},
+		{"unknown kind", loadPacket, ref(refKinds, 5, 0), "message reference kind 3 out of range"},
+		{"negative kind", loadPacket, ref(-1, 5, 0), "message reference kind -1 out of range"},
 	}
 	for _, tc := range cases {
 		if err := snaptest.Load(snaptest.Save(tc.enc), tc.run); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -207,36 +224,45 @@ func TestReferenceDecodingRejectsCorruption(t *testing.T) {
 }
 
 func TestMessageTableLoadRejectsCorruption(t *testing.T) {
+	// load reads two packet references, so a stream can define a message
+	// and then define or reference it again.
 	load := func(fn func(c *snapshot.Codec)) error {
 		return snaptest.Load(snaptest.Save(fn), func(c *snapshot.Codec) {
-			NewMessageTable().State(c, nil, testBounds)
+			tab := NewMessageTable(nil, testBounds)
+			var p, q *Packet
+			tab.Packet(c, &p)
+			tab.Packet(c, &q)
 		})
 	}
-	m7 := testMessage(nil, 7)
 	m3 := testMessage(nil, 3)
-	msg := func(m *Message) func(c *snapshot.Codec) {
-		return func(c *snapshot.Codec) { m.state(c, nil, testBounds) }
+	// def writes m's definition as a first reference to its packet 0.
+	def := func(m *Message) func(c *snapshot.Codec) {
+		return func(c *snapshot.Codec) {
+			p := m.Packet(0)
+			NewMessageTable(nil, testBounds).Packet(c, &p)
+		}
 	}
-	// shape writes a table of one message up to its shape prefix.
+	none := func(c *snapshot.Codec) { snaptest.Put(c.Int, refNone) }
+	// shape writes a definition of message 4 up to its shape prefix.
 	shape := func(flits, maxPkt int) func(c *snapshot.Codec) {
 		return func(c *snapshot.Codec) {
-			snaptest.Put(c.Int, 1)
+			snaptest.Put(c.Int, refDefinition)
 			snaptest.Put(c.U64, 4)
 			snaptest.Put(c.Int, flits)
 			snaptest.Put(c.Int, maxPkt)
 		}
 	}
-	// mutated is a table holding m3 with one field changed for the save.
+	// mutated is m3's definition with one field changed for the save.
 	mutated := func(field *int32, v int32) func(c *snapshot.Codec) {
 		return func(c *snapshot.Codec) {
 			old := *field
 			*field = v
-			snaptest.Put(c.Int, 1)
-			msg(m3)(c)
+			def(m3)(c)
+			none(c)
 			*field = old
 		}
 	}
-	// packet0 writes a table of one 1-flit message up to its packet's
+	// packet0 writes a definition of one 1-flit message up to its packet's
 	// Intermediate, with the given HopCount and Intermediate.
 	packet0 := func(hops, inter int) func(c *snapshot.Codec) {
 		return func(c *snapshot.Codec) {
@@ -255,6 +281,8 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 			snaptest.Put(c.Int, inter)  // Intermediate
 		}
 	}
+	// Another message that shares m3's ID but not its shape.
+	twin := NewMessage(3, 0, 1, 0, 1, 1)
 	cases := []struct {
 		name string
 		enc  func(c *snapshot.Codec)
@@ -263,8 +291,9 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 		{"zero flits", shape(0, 1), "invalid shape"},
 		{"zero max packet", shape(2, 0), "invalid shape"},
 		{"flit bomb", shape(1<<30, 2), "exceeds remaining"},
-		{"unsorted", func(c *snapshot.Codec) { snaptest.Put(c.Int, 2); msg(m7)(c); msg(m3)(c) }, "not sorted"},
-		{"truncated", func(c *snapshot.Codec) { snaptest.Put(c.Int, 3); msg(m3)(c) }, "snapshot:"},
+		{"defined twice", func(c *snapshot.Codec) { def(m3)(c); def(m3)(c) }, "message 3 defined twice"},
+		{"two definitions share an ID", func(c *snapshot.Codec) { def(m3)(c); def(twin)(c) }, "message 3 defined twice"},
+		{"truncated", func(c *snapshot.Codec) { snaptest.Put(c.Int, refDefinition); snaptest.Put(c.U64, 3) }, "snapshot:"},
 		{"empty", func(c *snapshot.Codec) {}, "snapshot:"},
 		{"source terminal", mutated(&m3.Src, int32(testBounds.Terminals)), "Message.Src 4 out of range"},
 		{"destination terminal", mutated(&m3.Dst, -1), "Message.Dst -1 out of range"},
@@ -287,29 +316,16 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestMessageTablePanics(t *testing.T) {
-	tab := NewMessageTable()
-	tab.Add(testMessage(nil, 1))
-	mustPanicContains(t, "share an ID", func() { tab.Add(testMessage(nil, 1)) })
-	stranger := testMessage(nil, 2)
+// TestMessageTableSaveRejectsSharedIDs: two live messages with one ID would
+// make every later reference ambiguous, so the saving walk fails instead of
+// writing a stream that restores the wrong message.
+func TestMessageTableSaveRejectsSharedIDs(t *testing.T) {
+	a, b := testMessage(nil, 1), testMessage(nil, 1)
 	c := snapshot.NewSaver()
-	f, p := stranger.Packet(0).Head(), stranger.Packet(0)
-	mustPanicContains(t, "not in the checkpoint table", func() { tab.Flit(c, &f) })
-	mustPanicContains(t, "not in the checkpoint table", func() { tab.Packet(c, &p) })
-}
-
-func mustPanicContains(t *testing.T, substr string, fn func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("expected panic containing %q", substr)
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, substr) {
-			t.Fatalf("panic %v does not contain %q", r, substr)
-		}
-	}()
-	fn()
+	walkRefs(NewMessageTable(nil, testBounds), []*Packet{a.Packet(0), a.Packet(1), b.Packet(0)})(c)
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "two live messages share ID 1") {
+		t.Fatalf("err = %v, want a shared-ID error", err)
+	}
 }
 
 func TestPoolStateRoundTrip(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"supersim/internal/sim"
-	"supersim/internal/snapshot"
 	"supersim/internal/snapshot/snaptest"
 )
 
@@ -187,11 +186,9 @@ func TestMessageLayoutFieldForField(t *testing.T) {
 			t.Fatalf("%d/%d: pool did not recycle the released message", sh.flits, sh.maxPkt)
 		}
 
-		tab := NewMessageTable()
-		tab.Add(NewMessage(id, app, src, dst, sh.flits, sh.maxPkt))
-		data := snaptest.Save(func(c *snapshot.Codec) { tab.State(c, nil, testBounds) })
-		got := NewMessageTable()
-		if err := snaptest.Load(data, func(c *snapshot.Codec) { got.State(c, pool, testBounds) }); err != nil {
+		refs := []*Packet{NewMessage(id, app, src, dst, sh.flits, sh.maxPkt).Packet(0)}
+		data := snaptest.Save(walkRefs(NewMessageTable(nil, testBounds), refs))
+		if err := snaptest.Load(data, walkRefs(NewMessageTable(pool, testBounds), refs)); err != nil {
 			t.Fatal(err)
 		}
 
@@ -202,7 +199,7 @@ func TestMessageLayoutFieldForField(t *testing.T) {
 			{"fresh", fresh},
 			{"recycled", recycled},
 			{"unpooled", NewMessage(id, app, src, dst, sh.flits, sh.maxPkt)},
-			{"restored", got.msgs[0]},
+			{"restored", refs[0].Msg},
 		} {
 			label := fmt.Sprintf("%d/%d %s", sh.flits, sh.maxPkt, tc.name)
 			if v := view(tc.m); !reflect.DeepEqual(v, want) {

@@ -14,7 +14,7 @@ import (
 // State codes the verifier's mutable state; loading runs on a freshly
 // attached verifier whose ledgers were registered by an identical build.
 func (v *Verifier) State(c *snapshot.Codec) {
-	v.OrderState(c)
+	v.OrderState(c, v)
 	c.U64(&v.injected)
 	c.U64(&v.retired)
 	c.U64(&v.activity)

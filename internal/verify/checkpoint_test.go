@@ -20,7 +20,15 @@ func buildLedgers(epoch sim.Tick) (*Verifier, *CreditLedger, *BufferLedger) {
 	return v, cl, bl
 }
 
-func saveVerifier(v *Verifier) []byte { return snaptest.Save(v.State) }
+// walk codes a verifier after its simulator, as the simulation's walk does.
+func walk(v *Verifier) func(*snapshot.Codec) {
+	return func(c *snapshot.Codec) {
+		v.Sim().State(c)
+		v.State(c)
+	}
+}
+
+func saveVerifier(v *Verifier) []byte { return snaptest.Save(walk(v)) }
 
 func TestVerifierStateRoundTrip(t *testing.T) {
 	v, cl, bl := buildLedgers(100)
@@ -41,7 +49,7 @@ func TestVerifierStateRoundTrip(t *testing.T) {
 
 	got, gcl, gbl := buildLedgers(100)
 	d := snapshot.NewLoader(data)
-	if got.State(d); d.Err() != nil {
+	if walk(got)(d); d.Err() != nil {
 		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
@@ -111,7 +119,7 @@ func TestVerifierLoadRejectsMismatchedBuild(t *testing.T) {
 		}), "VCs"},
 	}
 	for _, tc := range cases {
-		err := snaptest.Load(data, tc.v.State)
+		err := snaptest.Load(data, walk(tc.v))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
@@ -123,7 +131,7 @@ func TestVerifierLoadRejectsTruncation(t *testing.T) {
 	data := saveVerifier(v)
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		got, _, _ := buildLedgers(100)
-		if err := snaptest.Load(data[:n], got.State); err == nil {
+		if err := snaptest.Load(data[:n], walk(got)); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}

@@ -25,7 +25,7 @@ func stateClocks(c *snapshot.Codec, next []float64, what string) {
 
 // State implements snapshot.Stater.
 func (b *Blast) State(c *snapshot.Codec) {
-	b.OrderState(c)
+	b.OrderState(c, b)
 	statePhase(c, &b.phase, "blast")
 	c.Int(&b.outstanding)
 	b.rec.State(c)
@@ -38,7 +38,7 @@ func (b *Blast) State(c *snapshot.Codec) {
 
 // State implements snapshot.Stater.
 func (p *Pulse) State(c *snapshot.Codec) {
-	p.OrderState(c)
+	p.OrderState(c, p)
 	statePhase(c, &p.phase, "pulse")
 	c.FixedLen(len(p.remaining), "pulse terminals")
 	for i := range p.remaining {

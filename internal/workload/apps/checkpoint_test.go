@@ -32,7 +32,16 @@ const pulseCheckpointDoc = blastCheckpointDoc + `, {
 // snapshot.Stater, which the workload drives in registration order; here
 // each is driven directly so the package-local state is testable in
 // isolation.
-func saveApp(a snapshot.Stater) []byte { return snaptest.Save(a.State) }
+func saveApp(sm *core.Simulation, a snapshot.Stater) []byte { return snaptest.Save(walk(sm, a)) }
+
+// walk codes one application after its simulator, as the simulation's walk
+// does.
+func walk(sm *core.Simulation, a snapshot.Stater) func(*snapshot.Codec) {
+	return func(c *snapshot.Codec) {
+		sm.Sim.State(c)
+		a.State(c)
+	}
+}
 
 // roundTripApp saves app appIdx of a completed run, loads it into the same
 // app of a freshly built (never run) simulation, and requires the restored
@@ -44,18 +53,18 @@ func roundTripApp(t *testing.T, doc string, appIdx int) (orig, restored snapshot
 		t.Fatal(err)
 	}
 	a := sm.Workload.App(appIdx).(snapshot.Stater)
-	data := saveApp(a)
+	data := saveApp(sm, a)
 
 	sm2 := core.Build(config.MustParse(doc))
 	a2 := sm2.Workload.App(appIdx).(snapshot.Stater)
 	d := snapshot.NewLoader(data)
-	if a2.State(d); d.Err() != nil {
+	if walk(sm2, a2)(d); d.Err() != nil {
 		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d bytes left after load", d.Remaining())
 	}
-	if !bytes.Equal(saveApp(a2), data) {
+	if !bytes.Equal(saveApp(sm2, a2), data) {
 		t.Fatal("re-saved application state is not byte-identical")
 	}
 
@@ -64,7 +73,7 @@ func roundTripApp(t *testing.T, doc string, appIdx int) (orig, restored snapshot
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		sm3 := core.Build(config.MustParse(doc))
 		a3 := sm3.Workload.App(appIdx).(snapshot.Stater)
-		if err := snaptest.Load(data[:n], a3.State); err == nil {
+		if err := snaptest.Load(data[:n], walk(sm3, a3)); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
@@ -102,12 +111,13 @@ func TestMidRunStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := sm.Workload.App(i).(snapshot.Stater)
-		data := saveApp(a)
-		fresh := core.Build(config.MustParse(doc)).Workload.App(i).(snapshot.Stater)
-		if err := snaptest.Load(data, fresh.State); err != nil {
+		data := saveApp(sm, a)
+		sm2 := core.Build(config.MustParse(doc))
+		fresh := sm2.Workload.App(i).(snapshot.Stater)
+		if err := snaptest.Load(data, walk(sm2, fresh)); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(saveApp(fresh), data) {
+		if !bytes.Equal(saveApp(sm2, fresh), data) {
 			t.Fatalf("app %d: re-saved state is not byte-identical", i)
 		}
 	}

@@ -8,7 +8,7 @@ import "supersim/internal/snapshot"
 // order; an application that does not implement snapshot.Stater makes the
 // whole configuration non-checkpointable.
 func (w *Workload) State(c *snapshot.Codec) {
-	w.OrderState(c)
+	w.OrderState(c, w)
 	snapshot.Sint(c, &w.phase)
 	if c.Loading() && c.Err() == nil && (w.phase < Warming || w.phase > Draining) {
 		c.Failf("workload phase %d out of range", int(w.phase))

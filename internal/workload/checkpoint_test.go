@@ -61,7 +61,15 @@ func buildStaterWorkload(t *testing.T, numApps int) (*workload.Workload, []*stat
 	return w, staters
 }
 
-func saveWorkload(w *workload.Workload) []byte { return snaptest.Save(w.State) }
+// walk codes a workload after its simulator, as the simulation's walk does.
+func walk(w *workload.Workload) func(*snapshot.Codec) {
+	return func(c *snapshot.Codec) {
+		w.Sim().State(c)
+		w.State(c)
+	}
+}
+
+func saveWorkload(w *workload.Workload) []byte { return snaptest.Save(walk(w)) }
 
 func TestWorkloadStateRoundTrip(t *testing.T) {
 	w, apps := buildStaterWorkload(t, 2)
@@ -79,7 +87,7 @@ func TestWorkloadStateRoundTrip(t *testing.T) {
 
 	got, gapps := buildStaterWorkload(t, 2)
 	d := snapshot.NewLoader(data)
-	if got.State(d); d.Err() != nil {
+	if walk(got)(d); d.Err() != nil {
 		t.Fatal(d.Err())
 	}
 	if d.Remaining() != 0 {
@@ -118,14 +126,14 @@ func TestWorkloadLoadRejectsMismatchedBuild(t *testing.T) {
 
 	// Fewer applications than the snapshot.
 	got, _ := buildStaterWorkload(t, 1)
-	if err := snaptest.Load(data, got.State); err == nil ||
+	if err := snaptest.Load(data, walk(got)); err == nil ||
 		!strings.Contains(err.Error(), "applications") {
 		t.Fatalf("app count: err = %v", err)
 	}
 
 	// Same shape but non-checkpointable applications.
 	fw, _ := buildWorkload(t, 2)
-	if err := snaptest.Load(data, fw.State); err == nil ||
+	if err := snaptest.Load(data, walk(fw)); err == nil ||
 		!strings.Contains(err.Error(), "not checkpointable") {
 		t.Fatalf("non-stater: err = %v", err)
 	}
@@ -134,10 +142,11 @@ func TestWorkloadLoadRejectsMismatchedBuild(t *testing.T) {
 func TestWorkloadLoadRejectsBadPhase(t *testing.T) {
 	w, _ := buildStaterWorkload(t, 1)
 	bad := snaptest.Save(func(c *snapshot.Codec) {
-		w.OrderState(c)
+		w.Sim().State(c)
+		w.OrderState(c, w)
 		snaptest.Put(c.Int, 99)
 	})
-	if err := snaptest.Load(bad, w.State); err == nil ||
+	if err := snaptest.Load(bad, walk(w)); err == nil ||
 		!strings.Contains(err.Error(), "phase 99") {
 		t.Fatalf("err = %v, want phase error", err)
 	}
@@ -148,7 +157,7 @@ func TestWorkloadLoadRejectsTruncation(t *testing.T) {
 	data := saveWorkload(w)
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 		got, _ := buildStaterWorkload(t, 2)
-		if err := snaptest.Load(data[:n], got.State); err == nil {
+		if err := snaptest.Load(data[:n], walk(got)); err == nil {
 			t.Fatalf("truncation to %d bytes loaded without error", n)
 		}
 	}
