@@ -15,7 +15,7 @@
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  equivalence matrix (repeated = restored, byte for byte,
 #                  over every model), the simulation-after-import harness,
-#                  byte-exact snapshot round-trips, the pinned v6 bytes and
+#                  byte-exact snapshot round-trips, the pinned v7 bytes and
 #                  the restore-side corruption checks
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
@@ -98,7 +98,7 @@ fuzz:
 # repeat and a restore of the middle checkpoint, compared checkpoint by
 # checkpoint), the simulation-after-import harness (all golden topologies),
 # checkpoints of a restored run starting after its restore tick, byte-exact
-# snapshot round-trips, the schema-v4 bytes pinned in
+# snapshot round-trips, the schema-v7 bytes pinned in
 # testdata/golden/snapshots.json, restored-index validation, and the
 # randomized checkpoint sweep — under the race detector.
 test-import-export:

@@ -113,10 +113,10 @@ func (c *Channel) InFlight() int {
 	return c.line.pending(c.in)
 }
 
-// Inject sends a flit down the channel. The caller must respect the
-// channel's bandwidth: injecting before NextSlot panics. The flit arrives at
-// the sink latency ticks later.
-func (c *Channel) Inject(f *types.Flit) {
+// Inject sends a flit down the channel on virtual channel vc. The caller
+// must respect the channel's bandwidth: injecting before NextSlot panics.
+// The flit arrives at the sink, on vc, latency ticks later.
+func (c *Channel) Inject(f *types.Flit, vc int) {
 	now := c.s.Now().Tick
 	if now < c.nextSlot {
 		c.panicf("flit injected at %d before next slot %d (bandwidth violation)", now, c.nextSlot)
@@ -130,7 +130,7 @@ func (c *Channel) Inject(f *types.Flit) {
 	c.nextSlot = now + c.period
 	c.injected++
 	c.tp.FlitInjected()
-	c.line.add(c.lane, now+c.latency, arrival{f: f, in: c.in})
+	c.line.add(c.lane, now+c.latency, arrival{f: f, in: c.in, vc: int32(vc)})
 }
 
 // Sink returns the connected receiver and its port; the stall diagnostician

@@ -10,6 +10,7 @@ import (
 type flitCollector struct {
 	flits []*types.Flit
 	ports []int
+	vcs   []int
 	times []sim.Tick
 	s     *sim.Simulator
 	line  *Line
@@ -25,9 +26,10 @@ func (fc *flitCollector) Arrivals() *Line {
 	return fc.line
 }
 
-func (fc *flitCollector) ReceiveFlit(port int, f *types.Flit) {
+func (fc *flitCollector) ReceiveFlit(port, vc int, f *types.Flit) {
 	fc.flits = append(fc.flits, f)
 	fc.ports = append(fc.ports, port)
+	fc.vcs = append(fc.vcs, vc)
 	fc.times = append(fc.times, fc.s.Now().Tick)
 }
 
@@ -38,7 +40,7 @@ type creditCollector struct {
 	line    *Line
 }
 
-func (cc *creditCollector) ReceiveFlit(int, *types.Flit) {}
+func (cc *creditCollector) ReceiveFlit(int, int, *types.Flit) {}
 
 func (cc *creditCollector) Arrivals() *Line {
 	if cc.line == nil {
@@ -70,7 +72,7 @@ func TestChannelDeliversAfterLatency(t *testing.T) {
 		t.Fatal("Sink() does not return the connected sink")
 	}
 	f := flit()
-	at(s, 100, func() { ch.Inject(f) })
+	at(s, 100, func() { ch.Inject(f, 2) })
 	s.Run()
 	if len(sink.flits) != 1 || sink.flits[0] != f {
 		t.Fatal("flit not delivered")
@@ -78,8 +80,8 @@ func TestChannelDeliversAfterLatency(t *testing.T) {
 	if sink.times[0] != 150 {
 		t.Fatalf("delivered at %d, want 150", sink.times[0])
 	}
-	if sink.ports[0] != 3 {
-		t.Fatalf("port = %d, want 3", sink.ports[0])
+	if sink.ports[0] != 3 || sink.vcs[0] != 2 {
+		t.Fatalf("delivered on port %d vc %d, want port 3 vc 2", sink.ports[0], sink.vcs[0])
 	}
 	if ch.Injected() != 1 {
 		t.Fatalf("Injected = %d", ch.Injected())
@@ -92,7 +94,7 @@ func TestChannelBandwidthSpacing(t *testing.T) {
 	sink := &flitCollector{s: s}
 	ch.SetSink(sink, 0)
 	at(s, 100, func() {
-		ch.Inject(flit())
+		ch.Inject(flit(), 0)
 		if ch.Available(100) {
 			t.Error("channel should be busy at injection tick")
 		}
@@ -100,7 +102,7 @@ func TestChannelBandwidthSpacing(t *testing.T) {
 			t.Errorf("NextSlot = %d, want 104", got)
 		}
 	})
-	at(s, 104, func() { ch.Inject(flit()) })
+	at(s, 104, func() { ch.Inject(flit(), 0) })
 	s.Run()
 	if len(sink.flits) != 2 {
 		t.Fatalf("delivered %d flits", len(sink.flits))
@@ -115,14 +117,14 @@ func TestChannelBandwidthViolationPanics(t *testing.T) {
 	ch := New(s, "ch", 10, 4)
 	ch.SetSink(&flitCollector{s: s}, 0)
 	panicked := false
-	at(s, 100, func() { ch.Inject(flit()) })
+	at(s, 100, func() { ch.Inject(flit(), 0) })
 	at(s, 102, func() {
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
-		ch.Inject(flit())
+		ch.Inject(flit(), 0)
 	})
 	s.Run()
 	if !panicked {
@@ -140,7 +142,7 @@ func TestChannelUnconnectedPanics(t *testing.T) {
 				panicked = true
 			}
 		}()
-		ch.Inject(flit())
+		ch.Inject(flit(), 0)
 	})
 	s.Run()
 	if !panicked {
@@ -226,7 +228,7 @@ func TestChannelPipelining(t *testing.T) {
 	ch.SetSink(sink, 0)
 	for i := sim.Tick(0); i < 10; i++ {
 		tick := 10 + i
-		at(s, tick, func() { ch.Inject(flit()) })
+		at(s, tick, func() { ch.Inject(flit(), 0) })
 	}
 	s.Run()
 	if len(sink.flits) != 10 {
@@ -247,7 +249,7 @@ func TestChannelInFlightAndCompaction(t *testing.T) {
 	const n = 200
 	for i := sim.Tick(0); i < n; i++ {
 		tick := i + 1
-		at(s, tick, func() { ch.Inject(flit()) })
+		at(s, tick, func() { ch.Inject(flit(), 0) })
 	}
 	s.RunUntil(n + 10)
 	if got := ch.InFlight(); got != n {

@@ -20,9 +20,10 @@ func (ch *Channel) State(c *snapshot.Codec) {
 
 // State codes the line's scheduling identity and its arrivals, lane by lane
 // and run by run: each run's tick, then its arrivals. vcs is the network's
-// VC count: the receiver indexes its credit counters with an arriving
-// credit's VC. A loaded line sets the due bit of every tick it holds
-// arrivals for; the snapshot's event queue holds their events.
+// VC count: the receiver indexes its input buffers with an arriving flit's
+// VC and its credit counters with an arriving credit's. A loaded line sets
+// the due bit of every tick it holds arrivals for; the snapshot's event
+// queue holds their events.
 func (l *Line) State(c *snapshot.Codec, t *types.MessageTable, vcs int) {
 	l.OrderState(c, l)
 	c.FixedLen(len(l.lanes), "arrival line lanes")
@@ -67,8 +68,8 @@ func (l *Line) State(c *snapshot.Codec, t *types.MessageTable, vcs int) {
 	}
 }
 
-// stateArrival codes one arrival of lane ln: its inbound index, then its
-// credit's VC or its flit reference.
+// stateArrival codes one arrival of lane ln: its inbound index, its VC,
+// then a flit's reference.
 func (l *Line) stateArrival(c *snapshot.Codec, t *types.MessageTable, vcs, ln int, a *arrival) {
 	in := int(a.in)
 	c.Index(&in, len(l.in), "arrival inbound index")
@@ -76,13 +77,14 @@ func (l *Line) stateArrival(c *snapshot.Codec, t *types.MessageTable, vcs, ln in
 		return
 	}
 	a.in = int32(in)
+	vc := int(a.vc)
 	if l.in[in].credit {
-		vc := int(a.vc)
 		c.Index(&vc, vcs, "Credit.VC")
-		a.vc = int32(vc)
 	} else {
+		c.Index(&vc, vcs, "flit arrival VC")
 		t.Flit(c, &a.f)
 	}
+	a.vc = int32(vc)
 	switch {
 	case !c.Loading() || c.Err() != nil:
 	case int(l.in[in].lane) != ln:

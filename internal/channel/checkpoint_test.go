@@ -19,13 +19,13 @@ func inFlightChannel(t *testing.T) (*Channel, *types.Message) {
 	c := New(s, "chan_0", 4, 2)
 	c.SetSink(&flitCollector{s: s}, 0)
 	m := types.NewMessage(7, 0, 0, 1, 2, 2)
-	c.Inject(m.Packet(0).Flit(0))
+	c.Inject(m.Packet(0).Flit(0), 1)
 	s.SetNow(sim.Time{Tick: 2})
-	c.Inject(m.Packet(0).Flit(1))
+	c.Inject(m.Packet(0).Flit(1), 0)
 	return c, m
 }
 
-// lineVCs is the VC count the line tests code credits against.
+// lineVCs is the VC count the line tests code flit and credit VCs against.
 const lineVCs = 2
 
 // stateOf codes a channel and its receiver's arrival line after their
@@ -52,7 +52,7 @@ func freshChannel() *Channel {
 }
 
 // anyIndex admits every terminal, application and VC number the tests use.
-var anyIndex = types.Bounds{Terminals: 64, Apps: 64, VCs: 64}
+var anyIndex = types.Bounds{Terminals: 64, Apps: 64}
 
 func TestChannelStateRoundTrip(t *testing.T) {
 	c, m := inFlightChannel(t)
@@ -65,10 +65,15 @@ func TestChannelStateRoundTrip(t *testing.T) {
 	if got.InFlight() != 2 || got.Injected() != c.Injected() || got.NextSlot(0) != c.NextSlot(0) {
 		t.Fatalf("restored channel: inflight %d injected %d next %d", got.InFlight(), got.Injected(), got.NextSlot(0))
 	}
-	// Both flits are in one message, defined once, at the first of them.
-	f0, f1 := got.line.lanes[0].q.Live()[0].f, got.line.lanes[0].q.Live()[1].f
+	// Both flits are in one message, defined once, at the first of them,
+	// and each keeps the VC it was sent on.
+	a0, a1 := got.line.lanes[0].q.Live()[0], got.line.lanes[0].q.Live()[1]
+	f0, f1 := a0.f, a1.f
 	if f0.Pkt.Msg != f1.Pkt.Msg || f0.Pkt.Msg == m || f0.ID != 0 || f1.ID != 1 {
 		t.Fatalf("restored flits %v, %v do not share one new message", f0, f1)
+	}
+	if a0.vc != 1 || a1.vc != 0 {
+		t.Fatalf("restored flits on VCs %d and %d, want 1 and 0", a0.vc, a1.vc)
 	}
 	if err := got.line.CheckPending(); err == nil || !strings.Contains(err.Error(), "0 pending arrival events for 2") {
 		// The snapshot's event queue, not the line, re-creates the events.
@@ -94,11 +99,30 @@ func TestChannelLoadRejectsCorruption(t *testing.T) {
 		snaptest.Put(e.U64, 5) // due at 5
 		snaptest.Put(e.Int, 1) // one arrival in the run
 		snaptest.Put(e.Int, 0) // from inbound 0, the flit channel
+		snaptest.Put(e.Int, 0) // ... on VC 0
 		snaptest.Put(e.Int, 0) // ... with no flit
 	})
 	if err := loadChannel(noFlit, freshChannel()); err == nil ||
 		!strings.Contains(err.Error(), "no flit") {
 		t.Fatalf("err = %v, want missing-flit error", err)
+	}
+
+	// A flit on a VC the receiver does not have.
+	badVC := snaptest.Save(func(e *snapshot.Codec) {
+		c.line.Sim().State(e)
+		snaptest.Put(e.U64, 4) // nextSlot
+		snaptest.Put(e.U64, 1) // injected
+		c.line.OrderState(e, c.line)
+		snaptest.Put(e.Int, 1)       // one lane
+		snaptest.Put(e.Int, 1)       // one run in it
+		snaptest.Put(e.U64, 5)       // due at 5
+		snaptest.Put(e.Int, 1)       // one arrival in the run
+		snaptest.Put(e.Int, 0)       // from inbound 0, the flit channel
+		snaptest.Put(e.Int, lineVCs) // ... on a VC out of range
+	})
+	if err := loadChannel(badVC, freshChannel()); err == nil ||
+		!strings.Contains(err.Error(), "flit arrival VC 2 out of range") {
+		t.Fatalf("err = %v, want an out-of-range flit VC error", err)
 	}
 
 	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {

@@ -24,7 +24,7 @@ const evArrive = 0
 type arrival struct {
 	f  *types.Flit // nil for a credit
 	in int32       // inbound index: the channel's SetSink order on the receiver
-	vc int32       // the credit's VC; unused for a flit
+	vc int32       // the flit's or the credit's VC
 }
 
 // inbound is one channel feeding the line.
@@ -218,7 +218,7 @@ func (l *Line) ProcessEvent(ev *sim.Event) {
 			// exactly one wire step.
 			l.sp.Step(now, a.f, telemetry.SpanWire)
 		}
-		l.sink.ReceiveFlit(int(p.port), a.f)
+		l.sink.ReceiveFlit(int(p.port), int(a.vc), a.f)
 		a.f = nil
 	}
 	l.batch = batch[:0]

@@ -29,7 +29,7 @@ func newRecorder(s *sim.Simulator) *recorder {
 	return r
 }
 
-func (r *recorder) ReceiveFlit(port int, f *types.Flit) {
+func (r *recorder) ReceiveFlit(port, vc int, f *types.Flit) {
 	r.log = append(r.log, delivery{r.s.Now().Tick, port, false})
 }
 
@@ -52,9 +52,9 @@ func TestLineDeliversByInboundIndex(t *testing.T) {
 	cr.SetSink(r, 1)
 	fast := New(s, "fast", 2, 1) // inbound 2
 	fast.SetSink(r, 2)
-	at(s, 2, func() { slow.Inject(flit()) })
+	at(s, 2, func() { slow.Inject(flit(), 0) })
 	at(s, 8, func() {
-		fast.Inject(flit())
+		fast.Inject(flit(), 0)
 		cr.Inject(types.Credit{VC: 0})
 		cr.Inject(types.Credit{VC: 1})
 		if n := s.PendingFor(r.line, evArrive); n != 1 {
@@ -105,7 +105,7 @@ func TestLineLongLatencyRing(t *testing.T) {
 		t.Fatal("accessors wrong")
 	}
 	for i := sim.Tick(1); i <= 500; i++ {
-		at(s, i, func() { ch.Inject(flit()) })
+		at(s, i, func() { ch.Inject(flit(), 0) })
 	}
 	s.RunUntil(300)
 	if err := r.line.CheckPending(); err != nil {
@@ -144,7 +144,7 @@ func TestLineBookkeepingErrors(t *testing.T) {
 	}
 
 	s, r, ch := build()
-	ch.Inject(flit())
+	ch.Inject(flit(), 0)
 	r.line.due[0] = 0 // the tick's bit lost
 	if err := r.line.CheckPending(); err == nil || !strings.Contains(err.Error(), "no due bit") {
 		t.Errorf("lost due bit: %v", err)
@@ -159,12 +159,12 @@ func TestLineBookkeepingErrors(t *testing.T) {
 	}
 
 	s, r, ch = build()
-	ch.Inject(flit())
+	ch.Inject(flit(), 0)
 	s.Schedule(r.line, sim.Time{Tick: 3}, evArrive, nil)
 	mustPanic("event with nothing due", func() { s.Run() })
 
 	s, r, ch = build()
-	ch.Inject(flit())
+	ch.Inject(flit(), 0)
 	s.ResetQueue() // the tick-5 event is lost
 	s.Schedule(r.line, sim.Time{Tick: 7}, evArrive, nil)
 	mustPanic("late arrival", func() { s.Run() })
@@ -173,7 +173,7 @@ func TestLineBookkeepingErrors(t *testing.T) {
 	at(s, 1, func() { New(s, "late", 9, 1).SetSink(r, 1) })
 	ch2 := New(s, "first", 5, 1)
 	ch2.SetSink(r, 2)
-	ch2.Inject(flit())
+	ch2.Inject(flit(), 0)
 	mustPanic("connected in flight", func() { s.Run() })
 
 	mustPanic("unbound line", func() {
@@ -184,9 +184,9 @@ func TestLineBookkeepingErrors(t *testing.T) {
 // unbound is a receiver whose line was never bound to it.
 type unbound struct{ l *Line }
 
-func (u *unbound) ReceiveFlit(int, *types.Flit)    {}
-func (u *unbound) ReceiveCredit(int, types.Credit) {}
-func (u *unbound) Arrivals() *Line                 { return u.l }
+func (u *unbound) ReceiveFlit(int, int, *types.Flit) {}
+func (u *unbound) ReceiveCredit(int, types.Credit)   {}
+func (u *unbound) Arrivals() *Line                   { return u.l }
 
 func TestLineLoadRejectsInconsistentArrivals(t *testing.T) {
 	// A receiver with a flit channel in lane 0 and a credit channel of

@@ -59,7 +59,6 @@ func (sm *Simulation) state(c *snapshot.Codec) {
 	table := types.NewMessageTable(sm.Workload.Pool(), types.Bounds{
 		Terminals: sm.Net.NumTerminals(),
 		Apps:      sm.Workload.NumApps(),
-		VCs:       vcs,
 	})
 	for i := 0; i < sm.Net.NumRouters(); i++ {
 		sm.Net.Router(i).State(c, table)

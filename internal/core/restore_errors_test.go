@@ -78,14 +78,14 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 // channels instead of their receivers' arrival lines, v4 stored two
 // timestamps per flit and an injection time per message, and Blast's packet
 // rows of single-packet messages, v5 stored the live messages in a section
-// of their own and a foreign-handler sequence counter, and this build reads
-// v6 only.
+// of their own and a foreign-handler sequence counter, v6 stored a VC in
+// every flit of every live message, and this build reads v7 only.
 func TestRestoreRejectsVersion2(t *testing.T) {
 	data := smallSnapshot(t)
-	for _, old := range []byte{2, 3, 4, 5} {
+	for _, old := range []byte{2, 3, 4, 5, 6} {
 		stale := append([]byte(snapshot.Magic), old)
 		stale = append(stale, data[len(snapshot.Magic)+1:]...)
-		want := fmt.Sprintf("unsupported schema version %d (this build reads version 6)", old)
+		want := fmt.Sprintf("unsupported schema version %d (this build reads version 7)", old)
 		if _, _, err := Restore(stale, 0); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d-headed snapshot: err = %v, want %q", old, err, want)
 		}
@@ -119,7 +119,7 @@ func restoreFails(t *testing.T, data []byte, want string) {
 // the packet index: the reference kind, then m's shape and fields.
 func definition(m *types.Message) []byte {
 	p := m.Packet(0)
-	b := types.Bounds{Terminals: 1, Apps: 1, VCs: 1} // saving checks no bound
+	b := types.Bounds{Terminals: 1, Apps: 1} // saving checks no bound
 	ref := snaptest.Save(func(c *snapshot.Codec) { types.NewMessageTable(nil, b).Packet(c, &p) })
 	return ref[:len(ref)-1] // packet index 0 is one byte
 }

@@ -75,6 +75,21 @@ func arrivals(sm *Simulation) []reflect.Value {
 	return all
 }
 
+// liveFlight returns the first delay-line entry in flight inside any
+// router.
+func liveFlight(t *testing.T, sm *Simulation) reflect.Value {
+	t.Helper()
+	for i := 0; i < sm.Net.NumRouters(); i++ {
+		r := sm.Net.Router(i)
+		buf, head := peek(r, "dl", "q", "buf"), int(peek(r, "dl", "q", "head").Int())
+		if head < buf.Len() {
+			return peek(r, "dl", "q", "buf", head)
+		}
+	}
+	t.Fatal("no flit crossing a router at the snapshot tick")
+	return reflect.Value{}
+}
+
 // liveMessage returns a message with a flit in flight on some channel.
 func liveMessage(t *testing.T, sm *Simulation) *types.Message {
 	t.Helper()
@@ -106,9 +121,14 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 		plant func(t *testing.T, sm *Simulation)
 	}{
 		{"Message.Src", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Src = far }},
-		{"Message.Dst", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Dst = -1 }},
+		{"Message.Dst", iq, func(t *testing.T, sm *Simulation) { peek(liveMessage(t, sm), "first", "dst").SetInt(-1) }},
 		{"Message.App", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).App = far }},
-		{"Flit.VC", iq, func(t *testing.T, sm *Simulation) { liveMessage(t, sm).Packet(0).Flit(0).VC = far }},
+		{"flit arrival VC", iq, func(t *testing.T, sm *Simulation) {
+			peek(liveArrival(t, sm, false).Addr().Interface(), "vc").SetInt(far)
+		}},
+		{"delay line output VC", oq, func(t *testing.T, sm *Simulation) {
+			peek(liveFlight(t, sm).Addr().Interface(), "v", "vc").SetInt(far)
+		}},
 		{"inputVC.outPort", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outPort").SetInt(far) }},
 		{"inputVC.outVC", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outVC").SetInt(far) }},
 		{"oqInput.outVC", oq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outVC").SetInt(far) }},

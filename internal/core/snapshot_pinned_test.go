@@ -16,12 +16,12 @@ import (
 
 // The round-trip and fuzz tests seed themselves from the code under test, so
 // they cannot see a format change that save and load make together. This
-// file pins the schema-v6 bytes themselves: the length and SHA-256 of a
+// file pins the schema-v7 bytes themselves: the length and SHA-256 of a
 // mid-run snapshot of every golden case (five topologies under IQ routers,
 // then the torus under OQ and IOQ), with verification, telemetry
 // and full-sample span recording on so every section carries state. The
-// hashes were recorded when v6 moved each message's definition to its first
-// reference and dropped the foreign-handler sequence counter; regenerate
+// hashes were recorded when v7 moved each flit's VC out of the message and
+// beside the flit's reference in arrival and delay lines; regenerate
 // (SUPERSIM_UPDATE_GOLDEN=1) only together with a snapshot.Version bump.
 
 // pinnedTick is the checkpoint the hashes are taken at: the middle of the

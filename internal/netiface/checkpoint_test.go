@@ -34,7 +34,7 @@ func stateOf(n *Interface) func(*snapshot.Codec) {
 }
 
 // anyIndex admits every terminal, application and VC number the tests use.
-var anyIndex = types.Bounds{Terminals: 64, Apps: 64, VCs: 64}
+var anyIndex = types.Bounds{Terminals: 64, Apps: 64}
 
 func TestInterfaceStateRoundTrip(t *testing.T) {
 	n := stalledIface(t)

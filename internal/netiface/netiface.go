@@ -163,7 +163,7 @@ func (n *Interface) SendMessage(m *types.Message) {
 	if int(m.Src) != n.id {
 		n.Panicf("message %d src %d sent from terminal %d", m.ID, m.Src, n.id)
 	}
-	if int(m.Dst) == n.id {
+	if m.Dst() == n.id {
 		n.Panicf("message %d targets its own source terminal", m.ID)
 	}
 	n.sp.Start(m)
@@ -258,7 +258,6 @@ func (n *Interface) injectOne() {
 		return // channel busy this cycle (should not happen at edge pacing)
 	}
 	now := n.Sim().Now().Tick
-	f.VC = int32(n.curVC)
 	n.downCred[n.curVC]--
 	// Register the flit in the in-flight ledger before the channel's touch
 	// check sees it, then cross-check the credit mirror.
@@ -272,7 +271,7 @@ func (n *Interface) injectOne() {
 		// behind earlier packets plus credit backpressure.
 		n.sp.Step(now, f, telemetry.SpanQueue)
 	}
-	n.outCh.Inject(f)
+	n.outCh.Inject(f, n.curVC)
 	n.flitsSent++
 	n.tp.FlitSent()
 	if f.Tail {
@@ -291,14 +290,15 @@ func (n *Interface) popPacket() {
 }
 
 // ReceiveFlit ejects a flit from the network: the delivery checks run, the
-// credit returns to the router, and completed messages go to the sink.
-func (n *Interface) ReceiveFlit(port int, f *types.Flit) {
+// credit returns to the router on the flit's VC, and completed messages go
+// to the sink.
+func (n *Interface) ReceiveFlit(port, vc int, f *types.Flit) {
 	now := n.Sim().Now().Tick
 	n.flitsReceived++
 	n.tp.FlitReceived()
 	n.v.FlitRetired(f)
 	packetDone := n.checker.Check(f)
-	n.creditOut.Inject(types.Credit{VC: int(f.VC)})
+	n.creditOut.Inject(types.Credit{VC: vc})
 	// The reassembly countdown lives in the message (initialized to the flit
 	// count at construction) instead of an interface-side map; only the count
 	// of partially received messages is tracked here, for VerifyIdle.

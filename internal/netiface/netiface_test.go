@@ -14,21 +14,24 @@ import (
 type routerStub struct {
 	s       *sim.Simulator
 	flits   []*types.Flit
+	vcs     []int
 	times   []sim.Tick
+	credits []types.Credit         // ejection credits from the interface
 	creditC *channel.CreditChannel // back to the interface
 	auto    bool                   // return a credit immediately on arrival
 	line    *channel.Line
 }
 
-func (r *routerStub) ReceiveFlit(port int, f *types.Flit) {
+func (r *routerStub) ReceiveFlit(port, vc int, f *types.Flit) {
 	r.flits = append(r.flits, f)
+	r.vcs = append(r.vcs, vc)
 	r.times = append(r.times, r.s.Now().Tick)
 	if r.auto {
-		r.creditC.Inject(types.Credit{VC: int(f.VC)})
+		r.creditC.Inject(types.Credit{VC: vc})
 	}
 }
 
-func (r *routerStub) ReceiveCredit(port int, c types.Credit) {}
+func (r *routerStub) ReceiveCredit(port int, c types.Credit) { r.credits = append(r.credits, c) }
 
 func (r *routerStub) Arrivals() *channel.Line {
 	if r.line == nil {
@@ -84,8 +87,8 @@ func TestInjectSingleFlitMessage(t *testing.T) {
 	if len(stub.flits) != 1 {
 		t.Fatalf("router got %d flits", len(stub.flits))
 	}
-	if stub.flits[0].VC < 0 || stub.flits[0].VC > 1 {
-		t.Fatalf("flit VC %d unset", stub.flits[0].VC)
+	if stub.vcs[0] < 0 || stub.vcs[0] > 1 {
+		t.Fatalf("flit sent on VC %d", stub.vcs[0])
 	}
 	if inj := m.Packet(0).InjectTime; inj+3 != stub.times[0] {
 		t.Fatalf("inject time %d inconsistent with arrival %d (latency 3)",
@@ -144,9 +147,9 @@ func TestInjectionPolicyRestrictsVCs(t *testing.T) {
 	s, n, stub, _ := rig(t, 4, 8, func(pkt *types.Packet) []int { return []int{2} })
 	n.SendMessage(msg(1, 0, 5, 2, 2))
 	s.Run()
-	for _, f := range stub.flits {
-		if f.VC != 2 {
-			t.Fatalf("flit on VC %d, policy allows only 2", f.VC)
+	for _, vc := range stub.vcs {
+		if vc != 2 {
+			t.Fatalf("flit on VC %d, policy allows only 2", vc)
 		}
 	}
 }
@@ -155,9 +158,8 @@ func TestPacketLockedToOneVC(t *testing.T) {
 	s, n, stub, _ := rig(t, 4, 8, nil)
 	n.SendMessage(msg(1, 0, 5, 6, 6))
 	s.Run()
-	vc := stub.flits[0].VC
-	for _, f := range stub.flits {
-		if f.VC != vc {
+	for _, vc := range stub.vcs {
+		if vc != stub.vcs[0] {
 			t.Fatal("packet flits switched VCs mid-flight")
 		}
 	}
@@ -170,12 +172,10 @@ func TestSendMessageValidation(t *testing.T) {
 }
 
 func TestEjectDeliversAndReturnsCredits(t *testing.T) {
-	s, n, _, sink := rig(t, 2, 4, nil)
+	s, n, stub, sink := rig(t, 2, 4, nil)
 	m := types.NewMessage(9, 0, 7, 0, 3, 3) // dst is this interface (id 0)
 	for fi := 0; fi < m.Packet(0).Size(); fi++ {
-		f := m.Packet(0).Flit(fi)
-		f.VC = 1
-		n.ReceiveFlit(0, f)
+		n.ReceiveFlit(0, 1, m.Packet(0).Flit(fi))
 	}
 	s.Run()
 	if len(sink.msgs) != 1 || sink.msgs[0] != m {
@@ -184,26 +184,31 @@ func TestEjectDeliversAndReturnsCredits(t *testing.T) {
 	if m.ReceiveTime != 0 {
 		t.Fatalf("receive time %d, want 0 (flits delivered at tick 0)", m.ReceiveTime)
 	}
-	// One eject credit per flit must have reached the router stub... they
-	// travel via the eject credit channel into stub.ReceiveCredit (no-op),
-	// so just verify the flits were counted.
 	if n.FlitsReceived() != 3 {
 		t.Fatalf("FlitsReceived = %d", n.FlitsReceived())
+	}
+	// One eject credit per flit reached the router stub, on the VC the
+	// flit arrived on.
+	if len(stub.credits) != 3 {
+		t.Fatalf("router got %d eject credits, want 3", len(stub.credits))
+	}
+	for _, c := range stub.credits {
+		if c.VC != 1 {
+			t.Fatalf("eject credit on VC %d, flits arrived on 1", c.VC)
+		}
 	}
 }
 
 func TestEjectOutOfOrderPanics(t *testing.T) {
 	_, n, _, _ := rig(t, 1, 4, nil)
 	m := types.NewMessage(9, 0, 7, 0, 2, 2)
-	m.Packet(0).Flit(1).VC = 0
-	mustPanic(t, func() { n.ReceiveFlit(0, m.Packet(0).Flit(1)) })
+	mustPanic(t, func() { n.ReceiveFlit(0, 0, m.Packet(0).Flit(1)) })
 }
 
 func TestEjectWrongDestinationPanics(t *testing.T) {
 	_, n, _, _ := rig(t, 1, 4, nil)
 	m := types.NewMessage(9, 0, 7, 3, 1, 1) // dst 3, interface is 0
-	m.Packet(0).Flit(0).VC = 0
-	mustPanic(t, func() { n.ReceiveFlit(0, m.Packet(0).Flit(0)) })
+	mustPanic(t, func() { n.ReceiveFlit(0, 0, m.Packet(0).Flit(0)) })
 }
 
 func TestMultiPacketMessageReassembly(t *testing.T) {
@@ -212,9 +217,7 @@ func TestMultiPacketMessageReassembly(t *testing.T) {
 	for pi := 0; pi < m.NumPackets(); pi++ {
 		p := m.Packet(pi)
 		for fi := 0; fi < p.Size(); fi++ {
-			f := p.Flit(fi)
-			f.VC = 0
-			n.ReceiveFlit(0, f)
+			n.ReceiveFlit(0, 0, p.Flit(fi))
 		}
 	}
 	s.Run()
@@ -283,8 +286,7 @@ func TestVerifyIdleDetectsMissingCredits(t *testing.T) {
 func TestVerifyIdleDetectsPartialMessage(t *testing.T) {
 	s, n, _, _ := rig(t, 1, 4, nil)
 	m := types.NewMessage(9, 0, 7, 0, 3, 3)
-	m.Packet(0).Flit(0).VC = 0
-	n.ReceiveFlit(0, m.Packet(0).Flit(0)) // only 1 of 3 flits arrives
+	n.ReceiveFlit(0, 0, m.Packet(0).Flit(0)) // only 1 of 3 flits arrives
 	s.Run()
 	mustPanic(t, func() { n.VerifyIdle() })
 }

@@ -71,10 +71,14 @@ func (b *base) state(c *snapshot.Codec) {
 	c.U64(&b.flitsRouted)
 }
 
-// stateFlights codes the internal datapath's delay line.
+// stateFlights codes the internal datapath's delay line: each flit's output
+// port and VC, then its reference.
 func (b *base) stateFlights(c *snapshot.Codec, t *types.MessageTable) {
 	b.dl.state(c, "delay line", func(i int, fl *flight) {
-		c.Index(&fl.port, b.radix, "delay line output port")
+		port, vc := int(fl.port), int(fl.vc)
+		c.Index(&port, b.radix, "delay line output port")
+		c.Index(&vc, b.vcs, "delay line output VC")
+		fl.port, fl.vc = int32(port), int32(vc)
 		t.Flit(c, &fl.f)
 		if c.Loading() && c.Err() == nil && fl.f == nil {
 			c.Failf("delay line entry %d has no flit", i)

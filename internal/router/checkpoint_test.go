@@ -45,7 +45,7 @@ func stalledRouter(t *testing.T, doc string, vcs int) Router {
 }
 
 // anyIndex admits every terminal, application and VC number the tests use.
-var anyIndex = types.Bounds{Terminals: 64, Apps: 64, VCs: 64}
+var anyIndex = types.Bounds{Terminals: 64, Apps: 64}
 
 // stateOf codes a router after its simulator, as the simulation's walk
 // does, against a fresh message table.
@@ -131,7 +131,7 @@ func TestRouterLoadRejectsBatchingCorruption(t *testing.T) {
 			oq := r.(*OQ)
 			f := oq.out.outQ[oq.client(1, 0)].peek() // a stalled flit
 			dl := &oq.dl
-			dl.q.Reset([]timed[flight]{{at: 20, v: flight{f, 1}}, {at: 10, v: flight{f, 1}}})
+			dl.q.Reset([]timed[flight]{{at: 20, v: flight{f, 1, 0}}, {at: 10, v: flight{f, 1, 0}}})
 		}, "due before"},
 	}
 	for _, tc := range cases {

@@ -208,14 +208,14 @@ func (b *base) badPort(port int) {
 }
 
 //go:noinline
-func (b *base) badArrival(port int, f *types.Flit) {
+func (b *base) badArrival(port, vc int, f *types.Flit) {
 	b.checkPort(port)
-	b.Panicf("%v arrived on unregistered VC", f)
+	b.Panicf("%v arrived on unregistered VC %d (have %d)", f, vc, b.vcs)
 }
 
 //go:noinline
-func (b *base) overrun(port int, f *types.Flit) {
-	b.Panicf("input buffer overrun on port %d vc %d", port, f.VC)
+func (b *base) overrun(port, vc int) {
+	b.Panicf("input buffer overrun on port %d vc %d", port, vc)
 }
 
 //go:noinline
@@ -232,22 +232,22 @@ func (b *base) clientVC(client int) int   { return client % b.vcs }
 // arrivalClient applies the framework's error detection to an arriving
 // flit's address — the port exists and the VC is registered — and returns
 // its input client.
-func (b *base) arrivalClient(port int, f *types.Flit) int {
-	if uint(port) >= uint(b.radix) || uint(f.VC) >= uint(b.vcs) {
-		b.badArrival(port, f)
+func (b *base) arrivalClient(port, vc int, f *types.Flit) int {
+	if uint(port) >= uint(b.radix) || uint(vc) >= uint(b.vcs) {
+		b.badArrival(port, vc, f)
 	}
-	return b.client(port, int(f.VC))
+	return b.client(port, vc)
 }
 
-// receive appends an arriving flit to its input buffer q, panicking on an
-// overrun: the sender spent a credit it did not have.
-func (b *base) receive(q *flitQueue, port int, f *types.Flit) {
+// receive appends a flit arriving on (port, vc) to that input buffer, q,
+// panicking on an overrun: the sender spent a credit it did not have.
+func (b *base) receive(q *flitQueue, port, vc int, f *types.Flit) {
 	if q.len() >= b.bufDepth {
-		b.overrun(port, f)
+		b.overrun(port, vc)
 	}
 	q.push(f)
-	b.bufLed[port].Arrive(int(f.VC))
-	b.tp.FlitBuffered(int(f.VC))
+	b.bufLed[port].Arrive(vc)
+	b.tp.FlitBuffered(vc)
 }
 
 // schedulePipeline arms the architecture's pipeline event for the next core
@@ -345,10 +345,11 @@ func (b *base) verifyIdle() {
 }
 
 // flight is one flit traversing a fixed-latency internal datapath (crossbar
-// or queue-to-queue transfer) toward an output port.
+// or queue-to-queue transfer) toward an output port and the VC it was
+// allocated there.
 type flight struct {
-	f    *types.Flit
-	port int
+	f        *types.Flit
+	port, vc int32
 }
 
 // timed is one delay-line entry: a value due at a tick.
@@ -396,10 +397,10 @@ func (d *delayLine[T]) land(b *base) (T, bool) {
 	return d.q.Pop().v, true
 }
 
-// startFlight sends a flit down the internal datapath, to complete at tick
-// at.
-func (b *base) startFlight(at sim.Tick, f *types.Flit, port int) {
-	b.dl.add(b, at, flight{f, port})
+// startFlight sends a flit down the internal datapath toward output (port,
+// vc), to complete at tick at.
+func (b *base) startFlight(at sim.Tick, f *types.Flit, port, vc int) {
+	b.dl.add(b, at, flight{f, int32(port), int32(vc)})
 }
 
 // landFlight pops the next traversal completing now; see delayLine.land.

@@ -48,9 +48,7 @@ func pushHOL(s *sim.Simulator, r Router, id uint64, size, vc int, atTick sim.Tic
 	m := types.NewMessage(id, 0, 5, 9, size, size)
 	for i := 0; i < m.Packet(0).Size(); i++ {
 		f := m.Packet(0).Flit(i)
-		f.VC = int32(vc)
-		fl := f
-		s.Schedule(sim.HandlerFunc(func(*sim.Event) { r.ReceiveFlit(0, fl) }),
+		s.Schedule(sim.HandlerFunc(func(*sim.Event) { r.ReceiveFlit(0, vc, f) }),
 			sim.Time{Tick: atTick + sim.Tick(i)}, 0, nil)
 	}
 }

@@ -42,8 +42,9 @@ type inputArch interface {
 	// reserve claims the space eligible found for one flit entering the
 	// crossbar now and leaving it at arrive.
 	reserve(now sim.Tick, port, vc int, arrive sim.Tick)
-	// deliver takes a flit off the far side of the crossbar.
-	deliver(port int, f *types.Flit)
+	// deliver takes a flit bound for output (port, vc) off the far side of
+	// the crossbar.
+	deliver(port, vc int, f *types.Flit)
 	// packetRoom returns the most flits output port can ever hold for one
 	// VC (0 = unbounded) and the setting that fixes it.
 	packetRoom(port int) (flits int, setting string)
@@ -116,9 +117,9 @@ func initInputStage(st *inputStage, arch interface {
 }
 
 // ReceiveFlit accepts a flit from an input channel.
-func (s *inputStage) ReceiveFlit(port int, f *types.Flit) {
-	client := s.arrivalClient(port, f)
-	s.receive(&s.in[client].q, port, f)
+func (s *inputStage) ReceiveFlit(port, vc int, f *types.Flit) {
+	client := s.arrivalClient(port, vc, f)
+	s.receive(&s.in[client].q, port, vc, f)
 	s.maybeStartRoute(client)
 	s.schedulePipeline()
 }
@@ -135,7 +136,7 @@ func (s *inputStage) ProcessEvent(ev *sim.Event) {
 		}
 	case evXbarArrive:
 		for fl, ok := s.landFlight(); ok; fl, ok = s.landFlight() {
-			s.arch.deliver(fl.port, fl.f)
+			s.arch.deliver(int(fl.port), int(fl.vc), fl.f)
 		}
 	default:
 		s.Panicf("unknown event type %d", ev.Type)
@@ -309,14 +310,13 @@ func (s *inputStage) sendFlit(now sim.Tick, port, client int) {
 		// whatever the architecture's eligibility rule waits for.
 		s.sp.Step(now, f, telemetry.SpanSWAlloc)
 	}
-	f.VC = int32(iv.outVC)
 	if f.Head {
 		f.Pkt.HopCount++
 	}
 	arrive := s.xbar.Start(now, port)
 	s.arch.reserve(now, port, iv.outVC, arrive)
 	s.forwarded(client)
-	s.startFlight(arrive, f, port)
+	s.startFlight(arrive, f, port, iv.outVC)
 	s.sched[port].onSent(client, f.Head, f.Tail)
 	if f.Tail {
 		s.holder[port][iv.outVC] = -1

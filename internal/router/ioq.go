@@ -57,7 +57,7 @@ func (r *IOQ) eligible(now sim.Tick, port, vc, need int) (ok, retry bool) {
 
 func (r *IOQ) reserve(now sim.Tick, port, vc int, arrive sim.Tick) { r.out.reserve(now, port, vc) }
 
-func (r *IOQ) deliver(port int, f *types.Flit) { r.out.accept(port, f) }
+func (r *IOQ) deliver(port, vc int, f *types.Flit) { r.out.accept(port, vc, f) }
 
 func (r *IOQ) packetRoom(port int) (int, string) { return r.out.outDepth, "output_queue_depth" }
 

@@ -54,7 +54,7 @@ func (r *IQ) reserve(now sim.Tick, port, vc int, arrive sim.Tick) {
 	r.nextChanStart[port] = arrive + r.chanPeriod
 }
 
-func (r *IQ) deliver(port int, f *types.Flit) { r.outCh[port].Inject(f) }
+func (r *IQ) deliver(port, vc int, f *types.Flit) { r.outCh[port].Inject(f, vc) }
 
 func (r *IQ) packetRoom(port int) (int, string) {
 	return r.downCap[port], "the next hop's per-VC input_buffer_depth"

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 type flitSink struct {
 	s       *sim.Simulator
 	flits   []*types.Flit
+	vcs     []int
 	times   []sim.Tick
 	creditC *channel.CreditChannel
 	line    *channel.Line
@@ -33,11 +35,12 @@ func (f *flitSink) Arrivals() *channel.Line {
 	return f.line
 }
 
-func (f *flitSink) ReceiveFlit(port int, fl *types.Flit) {
+func (f *flitSink) ReceiveFlit(port, vc int, fl *types.Flit) {
 	f.flits = append(f.flits, fl)
+	f.vcs = append(f.vcs, vc)
 	f.times = append(f.times, f.s.Now().Tick)
 	if f.creditC != nil {
-		f.creditC.Inject(types.Credit{VC: int(fl.VC)})
+		f.creditC.Inject(types.Credit{VC: vc})
 	}
 }
 
@@ -48,7 +51,7 @@ type creditSink struct {
 	line    *channel.Line
 }
 
-func (c *creditSink) ReceiveFlit(int, *types.Flit) {}
+func (c *creditSink) ReceiveFlit(int, int, *types.Flit) {}
 
 func (c *creditSink) Arrivals() *channel.Line {
 	if c.line == nil {
@@ -111,10 +114,8 @@ func pushPacket(s *sim.Simulator, r Router, size, vc int, atTick sim.Tick) *type
 	m := types.NewMessage(1, 0, 5, 9, size, size)
 	for i := 0; i < m.Packet(0).Size(); i++ {
 		f := m.Packet(0).Flit(i)
-		f.VC = int32(vc)
-		fl := f
 		tick := atTick + sim.Tick(i)
-		s.Schedule(sim.HandlerFunc(func(*sim.Event) { r.ReceiveFlit(0, fl) }),
+		s.Schedule(sim.HandlerFunc(func(*sim.Event) { r.ReceiveFlit(0, vc, f) }),
 			sim.Time{Tick: tick}, 0, nil)
 	}
 	return m
@@ -223,8 +224,8 @@ func TestStallsWithoutDownstreamCredits(t *testing.T) {
 		back.SetSink(r, 1)
 		out.creditC = back
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
-			r.ReceiveCredit(1, types.Credit{VC: int(out.flits[0].VC)})
-			r.ReceiveCredit(1, types.Credit{VC: int(out.flits[0].VC)})
+			r.ReceiveCredit(1, types.Credit{VC: out.vcs[0]})
+			r.ReceiveCredit(1, types.Credit{VC: out.vcs[0]})
 		}), sim.Time{Tick: s.Now().Tick + 1}, 0, nil)
 		s.Run()
 		if len(out.flits) != 4 {
@@ -243,9 +244,7 @@ func TestInputBufferOverrunPanics(t *testing.T) {
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
 			defer func() { panicked = recover() != nil }()
 			for fi := 0; fi < m.Packet(0).Size(); fi++ {
-				f := m.Packet(0).Flit(fi)
-				f.VC = 0
-				r.ReceiveFlit(0, f)
+				r.ReceiveFlit(0, 0, m.Packet(0).Flit(fi))
 			}
 		}), sim.Time{Tick: 1}, 0, nil)
 		s.Run()
@@ -259,15 +258,17 @@ func TestRejectsUnregisteredVC(t *testing.T) {
 	forEachArch(t, func(t *testing.T, doc string) {
 		s, r, _, _ := buildLoneRouter(t, doc, 2, 8)
 		m := types.NewMessage(1, 0, 5, 9, 1, 1)
-		m.Packet(0).Flit(0).VC = 7
-		panicked := false
+		var got any
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
-			defer func() { panicked = recover() != nil }()
-			r.ReceiveFlit(0, m.Packet(0).Flit(0))
+			defer func() { got = recover() }()
+			r.ReceiveFlit(0, 7, m.Packet(0).Flit(0))
 		}), sim.Time{Tick: 1}, 0, nil)
 		s.Run()
-		if !panicked {
+		if got == nil {
 			t.Fatal("expected unregistered VC panic")
+		}
+		if msg := fmt.Sprint(got); !strings.Contains(msg, "unregistered VC 7 ") {
+			t.Fatalf("panic %q does not name VC 7", msg)
 		}
 	})
 }
@@ -284,9 +285,8 @@ func TestRoutingToUnusedPortRejected(t *testing.T) {
 		cc.SetSink(crs, 0)
 		r.ConnectCreditOut(0, cc)
 		m := types.NewMessage(1, 0, 5, 9, 1, 1)
-		m.Packet(0).Flit(0).VC = 0
 		s.Schedule(sim.HandlerFunc(func(*sim.Event) {
-			r.ReceiveFlit(0, m.Packet(0).Flit(0))
+			r.ReceiveFlit(0, 0, m.Packet(0).Flit(0))
 		}), sim.Time{Tick: 1}, 0, nil)
 		panicked := false
 		func() {

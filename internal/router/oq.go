@@ -66,8 +66,8 @@ func NewOQ(s *sim.Simulator, name string, cfg *config.Settings, p Params) *OQ {
 }
 
 // ReceiveFlit accepts a flit from an input channel.
-func (r *OQ) ReceiveFlit(port int, f *types.Flit) {
-	r.receive(&r.in[r.arrivalClient(port, f)].q, port, f)
+func (r *OQ) ReceiveFlit(port, vc int, f *types.Flit) {
+	r.receive(&r.in[r.arrivalClient(port, vc, f)].q, port, vc, f)
 	r.schedulePipeline()
 }
 
@@ -82,7 +82,7 @@ func (r *OQ) ProcessEvent(ev *sim.Event) {
 		r.pipeline()
 	case evTransferArrive:
 		for fl, ok := r.landFlight(); ok; fl, ok = r.landFlight() {
-			r.out.accept(fl.port, fl.f)
+			r.out.accept(int(fl.port), int(fl.vc), fl.f)
 		}
 	case evOutput:
 		r.out.drainReady()
@@ -146,14 +146,13 @@ func (r *OQ) pipeline() {
 			// analogue of VC allocation.
 			r.sp.Step(now, f, telemetry.SpanVCAlloc)
 		}
-		f.VC = int32(iv.outVC)
 		if f.Head {
 			f.Pkt.HopCount++
 		}
 		r.out.reserve(now, iv.resp.Port, iv.outVC)
 		r.forwarded(clientIdx)
 		r.transfer[clientIdx] = now
-		r.startFlight(now+r.queueLat, f, iv.resp.Port)
+		r.startFlight(now+r.queueLat, f, iv.resp.Port, iv.outVC)
 		if f.Tail {
 			r.outOwner[out] = -1
 			iv.routed = false

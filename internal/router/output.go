@@ -51,9 +51,9 @@ func (o *outputStage) reserve(now sim.Tick, port, vc int) {
 	o.b.sensor.AddOutput(now, port, vc, 1)
 }
 
-// accept enqueues a flit that reached its output queue.
-func (o *outputStage) accept(port int, f *types.Flit) {
-	o.outQ[o.b.client(port, int(f.VC))].push(f)
+// accept enqueues a flit that reached its output queue, (port, vc).
+func (o *outputStage) accept(port, vc int, f *types.Flit) {
+	o.outQ[o.b.client(port, vc)].push(f)
 	o.scheduleOutput(port)
 }
 
@@ -126,7 +126,7 @@ func (o *outputStage) drain(port int) {
 			b.Panicf("output queue occupancy went negative on port %d vc %d", port, vc)
 		}
 		b.sensor.AddOutput(now, port, vc, -1)
-		b.outCh[port].Inject(f)
+		b.outCh[port].Inject(f, vc)
 		o.outRR[port] = (vc + 1) % b.vcs
 		// A slot freed: a blocked pipeline may proceed, and more flits may be
 		// waiting to drain next cycle.

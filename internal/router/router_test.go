@@ -81,7 +81,7 @@ func TestFlitQueueRestoredRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.push(m.Packet(0).Flit(i))
 	}
-	bounds := types.Bounds{Terminals: 2, Apps: 1, VCs: 1}
+	bounds := types.Bounds{Terminals: 2, Apps: 1}
 	data := snaptest.Save(func(c *snapshot.Codec) { q.state(c, types.NewMessageTable(nil, bounds)) })
 	var got flitQueue
 	if err := snaptest.Load(data, func(c *snapshot.Codec) { got.state(c, types.NewMessageTable(nil, bounds)) }); err != nil {
@@ -112,17 +112,17 @@ func TestDelayLineOrdering(t *testing.T) {
 		t.Fatal("empty delay line has a next")
 	}
 	f1, f2 := flitOf(1, 0), flitOf(1, 0)
-	d.push(10, flight{f1, 3})
-	d.push(10, flight{f2, 4})
-	d.push(15, flight{flitOf(1, 0), 5})
+	d.push(10, flight{f1, 3, 1})
+	d.push(10, flight{f2, 4, 0})
+	d.push(15, flight{flitOf(1, 0), 5, 0})
 	at, ok := d.next()
 	if !ok || at != 10 {
 		t.Fatalf("next = %d, %v", at, ok)
 	}
-	if fl := d.q.Pop().v; fl.f != f1 || fl.port != 3 {
+	if fl := d.q.Pop().v; fl.f != f1 || fl.port != 3 || fl.vc != 1 {
 		t.Fatal("pop order wrong")
 	}
-	if fl := d.q.Pop().v; fl.f != f2 || fl.port != 4 {
+	if fl := d.q.Pop().v; fl.f != f2 || fl.port != 4 || fl.vc != 0 {
 		t.Fatal("same-tick FIFO wrong")
 	}
 	at, _ = d.next()
@@ -133,19 +133,19 @@ func TestDelayLineOrdering(t *testing.T) {
 
 func TestDelayLineMonotonePanics(t *testing.T) {
 	var d delayLine[flight]
-	d.push(10, flight{flitOf(1, 0), 0})
+	d.push(10, flight{flitOf(1, 0), 0, 0})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.push(9, flight{flitOf(1, 0), 0})
+	d.push(9, flight{flitOf(1, 0), 0, 0})
 }
 
 func TestDelayLineCompaction(t *testing.T) {
 	var d delayLine[flight]
 	for i := 0; i < 1000; i++ {
-		d.push(sim.Tick(i), flight{flitOf(1, 0), 0})
+		d.push(sim.Tick(i), flight{flitOf(1, 0), 0, 0})
 		if i%2 == 1 {
 			d.q.Pop()
 			d.q.Pop()

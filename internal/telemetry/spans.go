@@ -325,7 +325,7 @@ func (sp *Spans) start(m *types.Message) {
 	} else {
 		s = &msgSpan{}
 	}
-	s.rec = SpanRecord{Msg: m.ID, App: int(m.App), Src: int(m.Src), Dst: int(m.Dst), PerHop: s.rec.PerHop[:0]}
+	s.rec = SpanRecord{Msg: m.ID, App: int(m.App), Src: int(m.Src), Dst: m.Dst(), PerHop: s.rec.PerHop[:0]}
 	s.lastT = m.CreateTime
 	s.hop = 0
 	sp.live.put(m.ID, s)

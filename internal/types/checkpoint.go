@@ -36,10 +36,11 @@ func NewMessageTable(pool *Pool, b Bounds) *MessageTable {
 }
 
 // Bounds are the index ranges restored traffic objects are validated
-// against: terminal, application and VC numbers end up as slice indices in
-// the continued run.
+// against: terminal and application numbers end up as slice indices in the
+// continued run. A flit's VC is not a traffic-object field: its holder codes
+// it (see channel.Line and the routers' delay lines).
 type Bounds struct {
-	Terminals, Apps, VCs int
+	Terminals, Apps int
 }
 
 // The kinds of packet reference, coded ahead of the reference.
@@ -85,7 +86,8 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 	index32(c.Index, &m.App, b.Apps, "Message.App")
 	c.U64(&m.Transaction)
 	index32(c.Index, &m.Src, b.Terminals, "Message.Src")
-	index32(c.Index, &m.Dst, b.Terminals, "Message.Dst")
+	// The destination is coded once per message; every packet holds it.
+	index32(c.Index, &m.first.dst, b.Terminals, "Message.Dst")
 	snapshot.Uint(c, &m.CreateTime)
 	snapshot.Uint(c, &m.ReceiveTime)
 	c.Bool(&m.Sampled)
@@ -93,6 +95,7 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 	snapshot.Sint(c, &m.RxRemaining)
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
+		p.dst = m.first.dst
 		snapshot.Sint(c, &p.HopCount)
 		c.Bool(&p.NonMinimal)
 		snapshot.Sint(c, &p.Intermediate)
@@ -107,8 +110,6 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 		p := m.Packet(i)
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
-			// -1 until the flit wins its first VC at the injecting interface.
-			index32(c.IndexOrNone, &f.VC, b.VCs, "Flit.VC")
 			if c.Loading() {
 				// The aliasing sentinel compares a flit's stamp with its
 				// message's generation, never their absolute values.

@@ -10,7 +10,7 @@ import (
 )
 
 // testBounds admits every index testMessage uses.
-var testBounds = Bounds{Terminals: 4, Apps: 2, VCs: 3}
+var testBounds = Bounds{Terminals: 4, Apps: 2}
 
 // testMessage builds a message with every serialized field set to a
 // non-default value so round trips exercise real state, not zeroes.
@@ -40,7 +40,6 @@ func testMessage(pool *Pool, id uint64) *Message {
 		p.rxNext = int32(i)
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
-			f.VC = int32(j % 3)
 			f.vfGen = m.gen
 			f.vfInFlight = j == 0
 		}
@@ -94,7 +93,7 @@ func TestMessageTableRoundTrip(t *testing.T) {
 		t.Fatal("restored messages do not re-serialize byte-identically")
 	}
 	rm := got.idx[7]
-	if rm == nil || rm.Src != 2 || rm.Dst != 3 || rm.Transaction != 99 || !rm.Sampled {
+	if rm == nil || rm.Src != 2 || rm.Dst() != 3 || rm.Transaction != 99 || !rm.Sampled {
 		t.Fatalf("restored message 7 lost fields: %+v", rm)
 	}
 	if rm.pool != pool.id {
@@ -102,6 +101,12 @@ func TestMessageTableRoundTrip(t *testing.T) {
 	}
 	if rm.NumPackets() != 3 || rm.Packet(0).Size() != 2 || rm.Packet(2).Size() != 1 {
 		t.Fatal("restored message shape wrong (5 flits, max packet 2)")
+	}
+	// The destination is coded once per message and set on every packet.
+	for i := 0; i < rm.NumPackets(); i++ {
+		if p := rm.Packet(i); p.Dst() != rm.Dst() {
+			t.Errorf("restored packet %d routes to %d, message to %d", i, p.Dst(), rm.Dst())
+		}
 	}
 	// How often a block was recycled is not state: every restored message
 	// starts its first life, and its flits carry that generation.
@@ -296,10 +301,8 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 		{"truncated", func(c *snapshot.Codec) { snaptest.Put(c.Int, refDefinition); snaptest.Put(c.U64, 3) }, "snapshot:"},
 		{"empty", func(c *snapshot.Codec) {}, "snapshot:"},
 		{"source terminal", mutated(&m3.Src, int32(testBounds.Terminals)), "Message.Src 4 out of range"},
-		{"destination terminal", mutated(&m3.Dst, -1), "Message.Dst -1 out of range"},
+		{"destination terminal", mutated(&m3.first.dst, -1), "Message.Dst -1 out of range"},
 		{"application", mutated(&m3.App, int32(testBounds.Apps)), "Message.App 2 out of range"},
-		{"flit VC", mutated(&m3.Packet(1).Flit(0).VC, int32(testBounds.VCs)), "Flit.VC 3 out of range"},
-		{"flit VC below none", mutated(&m3.Packet(0).Flit(1).VC, -2), "Flit.VC -2 out of range"},
 		{"shape beyond int32", shape(1<<31, 2), "invalid shape"},
 		{"hop count beyond int32", packet0(1<<31, -1), "overflows int32"},
 		{"intermediate beyond int32", packet0(0, 1<<31), "overflows int32"},
@@ -309,10 +312,6 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 		if err := load(tc.enc); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
-	}
-	// -1 is a flit's VC before it wins one at the interface: legal.
-	if err := load(mutated(&m3.Packet(0).Flit(0).VC, -1)); err != nil {
-		t.Errorf("uninjected flit (VC -1) rejected: %v", err)
 	}
 }
 

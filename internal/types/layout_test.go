@@ -64,13 +64,39 @@ func TestTrafficObjectSizes(t *testing.T) {
 	}
 }
 
+// TestHopFieldsShareALine pins what a router hop on a single-flit message
+// reads to one 64-byte line of it: packet 0's back-pointer to the message,
+// head flit, routing state (hop count, intermediate, deroute flag, scratch)
+// and destination all lie in bytes [64, 128) of the Message. Objects of the
+// Message's size class start on a line boundary, so that range is one cache
+// line; a field that leaves it costs every hop a second miss.
+func TestHopFieldsShareALine(t *testing.T) {
+	msg, pkt := reflect.TypeFor[Message](), reflect.TypeFor[Packet]()
+	first, ok := msg.FieldByName("first")
+	if !ok {
+		t.Fatal("Message has no field first")
+	}
+	for _, name := range []string{"Msg", "head", "HopCount", "Intermediate", "NonMinimal", "Routing", "dst"} {
+		f, ok := pkt.FieldByName(name)
+		if !ok {
+			t.Errorf("Packet has no field %s", name)
+			continue
+		}
+		lo := first.Offset + f.Offset
+		if hi := lo + f.Type.Size(); lo < 64 || hi > 128 {
+			t.Errorf("packet 0's %s lies in bytes [%d, %d) of Message, want within [64, 128)", name, lo, hi)
+		}
+	}
+}
+
 type flitView struct {
-	ID, VC     int32
+	ID         int32
 	Head, Tail bool
 }
 
 type packetView struct {
 	ID, Size                int
+	Dst                     int
 	HopCount, Intermediate  int32
 	NonMinimal              bool
 	Routing                 RoutingScratch
@@ -81,7 +107,8 @@ type packetView struct {
 
 type messageView struct {
 	ID, Transaction         uint64
-	App, Src, Dst           int32
+	App, Src                int32
+	Dst                     int
 	CreateTime, ReceiveTime sim.Tick
 	Sampled                 bool
 	OpCode, RxRemaining     int32
@@ -96,7 +123,7 @@ type messageView struct {
 // package documents as not state.
 func view(m *Message) messageView {
 	v := messageView{
-		ID: m.ID, Transaction: m.Transaction, App: m.App, Src: m.Src, Dst: m.Dst,
+		ID: m.ID, Transaction: m.Transaction, App: m.App, Src: m.Src, Dst: m.Dst(),
 		CreateTime: m.CreateTime, ReceiveTime: m.ReceiveTime,
 		Sampled: m.Sampled, OpCode: m.OpCode, RxRemaining: m.RxRemaining,
 		TotalFlits: m.TotalFlits(), MaxPkt: m.maxPkt(), Released: m.released,
@@ -104,13 +131,13 @@ func view(m *Message) messageView {
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
 		pv := packetView{
-			ID: int(p.ID), Size: p.Size(), HopCount: p.HopCount,
+			ID: int(p.ID), Size: p.Size(), Dst: p.Dst(), HopCount: p.HopCount,
 			Intermediate: p.Intermediate, NonMinimal: p.NonMinimal, Routing: p.Routing,
 			InjectTime: p.InjectTime, ReceiveTime: p.ReceiveTime, RxNext: p.rxNext,
 		}
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
-			pv.Flits = append(pv.Flits, flitView{f.ID, f.VC, f.Head, f.Tail})
+			pv.Flits = append(pv.Flits, flitView{f.ID, f.Head, f.Tail})
 		}
 		v.Packets = append(v.Packets, pv)
 	}
@@ -158,10 +185,6 @@ func dirty(m *Message) {
 		p.HopCount, p.Intermediate, p.NonMinimal = 4, 2, true
 		p.Routing = RoutingScratch{Valid: true, Phase: 2, Dateline: true}
 		p.InjectTime, p.ReceiveTime, p.rxNext = 13, 14, 1
-		for j := 0; j < p.Size(); j++ {
-			f := p.Flit(j)
-			f.VC = 2
-		}
 	}
 }
 

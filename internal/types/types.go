@@ -96,11 +96,12 @@ type Message struct {
 	// ejection-side network interface during reassembly.
 	RxRemaining int32
 
-	// Src and Dst are in the header, which fills the object's first 64-byte
-	// line (objects of the 192-byte size class start on a line boundary);
-	// packet 0's head flit and routing state fill the second. A router hop
-	// on a single-flit message reads those two lines.
-	Src, Dst int32 // terminal IDs
+	// Src is the source terminal. The destination is a packet field (see
+	// Dst): a router hop on a single-flit message reads one 64-byte line of
+	// it, packet 0's, which holds the head flit, the routing state and the
+	// destination. Objects of the 192-byte size class start on a line
+	// boundary, and the header before packet 0 fills the first line.
+	Src int32
 
 	Sampled bool // flagged for statistics sampling
 	// released guards against double Release. Snapshots hold live messages
@@ -192,7 +193,6 @@ func (m *Message) reset(id uint64, app, src, dst int) {
 	m.App = int32(app)
 	m.Transaction = 0
 	m.Src = int32(src)
-	m.Dst = int32(dst)
 	m.CreateTime = 0
 	m.ReceiveTime = 0
 	m.Sampled = false
@@ -208,10 +208,7 @@ func (m *Message) reset(id uint64, app, src, dst int) {
 		pkt.ReceiveTime = 0
 		pkt.Routing = RoutingScratch{}
 		pkt.rxNext = 0
-		pkt.head.VC = -1
-	}
-	for i := range m.body {
-		m.body[i].VC = -1
+		pkt.dst = int32(dst)
 	}
 }
 
@@ -227,6 +224,9 @@ func (m *Message) NumPackets() int { return 1 + len(m.rest) }
 // the flit count builds the same shape as the flit count itself, so this is
 // all of the cap that is state.
 func (m *Message) maxPkt() int { return m.first.Size() }
+
+// Dst returns the message's destination terminal, which every packet holds.
+func (m *Message) Dst() int { return int(m.first.dst) }
 
 // Packet returns the message's i-th packet, 0 <= i < NumPackets().
 func (m *Message) Packet(i int) *Packet {
@@ -261,6 +261,11 @@ type Packet struct {
 	// It sits beside NonMinimal so the four bytes share one word.
 	Routing RoutingScratch
 
+	// dst is the destination terminal. Every packet holds it, so routing
+	// reads it from the line that holds the packet's head flit, never from
+	// the message header; reset and checkpoint loading set every packet's.
+	dst int32
+
 	InjectTime  sim.Tick // head flit network entry
 	ReceiveTime sim.Tick // tail flit delivery
 }
@@ -276,7 +281,7 @@ type RoutingScratch struct {
 }
 
 // Dst returns the destination terminal of the packet's message.
-func (p *Packet) Dst() int { return int(p.Msg.Dst) }
+func (p *Packet) Dst() int { return int(p.dst) }
 
 // Size returns the number of flits in the packet.
 func (p *Packet) Size() int { return 1 + int(p.bodyLen) }
@@ -309,7 +314,7 @@ func (p *Packet) Age() sim.Tick { return p.Msg.CreateTime }
 
 func (p *Packet) String() string {
 	return fmt.Sprintf("packet[msg=%d pkt=%d src=%d dst=%d size=%d]",
-		p.Msg.ID, p.ID, p.Msg.Src, p.Msg.Dst, p.Size())
+		p.Msg.ID, p.ID, p.Msg.Src, p.dst, p.Size())
 }
 
 // Flit is the unit of buffering and flow control. The head flit carries the
@@ -318,9 +323,9 @@ type Flit struct {
 	Pkt *Packet
 	ID  int32 // index within the packet
 
-	// VC is the virtual channel the flit currently occupies. It is rewritten
-	// at each hop by the winning routing/VC-allocation decision.
-	VC int32
+	// A flit does not hold its VC: the VC is that of the queue it is in (an
+	// input or output queue's client index), and channels and the internal
+	// datapath carry it beside the flit pointer.
 
 	// vfGen and vfInFlight are the invariant-verification subsystem's
 	// in-flight ledger, inlined into the flit so the ledger needs no shared
@@ -358,8 +363,8 @@ func (f *Flit) String() string {
 	} else if f.Tail {
 		kind = "tail"
 	}
-	return fmt.Sprintf("flit[msg=%d pkt=%d id=%d %s vc=%d]",
-		f.Pkt.Msg.ID, f.Pkt.ID, f.ID, kind, f.VC)
+	return fmt.Sprintf("flit[msg=%d pkt=%d id=%d %s]",
+		f.Pkt.Msg.ID, f.Pkt.ID, f.ID, kind)
 }
 
 // Credit is the unit of credit-based flow control: one credit returns one
@@ -371,8 +376,9 @@ type Credit struct {
 // FlitSink receives flits. Routers and interfaces implement it for their
 // input ports; channels deliver into it.
 type FlitSink interface {
-	// ReceiveFlit accepts a flit arriving on the given local port number.
-	ReceiveFlit(port int, f *Flit)
+	// ReceiveFlit accepts a flit arriving on the given local port number
+	// and virtual channel.
+	ReceiveFlit(port, vc int, f *Flit)
 }
 
 // CreditSink receives credits flowing in the reverse direction of flits.

@@ -21,7 +21,7 @@ func TestNewMessageSingleFlit(t *testing.T) {
 	if p.Head() != f || p.Tail() != f {
 		t.Fatal("Head/Tail accessors wrong")
 	}
-	if m.Src != 3 || m.Dst != 7 || m.TotalFlits() != 1 {
+	if m.Src != 3 || m.Dst() != 7 || p.Dst() != 7 || m.TotalFlits() != 1 {
 		t.Fatal("message fields wrong")
 	}
 	if p.Intermediate != -1 {
@@ -41,7 +41,7 @@ func TestNewMessageSegmentation(t *testing.T) {
 		if p.Size() != sizes[i] {
 			t.Fatalf("packet %d size %d, want %d", i, p.Size(), sizes[i])
 		}
-		if int(p.ID) != i || p.Msg != m {
+		if int(p.ID) != i || p.Msg != m || p.Dst() != 1 {
 			t.Fatal("packet identity wrong")
 		}
 		for j := 0; j < p.Size(); j++ {
@@ -51,9 +51,6 @@ func TestNewMessageSegmentation(t *testing.T) {
 			}
 			if f.Head != (j == 0) || f.Tail != (j == p.Size()-1) {
 				t.Fatalf("packet %d flit %d head/tail flags wrong", i, j)
-			}
-			if f.VC != -1 {
-				t.Fatal("initial VC should be -1")
 			}
 		}
 	}

@@ -250,7 +250,7 @@ func (b *Blast) DeliverMessage(m *types.Message) {
 		NonMinimal: nonMin,
 		App:        int(m.App),
 		Src:        int(m.Src),
-		Dst:        int(m.Dst),
+		Dst:        m.Dst(),
 	})
 	for i := 0; b.perPacket && i < m.NumPackets(); i++ {
 		p := m.Packet(i)
@@ -262,7 +262,7 @@ func (b *Blast) DeliverMessage(m *types.Message) {
 			NonMinimal: p.NonMinimal,
 			App:        int(m.App),
 			Src:        int(m.Src),
-			Dst:        int(m.Dst),
+			Dst:        m.Dst(),
 		})
 	}
 	b.outstanding--

@@ -174,7 +174,7 @@ func (p *Pulse) DeliverMessage(m *types.Message) {
 		Hops:  int(m.Packet(0).HopCount),
 		App:   int(m.App),
 		Src:   int(m.Src),
-		Dst:   int(m.Dst),
+		Dst:   m.Dst(),
 	})
 	p.outstanding--
 	if p.outstanding < 0 {

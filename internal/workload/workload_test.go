@@ -145,9 +145,7 @@ func sinkDeliver(t *testing.T, net network.Network, m *types.Message) {
 	_ = ifc
 	// Interfaces expose the sink only internally; emulate by calling the
 	// demux through a delivered flit:
-	f := m.Packet(0).Flit(0)
-	f.VC = 0
-	net.Interface(1).ReceiveFlit(0, f)
+	net.Interface(1).ReceiveFlit(0, 0, m.Packet(0).Flit(0))
 }
 
 func TestNextMessageIDUnique(t *testing.T) {
