@@ -15,15 +15,16 @@
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  equivalence matrix (repeated = restored, byte for byte,
 #                  over every model), the simulation-after-import harness,
-#                  byte-exact snapshot round-trips, the pinned v7 bytes and
+#                  byte-exact snapshot round-trips, the pinned v8 bytes and
 #                  the restore-side corruption checks
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
 #                  journal, spans and telemetry stream readers, the
 #                  run-manifest loader, the snapshot codec and Restore
 #   make bench   - the paper's table/figure benchmark suite with -benchmem
-#   make micro   - the standalone hot-structure micro-benchmarks, and the
-#                  enabled span recorder's cost per message
+#   make micro   - the standalone hot-structure micro-benchmarks, the
+#                  enabled span recorder's cost per message, and the
+#                  congestion sensor's cost per tick in two workloads' shapes
 #   make sweep-smoke - fleet-observability smoke: a tiny two-point sweep with
 #                  journal, manifests and the live dashboard enabled, every
 #                  downstream consumer (ssparse -tasks, ssplot taskgantt, the
@@ -98,7 +99,7 @@ fuzz:
 # repeat and a restore of the middle checkpoint, compared checkpoint by
 # checkpoint), the simulation-after-import harness (all golden topologies),
 # checkpoints of a restored run starting after its restore tick, byte-exact
-# snapshot round-trips, the schema-v7 bytes pinned in
+# snapshot round-trips, the schema-v8 bytes pinned in
 # testdata/golden/snapshots.json, restored-index validation, and the
 # randomized checkpoint sweep — under the race detector.
 test-import-export:
@@ -142,3 +143,4 @@ micro:
 	$(GO) test -run='^$$' -bench='BenchmarkQueueShapes|BenchmarkQueueChurn' -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/stats
 	$(GO) test -run='^$$' -bench='BenchmarkSpansMessage' -benchmem ./internal/telemetry
+	$(GO) test -run='^$$' -bench='BenchmarkCreditSensor' -benchmem ./internal/congestion

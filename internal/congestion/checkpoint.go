@@ -2,58 +2,58 @@ package congestion
 
 import "supersim/internal/snapshot"
 
-// StateTracker codes a congestion tracker's mutable state behind a kind tag,
-// dispatching on the concrete type; a loaded tag that names a different kind
-// than the rebuilt router's tracker is a component-graph mismatch. Trackers
-// registered by other packages must implement snapshot.Stater to be
-// checkpointable.
-func StateTracker(c *snapshot.Codec, t Tracker) {
-	var kind string
-	var st snapshot.Stater
-	switch v := t.(type) {
-	case *CreditSensor:
-		kind, st = "credit", v
-	case NullSensor:
-		kind = "null"
-	case snapshot.Stater:
-		kind, st = "custom", v
-	default:
-		c.Failf("congestion tracker %T is not checkpointable", t)
-		return
-	}
-	got := kind
-	c.Str(&got)
-	if c.Err() == nil && got != kind {
-		c.Failf("congestion sensor is %q in snapshot, %s in rebuilt router", got, kind)
-		return
-	}
-	if st != nil {
-		st.State(c)
-	}
-}
-
-// State codes the credit sensor: raw occupancy counters and the
-// delayed-visibility histories of the granularity the routing engines read.
+// State codes a router's sensor, nil when its routing reads none: whether it
+// has one, then each read index's current count and, under a sensing
+// latency, the changes the visible counts do not show yet. The visible
+// counts are not coded; loading derives them as the current counts less
+// those changes. A snapshot and a rebuilt router that disagree on having a
+// sensor come from different component graphs.
 func (cs *CreditSensor) State(c *snapshot.Codec) {
-	c.FixedLen(len(cs.outputOcc), "credit sensor slots")
-	for i := range cs.outputOcc {
-		c.Int(&cs.outputOcc[i])
-		c.Int(&cs.downUsed[i])
+	built := cs != nil
+	c.Bool(&built)
+	if c.Err() == nil && built != (cs != nil) {
+		c.Failf("congestion sensor built %v in snapshot, %v in rebuilt router", built, cs != nil)
 	}
-	c.FixedLen(len(cs.vals), "credit sensor histories")
-	for i := range cs.vals {
-		cs.vals[i].state(c)
+	if cs == nil || c.Err() != nil {
+		return
 	}
-}
-
-func (dv *DelayedValue) state(c *snapshot.Codec) {
-	snapshot.Slice(c, &dv.hist)
-	if c.Loading() && c.Err() == nil && len(dv.hist) == 0 {
-		// Get reads the newest entry unconditionally.
-		c.Failf("delayed value with empty history")
+	c.FixedLen(len(cs.cur), "congestion sensor counts")
+	for i := range cs.cur {
+		c.Int(&cs.cur[i])
+		if c.Loading() && c.Err() == nil && cs.cur[i] < 0 {
+			c.Failf("congestion sensor count %d is negative", i)
+		}
 	}
-	for i := range dv.hist {
-		snapshot.Uint(c, &dv.hist[i].t)
-		c.F64(&dv.hist[i].v)
+	if cs.latency == 0 {
+		return
+	}
+	live := cs.log.Live()
+	snapshot.Slice(c, &live)
+	if c.Loading() {
+		cs.log.Reset(live)
+		copy(cs.vis, cs.cur)
+	}
+	for i := range live {
+		ch := &live[i]
+		snapshot.Uint(c, &ch.at)
+		if c.Loading() && c.Err() == nil && i > 0 && ch.at < live[i-1].at {
+			c.Failf("congestion log entry %d is older than the one ahead of it", i)
+		}
+		index := int(ch.index)
+		c.Index(&index, len(cs.cur), "congestion log index")
+		ch.index = int32(index)
+		snapshot.Sint(c, &ch.delta)
+		if c.Loading() && c.Err() == nil {
+			cs.vis[ch.index] -= int(ch.delta)
+		}
+	}
+	if !c.Loading() || c.Err() != nil {
+		return
+	}
+	for i, v := range cs.vis {
+		if v < 0 {
+			c.Failf("congestion sensor visible count %d is negative", i)
+			return
+		}
 	}
 }

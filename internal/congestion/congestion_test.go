@@ -8,8 +8,72 @@ import (
 	"supersim/internal/sim"
 )
 
+// delayedValue is the reference the credit sensor's change log is checked
+// against: one history per value, which readers see only after a fixed
+// delay. get(now) returns the value that was current at time now - delay
+// (time 0 before time delay). Writes and reads use nondecreasing times.
+type delayedValue struct {
+	delay sim.Tick
+	hist  []entry
+}
+
+type entry struct {
+	t sim.Tick
+	v float64
+}
+
+func newDelayedValue(delay sim.Tick, initial float64) *delayedValue {
+	return &delayedValue{delay: delay, hist: []entry{{0, initial}}}
+}
+
+// Set records a new value at the given time.
+func (d *delayedValue) Set(now sim.Tick, v float64) {
+	n := len(d.hist)
+	if d.hist[n-1].t > now {
+		panic("delayedValue.Set: time went backwards")
+	}
+	if d.hist[n-1].t == now {
+		d.hist[n-1].v = v
+	} else {
+		d.hist = append(d.hist, entry{now, v})
+	}
+	d.prune(now)
+}
+
+// Get returns the most recent write at or before now - delay.
+func (d *delayedValue) Get(now sim.Tick) float64 {
+	horizon := d.horizon(now)
+	for i := len(d.hist) - 1; i > 0; i-- {
+		if d.hist[i].t <= horizon {
+			return d.hist[i].v
+		}
+	}
+	return d.hist[0].v
+}
+
+// raw returns the most recently written value, ignoring the delay.
+func (d *delayedValue) raw() float64 { return d.hist[len(d.hist)-1].v }
+
+func (d *delayedValue) horizon(now sim.Tick) sim.Tick {
+	if now >= d.delay {
+		return now - d.delay
+	}
+	return 0
+}
+
+// prune drops the entries no read can see again: everything older than the
+// newest entry at or before now - delay.
+func (d *delayedValue) prune(now sim.Tick) {
+	horizon := d.horizon(now)
+	cut := 0
+	for i := 1; i < len(d.hist) && d.hist[i].t <= horizon; i++ {
+		cut = i
+	}
+	d.hist = d.hist[cut:]
+}
+
 func TestDelayedValueZeroDelay(t *testing.T) {
-	d := NewDelayedValue(0, 1.0)
+	d := newDelayedValue(0, 1.0)
 	if d.Get(9) != 1.0 {
 		t.Fatalf("Get(9) = %v, want initial", d.Get(9))
 	}
@@ -20,7 +84,7 @@ func TestDelayedValueZeroDelay(t *testing.T) {
 }
 
 func TestDelayedValueVisibility(t *testing.T) {
-	d := NewDelayedValue(8, 0)
+	d := newDelayedValue(8, 0)
 	d.Set(100, 3)
 	// value written at 100 becomes visible at 108
 	cases := []struct {
@@ -37,7 +101,7 @@ func TestDelayedValueVisibility(t *testing.T) {
 func TestDelayedValueSequence(t *testing.T) {
 	// Reads and writes interleaved in nondecreasing time order, as in a
 	// simulation.
-	d := NewDelayedValue(10, 0)
+	d := newDelayedValue(10, 0)
 	d.Set(100, 1)
 	d.Set(105, 2)
 	if got := d.Get(109); got != 0 { // horizon 99: nothing visible yet
@@ -59,13 +123,13 @@ func TestDelayedValueSequence(t *testing.T) {
 			t.Errorf("Get(%d) = %v, want %v", c.now, got, c.want)
 		}
 	}
-	if d.Raw() != 3 {
-		t.Fatalf("Raw = %v", d.Raw())
+	if d.raw() != 3 {
+		t.Fatalf("Raw = %v", d.raw())
 	}
 }
 
 func TestDelayedValueSameTickOverwrite(t *testing.T) {
-	d := NewDelayedValue(5, 0)
+	d := newDelayedValue(5, 0)
 	d.Set(50, 1)
 	d.Set(50, 2)
 	if got := d.Get(55); got != 2 {
@@ -74,7 +138,7 @@ func TestDelayedValueSameTickOverwrite(t *testing.T) {
 }
 
 func TestDelayedValueBackwardsPanics(t *testing.T) {
-	d := NewDelayedValue(5, 0)
+	d := newDelayedValue(5, 0)
 	d.Set(50, 1)
 	defer func() {
 		if recover() == nil {
@@ -85,7 +149,7 @@ func TestDelayedValueBackwardsPanics(t *testing.T) {
 }
 
 func TestDelayedValuePruneKeepsSemantics(t *testing.T) {
-	d := NewDelayedValue(4, 0)
+	d := newDelayedValue(4, 0)
 	for i := sim.Tick(1); i <= 1000; i++ {
 		d.Set(i, float64(i))
 	}
@@ -105,7 +169,7 @@ func TestDelayedValuePruneKeepsSemantics(t *testing.T) {
 func TestDelayedValueProperty(t *testing.T) {
 	prop := func(delay8 uint8, deltas [12]uint8, probe uint8) bool {
 		delay := sim.Tick(delay8 % 20)
-		d := NewDelayedValue(delay, -1)
+		d := newDelayedValue(delay, -1)
 		type w struct {
 			t sim.Tick
 			v float64
@@ -196,8 +260,8 @@ func TestCreditSensorLatency(t *testing.T) {
 	if got := cs.Congestion(116, 0, 0); got != 50 {
 		t.Fatalf("not visible at 116: %v", got)
 	}
-	if cs.Latency() != 16 {
-		t.Fatal("Latency accessor")
+	if cs.latency != 16 {
+		t.Fatal("latency not kept")
 	}
 }
 
@@ -229,35 +293,53 @@ func TestSensorFactoryStyles(t *testing.T) {
 			  "source": "` + src + `",
 			  "latency": 2
 			}`)
-			tr := New(cfg, 4, 2)
-			tr.AddOutput(1, 0, 0, 1)
-			_ = tr.Congestion(5, 0, 0)
+			cs := New(cfg, 4, 2, true)
+			cs.AddOutput(1, 0, 0, 1)
+			_ = cs.Congestion(5, 0, 0)
 		}
 	}
 }
 
+// TestSensorFactoryNull: type "null", or routing that reads no sensor,
+// builds none, and the nil sensor ignores updates and reads zero.
 func TestSensorFactoryNull(t *testing.T) {
-	tr := New(config.MustParse(`{"type": "null"}`), 4, 2)
-	tr.AddOutput(1, 0, 0, 100)
-	tr.AddDownstream(1, 0, 0, 100)
-	if tr.Congestion(100, 0, 0) != 0 {
-		t.Fatal("null sensor must report zero")
+	for _, c := range []struct {
+		doc   string
+		reads bool
+	}{
+		{`{"type": "null"}`, true},
+		{`{"type": "credit", "latency": 3}`, false},
+		{`{}`, false},
+	} {
+		cs := New(config.MustParse(c.doc), 4, 2, c.reads)
+		if cs != nil {
+			t.Fatalf("%s (routing reads a sensor: %v) built one", c.doc, c.reads)
+		}
+		cs.AddOutput(1, 0, 0, 100)
+		cs.AddDownstream(1, 0, 0, -100)
+		if cs.Congestion(100, 0, 0) != 0 {
+			t.Fatal("nil sensor must report zero")
+		}
 	}
 }
 
 func TestSensorFactoryDefaults(t *testing.T) {
 	// Empty config: credit sensor, vc granularity, both sources, no latency.
-	tr := New(config.MustParse(`{}`), 2, 2)
-	tr.AddOutput(1, 0, 0, 3)
-	if got := tr.Congestion(1, 0, 0); got != 3 {
+	cs := New(config.MustParse(`{}`), 2, 2, true)
+	cs.AddOutput(1, 0, 0, 3)
+	if got := cs.Congestion(1, 0, 0); got != 3 {
 		t.Fatalf("default sensor = %v", got)
 	}
 }
 
+// TestSensorFactoryBadValues: a bad block is an error whether or not routing
+// reads the sensor it configures.
 func TestSensorFactoryBadValues(t *testing.T) {
-	mustPanic(t, func() { New(config.MustParse(`{"granularity": "bogus"}`), 1, 1) })
-	mustPanic(t, func() { New(config.MustParse(`{"source": "bogus"}`), 1, 1) })
-	mustPanic(t, func() { New(config.MustParse(`{"type": "bogus"}`), 1, 1) })
+	for _, reads := range []bool{true, false} {
+		mustPanic(t, func() { New(config.MustParse(`{"granularity": "bogus"}`), 1, 1, reads) })
+		mustPanic(t, func() { New(config.MustParse(`{"source": "bogus"}`), 1, 1, reads) })
+		mustPanic(t, func() { New(config.MustParse(`{"type": "bogus"}`), 1, 1, reads) })
+	}
 }
 
 func mustPanic(t *testing.T, fn func()) {
@@ -278,17 +360,17 @@ type twoHistorySensor struct {
 	src                Source
 	vcs                int
 	outputOcc, downUse []int
-	vcVals, portVals   []*DelayedValue
+	vcVals, portVals   []*delayedValue
 }
 
 func newTwoHistorySensor(ports, vcs int, gran Granularity, src Source, latency sim.Tick) *twoHistorySensor {
 	r := &twoHistorySensor{gran: gran, src: src, vcs: vcs,
 		outputOcc: make([]int, ports*vcs), downUse: make([]int, ports*vcs)}
 	for i := 0; i < ports*vcs; i++ {
-		r.vcVals = append(r.vcVals, NewDelayedValue(latency, 0))
+		r.vcVals = append(r.vcVals, newDelayedValue(latency, 0))
 	}
 	for i := 0; i < ports; i++ {
-		r.portVals = append(r.portVals, NewDelayedValue(latency, 0))
+		r.portVals = append(r.portVals, newDelayedValue(latency, 0))
 	}
 	return r
 }
@@ -321,21 +403,47 @@ func (r *twoHistorySensor) congestion(now sim.Tick, port, vc int) float64 {
 	return r.vcVals[port*r.vcs+vc].Get(now)
 }
 
-// TestCreditSensorMatchesTwoHistories: keeping only the history Congestion
-// reads changes no reading. Random nondecreasing AddOutput/AddDownstream
-// sequences run against the sensor and the two-history reference for every
-// granularity, source and a range of sensing latencies, and every
-// Congestion(now, port, vc) agrees after every update.
+// logBounded reports whether every change cs has logged is at or after
+// now - latency: catching up on every read and write keeps the log to the
+// last latency ticks, whether or not anything reads the sensor.
+func logBounded(cs *CreditSensor, now sim.Tick) bool {
+	for _, ch := range cs.log.Live() {
+		if ch.at+cs.latency < now {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCreditSensorMatchesTwoHistories: one change log changes no reading.
+// Random nondecreasing AddOutput/AddDownstream sequences run against the
+// sensor and the two-history reference for every granularity, source and a
+// range of sensing latencies. The sensor is read after a random subset of
+// the updates, so log entries span several writes, and every read of every
+// (port, vc) agrees with the reference. A second sensor takes the same
+// updates and is read only at the end. Neither ever holds a log entry older
+// than now - latency.
 func TestCreditSensorMatchesTwoHistories(t *testing.T) {
 	const ports, vcs = 3, 2
 	for _, gran := range []Granularity{PerVC, PerPort} {
 		for _, src := range []Source{SourceOutput, SourceDownstream, SourceBoth} {
 			for _, latency := range []sim.Tick{0, 1, 4} {
-				prop := func(ops [40]uint16) bool {
+				prop := func(ops [40]uint16, reads uint64) bool {
 					cs := NewCreditSensor(ports, vcs, gran, src, latency)
+					unread := NewCreditSensor(ports, vcs, gran, src, latency)
 					ref := newTwoHistorySensor(ports, vcs, gran, src, latency)
+					agree := func(cs *CreditSensor, now sim.Tick) bool {
+						for p := 0; p < ports; p++ {
+							for v := 0; v < vcs; v++ {
+								if cs.Congestion(now, p, v) != ref.congestion(now, p, v) {
+									return false
+								}
+							}
+						}
+						return true
+					}
 					now := sim.Tick(0)
-					for _, op := range ops {
+					for k, op := range ops {
 						now += sim.Tick(op % 3)
 						port, vc := int(op>>2)%ports, int(op>>4)%vcs
 						downstream := op&(1<<6) != 0
@@ -347,21 +455,23 @@ func TestCreditSensorMatchesTwoHistories(t *testing.T) {
 						if op&(1<<9) != 0 && counts[port*vcs+vc] >= delta {
 							delta = -delta
 						}
-						if downstream {
-							cs.AddDownstream(now, port, vc, delta)
-						} else {
-							cs.AddOutput(now, port, vc, delta)
-						}
-						ref.add(now, counts, port, vc, delta)
-						for p := 0; p < ports; p++ {
-							for v := 0; v < vcs; v++ {
-								if cs.Congestion(now, p, v) != ref.congestion(now, p, v) {
-									return false
-								}
+						for _, s := range []*CreditSensor{cs, unread} {
+							if downstream {
+								s.AddDownstream(now, port, vc, delta)
+							} else {
+								s.AddOutput(now, port, vc, delta)
 							}
 						}
+						ref.add(now, counts, port, vc, delta)
+						if reads&(1<<k) != 0 && !agree(cs, now) {
+							return false
+						}
+						if !logBounded(cs, now) || !logBounded(unread, now) {
+							return false
+						}
 					}
-					return true
+					return agree(unread, now) && logBounded(unread, now) &&
+						agree(cs, now+latency) && agree(unread, now+latency)
 				}
 				if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 					t.Errorf("granularity %d source %d latency %d: %v", gran, src, latency, err)

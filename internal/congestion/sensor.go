@@ -1,8 +1,27 @@
+// Package congestion implements the congestion sensor that feeds adaptive
+// routing algorithms.
+//
+// A sensor converts the router's live credit/occupancy state into the
+// congestion estimates the routing engines consult. Two properties from the
+// paper's case studies are modeled explicitly:
+//
+//   - Sensing latency (case study A): the propagation of congestion
+//     information from the point of calculation inside the microarchitecture
+//     to all the routing engines takes 5-20 clock cycles in real switches,
+//     not the single cycle most simulators assume. The sensor exposes a
+//     delayed view: the value visible at time t is the value that was
+//     current at time t - latency.
+//
+//   - Credit accounting style (case study B): congestion may be accounted
+//     per-VC or per-port, and may consider output queue occupancy, downstream
+//     (next hop) credits, or both.
+//
+// A router builds a sensor only when its routing algorithm reads one; the
+// others hold a nil *CreditSensor, which ignores updates and reads zero.
 package congestion
 
 import (
 	"supersim/internal/config"
-	"supersim/internal/factory"
 	"supersim/internal/sim"
 )
 
@@ -37,59 +56,50 @@ type Sensor interface {
 	Congestion(now sim.Tick, port, vc int) float64
 }
 
-// Tracker is the update side fed by the router as its credit state changes.
-type Tracker interface {
-	Sensor
-	// AddOutput adjusts the output queue occupancy of (port, vc) by delta flits.
-	AddOutput(now sim.Tick, port, vc, delta int)
-	// AddDownstream adjusts the downstream credits-in-use of (port, vc) by delta.
-	AddDownstream(now sim.Tick, port, vc, delta int)
+// New builds the sensor a router's "congestion_sensor" block configures, for
+// a router whose routing algorithm reads one when build is set. The block is
+// validated either way. It returns nil, the sensor that reads zero, unless
+// build is set and the block's type is "credit" (the default); type "null"
+// builds none.
+func New(cfg *config.Settings, ports, vcs int, build bool) *CreditSensor {
+	var gran Granularity
+	switch g := cfg.StringOr("granularity", "vc"); g {
+	case "vc":
+		gran = PerVC
+	case "port":
+		gran = PerPort
+	default:
+		panic("congestion: unknown granularity " + g)
+	}
+	var src Source
+	switch s := cfg.StringOr("source", "both"); s {
+	case "output":
+		src = SourceOutput
+	case "downstream":
+		src = SourceDownstream
+	case "both":
+		src = SourceBoth
+	default:
+		panic("congestion: unknown source " + s)
+	}
+	latency := sim.Tick(cfg.UIntOr("latency", 0))
+	switch typ := cfg.StringOr("type", "credit"); typ {
+	case "credit":
+	case "null":
+		build = false
+	default:
+		panic("congestion: unknown sensor type " + typ)
+	}
+	if !build {
+		return nil
+	}
+	return NewCreditSensor(ports, vcs, gran, src, latency)
 }
 
-// Ctor is the constructor signature registered by sensor implementations.
-type Ctor func(cfg *config.Settings, ports, vcs int) Tracker
-
-// Registry holds all congestion sensor implementations.
-var Registry = factory.NewRegistry[Ctor]("congestion sensor")
-
-// New builds the sensor named by cfg's "type" setting (default "credit").
-func New(cfg *config.Settings, ports, vcs int) Tracker {
-	typ := cfg.StringOr("type", "credit")
-	return Registry.MustLookup(typ)(cfg, ports, vcs)
-}
-
-func init() {
-	Registry.Register("credit", func(cfg *config.Settings, ports, vcs int) Tracker {
-		var gran Granularity
-		switch g := cfg.StringOr("granularity", "vc"); g {
-		case "vc":
-			gran = PerVC
-		case "port":
-			gran = PerPort
-		default:
-			panic("congestion: unknown granularity " + g)
-		}
-		var src Source
-		switch s := cfg.StringOr("source", "both"); s {
-		case "output":
-			src = SourceOutput
-		case "downstream":
-			src = SourceDownstream
-		case "both":
-			src = SourceBoth
-		default:
-			panic("congestion: unknown source " + s)
-		}
-		return NewCreditSensor(ports, vcs, gran, src, sim.Tick(cfg.UIntOr("latency", 0)))
-	})
-	Registry.Register("null", func(cfg *config.Settings, ports, vcs int) Tracker {
-		return NullSensor{}
-	})
-}
-
-// CreditSensor is the supplied credit-accounting congestion sensor. It
-// supports per-VC or per-port granularity, output / downstream / combined
-// credit sources, and a configurable propagation (sensing) latency.
+// CreditSensor is the credit-accounting congestion sensor. It supports
+// per-VC or per-port granularity, output / downstream / combined credit
+// sources, and a configurable propagation (sensing) latency. A nil
+// *CreditSensor is valid: it ignores updates and reads zero everywhere.
 type CreditSensor struct {
 	gran    Granularity
 	src     Source
@@ -97,13 +107,22 @@ type CreditSensor struct {
 	ports   int
 	vcs     int
 
-	outputOcc []int // [port*vcs+vc] flits in output queue
-	downUsed  []int // [port*vcs+vc] downstream credits in use
+	// cur is each read index's count now: per (port, vc) under PerVC, the
+	// running sum over the port's VCs under PerPort.
+	cur []int
+	// vis is what Congestion reads: cur as it stood latency ticks ago. Under
+	// latency 0 it is cur itself.
+	vis []int
+	// log holds the changes to cur that vis does not show yet, oldest
+	// first. It stays empty under latency 0.
+	log sim.FIFO[change]
+}
 
-	// vals is the delayed history Congestion reads: per (port, vc) under
-	// PerVC, per port under PerPort. The other granularity is never read, so
-	// it is not kept.
-	vals []DelayedValue
+// change is one logged update: delta added to read index index at tick at.
+type change struct {
+	at    sim.Tick
+	index int32
+	delta int32
 }
 
 // NewCreditSensor creates a credit sensor for a router with the given port
@@ -119,92 +138,80 @@ func NewCreditSensor(ports, vcs int, gran Granularity, src Source, latency sim.T
 	cs := &CreditSensor{
 		gran: gran, src: src, latency: latency,
 		ports: ports, vcs: vcs,
-		outputOcc: make([]int, ports*vcs),
-		downUsed:  make([]int, ports*vcs),
-		vals:      make([]DelayedValue, n),
+		cur: make([]int, n),
 	}
-	for i := range cs.vals {
-		cs.vals[i] = *NewDelayedValue(latency, 0)
+	cs.vis = cs.cur
+	if latency > 0 {
+		cs.vis = make([]int, n)
 	}
 	return cs
 }
 
-// Latency returns the configured sensing latency in ticks.
-func (cs *CreditSensor) Latency() sim.Tick { return cs.latency }
-
-func (cs *CreditSensor) idx(port, vc int) int {
-	if port < 0 || port >= cs.ports || vc < 0 || vc >= cs.vcs {
+// index returns the read index (port, vc) counts toward.
+func (cs *CreditSensor) index(port, vc int) int {
+	if uint(port) >= uint(cs.ports) || uint(vc) >= uint(cs.vcs) {
 		panic("congestion: port/vc out of range")
+	}
+	if cs.gran == PerPort {
+		return port
 	}
 	return port*cs.vcs + vc
 }
 
-func (cs *CreditSensor) score(i int) float64 {
-	switch cs.src {
-	case SourceOutput:
-		return float64(cs.outputOcc[i])
-	case SourceDownstream:
-		return float64(cs.downUsed[i])
-	default:
-		return float64(cs.outputOcc[i] + cs.downUsed[i])
+// AddOutput adjusts the output queue occupancy of (port, vc) by delta flits.
+func (cs *CreditSensor) AddOutput(now sim.Tick, port, vc, delta int) {
+	if cs != nil {
+		cs.add(now, port, vc, delta, cs.src != SourceDownstream)
 	}
 }
 
-// update records (port, vc)'s new score in the history Congestion reads.
-func (cs *CreditSensor) update(now sim.Tick, port, vc int) {
-	if cs.gran == PerPort {
-		total := 0.0
-		for v := 0; v < cs.vcs; v++ {
-			total += cs.score(port*cs.vcs + v)
-		}
-		cs.vals[port].Set(now, total)
+// AddDownstream adjusts the downstream credits-in-use of (port, vc) by delta.
+func (cs *CreditSensor) AddDownstream(now sim.Tick, port, vc, delta int) {
+	if cs != nil {
+		cs.add(now, port, vc, delta, cs.src != SourceOutput)
+	}
+}
+
+// add applies delta to the count (port, vc) feeds when its source is
+// counted. A count never goes negative (credits never go negative, buffers
+// never underrun). Every update first catches the visible counts up to now,
+// so the log holds only the last latency ticks whether or not anything
+// reads the sensor.
+func (cs *CreditSensor) add(now sim.Tick, port, vc, delta int, counted bool) {
+	i := cs.index(port, vc)
+	cs.catchUp(now)
+	if !counted {
 		return
 	}
-	i := cs.idx(port, vc)
-	cs.vals[i].Set(now, cs.score(i))
+	cs.cur[i] += delta
+	if cs.cur[i] < 0 {
+		panic("congestion: count went negative")
+	}
+	if cs.latency > 0 {
+		cs.log.Push(change{now, int32(i), int32(delta)})
+	}
 }
 
-// AddOutput adjusts output queue occupancy; negative counts panic (credits
-// never go negative, buffers never underrun).
-func (cs *CreditSensor) AddOutput(now sim.Tick, port, vc, delta int) {
-	i := cs.idx(port, vc)
-	cs.outputOcc[i] += delta
-	if cs.outputOcc[i] < 0 {
-		panic("congestion: output occupancy went negative")
+// catchUp moves every logged change at or before now - latency (tick 0
+// before tick latency) into the visible counts.
+func (cs *CreditSensor) catchUp(now sim.Tick) {
+	horizon := sim.Tick(0)
+	if now > cs.latency {
+		horizon = now - cs.latency
 	}
-	cs.update(now, port, vc)
-}
-
-// AddDownstream adjusts downstream credits-in-use; negative counts panic.
-func (cs *CreditSensor) AddDownstream(now sim.Tick, port, vc, delta int) {
-	i := cs.idx(port, vc)
-	cs.downUsed[i] += delta
-	if cs.downUsed[i] < 0 {
-		panic("congestion: downstream usage went negative")
+	for cs.log.Len() > 0 && cs.log.Front().at <= horizon {
+		ch := cs.log.Pop()
+		cs.vis[ch.index] += int(ch.delta)
 	}
-	cs.update(now, port, vc)
 }
 
 // Congestion returns the delayed estimate for (port, vc) under the
 // configured granularity.
 func (cs *CreditSensor) Congestion(now sim.Tick, port, vc int) float64 {
-	if cs.gran == PerPort {
-		if port < 0 || port >= cs.ports {
-			panic("congestion: port out of range")
-		}
-		return cs.vals[port].Get(now)
+	if cs == nil {
+		return 0
 	}
-	return cs.vals[cs.idx(port, vc)].Get(now)
+	i := cs.index(port, vc)
+	cs.catchUp(now)
+	return float64(cs.vis[i])
 }
-
-// NullSensor reports zero congestion everywhere; oblivious routing uses it.
-type NullSensor struct{}
-
-// Congestion always returns 0.
-func (NullSensor) Congestion(now sim.Tick, port, vc int) float64 { return 0 }
-
-// AddOutput is a no-op.
-func (NullSensor) AddOutput(now sim.Tick, port, vc, delta int) {}
-
-// AddDownstream is a no-op.
-func (NullSensor) AddDownstream(now sim.Tick, port, vc, delta int) {}

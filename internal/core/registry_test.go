@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"supersim/internal/config"
-	"supersim/internal/congestion"
 	"supersim/internal/network"
 	"supersim/internal/router"
 	"supersim/internal/traffic"
@@ -42,7 +41,7 @@ func regBlast(traffic string) string {
 	  "sample_duration": 100, "traffic": ` + traffic + `}`
 }
 
-// TestRegistries pins what a configuration can select. For each of the five
+// TestRegistries pins what a configuration can select. For each of the four
 // component registries:
 //
 //   - Names() equals the literal list here, so a deleted or misspelled
@@ -75,10 +74,6 @@ func TestRegistries(t *testing.T) {
 			"input_output_queued": registryDoc(regTorus, `"architecture": "input_output_queued"`, uniform),
 			"input_queued":        registryDoc(regTorus, regIQ, uniform),
 			"output_queued":       registryDoc(regTorus, `"architecture": "output_queued"`, uniform),
-		}},
-		{"congestion sensor", congestion.Registry.Names(), map[string]string{
-			"credit": registryDoc(regTorus, regIQ+`, "congestion_sensor": {"type": "credit"}`, uniform),
-			"null":   registryDoc(regTorus, regIQ+`, "congestion_sensor": {"type": "null"}`, uniform),
 		}},
 		{"traffic pattern", traffic.Registry.Names(), map[string]string{
 			"bit_complement": registryDoc(regTorus, regIQ, regBlast(`{"type": "bit_complement"}`)),

@@ -82,10 +82,10 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 // every flit of every live message, and this build reads v7 only.
 func TestRestoreRejectsVersion2(t *testing.T) {
 	data := smallSnapshot(t)
-	for _, old := range []byte{2, 3, 4, 5, 6} {
+	for _, old := range []byte{2, 3, 4, 5, 6, 7} {
 		stale := append([]byte(snapshot.Magic), old)
 		stale = append(stale, data[len(snapshot.Magic)+1:]...)
-		want := fmt.Sprintf("unsupported schema version %d (this build reads version 7)", old)
+		want := fmt.Sprintf("unsupported schema version %d (this build reads version 8)", old)
 		if _, _, err := Restore(stale, 0); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d-headed snapshot: err = %v, want %q", old, err, want)
 		}

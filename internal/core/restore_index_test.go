@@ -90,6 +90,20 @@ func liveFlight(t *testing.T, sm *Simulation) reflect.Value {
 	return reflect.Value{}
 }
 
+// liveSensor returns the congestion sensor of a router whose change log
+// holds at least two entries at the snapshot tick.
+func liveSensor(t *testing.T, sm *Simulation) any {
+	t.Helper()
+	for i := 0; i < sm.Net.NumRouters(); i++ {
+		cs := peek(sm.Net.Router(i), "sensor")
+		if !cs.IsNil() && peek(cs.Interface(), "log", "buf").Len()-int(peek(cs.Interface(), "log", "head").Int()) >= 2 {
+			return cs.Interface()
+		}
+	}
+	t.Fatal("no router's congestion log holds two changes at the snapshot tick")
+	return nil
+}
+
 // liveMessage returns a message with a flit in flight on some channel.
 func liveMessage(t *testing.T, sm *Simulation) *types.Message {
 	t.Helper()
@@ -113,7 +127,7 @@ func liveSpan(t *testing.T, sm *Simulation) any {
 func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 	const far = 1 << 20 // beyond any terminal, port, VC or client count
 	gcs := goldenCases()
-	iq, oq, ioq := gcs[0].doc, gcs[5].doc, gcs[6].doc
+	iq, oq, ioq, ugal := gcs[0].doc, gcs[5].doc, gcs[6].doc, gcs[3].doc
 	router0 := func(sm *Simulation) any { return sm.Net.Router(0) }
 	cases := []struct {
 		field string // as named by the restore error
@@ -160,6 +174,19 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 		{"Credit.VC", iq, func(t *testing.T, sm *Simulation) {
 			peek(liveArrival(t, sm, true).Addr().Interface(), "vc").SetInt(far)
 		}},
+		// The sensor rows run the UGAL golden with a sensing latency, so
+		// its routers hold change logs.
+		{"congestion sensor count", ugal, func(t *testing.T, sm *Simulation) { peek(liveSensor(t, sm), "cur", 0).SetInt(-1) }},
+		{"congestion log index", ugal, func(t *testing.T, sm *Simulation) {
+			cs := liveSensor(t, sm)
+			head := int(peek(cs, "log", "head").Int())
+			peek(cs, "log", "buf", head, "index").SetInt(far)
+		}},
+		{"congestion log entry", ugal, func(t *testing.T, sm *Simulation) {
+			cs := liveSensor(t, sm)
+			head := int(peek(cs, "log", "head").Int())
+			peek(cs, "log", "buf", head, "at").SetUint(pinnedTick + 1)
+		}},
 		{"span app", iq, func(t *testing.T, sm *Simulation) { peek(liveSpan(t, sm), "rec", "App").SetInt(far) }},
 		{"span hop", iq, func(t *testing.T, sm *Simulation) { peek(liveSpan(t, sm), "hop").SetInt(-1) }},
 	}
@@ -168,6 +195,11 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 			cfg := config.MustParse(tc.doc)
 			if strings.HasPrefix(tc.field, "span ") {
 				if err := cfg.ApplyOverrides(probesOn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if strings.HasPrefix(tc.field, "congestion ") {
+				if err := cfg.ApplyOverrides([]string{"network.router.congestion_sensor.latency=uint=4"}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -91,7 +91,7 @@ func New(s *sim.Simulator, cfg *config.Settings) *Dragonfly {
 		return &dfAlg{d: d, router: routerID, sensor: sensor, rng: rng}
 	}
 	for id := 0; id < numRouters; id++ {
-		d.BuildRouter(id, radix, rc)
+		d.BuildRouter(id, radix, rc, d.alg == algUGAL)
 	}
 	// Local all-to-all within each group.
 	for g := 0; g < d.groups; g++ {

@@ -81,7 +81,7 @@ func New(s *sim.Simulator, cfg *config.Settings) *FoldedClos {
 			radix = f.k // roots: all ports face down
 		}
 		for w := 0; w < f.perLvl; w++ {
-			f.BuildRouter(lvl*f.perLvl+w, radix, rc)
+			f.BuildRouter(lvl*f.perLvl+w, radix, rc, f.adapt)
 		}
 	}
 	// Up links: router (l, w) up port k+u <-> router (l+1, replace(w,l,u))

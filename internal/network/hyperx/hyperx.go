@@ -97,7 +97,7 @@ func New(s *sim.Simulator, cfg *config.Settings) *HyperX {
 			phase0: phase0, phase1: phase1, all: all}
 	}
 	for id := 0; id < numRouters; id++ {
-		h.BuildRouter(id, radix, rc)
+		h.BuildRouter(id, radix, rc, h.alg == algUGAL)
 	}
 	// All-to-all links within each dimension (each direction is a distinct
 	// port, so Link rather than LinkBidir; the o and S-o offsets pair up).

@@ -97,18 +97,20 @@ func NewBase(s *sim.Simulator, cfg *config.Settings) Base {
 }
 
 // BuildRouter constructs router id with the given radix and routing
-// algorithm constructor, appending it to Routers. Routers must be built in
-// id order.
-func (b *Base) BuildRouter(id, radix int, rc routing.Ctor) router.Router {
+// algorithm constructor, appending it to Routers. readsCongestion says
+// whether the routing algorithm reads the router's congestion sensor; the
+// router builds none when it does not. Routers must be built in id order.
+func (b *Base) BuildRouter(id, radix int, rc routing.Ctor, readsCongestion bool) router.Router {
 	if id != len(b.Routers) {
 		panic(fmt.Sprintf("network: routers must be built in order: got %d, want %d", id, len(b.Routers)))
 	}
 	name := fmt.Sprintf("router_%d", id)
 	r := router.New(b.Sim, name, b.Cfg.Sub("router"), router.Params{
-		ID:            id,
-		Radix:         radix,
-		RoutingCtor:   rc,
-		ChannelPeriod: b.ChanPeriod,
+		ID:              id,
+		Radix:           radix,
+		RoutingCtor:     rc,
+		ChannelPeriod:   b.ChanPeriod,
+		ReadsCongestion: readsCongestion,
 	})
 	b.Routers = append(b.Routers, r)
 	return r

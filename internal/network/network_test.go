@@ -82,7 +82,7 @@ func TestBuildOrderEnforced(t *testing.T) {
 			t.Fatal("out-of-order BuildRouter must panic")
 		}
 	}()
-	b.BuildRouter(1, 3, nil) // id 1 before id 0
+	b.BuildRouter(1, 3, nil, false) // id 1 before id 0
 }
 
 func TestDeterministicConstruction(t *testing.T) {

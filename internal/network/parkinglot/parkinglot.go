@@ -58,7 +58,7 @@ func New(s *sim.Simulator, cfg *config.Settings) *ParkingLot {
 		})
 	}
 	for id := 0; id < p.n; id++ {
-		p.BuildRouter(id, 3, rc)
+		p.BuildRouter(id, 3, rc, false)
 	}
 	for id := 0; id+1 < p.n; id++ {
 		p.LinkBidir(p.Routers[id], 2, p.Routers[id+1], 1)

@@ -79,7 +79,7 @@ func New(s *sim.Simulator, cfg *config.Settings) *Torus {
 		return &dorAlg{t: t, router: routerID, class0: class0, class1: class1, all: all}
 	}
 	for id := 0; id < numRouters; id++ {
-		t.BuildRouter(id, radix, rc)
+		t.BuildRouter(id, radix, rc, false)
 	}
 	// Inter-router links: one bidirectional pair per dimension per router
 	// toward the plus neighbor.

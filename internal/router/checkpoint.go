@@ -1,7 +1,6 @@
 package router
 
 import (
-	"supersim/internal/congestion"
 	"supersim/internal/routing"
 	"supersim/internal/snapshot"
 	"supersim/internal/types"
@@ -66,7 +65,7 @@ func (b *base) state(c *snapshot.Codec) {
 	for port := range b.downCred {
 		stateInts(c, b.downCred[port], "router port VCs")
 	}
-	congestion.StateTracker(c, b.sensor)
+	b.sensor.State(c)
 	c.Bool(&b.pipelineScheduled)
 	c.U64(&b.flitsRouted)
 }

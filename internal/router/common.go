@@ -47,8 +47,8 @@ type base struct {
 	downCred  [][]int                  // [port][vc] available downstream credits
 	downCap   []int                    // [port] initial per-VC downstream credits
 
-	sensor congestion.Tracker
-	algs   []routing.Algorithm // per input port
+	sensor *congestion.CreditSensor // nil unless routing reads it
+	algs   []routing.Algorithm      // per input port
 	rng    *rand.Rand
 
 	// invariant verification, nil unless attached to the simulator
@@ -119,7 +119,7 @@ func newBase(s *sim.Simulator, name string, cfg *config.Settings, p Params) base
 	}
 	b.tp = telemetry.ForRouter(s, name, vcs)
 	b.sp = telemetry.SpansFor(s)
-	b.sensor = congestion.New(cfg.SubOr("congestion_sensor"), p.Radix, vcs)
+	b.sensor = congestion.New(cfg.SubOr("congestion_sensor"), p.Radix, vcs, p.ReadsCongestion)
 	if p.RoutingCtor == nil {
 		panic("router: routing constructor required")
 	}
@@ -141,9 +141,6 @@ func (b *base) NumVCs() int { return b.vcs }
 
 // InputBufferDepth returns the per-VC input buffer capacity in flits.
 func (b *base) InputBufferDepth() int { return b.bufDepth }
-
-// Sensor returns the router's congestion sensor.
-func (b *base) Sensor() congestion.Tracker { return b.sensor }
 
 // Arrivals returns the router's arrival line, which its inbound channels
 // feed.
@@ -299,7 +296,7 @@ func (b *base) takeDownstreamCredit(port, vc int) {
 func (b *base) returnDownstreamCredit(port, vc int) {
 	b.checkPort(port)
 	b.downCred[port][vc]++
-	if b.downCap[port] > 0 && b.downCred[port][vc] > b.downCap[port] {
+	if b.downCred[port][vc] > b.downCap[port] {
 		b.excessCredit(port, vc)
 	}
 	b.credLed[port].Credit(vc, b.downCred[port][vc])

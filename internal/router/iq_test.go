@@ -78,14 +78,22 @@ func passCtor(vcs int) routing.Ctor {
 	}
 }
 
-// buildLoneRouter wires a 2-port router: flits pushed into port 0 route to
-// port 1, whose channel feeds a collector; upstream credits for port 0 are
-// collected too. Returns the simulator, router, output sink and credit sink.
+// buildLoneRouter wires a 2-port router whose routing reads its congestion
+// sensor: flits pushed into port 0 route to port 1, whose channel feeds a
+// collector; upstream credits for port 0 are collected too. Returns the
+// simulator, router, output sink and credit sink.
 func buildLoneRouter(t *testing.T, cfgDoc string, vcs, downCredits int) (*sim.Simulator, Router, *flitSink, *creditSink) {
+	t.Helper()
+	return wireLoneRouter(t, cfgDoc, vcs, downCredits, true)
+}
+
+// wireLoneRouter is buildLoneRouter for routing that reads the congestion
+// sensor (readsCongestion) or not.
+func wireLoneRouter(t *testing.T, cfgDoc string, vcs, downCredits int, readsCongestion bool) (*sim.Simulator, Router, *flitSink, *creditSink) {
 	t.Helper()
 	s := sim.NewSimulator(1)
 	r := New(s, "r0", config.MustParse(cfgDoc), Params{
-		ID: 0, Radix: 2, RoutingCtor: passCtor(vcs), ChannelPeriod: 1,
+		ID: 0, Radix: 2, RoutingCtor: passCtor(vcs), ChannelPeriod: 1, ReadsCongestion: readsCongestion,
 	})
 	out := &flitSink{s: s}
 	ch := channel.New(s, "out", 1, 1)
@@ -379,7 +387,7 @@ func TestOQForwardsAndSensesOccupancy(t *testing.T) {
 		t.Fatalf("forwarded %d flits", len(out.flits))
 	}
 	r.VerifyIdle()
-	if r.Sensor().Congestion(s.Now().Tick, 1, 0) != 0 {
+	if r.(*OQ).sensor.Congestion(s.Now().Tick, 1, 0) != 0 {
 		t.Fatal("sensor should read zero when idle")
 	}
 }

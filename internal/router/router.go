@@ -13,7 +13,6 @@ package router
 import (
 	"supersim/internal/channel"
 	"supersim/internal/config"
-	"supersim/internal/congestion"
 	"supersim/internal/factory"
 	"supersim/internal/routing"
 	"supersim/internal/sim"
@@ -37,8 +36,6 @@ type Router interface {
 	// InputBufferDepth returns the per-VC input buffer capacity in flits,
 	// which is the credit count the upstream device starts with.
 	InputBufferDepth() int
-	// Sensor returns the router's congestion sensor.
-	Sensor() congestion.Tracker
 
 	// VerifyIdle panics unless the router is completely quiescent: all
 	// queues empty, no allocations held, and every downstream credit
@@ -114,6 +111,9 @@ type Params struct {
 	Radix         int
 	RoutingCtor   routing.Ctor
 	ChannelPeriod sim.Tick // link cycle time in ticks
+	// ReadsCongestion is set when the routing algorithm reads the congestion
+	// sensor. A router builds none otherwise.
+	ReadsCongestion bool
 }
 
 // Ctor is the constructor signature registered by router architectures.

@@ -38,8 +38,9 @@ type Algorithm interface {
 
 // Ctor builds one algorithm instance for one input port of one router.
 // Topology packages return closures of this type capturing their geometry.
-// sensor is the owning router's congestion sensor; rng is the simulation's
-// deterministic generator.
+// sensor is the owning router's congestion sensor, which reads zero
+// everywhere unless the network built the router for an algorithm that reads
+// it; rng is the simulation's deterministic generator.
 type Ctor func(routerID, inputPort int, sensor congestion.Sensor, rng *rand.Rand) Algorithm
 
 // Candidate is one (port, vc) option under consideration by an adaptive

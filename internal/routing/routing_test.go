@@ -47,7 +47,7 @@ func TestLeastCongestedTieBreakUniform(t *testing.T) {
 
 func TestLeastCongestedSingle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	got := LeastCongested(0, congestion.NullSensor{}, rng, []Candidate{{4, 1}})
+	got := LeastCongested(0, mapSensor{}, rng, []Candidate{{4, 1}})
 	if got.Port != 4 || got.VC != 1 {
 		t.Fatalf("got %+v", got)
 	}
@@ -60,7 +60,7 @@ func TestLeastCongestedEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	LeastCongested(0, congestion.NullSensor{}, rng, nil)
+	LeastCongested(0, mapSensor{}, rng, nil)
 }
 
 func TestLeastCongestedUsesDelayedView(t *testing.T) {

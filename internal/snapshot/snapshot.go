@@ -62,7 +62,7 @@ const Magic = "SSIMSNAP"
 // Version is the schema version this build reads and writes. Loaders reject
 // any other version (fail-fast forward compatibility): state layouts are not
 // self-describing, so decoding a future layout would silently corrupt state.
-const Version = 7
+const Version = 8
 
 // Codec moves primitive values between component fields and a snapshot
 // stream, in the direction fixed at construction.
@@ -417,7 +417,7 @@ func (c *Codec) index(p *int, lo, bound int, what string) {
 }
 
 // Stater is implemented by components that serialize their mutable state
-// outside the simulator's own packages (a custom congestion tracker): State
+// outside the simulator's own packages (a workload application): State
 // appends to a saving codec and consumes the exact same sequence from a
 // loading one, reporting inconsistencies through Failf.
 type Stater interface {
