@@ -15,7 +15,7 @@
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  equivalence matrix (repeated = restored, byte for byte,
 #                  over every model), the simulation-after-import harness,
-#                  byte-exact snapshot round-trips, the pinned v8 bytes and
+#                  byte-exact snapshot round-trips, the pinned v9 bytes and
 #                  the restore-side corruption checks
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
@@ -99,11 +99,12 @@ fuzz:
 # repeat and a restore of the middle checkpoint, compared checkpoint by
 # checkpoint), the simulation-after-import harness (all golden topologies),
 # checkpoints of a restored run starting after its restore tick, byte-exact
-# snapshot round-trips, the schema-v8 bytes pinned in
-# testdata/golden/snapshots.json, restored-index validation, and the
-# randomized checkpoint sweep — under the race detector.
+# snapshot round-trips, the schema-v9 bytes pinned in
+# testdata/golden/snapshots.json, restored-index validation, event records
+# refused out of queue order, and the randomized checkpoint sweep — under the
+# race detector.
 test-import-export:
-	$(GO) test -race -count=1 -run='TestEquivalenceMatrix|TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRestoreRejectsVersion2|TestRestoreRejectsMessageCorruption|TestRestoreRejectsUncodedEventOwner|TestSnapshotRejectsUncodedEventOwner|TestRandomizedCheckpointRestore' ./internal/core
+	$(GO) test -race -count=1 -run='TestEquivalenceMatrix|TestCheckpointedRunMatchesGolden|TestSimulationAfterImport|TestRestoredRunCheckpointsOnlyAhead|TestSnapshotRoundTrip|TestSnapshotBytesPinned|TestRestoreRejectsOutOfRangeIndices|TestRestoreRejectsVersion2|TestRestoreRejectsMessageCorruption|TestRestoreRejectsUncodedEventOwner|TestRestoreRejectsEventsOutOfOrder|TestSnapshotRejectsUncodedEventOwner|TestRandomizedCheckpointRestore' ./internal/core
 	$(GO) test -count=1 ./internal/snapshot
 
 # cover runs every test once, with the floors enforced; ci does not also run

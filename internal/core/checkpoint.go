@@ -192,7 +192,8 @@ func Restore(data []byte, _ int) (sm *Simulation, tick sim.Tick, err error) {
 		return nil, 0, c.Err()
 	}
 
-	// Event queue: each record's owner key names a component the walk coded.
+	// Event queue: each record's owner key names a component the walk coded,
+	// and the records are in queue order, which InjectEvent checks.
 	c.Section(secEvents)
 	n := c.Len(0)
 	if c.Err() != nil {
@@ -215,7 +216,9 @@ func Restore(data []byte, _ int) (sm *Simulation, tick sim.Tick, err error) {
 		if !ok {
 			return nil, 0, c.Failf("event %d owned by unknown component key %d", i, r.Owner)
 		}
-		sm.Sim.InjectEvent(h, r)
+		if err := sm.Sim.InjectEvent(h, r); err != nil {
+			return nil, 0, c.Failf("event %d: %v", i, err)
+		}
 	}
 	if err := c.Done(); err != nil {
 		return nil, 0, err

@@ -79,13 +79,16 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 // timestamps per flit and an injection time per message, and Blast's packet
 // rows of single-packet messages, v5 stored the live messages in a section
 // of their own and a foreign-handler sequence counter, v6 stored a VC in
-// every flit of every live message, and this build reads v7 only.
+// every flit of every live message, v7 stored no congestion sensor change
+// log, v8 stored crossbar rate-limit windows, the base PRNG, a context flag
+// per event and a routed-flit counter per router, and this build reads v9
+// only.
 func TestRestoreRejectsVersion2(t *testing.T) {
 	data := smallSnapshot(t)
-	for _, old := range []byte{2, 3, 4, 5, 6, 7} {
+	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8} {
 		stale := append([]byte(snapshot.Magic), old)
 		stale = append(stale, data[len(snapshot.Magic)+1:]...)
-		want := fmt.Sprintf("unsupported schema version %d (this build reads version 8)", old)
+		want := fmt.Sprintf("unsupported schema version %d (this build reads version 9)", old)
 		if _, _, err := Restore(stale, 0); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d-headed snapshot: err = %v, want %q", old, err, want)
 		}
@@ -183,9 +186,10 @@ func TestRestoreRejectsMessageCorruption(t *testing.T) {
 	restoreFails(t, splice(t, data, def1, empty), "invalid shape")
 }
 
-// TestRestoreRejectsUncodedEventOwner: an event record's owner key must name
-// a component the walk coded; any other key has no handler to bind to.
-func TestRestoreRejectsUncodedEventOwner(t *testing.T) {
+// editEvents decodes the event section of a mid-run snapshot, lets edit
+// change its records, and returns the snapshot with the section re-encoded.
+func editEvents(t *testing.T, edit func(recs []sim.EventRecord)) []byte {
+	t.Helper()
 	_, data := midRunSnapshot(t)
 	at := bytes.LastIndex(data, []byte("\x03"+secEvents)) + 1 + len(secEvents)
 	d := snapshot.NewLoader(data[at:])
@@ -193,18 +197,33 @@ func TestRestoreRejectsUncodedEventOwner(t *testing.T) {
 	for i := range recs {
 		recs[i].State(d)
 	}
-	if err := d.Done(); err != nil || len(recs) == 0 {
+	if err := d.Done(); err != nil || len(recs) < 2 {
 		t.Fatalf("decoding the event section: %d records, %v", len(recs), err)
 	}
-	const stranger = 1 << 30 // beyond every key the build hands out
-	recs[len(recs)-1].Owner = stranger
+	edit(recs)
 	evq := snaptest.Save(func(c *snapshot.Codec) {
 		c.Len(len(recs))
 		for i := range recs {
 			recs[i].State(c)
 		}
 	})
-	restoreFails(t, append(data[:at:at], evq...), fmt.Sprintf("owned by unknown component key %d", stranger))
+	return append(data[:at:at], evq...)
+}
+
+// TestRestoreRejectsUncodedEventOwner: an event record's owner key must name
+// a component the walk coded; any other key has no handler to bind to.
+func TestRestoreRejectsUncodedEventOwner(t *testing.T) {
+	const stranger = 1 << 30 // beyond every key the build hands out
+	data := editEvents(t, func(recs []sim.EventRecord) { recs[len(recs)-1].Owner = stranger })
+	restoreFails(t, data, fmt.Sprintf("owned by unknown component key %d", stranger))
+}
+
+// TestRestoreRejectsEventsOutOfOrder: a snapshot stores its event records in
+// queue order, and the queue relies on it, so two records swapped make
+// Restore return an error, not re-sort them and not panic.
+func TestRestoreRejectsEventsOutOfOrder(t *testing.T) {
+	data := editEvents(t, func(recs []sim.EventRecord) { recs[0], recs[1] = recs[1], recs[0] })
+	restoreFails(t, data, "does not sort after the previous one")
 }
 
 // TestSnapshotRejectsUncodedEventOwner: an event for a handler no State

@@ -83,7 +83,7 @@ func New(s *sim.Simulator, name string, id int, cfg *config.Settings, vcs int, c
 		arr:       channel.NewLine(s, name+".arrivals", 2),
 		id:        id,
 		vcs:       vcs,
-		chanClock: sim.NewClock(chanPeriod, 0),
+		chanClock: sim.NewClock(chanPeriod),
 		downCred:  make([]int, vcs),
 		policy:    policy,
 		curVC:     -1,

@@ -58,7 +58,7 @@ func (x *xbarSched) state(c *snapshot.Codec, clients int) {
 }
 
 // state codes the plumbing shared by all architectures: scheduling identity,
-// downstream credits, the congestion sensor, and counters.
+// downstream credits, the congestion sensor and the pipeline's armed flag.
 func (b *base) state(c *snapshot.Codec) {
 	b.OrderState(c, b.self)
 	c.FixedLen(len(b.downCred), "router ports")
@@ -67,7 +67,6 @@ func (b *base) state(c *snapshot.Codec) {
 	}
 	b.sensor.State(c)
 	c.Bool(&b.pipelineScheduled)
-	c.U64(&b.flitsRouted)
 }
 
 // stateFlights codes the internal datapath's delay line: each flit's output

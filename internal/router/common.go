@@ -61,9 +61,6 @@ type base struct {
 	sp *telemetry.Spans
 
 	pipelineScheduled bool
-
-	// statistics
-	flitsRouted uint64
 }
 
 func newBase(s *sim.Simulator, name string, cfg *config.Settings, p Params) base {
@@ -97,7 +94,7 @@ func newBase(s *sim.Simulator, name string, cfg *config.Settings, p Params) base
 		vcs:           vcs,
 		bufDepth:      bufDepth,
 		chanPeriod:    p.ChannelPeriod,
-		coreClock:     sim.NewClock(p.ChannelPeriod/sim.Tick(speedup), 0),
+		coreClock:     sim.NewClock(p.ChannelPeriod / sim.Tick(speedup)),
 		outCh:         make([]*channel.Channel, p.Radix),
 		creditOut:     make([]*channel.CreditChannel, p.Radix),
 		downCred:      make([][]int, p.Radix),
@@ -305,7 +302,7 @@ func (b *base) returnDownstreamCredit(port, vc int) {
 
 // forwarded accounts for a flit that left a client's input buffer for its
 // output: the slot's credit goes back to the sender and the flit counts as
-// routed, in the router's own statistic and the telemetry registry.
+// routed in the telemetry registry.
 func (b *base) forwarded(client int) {
 	port, vc := b.clientPort(client), b.clientVC(client)
 	cc := b.creditOut[port]
@@ -315,12 +312,8 @@ func (b *base) forwarded(client int) {
 	b.bufLed[port].Free(vc)
 	b.tp.FlitUnbuffered(vc)
 	cc.Inject(types.Credit{VC: vc})
-	b.flitsRouted++
 	b.tp.FlitRouted()
 }
-
-// FlitsRouted returns the number of flits this router has forwarded.
-func (b *base) FlitsRouted() uint64 { return b.flitsRouted }
 
 // verifyIdle panics unless the internal datapath is empty and every connected
 // output port has all of its downstream credits back.

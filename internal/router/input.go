@@ -5,7 +5,6 @@ import (
 
 	"supersim/internal/channel"
 	"supersim/internal/config"
-	"supersim/internal/crossbar"
 	"supersim/internal/routing"
 	"supersim/internal/sim"
 	"supersim/internal/snapshot"
@@ -56,12 +55,14 @@ type inputArch interface {
 // allocation, and crossbar scheduling with full input speedup (inputs never
 // conflict; only outputs arbitrate). The crossbar scheduler's flow control
 // technique (flit-buffer, packet-buffer, winner-take-all) is a configuration
-// setting.
+// setting. The crossbar itself is a traversal latency: the pipeline runs at
+// most once per core cycle and grants each output one flit, so an output
+// starts at most one traversal per core cycle.
 type inputStage struct {
 	base
 	arch       inputArch
-	routingLat uint64 // core cycles, >= 1
-	xbar       *crossbar.Crossbar
+	routingLat uint64   // core cycles, >= 1
+	xbarLat    sim.Tick // crossbar traversal, >= 1
 
 	in         []inputVC
 	routes     delayLine[int] // clients whose route computation is in flight
@@ -90,11 +91,10 @@ func initInputStage(st *inputStage, arch interface {
 	if st.routingLat < 1 {
 		st.Panicf("routing_latency must be at least one cycle")
 	}
-	xbarLat := sim.Tick(cfg.UIntOr("crossbar_latency", 1))
-	if xbarLat < 1 {
+	st.xbarLat = sim.Tick(cfg.UIntOr("crossbar_latency", 1))
+	if st.xbarLat < 1 {
 		st.Panicf("crossbar_latency must be at least one tick")
 	}
-	st.xbar = crossbar.New(st.radix, xbarLat, st.coreClock.Period(), 1)
 	st.in = make([]inputVC, st.radix*st.vcs)
 	st.vcOrder = make([]int, len(st.in))
 	for i := range st.in {
@@ -313,7 +313,7 @@ func (s *inputStage) sendFlit(now sim.Tick, port, client int) {
 	if f.Head {
 		f.Pkt.HopCount++
 	}
-	arrive := s.xbar.Start(now, port)
+	arrive := now + s.xbarLat
 	s.arch.reserve(now, port, iv.outVC, arrive)
 	s.forwarded(client)
 	s.startFlight(arrive, f, port, iv.outVC)
@@ -389,14 +389,13 @@ func (s *inputStage) VerifyIdle() {
 	s.verifyIdle()
 }
 
-// state codes the shared plumbing and the whole front end: crossbar, delay
-// line, input VCs and the routes in flight, then the VC-allocation and
+// state codes the shared plumbing and the whole front end: delay line,
+// input VCs and the routes in flight, then the VC-allocation and
 // crossbar-scheduling state.
 // holder and vcPending carry client numbers; vcRotate only ever counts up and
 // is used modulo the pending count, so a negative one would index negatively.
 func (s *inputStage) state(c *snapshot.Codec, t *types.MessageTable) {
 	s.base.state(c)
-	s.xbar.State(c)
 	s.stateFlights(c, t)
 	for i := range s.in {
 		s.in[i].state(c, t, s.radix, s.vcs)

@@ -43,7 +43,7 @@ func (r *IQ) eligible(now sim.Tick, port, vc, need int) (ok, retry bool) {
 		r.tp.CreditStall()
 		return false, false
 	}
-	if r.nextChanStart[port] > now+r.xbar.Latency() {
+	if r.nextChanStart[port] > now+r.xbarLat {
 		return false, true
 	}
 	return true, false

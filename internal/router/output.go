@@ -32,7 +32,7 @@ func newOutputStage(b *base, depth int) outputStage {
 	return outputStage{
 		b:         b,
 		outDepth:  depth,
-		chanClock: sim.NewClock(b.chanPeriod, 0),
+		chanClock: sim.NewClock(b.chanPeriod),
 		outQ:      make([]flitQueue, b.radix*b.vcs),
 		outOcc:    make([]int, b.radix*b.vcs),
 		outBusy:   make([]bool, b.radix),

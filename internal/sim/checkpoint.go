@@ -18,11 +18,8 @@ import (
 // (Tick, Eps, Owner, Oseq) (see event.go). The key names the scheduling
 // component by its construction-order number, not by a pointer, so a sorted
 // record list is identical for any two runs that reach the same state, and
-// restore can re-inject each event into a freshly built simulation.
-//
-// Context is restricted to the two shapes production components use (nil or
-// a plain int); ExportEvents rejects anything else rather than guessing at a
-// serialization.
+// restore can re-inject each event into a freshly built simulation. No
+// component schedules an event with a context, so a record has none.
 type EventRecord struct {
 	Tick   Tick
 	Eps    Epsilon
@@ -30,8 +27,6 @@ type EventRecord struct {
 	Oseq   uint64
 	Type   int
 	Daemon bool
-	HasCtx bool // Context is an int (the only non-nil production shape)
-	Ctx    int
 }
 
 // State codes the record.
@@ -42,38 +37,38 @@ func (r *EventRecord) State(c *snapshot.Codec) {
 	c.U64(&r.Oseq)
 	c.Int(&r.Type)
 	c.Bool(&r.Daemon)
-	c.Bool(&r.HasCtx)
-	if r.HasCtx {
-		c.Int(&r.Ctx)
+}
+
+// after reports whether r sorts after p in the event queue's total order.
+func (r *EventRecord) after(p *EventRecord) bool {
+	if r.Tick != p.Tick {
+		return r.Tick > p.Tick
 	}
+	if r.Eps != p.Eps {
+		return r.Eps > p.Eps
+	}
+	if r.Owner != p.Owner {
+		return r.Owner > p.Owner
+	}
+	return r.Oseq > p.Oseq
 }
 
 // ExportEvents returns every queued event as a record. The result is in queue
-// (arbitrary) order; callers sort it with SortEventRecords. Events whose handler is not a keyed component, or whose
-// context is neither nil nor int, cannot be re-bound at restore and are
-// reported as errors.
+// (arbitrary) order; callers sort it with SortEventRecords. An event with a
+// context cannot be re-bound at restore and is reported as an error.
 func (s *Simulator) ExportEvents() ([]EventRecord, error) {
 	recs := make([]EventRecord, 0, s.queue.len())
 	var err error
 	s.queue.each(func(e *Event) bool {
-		if e.owner == ^uint32(0) {
-			err = fmt.Errorf("sim: cannot snapshot event for foreign handler %T (no construction-order key)", e.Handler)
+		if e.Context != nil {
+			err = fmt.Errorf("sim: cannot snapshot an event with context %T", e.Context)
 			return false
 		}
-		r := EventRecord{
+		recs = append(recs, EventRecord{
 			Tick: e.Time.Tick, Eps: e.Time.Eps,
 			Owner: e.owner, Oseq: e.oseq,
 			Type: e.Type, Daemon: e.daemon,
-		}
-		switch c := e.Context.(type) {
-		case nil:
-		case int:
-			r.HasCtx, r.Ctx = true, c
-		default:
-			err = fmt.Errorf("sim: cannot snapshot event context of type %T (only nil and int are serializable)", c)
-			return false
-		}
-		recs = append(recs, r)
+		})
 		return true
 	})
 	if err != nil {
@@ -86,19 +81,7 @@ func (s *Simulator) ExportEvents() ([]EventRecord, error) {
 // (tick, epsilon, owner, oseq), producing the queue layout stored in
 // snapshots.
 func SortEventRecords(recs []EventRecord) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := &recs[i], &recs[j]
-		if a.Tick != b.Tick {
-			return a.Tick < b.Tick
-		}
-		if a.Eps != b.Eps {
-			return a.Eps < b.Eps
-		}
-		if a.Owner != b.Owner {
-			return a.Owner < b.Owner
-		}
-		return a.Oseq < b.Oseq
-	})
+	sort.Slice(recs, func(i, j int) bool { return recs[j].after(&recs[i]) })
 }
 
 // ResetQueue discards every queued event. Restore uses it to drop the
@@ -119,17 +102,32 @@ func (s *Simulator) ResetQueue() {
 		}
 	}
 	s.daemons = 0
+	s.injected = 0
 }
 
 // InjectEvent enqueues a restored event with its exact saved ordering key,
 // bypassing the per-handler sequence counters (those are restored separately
-// as component state). The handler must belong to this simulator.
-func (s *Simulator) InjectEvent(h Handler, r EventRecord) {
+// as component state). It refills a queue that ResetQueue emptied, in queue
+// order: it refuses a record once anything else has entered the queue or
+// run since then, a record that does not sort after the one injected before
+// it, and one whose Oseq its handler's schedule counter has not reached. The
+// queue files one owner's events at one timestamp in arrival order, and
+// these rules keep that order the oseq order. The handler must belong to
+// this simulator.
+func (s *Simulator) InjectEvent(h Handler, r EventRecord) error {
 	if h == nil {
 		panic("sim: InjectEvent with nil handler")
 	}
 	if s.running {
 		panic("sim: InjectEvent while running")
+	}
+	switch {
+	case s.injected != s.queue.len():
+		return fmt.Errorf("sim: InjectEvent into a queue that has run or been scheduled into since ResetQueue")
+	case s.injected > 0 && !r.after(&s.lastInjected):
+		return fmt.Errorf("sim: event at %v owner %d oseq %d does not sort after the previous one", Time{r.Tick, r.Eps}, r.Owner, r.Oseq)
+	case r.Oseq > h.order().seq:
+		return fmt.Errorf("sim: event owner %d oseq %d is past its handler's schedule count %d", r.Owner, r.Oseq, h.order().seq)
 	}
 	var e *Event
 	if n := len(s.free); n > 0 {
@@ -141,17 +139,16 @@ func (s *Simulator) InjectEvent(h Handler, r EventRecord) {
 	e.Time = Time{Tick: r.Tick, Eps: r.Eps}
 	e.Handler = h
 	e.Type = r.Type
-	if r.HasCtx {
-		e.Context = r.Ctx
-	} else {
-		e.Context = nil
-	}
+	e.Context = nil
 	e.daemon = r.Daemon
 	e.owner, e.oseq = r.Owner, r.Oseq
 	if r.Daemon {
 		s.daemons++
 	}
 	s.queue.push(e)
+	s.injected++
+	s.lastInjected = r
+	return nil
 }
 
 // SetNow moves the simulator clock to a restored checkpoint time. Restore
@@ -176,8 +173,7 @@ func (s *Simulator) SetProgress(executed uint64, lastWork Time) {
 }
 
 // State codes the simulator-owned scalar state: the construction-order key
-// counter and every PRNG stream (the base generator plus all DeriveRand
-// streams). It opens a snapshot walk, so it empties the walk's owner table.
+// counter and every DeriveRand stream. It opens a snapshot walk, so it empties the walk's owner table.
 // Progress counters (executed, lastWork) are coded by the container, which
 // restores them with SetProgress.
 //
@@ -187,7 +183,6 @@ func (s *Simulator) SetProgress(executed uint64, lastWork Time) {
 func (s *Simulator) State(c *snapshot.Codec) {
 	clear(s.owners)
 	c.U32(&s.orderGen)
-	statePCG(c, s.pcg, "base PRNG")
 	n := uint64(len(s.derived))
 	c.U64(&n)
 	if c.Err() == nil && n != uint64(len(s.derived)) {
@@ -238,7 +233,7 @@ func (b *ComponentBase) OrderState(c *snapshot.Codec, h Handler) {
 		return
 	}
 	c.U64(&b.ord.seq)
-	if o, ok := h.(ordered); !ok || o.order() != &b.ord {
+	if h.order() != &b.ord {
 		c.Failf("component %q codes its events' owner as %T, which is another handler", b.name, h)
 		return
 	}

@@ -13,7 +13,7 @@ import (
 func TestEventRecordRoundTrip(t *testing.T) {
 	recs := []EventRecord{
 		{Tick: 10, Eps: 2, Owner: 3, Oseq: 7, Type: 4, Daemon: true},
-		{Tick: 11, Owner: 1, Oseq: 8, Type: -2, HasCtx: true, Ctx: 9},
+		{Tick: 11, Owner: 1, Oseq: 8, Type: -2},
 	}
 	data := snaptest.Save(func(c *snapshot.Codec) {
 		for i := range recs {
@@ -44,16 +44,16 @@ func TestEventRecordRoundTrip(t *testing.T) {
 }
 
 func TestExportInjectQueueRoundTrip(t *testing.T) {
-	// Schedule a mix of plain, context-carrying, and daemon events, export
-	// the queue, inject it into an identically built simulator, and require
-	// the continuation to execute identically.
+	// Schedule a mix of plain and daemon events, export the queue, inject
+	// it into an identically built simulator, and require the continuation
+	// to execute identically.
 	build := func() (*Simulator, *recorder) {
 		s := NewSimulator(3)
 		return s, &recorder{ComponentBase: NewComponentBase(s, "rec")}
 	}
 	s, r := build()
 	s.Schedule(r, Time{10, 0}, 2, nil)
-	s.Schedule(r, Time{5, 1}, 1, 77)
+	s.Schedule(r, Time{5, 1}, 1, nil)
 	s.ScheduleDaemon(r, Time{20, 0}, 3, nil)
 	recs, err := s.ExportEvents()
 	if err != nil {
@@ -71,13 +71,20 @@ func TestExportInjectQueueRoundTrip(t *testing.T) {
 	}
 
 	s2, r2 := build()
-	s2.Schedule(r2, Time{1, 0}, 99, nil) // stale build-time event, dropped below
+	for range recs {
+		// Stale build-time events, dropped below. They also bring the
+		// schedule counter to where the exported events' oseqs reach, as
+		// restoring the component's OrderState does.
+		s2.Schedule(r2, Time{1, 0}, 99, nil)
+	}
 	s2.ResetQueue()
 	if s2.Pending() != 0 || s2.PendingNonDaemon() != 0 {
 		t.Fatalf("pending %d/%d after ResetQueue", s2.Pending(), s2.PendingNonDaemon())
 	}
 	for _, rec := range recs {
-		s2.InjectEvent(r2, rec)
+		if err := s2.InjectEvent(r2, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if s2.Pending() != 3 || s2.PendingNonDaemon() != 2 {
 		t.Fatalf("pending %d/%d after inject, want 3/2", s2.Pending(), s2.PendingNonDaemon())
@@ -104,28 +111,65 @@ func TestExportInjectQueueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExportEventsRejectsUnserializable pins that a record carries no
+// context: an event scheduled with any, an int included, is refused.
 func TestExportEventsRejectsUnserializable(t *testing.T) {
-	s := NewSimulator(1)
-	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
-	s.Schedule(r, Time{1, 0}, 0, "not an int")
-	if _, err := s.ExportEvents(); err == nil ||
-		!strings.Contains(err.Error(), "context") {
-		t.Fatalf("string context: err = %v", err)
-	}
-
-	// A handler that does not embed ComponentBase is foreign: its events
-	// carry no construction-order key and cannot be snapshotted.
-	s2 := NewSimulator(1)
-	s2.Schedule(foreignHandler{}, Time{1, 0}, 0, nil)
-	if _, err := s2.ExportEvents(); err == nil ||
-		!strings.Contains(err.Error(), "construction-order key") {
-		t.Fatalf("foreign handler: err = %v", err)
+	for _, ctx := range []any{7, "a string"} {
+		s := NewSimulator(1)
+		r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
+		s.Schedule(r, Time{1, 0}, 0, nil)
+		s.Schedule(r, Time{2, 0}, 0, ctx)
+		if _, err := s.ExportEvents(); err == nil || !strings.Contains(err.Error(), "context") {
+			t.Fatalf("context %T: err = %v", ctx, err)
+		}
 	}
 }
 
-type foreignHandler struct{}
-
-func (foreignHandler) ProcessEvent(*Event) {}
+// TestInjectEventRefusesOutOfOrder pins InjectEvent's input check: a queue
+// that ResetQueue emptied takes records in strictly increasing queue order,
+// each within its handler's schedule count, and nothing once anything else
+// has entered the queue or the simulation has run. A refused record leaves
+// the queue as it was.
+func TestInjectEventRefusesOutOfOrder(t *testing.T) {
+	s := NewSimulator(1)
+	a := &recorder{ComponentBase: NewComponentBase(s, "a")}
+	b := &recorder{ComponentBase: NewComponentBase(s, "b")}
+	for range 3 {
+		s.Schedule(a, Time{1, 0}, 0, nil)
+		s.Schedule(b, Time{1, 0}, 0, nil)
+	}
+	s.ResetQueue()
+	rec := func(h *recorder, tick Tick, eps Epsilon, oseq uint64) EventRecord {
+		return EventRecord{Tick: tick, Eps: eps, Owner: h.ord.key, Oseq: oseq}
+	}
+	inject := func(h *recorder, r EventRecord, want string) {
+		t.Helper()
+		n := s.Pending()
+		err := s.InjectEvent(h, r)
+		switch {
+		case want == "" && err != nil:
+			t.Fatalf("%+v: %v", r, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Fatalf("%+v: err = %v, want substring %q", r, err, want)
+		case want != "" && s.Pending() != n:
+			t.Fatalf("%+v: a refused record changed Pending from %d to %d", r, n, s.Pending())
+		}
+	}
+	inject(a, rec(a, 5, 0, 2), "")
+	inject(a, rec(a, 5, 0, 1), "does not sort after") // same owner, earlier oseq
+	inject(a, rec(a, 5, 0, 2), "does not sort after") // the same key again
+	inject(a, rec(a, 4, 9, 3), "does not sort after") // an earlier timestamp
+	inject(a, rec(a, 5, 0, 4), "past its handler")    // beyond a's 3 schedules
+	inject(b, rec(b, 5, 0, 1), "")                    // a later owner
+	inject(a, rec(a, 5, 0, 3), "does not sort after") // an earlier owner
+	inject(a, rec(a, 5, 1, 1), "")                    // a later epsilon
+	s.Schedule(b, Time{6, 0}, 0, nil)
+	inject(a, rec(a, 7, 0, 3), "since ResetQueue")
+	s.ResetQueue()
+	inject(a, rec(a, 7, 0, 3), "")
+	s.RunUntil(2)
+	inject(a, rec(a, 8, 0, 3), "since ResetQueue")
+}
 
 func TestInjectEventPanics(t *testing.T) {
 	s := NewSimulator(1)
@@ -139,9 +183,8 @@ func TestSimulatorStateRoundTrip(t *testing.T) {
 		return s, s.DeriveRand("stream_a"), s.DeriveRand("stream_b")
 	}
 	s, sa, sb := build()
-	// Advance every PRNG stream and the scheduling counters past their
-	// initial state.
-	s.Rand().Uint64()
+	// Advance a PRNG stream and the scheduling counters past their initial
+	// state.
 	sa.Uint64()
 	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
 	s.Schedule(r, Time{1, 0}, 0, nil)
@@ -156,8 +199,7 @@ func TestSimulatorStateRoundTrip(t *testing.T) {
 		t.Fatalf("%d bytes left after load", d.Remaining())
 	}
 	// Every stream must continue from the saved point, not the seed.
-	if got.Rand().Uint64() != s.Rand().Uint64() ||
-		ga.Uint64() != sa.Uint64() || gb.Uint64() != sb.Uint64() {
+	if ga.Uint64() != sa.Uint64() || gb.Uint64() != sb.Uint64() {
 		t.Fatal("restored PRNG streams diverge from the originals")
 	}
 	if got.Seed() != 11 {
@@ -279,12 +321,8 @@ func TestWalkOwnerTable(t *testing.T) {
 }
 
 func TestClockAccessors(t *testing.T) {
-	c := NewClock(4, 1)
-	if c.Period() != 4 || c.Phase() != 1 {
-		t.Fatalf("period %d phase %d", c.Period(), c.Phase())
-	}
-	if c.Cycle(0) != 0 || c.Cycle(9) != 2 {
-		t.Fatalf("cycles %d, %d", c.Cycle(0), c.Cycle(9))
+	if c := NewClock(4); c.Period() != 4 {
+		t.Fatalf("period %d", c.Period())
 	}
 }
 

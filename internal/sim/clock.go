@@ -1,60 +1,32 @@
 package sim
 
-import "fmt"
-
 // Clock represents one clock domain in a multi-frequency design. A clock is
-// specified by its cycle time in ticks (the Period) and an optional Phase
-// offset in ticks. Designs may instantiate any number of clocks; this is most
-// commonly used to model switch frequency speedup where the switch core runs
-// at a higher frequency than the links.
+// specified by its cycle time in ticks (the Period); its edges are the
+// multiples of the period. Designs may instantiate any number of clocks; this
+// is most commonly used to model switch frequency speedup where the switch
+// core runs at a higher frequency than the links.
 type Clock struct {
 	period Tick
-	phase  Tick
 }
 
-// NewClock creates a clock with the given cycle time in ticks and phase
-// offset. The period must be positive and the phase must be less than the
-// period.
-func NewClock(period, phase Tick) *Clock {
+// NewClock creates a clock with the given cycle time in ticks, which must be
+// positive.
+func NewClock(period Tick) *Clock {
 	if period == 0 {
 		panic("sim: clock period must be positive")
 	}
-	if phase >= period {
-		panic(fmt.Sprintf("sim: clock phase %d must be < period %d", phase, period))
-	}
-	return &Clock{period: period, phase: phase}
+	return &Clock{period: period}
 }
 
 // Period returns the cycle time in ticks.
 func (c *Clock) Period() Tick { return c.period }
 
-// Phase returns the phase offset in ticks.
-func (c *Clock) Phase() Tick { return c.phase }
-
-// Cycle returns the number of complete cycles at or before the given tick.
-func (c *Clock) Cycle(t Tick) uint64 {
-	if t < c.phase {
-		return 0
-	}
-	return (t - c.phase) / c.period
-}
-
-// IsEdge reports whether the given tick lies exactly on a rising edge.
-func (c *Clock) IsEdge(t Tick) bool {
-	return t >= c.phase && (t-c.phase)%c.period == 0
-}
-
 // NextEdge returns the earliest edge tick that is >= t.
 func (c *Clock) NextEdge(t Tick) Tick {
-	if t <= c.phase {
-		return c.phase
+	if r := t % c.period; r != 0 {
+		return t + (c.period - r)
 	}
-	d := t - c.phase
-	r := d % c.period
-	if r == 0 {
-		return t
-	}
-	return t + (c.period - r)
+	return t
 }
 
 // FutureEdge returns the edge tick `cycles` full cycles after the next edge

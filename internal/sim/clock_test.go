@@ -6,17 +6,17 @@ import (
 )
 
 func TestClockEdges(t *testing.T) {
-	c := NewClock(3, 0) // Clock A from the paper's Figure 2b: 3 tick cycle time
+	c := NewClock(3) // Clock A from the paper's Figure 2b: 3 tick cycle time
 	wantEdges := map[Tick]bool{0: true, 3: true, 6: true, 9: true}
 	for tick := Tick(0); tick < 10; tick++ {
-		if c.IsEdge(tick) != wantEdges[tick] {
-			t.Errorf("IsEdge(%d) = %v", tick, c.IsEdge(tick))
+		if isEdge := c.NextEdge(tick) == tick; isEdge != wantEdges[tick] {
+			t.Errorf("tick %d is an edge: %v", tick, isEdge)
 		}
 	}
 }
 
 func TestClockNextEdge(t *testing.T) {
-	c := NewClock(2, 0) // Clock B from Figure 2b: 2 tick cycle time
+	c := NewClock(2) // Clock B from Figure 2b: 2 tick cycle time
 	cases := []struct{ in, want Tick }{
 		{0, 0}, {1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 6},
 	}
@@ -27,34 +27,8 @@ func TestClockNextEdge(t *testing.T) {
 	}
 }
 
-func TestClockPhase(t *testing.T) {
-	c := NewClock(4, 1)
-	if !c.IsEdge(1) || !c.IsEdge(5) || c.IsEdge(0) || c.IsEdge(4) {
-		t.Fatal("phase edges wrong")
-	}
-	if c.NextEdge(0) != 1 {
-		t.Fatalf("NextEdge(0) = %d, want 1", c.NextEdge(0))
-	}
-	if c.NextEdge(2) != 5 {
-		t.Fatalf("NextEdge(2) = %d, want 5", c.NextEdge(2))
-	}
-}
-
-func TestClockCycle(t *testing.T) {
-	c := NewClock(3, 0)
-	cases := []struct {
-		tick Tick
-		want uint64
-	}{{0, 0}, {1, 0}, {2, 0}, {3, 1}, {5, 1}, {6, 2}, {300, 100}}
-	for _, cse := range cases {
-		if got := c.Cycle(cse.tick); got != cse.want {
-			t.Errorf("Cycle(%d) = %d, want %d", cse.tick, got, cse.want)
-		}
-	}
-}
-
 func TestClockFutureEdge(t *testing.T) {
-	c := NewClock(5, 0)
+	c := NewClock(5)
 	if got := c.FutureEdge(7, 0); got != 10 {
 		t.Fatalf("FutureEdge(7,0) = %d, want 10", got)
 	}
@@ -64,18 +38,16 @@ func TestClockFutureEdge(t *testing.T) {
 }
 
 func TestClockInvalidPanics(t *testing.T) {
-	mustPanic(t, func() { NewClock(0, 0) })
-	mustPanic(t, func() { NewClock(3, 3) })
+	mustPanic(t, func() { NewClock(0) })
 }
 
 func TestClockNextEdgeProperties(t *testing.T) {
-	prop := func(period16, phase16 uint16, tick uint32) bool {
+	prop := func(period16 uint16, tick uint32) bool {
 		period := Tick(period16%1000) + 1
-		phase := Tick(phase16) % period
-		c := NewClock(period, phase)
+		c := NewClock(period)
 		e := c.NextEdge(Tick(tick))
 		// e is an edge, e >= tick, and no edge exists in [tick, e)
-		if !c.IsEdge(e) || e < Tick(tick) {
+		if e%period != 0 || e < Tick(tick) {
 			return false
 		}
 		if e >= period && e-period >= Tick(tick) {

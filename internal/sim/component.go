@@ -20,16 +20,10 @@ type Component interface {
 // calls. Together they form the (owner, oseq) tiebreak in the event queue —
 // see event.go. key 0 means "not yet assigned"; the simulator assigns lazily
 // on first schedule for handlers (HandlerFunc) created outside a component.
+// ComponentBase and funcHandler carry one; they are the only handlers.
 type eventOrder struct {
 	key uint32
 	seq uint64
-}
-
-// ordered is implemented by handlers that carry an eventOrder. ComponentBase
-// and funcHandler provide it; the simulator falls back to a global schedule
-// sequence for any foreign Handler implementation without one.
-type ordered interface {
-	order() *eventOrder
 }
 
 // ComponentBase provides the common Component plumbing. Concrete models embed

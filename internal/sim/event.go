@@ -1,18 +1,18 @@
 package sim
 
-import (
-	"cmp"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
-// Handler is anything that can execute events. Components embed ComponentBase
-// and implement ProcessEvent to receive the events they scheduled.
+// Handler is anything that can execute events. Every handler is a component:
+// models embed ComponentBase and implement ProcessEvent to receive the events
+// they scheduled, and HandlerFunc wraps a function in one. order is
+// unexported, so no other type can be a Handler, and every event has an
+// owner the queue orders by and a snapshot can name.
 type Handler interface {
 	// ProcessEvent executes an event previously scheduled by this handler.
 	// The event object is owned by the simulator and recycled after the call
 	// returns; handlers must not retain it.
 	ProcessEvent(ev *Event)
+	order() *eventOrder
 }
 
 // Event is a unit of future work in the simulation. It carries its execution
@@ -256,9 +256,11 @@ func (q *eventQueue) openMin() {
 	b.head, b.tail = nil, nil
 	q.open, q.cur, q.evs = i, 0, evs
 
-	// Arrival order is oseq order within one owner (oseq is the owner's
-	// schedule counter), and the evs index in a key's low half is arrival
-	// order, so sorting the keys as plain integers sorts by (owner, oseq).
+	// Arrival order is oseq order within one owner (Schedule takes oseq from
+	// the owner's counter, and InjectEvent takes records only in queue order
+	// and below that counter), and the evs index in a key's low half is
+	// arrival order, so sorting the keys as plain integers sorts by
+	// (owner, oseq).
 	if len(keys) > insertionSortMax {
 		keys, q.tmp = radixSortOwners(keys, q.tmp, or&^and)
 	} else {
@@ -272,14 +274,6 @@ func (q *eventQueue) openMin() {
 		}
 	}
 	q.sorted = keys
-	// InjectEvent can add events whose oseq is not in arrival order; the rare
-	// bucket that holds one is re-sorted by comparing the events themselves.
-	for j := 1; j < len(keys); j++ {
-		if keys[j]>>32 == keys[j-1]>>32 && evs[uint32(keys[j])].oseq < evs[uint32(keys[j-1])].oseq {
-			sortByOseq(keys, evs)
-			break
-		}
-	}
 }
 
 // insertionSortMax is the bucket size up to which an insertion sort beats the
@@ -316,16 +310,6 @@ func radixSortOwners(keys, tmp []uint64, varying uint32) (sorted, other []uint64
 		keys, tmp = tmp, keys
 	}
 	return keys, tmp
-}
-
-// sortByOseq sorts keys by (owner, oseq of the event the key indexes).
-func sortByOseq(keys []uint64, evs []*Event) {
-	slices.SortFunc(keys, func(a, b uint64) int {
-		if c := cmp.Compare(a>>32, b>>32); c != 0 {
-			return c
-		}
-		return cmp.Compare(evs[uint32(a)].oseq, evs[uint32(b)].oseq)
-	})
 }
 
 // retireMin removes the drained open bucket from the queue.

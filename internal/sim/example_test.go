@@ -27,14 +27,14 @@ func Example() {
 	// event 3 at 12.0
 }
 
-// Clocks convert between ticks and cycles; a 2x core clock over a 1 GHz link
+// Clocks place work on cycle edges; a 2x core clock over a 1 GHz link
 // (1 tick = 0.5 ns) has a period of 1 tick vs the link's 2.
 func ExampleClock() {
-	link := sim.NewClock(2, 0)
-	core := sim.NewClock(1, 0)
+	link := sim.NewClock(2)
+	core := sim.NewClock(1)
 	fmt.Println(link.NextEdge(3), core.NextEdge(3))
-	fmt.Println(link.Cycle(10), core.Cycle(10))
+	fmt.Println(link.FutureEdge(3, 2), core.FutureEdge(3, 2))
 	// Output:
 	// 4 3
-	// 5 10
+	// 8 5
 }

@@ -16,23 +16,22 @@ import (
 //
 // A script is a byte string (the property test draws it from a PRNG, the fuzz
 // target receives it), read as a sequence of operations on the paused
-// simulator: Schedule, ScheduleDaemon, a same-timestamp burst, InjectEvent
-// with an out-of-order oseq, RunUntil, Run, ExportEvents, and ResetQueue
-// followed by re-injection in shuffled order. Executing an event may schedule
-// children and may call Stop, as decided by react from the event's Type alone,
-// so the simulator and the reference grow the same event tree.
+// simulator: Schedule, ScheduleDaemon, a same-timestamp burst, RunUntil,
+// Run, ExportEvents, and ResetQueue followed by re-injection in queue order.
+// InjectEvent must refuse a record out of queue order: the re-injection may
+// swap two neighbours, and another operation re-injects a pending event.
+// Executing an event may schedule children and may call Stop, as decided by
+// react from the event's Type alone, so the simulator and the reference grow
+// the same event tree.
 
-// modelHandlers is the number of keyed handlers. Their owner keys pass 255,
-// so same-timestamp bursts make the sort look past the owners' low byte.
+// modelHandlers is the number of handlers. Their owner keys pass 255, so
+// same-timestamp bursts make the sort look past the owners' low byte
+// (TestRadixSortOwnersAllBytes covers the other two).
 const modelHandlers = 600
 
 // modelMaxPending is the pending-event count past which a script's adding
 // operations turn into RunUntil.
 const modelMaxPending = 2000
-
-// foreign is the handler index of the one handler without a construction-order
-// key: the simulator files its events under owner ^uint32(0).
-const foreign = modelHandlers
 
 type modelEvent struct {
 	t      Time
@@ -76,7 +75,7 @@ func react(typ int, now Time) (kids []child, stop bool) {
 	for i := uint64(0); i < r>>8%3; i++ {
 		r = mix(r)
 		k := child{
-			h:      int(r % (modelHandlers + 1)),
+			h:      int(r % modelHandlers),
 			typ:    (depth-1)<<16 | int(r>>16&0xffff),
 			daemon: r>>40%11 == 0,
 		}
@@ -102,23 +101,17 @@ type modelComp struct {
 
 func (c *modelComp) ProcessEvent(ev *Event) { c.m.execute(c.i, ev) }
 
-type modelForeign struct{ m *model }
-
-func (f *modelForeign) ProcessEvent(ev *Event) { f.m.execute(foreign, ev) }
-
 type model struct {
 	t        *testing.T
 	s        *Simulator
-	handlers [modelHandlers + 1]Handler
+	handlers [modelHandlers]Handler
 
-	// The reference: pending events, the schedule counter of every handler
-	// (the foreign slot mirrors the simulator's global fallback sequence), the
-	// clock, and the Stop latch.
+	// The reference: pending events, the schedule counter of every handler,
+	// the clock, and the Stop latch.
 	pending []modelEvent
-	seq     [modelHandlers + 1]uint64
+	seq     [modelHandlers]uint64
 	now     Time
 	stopped bool
-	injects uint64 // InjectEvent oseqs count down from 1<<40: unique, never in arrival order
 
 	got, want []modelEvent // execution logs: simulator, reference
 }
@@ -128,16 +121,10 @@ func newModel(t *testing.T) *model {
 	for i := 0; i < modelHandlers; i++ {
 		m.handlers[i] = &modelComp{ComponentBase: NewComponentBase(m.s, "c"), m: m, i: i}
 	}
-	m.handlers[foreign] = &modelForeign{m}
 	return m
 }
 
-func (m *model) owner(h int) uint32 {
-	if h == foreign {
-		return ^uint32(0)
-	}
-	return uint32(h + 1)
-}
+func (m *model) owner(h int) uint32 { return uint32(h + 1) }
 
 // call makes the Schedule or ScheduleDaemon call k describes.
 func (m *model) call(k child) {
@@ -154,16 +141,43 @@ func (m *model) schedule(k child) {
 	m.mirror(k)
 }
 
-// reinject empties the queue and injects the reference's pending events, in
-// the order the reference holds them.
-func (m *model) reinject() {
+// reinject empties the queue and injects the reference's pending events in
+// queue order, except that when swap >= 0 the events at swap and swap+1 go
+// in the other way round. InjectEvent must then refuse the one at swap, and
+// the reference drops it.
+func (m *model) reinject(swap int) {
 	m.s.ResetQueue()
 	if m.s.Pending() != 0 || m.s.PendingNonDaemon() != 0 {
 		m.t.Fatalf("after ResetQueue: Pending() = %d, PendingNonDaemon() = %d", m.s.Pending(), m.s.PendingNonDaemon())
 	}
-	for _, e := range m.pending {
-		m.s.InjectEvent(m.handlers[e.h], m.record(e))
+	m.sortPending()
+	order := make([]int, len(m.pending))
+	for i := range order {
+		order[i] = i
 	}
+	if swap >= 0 {
+		order[swap], order[swap+1] = swap+1, swap
+	}
+	for _, i := range order {
+		e := m.pending[i]
+		err := m.s.InjectEvent(m.handlers[e.h], m.record(e))
+		if refuse := i == swap; refuse != (err != nil) {
+			m.t.Fatalf("InjectEvent(%+v): want refused %v, err = %v", e, refuse, err)
+		}
+	}
+	if swap >= 0 {
+		m.pending = slices.Delete(m.pending, swap, swap+1)
+	}
+}
+
+// sortPending puts the reference's pending events in queue order.
+func (m *model) sortPending() {
+	slices.SortFunc(m.pending, func(a, b modelEvent) int {
+		if a.less(b) {
+			return -1
+		}
+		return 1
+	})
 }
 
 func (m *model) mirror(k child) {
@@ -253,33 +267,21 @@ func (m *model) check(op string) {
 	if m.s.Pending() != len(m.pending) {
 		t.Fatalf("after %s: Pending() = %d, reference %d", op, m.s.Pending(), len(m.pending))
 	}
-	nonDaemon, foreignPending := 0, false
+	nonDaemon := 0
 	for _, e := range m.pending {
 		if !e.daemon {
 			nonDaemon++
 		}
-		foreignPending = foreignPending || e.h == foreign
 	}
 	if m.s.PendingNonDaemon() != nonDaemon {
 		t.Fatalf("after %s: PendingNonDaemon() = %d, reference %d", op, m.s.PendingNonDaemon(), nonDaemon)
 	}
 	recs, err := m.s.ExportEvents()
-	if foreignPending {
-		if err == nil {
-			t.Fatalf("after %s: ExportEvents accepted a foreign handler's event", op)
-		}
-		return
-	}
 	if err != nil {
 		t.Fatalf("after %s: ExportEvents: %v", op, err)
 	}
 	SortEventRecords(recs)
-	slices.SortFunc(m.pending, func(a, b modelEvent) int {
-		if a.less(b) {
-			return -1
-		}
-		return 1
-	})
+	m.sortPending()
 	for i, e := range m.pending {
 		if i >= len(recs) || recs[i] != m.record(e) {
 			t.Fatalf("after %s: exported record %d of %d differs from reference %+v", op, i, len(recs), e)
@@ -314,13 +316,13 @@ func runScript(t *testing.T, data []byte) {
 		op := next()
 		a, b := next(), next()
 		typ := int(a%5)<<16 | int(b)<<8 | int(a)
-		h := int(mix(a<<8|b) % (modelHandlers + 1))
+		h := int(mix(a<<8|b) % modelHandlers)
 		name := ""
 		if len(m.pending) > modelMaxPending && op%10 < 5 {
 			op = 5 // the reference executes in quadratic time: drain before adding more
 		}
 		switch op % 10 {
-		case 0, 1:
+		case 0, 1, 9:
 			name = "Schedule"
 			m.schedule(child{h: h, t: at(b), typ: typ})
 		case 2:
@@ -332,20 +334,24 @@ func runScript(t *testing.T, data []byte) {
 			m.schedule(k)
 		case 3:
 			name = "burst"
-			// Up to 127 events at one timestamp; keyed handlers only half the
-			// time, so the owners vary in one or two bytes, or in all four.
+			// Up to 127 events at one timestamp, so the owners vary in one
+			// or two bytes.
 			k := child{t: at(b), typ: typ}
 			for i := uint64(0); i < a%128; i++ {
-				r := mix(a<<16 | b<<8 | i)
-				k.h = int(r % (modelHandlers + op>>4%2))
+				k.h = int(mix(a<<16|b<<8|i) % modelHandlers)
 				m.schedule(k)
 			}
 		case 4:
-			name = "InjectEvent"
-			m.injects++
-			e := modelEvent{t: at(b), owner: m.owner(h), oseq: 1<<40 - m.injects, typ: typ, daemon: a%7 == 0, h: h}
-			m.s.InjectEvent(m.handlers[h], m.record(e))
-			m.pending = append(m.pending, e)
+			name = "InjectEvent of a pending event"
+			// The queue holds the event already: if it holds nothing but
+			// injected events the record does not sort after the last of
+			// them, and otherwise the queue takes no injection at all.
+			if len(m.pending) > 0 {
+				e := m.pending[a%uint64(len(m.pending))]
+				if err := m.s.InjectEvent(m.handlers[e.h], m.record(e)); err == nil {
+					t.Fatalf("InjectEvent(%+v) of a pending event accepted", e)
+				}
+			}
 		case 5, 6:
 			name = "RunUntil"
 			m.run(m.now.Tick+1+Tick(a%24), false)
@@ -356,15 +362,11 @@ func runScript(t *testing.T, data []byte) {
 			}
 		case 8:
 			name = "ResetQueue+InjectEvent"
-			rng := rand.New(rand.NewPCG(a, b))
-			rng.Shuffle(len(m.pending), func(i, j int) { m.pending[i], m.pending[j] = m.pending[j], m.pending[i] })
-			m.reinject()
-		case 9:
-			name = "drop foreign events"
-			// ExportEvents refuses foreign handlers' events, so scripts that
-			// schedule one would never compare exports again without this.
-			m.pending = slices.DeleteFunc(m.pending, func(e modelEvent) bool { return e.h == foreign })
-			m.reinject()
+			swap := -1
+			if a%2 == 1 && len(m.pending) >= 2 {
+				swap = int(b % uint64(len(m.pending)-1))
+			}
+			m.reinject(swap)
 		}
 		m.check(name)
 	}
@@ -405,5 +407,35 @@ func FuzzEventOrder(f *testing.F) {
 func TestEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got != 80 {
 		t.Fatalf("Event is %d bytes, want 80", got)
+	}
+}
+
+// TestRadixSortOwnersAllBytes drives the radix passes over owner keys that
+// differ in every byte, and in none, against a plain sort. A key's low half
+// is its arrival index, so a plain sort is the stable (owner, arrival) order.
+func TestRadixSortOwnersAllBytes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for _, owners := range [][]uint32{
+		{1, 2, 0xff, 0x100, 0xffff, 0x10000, 0xffffff, 0x1000000, 0xfffffffe, 0xffffffff},
+		{0x01020304, 0x01020305, 0x01020304}, // differing in the low byte only
+		{0x80000000, 0x00000000},             // the high byte only
+		{42},
+	} {
+		for _, n := range []int{insertionSortMax + 1, 200} {
+			keys := make([]uint64, n)
+			or, and := uint32(0), ^uint32(0)
+			for i := range keys {
+				o := owners[rng.IntN(len(owners))]
+				keys[i] = uint64(o)<<32 | uint64(i)
+				or |= o
+				and &= o
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			got, _ := radixSortOwners(keys, nil, or&^and)
+			if !slices.Equal(got, want) {
+				t.Fatalf("owners %#x, %d keys: radix order differs from sorted order", owners, n)
+			}
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 const maxEventFreeList = 4096
 
 // Simulator is the global simulation object: it owns the event priority
-// queue, the current time, and the simulation-wide pseudo random number
-// generator. Each component links to the Simulator and pushes its new events
+// queue, the current time, and the seed every component's pseudo random
+// number stream derives from. Each component links to the Simulator and pushes its new events
 // into the queue; the executer sequentially pulls events and executes them
 // until the queue runs empty.
 //
@@ -32,14 +32,17 @@ type Simulator struct {
 	// executed and lastWork are this simulator's share of the run; the
 	// container snapshots run-wide totals and restores them with SetProgress.
 	executed uint64
-	lastWork Time   // time of the most recent non-daemon event executed
-	seqGen   uint64 // schedule order of foreign-handler events, which are never snapshotted
+	lastWork Time // time of the most recent non-daemon event executed
 	orderGen uint32
 	daemons  int      // queued events scheduled with ScheduleDaemon; InjectEvent recounts them
 	free     []*Event // event recycling cache
-	rng      *rand.Rand
-	pcg      *rand.PCG // rng's source, retained so checkpoints can serialize it
 	seed     uint64
+
+	// injected counts the events InjectEvent has queued since ResetQueue,
+	// the last of them lastInjected; a run sets it to -1, so only a queue
+	// holding nothing but those events takes another.
+	injected     int
+	lastInjected EventRecord
 
 	// derived records every DeriveRand stream in derivation order, so
 	// checkpoints can serialize and restore the streams' PCG states. The
@@ -80,15 +83,8 @@ type derivedStream struct {
 	pcg  *rand.PCG
 }
 
-// NewSimulator creates a simulator with the given PRNG seed.
-func NewSimulator(seed uint64) *Simulator {
-	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
-	return &Simulator{
-		rng:  rand.New(pcg),
-		pcg:  pcg,
-		seed: seed,
-	}
-}
+// NewSimulator creates a simulator whose DeriveRand streams derive from seed.
+func NewSimulator(seed uint64) *Simulator { return &Simulator{seed: seed} }
 
 // Now returns the current simulation time. While an event executes, Now is
 // that event's time.
@@ -96,13 +92,6 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Seed returns the PRNG seed the simulator was created with.
 func (s *Simulator) Seed() uint64 { return s.seed }
-
-// Rand returns the simulation-wide PRNG. Components must use this generator
-// (or one derived from it) so simulations are reproducible. Components whose
-// draws must also be independent of how other components interleave their
-// draws — everything that draws during the run — should use DeriveRand
-// instead.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // DeriveRand returns a fresh PRNG stream deterministically derived from the
 // simulator's seed and the given name. Two simulators with the same seed
@@ -219,22 +208,15 @@ func (s *Simulator) schedule(h Handler, t Time, typ int, ctx any, daemon bool) {
 	if daemon {
 		s.daemons++
 	}
-	if oh, ok := h.(ordered); ok {
-		o := oh.order()
-		if o.key == 0 {
-			// Lazy key for handlers built outside a component (HandlerFunc):
-			// assigned on first schedule, which is deterministic in a
-			// single-threaded build/run.
-			o.key = s.nextOrderKey()
-		}
-		o.seq++
-		e.owner, e.oseq = o.key, o.seq
-	} else {
-		// Foreign Handler implementation: fall back to global schedule order,
-		// sorted after all keyed components at the same time.
-		s.seqGen++
-		e.owner, e.oseq = ^uint32(0), s.seqGen
+	o := h.order()
+	if o.key == 0 {
+		// Lazy key for handlers built outside a component (HandlerFunc):
+		// assigned on first schedule, which is deterministic in a
+		// single-threaded build/run.
+		o.key = s.nextOrderKey()
 	}
+	o.seq++
+	e.owner, e.oseq = o.key, o.seq
 	s.queue.push(e)
 }
 
@@ -286,6 +268,7 @@ func (s *Simulator) FinishMonitor() {
 func (s *Simulator) runUntil(tick Tick, all bool) uint64 {
 	start := s.executed
 	s.running = true
+	s.injected = -1
 	for s.queue.len() > 0 && !s.stopped {
 		if !all && s.queue.nextTick() >= tick {
 			break

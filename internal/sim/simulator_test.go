@@ -29,8 +29,6 @@ func (a eventKey) less(b eventKey) bool {
 }
 
 // recorder is a test component that records the order of executed events.
-// (Its slice was once a field named order, which hid ComponentBase.order()
-// and silently made every recorder a foreign, unkeyed handler.)
 type recorder struct {
 	ComponentBase
 	typesRun []int
@@ -333,11 +331,12 @@ func TestSimulatorEventRecycling(t *testing.T) {
 func TestSimulatorDeterminism(t *testing.T) {
 	run := func(seed uint64) []uint64 {
 		s := NewSimulator(seed)
+		rng := s.DeriveRand("draws")
 		var seq []uint64
 		var h Handler
 		n := 0
 		h = HandlerFunc(func(ev *Event) {
-			v := s.Rand().Uint64()
+			v := rng.Uint64()
 			seq = append(seq, v)
 			n++
 			if n < 100 {
@@ -490,9 +489,9 @@ func TestSameTimeOrderByConstructionOrder(t *testing.T) {
 		t.Fatalf("same-time order %v, want construction order %q", got, want)
 	}
 
-	// The shared test recorder is a keyed component too: its events carry a
-	// real construction-order key (not the foreign-handler marker ^0), so
-	// they execute by that key and survive ExportEvents.
+	// The shared test recorder is a keyed component too: its events carry its
+	// construction-order key, so they execute by that key and survive
+	// ExportEvents.
 	s = NewSimulator(1)
 	r1 := &recorder{ComponentBase: NewComponentBase(s, "r1")}
 	r2 := &recorder{ComponentBase: NewComponentBase(s, "r2")}
@@ -513,8 +512,8 @@ func TestSameTimeOrderByConstructionOrder(t *testing.T) {
 func TestDeriveRandPartitionIndependent(t *testing.T) {
 	s1 := NewSimulator(9)
 	s2 := NewSimulator(9)
-	// Perturb s2's global stream: derived streams must not care.
-	s2.Rand().Uint64()
+	// Perturb s2 with another stream: derived streams must not care.
+	s2.DeriveRand("router6").Uint64()
 	a1 := s1.DeriveRand("router7")
 	a2 := s2.DeriveRand("router7")
 	for i := 0; i < 32; i++ {

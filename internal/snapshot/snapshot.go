@@ -62,7 +62,7 @@ const Magic = "SSIMSNAP"
 // Version is the schema version this build reads and writes. Loaders reject
 // any other version (fail-fast forward compatibility): state layouts are not
 // self-describing, so decoding a future layout would silently corrupt state.
-const Version = 8
+const Version = 9
 
 // Codec moves primitive values between component fields and a snapshot
 // stream, in the direction fixed at construction.
