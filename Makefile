@@ -4,7 +4,8 @@
 #                  (with the fuzz seed corpora, golden-trace conformance
 #                  runs, the equivalence matrix and the two allocation tests)
 #                  under the coverage floors, the race detector over every
-#                  package, checkpoint equivalence, the benchmark's smoke
+#                  package (internal/experiments with -short), checkpoint
+#                  equivalence, the benchmark's smoke
 #                  tests and the sweep smoke
 #   make cover   - the one test pass of ci: `go test -cover ./...`, failing on
 #                  any test failure or any package below its committed floor in
@@ -67,10 +68,15 @@ test:
 	$(GO) test ./...
 
 # The simulator proper is single-threaded by design, but taskrun/sweep drive
-# it from worker goroutines and nothing stops a future package from doing the
+# it from worker goroutines, the live endpoint scrapes a running simulation
+# (TestLiveScrapeDuringRun), and nothing stops a future package from doing the
 # same — so CI races everything, not just the packages known to be concurrent.
+# internal/experiments runs with -short: its claim tests are single-threaded
+# simulations that `make cover` already runs once, and the detector has
+# nothing to find in them.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/experiments$$')
+	$(GO) test -race -short ./internal/experiments
 
 # Per-package statement coverage with committed floors: a drop below any
 # package's floor in coverage_floors.txt fails the target, and so does a

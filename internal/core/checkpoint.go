@@ -56,6 +56,8 @@ func (sm *Simulation) state(c *snapshot.Codec) {
 		return
 	}
 	vcs := sm.Net.Router(0).NumVCs()
+	// The span recorder, coded last, links its open spans to the messages
+	// this table holds.
 	table := types.NewMessageTable(sm.Workload.Pool(), types.Bounds{
 		Terminals: sm.Net.NumTerminals(),
 		Apps:      sm.Workload.NumApps(),
@@ -85,7 +87,7 @@ func (sm *Simulation) state(c *snapshot.Codec) {
 	}
 	attached(c, "telemetry", sm.Telemetry != nil)
 	if sm.Telemetry != nil {
-		sm.Telemetry.State(c)
+		sm.Telemetry.State(c, table)
 	}
 }
 

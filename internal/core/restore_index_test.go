@@ -111,17 +111,18 @@ func liveMessage(t *testing.T, sm *Simulation) *types.Message {
 	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface().(*types.Flit).Pkt.Msg
 }
 
-// liveSpan returns an open span of the span recorder.
-func liveSpan(t *testing.T, sm *Simulation) any {
+// liveSpan returns the slot of an open span of the span recorder: one that
+// a tracked flit holds.
+func liveSpan(t *testing.T, sm *Simulation) int {
 	t.Helper()
-	slots := peek(sm.Telemetry.Spans(), "live", "slots")
-	for i := 0; i < slots.Len(); i++ {
-		if s := peek(slots.Index(i).Addr().Interface(), "s"); !s.IsNil() {
-			return s.Interface()
+	spans := peek(sm.Telemetry.Spans(), "spans")
+	for i := 0; i < spans.Len(); i++ {
+		if !peek(spans.Index(i).Addr().Interface(), "head").IsNil() {
+			return i
 		}
 	}
 	t.Fatal("no open span at the snapshot tick")
-	return nil
+	return -1
 }
 
 func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
@@ -187,8 +188,12 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 			head := int(peek(cs, "log", "head").Int())
 			peek(cs, "log", "buf", head, "at").SetUint(pinnedTick + 1)
 		}},
-		{"span app", iq, func(t *testing.T, sm *Simulation) { peek(liveSpan(t, sm), "rec", "App").SetInt(far) }},
-		{"span hop", iq, func(t *testing.T, sm *Simulation) { peek(liveSpan(t, sm), "hop").SetInt(-1) }},
+		{"span app", iq, func(t *testing.T, sm *Simulation) {
+			peek(sm.Telemetry.Spans(), "spans", liveSpan(t, sm), "rec", "App").SetInt(far)
+		}},
+		{"span hop", iq, func(t *testing.T, sm *Simulation) {
+			peek(sm.Telemetry.Spans(), "spans", liveSpan(t, sm), "hop").SetInt(-1)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -243,4 +244,89 @@ func TestRunReturnsTelemetryCloseError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLiveScrapeDuringRun holds the live endpoint's guarantee: the registry
+// and the progress document can be read while the simulation runs. One
+// goroutine renders the Prometheus exposition and reads the progress
+// document in a loop while a run with full-sample spans folds histograms,
+// and every scraped histogram's _count must equal its +Inf bucket, which a
+// histogram copied field by field mid-observation would break. Under the
+// race detector (make race) it also checks the scrape for data races.
+func TestLiveScrapeDuringRun(t *testing.T) {
+	cfg := config.MustParse(goldenCases()[0].doc)
+	if err := cfg.ApplyOverrides(probesOn); err != nil {
+		t.Fatal(err)
+	}
+	sm := Build(cfg)
+	reg := sm.Telemetry.Registry()
+	done := make(chan struct{})
+	first := make(chan struct{})
+	scrapes := make(chan int)
+	var scrapeErr error
+	go func() {
+		n := 0
+		defer func() { scrapes <- n }()
+		for {
+			var b bytes.Buffer
+			if err := reg.WritePrometheus(&b); err != nil {
+				scrapeErr = err
+				return
+			}
+			sm.Telemetry.ProgressDoc()
+			if scrapeErr = histogramsConsistent(b.String()); scrapeErr != nil {
+				return
+			}
+			if n++; n == 1 {
+				close(first)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	<-first
+	_, err := sm.Run()
+	close(done)
+	n := <-scrapes
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scrapeErr != nil {
+		t.Fatalf("scrape %d: %v", n+1, scrapeErr)
+	}
+	var b bytes.Buffer
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "supersim_span_e2e_count") {
+		t.Fatal("the run folded no span histogram")
+	}
+	t.Logf("%d scrapes during the run", n)
+}
+
+// histogramsConsistent checks that every histogram of a Prometheus
+// exposition has a _count equal to its cumulative +Inf bucket.
+func histogramsConsistent(text string) error {
+	inf, count := map[string]string{}, map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, val := line[:sp], line[sp+1:]
+		if s, ok := strings.CutSuffix(series, `,le="+Inf"}`); ok {
+			inf[strings.Replace(s, "_bucket{", "{", 1)+"}"] = val
+		} else if i := strings.Index(series, "_count{"); i >= 0 {
+			count[series[:i]+series[i+len("_count"):]] = val
+		}
+	}
+	for k, v := range inf {
+		if count[k] != v {
+			return fmt.Errorf("histogram %s: +Inf bucket %s, _count %q", k, v, count[k])
+		}
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"supersim/internal/snapshot"
+	"supersim/internal/types"
 )
 
 // Checkpoint state for the observability subsystem. The registry serializes
@@ -89,11 +90,15 @@ func (m *metric) state(c *snapshot.Codec) {
 		}
 		c.I64(&m.lastG)
 	case KindHist:
+		// One copy under the registry's histogram lock; loading codes into
+		// an empty copy and stores it back whole.
+		var v histValues
+		if !c.Loading() {
+			v = m.h.load()
+		}
 		nz := 0
-		for b := range m.h.buckets {
-			if c.Loading() {
-				m.h.buckets[b].Store(0)
-			} else if m.h.Bucket(b) != 0 {
+		for _, n := range v.buckets {
+			if n != 0 {
 				nz++
 			}
 		}
@@ -101,25 +106,31 @@ func (m *metric) state(c *snapshot.Codec) {
 		b := -1
 		for j := 0; j < nz; j++ {
 			if !c.Loading() {
-				for b++; m.h.Bucket(b) == 0; b++ {
+				for b++; v.buckets[b] == 0; b++ {
 				}
 			}
 			c.Index(&b, histBuckets, "histogram bucket index")
 			if c.Err() != nil {
 				return
 			}
-			stateAtomic(c, &m.h.buckets[b])
+			c.U64(&v.buckets[b])
 		}
-		stateAtomic(c, &m.h.count)
-		stateAtomic(c, &m.h.sum)
+		c.U64(&v.count)
+		c.U64(&v.sum)
 		c.U64(&m.lastH)
+		if c.Loading() {
+			m.h.mu.Lock()
+			m.h.v = v
+			m.h.mu.Unlock()
+		}
 	}
 }
 
 // State codes the telemetry hub: scheduling identity, the baseline flag for
 // the next snapshot bin, the workload phase, the registry, and the span
-// recorder's in-flight state.
-func (t *Telemetry) State(c *snapshot.Codec) {
+// recorder's in-flight state, whose open spans belong to messages of msgs,
+// the walk's message table.
+func (t *Telemetry) State(c *snapshot.Codec, msgs *types.MessageTable) {
 	t.OrderState(c, t)
 	c.Bool(&t.first)
 	t.mu.Lock()
@@ -133,30 +144,33 @@ func (t *Telemetry) State(c *snapshot.Codec) {
 		return
 	}
 	if hasSpans {
-		t.opts.Spans.state(c, t.apps)
+		t.opts.Spans.state(c, t.apps, msgs)
 	}
 }
 
 // state codes the span recorder's open spans (sorted by message ID so the
-// bytes are independent of table layout) and the finished record count. An
+// bytes are independent of slab layout) and the finished record count. An
 // open span's app and hop index the histogram table and its per-hop record, so
 // loading range-checks them against the workload's application count and the
-// record. The histogram table rebuilds lazily against the restored registry;
-// the JSONL stream is output, not state.
-func (sp *Spans) state(c *snapshot.Codec, apps int) {
+// record. Each open span belongs to a message the walk has defined: loading
+// links it to that message's tracked flit, and a span for a message the walk
+// did not define, or a second span for one message, is an error. The
+// histogram table rebuilds lazily against the restored registry; the JSONL
+// stream is output, not state.
+func (sp *Spans) state(c *snapshot.Codec, apps int, msgs *types.MessageTable) {
 	var open []*msgSpan
 	if !c.Loading() {
-		open = make([]*msgSpan, 0, sp.live.n)
-		for _, e := range sp.live.slots {
-			if e.s != nil {
-				open = append(open, e.s)
+		open = make([]*msgSpan, 0, len(sp.spans)-len(sp.free))
+		for i := range sp.spans {
+			if sp.spans[i].head != nil {
+				open = append(open, &sp.spans[i])
 			}
 		}
 		sort.Slice(open, func(i, j int) bool { return open[i].rec.Msg < open[j].rec.Msg })
 	}
 	n := c.Len(len(open))
 	if c.Loading() {
-		sp.live = spanTable{}
+		sp.spans, sp.free = nil, nil
 	}
 	for i := 0; i < n; i++ {
 		var s *msgSpan
@@ -181,17 +195,26 @@ func (sp *Spans) state(c *snapshot.Codec, apps int) {
 		}
 		snapshot.Uint(c, &s.lastT)
 		c.Index(&s.hop, len(s.rec.PerHop)+1, "span hop")
-		if !c.Loading() {
-			continue
-		}
 		if c.Err() != nil {
 			return
 		}
-		if sp.live.get(s.rec.Msg) != nil {
+		m := msgs.Message(s.rec.Msg)
+		if m == nil {
+			c.Failf("open span for message %d, which the walk did not define", s.rec.Msg)
+			return
+		}
+		if !c.Loading() {
+			continue
+		}
+		f := m.Packet(0).Head()
+		if f.Span() != 0 {
 			c.Failf("duplicate open span for message %d", s.rec.Msg)
 			return
 		}
-		sp.live.put(s.rec.Msg, s)
+		slot := sp.alloc()
+		s.head = f
+		sp.spans[slot] = *s
+		f.SetSpan(slot + 1)
 	}
 	stateAtomic(c, &sp.records)
 }

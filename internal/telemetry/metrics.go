@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -63,14 +64,41 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 const histBuckets = 65
 
 // Histogram records a distribution of non-negative integer values (latencies
-// in ticks, queue depths) in power-of-two buckets. Observing is one atomic
-// increment plus two atomic adds — cheap enough for per-flit paths — and the
-// bucket layout is fixed, so two histograms are always mergeable and the
-// exposition needs no configuration.
+// in ticks, queue depths) in power-of-two buckets. Its values are plain
+// integers guarded by its registry's histogram lock, one lock for all of the
+// registry's histograms: Observe takes it once per call, the span recorder
+// once per finished message for every observation the message folds, and the
+// exposition, the snapshot bins and the checkpoint codec each copy a
+// histogram once under it, so a live scrape never sees a count that disagrees
+// with the buckets. The bucket layout is fixed, so two histograms are always
+// mergeable and the exposition needs no configuration. Registry.Histogram
+// creates histograms; the zero value has no lock and must not be used.
 type Histogram struct {
-	buckets [histBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64
+	mu *sync.Mutex // the registry's histogram lock
+	v  histValues
+}
+
+// histValues is a histogram's state, observed under the registry's
+// histogram lock and copied out of it whole.
+type histValues struct {
+	buckets [histBuckets]uint64
+	count   uint64
+	sum     uint64
+}
+
+// observe records one value.
+func (v *histValues) observe(x uint64) {
+	v.buckets[bucketIndex(x)]++
+	v.count++
+	v.sum += x
+}
+
+// mean returns the mean observed value, or 0 with no observations.
+func (v *histValues) mean() float64 {
+	if v.count == 0 {
+		return 0
+	}
+	return float64(v.sum) / float64(v.count)
 }
 
 // bucketIndex maps a value to its bucket: bits.Len64 is 0 for 0 and
@@ -90,25 +118,29 @@ func BucketUpper(i int) uint64 {
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.mu.Lock()
+	h.v.observe(v)
+	h.mu.Unlock()
+}
+
+// load returns a consistent copy of the histogram's values.
+func (h *Histogram) load() histValues {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.v
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 { return h.load().count }
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
+func (h *Histogram) Sum() uint64 { return h.load().sum }
 
 // Bucket returns the observation count of bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i].Load() }
+func (h *Histogram) Bucket(i int) uint64 { return h.load().buckets[i] }
 
 // Mean returns the mean observed value, or 0 with no observations.
 func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
+	v := h.load()
+	return v.mean()
 }

@@ -63,7 +63,7 @@ func TestBucketUpper(t *testing.T) {
 }
 
 func TestHistogramObserve(t *testing.T) {
-	var h Histogram
+	h := newRegistry().Histogram("h", "c", -1) // guarded by its registry's lock
 	for _, v := range []uint64{0, 1, 1, 3, 200} {
 		h.Observe(v)
 	}

@@ -37,11 +37,16 @@ func metricKey(name, comp string, vc int) string {
 // mutex-guarded and idempotent — two components (or two goroutines in tests)
 // registering the same (name, component, vc) triple get the same metric —
 // and all emission paths iterate in sorted (name, comp, vc) order, so output
-// is deterministic regardless of registration order. Metric *values* are
-// atomics; after construction the registry is read-mostly and safe to scrape
-// from the HTTP goroutine while the simulation runs.
+// is deterministic regardless of registration order. Counter and gauge
+// values are atomics, and every histogram's values are guarded by the one
+// histogram lock hmu, so the registry is safe to scrape from the HTTP
+// goroutine while the simulation runs.
 type Registry struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// hmu guards the values of every histogram. It may be held while taking
+	// mu (the span recorder registers a histogram on its first fold), never
+	// the reverse.
+	hmu    sync.Mutex
 	index  map[string]*metric
 	list   []*metric // kept sorted by (name, comp, vc)
 	sorted bool
@@ -68,7 +73,7 @@ func (r *Registry) register(name, comp string, vc int, kind Kind, scale float64)
 	}
 	m := &metric{name: name, comp: comp, vc: vc, kind: kind, scale: scale}
 	if kind == KindHist {
-		m.h = &Histogram{}
+		m.h = &Histogram{mu: &r.hmu}
 	}
 	r.index[key] = m
 	r.list = append(r.list, m)
@@ -150,9 +155,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case KindGauge:
 			fmt.Fprintf(&b, "%s{%s} %d\n", promName, promLabels(m, ""), m.g.Load())
 		case KindHist:
+			v := m.h.load()
 			cum := uint64(0)
 			for i := 0; i < histBuckets; i++ {
-				n := m.h.Bucket(i)
+				n := v.buckets[i]
 				if n == 0 && i > 0 && i < histBuckets-1 {
 					continue // sparse: skip empty interior buckets
 				}
@@ -163,8 +169,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				fmt.Fprintf(&b, "%s_bucket{%s} %d\n", promName, promLabels(m, le), cum)
 			}
-			fmt.Fprintf(&b, "%s_sum{%s} %d\n", promName, promLabels(m, ""), m.h.Sum())
-			fmt.Fprintf(&b, "%s_count{%s} %d\n", promName, promLabels(m, ""), m.h.Count())
+			fmt.Fprintf(&b, "%s_sum{%s} %d\n", promName, promLabels(m, ""), v.sum)
+			fmt.Fprintf(&b, "%s_count{%s} %d\n", promName, promLabels(m, ""), v.count)
 		}
 	}
 	_, err := io.WriteString(w, b.String())

@@ -55,11 +55,12 @@ func (r *Registry) snapshot(enc *json.Encoder, tick uint64, binTicks uint64, bas
 			rec.V, rec.D = float64(v), float64(d)
 			changed = d != 0
 		case KindHist:
-			v := m.h.Count()
+			hv := m.h.load()
+			v := hv.count
 			d := v - m.lastH
 			m.lastH = v
 			rec.V, rec.D = float64(v), float64(d)
-			rec.M = m.h.Mean()
+			rec.M = hv.mean()
 			changed = d != 0
 		}
 		if changed || baseline {

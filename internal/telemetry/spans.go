@@ -135,94 +135,14 @@ func (r *SpanRecord) ComponentSum() uint64 {
 }
 
 // msgSpan is the in-flight state of one sampled message: the record being
-// built, the tick of the last recorded transition, and the current hop index.
+// built, the tick of the last recorded transition, the current hop index, and
+// the tracked flit, which holds the span's slot plus one. A slot whose head
+// is nil is free; its PerHop array is kept for the next span to reuse.
 type msgSpan struct {
 	rec   SpanRecord
 	lastT sim.Tick
 	hop   int
-}
-
-// spanTable holds the open spans by message ID: open addressing with linear
-// probing, home slot id & mask, at most half full, backward-shift deletion.
-// Workloads number messages sequentially, so the open spans occupy a dense
-// window of IDs and nearly every lookup hits its home slot.
-type spanTable struct {
-	slots []spanSlot // len is a power of two
-	n     int
-}
-
-// spanSlot is one table entry; s == nil marks a free slot.
-type spanSlot struct {
-	id uint64
-	s  *msgSpan
-}
-
-// slot returns the index of message id's entry, or of the free slot that ends
-// its probe run. The table must not be empty.
-func (t *spanTable) slot(id uint64) uint64 {
-	mask := uint64(len(t.slots) - 1)
-	i := id & mask
-	for t.slots[i].s != nil && t.slots[i].id != id {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// get returns the open span of message id, or nil.
-func (t *spanTable) get(id uint64) *msgSpan {
-	if t.n == 0 {
-		return nil
-	}
-	return t.slots[t.slot(id)].s
-}
-
-// put enters s as the open span of message id, replacing any span it had.
-func (t *spanTable) put(id uint64, s *msgSpan) {
-	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
-	}
-	i := t.slot(id)
-	if t.slots[i].s == nil {
-		t.n++
-	}
-	t.slots[i] = spanSlot{id, s}
-}
-
-// take removes and returns the open span of message id, or nil, moving later
-// entries of its probe run back so that none is cut off from its home slot
-// (Knuth 6.4, algorithm R).
-func (t *spanTable) take(id uint64) *msgSpan {
-	if t.n == 0 {
-		return nil
-	}
-	free := t.slot(id)
-	s := t.slots[free].s
-	if s == nil {
-		return nil
-	}
-	mask := uint64(len(t.slots) - 1)
-	for probe := (free + 1) & mask; t.slots[probe].s != nil; probe = (probe + 1) & mask {
-		// The entry at probe may move into the free slot unless its home lies
-		// cyclically after free, up to probe.
-		if h := t.slots[probe].id & mask; (probe-h)&mask >= (probe-free)&mask {
-			t.slots[free] = t.slots[probe]
-			free = probe
-		}
-	}
-	t.slots[free] = spanSlot{}
-	t.n--
-	return s
-}
-
-// grow doubles the table (64 slots at first) and re-enters every span.
-func (t *spanTable) grow() {
-	old := t.slots
-	t.slots = make([]spanSlot, max(64, 2*len(old)))
-	for _, e := range old {
-		if e.s != nil {
-			t.slots[t.slot(e.id)] = e
-		}
-	}
+	head  *types.Flit
 }
 
 // Span histogram table: an app's row of histograms holds, at index
@@ -250,8 +170,10 @@ type Spans struct {
 	enc    *json.Encoder
 	header bool
 
-	live    spanTable
-	free    []*msgSpan     // span recycling cache
+	// The open spans: a slab indexed by the slot that each tracked flit
+	// carries, and the free slots in it.
+	spans   []msgSpan
+	free    []int32
 	hists   [][]*Histogram // [app][(hop+1)*spanKinds + kind]; rebuilt lazily against the restored registry
 	records atomic.Uint64
 }
@@ -290,12 +212,14 @@ func (sp *Spans) SampledMsg(msgID uint64) bool {
 	return sp != nil && h>>48 < sp.threshold
 }
 
-// Tracked reports whether f is the tracked flit of a sampled message — the
-// head flit of packet 0, the one flit whose transitions are timestamped. It
-// is false for every flit when span recording is disabled, which makes it the
-// one cheap test call sites put in front of Step.
+// Tracked reports whether f is the tracked flit of a message with an open
+// span — the head flit of packet 0 of a sampled message, the one flit whose
+// transitions are timestamped. Start marks it and Finish unmarks it, so the
+// test reads only the flit. It is false for every flit when span recording
+// is disabled, which makes it the one cheap test call sites put in front of
+// Step.
 func (sp *Spans) Tracked(f *types.Flit) bool {
-	return sp != nil && f.Head && f.Pkt.ID == 0 && sp.SampledMsg(f.Pkt.Msg.ID)
+	return sp != nil && f.Span() != 0
 }
 
 // Records returns the number of finished span records.
@@ -319,16 +243,28 @@ func (sp *Spans) start(m *types.Message) {
 	if !sp.SampledMsg(m.ID) {
 		return
 	}
-	var s *msgSpan
-	if n := len(sp.free); n > 0 {
-		s, sp.free = sp.free[n-1], sp.free[:n-1]
-	} else {
-		s = &msgSpan{}
+	f := m.Packet(0).Head()
+	i := f.Span() - 1
+	if i < 0 {
+		i = sp.alloc()
+		f.SetSpan(i + 1)
 	}
+	s := &sp.spans[i]
 	s.rec = SpanRecord{Msg: m.ID, App: int(m.App), Src: int(m.Src), Dst: m.Dst(), PerHop: s.rec.PerHop[:0]}
 	s.lastT = m.CreateTime
 	s.hop = 0
-	sp.live.put(m.ID, s)
+	s.head = f
+}
+
+// alloc returns a free slot of the slab, growing it when none is free.
+func (sp *Spans) alloc() int32 {
+	if n := len(sp.free); n > 0 {
+		i := sp.free[n-1]
+		sp.free = sp.free[:n-1]
+		return i
+	}
+	sp.spans = append(sp.spans, msgSpan{})
+	return int32(len(sp.spans) - 1)
 }
 
 // Step closes the open segment of a tracked flit's message: the time since
@@ -337,17 +273,18 @@ func (sp *Spans) start(m *types.Message) {
 // SpanWire step (channel exit) advances to the next hop.
 func (sp *Spans) Step(now sim.Tick, f *types.Flit, kind SpanKind) {
 	if sp != nil {
-		sp.step(f.Pkt.Msg.ID, now, kind)
+		sp.step(f, now, kind)
 	}
 }
 
-func (sp *Spans) step(msg uint64, now sim.Tick, kind SpanKind) {
-	s := sp.live.get(msg)
-	if s == nil {
-		panic(fmt.Sprintf("telemetry: span step %v for message %d without a started span — probe before SendMessage?", kind, msg))
+func (sp *Spans) step(f *types.Flit, now sim.Tick, kind SpanKind) {
+	i := f.Span() - 1
+	if i < 0 {
+		panic(fmt.Sprintf("telemetry: span step %v for message %d without a started span — probe before SendMessage?", kind, f.Pkt.Msg.ID))
 	}
+	s := &sp.spans[i]
 	if now < s.lastT {
-		panic(fmt.Sprintf("telemetry: span step %v for message %d goes backwards: now %d, last transition %d", kind, msg, now, s.lastT))
+		panic(fmt.Sprintf("telemetry: span step %v for message %d goes backwards: now %d, last transition %d", kind, s.rec.Msg, now, s.lastT))
 	}
 	d := now - s.lastT
 	s.lastT = now
@@ -379,23 +316,26 @@ func (sp *Spans) step(msg uint64, now sim.Tick, kind SpanKind) {
 // Finish closes a sampled message's span at delivery (the workload calls it
 // just before the message returns to the pool): the tail segment — tracked
 // flit arrival to last flit delivered — is charged to eject, the exactness
-// invariant is asserted, and the record is folded and emitted. Unsampled
-// messages return immediately.
+// invariant is asserted, and the record is folded and emitted. The tracked
+// flit stops being tracked. Unsampled messages return immediately.
 func (sp *Spans) Finish(m *types.Message) {
-	if sp != nil && sp.finish(m.ID, m.ReceiveTime, m.CreateTime) {
+	if sp != nil && sp.finish(m) {
 		sp.records.Add(1)
 	}
 }
 
 // finish reports whether a span was actually open (unsampled messages
 // have none and are ignored).
-func (sp *Spans) finish(msg uint64, recvT, createT sim.Tick) bool {
-	s := sp.live.take(msg)
-	if s == nil {
+func (sp *Spans) finish(m *types.Message) bool {
+	f := m.Packet(0).Head()
+	i := f.Span() - 1
+	if i < 0 {
 		return false
 	}
+	s := &sp.spans[i]
+	recvT, createT := m.ReceiveTime, m.CreateTime
 	if recvT < s.lastT {
-		panic(fmt.Sprintf("telemetry: span finish for message %d goes backwards: delivered %d, last transition %d", msg, recvT, s.lastT))
+		panic(fmt.Sprintf("telemetry: span finish for message %d goes backwards: delivered %d, last transition %d", s.rec.Msg, recvT, s.lastT))
 	}
 	s.rec.Eject = recvT - s.lastT
 	s.rec.T0 = uint64(createT)
@@ -403,11 +343,13 @@ func (sp *Spans) finish(msg uint64, recvT, createT sim.Tick) bool {
 	s.rec.Hops = len(s.rec.PerHop) - 1
 	if total := s.rec.ComponentSum(); total != s.rec.E2E {
 		panic(fmt.Sprintf("telemetry: span decomposition of message %d is not exact: components sum to %d, end-to-end latency is %d (%+v)",
-			msg, total, s.rec.E2E, s.rec))
+			s.rec.Msg, total, s.rec.E2E, s.rec))
 	}
 	sp.fold(&s.rec)
 	sp.emit(&s.rec)
-	sp.free = append(sp.free, s)
+	f.SetSpan(0)
+	s.head = nil
+	sp.free = append(sp.free, i)
 	return true
 }
 
@@ -417,35 +359,41 @@ func (sp *Spans) finish(msg uint64, recvT, createT sim.Tick) bool {
 // or -1 for the hop-independent queue/eject/e2e metrics. Zero observations
 // are folded too: a hop where a component took no time is exactly what a
 // critical-path comparison needs to see.
+//
+// The record's observations are folded under one hold of the registry's
+// histogram lock.
 func (sp *Spans) fold(r *SpanRecord) {
 	if sp.reg == nil {
 		return
 	}
-	sp.hist(r.App, -1, SpanQueue).Observe(r.Queue)
-	sp.hist(r.App, -1, SpanEject).Observe(r.Eject)
-	sp.hist(r.App, -1, spanE2E).Observe(r.E2E)
+	sp.reg.hmu.Lock()
+	defer sp.reg.hmu.Unlock()
+	sp.hist(r.App, -1, SpanQueue).observe(r.Queue)
+	sp.hist(r.App, -1, SpanEject).observe(r.Eject)
+	sp.hist(r.App, -1, spanE2E).observe(r.E2E)
 	for i := range r.PerHop {
 		h := &r.PerHop[i]
-		sp.hist(r.App, i, SpanWire).Observe(h.Wire)
+		sp.hist(r.App, i, SpanWire).observe(h.Wire)
 		if i == 0 {
 			continue // the source interface has no router pipeline stages
 		}
-		sp.hist(r.App, i, SpanVCAlloc).Observe(h.VCAlloc)
-		sp.hist(r.App, i, SpanSWAlloc).Observe(h.SWAlloc)
-		sp.hist(r.App, i, SpanXbar).Observe(h.Xbar)
-		sp.hist(r.App, i, SpanOutput).Observe(h.Output)
+		sp.hist(r.App, i, SpanVCAlloc).observe(h.VCAlloc)
+		sp.hist(r.App, i, SpanSWAlloc).observe(h.SWAlloc)
+		sp.hist(r.App, i, SpanXbar).observe(h.Xbar)
+		sp.hist(r.App, i, SpanOutput).observe(h.Output)
 	}
 }
 
-// hist returns the histogram of (app, hop, kind).
-func (sp *Spans) hist(app, hop int, kind SpanKind) *Histogram {
+// hist returns the values of the histogram of (app, hop, kind). The caller
+// holds the registry's histogram lock.
+func (sp *Spans) hist(app, hop int, kind SpanKind) *histValues {
 	i := (hop+1)*spanKinds + int(kind)
 	if uint(app) < uint(len(sp.hists)) {
 		if row := sp.hists[app]; i < len(row) && row[i] != nil {
-			return row[i]
+			return &row[i].v
 		}
 	}
-	return sp.register(app, hop, kind)
+	return &sp.register(app, hop, kind).v
 }
 
 // register creates the histogram of (app, hop, kind) on its first

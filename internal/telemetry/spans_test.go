@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -86,27 +87,61 @@ func TestSampledMsgFractionIsApproximate(t *testing.T) {
 	}
 }
 
-func TestTrackedSelectsHeadOfPacketZero(t *testing.T) {
-	sp := NewSpans(nil, 1.0)
-	m := spanMsg(1)
-	tracked := 0
+// trackedFlits returns the flits of m that sp tracks.
+func trackedFlits(sp *Spans, m *types.Message) []*types.Flit {
+	var tracked []*types.Flit
 	for pi := 0; pi < m.NumPackets(); pi++ {
 		p := m.Packet(pi)
 		for fi := 0; fi < p.Size(); fi++ {
-			f := p.Flit(fi)
-			if sp.Tracked(f) {
-				tracked++
-				if !f.Head || p.ID != 0 {
-					t.Fatalf("tracked flit is not the head of packet 0: %v", f)
-				}
+			if f := p.Flit(fi); sp.Tracked(f) {
+				tracked = append(tracked, f)
 			}
 		}
 	}
-	if tracked != 1 {
-		t.Fatalf("message has %d tracked flits, want exactly 1", tracked)
+	return tracked
+}
+
+// TestTrackedSelectsHeadOfPacketZero: of a sampled two-packet message, only
+// packet 0's head flit is tracked, from Start until Finish.
+func TestTrackedSelectsHeadOfPacketZero(t *testing.T) {
+	sp := NewSpans(nil, 1.0)
+	m := spanMsg(1)
+	if got := trackedFlits(sp, m); len(got) != 0 {
+		t.Fatalf("%d flits tracked before Start", len(got))
 	}
-	if none := NewSpans(nil, 0); none.Tracked(m.Packet(0).Flit(0)) {
+	sp.Start(m)
+	if got := trackedFlits(sp, m); len(got) != 1 || got[0] != m.Packet(0).Head() {
+		t.Fatalf("tracked flits %v, want exactly packet 0's head", got)
+	}
+	sp.Finish(m)
+	if got := trackedFlits(sp, m); len(got) != 0 {
+		t.Fatalf("%d flits still tracked after Finish", len(got))
+	}
+	none := NewSpans(nil, 0)
+	none.Start(m)
+	if got := trackedFlits(none, m); len(got) != 0 {
 		t.Fatal("unsampled message has a tracked flit")
+	}
+}
+
+// TestRecycledMessageStartsUntracked: a pooled message released with its
+// span still open (a stalled run) comes back from the pool untracked, so a
+// recycled block never carries a stale slot into its next life.
+func TestRecycledMessageStartsUntracked(t *testing.T) {
+	sp := NewSpans(nil, 1.0)
+	pool := types.NewPool()
+	m := pool.NewMessage(1, 0, 2, 7, 4, 2)
+	sp.Start(m)
+	if !sp.Tracked(m.Packet(0).Head()) {
+		t.Fatal("started message is not tracked")
+	}
+	pool.Release(m)
+	again := pool.NewMessage(2, 0, 2, 7, 4, 2)
+	if again != m {
+		t.Fatal("the pool did not recycle the released message")
+	}
+	if got := trackedFlits(sp, again); len(got) != 0 {
+		t.Fatalf("recycled message has %d tracked flits", len(got))
 	}
 }
 
@@ -195,11 +230,11 @@ func TestSpanStateReuseAcrossMessages(t *testing.T) {
 	if sp.Records() != 3 {
 		t.Fatalf("records = %d, want 3", sp.Records())
 	}
-	if sp.live.n != 0 {
-		t.Fatalf("%d spans still live after all messages finished", sp.live.n)
+	if open := len(sp.spans) - len(sp.free); open != 0 {
+		t.Fatalf("%d spans still open after all messages finished", open)
 	}
-	if len(sp.free) != 1 {
-		t.Fatalf("freelist has %d entries, want 1 (serial reuse)", len(sp.free))
+	if len(sp.spans) != 1 {
+		t.Fatalf("slab has %d slots, want 1 (serial reuse)", len(sp.spans))
 	}
 }
 
@@ -207,8 +242,8 @@ func TestUnsampledMessagesIgnored(t *testing.T) {
 	sp := NewSpans(nil, 0)
 	m := spanMsg(1)
 	sp.Start(m)
-	if sp.live.n != 0 {
-		t.Fatal("unsampled Start left live state")
+	if len(sp.spans) != 0 || sp.Tracked(m.Packet(0).Head()) {
+		t.Fatal("unsampled Start left open state")
 	}
 	sp.Finish(m) // no span started: must be a silent no-op
 	if sp.Records() != 0 {
@@ -322,72 +357,101 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// TestSpanTableMatchesMap drives the open-span table and a map through the
-// same random put/get/take script. The IDs slide forward as a workload's do,
-// with stragglers left open far behind the window, so the script grows the
-// table, wraps probe runs around the end of the slot array and deletes from
-// the middle of runs that backward shifts must close.
-func TestSpanTableMatchesMap(t *testing.T) {
+// TestSpansInterleavedMatchRecords opens, steps and finishes many messages
+// in a random interleaving, as a loaded network does, and compares every
+// emitted record with one accumulated beside the recorder. Slots are reused
+// out of order, so a span that read or cleared another's slot would show as
+// a wrong record or a panic, and the slab never holds more slots than spans
+// were open at once.
+func TestSpansInterleavedMatchRecords(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	var tab spanTable
-	ref := map[uint64]*msgSpan{}
-	var window []uint64 // open IDs past the stragglers, oldest first
-	check := func(op string, id uint64) {
-		t.Helper()
-		if tab.n != len(ref) {
-			t.Fatalf("after %s %d: table holds %d spans, map %d", op, id, tab.n, len(ref))
-		}
-		for k, s := range ref {
-			if got := tab.get(k); got != s {
-				t.Fatalf("after %s %d: get(%d) = %p, map has %p", op, id, k, got, s)
-			}
-		}
-		if got := tab.get(id); got != ref[id] {
-			t.Fatalf("after %s %d: get(%d) = %p, map has %p", op, id, id, got, ref[id])
-		}
+	var buf bytes.Buffer
+	sp := NewSpans(&buf, 1.0)
+	type ref struct {
+		m    *types.Message
+		rec  SpanRecord
+		last sim.Tick
+		hop  int
 	}
-	put := func(id uint64) {
-		ref[id] = &msgSpan{}
-		tab.put(id, ref[id])
-		check("put", id)
-	}
-	take := func(id uint64) {
-		want := ref[id]
-		delete(ref, id)
-		if got := tab.take(id); got != want {
-			t.Fatalf("take(%d) = %p, want %p", id, got, want)
-		}
-		check("take", id)
-	}
-	for i := uint64(0); i < 8; i++ { // stragglers, a power of two apart
-		put(i * 256)
-	}
-	next := uint64(1 << 12)
+	var open []*ref
+	var want []SpanRecord
+	now, next, peak := sim.Tick(0), uint64(1), 0
+	kinds := []SpanKind{SpanQueue, SpanVCAlloc, SpanSWAlloc, SpanXbar, SpanOutput, SpanWire}
 	for op := 0; op < 20000; op++ {
-		open := 40 + op/40 // the number of open spans grows, and so the table
+		now += sim.Tick(rng.IntN(3))
 		switch r := rng.IntN(10); {
-		case r < 4 || len(window) < open:
-			window = append(window, next)
-			put(next)
-			next += 1 + uint64(rng.IntN(3))
-		case r < 8:
-			// Finish one of the oldest few.
-			i := rng.IntN(min(len(window), 8))
-			id := window[i]
-			window = slices.Delete(window, i, i+1)
-			take(id)
+		case r < 3 || len(open) == 0:
+			m := types.NewMessage(next, rng.IntN(3), 1, 2, 1+rng.IntN(6), 2)
+			m.CreateTime = now
+			sp.Start(m)
+			open = append(open, &ref{m: m, last: now,
+				rec: SpanRecord{Msg: next, App: int(m.App), Src: 1, Dst: 2, T0: uint64(now)}})
+			next++
+			peak = max(peak, len(open))
 		case r < 9:
-			// Any ID, mostly absent ones: behind, inside and ahead of the
-			// window.
-			id := uint64(rng.IntN(int(next) + 64))
-			window = slices.DeleteFunc(window, func(k uint64) bool { return k == id })
-			take(id)
+			o := open[rng.IntN(len(open))]
+			k := kinds[rng.IntN(len(kinds))]
+			sp.Step(now, o.m.Packet(0).Head(), k)
+			d := now - o.last
+			o.last = now
+			if k == SpanQueue {
+				o.rec.Queue += d
+				break
+			}
+			// A record holds the hops up to the last one charged a stage.
+			for len(o.rec.PerHop) <= o.hop {
+				o.rec.PerHop = append(o.rec.PerHop, SpanHop{})
+			}
+			h := &o.rec.PerHop[o.hop]
+			switch k {
+			case SpanVCAlloc:
+				h.VCAlloc += d
+			case SpanSWAlloc:
+				h.SWAlloc += d
+			case SpanXbar:
+				h.Xbar += d
+			case SpanOutput:
+				h.Output += d
+			case SpanWire:
+				h.Wire += d
+				o.hop++
+			}
 		default:
-			put(window[rng.IntN(len(window))]) // re-open an open span: put replaces
+			i := rng.IntN(len(open))
+			o := open[i]
+			open = slices.Delete(open, i, i+1)
+			o.m.ReceiveTime = now
+			sp.Finish(o.m)
+			if trackedFlits(sp, o.m) != nil {
+				t.Fatalf("message %d still tracked after Finish", o.rec.Msg)
+			}
+			o.rec.Eject = now - o.last
+			o.rec.E2E = uint64(now) - o.rec.T0
+			o.rec.Hops = len(o.rec.PerHop) - 1
+			want = append(want, o.rec)
 		}
 	}
-	if len(tab.slots) < 1024 {
-		t.Fatalf("table of %d slots for %d spans: the script did not grow it", len(tab.slots), tab.n)
+	if len(sp.spans) > peak {
+		t.Fatalf("slab grew to %d slots for at most %d open spans", len(sp.spans), peak)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []SpanRecord
+	if _, err := ReadSpans(&buf, func(r SpanRecord) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d records emitted, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if len(g.PerHop) == 0 && len(w.PerHop) == 0 {
+			g.PerHop, w.PerHop = nil, nil // a record of no hop decodes with none
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, g, w)
+		}
 	}
 }
 

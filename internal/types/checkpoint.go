@@ -35,6 +35,11 @@ func NewMessageTable(pool *Pool, b Bounds) *MessageTable {
 	return &MessageTable{idx: map[uint64]*Message{}, pool: pool, b: b}
 }
 
+// Message returns the message with the given ID that the walk has defined so
+// far, or nil. Subsystems coded after the network (the span recorder) link
+// their per-message state to the walk's messages through it.
+func (t *MessageTable) Message(id uint64) *Message { return t.idx[id] }
+
 // Bounds are the index ranges restored traffic objects are validated
 // against: terminal and application numbers end up as slice indices in the
 // continued run. A flit's VC is not a traffic-object field: its holder codes

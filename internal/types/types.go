@@ -37,6 +37,18 @@
 // component read them (statistics use Packet.InjectTime).
 // TestTrafficObjectSizes pins the three sizes.
 //
+// # The span slot
+//
+// A flit has one field that is not simulation state: the span recorder's
+// slot (Flit.Span, Flit.SetSpan). internal/telemetry writes slot+1 into
+// packet 0's head flit of each message it samples when the span opens, and
+// clears it when the span closes, so "is this flit tracked?" is a read of
+// the line a router hop already holds and the recorder finds the open span
+// by index, not by message ID. It sits in the flit's padding, so Flit stays
+// 24 bytes. Checkpoints do not code it: a restoring walk links each open
+// span back to its message's head flit. reset clears it, so a recycled
+// message starts untracked.
+//
 // # Pooling and the message lifecycle
 //
 // Flit-level DES throughput is dominated by traffic-object churn, so the
@@ -209,6 +221,7 @@ func (m *Message) reset(id uint64, app, src, dst int) {
 		pkt.Routing = RoutingScratch{}
 		pkt.rxNext = 0
 		pkt.dst = int32(dst)
+		pkt.head.span = 0
 	}
 }
 
@@ -337,6 +350,10 @@ type Flit struct {
 	Head       bool
 	Tail       bool
 	vfInFlight bool
+
+	// span is the span recorder's slot of the message's open span plus one,
+	// or 0 when the flit is not tracked (see "The span slot" above).
+	span int32
 }
 
 // VerifyMarkInFlight records the flit entering the network, stamping the
@@ -353,6 +370,14 @@ func (f *Flit) VerifyClearInFlight() { f.vfInFlight = false }
 // VerifyInFlight returns the message generation recorded at injection and
 // whether the flit is currently marked in flight. Owned by internal/verify.
 func (f *Flit) VerifyInFlight() (uint32, bool) { return f.vfGen, f.vfInFlight }
+
+// Span returns the span recorder's slot of the flit's open span plus one, or
+// 0 when the flit is not tracked. Owned by internal/telemetry.
+func (f *Flit) Span() int32 { return f.span }
+
+// SetSpan stores the span recorder's slot plus one (0 to stop tracking).
+// Owned by internal/telemetry.
+func (f *Flit) SetSpan(slot int32) { f.span = slot }
 
 func (f *Flit) String() string {
 	kind := "body"
