@@ -100,6 +100,14 @@ func Build(cfg *config.Settings) *Simulation {
 			WatchdogEpoch: sim.Tick(cfg.UIntOr("simulation.verify.watchdog_epoch", 100000)),
 		})
 	}
+	// The telemetry's output files are closed here if a later step panics;
+	// a completed build hands them to the telemetry, whose Close closes them.
+	var files []*os.File
+	defer func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}()
 	// Opt-in telemetry: "simulation": {"telemetry": {"enabled": true, ...}}
 	// attaches the metrics and span-recording subsystem before components are
 	// built, so channels, routers, interfaces and the workload pick up their
@@ -115,6 +123,7 @@ func Build(cfg *config.Settings) *Simulation {
 			if err != nil {
 				panic(fmt.Sprintf("core: telemetry snapshot file: %v", err))
 			}
+			files = append(files, f)
 			opts.SnapshotW = f
 		}
 		// Span recording: "spans_file" streams per-message latency
@@ -133,6 +142,7 @@ func Build(cfg *config.Settings) *Simulation {
 				if err != nil {
 					panic(fmt.Sprintf("core: telemetry spans file: %v", err))
 				}
+				files = append(files, f)
 				w = f
 			}
 			opts.Spans = telemetry.NewSpans(w, spansSample)
@@ -152,6 +162,7 @@ func Build(cfg *config.Settings) *Simulation {
 		// pointers (aliasing bugs) are caught by the generation sentinel.
 		w.Pool().SetObserver(v)
 	}
+	files = nil
 	return &Simulation{Sim: s, Net: net, Workload: w, Verify: v, Telemetry: tel, cfg: cfg}
 }
 

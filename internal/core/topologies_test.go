@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -270,6 +272,37 @@ func TestBuildEErrors(t *testing.T) {
 	_, err = BuildE(config.MustParse(`{}`))
 	if err == nil {
 		t.Fatal("missing network block must fail")
+	}
+}
+
+// TestBuildEClosesTelemetryFilesOnFailure builds a network that panics after
+// the telemetry has created its snapshot and spans files; BuildE must return
+// the error with both files closed, since a sweep builds one simulation per
+// permutation in one process.
+func TestBuildEClosesTelemetryFilesOnFailure(t *testing.T) {
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open files: %v", err)
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	cfg := config.MustParse(netDoc(`{"topology": "torus", "dimensions": [1], "router": {"num_vcs": 2}}`,
+		`{"type": "uniform_random"}`, 0.1))
+	if err := cfg.ApplyOverrides([]string{
+		"simulation.telemetry.enabled=bool=true",
+		"simulation.telemetry.snapshot_file=string=" + filepath.Join(dir, "telemetry.jsonl"),
+		"simulation.telemetry.spans_file=string=" + filepath.Join(dir, "spans.jsonl"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := openFiles()
+	if _, err := BuildE(cfg); err == nil {
+		t.Fatal("a torus of width 1 must fail to build")
+	}
+	if after := openFiles(); after != before {
+		t.Fatalf("open files %d before the failed BuildE, %d after", before, after)
 	}
 }
 

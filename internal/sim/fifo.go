@@ -6,7 +6,8 @@ package sim
 // prefix is dropped when the queue drains and compacted away once it is at
 // least half of a non-trivial buffer, which keeps Pop O(1) amortized
 // without unbounded growth. Model components build their delay lines,
-// arrival lines and injection queues on it.
+// arrival lines and injection queues on it, and the event queue keeps its
+// pending timestamps in one, in order.
 type FIFO[T any] struct {
 	buf  []T
 	head int
@@ -40,6 +41,16 @@ func (q *FIFO[T]) Pop() T {
 		q.head = 0
 	}
 	return v
+}
+
+// Insert puts v at index i of Live(), moving the values from i on back by
+// one; 0 <= i <= Len().
+func (q *FIFO[T]) Insert(i int, v T) {
+	var zero T
+	q.buf = append(q.buf, zero)
+	live := q.buf[q.head:]
+	copy(live[i+1:], live[i:])
+	live[i] = v
 }
 
 // Live returns the queued values, front first. It aliases the queue: a

@@ -274,6 +274,96 @@ func TestQueuePushAheadOfOpenBucket(t *testing.T) {
 	}
 }
 
+// TestQueueTimestampIndex drives the queue as a bare priority queue through
+// the index's edge cases against a sorted slice: new timestamps inserted
+// before, between (a tick, or an epsilon, apart) and after pending ones; over
+// a hundred timestamps retired while later ones are pending, so the FIFO
+// under the index compacts; and, after that, pushes into and ahead of a
+// half-drained bucket. Every pending event must be visited by each, the open
+// bucket's remainder included, each must stop when its function returns
+// false, and every pop must be the reference's least.
+func TestQueueTimestampIndex(t *testing.T) {
+	var q eventQueue
+	var ref []eventKey
+	oseq := uint64(0)
+	push := func(tick Tick, eps Epsilon, owner uint32) {
+		oseq++
+		q.push(&Event{Time: Time{tick, eps}, owner: owner, oseq: oseq})
+		ref = append(ref, eventKey{Time{tick, eps}, owner, oseq})
+		sort.Slice(ref, func(i, j int) bool { return ref[i].less(ref[j]) })
+	}
+	pop := func() {
+		t.Helper()
+		e := q.pop()
+		if got := (eventKey{e.Time, e.owner, e.oseq}); got != ref[0] {
+			t.Fatalf("popped %+v, want %+v", got, ref[0])
+		}
+		ref = ref[1:]
+	}
+	checkEach := func(when string) {
+		t.Helper()
+		var got []eventKey
+		q.each(func(e *Event) bool {
+			got = append(got, eventKey{e.Time, e.owner, e.oseq})
+			return true
+		})
+		sort.Slice(got, func(i, j int) bool { return got[i].less(got[j]) })
+		if len(got) != len(ref) || q.len() != len(ref) {
+			t.Fatalf("%s: each visited %d events, len() %d, want %d", when, len(got), q.len(), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("%s: each visited %+v, want %+v", when, got[i], ref[i])
+			}
+		}
+		visited := 0
+		q.each(func(*Event) bool { visited++; return false })
+		if visited != min(1, len(ref)) {
+			t.Fatalf("%s: each went on for %d events after fn returned false", when, visited)
+		}
+	}
+
+	// 100 timestamps at even ticks, pushed back to front so that each one
+	// goes before every pending one; a later owner arrives first in each.
+	for tick := Tick(200); tick >= 2; tick -= 2 {
+		push(tick, 0, 2)
+		push(tick, 0, 1)
+	}
+	// Retire 120 timestamps while later ones are pending. Every third retired
+	// tick creates one between its successors (an odd tick), every fifth one
+	// behind the last, and every seventh one an epsilon after a pending tick.
+	for i := 0; i < 120; i++ {
+		tick := q.nextTick()
+		for q.nextTick() == tick {
+			pop()
+		}
+		if i%3 == 0 {
+			push(tick+3, 0, 3)
+		}
+		if i%5 == 0 {
+			push(1000+tick, 0, 4)
+		}
+		if i%7 == 0 {
+			push(tick+4, 1, 5)
+		}
+		checkEach("retiring")
+	}
+	if q.times.head >= 120 {
+		t.Fatalf("120 timestamps retired and the FIFO's head is at %d: it never compacted", q.times.head)
+	}
+	// Open the front bucket, take one event, then push into it and ahead of it.
+	push(q.nextTick(), 0, 9)
+	pop()
+	checkEach("half-drained bucket")
+	front := q.times.Front().t
+	push(front.Tick, front.Eps, 0)
+	push(front.Tick-1, 0, 7)
+	checkEach("after pushes ahead of the open bucket")
+	for q.len() > 0 {
+		pop()
+	}
+}
+
 func TestSimulatorRunUntil(t *testing.T) {
 	s := NewSimulator(1)
 	r := &recorder{ComponentBase: NewComponentBase(s, "rec")}
