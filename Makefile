@@ -16,7 +16,7 @@
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  equivalence matrix (repeated = restored, byte for byte,
 #                  over every model), the simulation-after-import harness,
-#                  byte-exact snapshot round-trips, the pinned v9 bytes and
+#                  byte-exact snapshot round-trips, the pinned v10 bytes and
 #                  the restore-side corruption checks
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
@@ -24,8 +24,10 @@
 #                  run-manifest loader, the snapshot codec and Restore
 #   make bench   - the paper's table/figure benchmark suite with -benchmem
 #   make micro   - the standalone hot-structure micro-benchmarks, the
-#                  enabled span recorder's cost per message, and the
-#                  congestion sensor's cost per tick in two workloads' shapes
+#                  enabled span recorder's cost per message, the
+#                  congestion sensor's cost per tick in two workloads' shapes,
+#                  and the arrival line's and the router delay line's cost and
+#                  heap bytes per entry in clos_oq's shape
 #   make sweep-smoke - fleet-observability smoke: a tiny two-point sweep with
 #                  journal, manifests and the live dashboard enabled, every
 #                  downstream consumer (ssparse -tasks, ssplot taskgantt, the
@@ -61,8 +63,10 @@ all: ci
 build:
 	$(GO) build ./...
 
+# benchmark/ is a module of its own, which `go vet ./...` does not see.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 test:
 	$(GO) test ./...
@@ -105,7 +109,7 @@ fuzz:
 # repeat and a restore of the middle checkpoint, compared checkpoint by
 # checkpoint), the simulation-after-import harness (all golden topologies),
 # checkpoints of a restored run starting after its restore tick, byte-exact
-# snapshot round-trips, the schema-v9 bytes pinned in
+# snapshot round-trips, the schema-v10 bytes pinned in
 # testdata/golden/snapshots.json, restored-index validation, event records
 # refused out of queue order, and the randomized checkpoint sweep — under the
 # race detector.
@@ -151,3 +155,5 @@ micro:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/stats
 	$(GO) test -run='^$$' -bench='BenchmarkSpansMessage' -benchmem ./internal/telemetry
 	$(GO) test -run='^$$' -bench='BenchmarkCreditSensor' -benchmem ./internal/congestion
+	$(GO) test -run='^$$' -bench='BenchmarkLine$$' -benchmem ./internal/channel
+	$(GO) test -run='^$$' -bench='BenchmarkDelayLine$$' -benchmem ./internal/router

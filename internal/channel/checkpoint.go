@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"supersim/internal/sim"
 	"supersim/internal/snapshot"
 	"supersim/internal/types"
 )
@@ -31,39 +32,40 @@ func (l *Line) State(c *snapshot.Codec, t *types.MessageTable, vcs int) {
 		clear(l.due)
 	}
 	for ln := range l.lanes {
-		lane := &l.lanes[ln]
-		runs, q := lane.runs.Live(), lane.q.Live()
+		q := &l.lanes[ln].q
+		runs, arrivals := q.Live()
 		nr := c.Len(len(runs))
 		if c.Loading() {
-			lane.runs.Reset(runs[:0])
-			lane.q.Reset(q[:0])
+			q.Clear()
 		}
+		var last sim.Tick // the previous run's tick
 		for i := 0; i < nr && c.Err() == nil; i++ {
-			var r run
+			var r sim.Run
 			if !c.Loading() {
 				r = runs[i]
 			}
-			snapshot.Uint(c, &r.at)
-			r.n = c.Len(r.n)
-			if c.Loading() && c.Err() == nil && r.n == 0 {
+			snapshot.Uint(c, &r.At)
+			r.N = c.Len(r.N)
+			if c.Loading() && c.Err() == nil && r.N == 0 {
 				c.Failf("%s: lane %d run %d has no arrival", l.Name(), ln, i)
 			}
-			for j := 0; j < r.n && c.Err() == nil; j++ {
+			for j := 0; j < r.N && c.Err() == nil; j++ {
 				var a arrival
 				if !c.Loading() {
-					a, q = q[0], q[1:]
+					a, arrivals = arrivals[0], arrivals[1:]
 				}
 				l.stateArrival(c, t, vcs, ln, &a)
 				if !c.Loading() || c.Err() != nil {
 					continue
 				}
-				if i > 0 && j == 0 && r.at <= lane.runs.Back().at {
+				if i > 0 && j == 0 && r.At <= last {
 					c.Failf("%s: lane %d run %d is not due after the one ahead of it", l.Name(), ln, i)
 					return
 				}
-				lane.push(r.at, a)
-				l.due[(r.at&l.mask)>>6] |= uint64(1) << (r.at & 63)
+				q.Push(r.At, a)
+				l.due[(r.At&l.mask)>>6] |= uint64(1) << (r.At & 63)
 			}
+			last = r.At
 		}
 	}
 }

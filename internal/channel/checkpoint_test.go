@@ -67,7 +67,8 @@ func TestChannelStateRoundTrip(t *testing.T) {
 	}
 	// Both flits are in one message, defined once, at the first of them,
 	// and each keeps the VC it was sent on.
-	a0, a1 := got.line.lanes[0].q.Live()[0], got.line.lanes[0].q.Live()[1]
+	_, arrivals := got.line.lanes[0].q.Live()
+	a0, a1 := arrivals[0], arrivals[1]
 	f0, f1 := a0.f, a1.f
 	if f0.Pkt.Msg != f1.Pkt.Msg || f0.Pkt.Msg == m || f0.ID != 0 || f1.ID != 1 {
 		t.Fatalf("restored flits %v, %v do not share one new message", f0, f1)

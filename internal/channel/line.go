@@ -36,34 +36,11 @@ type inbound struct {
 
 // lane holds the arrivals of every inbound channel of one latency. Sends
 // happen at non-decreasing ticks, so a lane is sorted by arrival tick, and
-// it keeps its arrivals in runs of one tick each: the arrival tick is
-// stored once per run, not once per flit or credit.
+// its run queue stores the arrival tick once per run of arrivals due at
+// one tick, not once per flit or credit.
 type lane struct {
 	latency sim.Tick
-	runs    sim.FIFO[run]
-	q       sim.FIFO[arrival]
-}
-
-// run is the next n arrivals of a lane, all due at one tick.
-type run struct {
-	at sim.Tick
-	n  int
-}
-
-// push appends an arrival due at tick at and reports whether the lane had
-// nothing due at that tick yet.
-func (ln *lane) push(at sim.Tick, a arrival) bool {
-	ln.q.Push(a)
-	if ln.runs.Len() > 0 {
-		if r := ln.runs.Back(); r.at == at {
-			r.n++
-			return false
-		} else if r.at > at {
-			panic(fmt.Sprintf("channel: arrival due at %d queued behind one due at %d", at, r.at))
-		}
-	}
-	ln.runs.Push(run{at, 1})
-	return true
+	q       sim.RunQueue[arrival]
 }
 
 // Line is a receiver's arrival line: every flit and credit in flight on the
@@ -158,7 +135,7 @@ func (l *Line) register(port int, latency sim.Tick, credit bool) (int32, int) {
 // add puts an arrival due at tick at on lane ln and schedules the line's
 // event for the tick unless one is pending.
 func (l *Line) add(ln int, at sim.Tick, a arrival) {
-	if !l.lanes[ln].push(at, a) {
+	if !l.lanes[ln].q.Push(at, a) {
 		return
 	}
 	w, bit := (at&l.mask)>>6, uint64(1)<<(at&63)
@@ -175,18 +152,12 @@ func (l *Line) ProcessEvent(ev *sim.Event) {
 	l.due[(now&l.mask)>>6] &^= uint64(1) << (now & 63)
 	batch := l.batch[:0]
 	for i := range l.lanes {
-		ln := &l.lanes[i]
-		if ln.runs.Len() == 0 {
-			continue
-		}
-		if at := ln.runs.Front().at; at != now {
+		q := &l.lanes[i].q
+		if at, ok := q.Next(); ok && at <= now {
 			if at < now {
 				l.late(at)
 			}
-			continue
-		}
-		for n := ln.runs.Pop().n; n > 0; n-- {
-			batch = append(batch, ln.q.Pop())
+			batch = q.PopRun(batch)
 		}
 	}
 	if len(batch) == 0 {
@@ -237,7 +208,8 @@ func (l *Line) idle() {
 // pending returns the number of arrivals in flight from inbound channel in.
 func (l *Line) pending(in int32) int {
 	n := 0
-	for _, a := range l.lanes[l.in[in].lane].q.Live() {
+	_, arrivals := l.lanes[l.in[in].lane].q.Live()
+	for _, a := range arrivals {
 		if a.in == in {
 			n++
 		}
@@ -249,13 +221,14 @@ func (l *Line) pending(in int32) int {
 func (l *Line) ticks() []sim.Tick {
 	var ts []sim.Tick
 	for i := range l.lanes {
-		for _, r := range l.lanes[i].runs.Live() {
+		runs, _ := l.lanes[i].q.Live()
+		for _, r := range runs {
 			seen := false
 			for _, t := range ts {
-				seen = seen || t == r.at
+				seen = seen || t == r.At
 			}
 			if !seen {
-				ts = append(ts, r.at)
+				ts = append(ts, r.At)
 			}
 		}
 	}

@@ -84,13 +84,13 @@ func TestLineDeliversByInboundIndex(t *testing.T) {
 // is a model error.
 func TestLineRejectsOutOfOrderLane(t *testing.T) {
 	var ln lane
-	ln.push(10, arrival{})
+	ln.q.Push(10, arrival{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected a panic")
 		}
 	}()
-	ln.push(9, arrival{})
+	ln.q.Push(9, arrival{})
 }
 
 // TestLineLongLatencyRing connects a channel longer than the line's

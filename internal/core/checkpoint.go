@@ -162,9 +162,17 @@ func progress(c *snapshot.Codec, tick *sim.Tick, executed *uint64, last *sim.Tim
 //
 // The second parameter is ignored; benchmark/child.go still passes it (ROADMAP 4(a)).
 func Restore(data []byte, _ int) (sm *Simulation, tick sim.Tick, err error) {
+	var built *Simulation
 	defer func() {
 		if r := recover(); r != nil {
 			sm, tick, err = nil, 0, fmt.Errorf("core: restore failed: %v", r)
+		}
+		if err != nil && built != nil {
+			// The rebuilt simulation never runs: its telemetry files are
+			// closed with nothing written to them.
+			for _, f := range built.files {
+				f.Close()
+			}
 		}
 	}()
 	c := snapshot.NewLoader(data)
@@ -189,6 +197,7 @@ func Restore(data []byte, _ int) (sm *Simulation, tick sim.Tick, err error) {
 	}
 
 	sm = Build(cfg)
+	built = sm
 	sm.state(c)
 	if c.Err() != nil {
 		return nil, 0, c.Err()

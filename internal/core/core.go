@@ -56,6 +56,10 @@ type Simulation struct {
 	// snapLen is the length of the last snapshot taken, which sizes the next
 	// one's buffer.
 	snapLen int
+
+	// files are the telemetry's output files. A run closes them through the
+	// telemetry; a Restore that fails after building closes them itself.
+	files []*os.File
 }
 
 // Config returns the settings document the simulation was built from. For a
@@ -162,8 +166,9 @@ func Build(cfg *config.Settings) *Simulation {
 		// pointers (aliasing bugs) are caught by the generation sentinel.
 		w.Pool().SetObserver(v)
 	}
+	sm := &Simulation{Sim: s, Net: net, Workload: w, Verify: v, Telemetry: tel, cfg: cfg, files: files}
 	files = nil
-	return &Simulation{Sim: s, Net: net, Workload: w, Verify: v, Telemetry: tel, cfg: cfg}
+	return sm
 }
 
 // BuildE is Build with panics recovered into errors.

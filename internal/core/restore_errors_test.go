@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -72,6 +73,46 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestRestoreClosesTelemetryFilesOnFailure: a snapshot of a run that writes
+// both telemetry files rebuilds them on restore, and a restore that fails
+// after the rebuild, in whichever section, must close them again.
+func TestRestoreClosesTelemetryFilesOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	cfg := config.MustParse(goldenCases()[4].doc)
+	if err := cfg.ApplyOverrides([]string{
+		"simulation.telemetry.enabled=bool=true",
+		"simulation.telemetry.snapshot_file=string=" + filepath.Join(dir, "telemetry.jsonl"),
+		"simulation.telemetry.spans_file=string=" + filepath.Join(dir, "spans.jsonl"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	if _, err := Build(cfg).RunCheckpointed(checkpointEvery, func(tick sim.Tick, snap []byte) error {
+		if data == nil {
+			data = append([]byte(nil), snap...)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sm, _, err := Restore(data, 0)
+	if err != nil {
+		t.Fatal(err) // the whole snapshot restores
+	}
+	if err := sm.Telemetry.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{len(data) / 64, len(data) / 2, len(data) * 7 / 8, len(data) - 1} {
+		before := openFileCount(t)
+		if _, _, err := Restore(data[:n], 0); err == nil {
+			t.Fatalf("truncation to %d of %d bytes restored without error", n, len(data))
+		}
+		if after := openFileCount(t); after != before {
+			t.Errorf("truncation to %d of %d bytes: open files %d before the failed Restore, %d after", n, len(data), before, after)
+		}
+	}
+}
+
 // TestRestoreRejectsVersion2 pins the one decode path: schema v2 stored the
 // routers' per-port drain flags and delay-line scheduled bits and both of a
 // credit sensor's histories, v3 stored in-flight flits and credits in their
@@ -81,14 +122,15 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 // of their own and a foreign-handler sequence counter, v6 stored a VC in
 // every flit of every live message, v7 stored no congestion sensor change
 // log, v8 stored crossbar rate-limit windows, the base PRNG, a context flag
-// per event and a routed-flit counter per router, and this build reads v9
-// only.
+// per event and a routed-flit counter per router, v9 stored a transaction
+// tag and an operation code per message and two times per packet of every
+// message, and this build reads v10 only.
 func TestRestoreRejectsVersion2(t *testing.T) {
 	data := smallSnapshot(t)
-	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8} {
+	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8, 9} {
 		stale := append([]byte(snapshot.Magic), old)
 		stale = append(stale, data[len(snapshot.Magic)+1:]...)
-		want := fmt.Sprintf("unsupported schema version %d (this build reads version 9)", old)
+		want := fmt.Sprintf("unsupported schema version %d (this build reads version 10)", old)
 		if _, _, err := Restore(stale, 0); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d-headed snapshot: err = %v, want %q", old, err, want)
 		}

@@ -66,9 +66,9 @@ func arrivals(sm *Simulation) []reflect.Value {
 	for _, l := range lines {
 		lanes := peek(l, "lanes")
 		for ln := 0; ln < lanes.Len(); ln++ {
-			buf, head := peek(l, "lanes", ln, "q", "buf"), int(peek(l, "lanes", ln, "q", "head").Int())
+			buf, head := peek(l, "lanes", ln, "q", "vals", "buf"), int(peek(l, "lanes", ln, "q", "vals", "head").Int())
 			for i := head; i < buf.Len(); i++ {
-				all = append(all, peek(l, "lanes", ln, "q", "buf", i))
+				all = append(all, peek(l, "lanes", ln, "q", "vals", "buf", i))
 			}
 		}
 	}
@@ -81,9 +81,9 @@ func liveFlight(t *testing.T, sm *Simulation) reflect.Value {
 	t.Helper()
 	for i := 0; i < sm.Net.NumRouters(); i++ {
 		r := sm.Net.Router(i)
-		buf, head := peek(r, "dl", "q", "buf"), int(peek(r, "dl", "q", "head").Int())
+		buf, head := peek(r, "dl", "q", "vals", "buf"), int(peek(r, "dl", "q", "vals", "head").Int())
 		if head < buf.Len() {
-			return peek(r, "dl", "q", "buf", head)
+			return peek(r, "dl", "q", "vals", "buf", head)
 		}
 	}
 	t.Fatal("no flit crossing a router at the snapshot tick")
@@ -142,7 +142,7 @@ func TestRestoreRejectsOutOfRangeIndices(t *testing.T) {
 			peek(liveArrival(t, sm, false).Addr().Interface(), "vc").SetInt(far)
 		}},
 		{"delay line output VC", oq, func(t *testing.T, sm *Simulation) {
-			peek(liveFlight(t, sm).Addr().Interface(), "v", "vc").SetInt(far)
+			peek(liveFlight(t, sm).Addr().Interface(), "vc").SetInt(far)
 		}},
 		{"inputVC.outPort", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outPort").SetInt(far) }},
 		{"inputVC.outVC", iq, func(t *testing.T, sm *Simulation) { peek(router0(sm), "in", 0, "outVC").SetInt(far) }},

@@ -280,13 +280,7 @@ func TestBuildEErrors(t *testing.T) {
 // the error with both files closed, since a sweep builds one simulation per
 // permutation in one process.
 func TestBuildEClosesTelemetryFilesOnFailure(t *testing.T) {
-	openFiles := func() int {
-		fds, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skipf("cannot count open files: %v", err)
-		}
-		return len(fds)
-	}
+	openFiles := func() int { return openFileCount(t) }
 	dir := t.TempDir()
 	cfg := config.MustParse(netDoc(`{"topology": "torus", "dimensions": [1], "router": {"num_vcs": 2}}`,
 		`{"type": "uniform_random"}`, 0.1))
@@ -304,6 +298,17 @@ func TestBuildEClosesTelemetryFilesOnFailure(t *testing.T) {
 	if after := openFiles(); after != before {
 		t.Fatalf("open files %d before the failed BuildE, %d after", before, after)
 	}
+}
+
+// openFileCount returns the number of files the process has open, and skips
+// the test where it cannot tell.
+func openFileCount(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	return len(fds)
 }
 
 func TestInvalidTopologyConfigs(t *testing.T) {

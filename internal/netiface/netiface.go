@@ -264,7 +264,9 @@ func (n *Interface) injectOne() {
 	n.v.FlitInjected(f)
 	n.credLed.Debit(n.curVC, n.downCred[n.curVC])
 	if f.Head {
-		pkt.InjectTime = now
+		if t := pkt.Times(); t != nil {
+			t.Inject = now
+		}
 	}
 	if n.sp.Tracked(f) {
 		// Creation to injection-channel entry is source queueing: the wait
@@ -308,7 +310,9 @@ func (n *Interface) ReceiveFlit(port, vc int, f *types.Flit) {
 	}
 	m.RxRemaining--
 	if packetDone {
-		f.Pkt.ReceiveTime = now
+		if t := f.Pkt.Times(); t != nil {
+			t.Receive = now
+		}
 	}
 	if m.RxRemaining == 0 {
 		n.partial--

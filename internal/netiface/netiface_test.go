@@ -90,12 +90,48 @@ func TestInjectSingleFlitMessage(t *testing.T) {
 	if stub.vcs[0] < 0 || stub.vcs[0] > 1 {
 		t.Fatalf("flit sent on VC %d", stub.vcs[0])
 	}
-	if inj := m.Packet(0).InjectTime; inj+3 != stub.times[0] {
-		t.Fatalf("inject time %d inconsistent with arrival %d (latency 3)",
-			inj, stub.times[0])
+	if m.Packet(0).Times() != nil {
+		t.Fatal("a single-packet message keeps packet times")
 	}
 	if n.FlitsSent() != 1 {
 		t.Fatal("FlitsSent")
+	}
+}
+
+// TestMultiPacketTimes pins where a multi-packet message's packet times come
+// from: each packet's entry is its head flit's injection, one channel latency
+// before the router sees it, and its delivery the ejection of its tail flit.
+func TestMultiPacketTimes(t *testing.T) {
+	s, n, stub, _ := rig(t, 1, 16, nil)
+	m := msg(1, 0, 5, 5, 2) // 3 packets: 2+2+1
+	n.SendMessage(m)
+	s.Run()
+	if len(stub.flits) != 5 {
+		t.Fatalf("router got %d flits", len(stub.flits))
+	}
+	for i, f := range stub.flits {
+		if !f.Head {
+			continue
+		}
+		if inj := f.Pkt.Times().Inject; inj+3 != stub.times[i] {
+			t.Errorf("packet %d entered at %d, its head arrived at %d (latency 3)", f.Pkt.ID, inj, stub.times[i])
+		}
+	}
+
+	s, n, _, _ = rig(t, 1, 4, nil)
+	m = types.NewMessage(9, 0, 7, 0, 5, 2)
+	for pi := 0; pi < m.NumPackets(); pi++ {
+		p := m.Packet(pi)
+		for fi := 0; fi < p.Size(); fi++ {
+			s.Schedule(sim.HandlerFunc(func(*sim.Event) { n.ReceiveFlit(0, 0, p.Flit(fi)) }), sim.Time{Tick: sim.Tick(10*pi + fi)}, 0, nil)
+		}
+	}
+	s.Run()
+	for pi := 0; pi < m.NumPackets(); pi++ {
+		p := m.Packet(pi)
+		if got, want := p.Times().Receive, sim.Tick(10*pi+p.Size()-1); got != want {
+			t.Errorf("packet %d delivered at %d, its tail ejected at %d", pi, got, want)
+		}
 	}
 }
 

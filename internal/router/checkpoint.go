@@ -2,6 +2,7 @@ package router
 
 import (
 	"supersim/internal/routing"
+	"supersim/internal/sim"
 	"supersim/internal/snapshot"
 	"supersim/internal/types"
 )
@@ -84,22 +85,38 @@ func (b *base) stateFlights(c *snapshot.Codec, t *types.MessageTable) {
 	})
 }
 
-// state codes a delay line's live entries, each value by stateV. A loaded
-// line starts at head 0 and has its event pending exactly when it holds
-// entries, which is when the saved one had.
+// state codes a delay line's live entries, each as its due tick and its
+// value by stateV. A loaded line starts at head 0 and has its event pending
+// exactly when it holds entries, which is when the saved one had.
 func (d *delayLine[T]) state(c *snapshot.Codec, what string, stateV func(i int, v *T)) {
-	live := d.q.Live()
-	snapshot.Slice(c, &live)
+	runs, vals := d.q.Live()
+	n := c.Len(len(vals))
 	if c.Loading() {
-		d.q.Reset(live)
-		d.scheduled = len(live) > 0
+		d.q.Clear()
 	}
-	for i := range live {
-		snapshot.Uint(c, &live[i].at)
-		if c.Loading() && c.Err() == nil && i > 0 && live[i].at < live[i-1].at {
+	var at sim.Tick
+	left := 0 // values of the saved run at tick at not yet coded
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var v T
+		if !c.Loading() {
+			for ; left == 0; runs = runs[1:] {
+				at, left = runs[0].At, runs[0].N
+			}
+			left--
+			v = vals[i]
+		}
+		prev := at
+		snapshot.Uint(c, &at)
+		if c.Loading() && c.Err() == nil && i > 0 && at < prev {
 			c.Failf("%s entry %d is due before the one ahead of it", what, i)
 		}
-		stateV(i, &live[i].v)
+		stateV(i, &v)
+		if c.Loading() && c.Err() == nil {
+			d.q.Push(at, v)
+		}
+	}
+	if c.Loading() {
+		d.scheduled = d.q.Len() > 0
 	}
 }
 

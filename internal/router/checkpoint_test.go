@@ -125,13 +125,16 @@ func TestRouterLoadRejectsBatchingCorruption(t *testing.T) {
 			r.(*IOQ).out.ready = []int{1, 1}
 		}, "armed twice"},
 		{"route for a VC with no unrouted head", iqDoc, 2, func(r Router) {
-			r.(*IQ).routes.push(1000, 0) // input VC 0 is empty
+			r.(*IQ).routes.q.Push(1000, 0) // input VC 0 is empty
 		}, "not an unrouted packet head"},
 		{"delay line out of order", oqCheckpointDoc, 1, func(r Router) {
 			oq := r.(*OQ)
 			f := oq.out.outQ[oq.client(1, 0)].peek() // a stalled flit
 			dl := &oq.dl
-			dl.q.Reset([]timed[flight]{{at: 20, v: flight{f, 1, 0}}, {at: 10, v: flight{f, 1, 0}}})
+			dl.q.Push(20, flight{f, 1, 0})
+			dl.q.Push(30, flight{f, 1, 0})
+			runs, _ := dl.q.Live()
+			runs[1].At = 10 // Push refuses it; the saved stream gets it anyway
 		}, "due before"},
 	}
 	for _, tc := range cases {

@@ -318,7 +318,7 @@ func (b *base) forwarded(client int) {
 // verifyIdle panics unless the internal datapath is empty and every connected
 // output port has all of its downstream credits back.
 func (b *base) verifyIdle() {
-	if _, ok := b.dl.next(); ok {
+	if b.dl.q.Len() > 0 {
 		b.Panicf("idle check: flits in flight between input and output")
 	}
 	for port := 0; port < b.radix; port++ {
@@ -342,20 +342,15 @@ type flight struct {
 	port, vc int32
 }
 
-// timed is one delay-line entry: a value due at a tick.
-type timed[T any] struct {
-	at sim.Tick
-	v  T
-}
-
 // delayLine is a FIFO of values each due at a tick, for which the router
 // holds at most one pending event (of type ev) in the global queue. Due
 // times must be monotone, which the two uses guarantee by construction:
 // internal traversals (fixed latency, monotone starts) and route completions
 // (a fixed number of core cycles after monotone starts). This keeps the
 // global event queue small even with long crossbar or routing latencies.
+// The run queue stores each due tick once per run of values due at it.
 type delayLine[T any] struct {
-	q         sim.FIFO[timed[T]]
+	q         sim.RunQueue[T]
 	ev        int
 	scheduled bool
 }
@@ -363,7 +358,7 @@ type delayLine[T any] struct {
 // add appends v, due at tick at, and schedules the line's event on the
 // router unless one is pending.
 func (d *delayLine[T]) add(b *base, at sim.Tick, v T) {
-	d.push(at, v)
+	d.q.Push(at, v)
 	if !d.scheduled {
 		d.scheduled = true
 		b.Sim().Schedule(b.self, sim.Time{Tick: at}, d.ev, nil)
@@ -375,7 +370,7 @@ func (d *delayLine[T]) add(b *base, at sim.Tick, v T) {
 // loops on it.
 func (d *delayLine[T]) land(b *base) (T, bool) {
 	var zero T
-	at, ok := d.next()
+	at, ok := d.q.Next()
 	if !ok {
 		d.scheduled = false
 		return zero, false
@@ -384,7 +379,7 @@ func (d *delayLine[T]) land(b *base) (T, bool) {
 		b.Sim().Schedule(b.self, sim.Time{Tick: at}, d.ev, nil)
 		return zero, false
 	}
-	return d.q.Pop().v, true
+	return d.q.Pop(), true
 }
 
 // startFlight sends a flit down the internal datapath toward output (port,
@@ -401,22 +396,6 @@ func (b *base) landFlight() (flight, bool) {
 		b.sp.Step(b.Sim().Now().Tick, fl.f, telemetry.SpanXbar)
 	}
 	return fl, ok
-}
-
-// push appends an entry; it panics if due times go backwards.
-func (d *delayLine[T]) push(at sim.Tick, v T) {
-	if d.q.Len() > 0 && d.q.Back().at > at {
-		panic("router: delay line completion times must be monotone")
-	}
-	d.q.Push(timed[T]{at, v})
-}
-
-// next returns the earliest pending due time.
-func (d *delayLine[T]) next() (sim.Tick, bool) {
-	if d.q.Len() == 0 {
-		return 0, false
-	}
-	return d.q.Front().at, true
 }
 
 // flitQueue is a FIFO of flits backed by a ring buffer. The ring's length is

@@ -59,7 +59,7 @@ func (s *inputStage) checkPending() error {
 }
 
 func (d *delayLine[T]) checkPending(b *base, what string) error {
-	_, live := d.next()
+	live := d.q.Len() > 0
 	if d.scheduled != live {
 		return fmt.Errorf("%s: %s scheduled=%v with live entries=%v", b.Name(), what, d.scheduled, live)
 	}

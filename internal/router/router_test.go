@@ -108,24 +108,24 @@ func TestFlitQueueRestoredRing(t *testing.T) {
 
 func TestDelayLineOrdering(t *testing.T) {
 	var d delayLine[flight]
-	if _, ok := d.next(); ok {
+	if _, ok := d.q.Next(); ok {
 		t.Fatal("empty delay line has a next")
 	}
 	f1, f2 := flitOf(1, 0), flitOf(1, 0)
-	d.push(10, flight{f1, 3, 1})
-	d.push(10, flight{f2, 4, 0})
-	d.push(15, flight{flitOf(1, 0), 5, 0})
-	at, ok := d.next()
+	d.q.Push(10, flight{f1, 3, 1})
+	d.q.Push(10, flight{f2, 4, 0})
+	d.q.Push(15, flight{flitOf(1, 0), 5, 0})
+	at, ok := d.q.Next()
 	if !ok || at != 10 {
 		t.Fatalf("next = %d, %v", at, ok)
 	}
-	if fl := d.q.Pop().v; fl.f != f1 || fl.port != 3 || fl.vc != 1 {
+	if fl := d.q.Pop(); fl.f != f1 || fl.port != 3 || fl.vc != 1 {
 		t.Fatal("pop order wrong")
 	}
-	if fl := d.q.Pop().v; fl.f != f2 || fl.port != 4 || fl.vc != 0 {
+	if fl := d.q.Pop(); fl.f != f2 || fl.port != 4 || fl.vc != 0 {
 		t.Fatal("same-tick FIFO wrong")
 	}
-	at, _ = d.next()
+	at, _ = d.q.Next()
 	if at != 15 {
 		t.Fatalf("next after pops = %d", at)
 	}
@@ -133,31 +133,31 @@ func TestDelayLineOrdering(t *testing.T) {
 
 func TestDelayLineMonotonePanics(t *testing.T) {
 	var d delayLine[flight]
-	d.push(10, flight{flitOf(1, 0), 0, 0})
+	d.q.Push(10, flight{flitOf(1, 0), 0, 0})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.push(9, flight{flitOf(1, 0), 0, 0})
+	d.q.Push(9, flight{flitOf(1, 0), 0, 0})
 }
 
 func TestDelayLineCompaction(t *testing.T) {
 	var d delayLine[flight]
 	for i := 0; i < 1000; i++ {
-		d.push(sim.Tick(i), flight{flitOf(1, 0), 0, 0})
+		d.q.Push(sim.Tick(i), flight{flitOf(1, 0), 0, 0})
 		if i%2 == 1 {
 			d.q.Pop()
 			d.q.Pop()
 		}
 	}
 	for {
-		if _, ok := d.next(); !ok {
+		if _, ok := d.q.Next(); !ok {
 			break
 		}
 		d.q.Pop()
 	}
-	if d.q.Len() != 0 || len(d.q.Live()) != 0 {
+	if runs, vals := d.q.Live(); d.q.Len() != 0 || len(runs) != 0 || len(vals) != 0 {
 		t.Fatalf("drained line not empty: len=%d", d.q.Len())
 	}
 }

@@ -73,17 +73,22 @@ func TestCrossbarOneStartPerOutputPerCycle(t *testing.T) {
 				perCycle := map[sim.Tick]int{}
 				for tick := sim.Tick(2); s.Pending() > 0; tick++ {
 					s.RunUntil(tick)
-					for _, e := range dl.q.Live() {
-						if e.v.port != out || started[e.v.f] {
-							continue
-						}
-						started[e.v.f] = true
-						start := e.at - xbarLat
-						if start%corePeriod != 0 {
-							t.Fatalf("flit started at tick %d, off the core clock's edges", start)
-						}
-						if perCycle[start/corePeriod]++; perCycle[start/corePeriod] > 1 {
-							t.Fatalf("output %d started %d traversals in the core cycle at tick %d", out, perCycle[start/corePeriod], start)
+					runs, flights := dl.q.Live()
+					for _, r := range runs {
+						due := flights[:r.N]
+						flights = flights[r.N:]
+						for _, e := range due {
+							if e.port != out || started[e.f] {
+								continue
+							}
+							started[e.f] = true
+							start := r.At - xbarLat
+							if start%corePeriod != 0 {
+								t.Fatalf("flit started at tick %d, off the core clock's edges", start)
+							}
+							if perCycle[start/corePeriod]++; perCycle[start/corePeriod] > 1 {
+								t.Fatalf("output %d started %d traversals in the core cycle at tick %d", out, perCycle[start/corePeriod], start)
+							}
 						}
 					}
 				}

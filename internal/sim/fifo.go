@@ -5,9 +5,10 @@ package sim
 // reused for the whole run and a warm queue never allocates. The consumed
 // prefix is dropped when the queue drains and compacted away once it is at
 // least half of a non-trivial buffer, which keeps Pop O(1) amortized
-// without unbounded growth. Model components build their delay lines,
-// arrival lines and injection queues on it, and the event queue keeps its
-// pending timestamps in one, in order.
+// without unbounded growth; the compaction is a call of its own so that
+// Pop inlines. Model components build their run queues (delay and arrival
+// lines) and injection queues on it, and the event queue keeps its pending
+// timestamps in one, in order.
 type FIFO[T any] struct {
 	buf  []T
 	head int
@@ -32,15 +33,18 @@ func (q *FIFO[T]) Pop() T {
 	var zero T
 	q.buf[q.head] = zero
 	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head >= 64 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
+	if q.head == len(q.buf) || q.head >= 64 && q.head*2 >= len(q.buf) {
+		q.compact()
 	}
 	return v
+}
+
+// compact moves the live values to the front of the buffer; a drained
+// queue starts its buffer over.
+func (q *FIFO[T]) compact() {
+	n := copy(q.buf, q.buf[q.head:])
+	q.buf = q.buf[:n]
+	q.head = 0
 }
 
 // Insert puts v at index i of Live(), moving the values from i on back by

@@ -57,9 +57,10 @@ const (
 )
 
 // state codes one message: its shape, then every mutable field of the
-// message, its packets and its flits. When loading, m is empty and the shape
-// sizes its blocks. Every int32 field is range-checked as it loads: an index
-// against its bound, anything else against int32 itself.
+// message, its packets (with their times when it has several) and its
+// flits. When loading, m is empty and the shape sizes its blocks. Every
+// int32 field is range-checked as it loads: an index against its bound,
+// anything else against int32 itself.
 func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 	c.U64(&m.ID)
 	flits, maxPkt := m.TotalFlits(), m.maxPkt()
@@ -89,14 +90,12 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 		m.gen = 1
 	}
 	index32(c.Index, &m.App, b.Apps, "Message.App")
-	c.U64(&m.Transaction)
 	index32(c.Index, &m.Src, b.Terminals, "Message.Src")
 	// The destination is coded once per message; every packet holds it.
 	index32(c.Index, &m.first.dst, b.Terminals, "Message.Dst")
 	snapshot.Uint(c, &m.CreateTime)
 	snapshot.Uint(c, &m.ReceiveTime)
 	c.Bool(&m.Sampled)
-	snapshot.Sint(c, &m.OpCode)
 	snapshot.Sint(c, &m.RxRemaining)
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
@@ -104,8 +103,10 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 		snapshot.Sint(c, &p.HopCount)
 		c.Bool(&p.NonMinimal)
 		snapshot.Sint(c, &p.Intermediate)
-		snapshot.Uint(c, &p.InjectTime)
-		snapshot.Uint(c, &p.ReceiveTime)
+		if t := p.Times(); t != nil {
+			snapshot.Uint(c, &t.Inject)
+			snapshot.Uint(c, &t.Receive)
+		}
 		c.Bool(&p.Routing.Valid)
 		snapshot.Sint(c, &p.Routing.Phase)
 		c.Bool(&p.Routing.Dateline)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"supersim/internal/sim"
 	"supersim/internal/snapshot"
 	"supersim/internal/snapshot/snaptest"
 )
@@ -21,19 +22,16 @@ func testMessage(pool *Pool, id uint64) *Message {
 	} else {
 		m = NewMessage(id, 1, 2, 3, 5, 2)
 	}
-	m.Transaction = 99
 	m.CreateTime = 10
 	m.ReceiveTime = 30
 	m.Sampled = true
-	m.OpCode = 4
 	m.RxRemaining = 2
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
 		p.HopCount = int32(i + 1)
 		p.NonMinimal = i%2 == 0
 		p.Intermediate = 7
-		p.InjectTime = 13
-		p.ReceiveTime = 29
+		*p.Times() = PacketTimes{Inject: sim.Tick(13 + i), Receive: sim.Tick(29 - i)}
 		p.Routing.Valid = true
 		p.Routing.Phase = int8(i - 1)
 		p.Routing.Dateline = i == 0
@@ -93,8 +91,14 @@ func TestMessageTableRoundTrip(t *testing.T) {
 		t.Fatal("restored messages do not re-serialize byte-identically")
 	}
 	rm := got.idx[7]
-	if rm == nil || rm.Src != 2 || rm.Dst() != 3 || rm.Transaction != 99 || !rm.Sampled {
+	if rm == nil || rm.Src != 2 || rm.Dst() != 3 || rm.CreateTime != 10 || !rm.Sampled {
 		t.Fatalf("restored message 7 lost fields: %+v", rm)
+	}
+	// Each packet of a multi-packet message keeps its own times.
+	for i := 0; i < rm.NumPackets(); i++ {
+		if got, want := *rm.Packet(i).Times(), (PacketTimes{Inject: sim.Tick(13 + i), Receive: sim.Tick(29 - i)}); got != want {
+			t.Errorf("restored packet %d times %+v, want %+v", i, got, want)
+		}
 	}
 	if rm.pool != pool.id {
 		t.Fatal("restored message not owned by the table's pool")
@@ -273,13 +277,11 @@ func TestMessageTableLoadRejectsCorruption(t *testing.T) {
 		return func(c *snapshot.Codec) {
 			shape(1, 1)(c)
 			snaptest.Put(c.Int, 0)      // App
-			snaptest.Put(c.U64, 0)      // Transaction
 			snaptest.Put(c.Int, 0)      // Src
 			snaptest.Put(c.Int, 1)      // Dst
 			snaptest.Put(c.U64, 0)      // CreateTime
 			snaptest.Put(c.U64, 0)      // ReceiveTime
 			snaptest.Put(c.Bool, false) // Sampled
-			snaptest.Put(c.Int, 0)      // OpCode
 			snaptest.Put(c.Int, 1)      // RxRemaining
 			snaptest.Put(c.Int, hops)   // HopCount
 			snaptest.Put(c.Bool, false) // NonMinimal

@@ -3,6 +3,7 @@ package types
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"supersim/internal/sim"
@@ -11,8 +12,9 @@ import (
 
 // TestMessageAllocations pins the layout's heap cost: a fresh 1-flit message
 // is one object (packet 0 and its head flit are embedded), a 1-packet message
-// adds the body-flit block, a multi-packet one the packet block, and a
-// recycled message allocates nothing.
+// of more flits adds the shape block and the body-flit block, a multi-packet
+// one also the block of later packets, and a recycled message allocates
+// nothing.
 func TestMessageAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -20,8 +22,8 @@ func TestMessageAllocations(t *testing.T) {
 		want          float64
 	}{
 		{"1 flit", 1, 1, 1},
-		{"8 flits in 1 packet", 8, 8, 2},
-		{"32 flits in packets of 4", 32, 4, 3},
+		{"8 flits in 1 packet", 8, 8, 3},
+		{"32 flits in packets of 4", 32, 4, 4},
 	} {
 		pool := NewPool()
 		fresh := map[string]func(){
@@ -45,8 +47,8 @@ func TestMessageAllocations(t *testing.T) {
 
 // TestTrafficObjectSizes pins the traffic objects' sizes. A live
 // single-flit message is exactly one Message, so its size is the memory each
-// in-flight flit costs; a field that grows it past 192 bytes moves every
-// message into the allocator's next size class (208). Flit and Packet are
+// in-flight flit costs; a field that grows it past 128 bytes moves every
+// message into the allocator's next size class (144). Flit and Packet are
 // embedded in it, and Flit is also the element of every body block.
 func TestTrafficObjectSizes(t *testing.T) {
 	for _, tc := range []struct {
@@ -54,8 +56,8 @@ func TestTrafficObjectSizes(t *testing.T) {
 		typ  reflect.Type
 		want uintptr
 	}{
-		{"Message", reflect.TypeFor[Message](), 192},
-		{"Packet", reflect.TypeFor[Packet](), 80},
+		{"Message", reflect.TypeFor[Message](), 128},
+		{"Packet", reflect.TypeFor[Packet](), 64},
 		{"Flit", reflect.TypeFor[Flit](), 24},
 	} {
 		if got := tc.typ.Size(); got != tc.want {
@@ -67,9 +69,9 @@ func TestTrafficObjectSizes(t *testing.T) {
 // TestHopFieldsShareALine pins what a router hop on a single-flit message
 // reads to one 64-byte line of it: packet 0's back-pointer to the message,
 // head flit, routing state (hop count, intermediate, deroute flag, scratch)
-// and destination all lie in bytes [64, 128) of the Message. Objects of the
-// Message's size class start on a line boundary, so that range is one cache
-// line; a field that leaves it costs every hop a second miss.
+// and destination all lie in bytes [64, 128) of the 128-byte Message.
+// Objects of that size class start on a line boundary, so the range is one
+// cache line; a field that leaves it costs every hop a second miss.
 func TestHopFieldsShareALine(t *testing.T) {
 	msg, pkt := reflect.TypeFor[Message](), reflect.TypeFor[Packet]()
 	first, ok := msg.FieldByName("first")
@@ -95,23 +97,23 @@ type flitView struct {
 }
 
 type packetView struct {
-	ID, Size                int
-	Dst                     int
-	HopCount, Intermediate  int32
-	NonMinimal              bool
-	Routing                 RoutingScratch
-	InjectTime, ReceiveTime sim.Tick
-	RxNext                  int32
-	Flits                   []flitView
+	ID, Size               int
+	Dst                    int
+	HopCount, Intermediate int32
+	NonMinimal             bool
+	Routing                RoutingScratch
+	Times                  *PacketTimes // nil for a single-packet message
+	RxNext                 int32
+	Flits                  []flitView
 }
 
 type messageView struct {
-	ID, Transaction         uint64
+	ID                      uint64
 	App, Src                int32
 	Dst                     int
 	CreateTime, ReceiveTime sim.Tick
 	Sampled                 bool
-	OpCode, RxRemaining     int32
+	RxRemaining             int32
 	TotalFlits, MaxPkt      int
 	Released                bool
 	Packets                 []packetView
@@ -123,9 +125,9 @@ type messageView struct {
 // package documents as not state.
 func view(m *Message) messageView {
 	v := messageView{
-		ID: m.ID, Transaction: m.Transaction, App: m.App, Src: m.Src, Dst: m.Dst(),
+		ID: m.ID, App: m.App, Src: m.Src, Dst: m.Dst(),
 		CreateTime: m.CreateTime, ReceiveTime: m.ReceiveTime,
-		Sampled: m.Sampled, OpCode: m.OpCode, RxRemaining: m.RxRemaining,
+		Sampled: m.Sampled, RxRemaining: m.RxRemaining,
 		TotalFlits: m.TotalFlits(), MaxPkt: m.maxPkt(), Released: m.released,
 	}
 	for i := 0; i < m.NumPackets(); i++ {
@@ -133,7 +135,11 @@ func view(m *Message) messageView {
 		pv := packetView{
 			ID: int(p.ID), Size: p.Size(), Dst: p.Dst(), HopCount: p.HopCount,
 			Intermediate: p.Intermediate, NonMinimal: p.NonMinimal, Routing: p.Routing,
-			InjectTime: p.InjectTime, ReceiveTime: p.ReceiveTime, RxNext: p.rxNext,
+			RxNext: p.rxNext,
+		}
+		if t := p.Times(); t != nil {
+			pv.Times = new(PacketTimes)
+			*pv.Times = *t
 		}
 		for j := 0; j < p.Size(); j++ {
 			f := p.Flit(j)
@@ -178,13 +184,16 @@ func checkLinks(t *testing.T, label string, m *Message) {
 // delivered message leaves it. The verification ledger stays clear: a
 // message with flits in flight must not be released.
 func dirty(m *Message) {
-	m.Transaction, m.CreateTime, m.ReceiveTime = 9, 10, 12
-	m.Sampled, m.OpCode, m.RxRemaining = true, 3, 0
+	m.CreateTime, m.ReceiveTime = 10, 12
+	m.Sampled, m.RxRemaining = true, 0
 	for i := 0; i < m.NumPackets(); i++ {
 		p := m.Packet(i)
 		p.HopCount, p.Intermediate, p.NonMinimal = 4, 2, true
 		p.Routing = RoutingScratch{Valid: true, Phase: 2, Dateline: true}
-		p.InjectTime, p.ReceiveTime, p.rxNext = 13, 14, 1
+		p.rxNext = 1
+		if t := p.Times(); t != nil {
+			*t = PacketTimes{Inject: sim.Tick(13 + i), Receive: sim.Tick(14 + 2*i)}
+		}
 	}
 }
 
@@ -193,7 +202,8 @@ func dirty(m *Message) {
 // count) four ways — fresh from a
 // pool, recycled through it after a dirty first life, unpooled, and restored
 // from a checkpoint of a fresh message — and requires them equal field for
-// field, with an intact object graph.
+// field, with an intact object graph. A checkpoint of a dirty message, whose
+// packets have times when it has several, must restore equal to it too.
 func TestMessageLayoutFieldForField(t *testing.T) {
 	const id, app, src, dst = 42, 1, 2, 3
 	for _, sh := range []struct{ flits, maxPkt int }{{1, 1}, {8, 8}, {8, 4}, {5, 2}, {3, 8}} {
@@ -230,5 +240,41 @@ func TestMessageLayoutFieldForField(t *testing.T) {
 			}
 			checkLinks(t, label, tc.m)
 		}
+
+		orig := NewMessage(id, app, src, dst, sh.flits, sh.maxPkt)
+		dirty(orig)
+		refs = []*Packet{orig.Packet(0)}
+		data = snaptest.Save(walkRefs(NewMessageTable(nil, testBounds), refs))
+		if err := snaptest.Load(data, walkRefs(NewMessageTable(pool, testBounds), refs)); err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%d/%d restored dirty", sh.flits, sh.maxPkt)
+		if v, want := view(refs[0].Msg), view(orig); !reflect.DeepEqual(v, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", label, v, want)
+		}
+		checkLinks(t, label, refs[0].Msg)
 	}
+}
+
+// TestFreshMessageHeapBytes pins what a fresh pooled single-flit message
+// costs the heap, size class included: the allocator's bytes over many
+// draws, not the struct's Sizeof. It counts process-wide MemStats, so it
+// must not run in parallel.
+func TestFreshMessageHeapBytes(t *testing.T) {
+	const n = 10000
+	pool := NewPool()
+	live := make([]*Message, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range live {
+		live[i] = pool.NewMessage(uint64(i), 0, 0, 1, 1, 1)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / n; got != 128 {
+		t.Errorf("a fresh single-flit message takes %d heap bytes, want 128", got)
+	}
+	if got := after.Mallocs - before.Mallocs; got < n || got > n+n/100 {
+		t.Errorf("%d draws made %d heap objects, want one each", n, got)
+	}
+	runtime.KeepAlive(live)
 }

@@ -13,29 +13,36 @@
 //
 // One hop touches one object. A message embeds its first packet and every
 // packet embeds its head flit, so a single-flit message is one heap object,
-// and the flit → packet → message chain a router follows never leaves it. Larger shapes add at most
-// two blocks per message: one []Packet for packets after the first, and one
-// []Flit holding every non-head flit of every packet, each packet's share
-// contiguous. So a 1-packet message of n > 1 flits is two objects and any
-// shape is at most three, whatever its flit count.
+// and the flit → packet → message chain a router follows never leaves it.
+// A message of more flits adds one shape block, which holds the packets
+// after the first (each beside its times), a []Flit holding every non-head
+// flit of every packet, each packet's share contiguous, and packet 0's
+// times. So a 1-packet message of n > 1 flits is three objects (message,
+// shape, body flits) and a multi-packet one four (also the later packets),
+// whatever its flit count. Routers hold *Flit, so body flits and later
+// packets are looked up only at injection and ejection, never per hop.
 //
 // Packets and flits are reached through accessors (Message.NumPackets,
 // Message.Packet, Packet.Size, Packet.Flit, Packet.Head, Packet.Tail), not
 // pointer slices, which would add slice headers and pointers for the
 // collector to mark to every live message. A packet's share of the body
-// block is an (offset, length) window into Message.body, not a slice.
+// block is an (offset, length) window into it, not a slice.
 //
 // Because packets and flits point into their own message, a Message or a
 // Packet must never be copied by value; go vet's copylocks check enforces it.
 //
 // Every live single-flit message is one Message, so its size is the
-// simulator's memory per in-flight flit: 192 bytes (Flit 24, Packet 80).
-// Fields whose range the configuration bounds (terminal, application and VC
-// numbers, flit and packet counts, hop counts) are int32, and the accessors
-// that routing code reads (Packet.Dst, Packet.Size) return int. A flit
-// carries no per-hop timestamps and a message no injection time, since no
-// component read them (statistics use Packet.InjectTime).
-// TestTrafficObjectSizes pins the three sizes.
+// simulator's memory per in-flight flit: 128 bytes (Flit 24, Packet 64),
+// the header on one 64-byte line and packet 0, everything a router hop
+// reads, on the other. Fields whose range the configuration bounds
+// (terminal, application and VC numbers, flit and packet counts, hop
+// counts) are int32, and the accessors that routing code reads (Packet.Dst,
+// Packet.Size) return int. A flit carries no per-hop timestamps and a
+// message no injection time, since no component read them. Packet times
+// (PacketTimes: entry and delivery) live in the shape block and only a
+// multi-packet message has them: they feed Blast's per-packet samples,
+// which only such messages produce. TestTrafficObjectSizes pins the three
+// sizes and TestFreshMessageHeapBytes the allocator's size class.
 //
 // # The span slot
 //
@@ -94,14 +101,12 @@ func (*noCopy) Unlock() {}
 type Message struct {
 	_ noCopy
 
-	ID          uint64 // globally unique
-	Transaction uint64 // transaction grouping tag
+	ID uint64 // globally unique
 
 	CreateTime  sim.Tick // when the application created the message
 	ReceiveTime sim.Tick // when the last flit was delivered
 
-	App    int32 // application index within the workload
-	OpCode int32 // application-specific operation code
+	App int32 // application index within the workload
 
 	// RxRemaining counts the flits not yet delivered to the destination.
 	// It is initialized to the total flit count and owned by the
@@ -111,14 +116,9 @@ type Message struct {
 	// Src is the source terminal. The destination is a packet field (see
 	// Dst): a router hop on a single-flit message reads one 64-byte line of
 	// it, packet 0's, which holds the head flit, the routing state and the
-	// destination. Objects of the 192-byte size class start on a line
+	// destination. Objects of the 128-byte size class start on a line
 	// boundary, and the header before packet 0 fills the first line.
 	Src int32
-
-	Sampled bool // flagged for statistics sampling
-	// released guards against double Release. Snapshots hold live messages
-	// only, so it is always false there.
-	released bool
 
 	// gen counts the block's lives: it is bumped on every (re)initialization
 	// so verification layers can detect references into a recycled block (see
@@ -128,11 +128,45 @@ type Message struct {
 	// pool is the owning Pool's id; 0 for unpooled messages.
 	pool uint32
 
-	// first is packet 0; rest holds packets 1..n-1 (nil for one packet) and
-	// body every packet's non-head flits (nil when every packet is one flit).
-	first Packet
-	rest  []Packet
-	body  []Flit
+	Sampled bool // flagged for statistics sampling
+	// released guards against double Release. Snapshots hold live messages
+	// only, so it is always false there.
+	released bool
+
+	// flits and packets are the shape's counts, kept in the header so that
+	// counting never reads the shape block.
+	flits, packets int32
+
+	// shape holds what a message of more than one flit adds to its header
+	// and packet 0: later packets, body flits and packet times. nil for a
+	// single-flit message.
+	shape *shape
+
+	first Packet // packet 0, on the object's second 64-byte line
+}
+
+// shape is a multi-flit message's second block. rest holds packets 1..n-1
+// (nil for one packet), each beside its times, and body every packet's
+// non-head flits (nil when every packet is one flit), each packet's share
+// contiguous. times0 is packet 0's times when rest is non-nil.
+type shape struct {
+	rest   []laterPacket
+	body   []Flit
+	times0 PacketTimes
+}
+
+// laterPacket is a packet after the first with its times.
+type laterPacket struct {
+	Packet
+	times PacketTimes
+}
+
+// PacketTimes are a packet's network entry tick (its head flit's injection)
+// and delivery tick (its tail flit's ejection). Only multi-packet messages
+// keep them: the one packet of any other message is delivered at the
+// message's ReceiveTime, and nothing reads its entry tick.
+type PacketTimes struct {
+	Inject, Receive sim.Tick
 }
 
 // Generation returns the message's life counter, bumped each time the
@@ -170,11 +204,15 @@ func validateShape(id uint64, app, src, dst, totalFlits, maxPacketSize int) {
 // body windows). It runs once per message shape; reuse only re-runs reset.
 func (m *Message) alloc(totalFlits, maxPacketSize int) {
 	numPackets := (totalFlits + maxPacketSize - 1) / maxPacketSize
+	m.flits, m.packets = int32(totalFlits), int32(numPackets)
+	if totalFlits > 1 {
+		m.shape = &shape{}
+	}
 	if numPackets > 1 {
-		m.rest = make([]Packet, numPackets-1)
+		m.shape.rest = make([]laterPacket, numPackets-1)
 	}
 	if totalFlits > numPackets {
-		m.body = make([]Flit, totalFlits-numPackets)
+		m.shape.body = make([]Flit, totalFlits-numPackets)
 	}
 	remaining := totalFlits
 	base := 0
@@ -203,12 +241,10 @@ func (m *Message) reset(id uint64, app, src, dst int) {
 	m.gen++
 	m.ID = id
 	m.App = int32(app)
-	m.Transaction = 0
 	m.Src = int32(src)
 	m.CreateTime = 0
 	m.ReceiveTime = 0
 	m.Sampled = false
-	m.OpCode = 0
 	m.RxRemaining = int32(m.TotalFlits())
 	m.released = false
 	for i := 0; i < m.NumPackets(); i++ {
@@ -216,8 +252,9 @@ func (m *Message) reset(id uint64, app, src, dst int) {
 		pkt.HopCount = 0
 		pkt.NonMinimal = false
 		pkt.Intermediate = -1
-		pkt.InjectTime = 0
-		pkt.ReceiveTime = 0
+		if t := pkt.Times(); t != nil {
+			*t = PacketTimes{}
+		}
 		pkt.Routing = RoutingScratch{}
 		pkt.rxNext = 0
 		pkt.dst = int32(dst)
@@ -225,12 +262,11 @@ func (m *Message) reset(id uint64, app, src, dst int) {
 	}
 }
 
-// TotalFlits returns the number of flits across all packets of the message:
-// one head flit per packet plus the shared body block.
-func (m *Message) TotalFlits() int { return m.NumPackets() + len(m.body) }
+// TotalFlits returns the number of flits across all packets of the message.
+func (m *Message) TotalFlits() int { return int(m.flits) }
 
 // NumPackets returns the number of packets the message is segmented into.
-func (m *Message) NumPackets() int { return 1 + len(m.rest) }
+func (m *Message) NumPackets() int { return int(m.packets) }
 
 // maxPkt returns the message's packet size cap as its shape shows it: the
 // first packet's size, which every packet but the last shares. A cap beyond
@@ -246,7 +282,7 @@ func (m *Message) Packet(i int) *Packet {
 	if i == 0 {
 		return &m.first
 	}
-	return &m.rest[i-1]
+	return &m.shape.rest[i-1].Packet
 }
 
 // Packet is the unit of routing: all flits of a packet follow the head flit's
@@ -278,9 +314,6 @@ type Packet struct {
 	// reads it from the line that holds the packet's head flit, never from
 	// the message header; reset and checkpoint loading set every packet's.
 	dst int32
-
-	InjectTime  sim.Tick // head flit network entry
-	ReceiveTime sim.Tick // tail flit delivery
 }
 
 // RoutingScratch is per-packet scratch storage for routing algorithms. It is
@@ -308,7 +341,20 @@ func (p *Packet) Flit(i int) *Flit {
 }
 
 // body returns the packet's window of the message's body block.
-func (p *Packet) body() []Flit { return p.Msg.body[p.bodyOff : p.bodyOff+p.bodyLen] }
+func (p *Packet) body() []Flit { return p.Msg.shape.body[p.bodyOff : p.bodyOff+p.bodyLen] }
+
+// Times returns the packet's times, or nil when its message is one packet
+// (see PacketTimes).
+func (p *Packet) Times() *PacketTimes {
+	s := p.Msg.shape
+	switch {
+	case s == nil || s.rest == nil:
+		return nil
+	case p.ID == 0:
+		return &s.times0
+	}
+	return &s.rest[p.ID-1].times
+}
 
 // Head returns the packet's head flit.
 func (p *Packet) Head() *Flit { return &p.head }
@@ -318,7 +364,7 @@ func (p *Packet) Tail() *Flit {
 	if p.bodyLen == 0 {
 		return &p.head
 	}
-	return &p.Msg.body[p.bodyOff+p.bodyLen-1]
+	return &p.Msg.shape.body[p.bodyOff+p.bodyLen-1]
 }
 
 // Age returns the message creation time, used by age-based arbitration: the

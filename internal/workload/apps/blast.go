@@ -254,9 +254,10 @@ func (b *Blast) DeliverMessage(m *types.Message) {
 	})
 	for i := 0; b.perPacket && i < m.NumPackets(); i++ {
 		p := m.Packet(i)
+		t := p.Times() // a multi-packet message keeps every packet's
 		b.pktRec.Record(stats.Sample{
-			Start:      p.InjectTime,
-			End:        p.ReceiveTime,
+			Start:      t.Inject,
+			End:        t.Receive,
 			Flits:      p.Size(),
 			Hops:       int(p.HopCount),
 			NonMinimal: p.NonMinimal,
