@@ -75,9 +75,11 @@ test:
 # it from worker goroutines, the live endpoint scrapes a running simulation
 # (TestLiveScrapeDuringRun), and nothing stops a future package from doing the
 # same — so CI races everything, not just the packages known to be concurrent.
-# internal/experiments runs with -short: its claim tests are single-threaded
-# simulations that `make cover` already runs once, and the detector has
-# nothing to find in them.
+# internal/experiments runs with -short: its claim tests are whole figure
+# sweeps that `make cover` already runs once. Under -short its reduced figure
+# sweep still runs on one worker and on two
+# (TestFigureSweepSerialEqualsParallel, TestFigureSweepJournal), so the
+# detector sees the experiments' worker goroutines.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/experiments$$')
 	$(GO) test -race -short ./internal/experiments

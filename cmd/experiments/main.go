@@ -9,9 +9,12 @@
 // Experiments: table1, fig5, fig7, fig8, fig9a, fig9b, fig9small, fig10a,
 // fig10b, fig11, fig12, all.
 //
-// -journal FILE streams one task-lifecycle event pair per figure sweep point
-// to FILE as JSONL (the supersim-tasks schema), so ssparse -tasks and ssplot
-// -plot taskgantt can account for where figure-regeneration time goes.
+// Every figure is a sweep whose points run GOMAXPROCS at a time
+// (GOMAXPROCS=1 runs them one after another); the printed rows do not depend
+// on the worker count. -journal FILE streams each figure sweep's task
+// lifecycle to FILE as JSONL (the supersim-tasks schema), one task per sweep
+// point, so ssparse -tasks and ssplot -plot taskgantt can account for where
+// figure-regeneration time goes. Table I and Figure 5 run no sweep.
 package main
 
 import (
@@ -34,7 +37,6 @@ func main() {
 	if *quiet {
 		opts.Out = nil
 	}
-	var journal *taskrun.Journal
 	if *journalPath != "" {
 		jf, err := os.Create(*journalPath)
 		if err != nil {
@@ -42,10 +44,9 @@ func main() {
 			os.Exit(1)
 		}
 		defer jf.Close()
-		journal = taskrun.NewJournal(jf, nil)
+		journal := taskrun.NewJournal(jf, nil)
 		opts.TaskProbe = journal
 		defer func() {
-			journal.RunFinished()
 			if err := journal.Err(); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: task journal: %v\n", err)
 				os.Exit(1)

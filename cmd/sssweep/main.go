@@ -125,9 +125,9 @@ func run(cfgPath string, vars []string, o runOpts) error {
 		fmt.Fprintf(os.Stderr, "dashboard: serving http://%s/ (/sweep, /metrics)\n", o.serveAddr)
 		probes = append(probes, mon)
 	}
-	s.SetProbe(taskrun.Probes(probes...))
+	s.Probe = taskrun.Probes(probes...)
 	if o.manifestDir != "" {
-		s.WriteManifests(o.manifestDir)
+		s.ManifestDir = o.manifestDir
 	}
 	fmt.Fprintf(os.Stderr, "sweeping %d permutations\n", s.Permutations())
 	points, err := s.Run()

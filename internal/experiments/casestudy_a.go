@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"supersim/internal/config"
+	"supersim/internal/sweep"
 )
 
 // Case study A — latent congestion detection (Figure 9 and the §VI-A text).
@@ -26,10 +27,7 @@ import (
 //	outDepth          — output queue depth in flits, 0 = infinite
 //	load              — offered load
 func closConfig(halfRadix, levels int, senseLatency uint64, outDepth int, load float64, seed uint64, sampleDur uint64) *config.Settings {
-	terms := 1
-	for i := 0; i < levels; i++ {
-		terms *= halfRadix
-	}
+	terms := pow(halfRadix, levels)
 	cfg := config.New()
 	set(cfg, map[string]any{
 		"simulation.seed":    seed,
@@ -82,22 +80,15 @@ func Figure9(opts Options, infiniteQueues bool) []Curve {
 		loads = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 		sample = 5000
 	}
-	outDepth := 64
+	outDepth, fig := 64, "fig9b"
 	name := "64-flit output queues"
 	if infiniteQueues {
-		outDepth = 0
+		outDepth, fig = 0, "fig9a"
 		name = "infinite output queues"
 	}
 	opts.logf("Figure 9 (%s): %d-terminal folded-Clos, OQ, adaptive uprouting\n",
 		name, pow(halfRadix, levels))
-	var curves []Curve
-	for _, sl := range SenseLatencies {
-		label := fmt9Label(sl)
-		curves = append(curves, sweepLoads(label, loads, opts, func(load float64) *config.Settings {
-			return closConfig(halfRadix, levels, sl, outDepth, load, opts.seed(), sample)
-		}))
-	}
-	return curves
+	return figure9(opts, fig, halfRadix, levels, outDepth, SenseLatencies, loads, sample)
 }
 
 // Figure9Small regenerates the §VI-A text result: the 512-terminal radix-16
@@ -105,16 +96,18 @@ func Figure9(opts Options, infiniteQueues bool) []Curve {
 // 8 ns (paper: 90%, 90%, 75% and 40%). It offers 90% load and reports the
 // accepted throughput per sensing latency.
 func Figure9Small(opts Options) []Curve {
-	sample := uint64(3000)
 	opts.logf("Figure 9 small variant: 512-terminal radix-16 folded-Clos at 90%% offered load\n")
-	var curves []Curve
-	for _, sl := range []uint64{1, 2, 4, 8} {
-		label := fmt9Label(sl)
-		curves = append(curves, sweepLoads(label, []float64{0.9}, opts, func(load float64) *config.Settings {
-			return closConfig(8, 3, sl, 64, load, opts.seed(), sample)
-		}))
-	}
-	return curves
+	return figure9(opts, "fig9small", 8, 3, 64, []uint64{1, 2, 4, 8}, []float64{0.9}, 3000)
+}
+
+// figure9 is case study A's sweep at one scale: sensing latency × load.
+func figure9(opts Options, name string, halfRadix, levels, outDepth int, senseLatencies []uint64, loads []float64, sample uint64) []Curve {
+	base := closConfig(halfRadix, levels, senseLatencies[0], outDepth, loads[0], opts.seed(), sample)
+	sense := variable("SL", senseLatencies, func(cfg *config.Settings, v uint64) {
+		cfg.Set("network.router.congestion_sensor.latency", v)
+	})
+	return opts.curves(opts.sweep(name, base, sense, loadVar(loads)),
+		func(p sweep.Point) string { return fmt9Label(p.Values["SL"].(uint64)) })
 }
 
 func fmt9Label(sl uint64) string {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"supersim/internal/config"
+	"supersim/internal/sweep"
 )
 
 // Case study B — congestion credit accounting (Figure 10).
@@ -83,18 +84,22 @@ func Figure10(opts Options, bitComplement bool) []Curve {
 		loads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
 		sample = 8000
 	}
-	pattern := "uniform_random"
+	pattern, fig := "uniform_random", "fig10a"
 	if bitComplement {
-		pattern = "bit_complement"
+		pattern, fig = "bit_complement", "fig10b"
 	}
 	opts.logf("Figure 10 (%s): %d-terminal 1D flattened butterfly, IOQ, UGAL\n",
 		pattern, routers*conc)
-	var curves []Curve
-	for _, style := range AccountingStyles {
-		label := fmt.Sprintf("%-16s", style)
-		curves = append(curves, sweepLoads(label, loads, opts, func(load float64) *config.Settings {
-			return fbConfig(routers, conc, style, pattern, load, opts.seed(), sample)
-		}))
-	}
-	return curves
+	return figure10(opts, fig, routers, conc, pattern, loads, sample)
+}
+
+// figure10 is case study B's sweep at one scale: accounting style × load.
+func figure10(opts Options, name string, routers, conc int, pattern string, loads []float64, sample uint64) []Curve {
+	base := fbConfig(routers, conc, AccountingStyles[0], pattern, loads[0], opts.seed(), sample)
+	style := variable("style", AccountingStyles, func(cfg *config.Settings, v AccountingStyle) {
+		cfg.Set("network.router.congestion_sensor.granularity", v.Granularity)
+		cfg.Set("network.router.congestion_sensor.source", v.Source)
+	})
+	return opts.curves(opts.sweep(name, base, style, loadVar(loads)),
+		func(p sweep.Point) string { return fmt.Sprintf("%-16s", p.Values["style"]) })
 }

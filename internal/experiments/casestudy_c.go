@@ -5,6 +5,8 @@ import (
 	"io"
 
 	"supersim/internal/config"
+	"supersim/internal/stats"
+	"supersim/internal/sweep"
 )
 
 // Case study C — flow control techniques (Figures 11 and 12).
@@ -77,42 +79,49 @@ func Figure11(opts Options) []Fig11Point {
 		sample = 5000
 	}
 	opts.logf("Figure 11: %d-node 4D torus, IQ, DOR, offered load 1.0\n", width*width*width*width)
+	s := figure11(opts, width, vcsSet, msgs, sample)
+	s.OnPoint = func(p sweep.Point, _ *stats.Recorder) {
+		opts.logf("  vcs=%d msg=%2d %-16s throughput=%.3f\n",
+			p.Values["vcs"], p.Values["msg"], p.Values["fc"], p.Accepted)
+	}
 	var out []Fig11Point
-	for _, vcs := range vcsSet {
-		for _, msg := range msgs {
-			for _, fc := range FlowControls {
-				res := runBlast(opts.prep(torusConfig(width, vcs, msg, fc, 1.0, opts.seed(), sample)))
-				p := Fig11Point{FlowControl: fc, VCs: vcs, MsgSize: msg, Throughput: res.accepted}
-				out = append(out, p)
-				opts.logf("  vcs=%d msg=%2d %-16s throughput=%.3f\n", vcs, msg, fc, p.Throughput)
-			}
-		}
+	for _, p := range run(s) {
+		out = append(out, Fig11Point{FlowControl: p.Values["fc"].(string), VCs: p.Values["vcs"].(int),
+			MsgSize: p.Values["msg"].(int), Throughput: p.Accepted})
 	}
 	return out
 }
 
+// figure11 is Figure 11's sweep at one scale: VCs × message size × flow
+// control, at full offered load.
+func figure11(opts Options, width int, vcsSet, msgs []int, sample uint64) *sweep.Sweep {
+	return opts.sweep("fig11", torusConfig(width, vcsSet[0], msgs[0], FlowControls[0], 1.0, opts.seed(), sample),
+		variable("vcs", vcsSet, func(cfg *config.Settings, v int) { cfg.Set("network.router.num_vcs", v) }),
+		variable("msg", msgs, func(cfg *config.Settings, v int) { setApp(cfg, "message_size", v) }),
+		flowControlVar)
+}
+
+// flowControlVar sweeps the crossbar scheduling technique.
+var flowControlVar = variable("fc", FlowControls, func(cfg *config.Settings, v string) {
+	cfg.Set("network.router.flow_control", v)
+})
+
 // PrintFigure11 renders the Figure 11 matrix: one block per VC count, one
-// row per message size, one column per flow control technique.
+// row per message size, one column per flow control technique. It reads
+// the points in Figure11's order: VC count, then message size, then flow
+// control in FlowControls order.
 func PrintFigure11(w io.Writer, points []Fig11Point) {
-	byKey := map[[2]int]map[string]float64{}
-	vcsSet := map[int]bool{}
-	msgSet := map[int]bool{}
-	for _, p := range points {
-		k := [2]int{p.VCs, p.MsgSize}
-		if byKey[k] == nil {
-			byKey[k] = map[string]float64{}
+	for i, p := range points {
+		if i == 0 || p.VCs != points[i-1].VCs {
+			fmt.Fprintf(w, "== Figure 11: %d VCs ==\n", p.VCs)
+			fmt.Fprintf(w, "%8s %12s %12s %12s\n", "msgsize", "FB", "PB", "WTA")
 		}
-		byKey[k][p.FlowControl] = p.Throughput
-		vcsSet[p.VCs] = true
-		msgSet[p.MsgSize] = true
-	}
-	for _, vcs := range sortedKeys(vcsSet) {
-		fmt.Fprintf(w, "== Figure 11: %d VCs ==\n", vcs)
-		fmt.Fprintf(w, "%8s %12s %12s %12s\n", "msgsize", "FB", "PB", "WTA")
-		for _, msg := range sortedKeys(msgSet) {
-			m := byKey[[2]int{vcs, msg}]
-			fmt.Fprintf(w, "%8d %12.3f %12.3f %12.3f\n",
-				msg, m["flit_buffer"], m["packet_buffer"], m["winner_take_all"])
+		if p.FlowControl == FlowControls[0] {
+			fmt.Fprintf(w, "%8d", p.MsgSize)
+		}
+		fmt.Fprintf(w, " %12.3f", p.Throughput)
+		if p.FlowControl == FlowControls[len(FlowControls)-1] {
+			fmt.Fprintln(w)
 		}
 	}
 }
@@ -129,24 +138,12 @@ func Figure12(opts Options) []Curve {
 		sample = 5000
 	}
 	opts.logf("Figure 12: 4D torus, IQ, 8 VCs, 32-flit messages\n")
-	var curves []Curve
-	for _, fc := range FlowControls {
-		curves = append(curves, sweepLoads(fc, loads, opts, func(load float64) *config.Settings {
-			return torusConfig(width, 8, 32, fc, load, opts.seed(), sample)
-		}))
-	}
-	return curves
+	return figure12(opts, width, loads, sample)
 }
 
-func sortedKeys(m map[int]bool) []int {
-	var out []int
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+// figure12 is Figure 12's sweep at one scale: flow control × load.
+func figure12(opts Options, width int, loads []float64, sample uint64) []Curve {
+	base := torusConfig(width, 8, 32, FlowControls[0], loads[0], opts.seed(), sample)
+	return opts.curves(opts.sweep("fig12", base, flowControlVar, loadVar(loads)),
+		func(p sweep.Point) string { return p.Values["fc"].(string) })
 }

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (the three case studies of Section VI plus the tooling figures
-// 5, 7 and 8). Each Figure* function runs the required simulation sweep and
-// returns the numeric series the corresponding plot would draw; Print
-// helpers render them as aligned tables.
+// 5, 7 and 8). Each Figure* function but Figure5 runs an internal/sweep
+// sweep, its points GOMAXPROCS at a time, and returns the numeric series the
+// corresponding plot would draw; Print helpers render them as aligned
+// tables. The claim tests run their points through the same sweeps.
 //
 // Scale: by default experiments run reduced-scale versions of the paper's
 // configurations so the whole suite completes in minutes (the paper itself
@@ -14,13 +15,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"supersim/internal/config"
-	"supersim/internal/core"
-	"supersim/internal/sim"
 	"supersim/internal/stats"
+	"supersim/internal/sweep"
 	"supersim/internal/taskrun"
-	"supersim/internal/workload/apps"
 )
 
 // Options controls an experiment run.
@@ -35,12 +35,11 @@ type Options struct {
 	// SUPERSIM_MONITOR to this.
 	MonitorEvery uint64
 
-	// TaskProbe, when non-nil, receives a lifecycle event pair per sweep
-	// point: every sweepLoads simulation is reported as a queued → ready →
-	// started → finished task named "<label> load=<l>", so a taskrun.Journal
-	// (or the sweep monitor) can observe figure regeneration the same way it
-	// observes sssweep fleets. Experiment sweeps run serially, so events
-	// arrive in run order.
+	// TaskProbe, when non-nil, observes the runner of every figure sweep:
+	// each sweep point is a task named after its figure and its values
+	// ("fig9a_SL=1_load=0.3"), and a load the stopping rule leaves out
+	// finishes as a skipped task. A taskrun.Journal here is the -journal of
+	// cmd/experiments.
 	TaskProbe taskrun.Probe
 }
 
@@ -67,17 +66,10 @@ func (o Options) logf(format string, args ...any) {
 
 // LoadPoint is one point of a load-versus-latency curve.
 type LoadPoint struct {
-	Offered    float64 // injected load, fraction of terminal bandwidth
-	Accepted   float64 // delivered load over the sampling window
-	Mean       float64 // latency statistics in ticks
-	P50        float64
-	P90        float64
-	P99        float64
-	P999       float64
-	P9999      float64
-	NonMinimal float64 // fraction of sampled messages routed non-minimally
-	Samples    int
-	Saturated  bool
+	Offered       float64 // injected load, fraction of terminal bandwidth
+	Accepted      float64 // delivered load over the sampling window
+	stats.Summary         // latency statistics in ticks
+	Saturated     bool
 }
 
 // Curve is a labeled series of load points.
@@ -98,80 +90,78 @@ func (c Curve) SaturationThroughput() float64 {
 	return best
 }
 
-// runResult captures one simulation's sampled outcome.
-type runResult struct {
-	rec      *stats.Recorder
-	window   sim.Tick
-	periods  sim.Tick
-	terms    int
-	accepted float64
-	skipped  uint64
+// sweep returns the sweep behind one figure: base under vars, one
+// simulation per permutation, GOMAXPROCS of them at a time. Every simulation
+// has its own config and seed, so a point's outcome does not depend on the
+// worker count.
+func (o Options) sweep(name string, base *config.Settings, vars ...sweep.Variable) *sweep.Sweep {
+	s := sweep.New(o.prep(base), runtime.GOMAXPROCS(0))
+	s.Name, s.Probe = name, o.TaskProbe
+	for _, v := range vars {
+		s.AddVariable(v)
+	}
+	return s
 }
 
-// runBlast builds and runs a single-Blast simulation from a fully formed
-// settings document and extracts the sampled statistics.
-func runBlast(cfg *config.Settings) runResult {
-	sm := core.Build(cfg)
-	if _, err := sm.Run(); err != nil {
+// run runs a figure sweep and returns its points in declaration order. The
+// figures' configs are fixed, so a failed point is a bug.
+func run(s *sweep.Sweep) []sweep.Point {
+	points, err := s.Run()
+	if err != nil {
 		panic(err)
 	}
-	blast := sm.Workload.App(0).(*apps.Blast)
-	start, stop := blast.SampleWindow()
-	window := stop - start
-	rec := blast.Stats()
-	return runResult{
-		rec:     rec,
-		window:  window,
-		terms:   sm.Net.NumTerminals(),
-		skipped: blast.Skipped(),
-		accepted: stats.Throughput(rec.Flits(), sm.Net.NumTerminals(), window,
-			sm.Net.ChannelPeriod()),
-	}
+	return points
 }
 
-func (r runResult) point(offered float64) LoadPoint {
-	s := r.rec.Summarize()
-	sat := r.skipped > 0 || r.accepted < offered*0.95
-	return LoadPoint{
-		Offered:    offered,
-		Accepted:   r.accepted,
-		Mean:       s.Mean,
-		P50:        s.P50,
-		P90:        s.P90,
-		P99:        s.P99,
-		P999:       s.P999,
-		P9999:      s.P9999,
-		NonMinimal: s.NonMinimal,
-		Samples:    s.Count,
-		Saturated:  sat,
+// variable declares a sweep variable whose values are applied by apply.
+func variable[T any](name string, values []T, apply func(cfg *config.Settings, v T)) sweep.Variable {
+	vals := make([]any, len(values))
+	for i, v := range values {
+		vals[i] = v
 	}
+	return sweep.Variable{Name: name, Short: name, Values: vals,
+		Apply: func(cfg *config.Settings, v any) { apply(cfg, v.(T)) }}
 }
 
-// sweepLoads runs mkCfg at each offered load, stopping the curve after the
-// first saturated point (a saturated network yields unbounded latency, so
-// the plot lines stop there).
-func sweepLoads(label string, loads []float64, opts Options, mkCfg func(load float64) *config.Settings) Curve {
-	c := Curve{Label: label}
-	for _, load := range loads {
-		task := fmt.Sprintf("%s load=%.2f", label, load)
-		if opts.TaskProbe != nil {
-			opts.TaskProbe.TaskQueued(task, nil)
-			opts.TaskProbe.TaskReady(task)
-			opts.TaskProbe.TaskStarted(task)
-		}
-		res := runBlast(opts.prep(mkCfg(load)))
-		if opts.TaskProbe != nil {
-			opts.TaskProbe.TaskFinished(task, taskrun.Succeeded, nil)
-		}
-		p := res.point(load)
-		c.Points = append(c.Points, p)
-		opts.logf("  %-32s load=%.2f accepted=%.3f mean=%.0f p99=%.0f%s\n",
-			label, load, p.Accepted, p.Mean, p.P99, satMark(p))
-		if p.Saturated {
-			break
-		}
+// setApp sets a key of application 0, the Blast every figure measures.
+func setApp(cfg *config.Settings, key string, v any) {
+	config.FromMap(cfg.Array("workload.applications")[0].(map[string]any)).Set(key, v)
+}
+
+// loadVar is the offered-load axis of a curve.
+func loadVar(loads []float64) sweep.Variable {
+	return variable("load", loads, func(cfg *config.Settings, v float64) { setApp(cfg, "injection_rate", v) })
+}
+
+// loadPoint reads a curve point off a sweep point. A point is saturated when
+// the source queues overflowed or it delivered under 95% of its offered load.
+func loadPoint(p sweep.Point) LoadPoint {
+	offered := p.Values["load"].(float64)
+	return LoadPoint{Offered: offered, Accepted: p.Accepted, Summary: p.Summary,
+		Saturated: p.Skipped > 0 || p.Accepted < offered*0.95}
+}
+
+// curves runs s, a sweep whose last variable is the offered load, as one
+// curve per combination of its other variables, labeled by label. Each load
+// runs after the one below it, and only if that one did not saturate: a
+// saturated network yields unbounded latency, so the plot lines stop there.
+// A curve's progress lines therefore come out in load order.
+func (o Options) curves(s *sweep.Sweep, label func(sweep.Point) string) []Curve {
+	s.StopAfter = func(p sweep.Point) bool { return loadPoint(p).Saturated }
+	s.OnPoint = func(p sweep.Point, _ *stats.Recorder) {
+		lp := loadPoint(p)
+		o.logf("  %-32s load=%.2f accepted=%.3f mean=%.0f p99=%.0f%s\n",
+			label(p), lp.Offered, lp.Accepted, lp.Mean, lp.P99, satMark(lp))
 	}
-	return c
+	var out []Curve
+	for _, p := range run(s) {
+		if l := label(p); len(out) == 0 || out[len(out)-1].Label != l {
+			out = append(out, Curve{Label: l})
+		}
+		c := &out[len(out)-1]
+		c.Points = append(c.Points, loadPoint(p))
+	}
+	return out
 }
 
 func satMark(p LoadPoint) string {

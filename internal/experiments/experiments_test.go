@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"supersim/internal/config"
+	"supersim/internal/stats"
 	"supersim/internal/taskrun"
 )
 
@@ -53,8 +53,8 @@ func TestPrintCurves(t *testing.T) {
 	PrintCurves(&buf, "test", []Curve{{
 		Label: "series-a",
 		Points: []LoadPoint{
-			{Offered: 0.5, Accepted: 0.5, Mean: 100, P50: 95, P99: 150, P999: 180},
-			{Offered: 0.9, Accepted: 0.7, Mean: 900, Saturated: true},
+			{Offered: 0.5, Accepted: 0.5, Summary: stats.Summary{Mean: 100, P50: 95, P99: 150, P999: 180}},
+			{Offered: 0.9, Accepted: 0.7, Summary: stats.Summary{Mean: 900}, Saturated: true},
 		},
 	}})
 	out := buf.String()
@@ -81,16 +81,6 @@ func TestPrintFigure11(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "2 VCs") || !strings.Contains(out, "0.900") {
 		t.Fatalf("output:\n%s", out)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	got := sortedKeys(map[int]bool{8: true, 2: true, 4: true})
-	want := []int{2, 4, 8}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sortedKeys = %v", got)
-		}
 	}
 }
 
@@ -132,6 +122,7 @@ func TestFigure7Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two simulations")
 	}
+	t.Parallel()
 	a := Figure7(Options{Seed: 3})
 	b := Figure7(Options{Seed: 3})
 	if len(a) != len(b) {
@@ -159,7 +150,8 @@ const (
 )
 
 // TestFigure5AllocationBudget holds the Figure 5 transient to its
-// allocation and byte ceilings.
+// allocation and byte ceilings. It counts process-wide MemStats, so it stays
+// sequential: the parallel claim tests start only after it has finished.
 func TestFigure5AllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the Figure 5 transient")
@@ -184,43 +176,96 @@ func TestFigure5AllocationBudget(t *testing.T) {
 	})
 }
 
-func TestSweepLoadsReportsTasksToProbe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two simulations")
+func TestTableIRowReportsBuildFailure(t *testing.T) {
+	r := tableIRow("broken", nil, torusConfig(2, 2, 1, "no_such_flow_control", 0.5, 1, 100))
+	if r.Buildable || r.Err == nil {
+		t.Fatalf("a config with an unknown flow control reads buildable=%v, err %v", r.Buildable, r.Err)
 	}
 	var buf bytes.Buffer
-	j := taskrun.NewJournal(&buf, taskrun.FixedClock(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC), time.Millisecond))
-	opts := Options{Seed: 5, TaskProbe: j}
-	c := sweepLoads("fixture", []float64{0.1, 0.2}, opts, func(load float64) *config.Settings {
-		return torusConfig(2, 2, 1, "flit_buffer", load, 5, 500)
-	})
-	j.RunFinished()
+	PrintTableI(&buf, []TableIRow{r})
+	if !strings.Contains(buf.String(), "buildable=false") || !strings.Contains(buf.String(), "no_such_flow_control") {
+		t.Fatalf("output does not report the failure:\n%s", buf.String())
+	}
+}
+
+// reducedFigure9 runs a 16-terminal Figure 9b on procs workers: sensing
+// latencies 1 and 8 ns at loads 0.8, 0.9 and 1.0. At seed 1 the 1 ns curve
+// saturates at its last load and the 8 ns curve at 0.9, so its 1.0 point is
+// skipped. It returns the printed curves and the journal.
+func reducedFigure9(t *testing.T, procs int) (printed []byte, journal []taskrun.JournalEvent) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var jb, out bytes.Buffer
+	j := taskrun.NewJournal(&jb, taskrun.FixedClock(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC), time.Millisecond))
+	opts := Options{Seed: 1, TaskProbe: j}
+	PrintCurves(&out, "reduced Figure 9b", figure9(opts, "fig9b", 4, 2, 64, []uint64{1, 8}, []float64{0.8, 0.9, 1.0}, 300))
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Points) != 2 {
-		t.Fatalf("points %+v", c.Points)
-	}
-	_, events, err := taskrun.ReadJournal(&buf)
+	_, events, err := taskrun.ReadJournal(&jb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per load point: queued, ready, started, finished — then the done line.
-	var finished []string
+	return out.Bytes(), events
+}
+
+// finalStates maps each task of a journal to its final state.
+func finalStates(events []taskrun.JournalEvent) map[string]string {
+	states := map[string]string{}
 	for _, ev := range events {
 		if ev.Ev == "finished" {
-			if ev.State != "succeeded" {
-				t.Fatalf("state %+v", ev)
-			}
-			finished = append(finished, ev.Task)
+			states[ev.Task] = ev.State
 		}
 	}
-	want := []string{"fixture load=0.10", "fixture load=0.20"}
-	if len(finished) != len(want) || finished[0] != want[0] || finished[1] != want[1] {
-		t.Fatalf("finished tasks %v, want %v", finished, want)
+	return states
+}
+
+// TestFigureSweepSerialEqualsParallel: every point has its own config and
+// seed, so a figure prints the same bytes and its journal holds the same
+// tasks in the same final states on one worker and on two. It runs under
+// -short, so the race detector sees the figure sweeps' worker goroutines.
+func TestFigureSweepSerialEqualsParallel(t *testing.T) {
+	serial, serialJournal := reducedFigure9(t, 1)
+	parallel, parallelJournal := reducedFigure9(t, 2)
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("serial output:\n%s\nparallel output:\n%s", serial, parallel)
 	}
-	last := events[len(events)-1]
-	if last.Ev != "done" || last.Succeeded != 2 {
-		t.Fatalf("done event %+v", last)
+	a, b := finalStates(serialJournal), finalStates(parallelJournal)
+	if len(a) != len(b) {
+		t.Fatalf("serial tasks %v, parallel tasks %v", a, b)
+	}
+	for task, st := range a {
+		if b[task] != st {
+			t.Fatalf("task %s: serial %s, parallel %q", task, st, b[task])
+		}
+	}
+}
+
+// TestFigureSweepJournal: each point of a figure sweep is a task with a
+// unique name, and a load after a curve's first saturated point is a
+// skipped task.
+func TestFigureSweepJournal(t *testing.T) {
+	printed, events := reducedFigure9(t, runtime.GOMAXPROCS(0))
+	queued := map[string]int{}
+	for _, ev := range events {
+		if ev.Ev == "queued" {
+			queued[ev.Task]++
+		}
+	}
+	want := map[string]string{
+		"fig9b_SL=1_load=0.8": "succeeded", "fig9b_SL=1_load=0.9": "succeeded", "fig9b_SL=1_load=1": "succeeded",
+		"fig9b_SL=8_load=0.8": "succeeded", "fig9b_SL=8_load=0.9": "succeeded", "fig9b_SL=8_load=1": "skipped",
+	}
+	states := finalStates(events)
+	if len(queued) != len(want) || len(states) != len(want) {
+		t.Fatalf("queued %v, finished %v, want %d tasks", queued, states, len(want))
+	}
+	for task, st := range want {
+		if queued[task] != 1 || states[task] != st {
+			t.Errorf("task %s: queued %d times, finished %q, want once and %s", task, queued[task], states[task], st)
+		}
+	}
+	if n := strings.Count(string(printed), "[saturated]"); n != 2 {
+		t.Errorf("%d saturated points printed, want 2:\n%s", n, printed)
 	}
 }

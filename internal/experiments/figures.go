@@ -6,8 +6,9 @@ import (
 
 	"supersim/internal/config"
 	"supersim/internal/core"
-	"supersim/internal/network"
 	"supersim/internal/sim"
+	"supersim/internal/stats"
+	"supersim/internal/sweep"
 	"supersim/internal/workload/apps"
 )
 
@@ -113,11 +114,15 @@ func Figure7(opts Options) [][2]float64 {
 		routers, conc = 32, 32
 		sample = 12000
 	}
-	res := runBlast(opts.prep(fbConfig(routers, conc, AccountingStyle{"port", "both"},
-		"uniform_random", 0.5, opts.seed(), sample)))
-	curve := res.rec.PercentileCurve(PercentilePoints)
-	opts.logf("Figure 7: %d samples, p50=%.0f p99.9=%.0f\n",
-		res.rec.Count(), res.rec.Percentile(50), res.rec.Percentile(99.9))
+	s := opts.sweep("fig7", fbConfig(routers, conc, AccountingStyle{"port", "both"},
+		"uniform_random", 0.5, opts.seed(), sample))
+	var curve [][2]float64
+	s.OnPoint = func(_ sweep.Point, rec *stats.Recorder) {
+		curve = rec.PercentileCurve(PercentilePoints)
+		opts.logf("Figure 7: %d samples, p50=%.0f p99.9=%.0f\n",
+			rec.Count(), rec.Percentile(50), rec.Percentile(99.9))
+	}
+	run(s)
 	return curve
 }
 
@@ -145,10 +150,14 @@ func Figure8(opts Options) Curve {
 		sample = 8000
 	}
 	opts.logf("Figure 8: load sweep with phantom congestion (UGAL, %d terminals)\n", routers*conc)
-	return sweepLoads("ugal/port/both", loads, opts, func(load float64) *config.Settings {
-		return fbConfig(routers, conc, AccountingStyle{"port", "both"},
-			"uniform_random", load, opts.seed(), sample)
-	})
+	return figure8(opts, routers, conc, loads, sample)[0]
+}
+
+// figure8 is Figure 8's sweep at one scale: a single curve over loads.
+func figure8(opts Options, routers, conc int, loads []float64, sample uint64) []Curve {
+	base := fbConfig(routers, conc, AccountingStyle{"port", "both"}, "uniform_random", loads[0], opts.seed(), sample)
+	return opts.curves(opts.sweep("fig8", base, loadVar(loads)),
+		func(sweep.Point) string { return "ugal/port/both" })
 }
 
 // TableIRow is one column of the paper's Table I parameter matrix.
@@ -156,27 +165,28 @@ type TableIRow struct {
 	Study     string
 	Params    map[string]string
 	Buildable bool
+	Err       error // why the configuration did not build
+}
+
+// tableIRow builds cfg, network and workload, and records whether it built.
+func tableIRow(study string, params map[string]string, cfg *config.Settings) TableIRow {
+	_, err := core.BuildE(cfg)
+	return TableIRow{Study: study, Params: params, Buildable: err == nil, Err: err}
 }
 
 // TableI reproduces the simulation parameter matrix of the three case
 // studies and verifies that each configuration actually constructs (at
 // reduced scale by default; paper scale with Full).
 func TableI(opts Options) []TableIRow {
-	build := func(cfg *config.Settings) bool {
-		s := sim.NewSimulator(1)
-		network.New(s, cfg.Sub("network"))
-		return true
-	}
 	scaleClos, scaleFB, scaleTorus := 8, 16, 4
 	fbConc := 16
 	if opts.Full {
 		scaleClos, scaleFB, scaleTorus = 16, 32, 8
 		fbConc = 32
 	}
-	rows := []TableIRow{
-		{
-			Study: "Latent Congestion Detection",
-			Params: map[string]string{
+	return []TableIRow{
+		tableIRow("Latent Congestion Detection",
+			map[string]string{
 				"Network topology":    fmt.Sprintf("3-level folded-Clos, %d terminals", pow(scaleClos, 3)),
 				"Channel latency":     "50 ns",
 				"Routing algorithm":   "adaptive uprouting",
@@ -188,11 +198,9 @@ func TableI(opts Options) []TableIRow {
 				"Message size":        "1 flit",
 				"Traffic pattern":     "uniform random to root",
 			},
-			Buildable: build(closConfig(scaleClos, 3, 8, 64, 0.5, 1, 100)),
-		},
-		{
-			Study: "Congestion Credit Accounting",
-			Params: map[string]string{
+			closConfig(scaleClos, 3, 8, 64, 0.5, 1, 100)),
+		tableIRow("Congestion Credit Accounting",
+			map[string]string{
 				"Network topology":    fmt.Sprintf("1D flattened butterfly, %d routers, %d terminals", scaleFB, scaleFB*fbConc),
 				"Channel latency":     "50 ns",
 				"Routing algorithm":   "UGAL",
@@ -205,11 +213,9 @@ func TableI(opts Options) []TableIRow {
 				"Message size":        "1 flit",
 				"Traffic pattern":     "uniform random, bit complement",
 			},
-			Buildable: build(fbConfig(scaleFB, fbConc, AccountingStyle{"vc", "both"}, "uniform_random", 0.5, 1, 100)),
-		},
-		{
-			Study: "Flow Control Techniques",
-			Params: map[string]string{
+			fbConfig(scaleFB, fbConc, AccountingStyle{"vc", "both"}, "uniform_random", 0.5, 1, 100)),
+		tableIRow("Flow Control Techniques",
+			map[string]string{
 				"Network topology":    fmt.Sprintf("4D torus %dx%dx%dx%d, %d terminals", scaleTorus, scaleTorus, scaleTorus, scaleTorus, pow(scaleTorus, 4)),
 				"Channel latency":     "5 ns",
 				"Routing algorithm":   "dimension order routing",
@@ -220,10 +226,8 @@ func TableI(opts Options) []TableIRow {
 				"Message size":        "1,2,4,8,16,32 flits",
 				"Traffic pattern":     "uniform random",
 			},
-			Buildable: build(torusConfig(scaleTorus, 4, 1, "flit_buffer", 0.5, 1, 100)),
-		},
+			torusConfig(scaleTorus, 4, 1, "flit_buffer", 0.5, 1, 100)),
 	}
-	return rows
 }
 
 // PrintTableI renders the parameter matrix.
@@ -231,6 +235,9 @@ func PrintTableI(w io.Writer, rows []TableIRow) {
 	fmt.Fprintln(w, "== Table I: parameters for the three simulation case studies ==")
 	for _, r := range rows {
 		fmt.Fprintf(w, "--- %s (buildable=%v) ---\n", r.Study, r.Buildable)
+		if r.Err != nil {
+			fmt.Fprintf(w, "  %v\n", r.Err)
+		}
 		for _, k := range []string{"Network topology", "Channel latency", "Routing algorithm",
 			"Router architecture", "Frequency speedup", "Number of VCs", "Input buffer",
 			"Output buffer", "Router core latency", "Message size", "Traffic pattern"} {

@@ -39,9 +39,8 @@ func ExampleSweep() {
 	    }]
 	  }
 	}`), 1)
-	latencies := []any{1, 2, 4, 8, 16, 32, 64}
 	s.AddVariable(sweep.Variable{
-		Name: "ChannelLatency", Short: "CL", Values: latencies,
+		Name: "ChannelLatency", Short: "CL", Values: []any{1, 2, 4, 8, 16, 32, 64},
 		Apply: func(cfg *config.Settings, v any) {
 			cfg.Set("network.channel.latency", v.(int))
 		},
@@ -51,16 +50,11 @@ func ExampleSweep() {
 		log.Fatal(err)
 	}
 
-	// Points come back sorted by id ("CL=1", "CL=16", ...); print them in
-	// sweep order.
+	// Points come back in sweep order.
 	fmt.Printf("%-8s %9s %7s %5s\n", "latency", "accepted", "mean", "p99")
-	for _, v := range latencies {
-		for _, p := range points {
-			if p.Values["ChannelLatency"] == v {
-				fmt.Printf("%-8d %9.3f %7.1f %5.0f\n",
-					v.(int), p.Accepted, p.Summary.Mean, p.Summary.P99)
-			}
-		}
+	for _, p := range points {
+		fmt.Printf("%-8d %9.3f %7.1f %5.0f\n",
+			p.Values["ChannelLatency"].(int), p.Accepted, p.Summary.Mean, p.Summary.P99)
 	}
 	if err := sweep.WriteReport(io.Discard, "channel latency sweep", points, "ChannelLatency"); err != nil {
 		log.Fatal(err)

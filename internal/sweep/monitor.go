@@ -14,7 +14,7 @@ import (
 // fleet-level metrics and serves them live: a /sweep JSON progress document
 // (counts, per-resource utilization, progress and ETA) and a Prometheus
 // /metrics exposition of the sweep_* series, on the same HTTP machinery the
-// per-run telemetry server uses. Attach it to a sweep with SetProbe —
+// per-run telemetry server uses. Attach it to a sweep as its Probe —
 // typically combined with a Journal via taskrun.Probes.
 //
 // Probe callbacks run under the runner's scheduler lock; the HTTP handlers

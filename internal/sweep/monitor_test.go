@@ -144,8 +144,8 @@ func TestSweepFleetObservabilityE2E(t *testing.T) {
 		var jbuf bytes.Buffer
 		j := taskrun.NewJournal(&jbuf, testClock())
 		mon := NewMonitor(testClock())
-		s.SetProbe(taskrun.Probes(j, mon))
-		s.WriteManifests(dir)
+		s.Probe = taskrun.Probes(j, mon)
+		s.ManifestDir = dir
 		points, err := s.Run()
 		if err != nil {
 			t.Fatal(err)

@@ -69,61 +69,48 @@ func Probes(ps ...Probe) Probe {
 	return list
 }
 
+// multiProbe is Probes' fan-out; it holds no nil probe.
 type multiProbe []Probe
 
 func (m multiProbe) RunStarted(capacity map[string]int, tasks int) {
 	for _, p := range m {
-		if p != nil {
-			p.RunStarted(capacity, tasks)
-		}
+		p.RunStarted(capacity, tasks)
 	}
 }
 
 func (m multiProbe) TaskQueued(task string, resources map[string]int) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskQueued(task, resources)
-		}
+		p.TaskQueued(task, resources)
 	}
 }
 
 func (m multiProbe) TaskReady(task string) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskReady(task)
-		}
+		p.TaskReady(task)
 	}
 }
 
 func (m multiProbe) TaskBlocked(task, resource string, need, avail int) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskBlocked(task, resource, need, avail)
-		}
+		p.TaskBlocked(task, resource, need, avail)
 	}
 }
 
 func (m multiProbe) TaskStarted(task string) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskStarted(task)
-		}
+		p.TaskStarted(task)
 	}
 }
 
 func (m multiProbe) TaskFinished(task string, state State, err error) {
 	for _, p := range m {
-		if p != nil {
-			p.TaskFinished(task, state, err)
-		}
+		p.TaskFinished(task, state, err)
 	}
 }
 
 func (m multiProbe) RunFinished() {
 	for _, p := range m {
-		if p != nil {
-			p.RunFinished()
-		}
+		p.RunFinished()
 	}
 }
 
@@ -178,8 +165,6 @@ type journalTimes struct {
 	blockedAt time.Time
 	started   time.Time
 	blocked   bool
-	hasReady  bool
-	hasStart  bool
 }
 
 // Journal is a Probe that streams task-lifecycle events as JSONL: a header
@@ -219,24 +204,6 @@ func (j *Journal) write(v any) {
 	j.err = j.enc.Encode(v)
 }
 
-// ensureHeader opens the journal on first use. RunStarted supplies capacity
-// and task count; drivers that emit task events without a runner (e.g. the
-// experiments harness) get a header without them.
-func (j *Journal) ensureHeader(capacity map[string]int, tasks int) {
-	if j.opened {
-		return
-	}
-	j.opened = true
-	j.start = j.clock()
-	j.write(JournalHeader{
-		Schema:   JournalSchema,
-		Version:  JournalSchemaVersion,
-		Start:    j.start.UTC().Format(time.RFC3339Nano),
-		Capacity: capacity,
-		Tasks:    tasks,
-	})
-}
-
 func (j *Journal) now() (time.Time, int64) {
 	t := j.clock()
 	return t, t.Sub(j.start).Milliseconds()
@@ -251,14 +218,27 @@ func (j *Journal) times(task string) *journalTimes {
 	return tt
 }
 
-// RunStarted implements Probe.
+// RunStarted implements Probe. It writes the header, which starts the
+// journal's clock. A journal that observes several runs in turn (one per
+// figure sweep under experiments -journal) keeps the first run's header, and
+// each run ends in its own done line with the counts so far.
 func (j *Journal) RunStarted(capacity map[string]int, tasks int) {
-	j.ensureHeader(capacity, tasks)
+	if j.opened {
+		return
+	}
+	j.opened = true
+	j.start = j.clock()
+	j.write(JournalHeader{
+		Schema:   JournalSchema,
+		Version:  JournalSchemaVersion,
+		Start:    j.start.UTC().Format(time.RFC3339Nano),
+		Capacity: capacity,
+		Tasks:    tasks,
+	})
 }
 
 // TaskQueued implements Probe.
 func (j *Journal) TaskQueued(task string, resources map[string]int) {
-	j.ensureHeader(nil, 0)
 	_, ms := j.now()
 	ev := JournalEvent{T: ms, Ev: "queued", Task: task}
 	if len(resources) > 0 {
@@ -269,16 +249,14 @@ func (j *Journal) TaskQueued(task string, resources map[string]int) {
 
 // TaskReady implements Probe.
 func (j *Journal) TaskReady(task string) {
-	j.ensureHeader(nil, 0)
 	t, ms := j.now()
 	tt := j.times(task)
-	tt.ready, tt.hasReady = t, true
+	tt.ready = t
 	j.write(JournalEvent{T: ms, Ev: "ready", Task: task})
 }
 
 // TaskBlocked implements Probe.
 func (j *Journal) TaskBlocked(task, resource string, need, avail int) {
-	j.ensureHeader(nil, 0)
 	t, ms := j.now()
 	tt := j.times(task)
 	if !tt.blocked {
@@ -289,14 +267,11 @@ func (j *Journal) TaskBlocked(task, resource string, need, avail int) {
 
 // TaskStarted implements Probe.
 func (j *Journal) TaskStarted(task string) {
-	j.ensureHeader(nil, 0)
 	t, ms := j.now()
 	tt := j.times(task)
-	tt.started, tt.hasStart = t, true
-	ev := JournalEvent{T: ms, Ev: "started", Task: task}
-	if tt.hasReady {
-		ev.WaitMS = t.Sub(tt.ready).Milliseconds()
-	}
+	tt.started = t
+	// The runner reports a task ready before it starts it.
+	ev := JournalEvent{T: ms, Ev: "started", Task: task, WaitMS: t.Sub(tt.ready).Milliseconds()}
 	if tt.blocked {
 		ev.BlockedMS = t.Sub(tt.blockedAt).Milliseconds()
 		tt.blocked = false
@@ -306,13 +281,12 @@ func (j *Journal) TaskStarted(task string) {
 
 // TaskFinished implements Probe.
 func (j *Journal) TaskFinished(task string, state State, err error) {
-	j.ensureHeader(nil, 0)
 	t, ms := j.now()
 	if state >= 0 && int(state) < len(j.counts) {
 		j.counts[state]++
 	}
 	ev := JournalEvent{T: ms, Ev: "finished", Task: task, State: state.String()}
-	if tt := j.tasks[task]; tt != nil && tt.hasStart {
+	if tt := j.tasks[task]; tt != nil && !tt.started.IsZero() {
 		ev.RunMS = t.Sub(tt.started).Milliseconds()
 	}
 	if err != nil {
@@ -323,7 +297,6 @@ func (j *Journal) TaskFinished(task string, state State, err error) {
 
 // RunFinished implements Probe.
 func (j *Journal) RunFinished() {
-	j.ensureHeader(nil, 0)
 	_, ms := j.now()
 	j.write(JournalEvent{
 		T: ms, Ev: "done",

@@ -165,16 +165,22 @@ func TestJournalParallelRaceClean(t *testing.T) {
 	}
 }
 
-func TestJournalStandaloneWithoutRunner(t *testing.T) {
-	// Drivers like the experiments harness emit task events without a runner:
-	// the header appears lazily on the first event.
+func TestJournalSeveralRuns(t *testing.T) {
+	// One journal can observe several runners in turn (experiments -journal
+	// writes one run per figure sweep): the first run's header stays, and
+	// each run ends in a done line with the counts so far.
 	var buf bytes.Buffer
 	j := NewJournal(&buf, testClock())
-	j.TaskQueued("fig5", nil)
-	j.TaskReady("fig5")
-	j.TaskStarted("fig5")
-	j.TaskFinished("fig5", Succeeded, nil)
-	j.RunFinished()
+	for i, names := range [][]string{{"a"}, {"b", "c"}} {
+		r := NewRunner(map[string]int{"cpu": i + 1})
+		r.SetProbe(j)
+		for _, n := range names {
+			r.Task(n, func() error { return nil }).Require("cpu", 1)
+		}
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +188,17 @@ func TestJournalStandaloneWithoutRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Tasks != 0 || len(hdr.Capacity) != 0 {
-		t.Fatalf("standalone header %+v", hdr)
+	if hdr.Tasks != 1 || hdr.Capacity["cpu"] != 1 {
+		t.Fatalf("header %+v, want the first run's", hdr)
 	}
-	if len(events) != 5 || events[3].State != "succeeded" || events[3].RunMS != 1 {
-		t.Fatalf("events %+v", events)
+	var done []int
+	for _, ev := range events {
+		if ev.Ev == "done" {
+			done = append(done, ev.Succeeded)
+		}
+	}
+	if len(done) != 2 || done[0] != 1 || done[1] != 3 {
+		t.Fatalf("done lines' succeeded counts %v, want [1 3]", done)
 	}
 }
 
