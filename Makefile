@@ -16,7 +16,7 @@
 #   make test-import-export - checkpoint/restore equivalence under -race: the
 #                  equivalence matrix (repeated = restored, byte for byte,
 #                  over every model), the simulation-after-import harness,
-#                  byte-exact snapshot round-trips, the pinned v10 bytes and
+#                  byte-exact snapshot round-trips, the pinned v11 bytes and
 #                  the restore-side corruption checks
 #   make fuzz    - short live fuzzing session on the config parsers, the
 #                  event-order model, the transaction-log parser, the task
@@ -111,7 +111,7 @@ fuzz:
 # repeat and a restore of the middle checkpoint, compared checkpoint by
 # checkpoint), the simulation-after-import harness (all golden topologies),
 # checkpoints of a restored run starting after its restore tick, byte-exact
-# snapshot round-trips, the schema-v10 bytes pinned in
+# snapshot round-trips, the schema-v11 bytes pinned in
 # testdata/golden/snapshots.json, restored-index validation, event records
 # refused out of queue order, and the randomized checkpoint sweep — under the
 # race detector.

@@ -139,21 +139,21 @@ func TestRunWithFleetObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	hdr, events, err := taskrun.ReadJournal(f)
+	_, events, err := taskrun.ReadJournal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Tasks != 2 {
-		t.Fatalf("journal header %+v", hdr)
-	}
-	finished := 0
+	finished, tasks := 0, 0
 	for _, ev := range events {
-		if ev.Ev == "finished" {
+		switch ev.Ev {
+		case "finished":
 			finished++
+		case "done":
+			tasks = ev.Tasks
 		}
 	}
-	if finished != 2 {
-		t.Fatalf("finished events %d, want 2", finished)
+	if finished != 2 || tasks != 2 {
+		t.Fatalf("finished events %d, done line's task count %d; want 2 and 2", finished, tasks)
 	}
 
 	for _, id := range []string{"CL=2", "CL=4"} {

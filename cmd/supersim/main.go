@@ -72,7 +72,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	monitor := flag.Uint64("monitor", 0, "report events/sec and heap every N executed events (0 disables)")
-	verifyRun := flag.Bool("verify", false, "enable runtime invariant verification (flit/credit conservation, aliasing sentinel, progress watchdog)")
+	verifyRun := flag.Bool("verify", false, "enable runtime invariant verification (flit conservation, aliasing sentinel, progress watchdog; credit and buffer checks are always on)")
 	telemetryOn := flag.Bool("telemetry", false, "enable the telemetry metrics registry")
 	telemetryFile := flag.String("telemetry-file", "", "write time-binned telemetry snapshots (JSONL) to this file (implies -telemetry)")
 	telemetryBin := flag.Uint64("telemetry-bin", 1000, "telemetry snapshot bin width in ticks")

@@ -155,9 +155,10 @@ func Build(cfg *config.Settings) *Simulation {
 	}
 	net := network.New(s, cfg.Sub("network"))
 	if v != nil {
-		// With the network built the watchdog can do better than an occupancy
-		// dump: the diagnostician walks head-of-line dependency chains and
-		// names the resource each blocked flit waits on.
+		// With the network built the watchdog and the flit-conservation drain
+		// check can report the stall: the diagnostician walks head-of-line
+		// dependency chains, names each occupied input VC and its credits,
+		// and the resource each blocked flit waits on.
 		v.SetDiagnoser(diagnose.New(net).Report)
 	}
 	w := workload.New(s, cfg.Sub("workload"), net)

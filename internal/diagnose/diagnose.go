@@ -1,13 +1,13 @@
 // Package diagnose renders human-readable blocked-chain reports when the
-// verify watchdog detects that no flit has moved for a full epoch. Where the
-// occupancy dump says *what* is full, the diagnostician says *why*: starting
-// from each backed-up terminal it walks the head-of-line dependency chain —
-// interface queue → router input VC → the output VC or downstream credit the
-// head flit waits on → the input VC holding that resource — until the chain
-// reaches a transient wait (progress imminent, so the stall is elsewhere),
-// leaves the visible network state (flits or credits in transit on a
-// channel), or closes on itself, which is the signature of a credit-
-// dependency deadlock.
+// verify watchdog detects that no flit has moved for a full epoch, or the
+// drain check finds flits never retired. The report says what is occupied
+// and why it is stuck: starting from each backed-up terminal it walks the
+// head-of-line dependency chain — interface queue → router input VC → the
+// output VC or downstream credit the head flit waits on → the input VC
+// holding that resource — until the chain reaches a transient wait
+// (progress imminent, so the stall is elsewhere), leaves the visible network
+// state (flits or credits in transit on a channel), or closes on itself,
+// which is the signature of a credit-dependency deadlock.
 //
 // The walk is read-only over accessors every router architecture exposes
 // (router.HOL, router.OutputChannel, the interface queue inspectors), so a
@@ -39,7 +39,7 @@ type Diagnostician struct {
 }
 
 // New creates a diagnostician for the network. core.Build registers its
-// Report with the verifier's watchdog.
+// Report with the verifier, for the watchdog and the drain check.
 func New(net network.Network) *Diagnostician { return &Diagnostician{net: net} }
 
 type visitKey struct{ router, port, vc int }

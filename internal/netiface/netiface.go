@@ -55,8 +55,7 @@ type Interface struct {
 	partial int // messages with some but not all flits delivered
 
 	// invariant verification, nil unless attached to the simulator
-	v       *verify.Verifier
-	credLed *verify.CreditLedger // mirrors downCred; rebuilt from it on restore
+	v *verify.Verifier
 
 	// telemetry probe and span recorder, nil unless attached to the simulator
 	tp *telemetry.IfaceProbe
@@ -123,7 +122,6 @@ func (n *Interface) SetDownstreamCredits(perVC int) {
 	for vc := range n.downCred {
 		n.downCred[vc] = perVC
 	}
-	n.credLed = n.v.NewCreditLedger(n.Name(), ".inject", n.vcs, perVC)
 }
 
 // VerifyIdle panics unless the interface is quiescent: nothing queued for
@@ -259,10 +257,8 @@ func (n *Interface) injectOne() {
 	}
 	now := n.Sim().Now().Tick
 	n.downCred[n.curVC]--
-	// Register the flit in the in-flight ledger before the channel's touch
-	// check sees it, then cross-check the credit mirror.
+	// Mark the flit in flight before the channel's touch check sees it.
 	n.v.FlitInjected(f)
-	n.credLed.Debit(n.curVC, n.downCred[n.curVC])
 	if f.Head {
 		if t := pkt.Times(); t != nil {
 			t.Inject = now
@@ -345,12 +341,24 @@ func (n *Interface) InjectionCredits() []int {
 // OutputChannel returns the flit channel toward the router.
 func (n *Interface) OutputChannel() *channel.Channel { return n.outCh }
 
-// ReceiveCredit restores an injection credit for a VC.
+// ReceiveCredit restores an injection credit for a VC, panicking when the
+// count would exceed the router input buffer's depth: the router returned a
+// credit it never took.
 func (n *Interface) ReceiveCredit(port int, c types.Credit) {
 	if c.VC < 0 || c.VC >= n.vcs {
 		n.Panicf("credit for unregistered VC %d", c.VC)
 	}
 	n.downCred[c.VC]++
-	n.credLed.Credit(c.VC, n.downCred[c.VC])
+	if n.downCred[c.VC] > n.credInit {
+		n.excessCredit(c.VC)
+	}
 	n.scheduleInject()
+}
+
+// excessCredit is ReceiveCredit's cold half: formatting the panic stays out
+// of line, so the check on the hot path is a compare and a branch.
+//
+//go:noinline
+func (n *Interface) excessCredit(vc int) {
+	n.Panicf("injection credits exceeded capacity on vc %d: %d of %d", vc, n.downCred[vc], n.credInit)
 }

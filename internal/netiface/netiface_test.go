@@ -1,12 +1,15 @@
 package netiface
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"supersim/internal/channel"
 	"supersim/internal/config"
 	"supersim/internal/sim"
 	"supersim/internal/types"
+	"supersim/internal/verify"
 )
 
 // routerStub collects flits arriving from the interface and can return
@@ -19,6 +22,7 @@ type routerStub struct {
 	credits []types.Credit         // ejection credits from the interface
 	creditC *channel.CreditChannel // back to the interface
 	auto    bool                   // return a credit immediately on arrival
+	drop    int                    // with auto, credits to withhold first
 	line    *channel.Line
 }
 
@@ -27,6 +31,10 @@ func (r *routerStub) ReceiveFlit(port, vc int, f *types.Flit) {
 	r.vcs = append(r.vcs, vc)
 	r.times = append(r.times, r.s.Now().Tick)
 	if r.auto {
+		if r.drop > 0 {
+			r.drop--
+			return
+		}
 		r.creditC.Inject(types.Credit{VC: vc})
 	}
 }
@@ -356,5 +364,41 @@ func TestInspectionAccessors(t *testing.T) {
 	if got := n.InjectionCredits(); got[0]+got[1] != 2 {
 		// 4 flits debited from 6 total credits, none returned by the stub
 		t.Fatalf("InjectionCredits = %v after sending 4 flits, want 2 remaining in total", got)
+	}
+}
+
+// TestAccountingChecksWithoutVerifier: with verification off, the
+// interface's own credit accounting still catches a corrupted credit loop —
+// a credit the router never took panics on arrival, naming the interface and
+// the VC, and a credit the router never returned fails VerifyIdle after
+// drain.
+func TestAccountingChecksWithoutVerifier(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		corrupt func(s *sim.Simulator, n *Interface, stub *routerStub)
+		want    string // in the panic
+	}{
+		{"extra injection credit", func(_ *sim.Simulator, n *Interface, _ *routerStub) {
+			n.ReceiveCredit(0, types.Credit{VC: 1})
+		}, "iface @0.0: injection credits exceeded capacity on vc 1: 5 of 4"},
+		{"injection credit never returned", func(s *sim.Simulator, n *Interface, stub *routerStub) {
+			stub.auto, stub.drop = true, 1
+			n.SendMessage(msg(1, 0, 5, 3, 3))
+			s.Run()
+			n.VerifyIdle()
+		}, "idle check: vc 0 holds 3 of 4 injection credits"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, n, stub, _ := rig(t, 2, 4, func(*types.Packet) []int { return []int{0} })
+			if verify.For(s) != nil {
+				t.Fatal("rig attached a verifier")
+			}
+			defer func() {
+				if got := fmt.Sprint(recover()); !strings.Contains(got, c.want) {
+					t.Fatalf("panic %q, want one naming %q", got, c.want)
+				}
+			}()
+			c.corrupt(s, n, stub)
+		})
 	}
 }

@@ -29,7 +29,9 @@ func sensorOf(r Router) *congestion.CreditSensor {
 // accounting still panics on each corruption the sensor's negative-count
 // checks caught: an extra credit returned, on a connected port or on a port
 // with no downstream capacity; a credit taken twice; and an output queue
-// drained of a flit it never reserved room for.
+// drained of a flit it never reserved room for. Its idle check, run after
+// drain with verification off, catches a credit never returned and a flit
+// left in an input buffer.
 func TestAccountingChecksWithoutSensor(t *testing.T) {
 	const vcs, credits = 1, 2
 	for _, c := range []struct {
@@ -64,6 +66,14 @@ func TestAccountingChecksWithoutSensor(t *testing.T) {
 			o.scheduleOutput(1)
 			s.Run()
 		}, "output queue occupancy went negative"},
+		{"downstream credit never returned", iqDoc, func(r Router, _ *sim.Simulator) {
+			r.(*IQ).takeDownstreamCredit(1, 0)
+			r.VerifyIdle()
+		}, "idle check: port 1 vc 0 holds 1 of 2 downstream credits"},
+		{"flit left in an input buffer", iqDoc, func(r Router, _ *sim.Simulator) {
+			r.ReceiveFlit(0, 0, types.NewMessage(1, 0, 5, 9, 1, 1).Packet(0).Flit(0))
+			r.VerifyIdle()
+		}, "idle check: input VC 0 holds 1 flits"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, r, _, _ := wireLoneRouter(t, c.doc, vcs, credits, false)

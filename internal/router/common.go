@@ -2,7 +2,6 @@ package router
 
 import (
 	"math/rand/v2"
-	"strconv"
 
 	"supersim/internal/channel"
 	"supersim/internal/config"
@@ -11,7 +10,6 @@ import (
 	"supersim/internal/sim"
 	"supersim/internal/telemetry"
 	"supersim/internal/types"
-	"supersim/internal/verify"
 )
 
 // event type tags shared by the architectures
@@ -50,11 +48,6 @@ type base struct {
 	sensor *congestion.CreditSensor // nil unless routing reads it
 	algs   []routing.Algorithm      // per input port
 	rng    *rand.Rand
-
-	// invariant verification, nil unless attached to the simulator
-	v       *verify.Verifier
-	credLed []*verify.CreditLedger // per output port, mirrors downCred
-	bufLed  []*verify.BufferLedger // per input port, tracks buffer occupancy
 
 	// telemetry probe and span recorder, nil unless attached to the simulator
 	tp *telemetry.RouterProbe
@@ -105,14 +98,6 @@ func newBase(s *sim.Simulator, name string, cfg *config.Settings, p Params) base
 	}
 	for i := range b.downCred {
 		b.downCred[i] = make([]int, vcs)
-	}
-	// The ledger slices are always sized to radix: with verification off they
-	// hold the nil ledgers a nil Verifier hands out, which check nothing.
-	b.v = verify.For(s)
-	b.credLed = make([]*verify.CreditLedger, p.Radix)
-	b.bufLed = make([]*verify.BufferLedger, p.Radix)
-	for port := range b.bufLed {
-		b.bufLed[port] = b.v.NewBufferLedger(name, ".in"+strconv.Itoa(port), vcs, bufDepth)
 	}
 	b.tp = telemetry.ForRouter(s, name, vcs)
 	b.sp = telemetry.SpansFor(s)
@@ -183,7 +168,6 @@ func (b *base) SetDownstreamCredits(port int, perVC int) {
 	for vc := range b.downCred[port] {
 		b.downCred[port][vc] = perVC
 	}
-	b.credLed[port] = b.v.NewCreditLedger(b.Name(), ".out"+strconv.Itoa(port), b.vcs, perVC)
 }
 
 func (b *base) checkPort(port int) {
@@ -240,7 +224,6 @@ func (b *base) receive(q *flitQueue, port, vc int, f *types.Flit) {
 		b.overrun(port, vc)
 	}
 	q.push(f)
-	b.bufLed[port].Arrive(vc)
 	b.tp.FlitBuffered(vc)
 }
 
@@ -285,7 +268,6 @@ func (b *base) takeDownstreamCredit(port, vc int) {
 	if b.downCred[port][vc] < 0 {
 		b.Panicf("downstream credits went negative on port %d vc %d", port, vc)
 	}
-	b.credLed[port].Debit(vc, b.downCred[port][vc])
 	b.sensor.AddDownstream(b.Sim().Now().Tick, port, vc, 1)
 }
 
@@ -296,7 +278,6 @@ func (b *base) returnDownstreamCredit(port, vc int) {
 	if b.downCred[port][vc] > b.downCap[port] {
 		b.excessCredit(port, vc)
 	}
-	b.credLed[port].Credit(vc, b.downCred[port][vc])
 	b.sensor.AddDownstream(b.Sim().Now().Tick, port, vc, -1)
 }
 
@@ -309,7 +290,6 @@ func (b *base) forwarded(client int) {
 	if cc == nil {
 		b.Panicf("no credit channel on input port %d", port)
 	}
-	b.bufLed[port].Free(vc)
 	b.tp.FlitUnbuffered(vc)
 	cc.Inject(types.Credit{VC: vc})
 	b.tp.FlitRouted()

@@ -120,7 +120,6 @@ type JournalHeader struct {
 	Version  int            `json:"version"`
 	Start    string         `json:"start"` // journal epoch, RFC3339Nano (wall time under WallClock)
 	Capacity map[string]int `json:"capacity,omitempty"`
-	Tasks    int            `json:"tasks,omitempty"`
 }
 
 // JournalEvent is one task-lifecycle line of a task journal. Ev is one of
@@ -150,7 +149,9 @@ type JournalEvent struct {
 	RunMS int64  `json:"run_ms,omitempty"`
 	Err   string `json:"err,omitempty"`
 
-	// done: final per-state counts and total wall time of the run.
+	// done: the run's task count, the per-state counts so far and the
+	// total wall time.
+	Tasks     int   `json:"tasks,omitempty"`
 	Succeeded int   `json:"succeeded,omitempty"`
 	Failed    int   `json:"failed,omitempty"`
 	Skipped   int   `json:"skipped,omitempty"`
@@ -183,6 +184,9 @@ type Journal struct {
 	err    error
 	tasks  map[string]*journalTimes
 	counts [Canceled + 1]int
+	// runTasks is the task count of the run in progress, written on its
+	// done line.
+	runTasks int
 }
 
 // NewJournal creates a journal writing to w, stamping events with clock
@@ -221,8 +225,10 @@ func (j *Journal) times(task string) *journalTimes {
 // RunStarted implements Probe. It writes the header, which starts the
 // journal's clock. A journal that observes several runs in turn (one per
 // figure sweep under experiments -journal) keeps the first run's header, and
-// each run ends in its own done line with the counts so far.
+// each run ends in its own done line with its task count and the state
+// counts so far.
 func (j *Journal) RunStarted(capacity map[string]int, tasks int) {
+	j.runTasks = tasks
 	if j.opened {
 		return
 	}
@@ -233,7 +239,6 @@ func (j *Journal) RunStarted(capacity map[string]int, tasks int) {
 		Version:  JournalSchemaVersion,
 		Start:    j.start.UTC().Format(time.RFC3339Nano),
 		Capacity: capacity,
-		Tasks:    tasks,
 	})
 }
 
@@ -300,6 +305,7 @@ func (j *Journal) RunFinished() {
 	_, ms := j.now()
 	j.write(JournalEvent{
 		T: ms, Ev: "done",
+		Tasks:     j.runTasks,
 		Succeeded: j.counts[Succeeded],
 		Failed:    j.counts[Failed],
 		Skipped:   j.counts[Skipped],

@@ -91,8 +91,8 @@ func TestJournalRoundtrip(t *testing.T) {
 	if hdr.Schema != JournalSchema || hdr.Version != JournalSchemaVersion {
 		t.Fatalf("header %+v", hdr)
 	}
-	if hdr.Capacity["cpu"] != 1 || hdr.Tasks != 5 {
-		t.Fatalf("header capacity/tasks: %+v", hdr)
+	if hdr.Capacity["cpu"] != 1 {
+		t.Fatalf("header capacity: %+v", hdr)
 	}
 	counts := map[string]int{}
 	var done *JournalEvent
@@ -118,7 +118,7 @@ func TestJournalRoundtrip(t *testing.T) {
 			t.Fatalf("sim_b started without blocked_ms: %+v", ev)
 		}
 	}
-	if done == nil || done.Succeeded != 2 || done.Failed != 1 || done.Skipped != 1 || done.Canceled != 1 {
+	if done == nil || done.Tasks != 5 || done.Succeeded != 2 || done.Failed != 1 || done.Skipped != 1 || done.Canceled != 1 {
 		t.Fatalf("done line %+v", done)
 	}
 	if done.WallMS == 0 {
@@ -168,7 +168,8 @@ func TestJournalParallelRaceClean(t *testing.T) {
 func TestJournalSeveralRuns(t *testing.T) {
 	// One journal can observe several runners in turn (experiments -journal
 	// writes one run per figure sweep): the first run's header stays, and
-	// each run ends in a done line with the counts so far.
+	// each run ends in a done line with its own task count and the state
+	// counts so far.
 	var buf bytes.Buffer
 	j := NewJournal(&buf, testClock())
 	for i, names := range [][]string{{"a"}, {"b", "c"}} {
@@ -188,17 +189,21 @@ func TestJournalSeveralRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Tasks != 1 || hdr.Capacity["cpu"] != 1 {
+	if hdr.Capacity["cpu"] != 1 {
 		t.Fatalf("header %+v, want the first run's", hdr)
 	}
-	var done []int
+	var tasks, succeeded []int
 	for _, ev := range events {
 		if ev.Ev == "done" {
-			done = append(done, ev.Succeeded)
+			tasks = append(tasks, ev.Tasks)
+			succeeded = append(succeeded, ev.Succeeded)
 		}
 	}
-	if len(done) != 2 || done[0] != 1 || done[1] != 3 {
-		t.Fatalf("done lines' succeeded counts %v, want [1 3]", done)
+	if len(tasks) != 2 || tasks[0] != 1 || tasks[1] != 2 {
+		t.Fatalf("done lines' task counts %v, want [1 2]", tasks)
+	}
+	if succeeded[0] != 1 || succeeded[1] != 3 {
+		t.Fatalf("done lines' succeeded counts %v, want [1 3]", succeeded)
 	}
 }
 

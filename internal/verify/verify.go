@@ -1,51 +1,45 @@
-// Package verify implements the simulator's runtime invariant-verification
-// subsystem: a config-gated set of always-on structural checks that turn
-// silent correctness bugs — lost or duplicated flits, credit accounting
-// drift, pooled-object aliasing, deadlocks — into immediate panics with
-// component-level diagnostics.
+// Package verify implements the simulator's opt-in runtime invariant
+// verification: the checks that no single component can make on its own
+// state, turning silent correctness bugs — lost or duplicated flits,
+// pooled-object aliasing, deadlocks — into immediate panics with diagnostics.
 //
-// The subsystem is organized as one Verifier per Simulator plus lightweight
-// per-link ledgers handed out to components at construction time:
+// Credit and buffer accounting is not here. Each component checks its own
+// counters, always on: a router panics when a downstream credit count goes
+// negative or exceeds its capacity, on an input buffer overrun and on an
+// unregistered VC (internal/router); an interface panics on an injection
+// credit above its initial count (internal/netiface). After the network
+// drains, each router's and interface's VerifyIdle requires every credit
+// back and every buffer empty. What this package adds:
 //
 //   - Flit conservation: every flit injected at a terminal must be retired
-//     exactly once. The in-flight ledger (generation at injection plus an
-//     in-flight mark) lives on each flit; injection, every channel
+//     exactly once. The in-flight mark (generation at injection plus an
+//     in-flight bit) lives on each flit; injection, every channel
 //     traversal, and ejection check against it, and core.Run reconciles the
-//     injected/retired counts at drain. Keeping the ledger per-flit rather
+//     injected/retired counts at drain. Keeping the mark per flit rather
 //     than in a shared map keeps every hop's check a field read, with no
 //     lookup and no allocation.
-//   - Credit conservation: each upstream credit counter gets a CreditLedger
-//     mirror. Every debit/credit reports the component's own counter value,
-//     so any divergence (a flipped or skipped decrement) is caught at the
-//     very next credit operation, with bounds checks against the downstream
-//     buffer capacity. Downstream input buffers get a BufferLedger tracking
-//     occupancy against capacity.
 //   - Pool-aliasing sentinel: messages carry a generation stamp bumped on
-//     every (re)initialization. The in-flight ledger records the generation
+//     every (re)initialization. The in-flight mark records the generation
 //     at injection; any later touch of the flit (channel hop, retirement)
 //     with a different generation means the message was recycled while its
 //     flits were still in the network. Pool release while flits are in
 //     flight panics directly through the pool observer.
 //   - Progress watchdog: a periodic self-scheduled check that panics when no
-//     flit has moved for a full epoch while flits are buffered in the
-//     network, dumping per-router VC occupancy — a deadlock/livelock
-//     detector for event-driven models that keep scheduling without making
-//     progress.
+//     flit has moved for a full epoch while flits are in the network — a
+//     deadlock/livelock detector for event-driven models that keep
+//     scheduling without making progress. Its report is the stall
+//     diagnostician's (internal/diagnose), which core.Build registers.
 //
 // Verification is attached per Simulator (verify.Attach) and discovered by
 // components with verify.For, which returns nil when disabled. The hooks
-// components call — FlitInjected, FlitTouched, FlitRetired, the ledger
-// constructors and every ledger method — are no-ops on a nil receiver (a nil
-// Verifier hands out nil ledgers), so components call them unguarded and the
-// disabled hot path costs one predictable branch and zero allocations. Checks
-// are observation-only: they never touch the PRNG or any component state, so
+// components call — FlitInjected, FlitTouched, FlitRetired — are no-ops on a
+// nil receiver, so components call them unguarded and the disabled hot path
+// costs one predictable branch and zero allocations. Checks are
+// observation-only: they never touch the PRNG or any component state, so
 // enabling them cannot change simulation results.
 package verify
 
 import (
-	"fmt"
-	"strings"
-
 	"supersim/internal/sim"
 	"supersim/internal/types"
 )
@@ -56,7 +50,7 @@ const evWatchdog = 0
 type Options struct {
 	// WatchdogEpoch is the progress watchdog period in ticks; if no flit
 	// moves for a full epoch while flits are in flight, the watchdog panics
-	// with an occupancy dump. Zero disables the watchdog.
+	// with the diagnoser's report. Zero disables the watchdog.
 	WatchdogEpoch sim.Tick
 }
 
@@ -78,11 +72,8 @@ type Verifier struct {
 	lastActivity uint64
 	watchdogOn   bool
 
-	credits []*CreditLedger
-	buffers []*BufferLedger
-
-	// diagnose, when set, renders a blocked-chain report appended to the
-	// watchdog's occupancy dump (see internal/diagnose).
+	// diagnose, when set, renders the blocked-chain report the watchdog and
+	// the flit-conservation drain check print (see internal/diagnose).
 	diagnose func() string
 }
 
@@ -113,10 +104,11 @@ func For(s *sim.Simulator) *Verifier {
 	return nil
 }
 
-// SetDiagnoser registers a report function the watchdog calls when it fires:
-// its output is appended to the occupancy dump, turning "something is stuck"
-// into "this chain of resources is stuck, held by these flits". core.Build
-// wires the stall diagnostician here once the network exists.
+// SetDiagnoser registers the report function the watchdog and the
+// flit-conservation drain check print when they fire, turning "something is
+// stuck" into "this chain of resources is stuck, held by these flits": each
+// occupied input VC, its head flit and its credits. core.Build wires the
+// stall diagnostician here once the network exists.
 func (v *Verifier) SetDiagnoser(fn func() string) { v.diagnose = fn }
 
 // Injected returns the number of flits injected at terminals so far.
@@ -222,12 +214,8 @@ func (v *Verifier) ProcessEvent(ev *sim.Event) {
 		v.Panicf("unknown event type %d", ev.Type)
 	}
 	if v.activity == v.lastActivity && v.InFlight() > 0 {
-		report := v.OccupancyDump()
-		if v.diagnose != nil {
-			report += "\n" + v.diagnose()
-		}
 		v.Panicf("no flit movement for %d ticks with %d flits in flight — deadlock or livelock\n%s",
-			v.opts.WatchdogEpoch, v.InFlight(), report)
+			v.opts.WatchdogEpoch, v.InFlight(), v.report())
 	}
 	v.lastActivity = v.activity
 	// Re-arm only while non-daemon events are pending: a queue holding only
@@ -239,50 +227,21 @@ func (v *Verifier) ProcessEvent(ev *sim.Event) {
 	}
 }
 
-// OccupancyDump renders every non-empty input buffer and every credit ledger
-// with outstanding credits — the state a deadlock diagnosis starts from.
-func (v *Verifier) OccupancyDump() string {
-	var b strings.Builder
-	b.WriteString("buffer occupancy:\n")
-	for _, bl := range v.buffers {
-		for vc, occ := range bl.occ {
-			if occ > 0 {
-				fmt.Fprintf(&b, "  %s vc %d: %d/%d flits\n", bl.name, vc, occ, bl.cap)
-			}
-		}
+// report renders the registered diagnoser's report, or nothing without one.
+func (v *Verifier) report() string {
+	if v.diagnose == nil {
+		return ""
 	}
-	b.WriteString("outstanding credits:\n")
-	for _, cl := range v.credits {
-		for vc, c := range cl.mirror {
-			if c != cl.cap {
-				fmt.Fprintf(&b, "  %s vc %d: %d/%d credits held downstream\n", cl.name, vc, cl.cap-c, cl.cap)
-			}
-		}
-	}
-	return b.String()
+	return v.diagnose()
 }
 
-// VerifyDrained reconciles the global ledgers after the network drains:
-// every injected flit retired, nothing in flight, every credit returned and
-// every tracked buffer empty. The framework calls it from core.Run after the
-// per-component idle checks.
+// VerifyDrained reconciles flit conservation after the network drains: every
+// injected flit retired, nothing in flight. The framework calls it from
+// core.Run after the per-component idle checks, which cover credits and
+// buffers.
 func (v *Verifier) VerifyDrained() {
 	if v.injected != v.retired {
 		v.Panicf("drain check: flit conservation violated: %d injected, %d retired (%d never retired)\n%s",
-			v.injected, v.retired, v.InFlight(), v.OccupancyDump())
-	}
-	for _, cl := range v.credits {
-		for vc, c := range cl.mirror {
-			if c != cl.cap {
-				v.Panicf("drain check: %s vc %d holds %d of %d credits", cl.name, vc, c, cl.cap)
-			}
-		}
-	}
-	for _, bl := range v.buffers {
-		for vc, occ := range bl.occ {
-			if occ != 0 {
-				v.Panicf("drain check: %s vc %d still holds %d flits", bl.name, vc, occ)
-			}
-		}
+			v.injected, v.retired, v.InFlight(), v.report())
 	}
 }
