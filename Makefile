@@ -45,14 +45,13 @@
 #                  committing beside the PR that claims or risks a hot path
 #   make bench-compare A=BENCH_<prev>.json B=BENCH_<pr>.json - the two sets
 #                  side by side (paths relative to the repository root)
-#   make bench-pairs BASE=<rev> W=<workload> [N=10] [SEED=1]
-#                  [METRIC=run_s] - the claim rule: N alternating pairs of
-#                  BASE and the working tree on one workload, each pair's
-#                  ratio, the pairs won and the base's quartile spread (see
+#   make bench-pairs BASE=<rev> W=<workload> [N=10] [SEED=1] - the claim
+#                  rule: N alternating pairs of BASE and the working tree on
+#                  one workload, and for each end-to-end metric (run_s,
+#                  setup_s, peak_rss_mb) each pair's ratio, the pairs won,
+#                  the base's quartile spread and a verdict (see
 #                  scripts/bench_pairs.sh). SEED=2 repeats a claim on a
-#                  held-out seed; METRIC=peak_rss_mb (or setup_s) judges
-#                  another end-to-end metric, e.g. a memory claim:
-#                  METRIC=peak_rss_mb make bench-pairs BASE=<rev> W=clos_oq
+#                  held-out seed
 
 GO ?= go
 

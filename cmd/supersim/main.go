@@ -72,7 +72,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	monitor := flag.Uint64("monitor", 0, "report events/sec and heap every N executed events (0 disables)")
-	verifyRun := flag.Bool("verify", false, "enable runtime invariant verification (flit conservation, aliasing sentinel, progress watchdog; credit and buffer checks are always on)")
 	telemetryOn := flag.Bool("telemetry", false, "enable the telemetry metrics registry")
 	telemetryFile := flag.String("telemetry-file", "", "write time-binned telemetry snapshots (JSONL) to this file (implies -telemetry)")
 	telemetryBin := flag.Uint64("telemetry-bin", 1000, "telemetry snapshot bin width in ticks")
@@ -124,7 +123,6 @@ func main() {
 		logPath:         *logPath,
 		quiet:           *quiet,
 		monitor:         *monitor,
-		verify:          *verifyRun,
 		telemetry:       *telemetryOn,
 		telemetryFile:   *telemetryFile,
 		telemetryBin:    *telemetryBin,
@@ -182,7 +180,6 @@ type runOpts struct {
 	logPath       string
 	quiet         bool
 	monitor       uint64
-	verify        bool
 	telemetry     bool
 	telemetryFile string
 	telemetryBin  uint64
@@ -221,7 +218,7 @@ func validateFlags(set map[string]bool) error {
 		// A snapshot restores by rebuilding the identical component graph from
 		// its embedded settings; any flag that would change those settings
 		// would make the restored state incoherent.
-		for _, f := range []string{"verify", "telemetry", "telemetry-file", "telemetry-bin",
+		for _, f := range []string{"telemetry", "telemetry-file", "telemetry-bin",
 			"telemetry-addr", "spans", "spans-sample"} {
 			if set[f] {
 				return fmt.Errorf("-restore rebuilds from the snapshot's embedded settings; -%s would change them", f)
@@ -234,11 +231,6 @@ func validateFlags(set map[string]bool) error {
 // apply translates the telemetry flags into simulation.telemetry.* settings
 // overrides, the same keys a config file would use.
 func (o *runOpts) apply(cfg *config.Settings) error {
-	if o.verify {
-		if err := cfg.ApplyOverride("simulation.verify.enabled=bool=true"); err != nil {
-			return err
-		}
-	}
 	if o.checkpointEvery > 0 {
 		if err := cfg.ApplyOverrides([]string{
 			fmt.Sprintf("simulation.checkpoint_every=uint=%d", o.checkpointEvery),

@@ -42,7 +42,6 @@ func TestValidateFlags(t *testing.T) {
 		{"checkpoint-file alone", setOf("checkpoint-file"), "-checkpoint-every"},
 		{"restore alone", setOf("restore"), ""},
 		{"restore with checkpointing", setOf("restore", "checkpoint-every", "checkpoint-file"), ""},
-		{"restore with verify", setOf("restore", "verify"), "-verify"},
 		{"restore with telemetry", setOf("restore", "telemetry"), "-telemetry"},
 		{"restore with spans", setOf("restore", "spans"), "-spans"},
 		{"manifest alone", setOf("manifest"), ""},
@@ -103,7 +102,7 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 	cfgPath := filepath.Join(dir, "cfg.json")
 	snapPath := filepath.Join(dir, "snap.ssim")
 	doc := `{
-	  "simulation": {"seed": 11, "verify": {"enabled": true}},
+	  "simulation": {"seed": 11},
 	  "network": {
 	    "topology": "torus",
 	    "dimensions": [2, 2],

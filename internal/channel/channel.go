@@ -18,7 +18,6 @@ import (
 	"supersim/internal/sim"
 	"supersim/internal/telemetry"
 	"supersim/internal/types"
-	"supersim/internal/verify"
 )
 
 // end is what both channel kinds share: identity, latency and the
@@ -61,7 +60,6 @@ type Channel struct {
 	nextSlot sim.Tick // earliest tick the next flit may be injected
 	injected uint64
 
-	v  *verify.Verifier        // nil unless invariant verification is attached
 	tp *telemetry.ChannelProbe // nil unless telemetry is attached
 }
 
@@ -77,7 +75,6 @@ func New(s *sim.Simulator, name string, latency, period sim.Tick) *Channel {
 	return &Channel{
 		end:    end{name: name, s: s, latency: latency},
 		period: period,
-		v:      verify.For(s),
 		tp:     telemetry.ForChannel(s, name, period),
 	}
 }
@@ -90,8 +87,8 @@ func (c *Channel) SetSink(sink Receiver, port int) { c.connect(sink, port, false
 // Period returns the channel cycle time in ticks.
 func (c *Channel) Period() sim.Tick { return c.period }
 
-// Injected returns the number of flits injected so far (for utilization
-// statistics).
+// Injected returns the number of flits injected so far: utilization
+// statistics, and the flit movements core's progress watchdog counts.
 func (c *Channel) Injected() uint64 { return c.injected }
 
 // NextSlot returns the earliest tick >= now at which a flit may be injected.
@@ -124,9 +121,6 @@ func (c *Channel) Inject(f *types.Flit, vc int) {
 	if c.line == nil {
 		c.panicf("flit injected into unconnected channel")
 	}
-	// Every channel hop is a touch point for the pool-aliasing sentinel: the
-	// flit must still be in flight under its injection generation.
-	c.v.FlitTouched(f)
 	c.nextSlot = now + c.period
 	c.injected++
 	c.tp.FlitInjected()

@@ -52,7 +52,7 @@ func freshChannel() *Channel {
 }
 
 // anyIndex admits every terminal, application and VC number the tests use.
-var anyIndex = types.Bounds{Terminals: 64, Apps: 64}
+var anyIndex = types.Bounds{Terminals: 64, Apps: 64, Flits: 64}
 
 func TestChannelStateRoundTrip(t *testing.T) {
 	c, m := inFlightChannel(t)

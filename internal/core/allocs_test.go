@@ -146,8 +146,8 @@ func modelCases(app string) []allocCase {
 }
 
 // allocCases is the measured configuration set: modelCases, one row per
-// non-default application model, and the golden cases with verification off
-// and on, and with telemetry.
+// non-default application model, and the golden cases plain and with
+// telemetry.
 func allocCases(t *testing.T) []allocCase {
 	cases := modelCases(allocBlast)
 	cases = append(cases, allocCase{"pulse", config.MustParse(allocDoc("torus", "", `"architecture": "input_queued"`,
@@ -165,8 +165,7 @@ func allocCases(t *testing.T) []allocCase {
 			key  string
 			val  any
 		}{
-			{"verify", "", nil},
-			{"plain", "simulation.verify.enabled", false},
+			{"plain", "", nil},
 			{"telemetry", "simulation.telemetry.enabled", true},
 		} {
 			cfg := config.MustParse(doc)

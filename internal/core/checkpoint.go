@@ -3,7 +3,7 @@
 // A snapshot is a complete, versioned serialization of simulator state at a
 // tick boundary T: the settings document, every PRNG stream, every
 // component's mutable state with each live message at its first reference,
-// the verify and telemetry registries, and the event queue sorted by its
+// the telemetry registry, and the event queue sorted by its
 // total order. Restore rebuilds the identical component graph by re-running
 // Build on the embedded settings — construction is deterministic, so every
 // component reoccupies its construction-order slot — then overwrites the
@@ -28,7 +28,6 @@ const (
 	secSim       = "SIM"
 	secWorkload  = "WKL"
 	secNetwork   = "NET"
-	secVerify    = "VER"
 	secTelemetry = "TEL"
 	secEvents    = "EVQ"
 )
@@ -61,6 +60,7 @@ func (sm *Simulation) state(c *snapshot.Codec) {
 	table := types.NewMessageTable(sm.Workload.Pool(), types.Bounds{
 		Terminals: sm.Net.NumTerminals(),
 		Apps:      sm.Workload.NumApps(),
+		Flits:     sm.Workload.MaxMessageFlits(),
 	})
 	for i := 0; i < sm.Net.NumRouters(); i++ {
 		sm.Net.Router(i).State(c, table)
@@ -72,14 +72,6 @@ func (sm *Simulation) state(c *snapshot.Codec) {
 	}
 	for _, l := range sm.Net.Links() {
 		l.Ch.State(c)
-	}
-
-	if c.Section(secVerify) != nil {
-		return
-	}
-	attached(c, "verifier", sm.Verify != nil)
-	if sm.Verify != nil {
-		sm.Verify.State(c)
 	}
 
 	if c.Section(secTelemetry) != nil {
@@ -252,24 +244,15 @@ func (sm *Simulation) RunCheckpointed(every sim.Tick, sink func(tick sim.Tick, d
 		return Result{}, fmt.Errorf("core: checkpoint interval must be positive")
 	}
 	defer sm.closeTelemetry(&err)
-	checkpoint := func(at sim.Tick) error {
+	err = drive(sm.Sim, sm.flitCounts, sm.report, every, func(at sim.Tick) error {
 		data, err := sm.Snapshot(at)
 		if err != nil {
 			return err
 		}
 		return sink(at, data)
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	for at := (sm.Sim.Now().Tick/every + 1) * every; ; at += every {
-		sm.Sim.RunUntil(at)
-		if sm.Sim.Stopped() || sm.Sim.PendingNonDaemon() == 0 {
-			break
-		}
-		if err := checkpoint(at); err != nil {
-			return Result{}, err
-		}
-	}
-	// Trailing daemon events and the final monitor flush, exactly as an
-	// un-checkpointed Run would.
-	sm.Sim.Run()
 	return sm.verifyOutcome()
 }

@@ -23,7 +23,6 @@ import (
 	"supersim/internal/network"
 	"supersim/internal/sim"
 	"supersim/internal/telemetry"
-	"supersim/internal/verify"
 	"supersim/internal/workload"
 
 	// Component model registrations: each topology and application model
@@ -42,7 +41,6 @@ type Simulation struct {
 	Sim       *sim.Simulator
 	Net       network.Network
 	Workload  *workload.Workload
-	Verify    *verify.Verifier     // nil unless simulation.verify.enabled
 	Telemetry *telemetry.Telemetry // nil unless simulation.telemetry.enabled
 
 	// Shards is always nil; benchmark/child.go still reads it (ROADMAP 4(a)).
@@ -95,15 +93,6 @@ func Build(cfg *config.Settings) *Simulation {
 		}
 		pm.Attach(s, mi)
 	}
-	// Opt-in invariant verification: "simulation": {"verify": {"enabled": true}}
-	// attaches the runtime checker before any component is constructed, so
-	// every interface, channel, and router picks it up via verify.For.
-	var v *verify.Verifier
-	if cfg.BoolOr("simulation.verify.enabled", false) {
-		v = verify.Attach(s, verify.Options{
-			WatchdogEpoch: sim.Tick(cfg.UIntOr("simulation.verify.watchdog_epoch", 100000)),
-		})
-	}
 	// The telemetry's output files are closed here if a later step panics;
 	// a completed build hands them to the telemetry, whose Close closes them.
 	var files []*os.File
@@ -115,8 +104,8 @@ func Build(cfg *config.Settings) *Simulation {
 	// Opt-in telemetry: "simulation": {"telemetry": {"enabled": true, ...}}
 	// attaches the metrics and span-recording subsystem before components are
 	// built, so channels, routers, interfaces and the workload pick up their
-	// probes via the telemetry.For* constructors. Like verification it is
-	// observation-only: traffic results are identical with it on or off.
+	// probes via the telemetry.For* constructors. It is observation-only:
+	// traffic results are identical with it on or off.
 	var tel *telemetry.Telemetry
 	if cfg.BoolOr("simulation.telemetry.enabled", false) {
 		opts := telemetry.Options{
@@ -154,20 +143,8 @@ func Build(cfg *config.Settings) *Simulation {
 		tel = telemetry.Attach(s, opts)
 	}
 	net := network.New(s, cfg.Sub("network"))
-	if v != nil {
-		// With the network built the watchdog and the flit-conservation drain
-		// check can report the stall: the diagnostician walks head-of-line
-		// dependency chains, names each occupied input VC and its credits,
-		// and the resource each blocked flit waits on.
-		v.SetDiagnoser(diagnose.New(net).Report)
-	}
 	w := workload.New(s, cfg.Sub("workload"), net)
-	if v != nil {
-		// The workload's message pool reports obtain/release so stale pooled
-		// pointers (aliasing bugs) are caught by the generation sentinel.
-		w.Pool().SetObserver(v)
-	}
-	sm := &Simulation{Sim: s, Net: net, Workload: w, Verify: v, Telemetry: tel, cfg: cfg, files: files}
+	sm := &Simulation{Sim: s, Net: net, Workload: w, Telemetry: tel, cfg: cfg, files: files}
 	files = nil
 	return sm
 }
@@ -195,8 +172,87 @@ type Result struct {
 // a deadlock or a misconfigured application).
 func (sm *Simulation) Run() (res Result, err error) {
 	defer sm.closeTelemetry(&err)
-	sm.Sim.Run()
+	if err := drive(sm.Sim, sm.flitCounts, sm.report, 0, nil); err != nil {
+		return Result{}, err
+	}
 	return sm.verifyOutcome()
+}
+
+// watchdogEpoch is the progress watchdog's period in ticks.
+const watchdogEpoch sim.Tick = 100000
+
+// flitCounts are the network's flit totals so far: flits the interfaces
+// sent into it and received from it, and flit movements over every channel,
+// injection and ejection channels included.
+type flitCounts struct {
+	sent, received, moved uint64
+}
+
+// flitCounts sums the interfaces' and channels' counters.
+func (sm *Simulation) flitCounts() flitCounts {
+	var n flitCounts
+	for i := 0; i < sm.Net.NumTerminals(); i++ {
+		n.sent += sm.Net.Interface(i).FlitsSent()
+		n.received += sm.Net.Interface(i).FlitsReceived()
+	}
+	for _, ch := range sm.Net.Channels() {
+		n.moved += ch.Injected()
+	}
+	return n
+}
+
+// report renders the stall diagnostician's report: the head-of-line
+// dependency chains, each occupied input VC and its credits, and the
+// resource each blocked flit waits on.
+func (sm *Simulation) report() string { return diagnose.New(sm.Net).Report() }
+
+// drive is the run loop Run and RunCheckpointed share. It runs s to the end
+// of its event queue, pausing with RunUntil at every multiple of
+// watchdogEpoch and, when every is positive, of every ticks, for as long as
+// non-daemon work remains. The pauses are invisible to the simulation: they
+// add no event and no state.
+//
+// At a multiple of every, checkpoint receives the tick; its error ends the
+// run. At a multiple of watchdogEpoch the progress watchdog runs: when no
+// flit moved for the whole epoch while flits are in the network, the model
+// keeps scheduling without making progress (a deadlock or livelock), and it
+// panics with report's blocked chains. A run that starts between two
+// multiples, a restored one, only takes its baseline at the first, so each
+// check covers a whole epoch exactly as in the uninterrupted run.
+func drive(s *sim.Simulator, counts func() flitCounts, report func() string, every sim.Tick, checkpoint func(sim.Tick) error) error {
+	now := s.Now().Tick
+	nextWatch := (now/watchdogEpoch + 1) * watchdogEpoch
+	nextCheckpoint := ^sim.Tick(0)
+	if every > 0 {
+		nextCheckpoint = (now/every + 1) * every
+	}
+	last, whole := counts().moved, now%watchdogEpoch == 0
+	for {
+		at := min(nextWatch, nextCheckpoint)
+		s.RunUntil(at)
+		if s.Stopped() || s.PendingNonDaemon() == 0 {
+			break
+		}
+		if at == nextWatch {
+			n := counts()
+			if whole && n.moved == last && n.sent > n.received {
+				panic(fmt.Sprintf("core @%d: no flit movement for %d ticks with %d flits in flight — deadlock or livelock\n%s",
+					at, watchdogEpoch, n.sent-n.received, report()))
+			}
+			last, whole = n.moved, true
+			nextWatch += watchdogEpoch
+		}
+		if at == nextCheckpoint {
+			if err := checkpoint(at); err != nil {
+				return err
+			}
+			nextCheckpoint += every
+		}
+	}
+	// Trailing daemon events and the final monitor flush, exactly as an
+	// unpaused Run would.
+	s.Run()
+	return nil
 }
 
 // closeTelemetry writes the final snapshot bin and flushes and closes the
@@ -236,8 +292,15 @@ func (sm *Simulation) verifyOutcome() (Result, error) {
 	for i := 0; i < sm.Net.NumTerminals(); i++ {
 		sm.Net.Interface(i).VerifyIdle()
 	}
-	if sm.Verify != nil {
-		sm.Verify.VerifyDrained()
-	}
+	checkConservation(sm.flitCounts(), sm.report)
 	return res, nil
+}
+
+// checkConservation is the drain check of flit conservation: every flit an
+// interface sent into the network, another received.
+func checkConservation(n flitCounts, report func() string) {
+	if n.sent != n.received {
+		panic(fmt.Sprintf("core: drain check: flit conservation violated: %d injected, %d retired (%d never retired)\n%s",
+			n.sent, n.received, int64(n.sent-n.received), report()))
+	}
 }

@@ -71,17 +71,14 @@ type goldenCase struct {
 	doc     string
 }
 
-// goldenDoc assembles a full settings document with verification enabled.
-// Every topology gets a representative traffic pattern: tornado on the torus
-// (the pattern it is most sensitive to), bit-complement on HyperX, hotspot on
-// the parking lot chain (the pattern the topology exists for), and uniform
-// random on the hierarchical topologies.
+// goldenDoc assembles a full settings document. Every topology gets a
+// representative traffic pattern: tornado on the torus (the pattern it is
+// most sensitive to), bit-complement on HyperX, hotspot on the parking lot
+// chain (the pattern the topology exists for), and uniform random on the
+// hierarchical topologies.
 func goldenDoc(network, traffic string, rate float64) string {
 	return fmt.Sprintf(`{
-	  "simulation": {
-	    "seed": 12345,
-	    "verify": {"enabled": true, "watchdog_epoch": 10000}
-	  },
+	  "simulation": {"seed": 12345},
 	  "network": %s,
 	  "workload": {
 	    "applications": [{
@@ -187,9 +184,6 @@ func goldenCases() []goldenCase {
 func runGolden(t *testing.T, gc goldenCase) fingerprint {
 	t.Helper()
 	sm := Build(config.MustParse(gc.doc))
-	if sm.Verify == nil {
-		t.Fatal("golden runs must have verification enabled")
-	}
 	res, err := sm.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +192,7 @@ func runGolden(t *testing.T, gc goldenCase) fingerprint {
 }
 
 // goldenFingerprint extracts the behavioral signature from a completed run:
-// result counters, verifier conservation totals, and the sampled latency
+// result counters, the interfaces' flit totals, and the sampled latency
 // histogram. The checkpoint harness shares it so restored continuations are
 // fingerprinted exactly like uninterrupted runs.
 func goldenFingerprint(t *testing.T, gc goldenCase, sm *Simulation, res Result) fingerprint {
@@ -212,14 +206,15 @@ func goldenFingerprint(t *testing.T, gc goldenCase, sm *Simulation, res Result) 
 	for _, s := range samples {
 		hops += uint64(s.Hops)
 	}
+	n := sm.flitCounts()
 	return fingerprint{
 		Topology:      gc.topo,
 		Traffic:       gc.traffic,
 		Events:        res.Events,
 		EndTick:       uint64(res.EndTick),
 		Samples:       len(samples),
-		FlitsInjected: sm.Verify.Injected(),
-		FlitsRetired:  sm.Verify.Retired(),
+		FlitsInjected: n.sent,
+		FlitsRetired:  n.received,
 		TotalHops:     hops,
 		LatencyHist:   histogram(samples),
 	}

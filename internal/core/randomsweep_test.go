@@ -117,10 +117,7 @@ func TestRandomizedConfigSweep(t *testing.T) {
 		g := gens[rng.IntN(len(gens))]
 		net := g.net()
 		doc := fmt.Sprintf(`{
-		  "simulation": {
-		    "seed": %d,
-		    "verify": {"enabled": true, "watchdog_epoch": 20000}
-		  },
+		  "simulation": {"seed": %d},
 		  "network": %s,
 		  "workload": {
 		    "applications": [{
@@ -147,12 +144,8 @@ func TestRandomizedConfigSweep(t *testing.T) {
 			if blast.Stats().Count() == 0 {
 				t.Fatalf("nothing delivered in sample window:\n%s", doc)
 			}
-			if sm.Verify.Injected() == 0 || sm.Verify.Injected() != sm.Verify.Retired() {
-				t.Fatalf("flit conservation: injected %d, retired %d",
-					sm.Verify.Injected(), sm.Verify.Retired())
-			}
-			if sm.Verify.InFlight() != 0 {
-				t.Fatalf("%d flits still in flight after drain", sm.Verify.InFlight())
+			if n := sm.flitCounts(); n.sent == 0 || n.sent != n.received {
+				t.Fatalf("flit conservation: injected %d, retired %d", n.sent, n.received)
 			}
 		})
 	}
@@ -206,16 +199,13 @@ func TestRandomizedCheckpointRestore(t *testing.T) {
 	}
 	sig := func(sm *Simulation, res Result) signature {
 		blast := sm.Workload.App(0).(*apps.Blast)
-		return signature{res, sm.Verify.Injected(), sm.Verify.Retired(),
-			histogram(blast.Stats().Samples())}
+		n := sm.flitCounts()
+		return signature{res, n.sent, n.received, histogram(blast.Stats().Samples())}
 	}
 	const runs = 4
 	for i := 0; i < runs; i++ {
 		doc := fmt.Sprintf(`{
-		  "simulation": {
-		    "seed": %d,
-		    "verify": {"enabled": true, "watchdog_epoch": 20000}
-		  },
+		  "simulation": {"seed": %d},
 		  "network": %s,
 		  "workload": {
 		    "applications": [{

@@ -124,14 +124,15 @@ func TestRestoreClosesTelemetryFilesOnFailure(t *testing.T) {
 // log, v8 stored crossbar rate-limit windows, the base PRNG, a context flag
 // per event and a routed-flit counter per router, v9 stored a transaction
 // tag and an operation code per message and two times per packet of every
-// message, v10 stored the verifier's per-link credit and buffer ledgers, and
-// this build reads v11 only.
+// message, v10 stored the verifier's per-link credit and buffer ledgers, v11
+// stored the verifier's flit-conservation and watchdog counters and an
+// in-flight byte per flit, and this build reads v12 only.
 func TestRestoreRejectsVersion2(t *testing.T) {
 	data := smallSnapshot(t)
-	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10} {
+	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
 		stale := append([]byte(snapshot.Magic), old)
 		stale = append(stale, data[len(snapshot.Magic)+1:]...)
-		want := fmt.Sprintf("unsupported schema version %d (this build reads version 11)", old)
+		want := fmt.Sprintf("unsupported schema version %d (this build reads version 12)", old)
 		if _, _, err := Restore(stale, 0); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d-headed snapshot: err = %v, want %q", old, err, want)
 		}

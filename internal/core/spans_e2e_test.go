@@ -10,14 +10,11 @@ import (
 )
 
 // spansDoc assembles a Figure-5-style settings document (torus under tornado
-// traffic, verification enabled) around one router block, so the span
+// traffic) around one router block, so the span
 // decomposition property can be checked on every router architecture.
 func spansDoc(routerBlock string) string {
 	return fmt.Sprintf(`{
-	  "simulation": {
-	    "seed": 777,
-	    "verify": {"enabled": true, "watchdog_epoch": 10000}
-	  },
+	  "simulation": {"seed": 777},
 	  "network": {
 	    "topology": "torus",
 	    "dimensions": [4, 4],

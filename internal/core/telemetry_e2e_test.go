@@ -34,7 +34,8 @@ func runForSamples(t *testing.T, doc string, overrides []string) (sampleLog []by
 	if err := ssparse.Write(&buf, blast.Stats()); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), sm.Verify.Injected(), sm.Verify.Retired(), sm
+	n := sm.flitCounts()
+	return buf.Bytes(), n.sent, n.received, sm
 }
 
 // TestTelemetryObservationOnly is the end-to-end determinism gate for the
@@ -47,14 +48,12 @@ func runForSamples(t *testing.T, doc string, overrides []string) (sampleLog []by
 // periodic snapshot is a daemon event, so the executed-event total includes it
 // by design. What must not move is anything the simulation computes.
 func TestTelemetryObservationOnly(t *testing.T) {
-	gc := goldenCases()[0] // torus tornado, verification enabled
+	gc := goldenCases()[0] // torus tornado
 	dir := t.TempDir()
 	snapPath := filepath.Join(dir, "telemetry.jsonl")
 	spansPath := filepath.Join(dir, "spans.jsonl")
 
-	// Both runs have verification on (gc.doc), so the stall diagnostician is
-	// armed behind the watchdog in each; the instrumented run additionally
-	// enables snapshotting and span recording together.
+	// The instrumented run enables snapshotting and span recording together.
 	base, baseInj, baseRet, _ := runForSamples(t, gc.doc, nil)
 	tele, teleInj, teleRet, sm := runForSamples(t, gc.doc, []string{
 		"simulation.telemetry.enabled=bool=true",
@@ -150,10 +149,12 @@ func TestTelemetryProgressDoc(t *testing.T) {
 // TestRemovedKeys pins how a settings document written for a removed
 // mechanism builds. trace_file asked for the flit tracer's output, which this
 // build cannot write, so BuildE fails and names the replacement. trace_sample
-// (set by earlier command lines on every telemetry run) and workers (the
-// sharded engine's worker count) are read nowhere: old snapshots embed them,
-// so a document carrying either must reproduce the golden fingerprint, and a
-// snapshot whose embedded settings carry it must restore to the same result.
+// (set by earlier command lines on every telemetry run), workers (the
+// sharded engine's worker count) and verify.* (the opt-in verifier's switch
+// and watchdog period; its checks now run in every simulation) are read
+// nowhere: old snapshots embed them, so a document carrying any of them must
+// reproduce the golden fingerprint, and a snapshot whose embedded settings
+// carry it must restore to the same result.
 func TestRemovedKeys(t *testing.T) {
 	gc := goldenCases()[0]
 	const telemetryOn = "simulation.telemetry.enabled=bool=true"
@@ -166,6 +167,9 @@ func TestRemovedKeys(t *testing.T) {
 			[]string{"trace_file", "spans_file", "ssparse -spans", "-chrome"}},
 		{"trace_sample ignored", []string{telemetryOn, "simulation.telemetry.trace_sample=float=0.5"}, nil},
 		{"workers ignored", []string{"simulation.workers=uint=2"}, nil},
+		{"verify.enabled true ignored", []string{"simulation.verify.enabled=bool=true"}, nil},
+		{"verify.enabled false ignored", []string{"simulation.verify.enabled=bool=false"}, nil},
+		{"verify.watchdog_epoch ignored", []string{"simulation.verify.watchdog_epoch=uint=10"}, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := config.MustParse(gc.doc)

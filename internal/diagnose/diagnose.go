@@ -1,5 +1,5 @@
-// Package diagnose renders human-readable blocked-chain reports when the
-// verify watchdog detects that no flit has moved for a full epoch, or the
+// Package diagnose renders human-readable blocked-chain reports when core's
+// progress watchdog detects that no flit has moved for a full epoch, or its
 // drain check finds flits never retired. The report says what is occupied
 // and why it is stuck: starting from each backed-up terminal it walks the
 // head-of-line dependency chain — interface queue → router input VC → the
@@ -38,8 +38,8 @@ type Diagnostician struct {
 	net network.Network
 }
 
-// New creates a diagnostician for the network. core.Build registers its
-// Report with the verifier, for the watchdog and the drain check.
+// New creates a diagnostician for the network. core's run loop prints its
+// Report when the watchdog or the drain check fires.
 func New(net network.Network) *Diagnostician { return &Diagnostician{net: net} }
 
 type visitKey struct{ router, port, vc int }

@@ -12,7 +12,6 @@ import (
 	"supersim/internal/sim"
 	"supersim/internal/telemetry"
 	"supersim/internal/types"
-	"supersim/internal/verify"
 )
 
 const (
@@ -54,9 +53,6 @@ type Interface struct {
 	sink    MessageSink
 	partial int // messages with some but not all flits delivered
 
-	// invariant verification, nil unless attached to the simulator
-	v *verify.Verifier
-
 	// telemetry probe and span recorder, nil unless attached to the simulator
 	tp *telemetry.IfaceProbe
 	sp *telemetry.Spans
@@ -87,7 +83,6 @@ func New(s *sim.Simulator, name string, id int, cfg *config.Settings, vcs int, c
 		policy:    policy,
 		curVC:     -1,
 		checker:   types.NewOrderChecker(id),
-		v:         verify.For(s),
 		tp:        telemetry.ForIface(s, name),
 		sp:        telemetry.SpansFor(s),
 	}
@@ -257,8 +252,6 @@ func (n *Interface) injectOne() {
 	}
 	now := n.Sim().Now().Tick
 	n.downCred[n.curVC]--
-	// Mark the flit in flight before the channel's touch check sees it.
-	n.v.FlitInjected(f)
 	if f.Head {
 		if t := pkt.Times(); t != nil {
 			t.Inject = now
@@ -289,18 +282,23 @@ func (n *Interface) popPacket() {
 
 // ReceiveFlit ejects a flit from the network: the delivery checks run, the
 // credit returns to the router on the flit's VC, and completed messages go
-// to the sink.
+// to the sink. A flit whose message has no flit left to deliver panics: it
+// was delivered twice, or its message was recycled while it was in the
+// network. The order checker cannot tell: a packet's cursor re-arms at 0
+// once its tail arrives.
 func (n *Interface) ReceiveFlit(port, vc int, f *types.Flit) {
 	now := n.Sim().Now().Tick
+	m := f.Pkt.Msg
+	if m.RxRemaining <= 0 {
+		n.surplusFlit(f)
+	}
 	n.flitsReceived++
 	n.tp.FlitReceived()
-	n.v.FlitRetired(f)
 	packetDone := n.checker.Check(f)
 	n.creditOut.Inject(types.Credit{VC: vc})
 	// The reassembly countdown lives in the message (initialized to the flit
 	// count at construction) instead of an interface-side map; only the count
 	// of partially received messages is tracked here, for VerifyIdle.
-	m := f.Pkt.Msg
 	if int(m.RxRemaining) == m.TotalFlits() {
 		n.partial++ // first flit of a message seen at the receiver
 	}
@@ -353,6 +351,14 @@ func (n *Interface) ReceiveCredit(port int, c types.Credit) {
 		n.excessCredit(c.VC)
 	}
 	n.scheduleInject()
+}
+
+// surplusFlit is ReceiveFlit's cold half, out of line like excessCredit.
+//
+//go:noinline
+func (n *Interface) surplusFlit(f *types.Flit) {
+	n.Panicf("%v delivered after its message's %d flits — duplicated flit or pool aliasing",
+		f, f.Pkt.Msg.TotalFlits())
 }
 
 // excessCredit is ReceiveCredit's cold half: formatting the panic stays out

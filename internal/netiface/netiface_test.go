@@ -9,7 +9,6 @@ import (
 	"supersim/internal/config"
 	"supersim/internal/sim"
 	"supersim/internal/types"
-	"supersim/internal/verify"
 )
 
 // routerStub collects flits arriving from the interface and can return
@@ -255,6 +254,50 @@ func TestEjectWrongDestinationPanics(t *testing.T) {
 	mustPanic(t, func() { n.ReceiveFlit(0, 0, m.Packet(0).Flit(0)) })
 }
 
+// mustPanicWith runs fn and requires a panic whose message contains want.
+func mustPanicWith(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if got := fmt.Sprint(recover()); !strings.Contains(got, want) {
+			t.Fatalf("panic %q, want one naming %q", got, want)
+		}
+	}()
+	fn()
+}
+
+// TestDuplicateDeliveryPanics: a single-flit packet delivered twice passes
+// the order checker, whose cursor re-arms at 0 after each tail; the
+// message's delivery countdown, already at zero, must catch it.
+func TestDuplicateDeliveryPanics(t *testing.T) {
+	_, n, _, sink := rig(t, 1, 4, nil)
+	m := types.NewMessage(9, 0, 7, 0, 1, 1)
+	n.ReceiveFlit(0, 0, m.Packet(0).Flit(0))
+	if len(sink.msgs) != 1 {
+		t.Fatal("message not delivered")
+	}
+	mustPanicWith(t, "delivered after its message's 1 flits", func() {
+		n.ReceiveFlit(0, 0, m.Packet(0).Flit(0))
+	})
+}
+
+// TestDoubleRetirementPanics: a duplicated flit of a multi-packet message
+// completes the message early, while its last packet is still in the
+// network. That packet's arrival is a retirement with nothing left to
+// deliver, and panics, instead of counting against whatever message the
+// pool recycled the blocks into.
+func TestDoubleRetirementPanics(t *testing.T) {
+	_, n, _, sink := rig(t, 1, 4, nil)
+	m := types.NewMessage(9, 0, 7, 0, 2, 1) // two single-flit packets
+	n.ReceiveFlit(0, 0, m.Packet(0).Flit(0))
+	n.ReceiveFlit(0, 0, m.Packet(0).Flit(0)) // the duplicate
+	if len(sink.msgs) != 1 {
+		t.Fatal("the duplicate did not complete the message")
+	}
+	mustPanicWith(t, "delivered after its message's 2 flits", func() {
+		n.ReceiveFlit(0, 0, m.Packet(1).Flit(0))
+	})
+}
+
 func TestMultiPacketMessageReassembly(t *testing.T) {
 	s, n, _, sink := rig(t, 1, 4, nil)
 	m := types.NewMessage(9, 0, 7, 0, 8, 3) // 3 packets: 3+3+2
@@ -367,8 +410,9 @@ func TestInspectionAccessors(t *testing.T) {
 	}
 }
 
-// TestAccountingChecksWithoutVerifier: with verification off, the
-// interface's own credit accounting still catches a corrupted credit loop —
+// TestAccountingChecksWithoutVerifier: the interface's own credit
+// accounting, which runs in every simulation, catches a corrupted credit
+// loop —
 // a credit the router never took panics on arrival, naming the interface and
 // the VC, and a credit the router never returned fails VerifyIdle after
 // drain.
@@ -390,9 +434,6 @@ func TestAccountingChecksWithoutVerifier(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, n, stub, _ := rig(t, 2, 4, func(*types.Packet) []int { return []int{0} })
-			if verify.For(s) != nil {
-				t.Fatal("rig attached a verifier")
-			}
 			defer func() {
 				if got := fmt.Sprint(recover()); !strings.Contains(got, c.want) {
 					t.Fatalf("panic %q, want one naming %q", got, c.want)

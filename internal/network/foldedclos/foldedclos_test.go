@@ -215,6 +215,7 @@ func TestRouteDoesNotAllocate(t *testing.T) {
 				for dst := 0; dst < f.NumTerminals(); dst++ {
 					m := pool.NewMessage(0, 0, 0, dst, 1, 1)
 					as[r].Route(0, m.Packet(0), 0, 0)
+					m.RxRemaining = 0 // delivered
 					pool.Release(m)
 				}
 			}

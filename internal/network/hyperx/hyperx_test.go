@@ -203,6 +203,7 @@ func TestRouteDoesNotAllocate(t *testing.T) {
 				for dst := 0; dst < h.NumTerminals(); dst++ {
 					m := pool.NewMessage(0, 0, 0, dst, 1, 1)
 					as[r].Route(0, m.Packet(0), 0, 0)
+					m.RxRemaining = 0 // delivered
 					pool.Release(m)
 				}
 			}

@@ -29,7 +29,8 @@ func sensorOf(r Router) *congestion.CreditSensor {
 // accounting still panics on each corruption the sensor's negative-count
 // checks caught: an extra credit returned, on a connected port or on a port
 // with no downstream capacity; a credit taken twice; and an output queue
-// drained of a flit it never reserved room for. Its idle check, run after
+// drained of a flit it never reserved room for; and an OQ router's
+// pipeline refuses a body flit whose head never arrived. Its idle check, run after
 // drain with verification off, catches a credit never returned and a flit
 // left in an input buffer.
 func TestAccountingChecksWithoutSensor(t *testing.T) {
@@ -70,6 +71,10 @@ func TestAccountingChecksWithoutSensor(t *testing.T) {
 			r.(*IQ).takeDownstreamCredit(1, 0)
 			r.VerifyIdle()
 		}, "idle check: port 1 vc 0 holds 1 of 2 downstream credits"},
+		{"body flit with no head", oqCheckpointDoc, func(r Router, s *sim.Simulator) {
+			r.ReceiveFlit(0, 0, types.NewMessage(1, 0, 5, 9, 2, 2).Packet(0).Flit(1))
+			s.Run()
+		}, "at the front of input port 0 vc 0 with no routed head"},
 		{"flit left in an input buffer", iqDoc, func(r Router, _ *sim.Simulator) {
 			r.ReceiveFlit(0, 0, types.NewMessage(1, 0, 5, 9, 1, 1).Packet(0).Flit(0))
 			r.VerifyIdle()

@@ -45,7 +45,7 @@ func stalledRouter(t *testing.T, doc string, vcs int) Router {
 }
 
 // anyIndex admits every terminal, application and VC number the tests use.
-var anyIndex = types.Bounds{Terminals: 64, Apps: 64}
+var anyIndex = types.Bounds{Terminals: 64, Apps: 64, Flits: 64}
 
 // stateOf codes a router after its simulator, as the simulation's walk
 // does, against a fresh message table.

@@ -106,7 +106,10 @@ func (r *OQ) pipeline() {
 			progress = true // already moved one this cycle; revisit next cycle
 			continue
 		}
-		if f.Head && !iv.routed {
+		if !iv.routed {
+			if !f.Head {
+				r.headless(clientIdx, f)
+			}
 			inPort := clientIdx / r.vcs
 			resp := r.algs[inPort].Route(now, f.Pkt, inPort, clientIdx%r.vcs)
 			r.validateResponse(resp, f.Pkt)
@@ -164,6 +167,16 @@ func (r *OQ) pipeline() {
 	if progress {
 		r.schedulePipeline()
 	}
+}
+
+// headless is pipeline's cold half: a body flit at the front of an input VC
+// whose packet has no routed head lost its head on the way, or is a
+// duplicate of a flit whose tail already left.
+//
+//go:noinline
+func (r *OQ) headless(client int, f *types.Flit) {
+	r.Panicf("%v at the front of input port %d vc %d with no routed head — lost or duplicated flit",
+		f, client/r.vcs, client%r.vcs)
 }
 
 // HOL reports the head-of-line state of one input VC for the stall

@@ -1,4 +1,4 @@
-package verify_test
+package router_test
 
 import (
 	"fmt"
@@ -12,13 +12,12 @@ import (
 	"supersim/internal/routing"
 	"supersim/internal/sim"
 	"supersim/internal/types"
-	"supersim/internal/verify"
 )
 
-// TestBufferOverrunPanics: with verification attached, a flit that arrives
-// at a full input buffer panics on every router architecture. The router's
-// own always-on check catches it; the verifier keeps no copy of buffer
-// occupancy.
+// TestBufferOverrunPanics: a flit that arrives at a full input buffer panics
+// on every router architecture, built through the package's public
+// constructor with nothing enabled: the router's own check, which runs in
+// every simulation, catches it.
 func TestBufferOverrunPanics(t *testing.T) {
 	toPort1 := func(int, int, congestion.Sensor, *rand.Rand) routing.Algorithm {
 		return routing.AlgorithmFunc(func(sim.Tick, *types.Packet, int, int) routing.Response {
@@ -28,7 +27,6 @@ func TestBufferOverrunPanics(t *testing.T) {
 	for _, arch := range router.Registry.Names() {
 		t.Run(arch, func(t *testing.T) {
 			s := sim.NewSimulator(1)
-			verify.Attach(s, verify.Options{})
 			doc := fmt.Sprintf(`{"architecture": %q, "num_vcs": 1, "input_buffer_depth": 2,
 			  "routing_latency": 1, "crossbar_latency": 1}`, arch)
 			r := router.New(s, "r0", config.MustParse(doc), router.Params{

@@ -81,7 +81,7 @@ func TestFlitQueueRestoredRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.push(m.Packet(0).Flit(i))
 	}
-	bounds := types.Bounds{Terminals: 2, Apps: 1}
+	bounds := types.Bounds{Terminals: 2, Apps: 1, Flits: 9}
 	data := snaptest.Save(func(c *snapshot.Codec) { q.state(c, types.NewMessageTable(nil, bounds)) })
 	var got flitQueue
 	if err := snaptest.Load(data, func(c *snapshot.Codec) { got.state(c, types.NewMessageTable(nil, bounds)) }); err != nil {

@@ -328,10 +328,9 @@ func TestClockAccessors(t *testing.T) {
 
 func TestObserverAttachments(t *testing.T) {
 	s := NewSimulator(1)
-	v, tl := struct{ x int }{1}, struct{ y int }{2}
-	s.SetVerifier(v)
+	tl := struct{ y int }{2}
 	s.SetTelemetry(tl)
-	if s.Verifier() != v || s.Telemetry() != tl {
-		t.Fatal("observer accessors do not return the attached values")
+	if s.Telemetry() != tl {
+		t.Fatal("the telemetry accessor does not return the attached value")
 	}
 }

@@ -66,13 +66,11 @@ type Simulator struct {
 	// partial interval instead of losing it.
 	MonitorFinish func(now Time, executed uint64)
 
-	// verifier and telemetry are opaque attachment slots for the
-	// invariant-verification subsystem (internal/verify) and the metrics and
-	// span-recording subsystem (internal/telemetry). They live here so components
-	// can discover the attachments through the simulator they are built
-	// with; sim itself never inspects them, keeping this package
+	// telemetry is the opaque attachment slot for the metrics and
+	// span-recording subsystem (internal/telemetry). It lives here so
+	// components can discover the attachment through the simulator they are
+	// built with; sim itself never inspects it, keeping this package
 	// dependency-free.
-	verifier  any
 	telemetry any
 }
 
@@ -120,13 +118,6 @@ func (s *Simulator) nextOrderKey() uint32 {
 	return s.orderGen
 }
 
-// SetVerifier attaches an opaque verification object to the simulator. It is
-// set once, before components are built (see internal/verify.Attach).
-func (s *Simulator) SetVerifier(v any) { s.verifier = v }
-
-// Verifier returns the attached verification object, or nil.
-func (s *Simulator) Verifier() any { return s.verifier }
-
 // SetTelemetry attaches an opaque telemetry object to the simulator. It is
 // set once, before components are built (see internal/telemetry.Attach).
 func (s *Simulator) SetTelemetry(t any) { s.telemetry = t }
@@ -163,10 +154,10 @@ func (s *Simulator) PendingFor(h Handler, typ int) int {
 
 // PendingNonDaemon returns the number of queued events that were not
 // scheduled with ScheduleDaemon — the events that represent real simulation
-// work. Periodic observers (watchdogs, telemetry snapshots) use it to decide
-// whether to re-arm: re-arming while only daemon events remain would keep
-// the simulation alive forever, and two daemons checking Pending would keep
-// each other alive.
+// work. Periodic observers (telemetry snapshots) use it to decide whether to
+// re-arm, and drivers that pause a run (core's run loop) whether to go on:
+// re-arming while only daemon events remain would keep the simulation alive
+// forever, and two daemons checking Pending would keep each other alive.
 func (s *Simulator) PendingNonDaemon() int { return s.queue.len() - s.daemons }
 
 // Schedule enqueues an event for the handler at the given time with a type
@@ -179,9 +170,9 @@ func (s *Simulator) Schedule(h Handler, t Time, typ int, ctx any) {
 
 // ScheduleDaemon enqueues an event that does not count as simulation work:
 // it is excluded from PendingNonDaemon and from the Executed count.
-// Observation-only periodic components (the verify watchdog, telemetry
-// snapshots) schedule with this so their self-re-arming never extends the
-// life of a drained simulation.
+// Observation-only periodic components (telemetry snapshots) schedule with
+// this so their self-re-arming never extends the life of a drained
+// simulation.
 func (s *Simulator) ScheduleDaemon(h Handler, t Time, typ int, ctx any) {
 	s.schedule(h, t, typ, ctx, true)
 }

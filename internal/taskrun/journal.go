@@ -20,7 +20,7 @@ const (
 // level counterpart of the telemetry probes one layer down. Constructors hand
 // the runner a probe via SetProbe; a nil probe means observation is disabled
 // and every call site nil-guards (Probe is an interface, so unlike the
-// telemetry and verify probe types it cannot make its own methods nil-safe;
+// telemetry probe types it cannot make its own methods nil-safe;
 // the Runner has this one probe field, so there is no wrong guard to pick).
 //
 // The runner invokes all methods serially under its scheduler lock, in a

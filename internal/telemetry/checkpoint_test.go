@@ -114,7 +114,7 @@ func buildTelemetry(t *testing.T, withSpans bool) *Telemetry {
 }
 
 // testBounds bounds the messages the tests' walks define.
-var testBounds = types.Bounds{Terminals: 16, Apps: 2}
+var testBounds = types.Bounds{Terminals: 16, Apps: 2, Flits: 64}
 
 // codeMessages defines msgs in tab, as the network's walk defines the live
 // messages before the hub is coded; a loading walk defines the messages the

@@ -9,9 +9,9 @@ import (
 // Probes are the component-facing face of the registry: each component asks
 // for its probe once at construction (ForChannel, ForRouter, ...) and keeps
 // the pointer. When telemetry is not attached the constructors return nil,
-// and every probe method is a no-op on a nil receiver — the same contract as
-// internal/verify — so components call their hooks unguarded and the
-// disabled hot path is still one predictable branch with zero allocations.
+// and every probe method is a no-op on a nil receiver, so components call
+// their hooks unguarded and the disabled hot path is still one predictable
+// branch with zero allocations.
 // The nil check lives in the method (or, where the body makes calls, in an
 // exported wrapper small enough to inline over an unexported body), which
 // TestProbesNilSafe enforces for every exported method.

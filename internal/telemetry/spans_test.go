@@ -135,6 +135,7 @@ func TestRecycledMessageStartsUntracked(t *testing.T) {
 	if !sp.Tracked(m.Packet(0).Head()) {
 		t.Fatal("started message is not tracked")
 	}
+	m.RxRemaining = 0
 	pool.Release(m)
 	again := pool.NewMessage(2, 0, 2, 7, 4, 2)
 	if again != m {

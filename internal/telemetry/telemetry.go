@@ -5,14 +5,13 @@
 // trace-event timeline, and a live introspection HTTP endpoint (Prometheus
 // text /metrics, /debug/pprof, a JSON run-progress document).
 //
-// Discovery follows the internal/verify pattern: telemetry is attached per
-// Simulator (telemetry.Attach, stored in an opaque slot) and found by
-// components at construction with the For* probe constructors, which return
-// nil when telemetry is disabled. Every probe method is a no-op on a nil
-// receiver, so components call their hooks unguarded and the disabled hot
-// path costs one predictable (inlined) branch and zero allocations, which
-// TestSteadyStateAllocations in internal/core and TestFigure5AllocationBudget
-// in internal/experiments enforce.
+// Discovery: telemetry is attached per Simulator (telemetry.Attach, stored
+// in an opaque slot) and found by components at construction with the For*
+// probe constructors, which return nil when telemetry is disabled. Every
+// probe method is a no-op on a nil receiver, so components call their hooks
+// unguarded and the disabled hot path costs one predictable (inlined) branch
+// and zero allocations, which TestSteadyStateAllocations in internal/core and
+// TestFigure5AllocationBudget in internal/experiments enforce.
 //
 // Telemetry is observation-only: it never touches the simulation PRNG or any
 // component state, and span sampling is a pure hash of message IDs, so
@@ -158,8 +157,9 @@ func (t *Telemetry) ProcessEvent(ev *sim.Event) {
 		t.Panicf("unknown event type %d", ev.Type)
 	}
 	t.snapshotNow()
-	// Re-arm only while non-daemon events are pending; see verify's watchdog
-	// for why daemons must not count each other as work.
+	// Re-arm only while non-daemon events are pending: a perpetual snapshot
+	// would keep a drained simulation alive forever, and two daemons
+	// counting each other as work would keep each other alive.
 	if t.Sim().PendingNonDaemon() > 0 {
 		t.Sim().ScheduleDaemon(t, t.Sim().Now().Plus(t.opts.BinTicks), evSnapshot, nil)
 	}

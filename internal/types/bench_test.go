@@ -38,11 +38,14 @@ func BenchmarkPoolNewMessage(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := NewPool()
-			p.Release(p.NewMessage(0, 0, 0, 1, bc.flits, bc.maxPkt)) // warm the bucket
+			warm := p.NewMessage(0, 0, 0, 1, bc.flits, bc.maxPkt)
+			warm.RxRemaining = 0
+			p.Release(warm) // warm the bucket
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := p.NewMessage(uint64(i), 0, 0, 1, bc.flits, bc.maxPkt)
+				m.RxRemaining = 0
 				p.Release(m)
 			}
 		})

@@ -13,9 +13,8 @@ import (
 // later ones are (message ID, packet index, flit index). The walk visits
 // components in build order, so where each message is defined is
 // deterministic too. Nothing that records how host memory was recycled is
-// serialized: not the pool's free list or its hit count, not a message's
-// generation, not a flit's copy of it. A restored run allocates fresh blocks
-// on its first misses and starts every live message at generation 1.
+// serialized: not the pool's free list or its hit count. A restored run
+// allocates fresh blocks on its first misses.
 
 // MessageTable is the set of messages one checkpoint walk has defined. A
 // saving walk writes each message at its first reference; a loading walk
@@ -40,12 +39,16 @@ func NewMessageTable(pool *Pool, b Bounds) *MessageTable {
 // their per-message state to the walk's messages through it.
 func (t *MessageTable) Message(id uint64) *Message { return t.idx[id] }
 
-// Bounds are the index ranges restored traffic objects are validated
-// against: terminal and application numbers end up as slice indices in the
-// continued run. A flit's VC is not a traffic-object field: its holder codes
-// it (see channel.Line and the routers' delay lines).
+// Bounds are the ranges restored traffic objects are validated against:
+// terminal and application numbers end up as slice indices in the continued
+// run, and a message's flit count sizes the blocks a load allocates. A flit's
+// VC is not a traffic-object field: its holder codes it (see channel.Line and
+// the routers' delay lines).
 type Bounds struct {
 	Terminals, Apps int
+	// Flits is the longest message, in flits, the workload's applications
+	// make.
+	Flits int
 }
 
 // The kinds of packet reference, coded ahead of the reference.
@@ -57,10 +60,10 @@ const (
 )
 
 // state codes one message: its shape, then every mutable field of the
-// message, its packets (with their times when it has several) and its
-// flits. When loading, m is empty and the shape sizes its blocks. Every
-// int32 field is range-checked as it loads: an index against its bound,
-// anything else against int32 itself.
+// message and its packets (with their times when it has several); a flit has
+// no mutable field. When loading, m is empty and the shape sizes its blocks.
+// Every int32 field is range-checked as it loads: an index against its
+// bound, anything else against int32 itself.
 func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 	c.U64(&m.ID)
 	flits, maxPkt := m.TotalFlits(), m.maxPkt()
@@ -74,10 +77,10 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 			c.Failf("message %d has invalid shape (%d flits, max packet %d)", m.ID, flits, maxPkt)
 			return
 		}
-		if flits > c.Remaining() {
-			// Each flit serializes to at least one byte, so a count beyond the
-			// remaining input is corrupt; reject before allocating the blocks.
-			c.Failf("message %d flit count %d exceeds remaining input", m.ID, flits)
+		if flits > b.Flits {
+			// No application makes a longer message, so the count is corrupt;
+			// reject before allocating the blocks.
+			c.Failf("message %d flit count %d exceeds the largest message, %d flits", m.ID, flits, b.Flits)
 			return
 		}
 		// Blocks come from a fresh allocation, not pool.NewMessage: the pool's
@@ -87,7 +90,6 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 			m.pool = pool.id
 		}
 		m.alloc(flits, maxPkt)
-		m.gen = 1
 	}
 	index32(c.Index, &m.App, b.Apps, "Message.App")
 	index32(c.Index, &m.Src, b.Terminals, "Message.Src")
@@ -111,18 +113,6 @@ func (m *Message) state(c *snapshot.Codec, pool *Pool, b Bounds) {
 		snapshot.Sint(c, &p.Routing.Phase)
 		c.Bool(&p.Routing.Dateline)
 		snapshot.Sint(c, &p.rxNext)
-	}
-	for i := 0; i < m.NumPackets(); i++ {
-		p := m.Packet(i)
-		for j := 0; j < p.Size(); j++ {
-			f := p.Flit(j)
-			if c.Loading() {
-				// The aliasing sentinel compares a flit's stamp with its
-				// message's generation, never their absolute values.
-				f.vfGen = m.gen
-			}
-			c.Bool(&f.vfInFlight)
-		}
 	}
 }
 

@@ -30,7 +30,9 @@ func TestMessageAllocations(t *testing.T) {
 			"NewMessage":      func() { NewMessage(1, 0, 0, 1, tc.flits, tc.maxPkt) },
 			"Pool.NewMessage": func() { pool.NewMessage(1, 0, 0, 1, tc.flits, tc.maxPkt) },
 			"recycled": func() {
-				pool.Release(pool.NewMessage(1, 0, 0, 1, tc.flits, tc.maxPkt))
+				m := pool.NewMessage(1, 0, 0, 1, tc.flits, tc.maxPkt)
+				m.RxRemaining = 0
+				pool.Release(m)
 			},
 		}
 		for ctor, fn := range fresh {
@@ -213,6 +215,7 @@ func TestMessageLayoutFieldForField(t *testing.T) {
 
 		first := pool.NewMessage(7, 0, 1, 0, sh.flits, sh.maxPkt)
 		dirty(first)
+		first.RxRemaining = 0
 		pool.Release(first)
 		recycled := pool.NewMessage(id, app, src, dst, sh.flits, sh.maxPkt)
 		if recycled != first {

@@ -1,6 +1,9 @@
 package types
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // poolKey buckets recycled messages by shape: segmentation depends on both
 // the flit count and the packet size cap, so both are part of the key. The
@@ -8,17 +11,6 @@ import "sync/atomic"
 type poolKey struct {
 	totalFlits    int
 	maxPacketSize int
-}
-
-// PoolObserver is notified of message lifecycle transitions through a pool.
-// The invariant-verification subsystem implements it to detect aliasing —
-// a message released or handed out while its flits are still in the network.
-type PoolObserver interface {
-	// MessageObtained fires after a message is drawn from the pool (recycled
-	// or freshly allocated) and reset.
-	MessageObtained(m *Message)
-	// MessageReleased fires when a message's blocks return to the free list.
-	MessageReleased(m *Message)
 }
 
 // Pool recycles retired message/packet/flit blocks, bucketed by message
@@ -29,7 +21,6 @@ type PoolObserver interface {
 // The zero Pool is not usable; call NewPool.
 type Pool struct {
 	free map[poolKey][]*Message
-	obs  PoolObserver
 	// id names the pool in its messages (Message.pool), four bytes where a
 	// pointer would take eight; 0 means unpooled.
 	id uint32
@@ -50,10 +41,6 @@ var poolIDs atomic.Uint32
 func NewPool() *Pool {
 	return &Pool{free: map[poolKey][]*Message{}, id: poolIDs.Add(1)}
 }
-
-// SetObserver registers a lifecycle observer (nil to remove). Observation is
-// read-only; the observer must not retain or release messages.
-func (p *Pool) SetObserver(o PoolObserver) { p.obs = o }
 
 // PoolStats is a snapshot of a pool's recycling counters.
 type PoolStats struct {
@@ -81,25 +68,20 @@ func (p *Pool) NewMessage(id uint64, app, src, dst int, totalFlits, maxPacketSiz
 		p.free[k] = list[:len(list)-1]
 		p.hits++
 		m.reset(id, app, src, dst)
-		if p.obs != nil {
-			p.obs.MessageObtained(m)
-		}
 		return m
 	}
 	m := &Message{pool: p.id}
 	m.alloc(totalFlits, maxPacketSize)
 	m.reset(id, app, src, dst)
-	if p.obs != nil {
-		p.obs.MessageObtained(m)
-	}
 	return m
 }
 
 // Release returns a retired message's blocks to the pool. It is legal only
-// after full delivery, at most once per NewMessage; a double release panics
-// (it would alias one block between two live messages). Messages owned by a
-// different pool, unpooled messages and nil are ignored, so callers can
-// release unconditionally at the retirement point.
+// after full delivery, at most once per NewMessage; a double release, or a
+// release while flits remain undelivered, panics (either would alias one
+// block between two live messages). Messages owned by a different pool,
+// unpooled messages and nil are ignored, so callers can release
+// unconditionally at the retirement point.
 func (p *Pool) Release(m *Message) {
 	if m == nil || m.pool != p.id {
 		return
@@ -107,11 +89,12 @@ func (p *Pool) Release(m *Message) {
 	if m.released {
 		panic("types: message released twice")
 	}
+	if m.RxRemaining != 0 {
+		panic(fmt.Sprintf("types: message %d released with %d of %d flits undelivered — pool aliasing",
+			m.ID, m.RxRemaining, m.TotalFlits()))
+	}
 	m.released = true
 	p.releases++
-	if p.obs != nil {
-		p.obs.MessageReleased(m)
-	}
 	k := poolKey{m.TotalFlits(), m.maxPkt()}
 	p.free[k] = append(p.free[k], m)
 }

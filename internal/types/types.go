@@ -72,7 +72,11 @@
 // Ownership rules: Release is legal only once per delivery, only after every
 // flit of the message has been delivered, and only by the releaser of record
 // (the workload demux); components must not retain message, packet or flit
-// pointers across delivery. A Pool is deliberately lock-free and
+// pointers across delivery. The two halves that can be checked are: Release
+// panics on a message with undelivered flits (RxRemaining above zero), which
+// would hand blocks still in the network to the next message of its shape,
+// and the ejection-side interface panics on a flit whose message has none
+// left to deliver (RxRemaining already zero), a duplicated or aliased flit. A Pool is deliberately lock-free and
 // single-threaded — it belongs to one Workload driven by one Simulator, the
 // same ownership discipline as the simulator's event free list. Concurrent
 // sweeps (internal/sweep, internal/taskrun) each build their own Simulation
@@ -120,11 +124,6 @@ type Message struct {
 	// boundary, and the header before packet 0 fills the first line.
 	Src int32
 
-	// gen counts the block's lives: it is bumped on every (re)initialization
-	// so verification layers can detect references into a recycled block (see
-	// internal/verify's pool-aliasing sentinel). It records host-memory reuse,
-	// not simulation state: a restored message starts at 1.
-	gen uint32
 	// pool is the owning Pool's id; 0 for unpooled messages.
 	pool uint32
 
@@ -168,11 +167,6 @@ type laterPacket struct {
 type PacketTimes struct {
 	Inject, Receive sim.Tick
 }
-
-// Generation returns the message's life counter, bumped each time the
-// message's blocks are (re)initialized. A component holding a flit whose
-// message generation has changed is holding an aliased, recycled block.
-func (m *Message) Generation() uint32 { return m.gen }
 
 // NewMessage creates an unpooled message of totalFlits flits segmented into
 // packets of at most maxPacketSize flits each. totalFlits and maxPacketSize
@@ -238,7 +232,6 @@ func (m *Message) alloc(totalFlits, maxPacketSize int) {
 // message is indistinguishable from a freshly allocated one. validateShape
 // has range-checked app, src and dst.
 func (m *Message) reset(id uint64, app, src, dst int) {
-	m.gen++
 	m.ID = id
 	m.App = int32(app)
 	m.Src = int32(src)
@@ -386,36 +379,13 @@ type Flit struct {
 	// input or output queue's client index), and channels and the internal
 	// datapath carry it beside the flit pointer.
 
-	// vfGen and vfInFlight are the invariant-verification subsystem's
-	// in-flight ledger, inlined into the flit so the ledger needs no shared
-	// map: every channel hop checks it, and a field read costs no lookup and
-	// no allocation. The fields are written only at injection/retirement
-	// (terminal side); hops merely read them.
-	vfGen uint32
-
-	Head       bool
-	Tail       bool
-	vfInFlight bool
+	Head bool
+	Tail bool
 
 	// span is the span recorder's slot of the message's open span plus one,
 	// or 0 when the flit is not tracked (see "The span slot" above).
 	span int32
 }
-
-// VerifyMarkInFlight records the flit entering the network, stamping the
-// owning message's generation. Owned by internal/verify.
-func (f *Flit) VerifyMarkInFlight(gen uint32) {
-	f.vfGen = gen
-	f.vfInFlight = true
-}
-
-// VerifyClearInFlight records the flit retiring from the network. Owned by
-// internal/verify.
-func (f *Flit) VerifyClearInFlight() { f.vfInFlight = false }
-
-// VerifyInFlight returns the message generation recorded at injection and
-// whether the flit is currently marked in flight. Owned by internal/verify.
-func (f *Flit) VerifyInFlight() (uint32, bool) { return f.vfGen, f.vfInFlight }
 
 // Span returns the span recorder's slot of the flit's open span plus one, or
 // 0 when the flit is not tracked. Owned by internal/telemetry.

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -218,9 +219,31 @@ func TestPoolReleaseOwnership(t *testing.T) {
 	if b.Stats().Releases != 0 || a.Stats().Releases != 0 {
 		t.Fatalf("foreign or unpooled release counted: a %+v, b %+v", a.Stats(), b.Stats())
 	}
+	m.RxRemaining = 0
 	a.Release(m)
 	if a.Stats().Releases != 1 {
 		t.Fatalf("owner's release not counted: %+v", a.Stats())
+	}
+}
+
+// TestPoolReleaseWhileInFlightPanics: releasing a message with undelivered
+// flits would hand blocks still in the network to the next message of its
+// shape, so the pool panics and keeps the message off its free list.
+func TestPoolReleaseWhileInFlightPanics(t *testing.T) {
+	p := NewPool()
+	m := p.NewMessage(1, 0, 0, 1, 4, 2)
+	m.RxRemaining = 1 // three of four flits delivered
+	func() {
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, "message 1 released with 1 of 4 flits undelivered") {
+				t.Fatalf("panic = %v, want a release of message 1 with 1 of 4 flits undelivered", r)
+			}
+		}()
+		p.Release(m)
+	}()
+	if got := p.NewMessage(2, 0, 0, 1, 4, 2); got == m || p.Stats().Releases != 0 {
+		t.Fatalf("the refused release reached the free list: %+v", p.Stats())
 	}
 }
 
@@ -229,10 +252,12 @@ func TestPoolReleaseOwnership(t *testing.T) {
 func TestPoolBucketsByShape(t *testing.T) {
 	p := NewPool()
 	m := p.NewMessage(1, 0, 0, 1, 3, 8)
+	m.RxRemaining = 0
 	p.Release(m)
 	if got := p.NewMessage(2, 0, 0, 1, 3, 3); got != m {
 		t.Fatal("3-flit message with cap 3 did not recycle the one built with cap 8")
 	}
+	m.RxRemaining = 0
 	p.Release(m)
 	if got := p.NewMessage(3, 0, 0, 1, 3, 2); got == m || got.NumPackets() != 2 {
 		t.Fatal("cap 2 (two packets) recycled the one-packet shape")

@@ -80,6 +80,7 @@ func TestWorkloadStateRoundTrip(t *testing.T) {
 	w.Complete(0)
 	_ = w.NextMessageID()
 	m := w.NewMessage(0, 0, 1, 2, 2)
+	m.RxRemaining = 0
 	w.Pool().Release(m)
 	apps[0].counter = 11
 	apps[1].counter = 22

@@ -96,6 +96,9 @@ type Workload struct {
 
 	msgID uint64
 	pool  *types.Pool
+	// maxFlits is the longest message an application makes: every model
+	// reads its message length from its message_size setting.
+	maxFlits int
 
 	// telemetry probe and span recorder, nil unless attached to the simulator
 	tp *telemetry.WorkloadProbe
@@ -128,6 +131,7 @@ func New(s *sim.Simulator, cfg *config.Settings, net network.Network) *Workload 
 			panic(fmt.Sprintf("workload: applications[%d] must be an object", i))
 		}
 		appCfg := config.FromMap(m)
+		w.maxFlits = max(w.maxFlits, int(appCfg.UIntOr("message_size", 1)))
 		ctor := Registry.MustLookup(appCfg.String("type"))
 		w.apps = append(w.apps, ctor(s, appCfg, w, i, net))
 	}
@@ -162,6 +166,10 @@ func (w *Workload) NextMessageID() uint64 {
 	w.msgID++
 	return w.msgID
 }
+
+// MaxMessageFlits returns the longest message, in flits, the workload's
+// applications make; a restored message longer than it is corrupt.
+func (w *Workload) MaxMessageFlits() int { return w.maxFlits }
 
 // Pool returns the workload's message pool.
 func (w *Workload) Pool() *types.Pool { return w.pool }

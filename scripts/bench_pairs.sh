@@ -3,27 +3,31 @@
 #
 # Paired host-speed comparison of the working tree against revision BASE on
 # one benchmark workload (`make bench-pairs BASE=<rev> W=<workload> N=10`).
-# It is the claim rule of benchmark/README.md made mechanical:
+# It is the claim rule of benchmark/README.md made mechanical, for all three
+# end-to-end metrics at once (run_s, setup_s, peak_rss_mb; lower is better):
 #
-#   1. BASE is checked out with `git worktree` under .bench_build/ and each
-#      side's benchmark binary is built once, from its own checkout;
+#   1. BASE is exported with `git archive` under .bench_build/ and each
+#      side's benchmark binary is built once, from its own tree;
 #   2. N pairs run in alternating order (pair 1 runs the base first, pair 2
 #      the change first, ...), all at one seed, each side from its own
 #      benchmark/ directory with the same flags. One seed keeps the base's
 #      quartile spread to the host's noise; repeat at another SEED to check
 #      that the claim holds on a seed not used while the change was written;
-#   3. it prints each pair's change/base ratio of METRIC, both sides' medians
-#      and quartiles, the median ratio, the pairs the change won (ties count
-#      for neither) and the base's quartile spread, then whether a gain may be
-#      claimed: won >= 9/10 of the pairs and the medians further apart than
-#      the base's quartiles.
+#   3. for each metric, read from each run's --out JSON, it prints every
+#      pair's change/base ratio, both sides' medians and quartiles, the
+#      median ratio, the pairs the change won and lost (ties count for
+#      neither) and the base's quartile spread, then a verdict: "better"
+#      (a gain may be claimed: won >= 9/10 of the pairs and the medians
+#      further apart than the base's quartiles), "worse" (the same rule the
+#      other way), "unresolved" (the base's spread exceeds the difference of
+#      the medians) or "not shown" (the medians differ by more than the
+#      spread, in fewer than 9/10 of the pairs).
 #
 # Every run must print `correct: true`, and both sides must print the same
 # fingerprint (the simulated outcome at that seed); otherwise the script
-# exits 1. The verdict line is informational and never sets the exit status.
+# exits 1. The verdicts are informational and never set the exit status.
 # Each run is the median of two simulations (--reps 2).
-# Environment: SEED (default 1), METRIC (an end-to-end metric name, default
-# run_s; lower is better).
+# Environment: SEED (default 1).
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -34,26 +38,22 @@ base_rev=$1
 workload=$2
 n=${3:-10}
 seed=${SEED:-1}
-metric=${METRIC:-run_s}
 go=${GO:-go}
 
 root=$(git rev-parse --show-toplevel)
 work="$root/.bench_build/pairs"
 tree="$work/base"
-mkdir -p "$work"
-cleanup() {
-	git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
-	git -C "$root" worktree prune
-}
-trap cleanup EXIT
-cleanup
-git -C "$root" worktree add --detach -q "$tree" "$base_rev"
+rm -rf "$tree"
+mkdir -p "$tree"
+trap 'rm -rf "$tree"' EXIT
+git -C "$root" archive "$base_rev" | tar -x -C "$tree"
 
-echo "bench-pairs: building base $(git -C "$tree" rev-parse --short HEAD) and the working tree; $workload, seed $seed"
+echo "bench-pairs: building base $(git -C "$root" rev-parse --short "$base_rev") and the working tree; $workload, seed $seed"
 "$go" build -C "$tree/benchmark" -o "$work/bench.base" .
 "$go" build -C "$root/benchmark" -o "$work/bench.change" .
 
-# run SIDE SEED: one benchmark run; prints "<metric value> <fingerprint>".
+# run SIDE SEED: one benchmark run; prints "<run_s> <setup_s> <peak_rss_mb>
+# <fingerprint>".
 run() {
 	if [ "$1" = base ]; then dir=$tree; else dir=$root; fi
 	out="$work/$1.json"
@@ -71,15 +71,25 @@ run() {
 		return 1
 		;;
 	esac
-	value=$(printf '%s\n' "$line" | sed -n "s/.*\"$metric\":{\"value\":\([^,}]*\).*/\1/p")
+	# The end_to_end block lists each metric's "name" line before its
+	# "value" line.
+	values=$(awk '
+		/"end_to_end"/ { e = 1 }
+		/"ops"/ { e = 0 }
+		e && /"name":/ { m = $2; gsub(/[",]/, "", m) }
+		e && /"value":/ { v = $2; gsub(/,/, "", v); val[m] = v }
+		END { if (val["run_s"] != "" && val["setup_s"] != "" && val["peak_rss_mb"] != "") print val["run_s"], val["setup_s"], val["peak_rss_mb"] }
+	' "$out")
 	fp=$(sed -n 's/.*"fingerprint": "\([0-9a-f]*\)".*/\1/p' "$out" | head -n 1)
-	if [ -z "$value" ] || [ -z "$fp" ]; then
-		echo "bench-pairs: $1 run at seed $2 printed no $metric or fingerprint" >&2
+	if [ -z "$values" ] || [ -z "$fp" ]; then
+		echo "bench-pairs: $1 run at seed $2 wrote no end-to-end metrics or fingerprint to $out" >&2
 		return 1
 	fi
-	echo "$value $fp"
+	echo "$values $fp"
 }
 
+# pairs.txt: one line per pair, "i base_run change_run base_setup
+# change_setup base_rss change_rss".
 pairs="$work/pairs.txt"
 : >"$pairs"
 i=1
@@ -92,18 +102,20 @@ while [ "$i" -le "$n" ]; do
 		b=$(run base "$seed")
 	fi
 	set -- $b $c
-	if [ "$2" != "$4" ]; then
-		echo "bench-pairs: change fingerprint $4 differs from base $2" >&2
+	if [ "$4" != "$8" ]; then
+		echo "bench-pairs: change fingerprint $8 differs from base $4" >&2
 		exit 1
 	fi
-	echo "$i $1 $3" >>"$pairs"
-	awk -v i="$i" -v b="$1" -v c="$3" -v m="$metric" \
-		'BEGIN { printf "pair %d: %s base %.4g change %.4g ratio %.3f\n", i, m, b, c, c / b }'
+	echo "$i $1 $5 $2 $6 $3 $7" >>"$pairs"
+	awk -v i="$i" -v br="$1" -v cr="$5" -v bs="$2" -v cs="$6" -v bm="$3" -v cm="$7" 'BEGIN {
+		printf "pair %d: run_s %.4g/%.4g (%.3f), setup_s %.4g/%.4g (%.3f), peak_rss_mb %.4g/%.4g (%.3f) base/change (ratio)\n",
+			i, br, cr, cr / br, bs, cs, cs / bs, bm, cm, cm / bm
+	}'
 	i=$((i + 1))
 done
 
-# Quartiles by linear interpolation between order statistics.
-awk -v m="$metric" '
+# Per metric: quartiles by linear interpolation between order statistics.
+awk '
 function sort(a, k,    i, j, t) {
 	for (i = 2; i <= k; i++)
 		for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
@@ -113,14 +125,27 @@ function q(a, k, p,    h, lo) {
 	lo = int(h)
 	return lo >= k ? a[k] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 }
-{ k++; b[k] = $2; c[k] = $3; r[k] = $3 / $2; if ($3 < $2) won++ }
+{
+	k++
+	for (m = 1; m <= 3; m++) {
+		b[m, k] = $(2 * m); c[m, k] = $(2 * m + 1)
+		if (c[m, k] < b[m, k]) won[m]++
+		if (c[m, k] > b[m, k]) lost[m]++
+	}
+}
 END {
-	sort(b, k); sort(c, k); sort(r, k)
-	spread = q(b, k, 0.75) - q(b, k, 0.25)
-	printf "base   %s: median %.4g, quartiles %.4g .. %.4g\n", m, q(b, k, 0.5), q(b, k, 0.25), q(b, k, 0.75)
-	printf "change %s: median %.4g, quartiles %.4g .. %.4g\n", m, q(c, k, 0.5), q(c, k, 0.25), q(c, k, 0.75)
-	printf "median change/base ratio %.3f over %d pairs; change won %d/%d\n", q(r, k, 0.5), k, won, k
-	gap = q(b, k, 0.5) - q(c, k, 0.5)
-	printf "base quartile spread %.4g (%.1f%% of its median); median gap %.4g\n", spread, 100 * spread / q(b, k, 0.5), gap
-	printf "gain claimable: %s\n", (won * 10 >= 9 * k && gap > spread) ? "yes" : "no"
+	split("run_s setup_s peak_rss_mb", name, " ")
+	for (m = 1; m <= 3; m++) {
+		for (i = 1; i <= k; i++) { x[i] = b[m, i]; y[i] = c[m, i]; r[i] = c[m, i] / b[m, i] }
+		sort(x, k); sort(y, k); sort(r, k)
+		spread = q(x, k, 0.75) - q(x, k, 0.25)
+		gap = q(x, k, 0.5) - q(y, k, 0.5)
+		if (won[m] * 10 >= 9 * k && gap > spread) verdict = "better (gain claimable)"
+		else if (lost[m] * 10 >= 9 * k && -gap > spread) verdict = "worse"
+		else if ((gap < 0 ? -gap : gap) <= spread) verdict = "unresolved (base spread exceeds the difference)"
+		else verdict = "not shown (medians differ by more than the spread, in fewer than 9/10 pairs)"
+		printf "%s: base median %.4g [%.4g, %.4g], change median %.4g [%.4g, %.4g]; median ratio %.3f; won %d, lost %d of %d; base spread %.4g (%.1f%%), median gap %.4g: %s\n",
+			name[m], q(x, k, 0.5), q(x, k, 0.25), q(x, k, 0.75), q(y, k, 0.5), q(y, k, 0.25), q(y, k, 0.75),
+			q(r, k, 0.5), won[m], lost[m], k, spread, 100 * spread / q(x, k, 0.5), gap, verdict
+	}
 }' "$pairs"
