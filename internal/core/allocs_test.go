@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -30,6 +31,8 @@ const (
 	allocWarmup sim.Tick = 6000
 	// allocWindow is the number of ticks measured.
 	allocWindow sim.Tick = 6000
+	// allocCheckEvery is the checking run loop's pause period in ticks.
+	allocCheckEvery sim.Tick = 500
 	// maxAllocsPerKiloEvent bounds heap objects per 1,000 events executed in
 	// the window. Clean configurations measure below 1 (amortized FIFO and
 	// free-list growth, the recorder's chunks); one allocation per message
@@ -115,6 +118,11 @@ func configRoutings(t *testing.T, doc, topo string) []string {
 type allocCase struct {
 	name string
 	cfg  *config.Settings
+	// checked advances the measured window through the run loop, as Run
+	// does, pausing every allocCheckEvery ticks to sum the flit counters the
+	// progress watchdog and the drain check read; otherwise the window is
+	// one RunUntil.
+	checked bool
 }
 
 // modelCases is every network model a configuration can select, each running
@@ -125,7 +133,7 @@ type allocCase struct {
 func modelCases(app string) []allocCase {
 	var cases []allocCase
 	add := func(name, doc string) {
-		cases = append(cases, allocCase{name, config.MustParse(doc)})
+		cases = append(cases, allocCase{name: name, cfg: config.MustParse(doc)})
 	}
 	for _, r := range allocRoutes {
 		for _, arch := range router.Registry.Names() {
@@ -146,11 +154,11 @@ func modelCases(app string) []allocCase {
 }
 
 // allocCases is the measured configuration set: modelCases, one row per
-// non-default application model, and the golden cases plain and with
-// telemetry.
+// non-default application model, and the golden cases plain, driven by the
+// checking run loop, and with telemetry.
 func allocCases(t *testing.T) []allocCase {
 	cases := modelCases(allocBlast)
-	cases = append(cases, allocCase{"pulse", config.MustParse(allocDoc("torus", "", `"architecture": "input_queued"`,
+	cases = append(cases, allocCase{name: "pulse", cfg: config.MustParse(allocDoc("torus", "", `"architecture": "input_queued"`,
 		`{"type": "pulse", "injection_rate": 0.2, "message_size": 4, "max_packet_size": 2, "count": 1000000,
 		  "traffic": {"type": "uniform_random"}}`))})
 
@@ -161,35 +169,57 @@ func allocCases(t *testing.T) []allocCase {
 		}
 		doc := strings.Replace(gc.doc, sampled, `"sample_duration": 1000000`, 1)
 		for _, mode := range []struct {
-			name string
-			key  string
-			val  any
+			name    string
+			key     string
+			val     any
+			checked bool
 		}{
-			{"plain", "", nil},
-			{"telemetry", "simulation.telemetry.enabled", true},
+			{"verify", "", nil, true},
+			{"plain", "", nil, false},
+			{"telemetry", "simulation.telemetry.enabled", true, false},
 		} {
 			cfg := config.MustParse(doc)
 			if mode.key != "" {
 				cfg.Set(mode.key, mode.val)
 			}
-			cases = append(cases, allocCase{"golden_" + gc.name + "/" + mode.name, cfg})
+			cases = append(cases, allocCase{name: "golden_" + gc.name + "/" + mode.name, cfg: cfg, checked: mode.checked})
 		}
 	}
 	return cases
 }
 
-// steadyStateAllocs builds the simulation, runs it to allocWarmup and
+// steadyStateAllocs builds c's simulation, runs it to allocWarmup and
 // returns the heap objects allocated and the events executed over the next
 // allocWindow ticks.
-func steadyStateAllocs(t *testing.T, cfg *config.Settings) (allocs, events uint64) {
+func steadyStateAllocs(t *testing.T, c allocCase) (allocs, events uint64) {
 	t.Helper()
-	sm := Build(cfg)
+	sm := Build(c.cfg)
 	sm.Sim.RunUntil(allocWarmup)
 	start := sm.Sim.Executed()
+	end := allocWarmup + allocWindow
+	// The run loop's hooks are built before the window opens, so that only
+	// what the loop does at its pauses is measured.
+	counts, report := sm.flitCounts, sm.report
+	errWindowClosed := errors.New("window closed")
+	var err error
+	pause := func(at sim.Tick) error {
+		counts()
+		if at >= end {
+			return errWindowClosed
+		}
+		return nil
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sm.Sim.RunUntil(allocWarmup + allocWindow)
+	if c.checked {
+		err = drive(sm.Sim, counts, report, allocCheckEvery, pause)
+	} else {
+		sm.Sim.RunUntil(end)
+	}
 	runtime.ReadMemStats(&after)
+	if c.checked && err != errWindowClosed {
+		t.Fatalf("run loop ended with %v before the window closed", err)
+	}
 	if p := sm.Workload.Phase(); p != workload.Generating {
 		t.Fatalf("workload left steady-state generation before the window closed: %v", p)
 	}
@@ -231,7 +261,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 
 	for _, c := range allocCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			allocs, events := steadyStateAllocs(t, c.cfg)
+			allocs, events := steadyStateAllocs(t, c)
 			if events == 0 {
 				t.Fatal("no events executed in the window")
 			}

@@ -34,14 +34,14 @@ const eqBlast = `{"type": "blast", "injection_rate": 0.2, "message_size": 4,
 func eqCases(t *testing.T) []allocCase {
 	cases := modelCases(eqBlast)
 	for _, gc := range goldenCases() {
-		cases = append(cases, allocCase{"golden_" + gc.name, config.MustParse(gc.doc)})
+		cases = append(cases, allocCase{name: "golden_" + gc.name, cfg: config.MustParse(gc.doc)})
 	}
 	for _, gc := range goldenCases() {
 		cfg := config.MustParse(gc.doc)
 		if err := cfg.ApplyOverrides(probesOn); err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, allocCase{"golden_" + gc.name + "/telemetry", cfg})
+		cases = append(cases, allocCase{name: "golden_" + gc.name + "/telemetry", cfg: cfg})
 	}
 	return cases
 }

@@ -28,7 +28,7 @@ func TestRouterEventBudget(t *testing.T) {
 	cases := modelCases(eqBlast)
 	// A Pulse beside the Blast: its burst starts in the middle of the
 	// sampling window, inside the horizon.
-	cases = append(cases, allocCase{"blast_pulse", config.MustParse(allocDoc("torus", "", `"architecture": "input_queued"`,
+	cases = append(cases, allocCase{name: "blast_pulse", cfg: config.MustParse(allocDoc("torus", "", `"architecture": "input_queued"`,
 		eqBlast+`, {"type": "pulse", "injection_rate": 0.3, "message_size": 2, "count": 20, "delay": 800,
 		  "traffic": {"type": "uniform_random"}}`))})
 	for _, tc := range cases {
